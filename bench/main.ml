@@ -9,7 +9,7 @@
      bench/main.exe t1 f3 google    run selected experiments
      bench/main.exe micro           microbenchmarks only (writes BENCH_crypto.json)
      bench/main.exe ablations       section 8.2 what-ifs only
-     bench/main.exe parallel        serial vs parallel campaign wall-clock
+     bench/main.exe parallel        1-worker vs N-worker campaign wall-clock
      bench/main.exe traffic         client-population runner throughput + speedup
      bench/main.exe phases          per-phase campaign telemetry breakdown
      bench/main.exe faults          fault-injected campaign + loss funnel
@@ -684,19 +684,18 @@ let microbenches () =
      cached ephemeral values.\n"
   ^ "\n" ^ kernel_report ()
 
-(* --- Serial vs parallel campaign ----------------------------------------------------- *)
+(* --- 1-worker vs N-worker campaign ---------------------------------------------------- *)
 
-(* Serial daily scan vs the operator-sharded parallel runner, plus the
-   determinism check the parallel design promises: a 1-worker and an
-   N-worker run of the same world produce identical series. Each run
-   gets a fresh world (campaigns mutate server state), sized by
-   TLSHARM_DOMAINS/TLSHARM_DAYS with smaller defaults than the full
-   study so "bench all" stays quick.
+(* The campaign runner at 1 and N workers, plus the determinism check
+   the sharded design promises: a 1-worker and an N-worker run of the
+   same world produce identical series. Each run gets a fresh world
+   (campaigns mutate server state), sized by TLSHARM_DOMAINS/TLSHARM_DAYS
+   with smaller defaults than the full study so "bench all" stays quick.
 
-   Run order is serial, then 1 worker, then N workers: the first run
-   pays the allocator/page-fault warm-up, and it must not be the
-   parallel one — the seed-era ordering timed the parallel run on a
-   cold process and biased the ratio against it.
+   Run order is an untimed warm-up campaign, then 1 worker, then N
+   workers: the first run pays the allocator/page-fault warm-up, and it
+   must not be a timed one — the seed-era ordering timed the parallel
+   run on a cold process and biased the ratio against it.
 
    Two speedups are reported and they answer different questions:
 
@@ -731,11 +730,11 @@ let parallel_campaign_bench () =
   in
   let jobs =
     let j = env_int "TLSHARM_JOBS" 0 in
-    if j >= 2 then j else max 2 (Domain.recommended_domain_count ())
+    if j >= 2 then j else max 2 (Scanner.Pool.default_jobs ())
   in
   let world = fresh () in
   let n_shards = Array.length (Scanner.Parallel_campaign.shards world) in
-  let serial, t_serial = time (fun () -> Scanner.Daily_scan.run world ~days ()) in
+  ignore (Scanner.Parallel_campaign.run ~jobs:1 world ~days ());
   let obs = Obs.Recorder.create ~wall:true () in
   let one, t_one =
     time (fun () -> Scanner.Parallel_campaign.run ~jobs:1 ~obs (fresh ()) ~days ())
@@ -784,7 +783,6 @@ let parallel_campaign_bench () =
          ("days", Json_io.Num (float_of_int days));
          ("jobs", Json_io.Num (float_of_int jobs));
          ("n_shards", Json_io.Num (float_of_int n_shards));
-         ("serial_s", Json_io.Num t_serial);
          ("one_worker_s", Json_io.Num t_one);
          ("parallel_s", Json_io.Num t_par);
          ("shard_wall_max_s", Json_io.Num wall_max);
@@ -801,7 +799,6 @@ let parallel_campaign_bench () =
       ~headers:[ "Runner"; "Wall-clock"; "Notes" ]
       ~rows:
         [
-          [ "serial Daily_scan.run"; Printf.sprintf "%.2f s" t_serial; "" ];
           [ "Parallel_campaign.run ~jobs:1"; Printf.sprintf "%.2f s" t_one; "" ];
           [
             Printf.sprintf "Parallel_campaign.run ~jobs:%d" jobs;
@@ -817,10 +814,10 @@ let parallel_campaign_bench () =
        simulated over measured shard walls; see README for why the wall ratio is not the \
        gated number on shared hosts.\n"
       n_domains days n_shards
-      (Domain.recommended_domain_count ())
+      (Scanner.Pool.default_jobs ())
       jobs
       (if deterministic then "identical to" else "DIFFER FROM (BUG)")
-      (Array.length serial.Scanner.Daily_scan.series)
+      (Array.length one.Scanner.Daily_scan.series)
       wall_max wall_mean
       (if wall_mean > 0.0 then wall_max /. wall_mean else 1.0)
       jobs scheduled_speedup (100.0 *. utilization)
@@ -859,7 +856,7 @@ let traffic_bench () =
   in
   let jobs =
     let j = env_int "TLSHARM_JOBS" 0 in
-    if j >= 2 then j else max 2 (Domain.recommended_domain_count ())
+    if j >= 2 then j else max 2 (Scanner.Pool.default_jobs ())
   in
   let n_shards = Array.length (Traffic.Population.shards cfg) in
   let obs = Obs.Recorder.create ~wall:true () in
@@ -965,7 +962,7 @@ let phases_bench () =
   let obs = Obs.Recorder.create ~wall:true () in
   let kernel_before = Obs.Kernel.snapshot () in
   let t0 = Unix.gettimeofday () in
-  let scan = Scanner.Daily_scan.run ~obs world ~days () in
+  let scan = Scanner.Parallel_campaign.run ~jobs:1 ~obs world ~days () in
   let wall_s = Unix.gettimeofday () -. t0 in
   Obs.Kernel.add_to_metrics (Obs.Recorder.metrics obs)
     (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ()));
@@ -1034,13 +1031,21 @@ let faults_bench () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let clean, t_clean = time (fun () -> Scanner.Daily_scan.run (fresh ()) ~days ()) in
+  let campaign ?injector ?funnel world =
+    Scanner.Parallel_campaign.run ~jobs:1 ?injector ~retry:Faults.Retry.default ?funnel world
+      ~days ()
+  in
+  (* Untimed warm-up: whichever campaign runs first pays the process's
+     cold caches and heap growth. That, and timing the clean run's world
+     construction with it, once made the byzantine run look cheaper than
+     the clean one. Every timer below covers the campaign alone. *)
+  ignore (campaign (fresh ()));
+  let clean_world = fresh () in
+  let clean, t_clean = time (fun () -> campaign clean_world) in
   let world = fresh () in
   let injector = Faults.Injector.create ~profile:Faults.Profile.default world in
   let funnel = Faults.Funnel.create () in
-  let faulty, t_faulty =
-    time (fun () -> Scanner.Daily_scan.run ~injector ~retry:Faults.Retry.default ~funnel world ~days ())
-  in
+  let faulty, t_faulty = time (fun () -> campaign ~injector ~funnel world) in
   (* Key day records by (domain, day): any day where both sweeps got
      through the fault layer must match the clean run field-for-field. *)
   let index (scan : Scanner.Daily_scan.t) =
@@ -1074,9 +1079,7 @@ let faults_bench () =
   let byz_injector = Faults.Injector.create ~profile:Faults.Profile.byzantine byz_world in
   let byz_funnel = Faults.Funnel.create () in
   let byzantine, t_byz =
-    time (fun () ->
-        Scanner.Daily_scan.run ~injector:byz_injector ~retry:Faults.Retry.default
-          ~funnel:byz_funnel byz_world ~days ())
+    time (fun () -> campaign ~injector:byz_injector ~funnel:byz_funnel byz_world)
   in
   let byz_checked = ref 0 and byz_mismatches = ref 0 in
   Hashtbl.iter

@@ -36,10 +36,8 @@ let jobs_arg =
     & opt int default_jobs
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the longitudinal campaign (default \\$(b,TLSHARM_JOBS) or 1). With \
-           N > 1 the campaign runs operator-sharded in parallel; results are deterministic for \
-           any N but follow a per-shard probe-seed schedule, so they differ from a serial (N=1) \
-           run.")
+          "Worker domains for the longitudinal campaign (default \\$(b,TLSHARM_JOBS) or 1). The \
+           campaign is operator-sharded at any N, and its archive is byte-identical for every N.")
 
 let fault_profile_arg =
   Arg.(
@@ -303,8 +301,7 @@ let reproduce_cmd =
    the recorder only reads outcomes, so enabling it cannot change the
    archive, and its metrics are restricted to schedule-determined
    quantities, so the rendered metrics JSON is identical for any
-   --jobs within a regime (and across serial/parallel too, since both
-   regimes probe the same domain-day schedule). *)
+   --jobs. *)
 let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~stream_out
     ~metrics_out ~trace_out () =
   let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
@@ -339,12 +336,8 @@ let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~st
          construction, which runs before telemetry starts). *)
       let kernel_before = Obs.Kernel.snapshot () in
       let t =
-        if jobs > 1 then
-          Scanner.Parallel_campaign.run ~jobs ?injector ~retry ~funnel ?checkpoint ?sink
-            ~retain_rows ?obs world ~days ()
-        else
-          Scanner.Daily_scan.run ?injector ~retry ~funnel ?checkpoint ?sink ~retain_rows ?obs
-            world ~days ()
+        Scanner.Parallel_campaign.run ~jobs ?injector ~retry ~funnel ?checkpoint ?sink
+          ~retain_rows ?obs world ~days ()
       in
       Option.iter
         (fun r ->
@@ -572,31 +565,15 @@ let resume dir jobs_override metrics_out trace_out =
               match fault_setup profile (Some retries) (Some deadline) with
               | Error e -> `Error (false, e)
               | Ok (profile, retry) -> (
-                  (* A serial and a parallel campaign follow different
-                     probe-seed schedules, so resuming across that line
-                     can never reproduce the original bytes. Within the
-                     parallel regime any worker count yields identical
-                     results, so a different [jobs > 1] is fine. *)
-                  let jobs_resolved =
-                    match jobs_override with
-                    | None -> Ok jobs
-                    | Some j when j < 1 ->
-                        Error (Printf.sprintf "--jobs must be at least 1 (got %d)" j)
-                    | Some j when j > 1 = (jobs > 1) -> Ok j
-                    | Some j ->
-                        Error
-                          (Printf.sprintf
-                             "cannot resume a %s campaign with --jobs %d: serial and parallel \
-                              campaigns follow different probe-seed schedules"
-                             (if jobs > 1 then "parallel" else "serial")
-                             j)
-                  in
-                  match jobs_resolved with
-                  | Error e -> `Error (false, e)
-                  | Ok jobs ->
-                      guard
-                        (run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry
-                           ~checkpoint:(Some store) ~stream_out ~metrics_out ~trace_out)))
+                  (* Shards and their seeds depend only on the world, so
+                     any worker count reproduces the original bytes. *)
+                  let jobs = Option.value jobs_override ~default:jobs in
+                  if jobs < 1 then
+                    `Error (false, Printf.sprintf "--jobs must be at least 1 (got %d)" jobs)
+                  else
+                    guard
+                      (run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry
+                         ~checkpoint:(Some store) ~stream_out ~metrics_out ~trace_out)))
           | Some mode, _, _, _, _, _, _, _, _ when mode <> "campaign" ->
               `Error (false, Printf.sprintf "%s: cannot resume mode %S" dir mode)
           | _ -> `Error (false, dir ^ ": manifest is missing campaign fields")))
@@ -613,10 +590,7 @@ let resume_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Override the recorded worker count. Serial (1) and parallel (> 1) campaigns cannot \
-             be converted into each other; within the parallel regime any N reproduces the same \
-             bytes.")
+          ~doc:"Override the recorded worker count. Any N reproduces the same bytes.")
   in
   Cmd.v
     (Cmd.info "resume"

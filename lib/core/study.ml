@@ -21,7 +21,7 @@
 type config = {
   world_config : Simnet.World.config;
   campaign_days : int;
-  jobs : int; (* campaign worker domains; > 1 uses Parallel_campaign *)
+  jobs : int; (* campaign worker domains; the archive is identical at any count *)
   verbose : bool;
   fault_profile : Faults.Profile.t; (* [Profile.none] = legacy fault-free network *)
   retry : Faults.Retry.policy;
@@ -225,21 +225,15 @@ let campaign t =
       let clock = Simnet.World.clock t.world in
       let now = Simnet.Clock.now clock in
       Simnet.Clock.set clock ((now / Simnet.Clock.day * Simnet.Clock.day) + Simnet.Clock.day);
+      log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
       let r =
-        if t.config.jobs > 1 then begin
-          log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
-          Scanner.Parallel_campaign.run ~jobs:t.config.jobs ?injector:t.injector
-            ~retry:t.config.retry ~funnel:t.funnel ?checkpoint:t.config.checkpoint
-            ?obs:t.config.obs t.world ~days:t.config.campaign_days ()
-        end
-        else begin
-          log t "study: daily campaign (%d days)" t.config.campaign_days;
-          Scanner.Daily_scan.run ?injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-            ?checkpoint:t.config.checkpoint ?obs:t.config.obs t.world
-            ~days:t.config.campaign_days
-            ~progress:(fun day -> log t "study: campaign day %d" day)
-            ()
-        end
+        Scanner.Parallel_campaign.run ~jobs:t.config.jobs ?injector:t.injector
+          ~retry:t.config.retry ~funnel:t.funnel ?checkpoint:t.config.checkpoint
+          ?obs:t.config.obs t.world ~days:t.config.campaign_days
+          ~progress:(fun ~shard ~day ->
+            (* Shard 0, the heaviest, starts first: its days pace the run. *)
+            if shard = 0 then log t "study: campaign day %d" day)
+          ()
       in
       t.campaign <- Some r;
       r

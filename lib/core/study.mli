@@ -8,10 +8,10 @@ type config = {
   world_config : Simnet.World.config;
   campaign_days : int;  (** 63 in the paper *)
   jobs : int;
-      (** worker domains for the longitudinal campaign; [> 1] runs it
-          through {!Scanner.Parallel_campaign} (deterministic for any job
-          count, but a different — per-shard — probe-seed schedule than
-          the serial scan). Default 1. *)
+      (** worker domains for the longitudinal campaign, which always
+          runs through {!Scanner.Parallel_campaign}. The archive is
+          byte-identical at any job count: every recorded field is
+          server-derived. Default 1. *)
   verbose : bool;  (** progress on stderr *)
   fault_profile : Faults.Profile.t;
       (** [Faults.Profile.none] (the default) disables injection

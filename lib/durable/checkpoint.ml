@@ -2,8 +2,7 @@
 
    A checkpoint directory holds one manifest plus one subdirectory per
    *stream* — an independent sequence of per-day state snapshots. A
-   serial campaign has a single stream ("serial"); a parallel campaign
-   has one stream per shard ("shard-0007"). Layout:
+   campaign has one stream per shard ("shard-0007"). Layout:
 
      <dir>/manifest            k=v lines describing the run (version,
                                mode, seed, days, …), written once
@@ -41,7 +40,11 @@ let mkdir_p dir =
 
 (* --- Manifest ---------------------------------------------------------------- *)
 
-let version = 1
+(* Version 1 stores also held a serial/ stream from a campaign runner
+   that no longer exists; version 2 stores hold shard streams only. An
+   old store is refused by version rather than re-scanned beside its
+   stale stream. *)
+let version = 2
 let manifest_path dir = Filename.concat dir "manifest"
 
 let render_manifest kvs =
@@ -68,7 +71,12 @@ let manifest t =
       let kvs = parse_kv_lines content in
       match List.assoc_opt "version" kvs with
       | Some v when int_of_string_opt v = Some version -> Ok kvs
-      | Some v -> Error (Printf.sprintf "manifest: unsupported checkpoint version %s" v)
+      | Some v ->
+          Error
+            (Printf.sprintf
+               "manifest: unsupported checkpoint version %s (this build reads version %d); \
+                start the campaign afresh in a new directory"
+               v version)
       | None -> Error "manifest: no version field")
 
 let find t key = match manifest t with Ok kvs -> List.assoc_opt key kvs | Error _ -> None
@@ -85,10 +93,14 @@ let init ~dir ~manifest:kvs =
   if Sys.file_exists path then
     match Atomic_io.read path with
     | Ok existing when existing = fresh -> Ok { dir }
-    | Ok _ ->
-        Error
-          (Printf.sprintf
-             "checkpoint directory %s already holds a different campaign (manifest mismatch)" dir)
+    | Ok _ -> (
+        match manifest { dir } with
+        | Error e -> Error (dir ^ ": " ^ e)
+        | Ok _ ->
+            Error
+              (Printf.sprintf
+                 "checkpoint directory %s already holds a different campaign (manifest mismatch)"
+                 dir))
     | Error e -> Error (Atomic_io.error_to_string ~what:(path ^ ": manifest") e)
   else begin
     Atomic_io.write path fresh;

@@ -2,10 +2,10 @@
 
     A checkpoint directory holds a manifest (run parameters, format
     version) plus one subdirectory per {e stream} — an independent
-    sequence of per-day snapshots. Serial campaigns use a single
-    ["serial"] stream; parallel campaigns use one stream per shard. All
-    files are written through {!Atomic_io}, so crashes leave either the
-    previous complete snapshot set or nothing. *)
+    sequence of per-day snapshots, one per campaign shard
+    (["shard-0007"]). All files are written through {!Atomic_io}, so
+    crashes leave either the previous complete snapshot set or
+    nothing. *)
 
 exception Mismatch of string
 (** Replayed computation diverged from a recorded checkpoint (wrong
@@ -21,16 +21,20 @@ type t
 
 val dir : t -> string
 val version : int
+(** The on-disk format version recorded in every manifest (2: shard
+    streams only). *)
 
 val init : dir:string -> manifest:(string * string) list -> (t, string) result
 (** Create (or re-attach to) a checkpoint directory. A [version] field
     is prepended to the manifest automatically. Re-attaching succeeds
     only if the existing manifest matches exactly; a directory holding a
-    different campaign is refused. *)
+    different campaign, or written under another {!version}, is
+    refused. *)
 
 val attach : dir:string -> (t, string) result
 (** Open an existing checkpoint directory for resuming; validates that a
-    readable, version-compatible manifest is present. *)
+    readable manifest of this {!version} is present. A store of another
+    version is an [Error] naming both versions. *)
 
 val manifest : t -> ((string * string) list, string) result
 val find : t -> string -> string option

@@ -11,9 +11,10 @@
    a region never perturbs another region's observations.
 
    Regions are fully independent of one another, which makes the
-   parallel path trivially jobs-invariant: workers compute whole
-   regions and the results are assembled in the configured region
-   order, so the archive is byte-identical at any [--jobs]. *)
+   parallel path trivially jobs-invariant: {!Pool} workers compute
+   whole regions into per-region slots and the results are assembled
+   in the configured region order, so the archive is byte-identical at
+   any [--jobs]. *)
 
 type config = {
   base : Simnet.World.config;
@@ -31,10 +32,10 @@ type t = {
 let rows t = t.rows
 let regions t = t.regions
 
-(* The daily sweep schedule of {!Daily_scan}: the default sweep (all
-   suites, tickets on) at 00:30 study time, the DHE-only sweep at 02:00.
-   The DHE sweep is what makes weak-group misconfigurations observable —
-   the default sweep almost always negotiates ECDHE. *)
+(* The daily sweep schedule of {!Daily_scan}: a default sweep (all
+   suites, tickets on) and a DHE-only sweep per day. The DHE sweep is
+   what makes weak-group misconfigurations observable — the default
+   sweep almost always negotiates ECDHE. *)
 let scan_region ~(base : Simnet.World.config) ~days region =
   let world = Simnet.World.create ~config:{ base with Simnet.World.region } () in
   let clock = Simnet.World.clock world in
@@ -44,7 +45,7 @@ let scan_region ~(base : Simnet.World.config) ~days region =
   let domains = Simnet.World.domains world in
   let out = ref [] in
   for day = 0 to days - 1 do
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + (30 * Simnet.Clock.minute));
+    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + Daily_scan.default_sweep_at);
     Array.iter
       (fun d ->
         if Simnet.World.in_list_on_day d ~day then begin
@@ -52,7 +53,7 @@ let scan_region ~(base : Simnet.World.config) ~days region =
           out := o :: !out
         end)
       domains;
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + (2 * Simnet.Clock.hour));
+    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + Daily_scan.dhe_sweep_at);
     Array.iter
       (fun d ->
         if Simnet.World.in_list_on_day d ~day then begin
@@ -75,29 +76,12 @@ let validate (config : config) =
              Simnet.Region.names))
     config.regions
 
-let run ?(jobs = 1) (config : config) =
+let run ?jobs (config : config) =
   validate config;
   let regions = Array.of_list config.regions in
-  let n = Array.length regions in
-  let slots = Array.make n [] in
-  let fill i = slots.(i) <- scan_region ~base:config.base ~days:config.days regions.(i) in
-  let workers = min (max jobs 1) n in
-  if workers <= 1 then
-    for i = 0 to n - 1 do
-      fill i
-    done
-  else
-    (* Round-robin region assignment; each worker owns its slots, and
-       region scans share no mutable state, so the assembled result is
-       independent of scheduling. *)
-    Array.init workers (fun k ->
-        Domain.spawn (fun () ->
-            let i = ref k in
-            while !i < n do
-              fill !i;
-              i := !i + workers
-            done))
-    |> Array.iter Domain.join;
+  let slots = Array.make (Array.length regions) [] in
+  Pool.run ?jobs (Array.length regions) (fun i ->
+      slots.(i) <- scan_region ~base:config.base ~days:config.days regions.(i));
   {
     regions = config.regions;
     days = config.days;

@@ -16,8 +16,9 @@ type t
 
 val run : ?jobs:int -> config -> t
 (** Raises [Invalid_argument] on an unknown region, an empty region
-    list, or [days < 1]. [jobs] > 1 scans whole regions in parallel;
-    the result is identical at any value. *)
+    list, or [days < 1]. Whole regions are scanned on a {!Pool} of
+    [jobs] workers (default {!Pool.default_jobs}); the result is
+    identical at any value. *)
 
 val rows : t -> Observation.conn list
 (** Region-major (configured order), then day, then sweep (default

@@ -233,12 +233,12 @@ let blank_record day =
 
 (* --- Checkpoint codec --------------------------------------------------------
 
-   One snapshot per completed scan day per stream (a stream = the serial
-   campaign, or one shard of the parallel one). A snapshot captures
-   everything a resumed run must reproduce to stay byte-identical to an
-   uninterrupted one: the virtual clock, both probes' DRBG positions,
-   the default probe's trust cache, the stream's cumulative loss funnel,
-   and that day's observed rows for every member domain.
+   One snapshot per completed scan day per stream (a stream = one shard
+   of the campaign). A snapshot captures everything a resumed run must
+   reproduce to stay byte-identical to an uninterrupted one: the virtual
+   clock, both probes' DRBG positions, the default probe's trust cache,
+   the stream's cumulative loss funnel, and that day's observed rows for
+   every member domain.
 
    The codec is deterministic — equal state encodes to equal bytes —
    which is what lets resume *verify* replayed days by comparing the
@@ -461,13 +461,19 @@ let stream_finish s ~trusted ~(domains : Simnet.World.domain array) =
     domains;
   Stream_sink.finish s ~trailer:(Buffer.contents b)
 
+(* The daily sweep schedule, as offsets into each study day: the default
+   sweep (all suites, tickets on) at 00:30, the DHE-only sweep at 02:00.
+   Every daily scanner in the project ({!scan_stream} and
+   {!Cross_vantage}) probes at these times. *)
+let default_sweep_at = 30 * Simnet.Clock.minute
+let dhe_sweep_at = 2 * Simnet.Clock.hour
+
 (* Scan [domains] for [days] days, driving [clock] (both probes must read
    it, and both must share one funnel). This is the sequential inner loop
-   shared by the serial campaign ([run], over all domains on the world
-   clock) and by each shard of {!Parallel_campaign} (a connectivity-closed
-   subset on a private clock). The probe-call sequence for a fixed domain
-   array is identical either way, which is what makes shard results
-   independent of worker count.
+   each shard of {!Parallel_campaign} runs over its connectivity-closed
+   domain subset on a private clock. The probe-call sequence for a fixed
+   domain array never depends on which worker runs it, which is what
+   makes shard results independent of worker count.
 
    With [checkpoint], each completed day is snapshotted into the stream.
    On entry the stream's longest valid snapshot prefix decides the resume
@@ -566,11 +572,10 @@ let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~d
         end)
       domains;
     let n_present = !n_present in
-    (* Default sweep at 00:30, DHE sweep at 02:00 local study time. The
-       [scan.day] span covers exactly that 90-virtual-minute window; the
+    (* The [scan.day] span covers exactly the sweep-to-sweep window; the
        clock is positioned before the span opens so its simulated
-       duration is sweep-to-sweep, not midnight-to-midnight. *)
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + (30 * Simnet.Clock.minute));
+       duration is not midnight-to-midnight. *)
+    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + default_sweep_at);
     Obs.Recorder.span_opt obs ~name:"scan.day"
       ~attrs:[ ("day", string_of_int day) ]
       ~now:(fun () -> Simnet.Clock.now clock)
@@ -582,7 +587,7 @@ let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~d
       in
       default_obs.(i) <- Some o
     done;
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + (2 * Simnet.Clock.hour));
+    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + dhe_sweep_at);
     for p = 0 to n_present - 1 do
       let i = present.(p) in
       Obs.Recorder.incr_opt obs "scan.domain_days";
@@ -637,47 +642,14 @@ let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~d
   build_series ~default_probe ~domains ~days records
   end
 
-let run_subset ?obs ~clock ~default_probe ~dhe_probe ~domains ~days ?progress () =
-  scan_stream ?obs ~clock ~default_probe ~dhe_probe ~domains ~days ?progress ()
-
-let run ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows = true) ?obs world ~days
-    ?progress () =
-  let clock = Simnet.World.clock world in
-  let start = Simnet.Clock.now clock in
-  (* The campaign's probes share a campaign-private funnel that is
-     absorbed into the caller's at the end (sums only, so the rendered
-     totals are unchanged). Privacy matters for checkpointing: the
-     snapshot must capture exactly the campaign's own telemetry, not
-     whatever pre-campaign probes already recorded into a shared
-     funnel. *)
-  let campaign_funnel = Faults.Funnel.create () in
-  let default_probe =
-    Probe.create ?injector ?retry ~funnel:campaign_funnel ?obs ~seed:"daily-default" world
-  in
-  let dhe_probe =
-    Probe.dhe_only ?injector ?retry ~funnel:campaign_funnel ?obs world ~seed:"daily-dhe"
-  in
-  let domains = Simnet.World.domains world in
-  let checkpoint =
-    Option.map (fun store -> Durable.Checkpoint.stream store "serial") checkpoint
-  in
-  let sink = Option.map (fun s -> Stream_sink.stream s "serial") sink in
-  Obs.Recorder.gauge_max_opt obs "campaign.days" days;
-  let series =
-    scan_stream ?checkpoint ?sink ~retain:retain_rows ?obs ~clock ~default_probe ~dhe_probe
-      ~domains ~days ?progress ()
-  in
-  Option.iter (fun f -> Faults.Funnel.absorb f campaign_funnel) funnel;
-  { start_day = start / Simnet.Clock.day; n_days = days; series }
-
 (* --- Streamed archive loader -------------------------------------------------
 
    Reassemble a campaign from a {!Stream_sink} directory: manifest for
    the day range, one spool per stream, trailer for per-domain metadata.
-   The result is sorted by (rank, domain) — the same order both [run]
-   (world order is rank order) and {!Parallel_campaign.run} produce — so
-   [save] on a loaded streamed archive is byte-identical to [save] on
-   the equivalent retained-in-memory campaign. *)
+   The result is sorted by (rank, domain) — the order
+   {!Parallel_campaign.run} produces — so [save] on a loaded streamed
+   archive is byte-identical to [save] on the equivalent
+   retained-in-memory campaign. *)
 
 let load_stream dir =
   let ( let* ) = Result.bind in

@@ -2,7 +2,9 @@
     weeks recording STEK identifiers and (EC)DHE server values — a
     default (all-suites, tickets-on) sweep and a DHE-only sweep per day.
     Domains absent from that day's list are skipped, so churn shows up in
-    the data. Campaigns serialize to CSV (the scans.io analog). *)
+    the data. {!Parallel_campaign.run} runs a campaign; this module owns
+    its record types, the per-shard scan loop and the sweep schedule.
+    Campaigns serialize to CSV (the scans.io analog). *)
 
 type day_record = {
   day : int;  (** day index from campaign start *)
@@ -26,50 +28,12 @@ type domain_series = {
 
 type t = { start_day : int; n_days : int; series : domain_series array }
 
-val run :
-  ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
-  ?funnel:Faults.Funnel.t ->
-  ?checkpoint:Durable.Checkpoint.t ->
-  ?sink:Stream_sink.t ->
-  ?retain_rows:bool ->
-  ?obs:Obs.Recorder.t ->
-  Simnet.World.t ->
-  days:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  t
-(** Runs the campaign, advancing the world's clock day by day; leaves the
-    clock at the campaign's end. [injector]/[retry] route every probe
-    through the fault layer; [funnel] receives the per-day loss
-    telemetry of both sweeps (recorded into a campaign-private funnel
-    and absorbed at the end). [checkpoint] snapshots each completed day
-    into the store's ["serial"] stream and resumes from the longest
-    valid snapshot prefix — see {!scan_stream}. [sink] streams each
-    day's rows into the sink's ["serial"] stream as the day completes;
-    with [retain_rows:false] (only sensible alongside a sink) the
-    observation matrix is never held in memory and the returned [t]
-    carries per-domain metadata with empty [days] arrays — recover the
-    rows with {!load_stream}. [obs] receives probe counters, [scan.day]
-    spans and campaign gauges; it never perturbs the scan, so the
-    archive is byte-identical with it absent. *)
+val default_sweep_at : int
+(** Offset into each study day of the default (all-suites, tickets-on)
+    sweep: 00:30. *)
 
-val run_subset :
-  ?obs:Obs.Recorder.t ->
-  clock:Simnet.Clock.t ->
-  default_probe:Probe.t ->
-  dhe_probe:Probe.t ->
-  domains:Simnet.World.domain array ->
-  days:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  domain_series array
-(** The sequential inner loop of {!run}, parameterized so
-    {!Parallel_campaign} can drive a connectivity-closed subset of
-    domains on a shard-private clock. Both probes must read [clock]
-    (create them with [?clock]); it is advanced through each scan day and
-    left at the campaign's end. Equivalent to {!scan_stream} without a
-    checkpoint stream. *)
+val dhe_sweep_at : int
+(** Offset into each study day of the DHE-only sweep: 02:00. *)
 
 val scan_stream :
   ?checkpoint:Durable.Checkpoint.stream ->
@@ -84,10 +48,14 @@ val scan_stream :
   ?progress:(int -> unit) ->
   unit ->
   domain_series array
-(** {!run_subset} with crash recovery and streaming. Both probes must
-    share one funnel. With [checkpoint], every completed day is
-    snapshotted (clock, probe DRBG states, trust cache, funnel, observed
-    rows) into the stream. On entry, the longest valid snapshot prefix
+(** The campaign's per-shard loop: scan [domains] (in member order) for
+    [days] days at the {!default_sweep_at} and {!dhe_sweep_at} times of
+    each day, driving [clock]; both probes must read [clock] (create
+    them with [?clock]) and share one funnel. Leaves [clock] at the
+    campaign's end. {!Parallel_campaign.run} calls it once per shard.
+
+    With [checkpoint], every completed day is snapshotted (clock, probe
+    DRBG states, trust cache, funnel, observed rows) into the stream. On entry, the longest valid snapshot prefix
     is loaded: a full prefix restores the result without probing; a
     partial one re-runs the scan from day 0, verifying each replayed day
     byte-for-byte against its snapshot (raising
@@ -125,8 +93,8 @@ val stream_finish : Stream_sink.stream -> trusted:(string -> bool) -> domains:Si
 
 val load_stream : string -> (t, string) result
 (** Reassemble a campaign from a {!Stream_sink} directory written by a
-    streamed run. Series are sorted by (rank, domain) — the order both
-    the serial and parallel runners produce — so {!save} on the result
+    streamed run. Series are sorted by (rank, domain) — the order
+    {!Parallel_campaign.run} produces — so {!save} on the result
     is byte-identical to {!save} on the same campaign run with rows
     retained in memory. An interrupted stream (spool without footer or
     trailer) is an [Error] naming the stream; finish it by resuming the

@@ -1,4 +1,4 @@
-(* Operator-sharded parallel campaign runner.
+(* The campaign runner: operator-sharded, at any worker count.
 
    The longitudinal campaign is embarrassingly parallel *between*
    clusters of domains that share no TLS secret state, and strictly
@@ -20,12 +20,12 @@
      no-HTTPS one, so count-balanced shards hide an extreme work
      imbalance that made the parallel runner slower than serial.
 
-   Shard ids are assigned heaviest-first. Combined with the atomic
-   fetch-and-add queue in [run] — idle workers keep claiming the next
-   unstarted shard until the queue is dry — that yields an LPT
-   work-stealing schedule: no worker ever sits idle while a shard is
-   unstarted, and the heaviest shards start earliest, so a straggler
-   cannot serialize the tail of the run.
+   Shard ids are assigned heaviest-first. Combined with {!Pool}'s claim
+   queue — idle workers keep claiming the next unstarted shard until
+   the queue is dry — that yields an LPT work-stealing schedule: no
+   worker ever sits idle while a shard is unstarted, and the heaviest
+   shards start earliest, so a straggler cannot serialize the tail of
+   the run.
 
    Each shard then runs the ordinary {!Daily_scan.scan_stream} loop with
    private probes on a private {!Simnet.Clock}. Two determinism
@@ -36,13 +36,14 @@
      8-worker run of the same world produce byte-identical series;
    - each shard's result lands in a slot owned by exactly one worker, so
      the merge (by rank, then name) needs no synchronization beyond
-     [Domain.join].
+     the pool's join.
 
-   Note the parallel campaign is *not* byte-identical to the serial
-   {!Daily_scan.run}: per-shard probes draw from per-shard DRBG streams
-   (seeded by shard id), where the serial scan threads two probes through
-   every domain. Both are valid campaigns over the same world; each is
-   reproducible on its own terms. *)
+   Per-shard probes draw from per-shard DRBG streams (seeded by shard
+   id), yet the archive is the one a single pair of probes sweeping the
+   whole world would record: every archived field (STEK id, ticket
+   hint, (EC)DHE values, trust) is chosen by the server, never by the
+   probe's randomness. Only the checkpoint snapshots, which carry the
+   probe DRBG positions, are shard-specific. *)
 
 type shard = {
   shard_id : int;
@@ -160,12 +161,6 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
   let day0 = start / Simnet.Clock.day in
   let shard_arr = shards world in
   let n_shards = Array.length shard_arr in
-  let jobs =
-    let requested =
-      match jobs with Some j -> max 1 j | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min requested n_shards)
-  in
   let results = Array.make n_shards [||] in
   (* Loss telemetry: one private funnel per shard (written only by the
      worker that owns the shard), absorbed into the caller's funnel
@@ -309,26 +304,9 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
         recorders.(s.shard_id) <- shard_obs
     | Error _ -> abandon s
   in
-  (* Fixed worker pool over an atomic shard queue. Each slot of [results]
-     is written by exactly one worker (the one that claimed that shard),
-     and [Domain.join] publishes the writes before the merge reads them.
-     With [jobs = 1] — including the [Domain.recommended_domain_count ()
-     = 1] fallback — no domain is spawned and the main domain drains the
-     queue sequentially. *)
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n_shards then begin
-        run_shard shard_arr.(i);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join helpers;
+  (* Each slot of [results], [funnels] and [recorders] is written only
+     by the worker that claimed that shard. *)
+  Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
   (* Funnel merge in shard order: commutative sums, but a fixed order
      keeps even intermediate states reproducible. *)
   Option.iter (fun f -> Array.iter (Faults.Funnel.absorb f) funnels) funnel;
@@ -337,8 +315,8 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
       Obs.Recorder.gauge_max o "campaign.days" days;
       Array.iter (function Some r -> Obs.Recorder.merge o r | None -> ()) recorders)
     obs;
-  (* The serial campaign leaves the world clock at the campaign's end;
-     keep that contract so downstream experiments see the same time. *)
+  (* Leave the world clock at the campaign's end: the study's later
+     experiments run after the campaign on the world clock. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
   let series = Array.concat (Array.to_list results) in
   Array.sort

@@ -1,15 +1,15 @@
-(** Operator-sharded parallel campaign runner.
+(** The campaign runner, at any worker count including 1.
 
     Cuts the world into connectivity shards along its shared-TLS-state
     edges (endpoint identity and STEK key material, unioned through
-    {!Union_find}), then runs the standard daily-scan loop over each
-    shard with private probes and a private {!Simnet.Clock}, fanned over
-    a fixed pool of [Domain.spawn] workers. Shard composition and
-    per-shard seeds depend only on the world, never on the worker count,
-    so results are byte-identical for any [jobs] — see the implementation
-    header for the full argument (and for why the parallel campaign is
-    deliberately {e not} byte-identical to the serial
-    {!Daily_scan.run}). *)
+    {!Union_find}), then runs the standard daily-scan loop
+    ({!Daily_scan.scan_stream}) over each shard with private probes and
+    a private {!Simnet.Clock}, fanned over a {!Pool}. Shard composition
+    and per-shard seeds depend only on the world, never on the worker
+    count, so results are byte-identical for any [jobs]. Because every
+    archived field is server-derived, the archive also equals what one
+    pair of probes sweeping the whole world in rank order records (the
+    golden-file test checks this) — see the implementation header. *)
 
 type shard = {
   shard_id : int;
@@ -53,13 +53,12 @@ val run :
   unit ->
   Daily_scan.t
 (** Runs the campaign over all shards with [jobs] workers (default
-    [Domain.recommended_domain_count ()], clamped to the shard count;
-    [jobs <= 1] runs sequentially on the calling domain). Workers drain
-    an atomic shard queue in heaviest-first order — work-stealing LPT
-    scheduling, so adding workers never strands a straggler shard behind
-    an idle pool. Leaves the world clock at the campaign's end, like the
-    serial runner. [progress] is called from worker domains — keep it
-    reentrant.
+    {!Pool.default_jobs}, clamped to the shard count; [jobs <= 1] runs
+    sequentially on the calling domain). Workers drain the {!Pool}
+    queue in heaviest-first shard order — work-stealing LPT scheduling,
+    so adding workers never strands a straggler shard behind an idle
+    pool. Leaves the world clock at the campaign's end. [progress] is
+    called from worker domains — keep it reentrant.
 
     [sink] gives every shard a row stream (["shard-0007"], truncated on
     each attempt) into which completed days are appended as they finish;

@@ -14,8 +14,8 @@ type t = {
   trust_cache : (string, bool) Hashtbl.t;
   env : Tls.Config.env;
   clock : Simnet.Clock.t;
-      (* the clock this probe reads time from: the world clock for serial
-         sweeps, a shard-private clock in a parallel campaign *)
+      (* the clock this probe reads time from: the world clock for the
+         study's point experiments, a shard-private clock in a campaign *)
   net : Faults.Net.t;
       (* fault injection + retry policy + funnel; without an injector
          this is the legacy single-attempt path *)

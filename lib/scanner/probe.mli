@@ -24,10 +24,10 @@ val create :
   seed:string ->
   Simnet.World.t ->
   t
-(** [clock] defaults to the world clock; a parallel campaign gives each
-    shard's probes a private clock instead. Without [injector] the probe
-    makes exactly one attempt per connection (the legacy path);
-    [funnel] shares loss telemetry across probes of one serial run.
+(** [clock] defaults to the world clock; a campaign gives each shard's
+    probes a private clock instead. Without [injector] the probe makes
+    exactly one attempt per connection (the legacy path); [funnel]
+    shares loss telemetry across probes of one run.
     [obs] collects probe counters and handshake-phase spans; it only
     reads outcomes, so the observation stream is byte-identical with it
     absent. *)

@@ -4,16 +4,16 @@
    end of the run, which means every domain-day row lives in memory
    until then — at --domains 100000 that matrix dominates RSS. A stream
    sink inverts the flow: the scanner appends each day's rows the moment
-   the day finishes, into one append-only spool per scan stream
-   ("serial" for the serial runner, "shard-NNNN" for each parallel
-   shard — the same stream names the checkpoint store uses), and nothing
-   row-shaped is retained in memory.
+   the day finishes, into one append-only spool per scan stream (one
+   "shard-NNNN" stream per campaign shard — the same stream names the
+   checkpoint store uses), and nothing row-shaped is retained in
+   memory.
 
    Layout:
 
      <dir>/manifest          Atomic_io frame, key=value lines
-     <dir>/rows-serial       Durable.Spool of day blocks + trailer
-     <dir>/rows-shard-0000   (parallel: one spool per shard)
+     <dir>/rows-shard-0000   Durable.Spool of day blocks + trailer
+     <dir>/rows-shard-0001   (one spool per shard)
      ...
 
    Each spool block is an opaque payload produced by the scanner

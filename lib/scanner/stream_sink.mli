@@ -17,8 +17,8 @@ type t
 (** An open sink directory. *)
 
 type stream
-(** One append-only row stream within the sink ("serial", or one per
-    parallel shard — mirroring checkpoint stream names). *)
+(** One append-only row stream within the sink (one per campaign
+    shard, ["shard-0007"] — mirroring checkpoint stream names). *)
 
 val schema : string
 

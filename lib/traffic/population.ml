@@ -291,12 +291,6 @@ let run ?jobs ?sink ?(retain_rows = true) ?chaos ?obs cfg =
   validate cfg;
   let shard_arr = shards cfg in
   let n_shards = Array.length shard_arr in
-  let jobs =
-    let requested =
-      match jobs with Some j -> max 1 j | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min requested (max 1 n_shards))
-  in
   let outcomes =
     Array.make n_shards { so_rows = []; so_hosts = []; so_count = 0 }
   in
@@ -343,20 +337,7 @@ let run ?jobs ?sink ?(retain_rows = true) ?chaos ?obs cfg =
       recorders.(s.shard_id) <- shard_obs
     end
   in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n_shards then begin
-        run_shard shard_arr.(i);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join helpers;
+  Scanner.Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
   (* Merge in shard order: counters sum and gauges max commutatively, but
      a fixed order keeps intermediate states reproducible too. *)
   Option.iter

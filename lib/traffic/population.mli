@@ -11,9 +11,10 @@
     on the replica's private clock: users within a shard interact
     through shared server state (session caches, STEK rotations) exactly
     as the population model intends, while users in different shards
-    live in parallel replicas. Shards are drained from an atomic queue
-    by a fixed worker pool, and every result lands in a slot owned by
-    one worker — so archives and merged telemetry are byte-identical at
+    live in parallel replicas. Shards are drained by a
+    {!Scanner.Pool} of [jobs] workers (default
+    {!Scanner.Pool.default_jobs}), and every result lands in a slot
+    owned by one worker — so archives and merged telemetry are byte-identical at
     any [jobs], the same contract {!Scanner.Parallel_campaign} makes.
 
     {2 Streaming and resume}

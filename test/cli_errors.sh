@@ -50,4 +50,29 @@ printf 'not,a,campaign\n' >"$corrupt"
 check "corrupt archive" "campaign:" "$exe" analyze "$corrupt"
 rm -f "$corrupt"
 
+# A checkpoint written before the single campaign runner (format
+# version 1, with its serial/ stream) must be refused by version, not
+# resumed or re-scanned beside the stale stream. The manifest is framed
+# by hand the way the durable-file writer frames it.
+old=$(mktemp -d /tmp/tlsharm-oldckpt-XXXXXX)
+printf 'version=1\nmode=campaign\nseed=tlsharm\nn_domains=1500\ndays=2\njobs=1\nfault_profile=none\nretries=3\ndeadline=30\noutput=%s/c.csv\nstream_out=\n' \
+  "$old" >"$old/body"
+mkdir -p "$old/serial"
+{
+  printf '#tlsharm-durable v1\n'
+  cat "$old/body"
+  printf '\n#tlsharm-footer v1 bytes=%d block=65536 crc=%s\n' \
+    "$(wc -c <"$old/body")" "$(sha256sum "$old/body" | cut -c1-16)"
+} >"$old/manifest"
+rm "$old/body"
+check "resume of a version-1 checkpoint" "unsupported checkpoint version 1" \
+  "$exe" resume "$old"
+check "campaign into a version-1 checkpoint" "unsupported checkpoint version 1" \
+  "$exe" campaign --domains 1500 --days 2 -o "$old/c.csv" --checkpoint-dir "$old"
+test -e "$old/c.csv" && {
+  echo "FAIL: a version-1 checkpoint was scanned anyway"
+  fails=$((fails + 1))
+}
+rm -rf "$old"
+
 exit "$fails"

@@ -259,7 +259,7 @@ let small_campaign =
            { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-archive" }
          ()
      in
-     Scanner.Daily_scan.run w ~days:2 ())
+     Scanner.Parallel_campaign.run ~jobs:1 w ~days:2 ())
 
 let test_campaign_load_rejects_damage () =
   with_temp_file (fun path ->
@@ -346,7 +346,7 @@ let test_checkpoint_valid_prefix () =
         | Ok s -> s
         | Error e -> Alcotest.fail e
       in
-      let stream = Durable.Checkpoint.stream store "serial" in
+      let stream = Durable.Checkpoint.stream store "shard-0000" in
       Alcotest.(check int) "empty stream" 0 (Durable.Checkpoint.valid_prefix stream ~days:5);
       for day = 0 to 3 do
         Durable.Checkpoint.write_day stream ~day (Printf.sprintf "payload for day %d" day)
@@ -367,7 +367,7 @@ let test_checkpoint_valid_prefix () =
            stream ~days:5);
       (* Corrupting day 1 limits resume to day 1 even though days 2-3 are
          fine: later days build on earlier state. *)
-      let day1 = Filename.concat (Filename.concat (Durable.Checkpoint.dir store) "serial") "day-0001.ckpt" in
+      let day1 = Filename.concat (Filename.concat (Durable.Checkpoint.dir store) "shard-0000") "day-0001.ckpt" in
       flip_byte day1 ~pos:(String.length (slurp day1) / 2);
       Alcotest.(check int) "corrupt day ends prefix" 1 (Durable.Checkpoint.valid_prefix stream ~days:5))
 
@@ -480,26 +480,32 @@ let test_drbg_restore_rejects_bad_state () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a non-32-byte state must be rejected"
 
-(* --- Serial kill-and-resume ------------------------------------------------------
+(* --- One-worker kill-and-resume ---------------------------------------------------
 
-   Simulated kill: [progress] fires at the start of day d, after days
-   0..d-1 checkpointed — raising {!Durable.Supervisor.Killed} there is a
-   process death with exactly k completed days on disk. *)
+   A one-worker campaign scans shard 0 first. Simulated kill: the chaos
+   hook fires at the start of shard 0's day k, after its days 0..k-1
+   checkpointed — raising {!Durable.Supervisor.Killed} there is a process
+   death with exactly k completed days on disk in "shard-0000". *)
 
 let serial_config =
   { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-serial" }
 
 let serial_days = 4
+let first_stream = "shard-0000"
 
 let archive_bytes campaign =
   with_temp_file (fun path ->
       Scanner.Daily_scan.save campaign path;
       slurp path)
 
+let run_one ?chaos ?obs ?(config = serial_config) ?(days = serial_days) store =
+  let w = Simnet.World.create ~config () in
+  Scanner.Parallel_campaign.run ~jobs:1 ~checkpoint:store ?chaos ?obs w ~days ()
+
 let serial_reference =
   lazy
     (let w = Simnet.World.create ~config:serial_config () in
-     archive_bytes (Scanner.Daily_scan.run w ~days:serial_days ()))
+     archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:serial_days ()))
 
 let init_store dir =
   match Durable.Checkpoint.init ~dir ~manifest:manifest_fixture with
@@ -507,11 +513,9 @@ let init_store dir =
   | Error e -> Alcotest.fail e
 
 let kill_serial_after store ~k =
-  let w = Simnet.World.create ~config:serial_config () in
   match
-    Scanner.Daily_scan.run ~checkpoint:store w ~days:serial_days
-      ~progress:(fun d -> if d = k then raise Durable.Supervisor.Killed)
-      ()
+    run_one store ~chaos:(fun ~shard ~attempt:_ ~day ->
+        if shard = 0 && day = k then raise Durable.Supervisor.Killed)
   with
   | _ -> Alcotest.fail "the kill must fire"
   | exception Durable.Supervisor.Killed -> ()
@@ -524,20 +528,20 @@ let test_serial_kill_resume_identity () =
       with_temp_dir (fun dir ->
           let store = init_store (Filename.concat dir "ckpt") in
           kill_serial_after store ~k;
-          let stream = Durable.Checkpoint.stream store "serial" in
+          let stream = Durable.Checkpoint.stream store first_stream in
           Alcotest.(check int)
             (Printf.sprintf "k=%d days survive the kill" k)
             k
             (Durable.Checkpoint.valid_prefix stream ~days:serial_days);
-          let w = Simnet.World.create ~config:serial_config () in
-          let resumed = Scanner.Daily_scan.run ~checkpoint:store w ~days:serial_days () in
           Alcotest.(check bool)
             (Printf.sprintf "resume after day %d is byte-identical" k)
             true
-            (String.equal (archive_bytes resumed) reference);
-          (* The completed store now restores without scanning. *)
-          let w = Simnet.World.create ~config:serial_config () in
-          let restored = Scanner.Daily_scan.run ~checkpoint:store w ~days:serial_days () in
+            (String.equal (archive_bytes (run_one store)) reference);
+          (* The completed store now restores without probing. *)
+          let obs = Obs.Recorder.create () in
+          let restored = run_one ~obs store in
+          Alcotest.(check int) "full restore makes no probe" 0
+            (Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects");
           Alcotest.(check bool) "full restore is byte-identical" true
             (String.equal (archive_bytes restored) reference)))
     [ 1; 2; serial_days - 1 ]
@@ -546,35 +550,28 @@ let test_serial_corrupt_newest_falls_back () =
   let reference = Lazy.force serial_reference in
   with_temp_dir (fun dir ->
       let store = init_store (Filename.concat dir "ckpt") in
-      let w = Simnet.World.create ~config:serial_config () in
-      ignore (Scanner.Daily_scan.run ~checkpoint:store w ~days:serial_days ());
+      ignore (run_one store);
       (* Damage the newest snapshot: resume must fall back to the last
          valid day and still converge on the same archive. *)
       let newest =
         Filename.concat
-          (Filename.concat (Durable.Checkpoint.dir store) "serial")
+          (Filename.concat (Durable.Checkpoint.dir store) first_stream)
           (Printf.sprintf "day-%04d.ckpt" (serial_days - 1))
       in
       flip_byte newest ~pos:(String.length (slurp newest) / 2);
-      let stream = Durable.Checkpoint.stream store "serial" in
+      let stream = Durable.Checkpoint.stream store first_stream in
       Alcotest.(check int) "prefix stops at the damage" (serial_days - 1)
         (Durable.Checkpoint.valid_prefix stream ~days:serial_days);
-      let w = Simnet.World.create ~config:serial_config () in
-      let resumed = Scanner.Daily_scan.run ~checkpoint:store w ~days:serial_days () in
       Alcotest.(check bool) "resume past corruption is byte-identical" true
-        (String.equal (archive_bytes resumed) reference))
+        (String.equal (archive_bytes (run_one store)) reference))
 
 let test_resume_wrong_world_mismatches () =
   with_temp_dir (fun dir ->
       let store = init_store (Filename.concat dir "ckpt") in
-      let w = Simnet.World.create ~config:serial_config () in
-      ignore (Scanner.Daily_scan.run ~checkpoint:store w ~days:2 ());
+      ignore (run_one ~days:2 store);
       (* Same store, different world: the replay byte-compare must refuse
          to graft this run onto the recorded checkpoints. *)
-      let other =
-        Simnet.World.create ~config:{ serial_config with Simnet.World.seed = "other-world" } ()
-      in
-      match Scanner.Daily_scan.run ~checkpoint:store other ~days:serial_days () with
+      match run_one ~config:{ serial_config with Simnet.World.seed = "other-world" } store with
       | _ -> Alcotest.fail "a different world must not resume"
       | exception Durable.Checkpoint.Mismatch _ -> ())
 

@@ -172,12 +172,12 @@ let test_fault_rng_isolation () =
      field-identical to the clean run's. *)
   let days = 2 in
   let fresh () = Simnet.World.create ~config:(campaign_config "isolation-test") () in
-  let clean = Scanner.Daily_scan.run (fresh ()) ~days () in
+  let clean = Scanner.Parallel_campaign.run ~jobs:1 (fresh ()) ~days () in
   let w = fresh () in
   let injector = Faults.Injector.create ~profile:Faults.Profile.flaky w in
   let funnel = Faults.Funnel.create () in
   let faulty =
-    Scanner.Daily_scan.run ~injector ~retry:Faults.Retry.default ~funnel w ~days ()
+    Scanner.Parallel_campaign.run ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w ~days ()
   in
   let index (scan : Scanner.Daily_scan.t) =
     let tbl = Hashtbl.create 4096 in
@@ -300,7 +300,7 @@ let test_byzantine_profile_campaign () =
   Alcotest.(check bool) "byzantine causes recorded" true
     (List.exists (fun (f, n) -> Faults.Fault.is_byzantine f && n > 0) losses);
   (* Surviving observations must match a clean run byte-for-byte. *)
-  let clean = Scanner.Daily_scan.run (Simnet.World.create ~config ()) ~days () in
+  let clean = Scanner.Parallel_campaign.run ~jobs:1 (Simnet.World.create ~config ()) ~days () in
   let index (scan : Scanner.Daily_scan.t) =
     let tbl = Hashtbl.create 4096 in
     Array.iter

@@ -27,7 +27,7 @@ let test_campaign_byte_identity () =
     { Simnet.World.default_config with n_domains = 1500; seed = "golden-kernels" }
   in
   let world = Simnet.World.create ~config () in
-  let obs = Scanner.Daily_scan.run world ~days:2 () in
+  let obs = Scanner.Parallel_campaign.run ~jobs:1 world ~days:2 () in
   let tmp = Filename.temp_file "tlsharm-golden" ".csv" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())

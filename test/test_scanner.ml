@@ -180,7 +180,7 @@ let test_daily_scan () =
       ()
   in
   let days = 4 in
-  let campaign = Scanner.Daily_scan.run w ~days () in
+  let campaign = Scanner.Parallel_campaign.run ~jobs:1 w ~days () in
   Alcotest.(check int) "day count" days campaign.Scanner.Daily_scan.n_days;
   Alcotest.(check int) "series per domain" 1500 (Array.length campaign.Scanner.Daily_scan.series);
   (* yahoo: static STEK, same id on every present day. *)
@@ -218,7 +218,7 @@ let test_campaign_save_load () =
       ~config:{ world_config with Simnet.World.seed = "persist-test"; n_domains = 1500 }
       ()
   in
-  let campaign = Scanner.Daily_scan.run w ~days:3 () in
+  let campaign = Scanner.Parallel_campaign.run ~jobs:1 w ~days:3 () in
   let path = Filename.temp_file "tlsharm" ".campaign.csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -423,6 +423,23 @@ let test_parallel_deterministic_in_jobs () =
   Alcotest.(check bool) "1-worker and 4-worker archives byte-identical" true
     (String.equal (archive_bytes one) (archive_bytes four))
 
+let test_pool_runs_each_index_once () =
+  let check ~n jobs =
+    let hits = Array.init n (fun _ -> Atomic.make 0) in
+    Scanner.Pool.run ~jobs n (fun i -> Atomic.incr hits.(i));
+    Array.iteri
+      (fun i h ->
+        Alcotest.(check int) (Printf.sprintf "n=%d jobs=%d index %d" n jobs i) 1 (Atomic.get h))
+      hits
+  in
+  let n = 37 in
+  List.iter (check ~n) [ 1; 2; 4; n + 3 ];
+  List.iter (check ~n:0) [ 1; 4 ];
+  (* A raising item stops the pool and surfaces in the caller. *)
+  match Scanner.Pool.run ~jobs:2 n (fun i -> if i = 5 then failwith "item 5") with
+  | () -> Alcotest.fail "the item's exception must propagate"
+  | exception Failure msg -> Alcotest.(check string) "first failure re-raised" "item 5" msg
+
 let prop_shard_balance =
   (* The LPT packing bound: a shard can exceed twice the mean weight only
      by holding a single unsplittable component that is itself heavier
@@ -463,13 +480,13 @@ let make_sink w dir ~days =
   | Error e -> Alcotest.fail e
 
 let test_stream_matches_archive () =
-  (* A streamed serial campaign reassembles to the byte-identical CSV the
-     in-memory path would have saved. *)
+  (* A streamed 1-worker campaign reassembles to the byte-identical CSV
+     the in-memory path would have saved. *)
   with_temp_dir (fun dir ->
       let days = 2 in
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days in
-      let t = Scanner.Daily_scan.run ~sink w ~days () in
+      let t = Scanner.Parallel_campaign.run ~jobs:1 ~sink w ~days () in
       let direct = archive_bytes t in
       Alcotest.(check bool) "rows streamed" true (Scanner.Stream_sink.rows_written sink > 0);
       match Scanner.Daily_scan.load_stream dir with
@@ -528,7 +545,7 @@ let test_stream_incomplete_rejected () =
   with_temp_dir (fun dir ->
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days:3 in
-      let s = Scanner.Stream_sink.stream sink "serial" in
+      let s = Scanner.Stream_sink.stream sink "shard-0000" in
       Scanner.Stream_sink.append_day s ~rows:0 "day=0\nrows=0\n";
       (* no [finish]: simulates a crash between days *)
       match Scanner.Daily_scan.load_stream dir with
@@ -683,6 +700,7 @@ let () =
           Alcotest.test_case "shards partition the world" `Slow test_shards_partition;
           Alcotest.test_case "deterministic in worker count" `Slow
             test_parallel_deterministic_in_jobs;
+          Alcotest.test_case "pool runs each index once" `Quick test_pool_runs_each_index_once;
         ] );
       qsuite "shard-properties" [ prop_shard_balance ];
       ( "streaming",
