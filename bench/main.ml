@@ -57,7 +57,6 @@ let study_config () =
        entry below exercises injection explicitly. *)
     fault_profile = Faults.Profile.none;
     retry = Faults.Retry.default;
-    checkpoint = None;
     obs = None;
   }
 

@@ -103,12 +103,12 @@ let validate_sizes ~domains ~days ~jobs =
   else Ok ()
 
 (* Last-resort net for exceptions no specific validation anticipated
-   (filesystem errors, corrupt inputs, a checkpoint determinism
-   violation): render one line and exit nonzero instead of dumping a
+   (filesystem errors, corrupt inputs, a resume that diverges from its
+   run log): render one line and exit nonzero instead of dumping a
    backtrace. *)
 let guard f =
   try f () with
-  | Durable.Checkpoint.Mismatch m -> `Error (false, "checkpoint mismatch: " ^ m)
+  | Durable.Supervisor.Mismatch m -> `Error (false, "resume mismatch: " ^ m)
   | Sys_error e -> `Error (false, e)
   | Invalid_argument e | Failure e -> `Error (false, e)
   | Unix.Unix_error (err, fn, arg) ->
@@ -128,7 +128,6 @@ let study_config ~domains ~days ~seed ~jobs ~verbose ~fault_profile ~retry =
     verbose;
     fault_profile;
     retry;
-    checkpoint = None;
     obs = None;
   }
 
@@ -295,6 +294,25 @@ let reproduce_cmd =
 
 (* --- campaign / analyze -------------------------------------------------------------------- *)
 
+(* The stream manifest pins everything [resume] needs to rebuild the
+   identical run and everything the streamed bytes depend on: world
+   parameters, campaign shape, the resolved retry policy (not the raw
+   flags, so flag defaults can change without orphaning old run logs)
+   and the day range the loader reads. Not the worker count: archives
+   are identical at any --jobs. *)
+let campaign_manifest ~domains ~days ~seed ~profile ~(retry : Faults.Retry.policy) ~start_day =
+  [
+    ("mode", "campaign");
+    ("seed", seed);
+    ("n_domains", string_of_int domains);
+    ("days", string_of_int days);
+    ("fault_profile", profile.Faults.Profile.name);
+    ("retries", string_of_int retry.Faults.Retry.max_attempts);
+    ("deadline", string_of_int retry.Faults.Retry.deadline);
+    ("start_day", string_of_int start_day);
+    ("n_days", string_of_int days);
+  ]
+
 (* The campaign runner shared by [campaign] and [resume]: both must
    execute the identical code path for the resumed archive to come out
    byte-identical to an uninterrupted run. Telemetry rides alongside:
@@ -302,8 +320,7 @@ let reproduce_cmd =
    archive, and its metrics are restricted to schedule-determined
    quantities, so the rendered metrics JSON is identical for any
    --jobs. *)
-let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~stream_out
-    ~metrics_out ~trace_out () =
+let run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out ~trace_out () =
   let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
   let injector =
     if profile.Faults.Profile.name = "none" then None
@@ -315,29 +332,30 @@ let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~st
   in
   (* The streaming sink replaces the end-of-run CSV: rows are appended
      per completed day and never held in memory (the scan runs with
-     retain_rows:false), which keeps RSS flat at --domains 100000.
+     retain_rows:false), which keeps RSS flat at --domains 100000. The
+     sink directory is also the run log a killed run resumes from.
      Reassemble with `tlsharm analyze DIR` / Daily_scan.load_stream. *)
-  let sink =
-    match stream_out with
-    | None -> Ok None
-    | Some dir ->
+  let output =
+    match output with
+    | `Csv path -> Ok (`Csv path)
+    | `Stream dir ->
         let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
-        Result.map Option.some
-          (Scanner.Stream_sink.create ~dir
-             ~manifest:
-               [ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ])
+        Scanner.Stream_sink.create ~dir
+          ~manifest:(campaign_manifest ~domains ~days ~seed ~profile ~retry ~start_day)
+        |> Result.map (fun s -> `Sink s)
   in
-  match sink with
+  match output with
   | Error e -> `Error (false, e)
-  | Ok sink ->
+  | Ok output ->
+      let sink = match output with `Sink s -> Some s | `Csv _ -> None in
       let retain_rows = sink = None in
       (* Kernel counters are process-global; the snapshot window scopes the
          published [kernel.*] deltas to the campaign itself (excluding world
          construction, which runs before telemetry starts). *)
       let kernel_before = Obs.Kernel.snapshot () in
       let t =
-        Scanner.Parallel_campaign.run ~jobs ?injector ~retry ~funnel ?checkpoint ?sink
-          ~retain_rows ?obs world ~days ()
+        Scanner.Parallel_campaign.run ~jobs ?injector ~retry ~funnel ?sink ~retain_rows ?obs world
+          ~days ()
       in
       Option.iter
         (fun r ->
@@ -354,14 +372,14 @@ let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~st
           Durable.Atomic_io.write path (Obs.Recorder.trace_json_string r);
           Printf.printf "wrote campaign trace spans to %s\n" path
       | _ -> ());
-      (match sink with
-      | Some s ->
+      (match output with
+      | `Sink s ->
           Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
             (Array.length t.Scanner.Daily_scan.series)
             (Scanner.Stream_sink.dir s)
             (Scanner.Stream_sink.rows_written s)
             (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "")
-      | None ->
+      | `Csv out ->
           Scanner.Daily_scan.save t out;
           Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days
             (Array.length t.Scanner.Daily_scan.series)
@@ -375,25 +393,6 @@ let run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint ~st
                   profile.Faults.Profile.name)
              funnel);
       `Ok ()
-
-(* The manifest pins everything [resume] needs to rebuild the identical
-   run: world parameters, campaign shape, the resolved retry policy
-   (not the raw flags, so flag defaults can change without orphaning old
-   checkpoint directories) and the output path. *)
-let campaign_manifest ~domains ~days ~seed ~jobs ~profile ~(retry : Faults.Retry.policy) ~out
-    ~stream_out =
-  [
-    ("mode", "campaign");
-    ("seed", seed);
-    ("n_domains", string_of_int domains);
-    ("days", string_of_int days);
-    ("jobs", string_of_int jobs);
-    ("fault_profile", profile.Faults.Profile.name);
-    ("retries", string_of_int retry.Faults.Retry.max_attempts);
-    ("deadline", string_of_int retry.Faults.Retry.deadline);
-    ("output", out);
-    ("stream_out", Option.value stream_out ~default:"");
-  ]
 
 (* The cross-vantage path of [campaign --regions N]: one world per
    region, the same domain-days probed from each, archived as a single
@@ -417,8 +416,8 @@ let run_cross_vantage ~domains ~days ~seed ~jobs ~regions ~out () =
     (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "");
   `Ok ()
 
-let campaign domains days seed jobs regions out fault_profile retries deadline checkpoint_dir
-    stream_out metrics_out trace_out =
+let campaign domains days seed jobs regions out fault_profile retries deadline stream_out
+    metrics_out trace_out =
   match validate_sizes ~domains ~days ~jobs with
   | Error e -> `Error (false, e)
   | Ok () when regions < 1 || regions > List.length Simnet.Region.all ->
@@ -427,35 +426,21 @@ let campaign domains days seed jobs regions out fault_profile retries deadline c
           Printf.sprintf "--regions must be between 1 and %d (got %d)"
             (List.length Simnet.Region.all) regions )
   | Ok () when regions > 1 ->
-      if
-        checkpoint_dir <> None || stream_out <> None || metrics_out <> None || trace_out <> None
-        || fault_profile <> "none"
+      if stream_out <> None || metrics_out <> None || trace_out <> None || fault_profile <> "none"
       then
         `Error
           ( false,
-            "--regions > 1 runs the cross-vantage scan, which does not support \
-             --checkpoint-dir, --stream-out, --metrics-out, --trace-out or --fault-profile" )
+            "--regions > 1 runs the cross-vantage scan, which does not support --stream-out, \
+             --metrics-out, --trace-out or --fault-profile" )
       else guard (run_cross_vantage ~domains ~days ~seed ~jobs ~regions ~out)
   | Ok () -> (
-  match fault_setup fault_profile retries deadline with
-  | Error e -> `Error (false, e)
-  | Ok (profile, retry) -> (
-      let checkpoint =
-        match checkpoint_dir with
-        | None -> Ok None
-        | Some dir ->
-            Result.map Option.some
-              (Durable.Checkpoint.init ~dir
-                 ~manifest:
-                   (campaign_manifest ~domains ~days ~seed ~jobs ~profile ~retry ~out
-                      ~stream_out))
-      in
-      match checkpoint with
+      match fault_setup fault_profile retries deadline with
       | Error e -> `Error (false, e)
-      | Ok checkpoint ->
+      | Ok (profile, retry) ->
+          let output = match stream_out with Some dir -> `Stream dir | None -> `Csv out in
           guard
-            (run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry ~checkpoint
-               ~stream_out ~metrics_out ~trace_out)))
+            (run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out
+               ~trace_out))
 
 let stream_out_arg =
   Arg.(
@@ -463,11 +448,14 @@ let stream_out_arg =
     & opt (some string) None
     & info [ "stream-out" ] ~docv:"DIR"
         ~doc:
-          "Stream each completed day's rows into $(i,DIR) (one append-only spool per scan \
-           stream) instead of holding the full observation matrix in memory for a final CSV \
-           save — memory stays flat regardless of --domains. The streamed archive is \
+          "Stream each completed day's rows into $(i,DIR) (one append-only spool per campaign \
+           shard) instead of holding the full observation matrix in memory for a final CSV \
+           save — memory stays flat regardless of --domains. $(i,DIR) is also the run's \
+           crash-recovery log: every day block carries the scan's resume state, and \
+           $(b,tlsharm resume) $(i,DIR) continues a killed run from the last block that \
+           verifies. A $(i,DIR) holding a different run is refused. The streamed archive is \
            byte-equivalent to the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and it \
-           is identical at any --jobs and across checkpoint resumes.")
+           is identical at any --jobs and across resumes.")
 
 let metrics_out_arg =
   Arg.(
@@ -487,19 +475,9 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write aggregated trace spans (handshake phases, scan days, campaign shards) as JSON, \
-           timed on the simulated clock. Unlike metrics, spans reflect the execution shape: a \
-           parallel campaign has per-shard spans a serial one does not.")
-
-let checkpoint_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint-dir" ] ~docv:"DIR"
-        ~doc:
-          "Checkpoint directory for crash recovery: every completed campaign day is snapshotted \
-           there (atomic, checksummed), and $(b,tlsharm resume) $(i,DIR) continues a killed \
-           campaign from the last valid snapshot — the final archive is byte-identical to an \
-           uninterrupted run.")
+           timed on the simulated clock. Unlike metrics, spans reflect how the run executed: a \
+           campaign resumed from its --stream-out log has no probe spans for the shards it \
+           restores.")
 
 let regions_arg =
   Arg.(
@@ -527,78 +505,64 @@ let campaign_cmd =
     Term.(
       ret
         (const campaign $ domains_arg $ days_arg $ seed_arg $ jobs_arg $ regions_arg $ out
-       $ fault_profile_arg $ retries_arg $ probe_deadline_arg $ checkpoint_dir_arg
-       $ stream_out_arg $ metrics_out_arg $ trace_out_arg))
+       $ fault_profile_arg $ retries_arg $ probe_deadline_arg $ stream_out_arg $ metrics_out_arg
+       $ trace_out_arg))
 
 (* --- resume -------------------------------------------------------------------------------- *)
 
-let resume dir jobs_override metrics_out trace_out =
-  match Durable.Checkpoint.attach ~dir with
-  | Error e -> `Error (false, e)
-  | Ok store -> (
-      match Durable.Checkpoint.manifest store with
-      | Error e -> `Error (false, dir ^ ": " ^ e)
-      | Ok kvs -> (
-          let field k = List.assoc_opt k kvs in
-          let int_field k = Option.bind (field k) int_of_string_opt in
-          match
-            ( field "mode",
-              field "seed",
-              int_field "n_domains",
-              int_field "days",
-              int_field "jobs",
-              field "fault_profile",
-              int_field "retries",
-              int_field "deadline",
-              field "output" )
-          with
-          | Some "campaign", Some seed, Some domains, Some days, Some jobs, Some profile,
-            Some retries, Some deadline, Some out -> (
-              (* Optional: absent from checkpoints taken before streaming
-                 sinks existed, and recorded as "" when the run did not
-                 stream. The resumed run re-creates the sink and replays
-                 every completed day into it, so the streamed archive is
-                 byte-identical to an uninterrupted run's. *)
-              let stream_out =
-                match field "stream_out" with None | Some "" -> None | Some dir -> Some dir
-              in
+let resume dir jobs metrics_out trace_out =
+  match Scanner.Stream_sink.manifest ~dir with
+  | Error e -> `Error (false, dir ^ ": " ^ e)
+  | Ok kvs -> (
+      let field k = List.assoc_opt k kvs in
+      let int_field k = Option.bind (field k) int_of_string_opt in
+      match
+        ( field "mode",
+          field "seed",
+          int_field "n_domains",
+          int_field "days",
+          field "fault_profile",
+          int_field "retries",
+          int_field "deadline" )
+      with
+      | ( Some "campaign",
+          Some seed,
+          Some domains,
+          Some days,
+          Some profile,
+          Some retries,
+          Some deadline ) -> (
+          match validate_sizes ~domains ~days ~jobs with
+          | Error e -> `Error (false, e)
+          | Ok () -> (
               match fault_setup profile (Some retries) (Some deadline) with
               | Error e -> `Error (false, e)
-              | Ok (profile, retry) -> (
+              | Ok (profile, retry) ->
                   (* Shards and their seeds depend only on the world, so
                      any worker count reproduces the original bytes. *)
-                  let jobs = Option.value jobs_override ~default:jobs in
-                  if jobs < 1 then
-                    `Error (false, Printf.sprintf "--jobs must be at least 1 (got %d)" jobs)
-                  else
-                    guard
-                      (run_campaign ~domains ~days ~seed ~jobs ~out ~profile ~retry
-                         ~checkpoint:(Some store) ~stream_out ~metrics_out ~trace_out)))
-          | Some mode, _, _, _, _, _, _, _, _ when mode <> "campaign" ->
-              `Error (false, Printf.sprintf "%s: cannot resume mode %S" dir mode)
-          | _ -> `Error (false, dir ^ ": manifest is missing campaign fields")))
+                  guard
+                    (run_campaign ~domains ~days ~seed ~jobs ~output:(`Stream dir) ~profile ~retry
+                       ~metrics_out ~trace_out)))
+      | Some mode, _, _, _, _, _, _ when mode <> "campaign" ->
+          `Error (false, Printf.sprintf "%s: cannot resume mode %S" dir mode)
+      | _ -> `Error (false, dir ^ ": manifest is missing campaign fields"))
 
 let resume_cmd =
   let dir =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"DIR" ~doc:"Checkpoint directory of the interrupted campaign.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Override the recorded worker count. Any N reproduces the same bytes.")
+      & info [] ~docv:"DIR" ~doc:"The --stream-out directory of the interrupted campaign.")
   in
   Cmd.v
     (Cmd.info "resume"
        ~doc:
-         "Resume an interrupted campaign from its checkpoint directory; the final archive is \
-          byte-identical to an uninterrupted run. Falls back to the last valid snapshot if the \
-          newest is corrupt.")
-    Term.(ret (const resume $ dir $ jobs $ metrics_out_arg $ trace_out_arg))
+         "Resume an interrupted campaign from its --stream-out directory, the run's log. Fully \
+          recorded shards are restored without probing; the rest replay from day 0, checked \
+          block by block against the log, and continue. A damaged or torn newest block falls \
+          back to the last one that verifies. The finished directory is byte-identical to an \
+          uninterrupted run's at any --jobs.")
+    Term.(ret (const resume $ dir $ jobs_arg $ metrics_out_arg $ trace_out_arg))
 
 let analyze path =
   guard @@ fun () ->

@@ -25,10 +25,6 @@ type config = {
   verbose : bool;
   fault_profile : Faults.Profile.t; (* [Profile.none] = legacy fault-free network *)
   retry : Faults.Retry.policy;
-  checkpoint : Durable.Checkpoint.t option;
-      (* campaign crash-recovery store; the pre-campaign point
-         experiments are cheap relative to the nine-week campaign and
-         re-run deterministically on resume *)
   obs : Obs.Recorder.t option;
       (* telemetry sink shared by every experiment probe and the
          campaign; [None] (the default) is the untouched legacy path *)
@@ -44,7 +40,6 @@ let default_config =
        no injector is built, probes make exactly one attempt. *)
     fault_profile = Faults.Profile.none;
     retry = Faults.Retry.default;
-    checkpoint = None;
     obs = None;
   }
 
@@ -228,8 +223,8 @@ let campaign t =
       log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
       let r =
         Scanner.Parallel_campaign.run ~jobs:t.config.jobs ?injector:t.injector
-          ~retry:t.config.retry ~funnel:t.funnel ?checkpoint:t.config.checkpoint
-          ?obs:t.config.obs t.world ~days:t.config.campaign_days
+          ~retry:t.config.retry ~funnel:t.funnel ?obs:t.config.obs t.world
+          ~days:t.config.campaign_days
           ~progress:(fun ~shard ~day ->
             (* Shard 0, the heaviest, starts first: its days pace the run. *)
             if shard = 0 then log t "study: campaign day %d" day)

@@ -20,11 +20,6 @@ type config = {
           pre-fault scanner. *)
   retry : Faults.Retry.policy;
       (** probe retry policy; only consulted when faults are injected *)
-  checkpoint : Durable.Checkpoint.t option;
-      (** campaign crash-recovery store (default [None]): each completed
-          campaign day is snapshotted and a re-created study resumes the
-          campaign from the longest valid snapshot prefix. Pre-campaign
-          point experiments re-run deterministically on resume. *)
   obs : Obs.Recorder.t option;
       (** telemetry sink (default [None]) shared by every experiment
           probe and the campaign runners. Recorders only read outcomes,

@@ -55,7 +55,7 @@ let generate t n =
 let fork t ~label = create ~seed:(generate t 32 ^ "|" ^ label)
 
 (* The full generator state is just (K, V); exposing it lets campaign
-   checkpoints snapshot and restore the exact position in a stream. *)
+   day blocks snapshot and restore the exact position in a stream. *)
 let state t = (t.k, t.v)
 
 let restore ~state:(k, v) =

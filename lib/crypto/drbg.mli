@@ -26,7 +26,7 @@ val fork : t -> label:string -> t
 
 val state : t -> string * string
 (** The generator's full internal state [(K, V)], two 32-byte strings.
-    Snapshot for campaign checkpoints. *)
+    Snapshot for the resume state of campaign day blocks. *)
 
 val restore : state:string * string -> t
 (** Rebuild a generator from a {!state} snapshot; the restored generator

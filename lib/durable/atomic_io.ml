@@ -1,5 +1,5 @@
 (* Crash-safe file persistence for every artifact the project archives:
-   campaign CSVs, checkpoint day files, bench JSON. Two disciplines, one
+   campaign CSVs, stream manifests, bench JSON. Two disciplines, one
    writer:
 
    - *atomicity*: content goes to a same-directory temp file which is

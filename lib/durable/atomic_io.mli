@@ -1,7 +1,7 @@
 (** Atomic, checksummed file persistence.
 
-    Every artifact the project archives (campaign CSVs, checkpoint day
-    files, bench JSON) is written through this module: content goes to a
+    Every artifact the project archives (campaign CSVs, stream
+    manifests, bench JSON) is written through this module: content goes to a
     same-directory temp file, is fsynced, and is renamed over the
     destination, so readers only ever see a complete old file or a
     complete new file. The written file is framed by a header line
@@ -53,3 +53,7 @@ val read_any : string -> (string, error) result
 
 val block_size : int
 (** Content bytes covered by each checksum tag (64 KiB). *)
+
+val block_tag : string -> string
+(** The integrity tag of one block: the first 16 hex characters (64
+    bits) of its SHA-256. {!Spool} frames reuse it per spool block. *)

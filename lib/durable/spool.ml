@@ -8,21 +8,21 @@
    block being written, and the reader can tell exactly how much of the
    stream is trustworthy:
 
-     #tlsharm-spool v1
-     #block 0 bytes=N
+     #tlsharm-spool v2
+     #block 0 bytes=N tag=T
      <N bytes of payload>
-     #block 1 bytes=M
+     #block 1 bytes=M tag=T'
      ...
      #spool-end blocks=K
 
-   The framing makes three states distinguishable at read time: a
-   *complete* spool (footer present, count matches), a *torn* spool (no
-   footer; the valid block prefix is returned and the torn tail
-   dropped — the crash-resume path re-emits it), and a *damaged* spool
-   (malformed header or frame), which is an error rather than a silent
-   truncation. *)
+   [tag] is {!Atomic_io.block_tag} of the payload. The framing makes
+   three states distinguishable at read time: a *complete* spool
+   (footer present, count matches), an *incomplete* one (the valid block
+   prefix is returned; a torn tail, a payload whose tag no longer
+   matches, or any non-canonical frame line ends it), and a foreign file
+   (malformed header), which is an error. *)
 
-let header = "#tlsharm-spool v1"
+let header = "#tlsharm-spool v2"
 
 type writer = {
   oc : out_channel;
@@ -37,9 +37,16 @@ let create path =
   flush oc;
   { oc; blocks = 0; closed = false }
 
+let block_marker i payload =
+  Printf.sprintf "#block %d bytes=%d tag=%s" i (String.length payload)
+    (Atomic_io.block_tag payload)
+
+let footer blocks = Printf.sprintf "#spool-end blocks=%d" blocks
+
 let add_block w payload =
   if w.closed then invalid_arg "Durable.Spool.add_block: writer is closed";
-  Printf.fprintf w.oc "#block %d bytes=%d\n" w.blocks (String.length payload);
+  output_string w.oc (block_marker w.blocks payload);
+  output_char w.oc '\n';
   output_string w.oc payload;
   w.blocks <- w.blocks + 1;
   (* Flush per block: the crash window is one block, not the whole
@@ -49,19 +56,20 @@ let add_block w payload =
 
 let close w =
   if not w.closed then begin
-    Printf.fprintf w.oc "#spool-end blocks=%d\n" w.blocks;
+    output_string w.oc (footer w.blocks);
+    output_char w.oc '\n';
     flush w.oc;
     (try Unix.fsync (Unix.descr_of_out_channel w.oc) with Unix.Unix_error _ -> ());
     close_out w.oc;
     w.closed <- true
   end
 
-(* Frame parsing: blocks are consumed while their frames verify; the
-   first torn or unrecognized frame (truncated marker, short payload,
-   out-of-sequence index) ends the valid prefix and the tail is
-   dropped — the crash-resume path re-emits it. Only a missing or
-   malformed header is an error, because then nothing about the file can
-   be trusted. *)
+(* Frame parsing: blocks are consumed while their frames verify. A frame
+   line must be exactly what the writer would emit for the values it
+   declares, and a payload must match its tag; the first frame that
+   fails either check ends the valid prefix. Only a missing or malformed
+   header is an error, because then nothing about the file can be
+   trusted. *)
 exception Torn
 
 let read path =
@@ -74,7 +82,8 @@ let read path =
       in
       let hdr_end = line_end 0 in
       if hdr_end >= len || not (String.equal (String.sub content 0 hdr_end) header) then
-        Error (path ^ ": not a spool file (bad header)")
+        Error
+          (Printf.sprintf "%s: not a spool file (bad header; this build reads %S)" path header)
       else begin
         let blocks = ref [] in
         let n = ref 0 in
@@ -85,20 +94,19 @@ let read path =
              let e = line_end !pos in
              if e >= len then raise Torn;
              let marker = String.sub content !pos (e - !pos) in
-             match Scanf.sscanf_opt marker "#block %d bytes=%d" (fun i b -> (i, b)) with
-             | Some (i, bytes) when i = !n && bytes >= 0 ->
-                 let start = e + 1 in
-                 if start + bytes > len then raise Torn;
-                 blocks := String.sub content start bytes :: !blocks;
-                 incr n;
-                 pos := start + bytes
-             | Some _ -> raise Torn
-             | None -> (
-                 match Scanf.sscanf_opt marker "#spool-end blocks=%d" (fun k -> k) with
-                 | Some k when k = !n ->
-                     complete := true;
-                     pos := len
-                 | Some _ | None -> raise Torn)
+             if String.equal marker (footer !n) then begin
+               complete := true;
+               pos := len
+             end
+             else
+               match Scanf.sscanf_opt marker "#block %d bytes=%d tag=%s" (fun i b _ -> (i, b)) with
+               | Some (i, bytes) when i = !n && bytes >= 0 && e + 1 + bytes <= len ->
+                   let payload = String.sub content (e + 1) bytes in
+                   if not (String.equal marker (block_marker i payload)) then raise Torn;
+                   blocks := payload :: !blocks;
+                   incr n;
+                   pos := e + 1 + bytes
+               | _ -> raise Torn
            done
          with Torn -> ());
         Ok (List.rev !blocks, !complete)

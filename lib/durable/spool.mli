@@ -3,22 +3,23 @@
     Where {!Atomic_io} rewrites a whole artifact atomically (right for
     end-of-run outputs), a spool appends framed blocks to one open file
     and flushes after each block, so a long campaign can emit one block
-    per scan day in O(block) rather than O(file). The framing lets the
-    reader distinguish a complete spool from one torn by a crash: torn
-    trailing bytes are dropped and the valid block prefix returned, and
-    the resume path re-emits the missing tail. *)
+    per scan day in O(block) rather than O(file). Every block frame
+    carries the payload's {!Atomic_io.block_tag}, so the reader tells a
+    complete spool from one torn by a crash or damaged at rest: the
+    valid block prefix is returned either way, and the resume path
+    re-emits the rest. *)
 
 type writer
 
 val create : string -> writer
 (** [create path] truncates [path] and starts a fresh spool. The
-    previous content is intentionally discarded: a rerun (including a
-    checkpoint resume, which replays all completed days) re-emits every
-    block, so the spool is byte-identical whether or not the run was
+    previous content is intentionally discarded: a reader that wants it
+    (the resume path) reads it first, and a rerun re-emits every block,
+    so the spool is byte-identical whether or not the run was
     interrupted. *)
 
 val add_block : writer -> string -> unit
-(** Append one framed block and flush it to the OS. Raises
+(** Append one framed, tagged block and flush it to the OS. Raises
     [Invalid_argument] after {!close}. *)
 
 val close : writer -> unit
@@ -27,7 +28,8 @@ val close : writer -> unit
 
 val read : string -> (string list * bool, string) result
 (** [read path] returns [(blocks, complete)]: the longest valid prefix
-    of blocks, and whether the footer was present with a matching block
-    count. Torn or unrecognized trailing frames are dropped silently
-    (they are exactly what a crash leaves behind); only a missing or
-    malformed file header is an [Error]. *)
+    of blocks, and whether the footer followed it with a matching block
+    count. A torn tail, a payload that fails its tag and any frame line
+    the writer would not have produced all end the prefix and leave the
+    spool incomplete; only an unreadable file or a missing or foreign
+    header is an [Error]. *)

@@ -8,10 +8,13 @@
    - [Killed] models whole-process death (used by tests and the chaos
      hook to simulate SIGKILL) — a supervisor that "survived" a kill
      would be lying about what crash-recovery covers;
-   - [Checkpoint.Mismatch] means determinism itself is broken, and
-     retrying a nondeterministic shard would only launder the bug. *)
+   - [Mismatch] means determinism itself is broken, and retrying a
+     nondeterministic shard would only launder the bug. *)
 
 exception Killed
+exception Mismatch of string
+
+let mismatch fmt = Printf.ksprintf (fun s -> raise (Mismatch s)) fmt
 
 type policy = { max_restarts : int }
 
@@ -21,7 +24,7 @@ let supervised ?(on_crash = fun ~attempt:_ _ -> ()) policy ~attempt:f =
   let rec go attempt =
     match f attempt with
     | v -> Ok v
-    | exception ((Killed | Checkpoint.Mismatch _) as e) -> raise e
+    | exception ((Killed | Mismatch _) as e) -> raise e
     | exception e ->
         on_crash ~attempt e;
         if attempt < policy.max_restarts then go (attempt + 1) else Error e

@@ -5,6 +5,14 @@ exception Killed
     chaos hooks. Never caught by {!supervised}: recovery from a kill is
     the resume path's job, not the in-process supervisor's. *)
 
+exception Mismatch of string
+(** A resumed run diverged from the state its run log recorded (wrong
+    seed or world, code drift). A determinism-contract violation: it
+    aborts the run, and {!supervised} re-raises it instead of retrying. *)
+
+val mismatch : ('a, unit, string, 'b) format4 -> 'a
+(** [mismatch fmt …] raises {!Mismatch} with a formatted message. *)
+
 type policy = { max_restarts : int }
 
 val default : policy
@@ -19,5 +27,5 @@ val supervised :
     exception is passed to [on_crash] and the work is re-run as
     [attempt 1], [attempt 2], … up to [policy.max_restarts] restarts.
     Returns [Error e] with the last exception once restarts are
-    exhausted. {!Killed} and {!Checkpoint.Mismatch} are re-raised
+    exhausted. {!Killed} and {!Mismatch} are re-raised
     immediately rather than absorbed. *)

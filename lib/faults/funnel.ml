@@ -131,7 +131,7 @@ let lost tot =
 
 (* --- Checkpoint serialization ------------------------------------------------ *)
 
-(* A funnel snapshot travels inside campaign checkpoints so a resumed
+(* A funnel snapshot travels inside campaign day blocks so a resumed
    run reports the same loss table as an uninterrupted one. The format
    is deterministic (days sorted, losses in [Fault.all] order) so equal
    funnels always serialize to equal bytes. *)

@@ -231,25 +231,35 @@ let blank_record day =
     dhe_value = None;
   }
 
-(* --- Checkpoint codec --------------------------------------------------------
+(* --- Day block codec ---------------------------------------------------------
 
-   One snapshot per completed scan day per stream (a stream = one shard
-   of the campaign). A snapshot captures everything a resumed run must
-   reproduce to stay byte-identical to an uninterrupted one: the virtual
-   clock, both probes' DRBG positions, the default probe's trust cache,
-   the stream's cumulative loss funnel, and that day's observed rows for
-   every member domain.
+   One block per completed scan day per stream (a stream = one shard of
+   the campaign), appended to the stream's spool. A block carries that
+   day's observed row for every member domain and, unless it was written
+   by a run that cannot be resumed from (an in-process retry, an
+   abandoned shard), everything a resumed run must reproduce to stay
+   byte-identical to an uninterrupted one: the virtual clock, both
+   probes' DRBG positions, the default probe's trust cache and the
+   stream's cumulative loss funnel.
+
+     day=4
+     clock=…                      \
+     drbg-default=K:V              |
+     drbg-dhe=K:V                  | the state lines; absent from a
+     trust=N, then N "domain bool" | stateless block
+     funnel=M, then M funnel lines /
+     rows=R, then R row lines
 
    The codec is deterministic — equal state encodes to equal bytes —
    which is what lets resume *verify* replayed days by comparing the
-   re-encoded snapshot against the recorded one, byte for byte. *)
+   re-encoded block against the recorded one, byte for byte. *)
 
 module Ckpt = struct
+  type state = { s_trust : (string * bool) list; s_funnel : Faults.Funnel.t }
+
   type snapshot = {
     s_day : int;
-    s_clock : int;
-    s_trust : (string * bool) list;
-    s_funnel : Faults.Funnel.t;
+    s_state : state option; (* [None]: a stateless block *)
     s_rows : day_record option array;
   }
 
@@ -260,7 +270,7 @@ module Ckpt = struct
   let opt_dash = function None -> "-" | Some s -> s
 
   (* The per-day values are exactly the persisted CSV columns, so the
-     snapshot-restore path can rebuild the archive without scanning. *)
+     loader and the restore path rebuild the archive without scanning. *)
   let row_line = function
     | None -> "0"
     | Some r ->
@@ -275,23 +285,27 @@ module Ckpt = struct
             opt_dash r.dhe_value;
           ]
 
-  let encode ~day ~clock ~(default_probe : Probe.t) ~(dhe_probe : Probe.t) ~funnel
-      ~(rows : day_record option array) =
-    let b = Buffer.create 4096 in
+  (* [probes] = (clock, default probe, DHE probe) adds the state lines;
+     the funnel is the one both probes share. *)
+  let encode ?probes ~day ~(rows : day_record option array) () =
+    let b = Buffer.create (256 + (16 * Array.length rows)) in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
     line "day=%d" day;
-    line "clock=%d" (Simnet.Clock.now clock);
-    line "%s" (drbg_line "drbg-default" (Tls.Client.rng default_probe.Probe.client));
-    line "%s" (drbg_line "drbg-dhe" (Tls.Client.rng dhe_probe.Probe.client));
-    let trust =
-      Hashtbl.fold (fun d v acc -> (d, v) :: acc) default_probe.Probe.trust_cache []
-      |> List.sort compare
-    in
-    line "trust=%d" (List.length trust);
-    List.iter (fun (d, v) -> line "%s %b" d v) trust;
-    let flines = Faults.Funnel.to_lines funnel in
-    line "funnel=%d" (List.length flines);
-    List.iter (fun l -> line "%s" l) flines;
+    (match probes with
+    | None -> ()
+    | Some (clock, (default_probe : Probe.t), (dhe_probe : Probe.t)) ->
+        line "clock=%d" (Simnet.Clock.now clock);
+        line "%s" (drbg_line "drbg-default" (Tls.Client.rng default_probe.Probe.client));
+        line "%s" (drbg_line "drbg-dhe" (Tls.Client.rng dhe_probe.Probe.client));
+        let trust =
+          Hashtbl.fold (fun d v acc -> (d, v) :: acc) default_probe.Probe.trust_cache []
+          |> List.sort compare
+        in
+        line "trust=%d" (List.length trust);
+        List.iter (fun (d, v) -> line "%s %b" d v) trust;
+        let flines = Faults.Funnel.to_lines (Probe.funnel default_probe) in
+        line "funnel=%d" (List.length flines);
+        List.iter (fun l -> line "%s" l) flines);
     line "rows=%d" (Array.length rows);
     Array.iter (fun r -> line "%s" (row_line r)) rows;
     Buffer.contents b
@@ -318,17 +332,17 @@ module Ckpt = struct
                          dhe_ok;
                          dhe_value = undash dhe;
                        })
-              | None -> Error (Printf.sprintf "checkpoint: bad ticket hint in row %S" l))
-          | _ -> Error (Printf.sprintf "checkpoint: bad row %S" l))
-      | _ -> Error (Printf.sprintf "checkpoint: bad row %S" l)
+              | None -> Error (Printf.sprintf "day block: bad ticket hint in row %S" l))
+          | _ -> Error (Printf.sprintf "day block: bad row %S" l))
+      | _ -> Error (Printf.sprintf "day block: bad row %S" l)
 
   (* Strict decode: every section length must match, DRBG states must be
      64 valid hex bytes, and nothing may trail the last row. Any slack
-     would let a damaged-but-checksum-valid file (or a file from a
-     different world size) slip into the resume path. *)
+     would let a damaged-but-frame-valid block (or one from a different
+     world size) slip into the loader or the resume path. *)
   let decode ~members payload =
     let ( let* ) = Result.bind in
-    let err fmt = Printf.ksprintf (fun s -> Error ("checkpoint: " ^ s)) fmt in
+    let err fmt = Printf.ksprintf (fun s -> Error ("day block: " ^ s)) fmt in
     let rest = ref (content_lines payload) in
     let next what =
       match !rest with
@@ -365,38 +379,44 @@ module Ckpt = struct
         times (n - 1) f (v :: acc)
     in
     let* s_day = int_kv "day" in
-    let* s_clock = int_kv "clock" in
-    let* _default_state = drbg_kv "drbg-default" in
-    let* _dhe_state = drbg_kv "drbg-dhe" in
-    let* n_trust = int_kv "trust" in
-    let* s_trust =
-      times n_trust
-        (fun () ->
-          let* l = next "trust entry" in
-          match String.rindex_opt l ' ' with
-          | Some i -> (
-              match bool_of_string_opt (String.sub l (i + 1) (String.length l - i - 1)) with
-              | Some v -> Ok (String.sub l 0 i, v)
-              | None -> err "bad trust entry %S" l)
-          | None -> err "bad trust entry %S" l)
-        []
+    let* s_state =
+      match !rest with
+      | l :: _ when String.starts_with ~prefix:"clock=" l ->
+          let* _clock = int_kv "clock" in
+          let* _default_state = drbg_kv "drbg-default" in
+          let* _dhe_state = drbg_kv "drbg-dhe" in
+          let* n_trust = int_kv "trust" in
+          let* s_trust =
+            times n_trust
+              (fun () ->
+                let* l = next "trust entry" in
+                match String.rindex_opt l ' ' with
+                | Some i -> (
+                    match bool_of_string_opt (String.sub l (i + 1) (String.length l - i - 1)) with
+                    | Some v -> Ok (String.sub l 0 i, v)
+                    | None -> err "bad trust entry %S" l)
+                | None -> err "bad trust entry %S" l)
+              []
+          in
+          let* n_funnel = int_kv "funnel" in
+          let* funnel_lines = times n_funnel (fun () -> next "funnel line") [] in
+          let* s_funnel = Faults.Funnel.of_lines funnel_lines in
+          Ok (Some { s_trust; s_funnel })
+      | _ -> Ok None
     in
-    let* n_funnel = int_kv "funnel" in
-    let* funnel_lines = times n_funnel (fun () -> next "funnel line") [] in
-    let* s_funnel = Faults.Funnel.of_lines funnel_lines in
     let* n_rows = int_kv "rows" in
     let* () =
       if n_rows = members then Ok ()
-      else err "snapshot covers %d domains, stream has %d" n_rows members
+      else err "block covers %d domains, stream has %d" n_rows members
     in
     let* rows = times n_rows (fun () -> let* l = next "row" in parse_row ~day:s_day l) [] in
     let* () = match !rest with [] -> Ok () | l :: _ -> err "trailing data %S" l in
-    Ok { s_day; s_clock; s_trust; s_funnel; s_rows = Array.of_list rows }
+    Ok { s_day; s_state; s_rows = Array.of_list rows }
 end
 
 (* Build the final per-domain series from the (i, day) record matrix;
    [trusted] comes from the default probe's trust cache, which either
-   the scan populated or the checkpoint-restore path refilled. When the
+   the scan populated or the restore path refilled. When the
    scan ran without row retention (streaming sink only), [records] is
    [None] and the series carry their metadata with empty [days]: the
    rows live in the sink, not in memory. *)
@@ -422,33 +442,21 @@ let build_series ~(default_probe : Probe.t) ~(domains : Simnet.World.domain arra
       })
     domains
 
-(* --- Streaming archive codec -------------------------------------------------
+(* --- Streamed archive ----------------------------------------------------------
 
    The streamed representation of one scan stream: one spool block per
-   day holding every member's row in member order (reusing the
-   checkpoint row codec, so there is exactly one row grammar in the
+   day (the {!Ckpt} codec, so there is exactly one row grammar in the
    project), and a trailer block carrying the per-domain facts that are
    only known at campaign end — chiefly the trust verdicts. Member
    *order* is the contract: day blocks reference domains positionally,
    and the trailer names them, which keeps a 100k-domain day block free
    of 100k repeated domain/rank/weight prefixes. *)
 
-let stream_day_payload ~day ~(rows : day_record option array) =
-  let b = Buffer.create (16 * Array.length rows) in
-  Printf.bprintf b "day=%d\nrows=%d\n" day (Array.length rows);
-  Array.iter
-    (fun r ->
-      Buffer.add_string b (Ckpt.row_line r);
-      Buffer.add_char b '\n')
-    rows;
-  Buffer.contents b
-
-let stream_day s ~day ~rows =
+let append_block s ~rows payload =
   let present = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 rows in
-  Stream_sink.append_day s ~rows:present (stream_day_payload ~day ~rows)
+  Stream_sink.append_day s ~rows:present payload
 
-let emit_stream_day sink ~day ~rows =
-  match sink with None -> () | Some s -> stream_day s ~day ~rows
+let stream_day s ~day ~rows = append_block s ~rows (Ckpt.encode ~day ~rows ())
 
 let stream_finish s ~trusted ~(domains : Simnet.World.domain array) =
   let b = Buffer.create (32 * Array.length domains) in
@@ -475,25 +483,27 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    domain array never depends on which worker runs it, which is what
    makes shard results independent of worker count.
 
-   With [checkpoint], each completed day is snapshotted into the stream.
-   On entry the stream's longest valid snapshot prefix decides the resume
-   point — a corrupt or truncated newest snapshot simply shortens the
+   With [sink] and [resume], each completed day's block carries the scan
+   state, and on entry the stream's recorded prefix — its leading
+   state-carrying blocks that frame-verify and decode — decides the
+   resume point. A damaged or torn newest block simply shortens the
    prefix, falling back to the last day that verifies:
 
-   - prefix = days: the whole scan is restored from snapshots (rows,
+   - prefix = days: the whole scan is restored from the blocks (rows,
      trust cache, funnel) without probing; the clock jumps to the end.
    - prefix < days: the scan runs from day 0. Replayed days (< prefix)
-     re-encode their snapshot and compare it byte-for-byte against the
+     re-encode their block and compare it byte-for-byte against the
      recorded one — any divergence (wrong world, wrong seed, code drift)
-     raises {!Durable.Checkpoint.Mismatch} rather than silently archiving
-     a run that is not the one the checkpoints belong to. Fresh days
-     (>= prefix) write new snapshots.
+     raises {!Durable.Supervisor.Mismatch} rather than silently archiving
+     a run that is not the one the log belongs to.
 
-   Replay re-executes completed days instead of deserializing the world
+   Either way every block is re-emitted into the reopened spool, so the
+   stream ends byte-identical to an uninterrupted run's. Replay
+   re-executes completed days instead of deserializing the world
    mid-flight (endpoint RNGs, kex caches, session caches and STEK
    rotations make the world state surface enormous); determinism makes
    the re-execution exact, and the byte-compare proves it. *)
-let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~dhe_probe
+let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_probe ~dhe_probe
     ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
   let start = Simnet.Clock.now clock in
   (* [scan.days] is a gauge (max-merge): every stream of one campaign
@@ -501,59 +511,56 @@ let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~d
      shard count under parallel execution. *)
   if days > 0 then Obs.Recorder.gauge_max_opt obs "scan.days" days;
   let n = Array.length domains in
-  let funnel = Probe.funnel default_probe in
-  let decode_ok ~day payload =
-    match Ckpt.decode ~members:n payload with Ok s -> s.Ckpt.s_day = day | Error _ -> false
+  let recorded =
+    match sink with
+    | Some s when resume ->
+        Stream_sink.prefix s ~decode:(fun ~index block ->
+            match Ckpt.decode ~members:n block with
+            | Ok ({ Ckpt.s_state = Some _; _ } as snap) when index < days && snap.Ckpt.s_day = index
+              ->
+                Some snap
+            | Ok _ | Error _ -> None)
+        |> Array.of_list
+    | _ -> [||]
   in
-  let prefix =
-    match checkpoint with
-    | None -> 0
-    | Some stream -> Durable.Checkpoint.valid_prefix ~decode:decode_ok stream ~days
-  in
+  let prefix = Array.length recorded in
   let finish_sink () =
     let trusted name =
       Option.value ~default:false (Hashtbl.find_opt default_probe.Probe.trust_cache name)
     in
     Option.iter (fun s -> stream_finish s ~trusted ~domains) sink
   in
-  if prefix >= days && days > 0 then begin
-    (* Every day is on disk and verified: restore without scanning. *)
-    let stream = Option.get checkpoint in
-    let records = if retain then Some (Array.make_matrix n days None) else None in
-    let restore_day day =
-      match Durable.Checkpoint.read_day stream ~day with
-      | Error e ->
-          Durable.Checkpoint.mismatch "day %d unreadable during restore: %s" day
-            (Durable.Atomic_io.error_to_string e)
-      | Ok payload -> (
-          match Ckpt.decode ~members:n payload with
-          | Error e -> Durable.Checkpoint.mismatch "day %d: %s" day e
-          | Ok s ->
-              (match records with
-              | Some m -> Array.iteri (fun i r -> m.(i).(day) <- r) s.Ckpt.s_rows
-              | None -> ());
-              emit_stream_day sink ~day ~rows:s.Ckpt.s_rows;
-              s)
-    in
-    for day = 0 to days - 2 do
-      ignore (restore_day day)
-    done;
-    let last = restore_day (days - 1) in
-    (* The last snapshot carries the cumulative trust cache and funnel. *)
+  let records = if retain then Some (Array.make_matrix n days None) else None in
+  let record ~day rows =
+    match records with
+    | Some m ->
+        for i = 0 to n - 1 do
+          m.(i).(day) <- rows.(i)
+        done
+    | None -> ()
+  in
+  if prefix = days && days > 0 then begin
+    (* Every day is recorded and verified: restore without scanning. *)
+    Array.iteri
+      (fun day (raw, snap) ->
+        record ~day snap.Ckpt.s_rows;
+        Option.iter (fun s -> append_block s ~rows:snap.Ckpt.s_rows raw) sink)
+      recorded;
+    (* The last block carries the cumulative trust cache and funnel. *)
+    let last = Option.get (snd recorded.(days - 1)).Ckpt.s_state in
     List.iter
       (fun (d, v) -> Hashtbl.replace default_probe.Probe.trust_cache d v)
       last.Ckpt.s_trust;
-    Faults.Funnel.absorb funnel last.Ckpt.s_funnel;
+    Faults.Funnel.absorb (Probe.funnel default_probe) last.Ckpt.s_funnel;
     Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
     finish_sink ();
     build_series ~default_probe ~domains ~days records
   end
   else begin
-  let records = if retain then Some (Array.make_matrix n days None) else None in
   (* Per-day scratch, reused across days so a long campaign's inner loop
      allocates nothing proportional to [n * days]: this day's rows (also
-     the checkpoint payload source), the default sweep's observations,
-     and the day's present-member index list. Presence was previously
+     the block payload source), the default sweep's observations, and
+     the day's present-member index list. Presence was previously
      recomputed per sweep — twice per domain-day — and the second sweep
      walked every member; both sweeps now touch only present members. *)
   let rows : day_record option array = Array.make n None in
@@ -608,33 +615,20 @@ let scan_stream ?checkpoint ?sink ?(retain = true) ?obs ~clock ~default_probe ~d
             dhe_value = dhe_obs.Observation.dhe_value;
           }
     done);
-    (match checkpoint with
+    record ~day rows;
+    match sink with
     | None -> ()
-    | Some stream ->
-        let payload = Ckpt.encode ~day ~clock ~default_probe ~dhe_probe ~funnel ~rows in
-        if day < prefix then begin
-          (* Replay verification: the re-run day must reproduce the
-             recorded snapshot exactly, or the checkpoints belong to a
-             different run than the one we are resuming. *)
-          match Durable.Checkpoint.read_day stream ~day with
-          | Ok recorded when String.equal recorded payload -> ()
-          | Ok _ ->
-              Durable.Checkpoint.mismatch
-                "replayed day %d diverges from its checkpoint (different world, seed or code?)"
-                day
-          | Error _ ->
-              (* Readable when the prefix was scanned, unreadable now:
-                 replace it with the freshly recomputed snapshot. *)
-              Durable.Checkpoint.write_day stream ~day payload
-        end
-        else Durable.Checkpoint.write_day stream ~day payload);
-    (match records with
-    | Some m ->
-        for i = 0 to n - 1 do
-          m.(i).(day) <- rows.(i)
-        done
-    | None -> ());
-    emit_stream_day sink ~day ~rows
+    | Some s ->
+        let probes = if resume then Some (clock, default_probe, dhe_probe) else None in
+        let payload = Ckpt.encode ?probes ~day ~rows () in
+        (* Replay verification: the re-run day must reproduce the
+           recorded block exactly, or the log belongs to a different run
+           than the one being resumed. *)
+        if day < prefix && not (String.equal (fst recorded.(day)) payload) then
+          Durable.Supervisor.mismatch
+            "replayed day %d diverges from its recorded block (different world, seed or code?)"
+            day;
+        append_block s ~rows payload
   done;
   (* Leave the clock at the end of the campaign. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
@@ -698,25 +692,6 @@ let load_stream dir =
         | None -> err "stream %S: bad trailer count line %S" name counted)
     | _ -> err "stream %S: malformed trailer" name
   in
-  let parse_day_block name ~day ~members block =
-    match content_lines block with
-    | day_line :: rows_line :: rows -> (
-        match
-          (Scanf.sscanf_opt day_line "day=%d" Fun.id, Scanf.sscanf_opt rows_line "rows=%d" Fun.id)
-        with
-        | Some d, Some r when d = day && r = members && List.length rows = members ->
-            List.fold_left
-              (fun acc l ->
-                let* acc = acc in
-                let* row = Ckpt.parse_row ~day l in
-                Ok (row :: acc))
-              (Ok []) rows
-            |> Result.map (fun l -> Array.of_list (List.rev l))
-        | Some d, _ when d <> day -> err "stream %S: expected day %d, found day %d" name day d
-        | _ -> err "stream %S: malformed day block header for day %d" name day
-    )
-    | _ -> err "stream %S: malformed day block for day %d" name day
-  in
   let load_one name =
     let* blocks, trailer = Stream_sink.read_stream ~dir name in
     let* metas = parse_trailer name trailer in
@@ -730,8 +705,16 @@ let load_stream dir =
       List.fold_left
         (fun acc block ->
           let* day = acc in
-          let* rows = parse_day_block name ~day ~members block in
-          Array.iteri (fun i r -> records.(i).(day) <- r) rows;
+          let* snap =
+            Result.map_error
+              (Printf.sprintf "stream archive: stream %S, day %d: %s" name day)
+              (Ckpt.decode ~members block)
+          in
+          let* () =
+            if snap.Ckpt.s_day = day then Ok ()
+            else err "stream %S: expected day %d, found day %d" name day snap.Ckpt.s_day
+          in
+          Array.iteri (fun i r -> records.(i).(day) <- r) snap.Ckpt.s_rows;
           Ok (day + 1))
         (Ok 0) blocks
       |> Result.map ignore

@@ -36,8 +36,8 @@ val dhe_sweep_at : int
 (** Offset into each study day of the DHE-only sweep: 02:00. *)
 
 val scan_stream :
-  ?checkpoint:Durable.Checkpoint.stream ->
   ?sink:Stream_sink.stream ->
+  ?resume:bool ->
   ?retain:bool ->
   ?obs:Obs.Recorder.t ->
   clock:Simnet.Clock.t ->
@@ -54,20 +54,22 @@ val scan_stream :
     them with [?clock]) and share one funnel. Leaves [clock] at the
     campaign's end. {!Parallel_campaign.run} calls it once per shard.
 
-    With [checkpoint], every completed day is snapshotted (clock, probe
-    DRBG states, trust cache, funnel, observed rows) into the stream. On entry, the longest valid snapshot prefix
-    is loaded: a full prefix restores the result without probing; a
-    partial one re-runs the scan from day 0, verifying each replayed day
-    byte-for-byte against its snapshot (raising
-    {!Durable.Checkpoint.Mismatch}) before scanning the remaining days
-    fresh. Corrupt or truncated snapshots end the prefix — resume falls
-    back to the last day that verifies.
-
-    With [sink], each day's rows (scanned or checkpoint-restored — so
-    resumed runs stream byte-identical spools) are appended as the day
+    With [sink], each day's block is appended to the stream as the day
     completes, and the stream's trailer is written at the end. With
-    [retain ~ false] no [n * days] row matrix is allocated and the
-    returned series have empty [days] arrays. *)
+    [resume] (the default) every block also carries the scan state
+    (clock, probe DRBG states, trust cache, funnel), and on entry the
+    stream's recorded prefix ({!Stream_sink.prefix}: leading
+    state-carrying blocks that frame-verify and decode) is used: a full
+    prefix restores the result without probing; a partial one re-runs
+    the scan from day 0, verifying each replayed day byte-for-byte
+    against its recorded block (raising {!Durable.Supervisor.Mismatch})
+    before scanning the remaining days fresh. Damaged or torn blocks end
+    the prefix — resume falls back to the last day that verifies. With
+    [~resume:false] (an in-process retry) the recorded prefix is ignored
+    and blocks are stateless. Restored, replayed and fresh days are all
+    re-emitted, so a resumed stream is byte-identical to an
+    uninterrupted one. With [retain ~ false] no [n * days] row matrix is
+    allocated and the returned series have empty [days] arrays. *)
 
 val csv_header : string
 
@@ -83,9 +85,10 @@ val load : string -> (t, string) result
     repaired. *)
 
 val stream_day : Stream_sink.stream -> day:int -> rows:day_record option array -> unit
-(** Append one day's rows (member order; [None] = absent that day) to a
-    stream. Exposed for {!Parallel_campaign}, whose abandoned-shard path
-    must emit degraded rows without a probe in hand. *)
+(** Append one day's stateless block (rows in member order; [None] =
+    absent that day) to a stream. Exposed for {!Parallel_campaign},
+    whose abandoned-shard path must emit degraded rows without a probe
+    in hand. *)
 
 val stream_finish : Stream_sink.stream -> trusted:(string -> bool) -> domains:Simnet.World.domain array -> unit
 (** Write the end-of-stream trailer ([trusted] is consulted per domain
@@ -96,6 +99,7 @@ val load_stream : string -> (t, string) result
     streamed run. Series are sorted by (rank, domain) — the order
     {!Parallel_campaign.run} produces — so {!save} on the result
     is byte-identical to {!save} on the same campaign run with rows
-    retained in memory. An interrupted stream (spool without footer or
-    trailer) is an [Error] naming the stream; finish it by resuming the
-    campaign from its checkpoint. *)
+    retained in memory. Day blocks with and without state lines decode
+    alike. An interrupted or damaged stream (spool without footer or
+    trailer, or a block that fails its tag) is an [Error] naming the
+    stream, never an exception; finish it by resuming the campaign. *)

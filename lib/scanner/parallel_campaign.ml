@@ -42,8 +42,8 @@
    id), yet the archive is the one a single pair of probes sweeping the
    whole world would record: every archived field (STEK id, ticket
    hint, (EC)DHE values, trust) is chosen by the server, never by the
-   probe's randomness. Only the checkpoint snapshots, which carry the
-   probe DRBG positions, are shard-specific. *)
+   probe's randomness. Only the state lines of the streamed day blocks,
+   which carry the probe DRBG positions, are shard-specific. *)
 
 type shard = {
   shard_id : int;
@@ -154,7 +154,7 @@ let shards ?(target = 128) world =
 
 let stream_name shard_id = Printf.sprintf "shard-%04d" shard_id
 
-let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows = true)
+let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
     ?(supervise = Durable.Supervisor.default) ?chaos ?obs world ~days () =
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -246,11 +246,12 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
      regardless of [jobs]. The funnel is fresh per attempt so a crashed
      attempt's partial counts are discarded with it.
 
-     Only attempt 0 reads/writes the shard's checkpoint stream: an
-     in-process retry runs against world state already dirtied by the
-     crashed attempt, so its days would fail the replay byte-compare by
-     construction. The snapshots already on disk stay valid for a
-     process-level [resume], which starts from a clean world. *)
+     Only attempt 0 resumes from the shard's recorded blocks and writes
+     state into its own: an in-process retry runs against world state
+     already dirtied by the crashed attempt, so its days would fail the
+     replay byte-compare by construction. Its blocks are stateless, and a
+     later process-level resume, which starts from a clean world, simply
+     re-scans that shard. *)
   let attempt_shard (s : shard) attempt =
     let clock = Simnet.Clock.create ~start () in
     let shard_funnel = Faults.Funnel.create () in
@@ -265,14 +266,9 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
       Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ?obs:shard_obs world
         ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
     in
-    let stream =
-      if attempt = 0 then
-        Option.map (fun store -> Durable.Checkpoint.stream store (stream_name s.shard_id)) checkpoint
-      else None
-    in
-    (* The row stream, unlike the checkpoint stream, is opened on every
-       attempt: opening truncates the spool, so a retry discards the
-       crashed attempt's partial rows and re-emits its own. *)
+    (* The row stream is reopened on every attempt: opening truncates
+       the spool, so a retry discards the crashed attempt's partial rows
+       and re-emits its own. *)
     let sink_stream = Option.map (fun sk -> Stream_sink.stream sk (stream_name s.shard_id)) sink in
     let progress day =
       (match chaos with Some c -> c ~shard:s.shard_id ~attempt ~day | None -> ());
@@ -286,7 +282,7 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?checkpoint ?sink ?(retain_rows
         ~attrs:[ ("shard", string_of_int s.shard_id) ]
         ~now:(fun () -> Simnet.Clock.now clock)
         (fun () ->
-          Daily_scan.scan_stream ?checkpoint:stream ?sink:sink_stream ~retain:retain_rows
+          Daily_scan.scan_stream ?sink:sink_stream ~resume:(attempt = 0) ~retain:retain_rows
             ?obs:shard_obs ~clock ~default_probe ~dhe_probe ~domains:s.members ~days ~progress
             ())
     in

@@ -42,7 +42,6 @@ val run :
   ?injector:Faults.Injector.t ->
   ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
-  ?checkpoint:Durable.Checkpoint.t ->
   ?sink:Stream_sink.t ->
   ?retain_rows:bool ->
   ?supervise:Durable.Supervisor.policy ->
@@ -60,12 +59,17 @@ val run :
     pool. Leaves the world clock at the campaign's end. [progress] is
     called from worker domains — keep it reentrant.
 
-    [sink] gives every shard a row stream (["shard-0007"], truncated on
+    [sink] gives every shard a row stream (["shard-0007"], reopened on
     each attempt) into which completed days are appended as they finish;
     with [retain_rows:false] no shard holds its observation matrix in
     memory and the returned series carry empty [days] arrays — recover
-    the campaign with {!Daily_scan.load_stream}. Abandoned shards still
-    seal their streams with degraded (probe-less) rows, so a streamed
+    the campaign with {!Daily_scan.load_stream}. The sink is also the
+    run's resume log: attempt 0 of each shard resumes from its stream's
+    recorded prefix ({!Daily_scan.scan_stream}), so a re-run into the
+    same directory restores fully-recorded shards without scanning them
+    (shards are state-isolated by construction, so skipping one cannot
+    change another's results). Abandoned shards still seal their
+    streams with degraded (probe-less, stateless) rows, so a streamed
     archive loads whenever the campaign itself completed.
 
     [injector] is shared across shards (its decisions are pure hashes,
@@ -74,18 +78,15 @@ val run :
     after the join in shard order — sums only, so totals are identical
     for any [jobs].
 
-    [checkpoint] gives every shard a stream (["shard-0007"]) in the
-    store; completed days snapshot per shard and a resumed run restores
-    fully-checkpointed shards without scanning them (shards are
-    state-isolated by construction, so skipping one cannot change
-    another's results). [supervise] (default
+    [supervise] (default
     {!Durable.Supervisor.default}) bounds in-process restarts of a
     raising shard; on exhaustion the shard is abandoned — its domains
     keep their list-presence ground truth, probe-derived fields stay
     empty, and the funnel records two {!Faults.Fault.Worker_crash}
-    losses per present domain-day. In-process retries (attempt > 0) run
-    without checkpoints: the world state the crashed attempt dirtied
-    would fail the replay verification by design. [chaos] is a test
+    losses per present domain-day. In-process retries (attempt > 0)
+    ignore the recorded prefix and write stateless blocks: the world
+    state the crashed attempt dirtied would fail the replay verification
+    by design. [chaos] is a test
     hook called at the start of every (shard, attempt, day); raising
     from it simulates a worker crash.
 

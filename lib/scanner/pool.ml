@@ -13,7 +13,7 @@
    If an item raises, the queue is closed so no worker starts another
    item, every helper is joined, and the first exception is re-raised
    from [run]: a failing run never leaves a domain still writing into
-   checkpoints or spools behind the caller's back. *)
+   spools behind the caller's back. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -1,13 +1,12 @@
-(* Directory-backed streaming observation sink.
+(* Directory-backed streaming observation sink, and the run's durable log.
 
    A campaign archive normally materializes as one CSV written at the
    end of the run, which means every domain-day row lives in memory
    until then — at --domains 100000 that matrix dominates RSS. A stream
    sink inverts the flow: the scanner appends each day's rows the moment
    the day finishes, into one append-only spool per scan stream (one
-   "shard-NNNN" stream per campaign shard — the same stream names the
-   checkpoint store uses), and nothing row-shaped is retained in
-   memory.
+   "shard-NNNN" stream per campaign shard), and nothing row-shaped is
+   retained in memory.
 
    Layout:
 
@@ -17,26 +16,30 @@
      ...
 
    Each spool block is an opaque payload produced by the scanner
-   (Daily_scan owns the row codec; this module only frames and files
+   (Daily_scan owns the block codec; this module only frames and files
    blocks). The last block of a finished stream is a trailer carrying
    per-domain facts that are only known at campaign end (the trust
    verdicts); a spool without its trailer or footer is an interrupted
-   run and readers refuse it until a checkpoint resume completes it.
+   run and readers refuse it until a resume completes it.
 
-   Determinism contract: spools are truncated on open, and a checkpoint
-   resume replays every completed day, so the streamed archive is
+   The directory is also the run's crash-recovery log. The manifest pins
+   the run: [create] re-attaches only to an identical manifest, so two
+   runs' spools never mix. Opening a stream reads the spool's valid
+   block prefix before truncating it; the scanner restores or replays
+   from that prefix and re-emits every block, so the streamed archive is
    byte-identical whether the run was interrupted or not, and — because
    stream names and day payloads depend only on the world and the shard
    partition — identical at any --jobs. *)
 
 let manifest_file = "manifest"
-let schema = "tlsharm-stream/1"
+let schema = "tlsharm-stream/2"
 
 type t = { dir : string; rows : int Atomic.t }
 
 type stream = {
   sink : t;
   spool : Durable.Spool.writer;
+  recorded : string list; (* valid blocks the spool held when opened *)
   mutable finished : bool;
 }
 
@@ -63,13 +66,51 @@ let decode_manifest content =
          | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
          | None -> (l, ""))
 
-let create ~dir ~manifest =
+let check_schema kvs =
+  match List.assoc_opt "schema" kvs with
+  | Some s when String.equal s schema -> Ok kvs
+  | Some s ->
+      Error
+        (Printf.sprintf
+           "stream manifest: unsupported schema %S (this build reads %S); start the run afresh \
+            in a new directory"
+           s schema)
+  | None -> Error "stream manifest: missing schema field"
+
+let manifest ~dir =
+  match Durable.Atomic_io.read (Filename.concat dir manifest_file) with
+  | Error e -> Error (Durable.Atomic_io.error_to_string ~what:"stream manifest" e)
+  | Ok content -> check_schema (decode_manifest content)
+
+(* [create] is idempotent for the same run: re-creating a sink whose
+   manifest matches byte for byte is how a resumed run re-attaches. A
+   different manifest means the directory belongs to another run, and
+   silently mixing its spools with this run's would be far worse than
+   refusing. *)
+let create ~dir ~manifest:kvs =
+  let fresh = encode_manifest (("schema", schema) :: kvs) in
+  let path = Filename.concat dir manifest_file in
   try
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
     else if not (Sys.is_directory dir) then failwith (dir ^ " exists and is not a directory");
-    Durable.Atomic_io.write (Filename.concat dir manifest_file)
-      (encode_manifest (("schema", schema) :: manifest));
-    Ok { dir; rows = Atomic.make 0 }
+    let attach () = Ok { dir; rows = Atomic.make 0 } in
+    if not (Sys.file_exists path) then begin
+      Durable.Atomic_io.write path fresh;
+      attach ()
+    end
+    else
+      match Durable.Atomic_io.read path with
+      | Ok existing when String.equal existing fresh -> attach ()
+      | Ok existing -> (
+          match check_schema (decode_manifest existing) with
+          | Error e -> Error (dir ^ ": " ^ e)
+          | Ok _ ->
+              Error
+                (Printf.sprintf
+                   "%s already holds a different run (manifest mismatch) — pick a fresh \
+                    directory, or resume that run"
+                   dir))
+      | Error e -> Error (Durable.Atomic_io.error_to_string ~what:(path ^ ": stream manifest") e)
   with
   | Failure e -> Error e
   | Sys_error e -> Error e
@@ -77,7 +118,21 @@ let create ~dir ~manifest =
 let dir t = t.dir
 
 let stream t name =
-  { sink = t; spool = Durable.Spool.create (spool_path t.dir name); finished = false }
+  let path = spool_path t.dir name in
+  let recorded =
+    match Durable.Spool.read path with Ok (blocks, _) -> blocks | Error _ -> []
+  in
+  { sink = t; spool = Durable.Spool.create path; recorded; finished = false }
+
+let prefix stream ~decode =
+  let rec go index = function
+    | [] -> []
+    | block :: rest -> (
+        match decode ~index block with
+        | Some v -> (block, v) :: go (index + 1) rest
+        | None -> [])
+  in
+  go 0 stream.recorded
 
 let append_day stream ~rows payload =
   if stream.finished then invalid_arg "Stream_sink.append_day: stream already finished";
@@ -92,16 +147,6 @@ let finish stream ~trailer =
   end
 
 let rows_written t = Atomic.get t.rows
-
-let manifest ~dir =
-  match Durable.Atomic_io.read (Filename.concat dir manifest_file) with
-  | Error e -> Error (Durable.Atomic_io.error_to_string ~what:"stream manifest" e)
-  | Ok content -> (
-      let kvs = decode_manifest content in
-      match List.assoc_opt "schema" kvs with
-      | Some s when String.equal s schema -> Ok kvs
-      | Some s -> Error (Printf.sprintf "stream manifest: unsupported schema %S" s)
-      | None -> Error "stream manifest: missing schema field")
 
 let stream_names ~dir =
   match Sys.readdir dir with
@@ -121,8 +166,8 @@ let read_stream ~dir name =
   | Ok (_, false) ->
       Error
         (Printf.sprintf
-           "stream %S is incomplete (campaign interrupted?) — resume it from its checkpoint \
-            to finish the spool"
+           "stream %S is incomplete (run interrupted, or a block damaged) — resume the run to \
+            finish the spool"
            name)
   | Ok ([], true) -> Error (Printf.sprintf "stream %S is empty" name)
   | Ok (blocks, true) ->

@@ -10,7 +10,7 @@ val create : ?prefer_x25519:bool -> config:Config.client_config -> rng:Crypto.Dr
     supported_groups extension; servers honor the client's order. *)
 
 val rng : t -> Crypto.Drbg.t
-(** The client's private DRBG. Campaign checkpoints snapshot its state
+(** The client's private DRBG. Campaign day blocks snapshot its state
     so a resumed scan draws the same key shares an uninterrupted one
     would. *)
 

@@ -5,32 +5,7 @@ type stream = Scanner.Stream_sink.stream
 
 let stream_name shard = Printf.sprintf "users-%04d" shard
 
-let manifest_agrees existing proposed =
-  (* Order-insensitive equality on the caller's keys; the sink adds its
-     own [schema] entry, which [proposed] never carries. *)
-  List.for_all
-    (fun (k, v) -> match List.assoc_opt k existing with Some v' -> v = v' | None -> false)
-    proposed
-  && List.length existing = List.length proposed + 1
-
-let create ~dir ~manifest =
-  let check =
-    if Sys.file_exists (Filename.concat dir "manifest") then
-      match Scanner.Stream_sink.manifest ~dir with
-      | Error e -> Error e
-      | Ok existing when not (manifest_agrees existing manifest) ->
-          Error
-            (Printf.sprintf
-               "%s already holds a different traffic run — pick a fresh --stream-out \
-                directory or delete it"
-               dir)
-      | Ok _ -> Ok ()
-    else Ok ()
-  in
-  match check with
-  | Error e -> Error e
-  | Ok () -> Scanner.Stream_sink.create ~dir ~manifest
-
+let create = Scanner.Stream_sink.create
 let dir = Scanner.Stream_sink.dir
 let stream t shard = Scanner.Stream_sink.stream t (stream_name shard)
 

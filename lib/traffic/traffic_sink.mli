@@ -10,10 +10,10 @@
 type t
 
 val create : dir:string -> manifest:(string * string) list -> (t, string) result
-(** Create or re-attach. Re-attaching to a directory whose manifest
-    disagrees with [manifest] (a different population, policy or world)
-    is refused: silently mixing two runs' spools would corrupt the
-    resume-skip logic. *)
+(** {!Scanner.Stream_sink.create}: re-attaching to a directory whose
+    manifest differs from [manifest] (a different population, policy or
+    world) is refused, since silently mixing two runs' spools would
+    corrupt the resume-skip logic. *)
 
 val dir : t -> string
 val stream_name : int -> string
@@ -43,7 +43,8 @@ val read_shard :
   shard:int ->
   (Row.t list * (int * int * (string * Row.host_info) list), string) result
 (** All rows of one complete shard in stream order, with its decoded
-    trailer [(users_lo, users_hi, hosts)]. *)
+    trailer [(users_lo, users_hi, hosts)]. An incomplete or damaged
+    spool (a block failing its tag) is an [Error], never an exception. *)
 
 val fold_rows :
   dir:string ->

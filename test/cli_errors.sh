@@ -50,14 +50,23 @@ printf 'not,a,campaign\n' >"$corrupt"
 check "corrupt archive" "campaign:" "$exe" analyze "$corrupt"
 rm -f "$corrupt"
 
-# A checkpoint written before the single campaign runner (format
-# version 1, with its serial/ stream) must be refused by version, not
-# resumed or re-scanned beside the stale stream. The manifest is framed
-# by hand the way the durable-file writer frames it.
-old=$(mktemp -d /tmp/tlsharm-oldckpt-XXXXXX)
-printf 'version=1\nmode=campaign\nseed=tlsharm\nn_domains=1500\ndays=2\njobs=1\nfault_profile=none\nretries=3\ndeadline=30\noutput=%s/c.csv\nstream_out=\n' \
-  "$old" >"$old/body"
-mkdir -p "$old/serial"
+# One-line check: a refusal must be a single line of output.
+one_line() {
+  desc="$1"
+  shift
+  out=$("$@" 2>&1)
+  if [ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ]; then
+    echo "FAIL: $desc: wanted one line, got: $out"
+    fails=$((fails + 1))
+  fi
+}
+
+# A run log of the previous stream schema (tlsharm-stream/1, written
+# beside a separate checkpoint store) must be refused by schema, not
+# resumed or streamed into. The manifest is framed by hand the way the
+# durable-file writer frames it.
+old=$(mktemp -d /tmp/tlsharm-oldstream-XXXXXX)
+printf 'schema=tlsharm-stream/1\nstart_day=0\nn_days=2\n' >"$old/body"
 {
   printf '#tlsharm-durable v1\n'
   cat "$old/body"
@@ -65,14 +74,37 @@ mkdir -p "$old/serial"
     "$(wc -c <"$old/body")" "$(sha256sum "$old/body" | cut -c1-16)"
 } >"$old/manifest"
 rm "$old/body"
-check "resume of a version-1 checkpoint" "unsupported checkpoint version 1" \
+cp "$old/manifest" "$old/manifest.orig"
+check "resume of a tlsharm-stream/1 directory" "tlsharm-stream/1" \
   "$exe" resume "$old"
-check "campaign into a version-1 checkpoint" "unsupported checkpoint version 1" \
-  "$exe" campaign --domains 1500 --days 2 -o "$old/c.csv" --checkpoint-dir "$old"
-test -e "$old/c.csv" && {
-  echo "FAIL: a version-1 checkpoint was scanned anyway"
+check "campaign into a tlsharm-stream/1 directory" "tlsharm-stream/1" \
+  "$exe" campaign --domains 1500 --days 2 --stream-out "$old"
+one_line "tlsharm-stream/1 refusal" "$exe" resume "$old"
+ls "$old" | grep -q '^rows-' && {
+  echo "FAIL: a tlsharm-stream/1 directory was streamed into anyway"
+  fails=$((fails + 1))
+}
+cmp -s "$old/manifest" "$old/manifest.orig" || {
+  echo "FAIL: a tlsharm-stream/1 manifest was rewritten"
   fails=$((fails + 1))
 }
 rm -rf "$old"
+
+# A --stream-out directory holding another run must be refused, not
+# mixed with it: the refused run leaves the first run's archive intact.
+reused=$(mktemp -d /tmp/tlsharm-reused-XXXXXX)
+"$exe" campaign --domains 1500 --days 1 --seed a --stream-out "$reused" >/dev/null
+first=$("$exe" analyze "$reused")
+check "campaign into another run's --stream-out" "different run" \
+  "$exe" campaign --domains 1500 --days 1 --seed b --stream-out "$reused"
+one_line "different-run refusal" \
+  "$exe" campaign --domains 1500 --days 1 --seed b --stream-out "$reused"
+if [ "$("$exe" analyze "$reused")" != "$first" ]; then
+  echo "FAIL: the refused run changed the first run's archive"
+  fails=$((fails + 1))
+else
+  echo "ok: refused run left the first run's archive"
+fi
+rm -rf "$reused"
 
 exit "$fails"

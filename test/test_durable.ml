@@ -1,10 +1,11 @@
-(* Tests for the durability layer: atomic checksummed archives, campaign
-   checkpointing with byte-identical resume, and worker supervision.
+(* Tests for the durability layer: atomic checksummed archives, tagged
+   spools, the streamed run log with byte-identical resume, and worker
+   supervision.
 
-   The headline invariant under test: kill a campaign after day k, resume
-   it, and the final archive is byte-for-byte identical to the archive an
-   uninterrupted run would have produced — for serial and parallel
-   campaigns, at any worker count. *)
+   The headline invariant under test: kill a streamed campaign after day
+   k, resume it, and the final archive is byte-for-byte identical to the
+   archive an uninterrupted run would have produced — at one worker and
+   across worker counts. *)
 
 let slurp path =
   let ic = open_in_bin path in
@@ -40,10 +41,20 @@ let flip_byte path ~pos =
   Bytes.set contents pos (Char.chr (Char.code (Bytes.get contents pos) lxor 0xff));
   spew path (Bytes.to_string contents)
 
-let contains haystack needle =
+let find haystack needle =
   let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+  let rec go i =
+    if i + nn > nh then None else if String.sub haystack i nn = needle then Some i else go (i + 1)
+  in
+  go 0
+
+let contains haystack needle = find haystack needle <> None
+
+(* Offset of the first payload byte of spool block [block] in raw spool
+   bytes: just past its frame line. *)
+let block_payload_start raw ~block =
+  let marker = Option.get (find raw (Printf.sprintf "#block %d " block)) in
+  String.index_from raw marker '\n' + 1
 
 (* --- Atomic_io -------------------------------------------------------------- *)
 
@@ -201,11 +212,11 @@ let prop_atomic_truncation_detected =
               QCheck2.Test.fail_reportf "read raised %s" (Printexc.to_string e)))
 
 let prop_spool_flip_total =
-  (* The spool's contract under damage is weaker (it frames against
-     tearing, not bit rot — payload integrity belongs to the CSV layer
-     above), but the reader must stay total: a typed result whose block
-     list never exceeds what was written, with every block of a complete
-     read bounded by its frame. *)
+  (* Every block frame carries its payload's tag, so a flipped byte
+     anywhere in a sealed spool is caught: a damaged header is an error,
+     and any other flip ends the valid prefix there and leaves the spool
+     incomplete. The blocks read back are always a prefix of what was
+     written — never a damaged payload. *)
   QCheck2.Test.make ~name:"spool read total under byte flips" ~count:300
     QCheck2.Gen.(
       triple
@@ -220,9 +231,15 @@ let prop_spool_flip_total =
           let p = pos mod Bytes.length raw in
           Bytes.set raw p (Char.chr (Char.code (Bytes.get raw p) lxor x));
           spew path (Bytes.to_string raw);
+          let rec is_prefix = function
+            | [], _ -> true
+            | b :: bs, p :: ps -> String.equal b p && is_prefix (bs, ps)
+            | _ :: _, [] -> false
+          in
           match Durable.Spool.read path with
           | Error _ -> true
-          | Ok (blocks, _complete) -> List.length blocks <= List.length payloads
+          | Ok (_, true) -> QCheck2.Test.fail_reportf "flip at byte %d read back complete" p
+          | Ok (blocks, false) -> is_prefix (blocks, payloads)
           | exception e ->
               QCheck2.Test.fail_reportf "spool read raised %s" (Printexc.to_string e)))
 
@@ -282,94 +299,100 @@ let test_campaign_load_rejects_damage () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "empty archive must not load")
 
-(* --- Checkpoint stores -------------------------------------------------------- *)
+(* --- The run log: stream manifests and recorded prefixes -------------------- *)
 
 let manifest_fixture = [ ("mode", "campaign"); ("seed", "s"); ("days", "63") ]
 
+let create_sink ?(manifest = manifest_fixture) dir =
+  match Scanner.Stream_sink.create ~dir ~manifest with Ok s -> s | Error e -> Alcotest.fail e
+
 let test_checkpoint_manifest_roundtrip () =
   with_temp_dir (fun dir ->
-      let dir = Filename.concat dir "ckpt" in
-      (match Durable.Checkpoint.init ~dir ~manifest:manifest_fixture with
+      let dir = Filename.concat dir "run" in
+      ignore (create_sink dir);
+      (match Scanner.Stream_sink.manifest ~dir with
       | Error e -> Alcotest.fail e
-      | Ok store -> (
-          Alcotest.(check (option string)) "find" (Some "63") (Durable.Checkpoint.find store "days");
-          match Durable.Checkpoint.manifest store with
-          | Error e -> Alcotest.fail e
-          | Ok kvs ->
-              Alcotest.(check (option string)) "version recorded"
-                (Some (string_of_int Durable.Checkpoint.version))
-                (List.assoc_opt "version" kvs)));
-      (* Re-init with identical parameters re-attaches... *)
-      (match Durable.Checkpoint.init ~dir ~manifest:manifest_fixture with
+      | Ok kvs ->
+          Alcotest.(check (option string)) "field" (Some "63") (List.assoc_opt "days" kvs);
+          Alcotest.(check (option string)) "schema recorded" (Some Scanner.Stream_sink.schema)
+            (List.assoc_opt "schema" kvs));
+      (* Re-creating with identical parameters re-attaches... *)
+      (match Scanner.Stream_sink.create ~dir ~manifest:manifest_fixture with
       | Ok _ -> ()
-      | Error e -> Alcotest.fail ("re-init must be idempotent: " ^ e));
-      (* ...but a different campaign is refused. *)
-      (match Durable.Checkpoint.init ~dir ~manifest:[ ("mode", "other") ] with
-      | Error e -> Alcotest.(check bool) "mentions mismatch" true (contains e "different campaign")
+      | Error e -> Alcotest.fail ("re-create must be idempotent: " ^ e));
+      (* ...but a different run is refused, and the manifest is left alone. *)
+      let mpath = Filename.concat dir "manifest" in
+      let before = slurp mpath in
+      (match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "other") ] with
+      | Error e -> Alcotest.(check bool) "mentions mismatch" true (contains e "different run")
       | Ok _ -> Alcotest.fail "different manifest must be refused");
-      match Durable.Checkpoint.attach ~dir with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("attach must succeed: " ^ e))
+      Alcotest.(check string) "refusal leaves the manifest" before (slurp mpath))
 
 let test_checkpoint_attach_errors () =
   with_temp_dir (fun dir ->
-      (match Durable.Checkpoint.attach ~dir:(Filename.concat dir "missing") with
+      (match Scanner.Stream_sink.manifest ~dir:(Filename.concat dir "missing") with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "attach to a store-less directory must fail");
-      let cdir = Filename.concat dir "ckpt" in
-      (match Durable.Checkpoint.init ~dir:cdir ~manifest:manifest_fixture with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
-      let mpath = Filename.concat cdir "manifest" in
+      | Ok _ -> Alcotest.fail "a manifest-less directory holds no run");
+      let sdir = Filename.concat dir "run" in
+      ignore (create_sink sdir);
+      let mpath = Filename.concat sdir "manifest" in
       let pristine = slurp mpath in
-      (* Truncated manifest: typed error, no exception. *)
+      (* Every damaged manifest is a typed error, for readers and for
+         re-attaching writers alike. *)
+      let refused what =
+        (match Scanner.Stream_sink.manifest ~dir:sdir with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail (what ^ " manifest must not read"));
+        match Scanner.Stream_sink.create ~dir:sdir ~manifest:manifest_fixture with
+        | Error e -> e
+        | Ok _ -> Alcotest.fail (what ^ " manifest must not re-attach")
+      in
       spew mpath (String.sub pristine 0 (String.length pristine - 5));
-      (match Durable.Checkpoint.attach ~dir:cdir with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "truncated manifest must not attach");
-      (* Bit-flipped manifest. *)
+      ignore (refused "truncated");
       spew mpath pristine;
       flip_byte mpath ~pos:(String.length pristine / 2);
-      (match Durable.Checkpoint.attach ~dir:cdir with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "bit-flipped manifest must not attach");
+      ignore (refused "bit-flipped");
       (* Raw headerless manifest (foreign file). *)
-      spew mpath "version=1\n";
-      match Durable.Checkpoint.attach ~dir:cdir with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "headerless manifest must not attach")
+      spew mpath ("schema=" ^ Scanner.Stream_sink.schema ^ "\n");
+      ignore (refused "headerless");
+      (* A manifest of the previous schema is refused by name. *)
+      Durable.Atomic_io.write mpath "schema=tlsharm-stream/1\nmode=campaign\n";
+      Alcotest.(check bool) "old schema named" true
+        (contains (refused "old-schema") "tlsharm-stream/1"))
 
 let test_checkpoint_valid_prefix () =
   with_temp_dir (fun dir ->
-      let store =
-        match Durable.Checkpoint.init ~dir:(Filename.concat dir "ckpt") ~manifest:manifest_fixture with
-        | Ok s -> s
-        | Error e -> Alcotest.fail e
+      let sink = create_sink (Filename.concat dir "run") in
+      let path = Filename.concat (Filename.concat dir "run") "rows-shard-0000" in
+      let payload day = Printf.sprintf "payload for day %d" day in
+      let decode ~index b = if String.equal b (payload index) then Some index else None in
+      let prefix ?(decode = decode) () =
+        Scanner.Stream_sink.stream sink "shard-0000"
+        |> Scanner.Stream_sink.prefix ~decode
+        |> List.map snd
       in
-      let stream = Durable.Checkpoint.stream store "shard-0000" in
-      Alcotest.(check int) "empty stream" 0 (Durable.Checkpoint.valid_prefix stream ~days:5);
-      for day = 0 to 3 do
-        Durable.Checkpoint.write_day stream ~day (Printf.sprintf "payload for day %d" day)
-      done;
-      Alcotest.(check int) "four days" 4 (Durable.Checkpoint.valid_prefix stream ~days:5);
-      Alcotest.(check int) "capped by days" 2 (Durable.Checkpoint.valid_prefix stream ~days:2);
-      (match Durable.Checkpoint.read_day stream ~day:2 with
-      | Ok p -> Alcotest.(check string) "payload round-trips" "payload for day 2" p
-      | Error e -> Alcotest.fail (Durable.Atomic_io.error_to_string e));
-      (match Durable.Checkpoint.read_day stream ~day:9 with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "missing day must not read");
+      let record blocks =
+        let w = Durable.Spool.create path in
+        List.iter (Durable.Spool.add_block w) blocks;
+        Durable.Spool.close w
+      in
+      Alcotest.(check (list int)) "no spool yet" [] (prefix ());
+      record (List.init 4 payload @ [ "trailer" ]);
+      Alcotest.(check (list int)) "four days" [ 0; 1; 2; 3 ] (prefix ());
+      Alcotest.(check (option (pair (list string) bool)))
+        "opening the stream truncated the spool"
+        (Some ([], false))
+        (Result.to_option (Durable.Spool.read path));
+      record (List.init 4 payload);
       (* A decoder veto ends the prefix. *)
-      Alcotest.(check int) "decode veto"
-        1
-        (Durable.Checkpoint.valid_prefix
-           ~decode:(fun ~day _ -> day < 1)
-           stream ~days:5);
-      (* Corrupting day 1 limits resume to day 1 even though days 2-3 are
-         fine: later days build on earlier state. *)
-      let day1 = Filename.concat (Filename.concat (Durable.Checkpoint.dir store) "shard-0000") "day-0001.ckpt" in
-      flip_byte day1 ~pos:(String.length (slurp day1) / 2);
-      Alcotest.(check int) "corrupt day ends prefix" 1 (Durable.Checkpoint.valid_prefix stream ~days:5))
+      Alcotest.(check (list int)) "decode veto" [ 0 ]
+        (prefix ~decode:(fun ~index b -> if index < 1 then decode ~index b else None) ());
+      (* Damaging day 1 limits resume to day 1 even though days 2-3 are
+         intact: later days build on earlier state. *)
+      record (List.init 4 payload);
+      let day1 = block_payload_start (slurp path) ~block:1 in
+      flip_byte path ~pos:day1;
+      Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ] (prefix ()))
 
 (* --- Supervisor ---------------------------------------------------------------- *)
 
@@ -425,13 +448,13 @@ let test_supervisor_reraises_kill_and_mismatch () =
      ignore
        (Durable.Supervisor.supervised Durable.Supervisor.default ~attempt:(fun _ ->
             incr attempts;
-            Durable.Checkpoint.mismatch "divergence"));
+            Durable.Supervisor.mismatch "divergence"));
      Alcotest.fail "Mismatch must escape the supervisor"
-   with Durable.Checkpoint.Mismatch _ -> ());
+   with Durable.Supervisor.Mismatch _ -> ());
   Alcotest.(check int) "a mismatch is not retried" 1 !attempts
 
 (* --- Serialization properties --------------------------------------------------
-   The checkpoint payload codec is exercised end-to-end by the resume
+   The day-block state codec is exercised end-to-end by the resume
    tests below; these cover its two stateful ingredients directly. *)
 
 let prop_funnel_lines_roundtrip =
@@ -484,37 +507,53 @@ let test_drbg_restore_rejects_bad_state () =
 
    A one-worker campaign scans shard 0 first. Simulated kill: the chaos
    hook fires at the start of shard 0's day k, after its days 0..k-1
-   checkpointed — raising {!Durable.Supervisor.Killed} there is a process
-   death with exactly k completed days on disk in "shard-0000". *)
+   were appended to the stream — raising {!Durable.Supervisor.Killed}
+   there is a process death with exactly k recorded blocks in
+   "rows-shard-0000". *)
 
 let serial_config =
   { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-serial" }
 
 let serial_days = 4
-let first_stream = "shard-0000"
+let first_spool dir = Filename.concat dir "rows-shard-0000"
 
 let archive_bytes campaign =
   with_temp_file (fun path ->
       Scanner.Daily_scan.save campaign path;
       slurp path)
 
-let run_one ?chaos ?obs ?(config = serial_config) ?(days = serial_days) store =
+let loaded_bytes dir =
+  match Scanner.Daily_scan.load_stream dir with
+  | Ok campaign -> archive_bytes campaign
+  | Error e -> Alcotest.fail e
+
+(* One campaign streamed into the run log at [dir]. The default manifest
+   pins the day range, as the CLI's does; a resume re-creates the sink
+   with the same manifest and re-attaches. *)
+let run_streamed ?chaos ?obs ?manifest ?(retain_rows = true) ?(config = serial_config)
+    ?(days = serial_days) ?(jobs = 1) dir =
   let w = Simnet.World.create ~config () in
-  Scanner.Parallel_campaign.run ~jobs:1 ~checkpoint:store ?chaos ?obs w ~days ()
+  let manifest =
+    match manifest with
+    | Some m -> m
+    | None ->
+        let start_day = Simnet.Clock.now (Simnet.World.clock w) / Simnet.Clock.day in
+        [ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ]
+  in
+  let sink = create_sink ~manifest dir in
+  Scanner.Parallel_campaign.run ~jobs ~sink ~retain_rows ?chaos ?obs w ~days ()
 
 let serial_reference =
   lazy
     (let w = Simnet.World.create ~config:serial_config () in
      archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:serial_days ()))
 
-let init_store dir =
-  match Durable.Checkpoint.init ~dir ~manifest:manifest_fixture with
-  | Ok s -> s
-  | Error e -> Alcotest.fail e
+let recorded_blocks path =
+  match Durable.Spool.read path with Ok r -> r | Error e -> Alcotest.fail e
 
-let kill_serial_after store ~k =
+let kill_serial_after dir ~k =
   match
-    run_one store ~chaos:(fun ~shard ~attempt:_ ~day ->
+    run_streamed dir ~chaos:(fun ~shard ~attempt:_ ~day ->
         if shard = 0 && day = k then raise Durable.Supervisor.Killed)
   with
   | _ -> Alcotest.fail "the kill must fire"
@@ -526,54 +565,58 @@ let test_serial_kill_resume_identity () =
   List.iter
     (fun k ->
       with_temp_dir (fun dir ->
-          let store = init_store (Filename.concat dir "ckpt") in
-          kill_serial_after store ~k;
-          let stream = Durable.Checkpoint.stream store first_stream in
-          Alcotest.(check int)
+          kill_serial_after dir ~k;
+          let blocks, complete = recorded_blocks (first_spool dir) in
+          Alcotest.(check (pair int bool))
             (Printf.sprintf "k=%d days survive the kill" k)
-            k
-            (Durable.Checkpoint.valid_prefix stream ~days:serial_days);
+            (k, false)
+            (List.length blocks, complete);
+          let resumed = run_streamed dir in
           Alcotest.(check bool)
             (Printf.sprintf "resume after day %d is byte-identical" k)
             true
-            (String.equal (archive_bytes (run_one store)) reference);
-          (* The completed store now restores without probing. *)
+            (String.equal (archive_bytes resumed) reference
+            && String.equal (loaded_bytes dir) reference);
+          (* The completed log now restores without probing. *)
           let obs = Obs.Recorder.create () in
-          let restored = run_one ~obs store in
+          let restored = run_streamed ~obs dir in
           Alcotest.(check int) "full restore makes no probe" 0
             (Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects");
           Alcotest.(check bool) "full restore is byte-identical" true
-            (String.equal (archive_bytes restored) reference)))
+            (String.equal (archive_bytes restored) reference
+            && String.equal (loaded_bytes dir) reference)))
     [ 1; 2; serial_days - 1 ]
 
 let test_serial_corrupt_newest_falls_back () =
   let reference = Lazy.force serial_reference in
   with_temp_dir (fun dir ->
-      let store = init_store (Filename.concat dir "ckpt") in
-      ignore (run_one store);
-      (* Damage the newest snapshot: resume must fall back to the last
-         valid day and still converge on the same archive. *)
-      let newest =
-        Filename.concat
-          (Filename.concat (Durable.Checkpoint.dir store) first_stream)
-          (Printf.sprintf "day-%04d.ckpt" (serial_days - 1))
-      in
-      flip_byte newest ~pos:(String.length (slurp newest) / 2);
-      let stream = Durable.Checkpoint.stream store first_stream in
+      ignore (run_streamed dir);
+      (* Damage the newest day block: the archive must stop loading, and
+         resume must fall back to the last valid day and still converge
+         on the same archive. *)
+      let spool = first_spool dir in
+      flip_byte spool ~pos:(block_payload_start (slurp spool) ~block:(serial_days - 1) + 2);
       Alcotest.(check int) "prefix stops at the damage" (serial_days - 1)
-        (Durable.Checkpoint.valid_prefix stream ~days:serial_days);
+        (List.length (fst (recorded_blocks spool)));
+      (match Scanner.Daily_scan.load_stream dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a damaged block must not load");
+      ignore (run_streamed dir);
       Alcotest.(check bool) "resume past corruption is byte-identical" true
-        (String.equal (archive_bytes (run_one store)) reference))
+        (String.equal (loaded_bytes dir) reference))
 
 let test_resume_wrong_world_mismatches () =
   with_temp_dir (fun dir ->
-      let store = init_store (Filename.concat dir "ckpt") in
-      ignore (run_one ~days:2 store);
-      (* Same store, different world: the replay byte-compare must refuse
-         to graft this run onto the recorded checkpoints. *)
-      match run_one ~config:{ serial_config with Simnet.World.seed = "other-world" } store with
+      ignore (run_streamed ~manifest:manifest_fixture ~days:2 dir);
+      (* Same log, different world: the replay byte-compare must refuse
+         to graft this run onto the recorded blocks. *)
+      match
+        run_streamed ~manifest:manifest_fixture
+          ~config:{ serial_config with Simnet.World.seed = "other-world" }
+          dir
+      with
       | _ -> Alcotest.fail "a different world must not resume"
-      | exception Durable.Checkpoint.Mismatch _ -> ())
+      | exception Durable.Supervisor.Mismatch _ -> ())
 
 (* --- Parallel kill-and-resume ----------------------------------------------------- *)
 
@@ -587,33 +630,28 @@ let parallel_reference =
     (let w = Simnet.World.create ~config:parallel_config () in
      archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:parallel_days ()))
 
+(* Kill the worker mid-shard: shard 1, start of day 1. *)
+let kill_parallel ?retain_rows dir =
+  match
+    run_streamed ?retain_rows ~config:parallel_config ~days:parallel_days
+      ~chaos:(fun ~shard ~attempt:_ ~day ->
+        if shard = 1 && day = 1 then raise Durable.Supervisor.Killed)
+      dir
+  with
+  | _ -> Alcotest.fail "the kill must fire"
+  | exception Durable.Supervisor.Killed -> ()
+
 let test_parallel_kill_resume_identity () =
   let reference = Lazy.force parallel_reference in
   with_temp_dir (fun dir ->
-      let store = init_store (Filename.concat dir "ckpt") in
-      let w = Simnet.World.create ~config:parallel_config () in
-      (* Kill the worker mid-shard: shard 1, start of day 1. *)
-      (match
-         Scanner.Parallel_campaign.run ~jobs:1 ~checkpoint:store
-           ~chaos:(fun ~shard ~attempt:_ ~day ->
-             if shard = 1 && day = 1 then raise Durable.Supervisor.Killed)
-           w ~days:parallel_days ()
-       with
-      | _ -> Alcotest.fail "the kill must fire"
-      | exception Durable.Supervisor.Killed -> ());
+      kill_parallel dir;
       (* Resume at a different worker count than the killed run. *)
-      let w = Simnet.World.create ~config:parallel_config () in
-      let resumed =
-        Scanner.Parallel_campaign.run ~jobs:4 ~checkpoint:store w ~days:parallel_days ()
-      in
+      let resumed = run_streamed ~config:parallel_config ~days:parallel_days ~jobs:4 dir in
       Alcotest.(check bool) "resume with jobs=4 is byte-identical" true
         (String.equal (archive_bytes resumed) reference);
-      (* Every shard is now fully checkpointed: a further resume (back at
+      (* Every shard is now fully recorded: a further resume (back at
          jobs=1) restores without scanning and still matches. *)
-      let w = Simnet.World.create ~config:parallel_config () in
-      let restored =
-        Scanner.Parallel_campaign.run ~jobs:1 ~checkpoint:store w ~days:parallel_days ()
-      in
+      let restored = run_streamed ~config:parallel_config ~days:parallel_days dir in
       Alcotest.(check bool) "full restore with jobs=1 is byte-identical" true
         (String.equal (archive_bytes restored) reference))
 
@@ -649,6 +687,21 @@ let test_spool_torn_tail_is_valid_prefix () =
           Alcotest.(check (list string)) "valid prefix survives" [ "first" ] blocks
       | Error e -> Alcotest.fail e)
 
+let test_spool_damaged_block_ends_prefix () =
+  (* A payload byte flipped at rest no longer matches its frame's tag:
+     the damaged block and everything after it drop out of the valid
+     prefix, and the spool reads back incomplete. *)
+  with_temp_file (fun path ->
+      let w = Durable.Spool.create path in
+      List.iter (Durable.Spool.add_block w) [ "first"; "second"; "third" ];
+      Durable.Spool.close w;
+      flip_byte path ~pos:(block_payload_start (slurp path) ~block:1 + 3);
+      match Durable.Spool.read path with
+      | Ok (blocks, complete) ->
+          Alcotest.(check bool) "flagged incomplete" false complete;
+          Alcotest.(check (list string)) "prefix ends at the damage" [ "first" ] blocks
+      | Error e -> Alcotest.fail e)
+
 let test_spool_bad_header_rejected () =
   with_temp_file (fun path ->
       spew path "not a spool\n#block 0 bytes=1\nx\n";
@@ -658,55 +711,101 @@ let test_spool_bad_header_rejected () =
 
 (* --- Streamed kill-and-resume ------------------------------------------------------- *)
 
+let spool_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun n -> (n, Digest.to_hex (Digest.file (Filename.concat dir n))))
+
 let test_streamed_kill_resume_identity () =
-  (* The streaming sink obeys the same headline invariant as the CSV
-     path: kill mid-campaign, resume (at a different worker count), and
-     the reassembled streamed archive is byte-identical to an
-     uninterrupted in-memory run. *)
+  (* With no rows retained, the run log alone carries the campaign: kill
+     mid-campaign, resume (at a different worker count) into the same
+     directory, and the directory ends file-for-file identical to an
+     uninterrupted run's, reassembling to the in-memory archive. *)
   let reference = Lazy.force parallel_reference in
   with_temp_dir (fun dir ->
-      let store = init_store (Filename.concat dir "ckpt") in
-      let sink_dir = Filename.concat dir "stream" in
-      let make_sink w =
-        let start_day = Simnet.Clock.now (Simnet.World.clock w) / Simnet.Clock.day in
-        match
-          Scanner.Stream_sink.create ~dir:sink_dir
-            ~manifest:
-              [
-                ("start_day", string_of_int start_day);
-                ("n_days", string_of_int parallel_days);
-              ]
-        with
-        | Ok s -> s
-        | Error e -> Alcotest.fail e
-      in
-      let w = Simnet.World.create ~config:parallel_config () in
-      (match
-         Scanner.Parallel_campaign.run ~jobs:1 ~checkpoint:store ~sink:(make_sink w)
-           ~retain_rows:false
-           ~chaos:(fun ~shard ~attempt:_ ~day ->
-             if shard = 1 && day = 1 then raise Durable.Supervisor.Killed)
-           w ~days:parallel_days ()
-       with
-      | _ -> Alcotest.fail "the kill must fire"
-      | exception Durable.Supervisor.Killed -> ());
+      let killed = Filename.concat dir "killed" and clean = Filename.concat dir "clean" in
+      kill_parallel ~retain_rows:false killed;
       (* The killed run leaves footer-less spools behind; the loader must
          refuse them rather than serve a partial archive. *)
-      (match Scanner.Daily_scan.load_stream sink_dir with
+      (match Scanner.Daily_scan.load_stream killed with
       | Ok _ -> Alcotest.fail "interrupted streamed archive must not load"
       | Error _ -> ());
-      (* Resume at a different worker count, streaming into the same
-         directory: spools are truncated on open and every completed day
-         replayed, converging on the uninterrupted bytes. *)
-      let w = Simnet.World.create ~config:parallel_config () in
       ignore
-        (Scanner.Parallel_campaign.run ~jobs:4 ~checkpoint:store ~sink:(make_sink w)
-           ~retain_rows:false w ~days:parallel_days ());
-      match Scanner.Daily_scan.load_stream sink_dir with
-      | Error e -> Alcotest.fail e
-      | Ok loaded ->
-          Alcotest.(check bool) "streamed resume is byte-identical" true
-            (String.equal (archive_bytes loaded) reference))
+        (run_streamed ~retain_rows:false ~config:parallel_config ~days:parallel_days ~jobs:4
+           killed);
+      ignore (run_streamed ~retain_rows:false ~config:parallel_config ~days:parallel_days clean);
+      Alcotest.(check (list (pair string string))) "resumed run log equals the clean one"
+        (spool_files clean) (spool_files killed);
+      Alcotest.(check bool) "streamed resume is byte-identical" true
+        (String.equal (loaded_bytes killed) reference))
+
+(* --- Stream loaders under damage ------------------------------------------------------
+
+   A sealed campaign log and a sealed traffic log, each damaged by one
+   flipped byte anywhere in one spool: the loaders must answer with a
+   typed [Error] — never an exception, and never an [Ok] over a silently
+   different archive. *)
+
+let damage_corpus =
+  lazy
+    (let root = Filename.temp_file "tlsharm-durable" ".corpus" in
+     Sys.remove root;
+     Sys.mkdir root 0o755;
+     at_exit (fun () -> rm_rf root);
+     let campaign = Filename.concat root "campaign" and traffic = Filename.concat root "traffic" in
+     ignore (run_streamed ~retain_rows:false ~config:parallel_config ~days:2 campaign);
+     let cfg =
+       {
+         Traffic.Population.default_config with
+         Traffic.Population.users = 45;
+         days = 2;
+         shard_users = 16;
+         pages_per_day = 1.5;
+         world =
+           {
+             Simnet.World.default_config with
+             Simnet.World.n_domains = 1500;
+             seed = "durable-traffic";
+           };
+       }
+     in
+     let sink =
+       match Traffic.Traffic_sink.create ~dir:traffic ~manifest:[ ("mode", "traffic") ] with
+       | Ok s -> s
+       | Error e -> failwith e
+     in
+     ignore (Traffic.Population.run ~jobs:1 ~sink ~retain_rows:false cfg);
+     (campaign, traffic))
+
+let prop_stream_loaders_typed =
+  QCheck2.Test.make ~name:"stream loaders typed under spool byte flips" ~count:60
+    QCheck2.Gen.(triple bool nat nat)
+    (fun (traffic, file, pos) ->
+      let campaign_dir, traffic_dir = Lazy.force damage_corpus in
+      let dir = if traffic then traffic_dir else campaign_dir in
+      let spools =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.filter (fun n -> not (String.equal n "manifest"))
+      in
+      let name = List.nth spools (file mod List.length spools) in
+      let path = Filename.concat dir name in
+      let pristine = slurp path in
+      let p = pos mod String.length pristine in
+      flip_byte path ~pos:p;
+      let load () =
+        if traffic then
+          Scanf.sscanf name "rows-users-%d" (fun shard ->
+              Result.map ignore (Traffic.Traffic_sink.read_shard ~dir ~shard))
+        else Result.map ignore (Scanner.Daily_scan.load_stream dir)
+      in
+      Fun.protect
+        ~finally:(fun () -> spew path pristine)
+        (fun () ->
+          match load () with
+          | Error _ -> true
+          | Ok () -> QCheck2.Test.fail_reportf "flip at byte %d of %s loaded Ok" p name
+          | exception e ->
+              QCheck2.Test.fail_reportf "flip at byte %d of %s raised %s" p name
+                (Printexc.to_string e)))
 
 (* --- Worker supervision ------------------------------------------------------------ *)
 
@@ -801,6 +900,7 @@ let () =
           prop_atomic_truncation_detected;
           prop_spool_flip_total;
           prop_spool_truncation_total;
+          prop_stream_loaders_typed;
         ];
       ( "campaign-archive",
         [ Alcotest.test_case "load rejects damage" `Slow test_campaign_load_rejects_damage ] );
@@ -838,6 +938,8 @@ let () =
           Alcotest.test_case "torn tail is valid prefix" `Quick
             test_spool_torn_tail_is_valid_prefix;
           Alcotest.test_case "bad header rejected" `Quick test_spool_bad_header_rejected;
+          Alcotest.test_case "damaged block ends prefix" `Quick
+            test_spool_damaged_block_ends_prefix;
         ] );
       ( "parallel-resume",
         [

@@ -22,17 +22,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_campaign_byte_identity () =
-  let config =
-    { Simnet.World.default_config with n_domains = 1500; seed = "golden-kernels" }
-  in
-  let world = Simnet.World.create ~config () in
-  let obs = Scanner.Parallel_campaign.run ~jobs:1 world ~days:2 () in
+let golden_config = { Simnet.World.default_config with n_domains = 1500; seed = "golden-kernels" }
+
+let check_golden campaign =
   let tmp = Filename.temp_file "tlsharm-golden" ".csv" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
-      Scanner.Daily_scan.save obs tmp;
+      Scanner.Daily_scan.save campaign tmp;
       let got = read_file tmp in
       let want = read_file (golden_path "campaign_seed.csv") in
       (* Compare lengths first for a readable failure; the string check
@@ -40,9 +37,47 @@ let test_campaign_byte_identity () =
       Alcotest.(check int) "csv length" (String.length want) (String.length got);
       Alcotest.(check bool) "csv bytes identical" true (String.equal want got))
 
+let test_campaign_byte_identity () =
+  let world = Simnet.World.create ~config:golden_config () in
+  check_golden (Scanner.Parallel_campaign.run ~jobs:1 world ~days:2 ())
+
+(* The same campaign streamed through a sink with no rows in memory:
+   reassembling the run log must give the golden bytes too. *)
+let test_stream_byte_identity () =
+  let dir = Filename.temp_file "tlsharm-golden" ".d" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () ->
+      let world = Simnet.World.create ~config:golden_config () in
+      let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
+      let sink =
+        match
+          Scanner.Stream_sink.create ~dir
+            ~manifest:[ ("start_day", string_of_int start_day); ("n_days", "2") ]
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      ignore (Scanner.Parallel_campaign.run ~jobs:1 ~sink ~retain_rows:false world ~days:2 ());
+      match Scanner.Daily_scan.load_stream dir with
+      | Ok campaign -> check_golden campaign
+      | Error e -> Alcotest.fail e)
+
 let () =
   Alcotest.run "golden"
     [
       ( "campaign",
-        [ Alcotest.test_case "byte-identical to seed-era kernels" `Quick test_campaign_byte_identity ] );
+        [
+          Alcotest.test_case "byte-identical to seed-era kernels" `Quick test_campaign_byte_identity;
+          Alcotest.test_case "stream path byte-identical to seed-era kernels" `Quick
+            test_stream_byte_identity;
+        ] );
     ]

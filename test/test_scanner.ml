@@ -541,7 +541,7 @@ let test_stream_jobs_invariant () =
 
 let test_stream_incomplete_rejected () =
   (* A footer-less spool is an interrupted run: the loader must refuse it
-     and point at the checkpoint resume, never load a partial archive. *)
+     and point at resume, never load a partial archive. *)
   with_temp_dir (fun dir ->
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days:3 in
