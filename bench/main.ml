@@ -38,8 +38,13 @@
 
 let env_int name default =
   match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
   | None -> default
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n -> n
+      | None ->
+          Printf.eprintf "bench: %s=%S is not an integer\n" name v;
+          exit 2)
 
 let study_config () =
   {
@@ -57,7 +62,7 @@ let study_config () =
        entry below exercises injection explicitly. *)
     fault_profile = Faults.Profile.none;
     retry = Faults.Retry.default;
-    obs = None;
+    obs = Obs.Recorder.null;
   }
 
 let study = lazy (Tlsharm.Study.create ~config:(study_config ()) ())
@@ -255,10 +260,10 @@ let kernel_report () =
 
 (* CI smoke: BENCH_crypto.json must exist, parse, and carry a well-formed
    kernel list; every kernel present in the committed baseline must still
-   be measured and run no slower than half its baseline ops/sec. When a
-   "campaign" section is present (the `parallel` entry ran), it is gated
-   too: the run must be jobs-invariant and the scheduled speedup must
-   reach 0.8x the effective worker count. *)
+   be measured and run no slower than half its baseline ops/sec. Each
+   end-to-end section present ("campaign", "traffic", "faults",
+   "regions") is gated too: its run must be deterministic and within
+   the section's bound. *)
 let check_baseline () =
   let fail msg =
     prerr_endline ("check-baseline: " ^ msg);
@@ -286,158 +291,106 @@ let check_baseline () =
   let baseline_path = "BENCH_baseline.json" in
   let current_json = load current_path in
   let current = List.map (fun k -> entry k current_path) (kernels current_json current_path) in
-  let baseline =
-    List.map (fun k -> entry k baseline_path) (kernels (load baseline_path) baseline_path)
+  let baseline_json = load baseline_path in
+  let baseline = List.map (fun k -> entry k baseline_path) (kernels baseline_json baseline_path) in
+  (* The end-to-end sections, one row each: the section, the bench entry
+     that writes it and what it gates, its required numeric keys, what a
+     false "deterministic" flag means, and the bound check, which renders
+     the report line. A section is gated whenever its entry has run. *)
+  let scheduled ~section ~what num =
+    let jobs = int_of_float (num "jobs") in
+    let n_shards = int_of_float (num "n_shards") in
+    let speedup = num "parallel_speedup" in
+    (* Floor: 0.8 x the effective worker count (jobs clamped to the shard
+       count — a tiny world cannot occupy more workers than it has
+       shards). *)
+    let effective = min jobs (max 1 n_shards) in
+    let floor = 0.8 *. float_of_int effective in
+    if speedup < floor then
+      fail
+        (Printf.sprintf
+           "%s: scheduled speedup %.2fx at %d jobs (%d shards) is below the %.2fx floor (0.8 x \
+            %d) — %s regressed"
+           section speedup jobs n_shards floor effective what);
+    Printf.sprintf "scheduled speedup %.2fx at %d jobs over %d shards (floor %.2fx)" speedup jobs
+      n_shards floor
   in
-  (* The parallel-campaign gate, applied whenever the `parallel` entry
-     has written its section. Floor: 0.8 x the effective worker count
-     (jobs clamped to the shard count — a tiny world cannot occupy more
-     workers than it has shards). *)
-  let campaign_gate =
-    match Json_io.member "campaign" current_json with
-    | None ->
-        Printf.sprintf
-          "No \"campaign\" section in %s; run `bench parallel` to gate the parallel runner.\n"
-          current_path
-    | Some c ->
-        let num key =
-          match Option.bind (Json_io.member key c) Json_io.to_float with
-          | Some v -> v
-          | None -> fail (Printf.sprintf "%s: campaign section lacks %S" current_path key)
-        in
-        let jobs = int_of_float (num "jobs") in
-        let n_shards = int_of_float (num "n_shards") in
-        let speedup = num "parallel_speedup" in
-        let deterministic =
-          match Json_io.member "deterministic" c with
-          | Some (Json_io.Bool b) -> b
-          | _ -> fail (current_path ^ ": campaign section lacks \"deterministic\"")
-        in
-        if not deterministic then
-          fail "campaign: 1-worker and N-worker series differ (jobs-invariance broken)";
-        let effective = min jobs (max 1 n_shards) in
-        let floor = 0.8 *. float_of_int effective in
-        if speedup < floor then
-          fail
-            (Printf.sprintf
-               "campaign: scheduled speedup %.2fx at %d jobs (%d shards) is below the %.2fx \
-                floor (0.8 x %d) — shard packing or scheduling regressed"
-               speedup jobs n_shards floor effective);
-        Printf.sprintf
-          "Campaign: scheduled speedup %.2fx at %d jobs over %d shards (floor %.2fx), \
-           jobs-invariant.\n"
-          speedup jobs n_shards floor
-  in
-  (* The traffic-runner gate, same shape: jobs-invariance is mandatory,
-     scheduled speedup floors at 0.8 x the effective worker count, and
-     throughput must stay within 2x of the committed baseline. *)
-  let traffic_gate =
-    match Json_io.member "traffic" current_json with
-    | None ->
-        Printf.sprintf
-          "No \"traffic\" section in %s; run `bench traffic` to gate the population runner.\n"
-          current_path
-    | Some c ->
-        let num key =
-          match Option.bind (Json_io.member key c) Json_io.to_float with
-          | Some v -> v
-          | None -> fail (Printf.sprintf "%s: traffic section lacks %S" current_path key)
-        in
-        let jobs = int_of_float (num "jobs") in
-        let n_shards = int_of_float (num "n_shards") in
-        let speedup = num "parallel_speedup" in
-        let udps = num "user_days_per_sec" in
-        let deterministic =
-          match Json_io.member "deterministic" c with
-          | Some (Json_io.Bool b) -> b
-          | _ -> fail (current_path ^ ": traffic section lacks \"deterministic\"")
-        in
-        if not deterministic then
-          fail "traffic: 1-worker and N-worker rows differ (jobs-invariance broken)";
-        let effective = min jobs (max 1 n_shards) in
-        let floor = 0.8 *. float_of_int effective in
-        if speedup < floor then
-          fail
-            (Printf.sprintf
-               "traffic: scheduled speedup %.2fx at %d jobs (%d shards) is below the %.2fx \
-                floor (0.8 x %d) — user sharding or scheduling regressed"
-               speedup jobs n_shards floor effective);
-        (match
-           Option.bind
-             (Option.bind (Json_io.member "traffic" (load baseline_path)) (Json_io.member "user_days_per_sec"))
-             Json_io.to_float
-         with
-        | Some base when udps < 0.5 *. base ->
+  let sections =
+    [
+      ( "campaign",
+        ("parallel", "the parallel runner"),
+        [ "jobs"; "n_shards"; "parallel_speedup" ],
+        "1-worker and N-worker series differ (jobs-invariance broken)",
+        fun num ->
+          Printf.sprintf "Campaign: %s, jobs-invariant.\n"
+            (scheduled ~section:"campaign" ~what:"shard packing or scheduling" num) );
+      ( "traffic",
+        ("traffic", "the population runner"),
+        [ "jobs"; "n_shards"; "parallel_speedup"; "user_days_per_sec" ],
+        "1-worker and N-worker rows differ (jobs-invariance broken)",
+        fun num ->
+          let sched = scheduled ~section:"traffic" ~what:"user sharding or scheduling" num in
+          (* Throughput must stay within 2x of the committed baseline. *)
+          let udps = num "user_days_per_sec" in
+          (match
+             Option.bind
+               (Option.bind (Json_io.member "traffic" baseline_json)
+                  (Json_io.member "user_days_per_sec"))
+               Json_io.to_float
+           with
+          | Some base when udps < 0.5 *. base ->
+              fail
+                (Printf.sprintf "traffic: throughput regressed %.2fx (%.0f -> %.0f user-days/s)"
+                   (base /. udps) base udps)
+          | _ -> ());
+          Printf.sprintf "Traffic: %.0f user-days/s, %s, jobs-invariant.\n" udps sched );
+      (* Fault synthesis runs the real codecs on every injected byzantine
+         decision, which must stay a bounded tax on probe throughput. *)
+      ( "faults",
+        ("faults", "byzantine overhead"),
+        [ "byzantine_overhead"; "byzantine_losses" ],
+        "surviving observations differ from the clean campaign (isolation broken)",
+        fun num ->
+          let overhead = num "byzantine_overhead" in
+          if overhead > 3.0 then
             fail
               (Printf.sprintf
-                 "traffic: throughput regressed %.2fx (%.0f -> %.0f user-days/s)" (base /. udps)
-                 base udps)
-        | _ -> ());
-        Printf.sprintf
-          "Traffic: %.0f user-days/s, scheduled speedup %.2fx at %d jobs over %d shards \
-           (floor %.2fx), jobs-invariant.\n"
-          udps speedup jobs n_shards floor
+                 "faults: byzantine campaign overhead %.2fx exceeds the 3.0x ceiling — fault \
+                  synthesis or the breaker path regressed"
+                 overhead);
+          Printf.sprintf
+            "Faults: byzantine overhead %.2fx of clean (ceiling 3.0x), %.0f byzantine losses, \
+             survivors byte-identical.\n"
+            overhead (num "byzantine_losses") );
+      ( "regions",
+        ("regions", "the cross-vantage scan"),
+        [ "rows"; "n_regions"; "rows_per_sec" ],
+        "serial and parallel cross-vantage rows differ (jobs-invariance broken)",
+        fun num ->
+          Printf.sprintf "Regions: %.0f rows from %.0f vantages, %.0f rows/s, jobs-invariant.\n"
+            (num "rows") (num "n_regions") (num "rows_per_sec") );
+    ]
   in
-  (* The byzantine-overhead gate: fault synthesis runs the real codecs
-     on every injected byzantine decision, which must stay a bounded tax
-     on probe throughput, and surviving observations must stay
-     byte-identical to the clean campaign. *)
-  let faults_gate =
-    match Json_io.member "faults" current_json with
+  let gate (section, (entry, gates), keys, broken, check) =
+    match Json_io.member section current_json with
     | None ->
-        Printf.sprintf
-          "No \"faults\" section in %s; run `bench faults` to gate byzantine overhead.\n"
-          current_path
+        Printf.sprintf "No %S section in %s; run `bench %s` to gate %s.\n" section current_path
+          entry gates
     | Some c ->
+        let lacks key = fail (Printf.sprintf "%s: %s section lacks %S" current_path section key) in
         let num key =
           match Option.bind (Json_io.member key c) Json_io.to_float with
           | Some v -> v
-          | None -> fail (Printf.sprintf "%s: faults section lacks %S" current_path key)
+          | None -> lacks key
         in
-        let overhead = num "byzantine_overhead" in
-        let deterministic =
-          match Json_io.member "deterministic" c with
-          | Some (Json_io.Bool b) -> b
-          | _ -> fail (current_path ^ ": faults section lacks \"deterministic\"")
-        in
-        if not deterministic then
-          fail "faults: surviving observations differ from the clean campaign (isolation broken)";
-        if overhead > 3.0 then
-          fail
-            (Printf.sprintf
-               "faults: byzantine campaign overhead %.2fx exceeds the 3.0x ceiling — fault \
-                synthesis or the breaker path regressed"
-               overhead);
-        Printf.sprintf
-          "Faults: byzantine overhead %.2fx of clean (ceiling 3.0x), %.0f byzantine losses, \
-           survivors byte-identical.\n"
-          overhead (num "byzantine_losses")
+        List.iter (fun key -> ignore (num key)) keys;
+        (match Json_io.member "deterministic" c with
+        | Some (Json_io.Bool true) -> ()
+        | Some (Json_io.Bool false) -> fail (section ^ ": " ^ broken)
+        | _ -> lacks "deterministic");
+        check num
   in
-  (* The cross-vantage gate: region scans are independent, so the
-     parallel rows must be byte-identical to the serial ones. *)
-  let regions_gate =
-    match Json_io.member "regions" current_json with
-    | None ->
-        Printf.sprintf
-          "No \"regions\" section in %s; run `bench regions` to gate the cross-vantage scan.\n"
-          current_path
-    | Some c ->
-        let num key =
-          match Option.bind (Json_io.member key c) Json_io.to_float with
-          | Some v -> v
-          | None -> fail (Printf.sprintf "%s: regions section lacks %S" current_path key)
-        in
-        let deterministic =
-          match Json_io.member "deterministic" c with
-          | Some (Json_io.Bool b) -> b
-          | _ -> fail (current_path ^ ": regions section lacks \"deterministic\"")
-        in
-        if not deterministic then
-          fail "regions: serial and parallel cross-vantage rows differ (jobs-invariance broken)";
-        Printf.sprintf
-          "Regions: %.0f rows from %.0f vantages, %.0f rows/s, jobs-invariant.\n" (num "rows")
-          (num "n_regions") (num "rows_per_sec")
-  in
+  let section_gates = String.concat "" (List.map gate sections) in
   let rows =
     List.map
       (fun (name, base_ops) ->
@@ -492,8 +445,7 @@ let check_baseline () =
   Analysis.Report.section "Baseline check (current vs committed BENCH_baseline.json)"
   ^ "\n"
   ^ Analysis.Report.table ~headers:[ "Kernel"; "Baseline ops/s"; "Current ops/s"; "Ratio" ] ~rows
-  ^ "\n\nAll kernels within 2x of baseline.\n" ^ speedup_gates ^ campaign_gate ^ traffic_gate
-  ^ faults_gate ^ regions_gate
+  ^ "\n\nAll kernels within 2x of baseline.\n" ^ speedup_gates ^ section_gates
 
 (* --- Microbenchmarks ----------------------------------------------------------- *)
 

@@ -25,16 +25,11 @@ let seed_arg = Arg.(value & opt string "tlsharm" & info [ "seed" ] ~docv:"SEED" 
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Progress on stderr.")
 
-let default_jobs =
-  match Sys.getenv_opt "TLSHARM_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
-
 let jobs_arg =
   Arg.(
     value
-    & opt int default_jobs
-    & info [ "j"; "jobs" ] ~docv:"N"
+    & opt int 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "TLSHARM_JOBS")
         ~doc:
           "Worker domains for the longitudinal campaign (default \\$(b,TLSHARM_JOBS) or 1). The \
            campaign is operator-sharded at any N, and its archive is byte-identical for every N.")
@@ -45,11 +40,11 @@ let fault_profile_arg =
     & opt string "none"
     & info [ "fault-profile" ] ~docv:"PROFILE"
         ~doc:
-          "Fault-injection profile for the simulated network: $(b,none) (fault-free legacy \
-           behavior, the default), $(b,default) (\u{00a7}3-plausible transient faults and endpoint \
-           outage windows), $(b,flaky) (hostile network for stress tests) or $(b,byzantine) \
-           (default-profile weather plus peers answering with malformed or protocol-violating \
-           bytes). Deterministic in the world and fault seeds.")
+          "Fault-injection profile for the simulated network: $(b,none) (no injected faults, \
+           every probe makes one attempt; the default), $(b,default) (\u{00a7}3-plausible \
+           transient faults and endpoint outage windows), $(b,flaky) (hostile network for stress \
+           tests) or $(b,byzantine) (default-profile weather plus peers answering with malformed \
+           or protocol-violating bytes). Deterministic in the world and fault seeds.")
 
 let retries_arg =
   Arg.(
@@ -117,6 +112,30 @@ let guard f =
           Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
             (if arg = "" then "" else " (" ^ arg ^ ")") )
 
+(* Telemetry is recorded only when some flag asks for it. *)
+let recorder ~metrics_out ~trace_out =
+  if metrics_out <> None || trace_out <> None then Obs.Recorder.create () else Obs.Recorder.null
+
+(* Kernel counters are process-global; the [kernel_before] snapshot
+   scopes the published [kernel.*] deltas to the run itself (excluding
+   world construction, which precedes it). *)
+let write_telemetry ~what obs ~kernel_before ~metrics_out ~trace_out =
+  Option.iter
+    (fun path ->
+      Obs.Kernel.add_to_metrics (Obs.Recorder.metrics obs)
+        (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ()));
+      Durable.Atomic_io.write path (Obs.Recorder.metrics_json_string obs);
+      Printf.printf "wrote %s metrics to %s\n" what path)
+    metrics_out;
+  Option.iter
+    (fun path ->
+      Durable.Atomic_io.write path (Obs.Recorder.trace_json_string obs);
+      Printf.printf "wrote %s trace spans to %s\n" what path)
+    trace_out
+
+(* The funnel report accompanies every run whose profile can fire. *)
+let faults_enabled profile = profile.Faults.Profile.name <> "none"
+
 let world_config ~domains ~seed =
   { Simnet.World.default_config with Simnet.World.n_domains = domains; seed }
 
@@ -128,7 +147,7 @@ let study_config ~domains ~days ~seed ~jobs ~verbose ~fault_profile ~retry =
     verbose;
     fault_profile;
     retry;
-    obs = None;
+    obs = Obs.Recorder.null;
   }
 
 (* --- world-info ------------------------------------------------------------------ *)
@@ -184,23 +203,20 @@ let scan domains seed mode out fault_profile retries deadline =
   | Ok (profile, retry) ->
   guard @@ fun () ->
   let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
-  let injector =
-    if profile.Faults.Profile.name = "none" then None
-    else Some (Faults.Injector.create ~profile world)
-  in
+  let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
   let conns =
     match mode with
     | `Burst ->
-        let probe = Scanner.Probe.create ?injector ~retry ~funnel ~seed:"cli-burst" world in
+        let probe = Scanner.Probe.create ~injector ~retry ~funnel ~seed:"cli-burst" world in
         Scanner.Burst_scan.run probe ~rounds:10 ~gap:30 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
     | `Dhe ->
-        let probe = Scanner.Probe.dhe_only ?injector ~retry ~funnel world ~seed:"cli-dhe" in
+        let probe = Scanner.Probe.dhe_only ~injector ~retry ~funnel world ~seed:"cli-dhe" in
         Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
     | `Single ->
-        let probe = Scanner.Probe.create ?injector ~retry ~funnel ~seed:"cli-single" world in
+        let probe = Scanner.Probe.create ~injector ~retry ~funnel ~seed:"cli-single" world in
         Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
   in
@@ -211,7 +227,7 @@ let scan domains seed mode out fault_profile retries deadline =
   | None ->
       print_endline Scanner.Observation.csv_header;
       List.iter (fun c -> print_endline (Scanner.Observation.to_csv_row c)) conns);
-  if injector <> None then
+  if faults_enabled profile then
     print_string (Analysis.Funnel_report.render ~title:"Scan loss funnel" funnel);
   `Ok ()
 
@@ -322,19 +338,14 @@ let campaign_manifest ~domains ~days ~seed ~profile ~(retry : Faults.Retry.polic
    --jobs. *)
 let run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out ~trace_out () =
   let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
-  let injector =
-    if profile.Faults.Profile.name = "none" then None
-    else Some (Faults.Injector.create ~profile world)
-  in
+  let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
-  let obs =
-    if metrics_out <> None || trace_out <> None then Some (Obs.Recorder.create ()) else None
-  in
+  let obs = recorder ~metrics_out ~trace_out in
   (* The streaming sink replaces the end-of-run CSV: rows are appended
-     per completed day and never held in memory (the scan runs with
-     retain_rows:false), which keeps RSS flat at --domains 100000. The
-     sink directory is also the run log a killed run resumes from.
-     Reassemble with `tlsharm analyze DIR` / Daily_scan.load_stream. *)
+     per completed day and never held in memory (a run with a sink keeps
+     no rows), which keeps RSS flat at --domains 100000. The sink
+     directory is also the run log a killed run resumes from. Reassemble
+     with `tlsharm analyze DIR` / Daily_scan.load_stream. *)
   let output =
     match output with
     | `Csv path -> Ok (`Csv path)
@@ -348,30 +359,11 @@ let run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out
   | Error e -> `Error (false, e)
   | Ok output ->
       let sink = match output with `Sink s -> Some s | `Csv _ -> None in
-      let retain_rows = sink = None in
-      (* Kernel counters are process-global; the snapshot window scopes the
-         published [kernel.*] deltas to the campaign itself (excluding world
-         construction, which runs before telemetry starts). *)
       let kernel_before = Obs.Kernel.snapshot () in
       let t =
-        Scanner.Parallel_campaign.run ~jobs ?injector ~retry ~funnel ?sink ~retain_rows ?obs world
-          ~days ()
+        Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ?sink ~obs world ~days ()
       in
-      Option.iter
-        (fun r ->
-          Obs.Kernel.add_to_metrics (Obs.Recorder.metrics r)
-            (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ())))
-        obs;
-      (match (obs, metrics_out) with
-      | Some r, Some path ->
-          Durable.Atomic_io.write path (Obs.Recorder.metrics_json_string r);
-          Printf.printf "wrote campaign metrics to %s\n" path
-      | _ -> ());
-      (match (obs, trace_out) with
-      | Some r, Some path ->
-          Durable.Atomic_io.write path (Obs.Recorder.trace_json_string r);
-          Printf.printf "wrote campaign trace spans to %s\n" path
-      | _ -> ());
+      write_telemetry ~what:"campaign" obs ~kernel_before ~metrics_out ~trace_out;
       (match output with
       | `Sink s ->
           Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
@@ -385,7 +377,7 @@ let run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out
             (Array.length t.Scanner.Daily_scan.series)
             out
             (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else ""));
-      if injector <> None then
+      if faults_enabled profile then
         print_string
           (Analysis.Funnel_report.render
              ~title:
@@ -953,10 +945,7 @@ let traffic users days domains seed jobs shard_users policy ticket_lifetime page
                 world = world_config ~domains ~seed;
               }
             in
-            let obs =
-              if metrics_out <> None || trace_out <> None then Some (Obs.Recorder.create ())
-              else None
-            in
+            let obs = recorder ~metrics_out ~trace_out in
             let sink =
               match stream_out with
               | None -> Ok None
@@ -967,24 +956,9 @@ let traffic users days domains seed jobs shard_users policy ticket_lifetime page
             (match sink with
             | Error e -> `Error (false, e)
             | Ok sink ->
-                let retain_rows = sink = None in
                 let kernel_before = Obs.Kernel.snapshot () in
-                let r = Traffic.Population.run ~jobs ?sink ~retain_rows ?obs cfg in
-                Option.iter
-                  (fun rec_ ->
-                    Obs.Kernel.add_to_metrics (Obs.Recorder.metrics rec_)
-                      (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ())))
-                  obs;
-                (match (obs, metrics_out) with
-                | Some rec_, Some path ->
-                    Durable.Atomic_io.write path (Obs.Recorder.metrics_json_string rec_);
-                    Printf.printf "wrote traffic metrics to %s\n" path
-                | _ -> ());
-                (match (obs, trace_out) with
-                | Some rec_, Some path ->
-                    Durable.Atomic_io.write path (Obs.Recorder.trace_json_string rec_);
-                    Printf.printf "wrote traffic trace spans to %s\n" path
-                | _ -> ());
+                let r = Traffic.Population.run ~jobs ?sink ~obs cfg in
+                write_telemetry ~what:"traffic" obs ~kernel_before ~metrics_out ~trace_out;
                 (* A report-assembly failure must surface as a one-line
                    CLI error, not as a raw exception message: routing it
                    through [failwith] happened to be caught by [guard]

@@ -23,11 +23,11 @@ type config = {
   campaign_days : int;
   jobs : int; (* campaign worker domains; the archive is identical at any count *)
   verbose : bool;
-  fault_profile : Faults.Profile.t; (* [Profile.none] = legacy fault-free network *)
+  fault_profile : Faults.Profile.t; (* [Profile.none] injects nothing *)
   retry : Faults.Retry.policy;
-  obs : Obs.Recorder.t option;
-      (* telemetry sink shared by every experiment probe and the
-         campaign; [None] (the default) is the untouched legacy path *)
+  obs : Obs.Recorder.t;
+      (* telemetry shared by every experiment probe and the campaign;
+         [Obs.Recorder.null] (the default) records nothing *)
 }
 
 let default_config =
@@ -36,11 +36,10 @@ let default_config =
     campaign_days = 63;
     jobs = 1;
     verbose = false;
-    (* [none] keeps every pre-fault experiment output byte-identical:
-       no injector is built, probes make exactly one attempt. *)
+    (* [none] never fires, so every probe makes exactly one attempt. *)
     fault_profile = Faults.Profile.none;
     retry = Faults.Retry.default;
-    obs = None;
+    obs = Obs.Recorder.null;
   }
 
 type t = {
@@ -57,29 +56,9 @@ type t = {
   mutable stek_groups_scan : Scanner.Burst_scan.domain_result list option;
   mutable dh_groups_scan : Scanner.Burst_scan.domain_result list option;
   mutable campaign : Scanner.Daily_scan.t option;
-  injector : Faults.Injector.t option; (* None when the profile is [none] *)
+  injector : Faults.Injector.t;
   funnel : Faults.Funnel.t; (* shared loss telemetry across all experiments *)
 }
-
-let injector_of ~config world =
-  if config.fault_profile.Faults.Profile.name = "none" then None
-  else Some (Faults.Injector.create ~profile:config.fault_profile world)
-
-let create ?(config = default_config) () =
-  let world = Simnet.World.create ~config:config.world_config () in
-  {
-    config;
-    world;
-    table1_bursts = None;
-    fig1_results = None;
-    fig2_results = None;
-    cross_probe = None;
-    stek_groups_scan = None;
-    dh_groups_scan = None;
-    campaign = None;
-    injector = injector_of ~config world;
-    funnel = Faults.Funnel.create ();
-  }
 
 let of_world ?(config = default_config) world =
   {
@@ -92,27 +71,30 @@ let of_world ?(config = default_config) world =
     stek_groups_scan = None;
     dh_groups_scan = None;
     campaign = None;
-    injector = injector_of ~config world;
+    injector = Faults.Injector.create ~profile:config.fault_profile world;
     funnel = Faults.Funnel.create ();
   }
+
+let create ?(config = default_config) () =
+  of_world ~config (Simnet.World.create ~config:config.world_config ())
 
 let world t = t.world
 let funnel t = t.funnel
 
 (* Every serial experiment probe shares the study's injector, retry
-   policy and funnel; with the default [none] profile these are all
-   no-ops and the probes behave exactly as before. *)
+   policy and funnel; with the default [none] profile no fault fires
+   and every probe makes exactly one attempt. *)
 let probe ?offer_suites ?offer_ticket t ~seed =
-  Scanner.Probe.create ?offer_suites ?offer_ticket ?injector:t.injector ~retry:t.config.retry
-    ~funnel:t.funnel ?obs:t.config.obs ~seed t.world
+  Scanner.Probe.create ?offer_suites ?offer_ticket ~injector:t.injector ~retry:t.config.retry
+    ~funnel:t.funnel ~obs:t.config.obs ~seed t.world
 
 let dhe_probe_of t ~seed =
-  Scanner.Probe.dhe_only ?injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-    ?obs:t.config.obs t.world ~seed
+  Scanner.Probe.dhe_only ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
+    ~obs:t.config.obs t.world ~seed
 
 let ecdhe_probe_of t ~seed =
-  Scanner.Probe.ecdhe_only ?injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-    ?obs:t.config.obs t.world ~seed
+  Scanner.Probe.ecdhe_only ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
+    ~obs:t.config.obs t.world ~seed
 
 let log t fmt =
   if t.config.verbose then Format.eprintf (fmt ^^ "@.") else Format.ifprintf Format.err_formatter fmt
@@ -165,7 +147,7 @@ let cross_probe t =
       ignore (fig2_results t);
       log t "study: table 5 cross-domain session-cache probing";
       let r =
-        Scanner.Cross_probe.run ?injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
+        Scanner.Cross_probe.run ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
           t.world ()
       in
       t.cross_probe <- Some r;
@@ -222,8 +204,8 @@ let campaign t =
       Simnet.Clock.set clock ((now / Simnet.Clock.day * Simnet.Clock.day) + Simnet.Clock.day);
       log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
       let r =
-        Scanner.Parallel_campaign.run ~jobs:t.config.jobs ?injector:t.injector
-          ~retry:t.config.retry ~funnel:t.funnel ?obs:t.config.obs t.world
+        Scanner.Parallel_campaign.run ~jobs:t.config.jobs ~injector:t.injector
+          ~retry:t.config.retry ~funnel:t.funnel ~obs:t.config.obs t.world
           ~days:t.config.campaign_days
           ~progress:(fun ~shard ~day ->
             (* Shard 0, the heaviest, starts first: its days pace the run. *)

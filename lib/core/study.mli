@@ -14,16 +14,16 @@ type config = {
           server-derived. Default 1. *)
   verbose : bool;  (** progress on stderr *)
   fault_profile : Faults.Profile.t;
-      (** [Faults.Profile.none] (the default) disables injection
-          entirely — no injector is built, probes make exactly one
-          attempt, and every experiment output is byte-identical to the
-          pre-fault scanner. *)
+      (** the injector every probe goes through. [Faults.Profile.none]
+          (the default) never fires, so probes make exactly one
+          attempt. *)
   retry : Faults.Retry.policy;
-      (** probe retry policy; only consulted when faults are injected *)
-  obs : Obs.Recorder.t option;
-      (** telemetry sink (default [None]) shared by every experiment
-          probe and the campaign runners. Recorders only read outcomes,
-          so enabling one leaves every archive byte-identical. *)
+      (** probe retry policy; only consulted when a fault fires *)
+  obs : Obs.Recorder.t;
+      (** telemetry (default {!Obs.Recorder.null}) shared by every
+          experiment probe and the campaign runners. Recorders only read
+          outcomes, so every archive is the same whichever recorder the
+          study gets. *)
 }
 
 val default_config : config

@@ -56,6 +56,13 @@ let endpoint_outage_at t ~hostname ~time =
   | Some (ep, operator) ->
       outage_at t ~rates:(Profile.rates_for t.profile ~operator) ~ep ~time
 
+(* Rates under which no draw can fire: the walk below would return
+   [Pass] for every [u01] draw (none is below 0), so skip the hashing. *)
+let silent (r : Profile.rates) =
+  r.Profile.outage_p = 0.0 && r.Profile.timeout_p = 0.0 && r.Profile.reset_p = 0.0
+  && r.Profile.alert_p = 0.0 && r.Profile.truncated_p = 0.0 && r.Profile.byzantine_p = 0.0
+  && r.Profile.slow_p = 0.0
+
 let decide t ~hostname ~time ~attempt =
   match Simnet.World.endpoint_info t.world hostname with
   | None ->
@@ -64,7 +71,8 @@ let decide t ~hostname ~time ~attempt =
       Pass
   | Some (ep, operator) ->
       let rates = Profile.rates_for t.profile ~operator in
-      if outage_at t ~rates ~ep ~time then Fault Fault.Endpoint_outage
+      if silent rates then Pass
+      else if outage_at t ~rates ~ep ~time then Fault Fault.Endpoint_outage
       else begin
         let key kind =
           Printf.sprintf "%s|%s|%d|%s|%d|%d" t.seed kind ep hostname time attempt

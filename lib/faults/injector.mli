@@ -18,6 +18,8 @@ val create : ?seed:string -> profile:Profile.t -> Simnet.World.t -> t
 val profile : t -> Profile.t
 
 val decide : t -> hostname:string -> time:int -> attempt:int -> decision
+(** [Pass] without hashing anything when every rate for the serving
+    operator is zero, as under {!Profile.none}. *)
 
 val operator_of : t -> hostname:string -> string option
 (** The operator serving [hostname], for per-operator accounting

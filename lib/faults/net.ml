@@ -23,31 +23,17 @@
    would mean a second world call and a desynced stream, so they are
    classified and final. *)
 
-type t = {
-  injector : Injector.t option;
-  policy : Retry.policy;
-  funnel : Funnel.t;
-  breaker : Breaker.t option;
-}
+type t = { injector : Injector.t; policy : Retry.policy; funnel : Funnel.t; breaker : Breaker.t }
 
-(* The breaker exists exactly when faults do: without an injector there
-   are no retries to budget and the legacy single-attempt path must stay
-   untouched. *)
-let create ?injector ?(policy = Retry.default) ?funnel ?breaker () =
+let create ~injector ?(policy = Retry.default) ?funnel () =
   {
     injector;
     policy;
     funnel = (match funnel with Some f -> f | None -> Funnel.create ());
-    breaker =
-      (match breaker with
-      | Some _ as b -> if Option.is_some injector then b else None
-      | None -> Option.map (fun _ -> Breaker.create ()) injector);
+    breaker = Breaker.create ();
   }
 
 let funnel t = t.funnel
-let injector t = t.injector
-let policy t = t.policy
-let breaker t = t.breaker
 
 let classify_error = function
   | Simnet.World.No_such_domain -> Fault.No_such_domain
@@ -58,7 +44,7 @@ let classify_error = function
    returns [Ok (outcome, attempts)] or [Error (fault, attempts)]. *)
 let attempt t ~hostname ~now ~connect =
   let day = now / Simnet.Clock.day in
-  let finish_real ?(feedback = fun _ -> ()) ~attempts ~slow () =
+  let finish_real ~feedback ~attempts ~slow () =
     match connect () with
     | Ok outcome ->
         feedback (Ok ());
@@ -70,44 +56,41 @@ let attempt t ~hostname ~now ~connect =
         Funnel.record_failure t.funnel ~day ~attempts f;
         Error (f, attempts)
   in
-  match t.injector with
-  | None -> finish_real ~attempts:1 ~slow:false ()
-  | Some inj ->
-      let p = t.policy in
-      (* The breaker adapts the retry budget per operator: one attempt
-         while open, the full policy budget otherwise. Consuming the
-         budget and feeding the outcome back happen exactly once per
-         probe, in probe order, so budgets are deterministic. *)
-      let operator = Injector.operator_of inj ~hostname in
-      let feedback, max_attempts =
-        match (t.breaker, operator) with
-        | Some b, Some op ->
-            ( Breaker.record b ~operator:op,
-              Breaker.attempts_allowed b ~operator:op
-                ~max_attempts:p.Retry.max_attempts )
-        | _ -> ((fun _ -> ()), p.Retry.max_attempts)
-      in
-      let jitter_key = Printf.sprintf "%s|%d" hostname now in
-      let rec go ~attempt ~elapsed ~last =
-        if attempt >= max_attempts || elapsed > p.Retry.deadline then begin
-          (* Exhausted: the shadow call keeps world-side streams where a
-             fault-free run would leave them; the probe never sees it. *)
-          ignore (connect ());
-          let f = Option.value last ~default:Fault.Connect_timeout in
-          feedback (Error f);
-          Funnel.record_failure t.funnel ~day ~attempts:attempt f;
-          Error (f, attempt)
-        end
-        else
-          match Injector.decide inj ~hostname ~time:(now + elapsed) ~attempt with
-          | Injector.Pass -> finish_real ~feedback ~attempts:(attempt + 1) ~slow:false ()
-          | Injector.Slow lat when elapsed + lat <= p.Retry.deadline ->
-              finish_real ~feedback ~attempts:(attempt + 1) ~slow:true ()
-          | Injector.Slow _ -> next ~attempt ~elapsed Fault.Slow_handshake
-          | Injector.Fault f -> next ~attempt ~elapsed f
-      and next ~attempt ~elapsed f =
-        go ~attempt:(attempt + 1)
-          ~elapsed:(elapsed + Retry.backoff t.policy ~key:jitter_key ~attempt)
-          ~last:(Some f)
-      in
-      go ~attempt:0 ~elapsed:0 ~last:None
+  let p = t.policy in
+  (* The breaker adapts the retry budget per operator: one attempt while
+     open, the full policy budget otherwise. Consuming the budget and
+     feeding the outcome back happen exactly once per probe, in probe
+     order, so budgets are deterministic. Under a profile that never
+     fires, every probe passes on its first attempt and the breaker never
+     opens. *)
+  let feedback, max_attempts =
+    match Injector.operator_of t.injector ~hostname with
+    | Some op ->
+        ( Breaker.record t.breaker ~operator:op,
+          Breaker.attempts_allowed t.breaker ~operator:op ~max_attempts:p.Retry.max_attempts )
+    | None -> ((fun _ -> ()), p.Retry.max_attempts)
+  in
+  let rec go ~attempt ~elapsed ~last =
+    if attempt >= max_attempts || elapsed > p.Retry.deadline then begin
+      (* Exhausted: the shadow call keeps world-side streams where a
+         fault-free run would leave them; the probe never sees it. *)
+      ignore (connect ());
+      let f = Option.value last ~default:Fault.Connect_timeout in
+      feedback (Error f);
+      Funnel.record_failure t.funnel ~day ~attempts:attempt f;
+      Error (f, attempt)
+    end
+    else
+      match Injector.decide t.injector ~hostname ~time:(now + elapsed) ~attempt with
+      | Injector.Pass -> finish_real ~feedback ~attempts:(attempt + 1) ~slow:false ()
+      | Injector.Slow lat when elapsed + lat <= p.Retry.deadline ->
+          finish_real ~feedback ~attempts:(attempt + 1) ~slow:true ()
+      | Injector.Slow _ -> next ~attempt ~elapsed Fault.Slow_handshake
+      | Injector.Fault f -> next ~attempt ~elapsed f
+  and next ~attempt ~elapsed f =
+    let jitter_key = Printf.sprintf "%s|%d" hostname now in
+    go ~attempt:(attempt + 1)
+      ~elapsed:(elapsed + Retry.backoff p ~key:jitter_key ~attempt)
+      ~last:(Some f)
+  in
+  go ~attempt:0 ~elapsed:0 ~last:None

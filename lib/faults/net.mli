@@ -5,26 +5,13 @@
 
 type t
 
-val create :
-  ?injector:Injector.t ->
-  ?policy:Retry.policy ->
-  ?funnel:Funnel.t ->
-  ?breaker:Breaker.t ->
-  unit ->
-  t
-(** No [injector] means no injected faults and no retries — the legacy
-    single-attempt path, byte-identical to pre-fault behavior. [funnel]
-    lets serial runs share one funnel across probes; defaults to a fresh
-    private one. [breaker] defaults to a fresh per-operator circuit
-    breaker whenever an injector is present (and is forced off without
-    one). *)
+val create : injector:Injector.t -> ?policy:Retry.policy -> ?funnel:Funnel.t -> unit -> t
+(** Every probe goes through an injector; {!Profile.none}'s never fires,
+    so each probe then makes exactly one attempt. [funnel] lets serial
+    runs share one funnel across probes; defaults to a fresh private
+    one. Each [t] carries its own per-operator circuit breaker. *)
 
 val funnel : t -> Funnel.t
-val injector : t -> Injector.t option
-val policy : t -> Retry.policy
-
-val breaker : t -> Breaker.t option
-(** The per-operator circuit breaker, present iff faults are injected. *)
 
 val classify_error : Simnet.World.connect_error -> Fault.t
 

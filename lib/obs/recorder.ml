@@ -1,46 +1,54 @@
 (* The bundle the rest of the codebase passes around: one metrics
    registry plus one trace collector. Everything that accepts telemetry
-   takes a [Recorder.t option] — [None] costs a single option match on
-   the hot path and guarantees byte-identical behaviour with telemetry
-   off, because a recorder only ever *reads* simulation state (it never
-   draws from a DRBG or advances a clock). *)
+   takes a [Recorder.t]; telemetry off is the [null] recorder, on which
+   every operation is a no-op that allocates nothing. Either way the
+   simulation is untouched, because a recorder only ever *reads*
+   simulation state (it never draws from a DRBG or advances a clock).
 
-type t = { metrics : Metrics.t; trace : Trace.t; wall : bool }
+   [null] is one value shared by every worker domain, so it holds no
+   mutable state at all: a variant case, not an empty registry that a
+   stray write could fill. *)
 
-let create ?(wall = false) () = { metrics = Metrics.create (); trace = Trace.create ~wall (); wall }
+type live = { metrics : Metrics.t; trace : Trace.t; wall : bool }
+type t = Null | Live of live
 
-let metrics t = t.metrics
-let trace t = t.trace
-let wall_enabled t = t.wall
+let null = Null
+let create ?(wall = false) () = Live { metrics = Metrics.create (); trace = Trace.create ~wall (); wall }
+let enabled = function Null -> false | Live _ -> true
 
-let incr t name = Metrics.incr t.metrics name
-let add t name n = Metrics.add t.metrics name n
-let gauge_max t name v = Metrics.gauge_max t.metrics name v
-let observe t name ~bounds v = Metrics.observe t.metrics name ~bounds v
-let span t ~name ?attrs ~now f = Trace.timed t.trace ~name ?attrs ~now f
+(* A shard recorder: private to one worker, merged back after the join. *)
+let fork = function Null -> Null | Live r -> create ~wall:r.wall ()
+
+(* [null] has no registry of its own; callers that read one get a fresh
+   empty registry, so nothing they do to it can reach [null]. *)
+let metrics = function Null -> Metrics.create () | Live r -> r.metrics
+let trace = function Null -> Trace.create () | Live r -> r.trace
+
+let incr t name = match t with Null -> () | Live r -> Metrics.incr r.metrics name
+let add t name n = match t with Null -> () | Live r -> Metrics.add r.metrics name n
+let gauge_max t name v = match t with Null -> () | Live r -> Metrics.gauge_max r.metrics name v
+
+let observe t name ~bounds v =
+  match t with Null -> () | Live r -> Metrics.observe r.metrics name ~bounds v
+
+let span t ~name ?attrs ~now f =
+  match t with Null -> f () | Live r -> Trace.timed r.trace ~name ?attrs ~now f
 
 let merge dst src =
-  Metrics.merge dst.metrics src.metrics;
-  Trace.merge dst.trace src.trace
+  match (dst, src) with
+  | Live d, Live s ->
+      Metrics.merge d.metrics s.metrics;
+      Trace.merge d.trace s.trace
+  | _ -> ()
 
-(* Option-friendly variants for instrumentation sites: telemetry off
-   means a recorder is simply absent. *)
-let incr_opt o name = Option.iter (fun t -> incr t name) o
-let add_opt o name n = Option.iter (fun t -> add t name n) o
-let gauge_max_opt o name v = Option.iter (fun t -> gauge_max t name v) o
-let observe_opt o name ~bounds v = Option.iter (fun t -> observe t name ~bounds v) o
-
-let span_opt o ~name ?attrs ~now f =
-  match o with None -> f () | Some t -> span t ~name ?attrs ~now f
+let record_span t ~name ?attrs ~sim_start ~sim_end () =
+  match t with Null -> () | Live r -> Trace.record r.trace ~name ?attrs ~sim_start ~sim_end ()
 
 (* A point event on the simulated timeline, rendered as a zero-duration
    span: handshake phases happen "between ticks" (the virtual clock does
    not advance inside a handshake), so their count and placement is the
    signal, not their duration. *)
-let event t ~name ?attrs ~at () =
-  Trace.record t.trace ~name ?attrs ~sim_start:at ~sim_end:at ()
+let event t ~name ?attrs ~at () = record_span t ~name ?attrs ~sim_start:at ~sim_end:at ()
 
-let event_opt o ~name ?attrs ~at () = Option.iter (fun t -> event t ~name ?attrs ~at ()) o
-
-let metrics_json_string t = Metrics.to_json_string t.metrics
-let trace_json_string t = Trace.to_json_string t.trace
+let metrics_json_string t = Metrics.to_json_string (metrics t)
+let trace_json_string t = Trace.to_json_string (trace t)

@@ -1,18 +1,34 @@
 (** A metrics registry bundled with a trace collector — the value the
-    scanner, campaign runners and CLI thread around. Instrumentation
-    sites take a [t option]; [None] (telemetry off) is free and
-    guaranteed not to perturb the simulation, since recorders only read
-    state. *)
+    scanner, campaign runners and CLI thread around. Telemetry off is
+    {!null}, not an absent recorder: every instrumentation site takes a
+    plain [t], and recorders only read simulation state, so a run is
+    byte-identical whichever recorder it gets. *)
 
 type t
+
+val null : t
+(** The recorder of a run without telemetry. Every operation on it is a
+    no-op that allocates nothing: [span null f] is [f ()], and {!merge}
+    into or from it does nothing. It is shared by every worker domain
+    and never mutated. *)
 
 val create : ?wall:bool -> unit -> t
 (** [wall] (default false) enables host-clock span timing — see
     {!Trace.create}. *)
 
+val enabled : t -> bool
+(** [false] exactly for {!null}. Instrumentation sites need it only to
+    skip building arguments (attribute lists, instrument names) that a
+    null recorder would discard. *)
+
+val fork : t -> t
+(** A fresh shard recorder with the parent's [wall] setting, to merge
+    back into the parent after the join; {!null} for {!null}. *)
+
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
-val wall_enabled : t -> bool
+(** The underlying registry and collector. For {!null} each call returns
+    a fresh empty one. *)
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
@@ -26,28 +42,15 @@ val merge : t -> t -> unit
 (** Absorb a shard recorder: metrics and trace aggregates merge
     order-independently. *)
 
-(** Option-friendly variants used at instrumentation sites. *)
-
-val incr_opt : t option -> string -> unit
-val add_opt : t option -> string -> int -> unit
-val gauge_max_opt : t option -> string -> int -> unit
-val observe_opt : t option -> string -> bounds:int array -> int -> unit
-
-val span_opt :
-  t option ->
-  name:string ->
-  ?attrs:(string * string) list ->
-  now:(unit -> int) ->
-  (unit -> 'a) ->
-  'a
+val record_span :
+  t -> name:string -> ?attrs:(string * string) list -> sim_start:int -> sim_end:int -> unit -> unit
+(** One span whose bounds the caller already knows (see
+    {!Trace.record}). *)
 
 val event : t -> name:string -> ?attrs:(string * string) list -> at:int -> unit -> unit
 (** A point on the simulated timeline (zero-duration span): handshake
     phases happen between clock ticks, so placement and count are the
     signal. *)
-
-val event_opt :
-  t option -> name:string -> ?attrs:(string * string) list -> at:int -> unit -> unit
 
 val metrics_json_string : t -> string
 val trace_json_string : t -> string

@@ -31,5 +31,6 @@ val save : t -> string -> unit
 (** Archive as an observation CSV (atomic + checksummed). *)
 
 val load : string -> (Observation.conn list, string) result
-(** Load an archived cross-vantage CSV; legacy archives without a
-    region column load attributed to the default region. *)
+(** Load an archived cross-vantage CSV. Rows must carry every
+    {!Observation.csv_header} column; a row without the region column is
+    an [Error]. *)

@@ -158,7 +158,9 @@ let load path =
               let* present = bool_of_string_opt present in
               let* default_ok = bool_of_string_opt ok in
               let* dhe_ok = bool_of_string_opt dhe_ok in
-              let hint = if hint = "" then None else int_of_string_opt hint in
+              let* hint =
+                if hint = "" then Some None else Option.map Option.some (int_of_string_opt hint)
+              in
               Some
                 ( domain,
                   rank,
@@ -416,10 +418,10 @@ end
 
 (* Build the final per-domain series from the (i, day) record matrix;
    [trusted] comes from the default probe's trust cache, which either
-   the scan populated or the restore path refilled. When the
-   scan ran without row retention (streaming sink only), [records] is
-   [None] and the series carry their metadata with empty [days]: the
-   rows live in the sink, not in memory. *)
+   the scan populated or the restore path refilled. When the scan
+   streamed into a sink, [records] is [None] and the series carry their
+   metadata with empty [days]: the rows live in the sink, not in
+   memory. *)
 let build_series ~(default_probe : Probe.t) ~(domains : Simnet.World.domain array) ~days records =
   Array.mapi
     (fun i d ->
@@ -503,13 +505,13 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    mid-flight (endpoint RNGs, kex caches, session caches and STEK
    rotations make the world state surface enormous); determinism makes
    the re-execution exact, and the byte-compare proves it. *)
-let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_probe ~dhe_probe
-    ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
+let scan_stream ?sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~default_probe
+    ~dhe_probe ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
   let start = Simnet.Clock.now clock in
   (* [scan.days] is a gauge (max-merge): every stream of one campaign
      scans the same day count, so a counter would multiply it by the
      shard count under parallel execution. *)
-  if days > 0 then Obs.Recorder.gauge_max_opt obs "scan.days" days;
+  if days > 0 then Obs.Recorder.gauge_max obs "scan.days" days;
   let n = Array.length domains in
   let recorded =
     match sink with
@@ -530,7 +532,8 @@ let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_pro
     in
     Option.iter (fun s -> stream_finish s ~trusted ~domains) sink
   in
-  let records = if retain then Some (Array.make_matrix n days None) else None in
+  (* Rows stay in memory exactly when there is no sink to hold them. *)
+  let records = if Option.is_none sink then Some (Array.make_matrix n days None) else None in
   let record ~day rows =
     match records with
     | Some m ->
@@ -540,11 +543,10 @@ let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_pro
     | None -> ()
   in
   if prefix = days && days > 0 then begin
-    (* Every day is recorded and verified: restore without scanning. *)
-    Array.iteri
-      (fun day (raw, snap) ->
-        record ~day snap.Ckpt.s_rows;
-        Option.iter (fun s -> append_block s ~rows:snap.Ckpt.s_rows raw) sink)
+    (* Every day is recorded and verified: restore without scanning.
+       Only a streamed run gets here, so no rows are kept. *)
+    Array.iter
+      (fun (raw, snap) -> Option.iter (fun s -> append_block s ~rows:snap.Ckpt.s_rows raw) sink)
       recorded;
     (* The last block carries the cumulative trust cache and funnel. *)
     let last = Option.get (snd recorded.(days - 1)).Ckpt.s_state in
@@ -554,7 +556,7 @@ let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_pro
     Faults.Funnel.absorb (Probe.funnel default_probe) last.Ckpt.s_funnel;
     Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
     finish_sink ();
-    build_series ~default_probe ~domains ~days records
+    build_series ~default_probe ~domains ~days None
   end
   else begin
   (* Per-day scratch, reused across days so a long campaign's inner loop
@@ -583,7 +585,7 @@ let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_pro
        clock is positioned before the span opens so its simulated
        duration is not midnight-to-midnight. *)
     Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + default_sweep_at);
-    Obs.Recorder.span_opt obs ~name:"scan.day"
+    Obs.Recorder.span obs ~name:"scan.day"
       ~attrs:[ ("day", string_of_int day) ]
       ~now:(fun () -> Simnet.Clock.now clock)
       (fun () ->
@@ -597,7 +599,7 @@ let scan_stream ?sink ?(resume = true) ?(retain = true) ?obs ~clock ~default_pro
     Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + dhe_sweep_at);
     for p = 0 to n_present - 1 do
       let i = present.(p) in
-      Obs.Recorder.incr_opt obs "scan.domain_days";
+      Obs.Recorder.incr obs "scan.domain_days";
       let dhe_obs, _ =
         Probe.connect dhe_probe ~domain:(Simnet.World.domain_name domains.(i))
       in

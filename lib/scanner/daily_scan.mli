@@ -38,7 +38,6 @@ val dhe_sweep_at : int
 val scan_stream :
   ?sink:Stream_sink.stream ->
   ?resume:bool ->
-  ?retain:bool ->
   ?obs:Obs.Recorder.t ->
   clock:Simnet.Clock.t ->
   default_probe:Probe.t ->
@@ -68,8 +67,10 @@ val scan_stream :
     [~resume:false] (an in-process retry) the recorded prefix is ignored
     and blocks are stateless. Restored, replayed and fresh days are all
     re-emitted, so a resumed stream is byte-identical to an
-    uninterrupted one. With [retain ~ false] no [n * days] row matrix is
-    allocated and the returned series have empty [days] arrays. *)
+    uninterrupted one. A streamed scan keeps no [n * days] row matrix:
+    the returned series have empty [days] arrays, and the rows are read
+    back with {!load_stream}. Without [sink] the series carry every row.
+    [obs] defaults to {!Obs.Recorder.null}. *)
 
 val csv_header : string
 
@@ -98,8 +99,8 @@ val load_stream : string -> (t, string) result
 (** Reassemble a campaign from a {!Stream_sink} directory written by a
     streamed run. Series are sorted by (rank, domain) — the order
     {!Parallel_campaign.run} produces — so {!save} on the result
-    is byte-identical to {!save} on the same campaign run with rows
-    retained in memory. Day blocks with and without state lines decode
+    is byte-identical to {!save} on the same campaign run without a
+    sink. Day blocks with and without state lines decode
     alike. An interrupted or damaged stream (spool without footer or
     trailer, or a block that fails its tag) is an [Error] naming the
     stream, never an exception; finish it by resuming the campaign. *)

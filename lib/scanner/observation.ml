@@ -57,15 +57,8 @@ let failed_conn ?(failure = Faults.Fault.Unknown) ?(attempts = 1)
 
 (* --- CSV ---------------------------------------------------------------- *)
 
-(* Pre-fault-classification archives end at ecdhe_value, pre-region
-   archives at attempts; all three header widths load ({!of_csv_row}
-   maps a missing failure column on a failed row to [Unknown] and a
-   missing region column to the default vantage). *)
-let csv_header_legacy =
-  "time,domain,ok,resumed,cipher,session_id_set,session_id,trusted,stek_id,ticket_hint,dhe_value,ecdhe_value"
-
-let csv_header_v14 = csv_header_legacy ^ ",failure,attempts"
-let csv_header = csv_header_v14 ^ ",region"
+let csv_header =
+  "time,domain,ok,resumed,cipher,session_id_set,session_id,trusted,stek_id,ticket_hint,dhe_value,ecdhe_value,failure,attempts,region"
 
 let opt_str = function None -> "" | Some s -> s
 let opt_int = function None -> "" | Some i -> string_of_int i
@@ -92,41 +85,35 @@ let to_csv_row c =
       c.region;
     ]
 
+(* A field that is present must parse: a malformed cipher or ticket hint
+   rejects the row instead of loading as "absent". *)
+let optional parse s = if s = "" then Some None else Option.map Option.some (parse s)
+
 let of_csv_row row =
-  let parse time domain ok resumed cipher id_set session_id trusted stek hint dhe ecdhe
-      ~failure ~attempts ~region =
+  match String.split_on_char ',' row with
+  | [
+      time; domain; ok; resumed; cipher; id_set; session_id; trusted; stek; hint; dhe; ecdhe;
+      failure; attempts; region;
+    ] ->
       let ( let* ) = Option.bind in
       let* time = int_of_string_opt time in
       let* ok = bool_of_string_opt ok in
       let* resumed = resumption_of_string resumed in
-      let* id_set = bool_of_string_opt id_set in
+      let* cipher =
+        optional (fun c -> Option.bind (int_of_string_opt c) Tls.Types.suite_of_int) cipher
+      in
+      let* session_id_set = bool_of_string_opt id_set in
       let* trusted = bool_of_string_opt trusted in
-      let cipher =
-        if cipher = "" then None
-        else Option.bind (int_of_string_opt cipher) Tls.Types.suite_of_int
+      let* ticket_hint = optional int_of_string_opt hint in
+      (* Forward compat: archives written by a newer build may name
+         causes this build doesn't know; load them as [Unknown] rather
+         than rejecting the whole archive. *)
+      let failure =
+        if failure = "" then None
+        else Some (Option.value (Faults.Fault.of_string failure) ~default:Faults.Fault.Unknown)
       in
+      let* attempts = int_of_string_opt attempts in
       let blank_opt s = if s = "" then None else Some s in
-      let* failure =
-        match failure with
-        | None -> Some (if ok then None else Some Faults.Fault.Unknown)
-        | Some "" -> Some None
-        | Some s ->
-            (* Forward compat: archives written by a newer build may name
-               causes this build doesn't know; load them as [Unknown]
-               rather than rejecting the whole archive. *)
-            Some
-              (Some
-                 (Option.value (Faults.Fault.of_string s)
-                    ~default:Faults.Fault.Unknown))
-      in
-      let* attempts =
-        match attempts with None -> Some 1 | Some s -> int_of_string_opt s
-      in
-      let region =
-        match region with
-        | None | Some "" -> Simnet.Region.default_name
-        | Some r -> r
-      in
       Some
         {
           time;
@@ -134,36 +121,17 @@ let of_csv_row row =
           ok;
           resumed;
           cipher;
-          session_id_set = id_set;
+          session_id_set;
           session_id;
           trusted;
           stek_id = blank_opt stek;
-          ticket_hint = (if hint = "" then None else int_of_string_opt hint);
+          ticket_hint;
           dhe_value = blank_opt dhe;
           ecdhe_value = blank_opt ecdhe;
           failure;
           attempts;
-          region;
+          region = (if region = "" then Simnet.Region.default_name else region);
         }
-  in
-  match String.split_on_char ',' row with
-  | [ time; domain; ok; resumed; cipher; id_set; session_id; trusted; stek; hint; dhe; ecdhe ] ->
-      (* Legacy 12-column archive row. *)
-      parse time domain ok resumed cipher id_set session_id trusted stek hint dhe ecdhe
-        ~failure:None ~attempts:None ~region:None
-  | [
-      time; domain; ok; resumed; cipher; id_set; session_id; trusted; stek; hint; dhe; ecdhe;
-      failure; attempts;
-    ] ->
-      (* Pre-region 14-column archive row. *)
-      parse time domain ok resumed cipher id_set session_id trusted stek hint dhe ecdhe
-        ~failure:(Some failure) ~attempts:(Some attempts) ~region:None
-  | [
-      time; domain; ok; resumed; cipher; id_set; session_id; trusted; stek; hint; dhe; ecdhe;
-      failure; attempts; region;
-    ] ->
-      parse time domain ok resumed cipher id_set session_id trusted stek hint dhe ecdhe
-        ~failure:(Some failure) ~attempts:(Some attempts) ~region:(Some region)
   | _ -> None
 
 (* Atomic + checksummed like every archived artifact: a crash mid-write
@@ -193,13 +161,7 @@ let read_csv path =
            line (and future formats may add more); they are framing, not
            observations. *)
         | line :: rest when String.length line > 0 && line.[0] = '#' -> go acc first rest
-        | line :: rest
-          when first
-               && (String.equal line csv_header
-                  || String.equal line csv_header_v14
-                  || String.equal line csv_header_legacy)
-          ->
-            go acc false rest
+        | line :: rest when first && String.equal line csv_header -> go acc false rest
         | line :: rest -> (
             match of_csv_row line with
             | Some c -> go (c :: acc) false rest

@@ -40,16 +40,12 @@ val failed_conn :
 
 val csv_header : string
 
-val csv_header_v14 : string
-(** Pre-region header (no region column); rows under it load with the
-    default region. *)
-
-val csv_header_legacy : string
-(** Pre-fault-classification header (no failure/attempts/region
-    columns); all three widths load, a missing failure column on a
-    failed row maps to [Unknown]. *)
-
 val to_csv_row : conn -> string
 val of_csv_row : string -> conn option
+(** [None] unless the row has exactly the {!csv_header} columns and
+    every present field parses: a malformed cipher or ticket hint is a
+    bad row, not an absent value. An unknown failure cause loads as
+    [Unknown], and an empty region as the default vantage. *)
+
 val write_csv : string -> conn list -> unit
 val read_csv : string -> (conn list, string) result

@@ -154,8 +154,8 @@ let shards ?(target = 128) world =
 
 let stream_name shard_id = Printf.sprintf "shard-%04d" shard_id
 
-let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
-    ?(supervise = Durable.Supervisor.default) ?chaos ?obs world ~days () =
+let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Supervisor.default)
+    ?chaos ?(obs = Obs.Recorder.null) world ~days () =
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
   let day0 = start / Simnet.Clock.day in
@@ -175,7 +175,7 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
      after the join, in shard order. Counters and histograms sum and
      gauges max — commutative and associative — so the merged registry
      is independent of worker count and scheduling. *)
-  let recorders : Obs.Recorder.t option array = Array.make n_shards None in
+  let recorders = Array.make n_shards Obs.Recorder.null in
   (* A shard abandoned after exhausting its supervised restarts degrades
      into ground truth minus measurements: its domains stay present on
      the days the list carries them, every probe-derived field is empty,
@@ -204,8 +204,7 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
             weight = Simnet.World.domain_weight d;
             trusted = false;
             stable = Simnet.World.domain_stable d;
-            days =
-              (if retain_rows then Array.init days (degraded_day d) else [||]);
+            days = (if Option.is_none sink then Array.init days (degraded_day d) else [||]);
           })
         s.members;
     (* A degraded shard must still seal its row stream, or the streamed
@@ -255,15 +254,13 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
   let attempt_shard (s : shard) attempt =
     let clock = Simnet.Clock.create ~start () in
     let shard_funnel = Faults.Funnel.create () in
-    let shard_obs =
-      Option.map (fun o -> Obs.Recorder.create ~wall:(Obs.Recorder.wall_enabled o) ()) obs
-    in
+    let shard_obs = Obs.Recorder.fork obs in
     let default_probe =
-      Probe.create ~clock ?injector ?retry ~funnel:shard_funnel ?obs:shard_obs
+      Probe.create ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs
         ~seed:(Printf.sprintf "daily-default:shard:%d" s.shard_id) world
     in
     let dhe_probe =
-      Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ?obs:shard_obs world
+      Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs world
         ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
     in
     (* The row stream is reopened on every attempt: opening truncates
@@ -278,13 +275,12 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
       (* The shard span covers the shard's whole campaign on its private
          clock — [days] virtual days of simulated duration, plus the
          shard's host-clock cost when wall timing is on. *)
-      Obs.Recorder.span_opt shard_obs ~name:"campaign.shard"
+      Obs.Recorder.span shard_obs ~name:"campaign.shard"
         ~attrs:[ ("shard", string_of_int s.shard_id) ]
         ~now:(fun () -> Simnet.Clock.now clock)
         (fun () ->
-          Daily_scan.scan_stream ?sink:sink_stream ~resume:(attempt = 0) ~retain:retain_rows
-            ?obs:shard_obs ~clock ~default_probe ~dhe_probe ~domains:s.members ~days ~progress
-            ())
+          Daily_scan.scan_stream ?sink:sink_stream ~resume:(attempt = 0) ~obs:shard_obs ~clock
+            ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ())
     in
     (series, shard_funnel, shard_obs)
   in
@@ -306,11 +302,8 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(retain_rows = true)
   (* Funnel merge in shard order: commutative sums, but a fixed order
      keeps even intermediate states reproducible. *)
   Option.iter (fun f -> Array.iter (Faults.Funnel.absorb f) funnels) funnel;
-  Option.iter
-    (fun o ->
-      Obs.Recorder.gauge_max o "campaign.days" days;
-      Array.iter (function Some r -> Obs.Recorder.merge o r | None -> ()) recorders)
-    obs;
+  Obs.Recorder.gauge_max obs "campaign.days" days;
+  Array.iter (Obs.Recorder.merge obs) recorders;
   (* Leave the world clock at the campaign's end: the study's later
      experiments run after the campaign on the world clock. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));

@@ -43,7 +43,6 @@ val run :
   ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   ?sink:Stream_sink.t ->
-  ?retain_rows:bool ->
   ?supervise:Durable.Supervisor.policy ->
   ?chaos:(shard:int -> attempt:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
@@ -61,9 +60,9 @@ val run :
 
     [sink] gives every shard a row stream (["shard-0007"], reopened on
     each attempt) into which completed days are appended as they finish;
-    with [retain_rows:false] no shard holds its observation matrix in
-    memory and the returned series carry empty [days] arrays — recover
-    the campaign with {!Daily_scan.load_stream}. The sink is also the
+    no shard then holds its observation matrix in memory and the
+    returned series carry empty [days] arrays — recover the campaign with
+    {!Daily_scan.load_stream}. Without [sink] every row is returned. The sink is also the
     run's resume log: attempt 0 of each shard resumes from its stream's
     recorded prefix ({!Daily_scan.scan_stream}), so a re-run into the
     same directory restores fully-recorded shards without scanning them
@@ -72,7 +71,8 @@ val run :
     streams with degraded (probe-less, stateless) rows, so a streamed
     archive loads whenever the campaign itself completed.
 
-    [injector] is shared across shards (its decisions are pure hashes,
+    [injector] (default: {!Faults.Profile.none}, which never fires) is
+    shared across shards (its decisions are pure hashes,
     so sharing is race-free and worker-count invariant); each shard's
     probes record into a shard-private funnel, absorbed into [funnel]
     after the join in shard order — sums only, so totals are identical
@@ -90,8 +90,9 @@ val run :
     hook called at the start of every (shard, attempt, day); raising
     from it simulates a worker crash.
 
-    [obs] receives telemetry through shard-private recorders merged
-    after the join in shard order; the merge laws (counters sum, gauges
+    [obs] (default {!Obs.Recorder.null}) receives telemetry through
+    shard-private recorders ({!Obs.Recorder.fork}) merged after the
+    join in shard order; the merge laws (counters sum, gauges
     max) make the merged metrics independent of [jobs]. A crashed
     attempt's recorder is discarded with its funnel; each attempt wraps
     its scan in a [campaign.shard] span. *)

@@ -17,14 +17,13 @@ type t = {
       (* the clock this probe reads time from: the world clock for the
          study's point experiments, a shard-private clock in a campaign *)
   net : Faults.Net.t;
-      (* fault injection + retry policy + funnel; without an injector
-         this is the legacy single-attempt path *)
-  obs : Obs.Recorder.t option;
-      (* telemetry sink; [None] is the byte-identical legacy path *)
+      (* fault injection + retry policy + funnel; under [Profile.none]
+         every connection is a single attempt *)
+  obs : Obs.Recorder.t; (* telemetry; [Obs.Recorder.null] when off *)
 }
 
 let create ?(offer_suites = Tls.Types.all_cipher_suites) ?(offer_ticket = true) ?clock ?injector
-    ?retry ?funnel ?obs ~seed world =
+    ?retry ?funnel ?(obs = Obs.Recorder.null) ~seed world =
   let env = Simnet.World.env world in
   let client =
     Tls.Client.create
@@ -41,7 +40,12 @@ let create ?(offer_suites = Tls.Types.all_cipher_suites) ?(offer_ticket = true) 
       ~rng:(Crypto.Drbg.create ~seed:("probe:" ^ seed)) ()
   in
   let clock = Option.value clock ~default:(Simnet.World.clock world) in
-  let net = Faults.Net.create ?injector ?policy:retry ?funnel () in
+  let injector =
+    match injector with
+    | Some i -> i
+    | None -> Faults.Injector.create ~profile:Faults.Profile.none world
+  in
+  let net = Faults.Net.create ~injector ?policy:retry ?funnel () in
   { world; client; trust_cache = Hashtbl.create 256; env; clock; net; obs }
 
 let funnel t = Faults.Net.funnel t.net
@@ -135,54 +139,56 @@ let retry_bounds = [| 1; 2; 4; 8; 16 |]
    it never draws randomness or moves a clock, keeping the observation
    stream byte-identical with telemetry off. *)
 let record_outcome t ~now ~offer result =
-  match t.obs with
-  | None -> ()
-  | Some obs ->
-      let phase =
-        match offer with
-        | Tls.Client.Fresh -> "fresh"
-        | Tls.Client.Offer_session_id _ -> "session_id"
-        | Tls.Client.Offer_ticket _ -> "ticket"
-      in
-      Obs.Recorder.incr obs "probe.connects";
-      Obs.Recorder.event obs ~name:"probe.phase.connect" ~attrs:[ ("offer", phase) ] ~at:now ();
-      let attempts = match result with Ok (_, n) | Error (_, n) -> n in
-      Obs.Recorder.add obs "probe.attempts" attempts;
-      Obs.Recorder.observe obs "probe.retry.attempts" ~bounds:retry_bounds attempts;
-      (match result with
-      | Error _ -> Obs.Recorder.incr obs "probe.failures"
-      | Ok ((outcome : Tls.Engine.outcome), _) ->
-          if outcome.Tls.Engine.ok then Obs.Recorder.incr obs "probe.successes"
-          else Obs.Recorder.incr obs "probe.failures";
-          (match outcome.Tls.Engine.resumed with
-          | `No -> (
-              Obs.Recorder.incr obs "probe.resumed.none";
-              (* A full handshake ran a key exchange. *)
-              match outcome.Tls.Engine.cipher with
-              | None -> ()
-              | Some suite ->
-                  let kex =
-                    match Tls.Types.suite_kex suite with
-                    | Tls.Types.Dhe -> "dhe"
-                    | Tls.Types.Ecdhe -> "ecdhe"
-                    | Tls.Types.Static_ecdh -> "static_ecdh"
-                  in
-                  Obs.Recorder.incr obs ("probe.kex." ^ kex);
-                  Obs.Recorder.event obs ~name:"probe.phase.kex" ~attrs:[ ("kex", kex) ] ~at:now
-                    ())
-          | `Via_session_id ->
-              Obs.Recorder.incr obs "probe.resumed.session_id";
-              Obs.Recorder.event obs ~name:"probe.phase.resume"
-                ~attrs:[ ("via", "session_id") ] ~at:now ()
-          | `Via_ticket ->
-              Obs.Recorder.incr obs "probe.resumed.ticket";
-              Obs.Recorder.event obs ~name:"probe.phase.resume" ~attrs:[ ("via", "ticket") ]
-                ~at:now ());
-          match outcome.Tls.Engine.new_ticket with
-          | Some _ ->
-              Obs.Recorder.incr obs "probe.tickets.issued";
-              Obs.Recorder.event obs ~name:"probe.phase.ticket" ~at:now ()
-          | None -> ())
+  let obs = t.obs in
+  (* The one telemetry-on test: a null recorder would discard the
+     attribute lists and instrument names built below. *)
+  if Obs.Recorder.enabled obs then begin
+    let phase =
+      match offer with
+      | Tls.Client.Fresh -> "fresh"
+      | Tls.Client.Offer_session_id _ -> "session_id"
+      | Tls.Client.Offer_ticket _ -> "ticket"
+    in
+    Obs.Recorder.incr obs "probe.connects";
+    Obs.Recorder.event obs ~name:"probe.phase.connect" ~attrs:[ ("offer", phase) ] ~at:now ();
+    let attempts = match result with Ok (_, n) | Error (_, n) -> n in
+    Obs.Recorder.add obs "probe.attempts" attempts;
+    Obs.Recorder.observe obs "probe.retry.attempts" ~bounds:retry_bounds attempts;
+    (match result with
+    | Error _ -> Obs.Recorder.incr obs "probe.failures"
+    | Ok ((outcome : Tls.Engine.outcome), _) ->
+        if outcome.Tls.Engine.ok then Obs.Recorder.incr obs "probe.successes"
+        else Obs.Recorder.incr obs "probe.failures";
+        (match outcome.Tls.Engine.resumed with
+        | `No -> (
+            Obs.Recorder.incr obs "probe.resumed.none";
+            (* A full handshake ran a key exchange. *)
+            match outcome.Tls.Engine.cipher with
+            | None -> ()
+            | Some suite ->
+                let kex =
+                  match Tls.Types.suite_kex suite with
+                  | Tls.Types.Dhe -> "dhe"
+                  | Tls.Types.Ecdhe -> "ecdhe"
+                  | Tls.Types.Static_ecdh -> "static_ecdh"
+                in
+                Obs.Recorder.incr obs ("probe.kex." ^ kex);
+                Obs.Recorder.event obs ~name:"probe.phase.kex" ~attrs:[ ("kex", kex) ] ~at:now
+                  ())
+        | `Via_session_id ->
+            Obs.Recorder.incr obs "probe.resumed.session_id";
+            Obs.Recorder.event obs ~name:"probe.phase.resume"
+              ~attrs:[ ("via", "session_id") ] ~at:now ()
+        | `Via_ticket ->
+            Obs.Recorder.incr obs "probe.resumed.ticket";
+            Obs.Recorder.event obs ~name:"probe.phase.resume" ~attrs:[ ("via", "ticket") ]
+              ~at:now ());
+        match outcome.Tls.Engine.new_ticket with
+        | Some _ ->
+            Obs.Recorder.incr obs "probe.tickets.issued";
+            Obs.Recorder.event obs ~name:"probe.phase.ticket" ~at:now ()
+        | None -> ())
+  end
 
 let connect ?(offer = Tls.Client.Fresh) t ~domain =
   let now = Simnet.Clock.now t.clock in

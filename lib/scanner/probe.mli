@@ -10,7 +10,7 @@ type t = {
   env : Tls.Config.env;
   clock : Simnet.Clock.t;
   net : Faults.Net.t;
-  obs : Obs.Recorder.t option;
+  obs : Obs.Recorder.t;
 }
 
 val create :
@@ -25,12 +25,12 @@ val create :
   Simnet.World.t ->
   t
 (** [clock] defaults to the world clock; a campaign gives each shard's
-    probes a private clock instead. Without [injector] the probe makes
-    exactly one attempt per connection (the legacy path); [funnel]
-    shares loss telemetry across probes of one run.
-    [obs] collects probe counters and handshake-phase spans; it only
-    reads outcomes, so the observation stream is byte-identical with it
-    absent. *)
+    probes a private clock instead. [injector] defaults to one with
+    {!Faults.Profile.none}, under which every connection is a single
+    attempt; [funnel] shares loss telemetry across probes of one run.
+    [obs] (default {!Obs.Recorder.null}) collects probe counters and
+    handshake-phase spans; it only reads outcomes, so the observation
+    stream is the same whichever recorder the probe gets. *)
 
 val funnel : t -> Faults.Funnel.t
 

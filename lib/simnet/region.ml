@@ -11,7 +11,8 @@
 type t = string
 
 (* The first region is the default vantage — the one the original study
-   scanned from, and the one every legacy archive is attributed to. *)
+   scanned from, and the one an archived row with an empty region is
+   attributed to. *)
 let all : t list = [ "us-east"; "eu-west"; "ap-south"; "sa-east"; "af-north" ]
 let default_name : t = "us-east"
 let is_valid r = List.mem r all

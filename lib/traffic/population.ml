@@ -127,8 +127,8 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
         u.next_chain
     | _ -> ( match Hashtbl.find_opt u.chains scope with Some c -> c | None -> 0)
   in
-  Obs.Recorder.incr_opt obs "traffic.connects";
-  (Obs.Recorder.incr_opt obs
+  Obs.Recorder.incr obs "traffic.connects";
+  (Obs.Recorder.incr obs
      (match offered with
      | Row.O_fresh -> "traffic.offer.fresh"
      | Row.O_session_id -> "traffic.offer.session_id"
@@ -147,14 +147,14 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
           | `Via_ticket -> Row.R_ticket),
           o.Tls.Engine.new_ticket <> None )
   in
-  (Obs.Recorder.incr_opt obs
+  (Obs.Recorder.incr obs
      (if not ok then "traffic.failed"
       else
         match resumed with
         | Row.R_no -> "traffic.resumed.none"
         | Row.R_session_id -> "traffic.resumed.session_id"
         | Row.R_ticket -> "traffic.resumed.ticket"));
-  Obs.Recorder.gauge_max_opt obs "traffic.store.size" (Tls.Client_store.size u.store);
+  Obs.Recorder.gauge_max obs "traffic.store.size" (Tls.Client_store.size u.store);
   prune_chains ~now:time u;
   {
     Row.time;
@@ -170,7 +170,9 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
     chain;
   }
 
-let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) ~retain =
+let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) =
+  (* Rows stay in memory exactly when there is no sink to hold them. *)
+  let retain = Option.is_none sink in
   let world = Simnet.World.create ~config:cfg.world () in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -234,7 +236,7 @@ let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) ~retain =
         if first_seen.(i) < 0 then first_seen.(i) <- time;
         last_seen.(i) <- time;
         u.pages <- u.pages + 1;
-        Obs.Recorder.incr_opt shard_obs "traffic.pages";
+        Obs.Recorder.incr shard_obs "traffic.pages";
         let primary_host = page.Browse.p_primary in
         let emit row = day_rows := row :: !day_rows in
         emit
@@ -250,18 +252,14 @@ let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) ~retain =
     (* One aggregated span per active user-day: browsing window on the
        simulated clock. Recorded directly (the spans of one user's day
        interleave with other users', so no closure wraps them). *)
-    (match shard_obs with
-    | Some o ->
-        let tr = Obs.Recorder.trace o in
-        Array.iteri
-          (fun i first ->
-            if first >= 0 then begin
-              Obs.Trace.record tr ~name:"traffic.user_day" ~sim_start:first
-                ~sim_end:last_seen.(i) ();
-              Obs.Recorder.incr o "traffic.user_days"
-            end)
-          first_seen
-    | None -> ());
+    Array.iteri
+      (fun i first ->
+        if first >= 0 then begin
+          Obs.Recorder.record_span shard_obs ~name:"traffic.user_day" ~sim_start:first
+            ~sim_end:last_seen.(i) ();
+          Obs.Recorder.incr shard_obs "traffic.user_days"
+        end)
+      first_seen;
     let rows = List.rev !day_rows in
     total := !total + List.length rows;
     Option.iter (fun st -> Traffic_sink.append_day st ~day rows) sink_stream;
@@ -287,14 +285,14 @@ type result = {
   total_rows : int;
 }
 
-let run ?jobs ?sink ?(retain_rows = true) ?chaos ?obs cfg =
+let run ?jobs ?sink ?chaos ?(obs = Obs.Recorder.null) cfg =
   validate cfg;
   let shard_arr = shards cfg in
   let n_shards = Array.length shard_arr in
   let outcomes =
     Array.make n_shards { so_rows = []; so_hosts = []; so_count = 0 }
   in
-  let recorders : Obs.Recorder.t option array = Array.make n_shards None in
+  let recorders = Array.make n_shards Obs.Recorder.null in
   let run_shard (s : shard) =
     let skip =
       match sink with
@@ -303,33 +301,20 @@ let run ?jobs ?sink ?(retain_rows = true) ?chaos ?obs cfg =
             ~days:cfg.days
       | None -> false
     in
-    if skip then
-      (* Already spooled by a previous (interrupted) run: leave the bytes
-         untouched. Rows are decoded back only if the caller retains. *)
-      outcomes.(s.shard_id) <-
-        (if retain_rows then
-           match
-             Traffic_sink.read_shard ~dir:(Traffic_sink.dir (Option.get sink))
-               ~shard:s.shard_id
-           with
-           | Ok (rows, (_, _, hosts)) ->
-               { so_rows = rows; so_hosts = hosts; so_count = List.length rows }
-           | Error e -> failwith e
-         else { so_rows = []; so_hosts = []; so_count = 0 })
-    else begin
-      let shard_obs =
-        Option.map (fun o -> Obs.Recorder.create ~wall:(Obs.Recorder.wall_enabled o) ()) obs
-      in
+    (* Already spooled by a previous (interrupted) run: leave the bytes
+       untouched; the rows are read back from the sink. *)
+    if not skip then begin
+      let shard_obs = Obs.Recorder.fork obs in
       (* The shard span covers the whole shard — world construction
          included, since the scheduler pays for it too. Simulated time is
          read off a clock that exists only once the world does. *)
       let sim_now = ref cfg.world.Simnet.World.start_time in
       let outcome =
-        Obs.Recorder.span_opt shard_obs ~name:"traffic.shard"
+        Obs.Recorder.span shard_obs ~name:"traffic.shard"
           ~attrs:[ ("shard", string_of_int s.shard_id) ]
           ~now:(fun () -> !sim_now)
           (fun () ->
-            let o = simulate_shard cfg ?sink ?chaos ~shard_obs s ~retain:retain_rows in
+            let o = simulate_shard cfg ?sink ?chaos ~shard_obs s in
             sim_now := cfg.world.Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
             o)
       in
@@ -340,12 +325,9 @@ let run ?jobs ?sink ?(retain_rows = true) ?chaos ?obs cfg =
   Scanner.Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
   (* Merge in shard order: counters sum and gauges max commutatively, but
      a fixed order keeps intermediate states reproducible too. *)
-  Option.iter
-    (fun o ->
-      Obs.Recorder.gauge_max o "traffic.days" cfg.days;
-      Obs.Recorder.gauge_max o "traffic.users" cfg.users;
-      Array.iter (function Some r -> Obs.Recorder.merge o r | None -> ()) recorders)
-    obs;
+  Obs.Recorder.gauge_max obs "traffic.days" cfg.days;
+  Obs.Recorder.gauge_max obs "traffic.users" cfg.users;
+  Array.iter (Obs.Recorder.merge obs) recorders;
   let hosts =
     Array.fold_left
       (fun acc o -> match acc with [] -> o.so_hosts | _ -> acc)

@@ -20,12 +20,13 @@
     {2 Streaming and resume}
 
     With a {!Traffic_sink}, each simulated day's rows are spooled as the
-    day completes and (with [retain_rows:false]) nothing row-shaped is
-    kept in memory: RSS is bounded by [jobs] × (one world replica + one
-    shard's user state), independent of the total user count. A shard
-    whose spool is already complete for the whole run is skipped with
-    its bytes untouched, so re-running after a crash yields an archive
-    byte-identical to an uninterrupted run. *)
+    day completes and nothing row-shaped is kept in memory: RSS is
+    bounded by [jobs] × (one world replica + one shard's user state),
+    independent of the total user count. A shard whose spool is already
+    complete for the whole run is skipped with its bytes untouched, so
+    re-running after a crash yields an archive byte-identical to an
+    uninterrupted run. Read a streamed run's rows back through
+    {!Traffic_sink}. *)
 
 (** How a user scopes resumption state (the Sy et al. axis): [Strict]
     keys the client store by exact hostname; [Cross_operator] shares
@@ -64,7 +65,7 @@ val shards : config -> shard array
 type result = {
   n_shards : int;
   rows : Row.t list array;
-      (** per shard, in event order; empty when not retained *)
+      (** per shard, in event order; empty when streamed to a sink *)
   hosts : (string * Row.host_info) list;
       (** browsable domains with rank/weight/operator *)
   total_rows : int;
@@ -73,10 +74,10 @@ type result = {
 val run :
   ?jobs:int ->
   ?sink:Traffic_sink.t ->
-  ?retain_rows:bool ->
   ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   config ->
   result
 (** Raises on invalid configs; propagates shard exceptions (a crashed
-    run with a sink can simply be re-run — see resume above). *)
+    run with a sink can simply be re-run — see resume above). [obs]
+    defaults to {!Obs.Recorder.null}. *)

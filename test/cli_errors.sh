@@ -44,6 +44,11 @@ check "bad fault profile" "unknown fault profile" \
   "$exe" campaign --domains 1500 --days 1 --fault-profile warp
 check "traffic bad users" "--users must be at least 1" \
   "$exe" traffic --users 0 --domains 1500 --days 1
+# TLSHARM_JOBS is parsed and validated exactly like --jobs.
+check "non-integer TLSHARM_JOBS" "TLSHARM_JOBS" \
+  env TLSHARM_JOBS=abc "$exe" campaign --domains 1500 --days 1
+check "zero TLSHARM_JOBS" "--jobs must be at least 1 (got 0)" \
+  env TLSHARM_JOBS=0 "$exe" campaign --domains 1500 --days 1
 
 corrupt=$(mktemp /tmp/tlsharm-corrupt-XXXXXX.csv)
 printf 'not,a,campaign\n' >"$corrupt"

@@ -529,9 +529,10 @@ let loaded_bytes dir =
 
 (* One campaign streamed into the run log at [dir]. The default manifest
    pins the day range, as the CLI's does; a resume re-creates the sink
-   with the same manifest and re-attaches. *)
-let run_streamed ?chaos ?obs ?manifest ?(retain_rows = true) ?(config = serial_config)
-    ?(days = serial_days) ?(jobs = 1) dir =
+   with the same manifest and re-attaches. A streamed run keeps no rows
+   in memory: read the archive back with [loaded_bytes dir]. *)
+let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial_days) ?(jobs = 1)
+    dir =
   let w = Simnet.World.create ~config () in
   let manifest =
     match manifest with
@@ -541,7 +542,7 @@ let run_streamed ?chaos ?obs ?manifest ?(retain_rows = true) ?(config = serial_c
         [ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ]
   in
   let sink = create_sink ~manifest dir in
-  Scanner.Parallel_campaign.run ~jobs ~sink ~retain_rows ?chaos ?obs w ~days ()
+  ignore (Scanner.Parallel_campaign.run ~jobs ~sink ?chaos ?obs w ~days ())
 
 let serial_reference =
   lazy
@@ -571,26 +572,24 @@ let test_serial_kill_resume_identity () =
             (Printf.sprintf "k=%d days survive the kill" k)
             (k, false)
             (List.length blocks, complete);
-          let resumed = run_streamed dir in
+          run_streamed dir;
           Alcotest.(check bool)
             (Printf.sprintf "resume after day %d is byte-identical" k)
             true
-            (String.equal (archive_bytes resumed) reference
-            && String.equal (loaded_bytes dir) reference);
+            (String.equal (loaded_bytes dir) reference);
           (* The completed log now restores without probing. *)
           let obs = Obs.Recorder.create () in
-          let restored = run_streamed ~obs dir in
+          run_streamed ~obs dir;
           Alcotest.(check int) "full restore makes no probe" 0
             (Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects");
           Alcotest.(check bool) "full restore is byte-identical" true
-            (String.equal (archive_bytes restored) reference
-            && String.equal (loaded_bytes dir) reference)))
+            (String.equal (loaded_bytes dir) reference)))
     [ 1; 2; serial_days - 1 ]
 
 let test_serial_corrupt_newest_falls_back () =
   let reference = Lazy.force serial_reference in
   with_temp_dir (fun dir ->
-      ignore (run_streamed dir);
+      run_streamed dir;
       (* Damage the newest day block: the archive must stop loading, and
          resume must fall back to the last valid day and still converge
          on the same archive. *)
@@ -601,13 +600,13 @@ let test_serial_corrupt_newest_falls_back () =
       (match Scanner.Daily_scan.load_stream dir with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "a damaged block must not load");
-      ignore (run_streamed dir);
+      run_streamed dir;
       Alcotest.(check bool) "resume past corruption is byte-identical" true
         (String.equal (loaded_bytes dir) reference))
 
 let test_resume_wrong_world_mismatches () =
   with_temp_dir (fun dir ->
-      ignore (run_streamed ~manifest:manifest_fixture ~days:2 dir);
+      run_streamed ~manifest:manifest_fixture ~days:2 dir;
       (* Same log, different world: the replay byte-compare must refuse
          to graft this run onto the recorded blocks. *)
       match
@@ -631,9 +630,9 @@ let parallel_reference =
      archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:parallel_days ()))
 
 (* Kill the worker mid-shard: shard 1, start of day 1. *)
-let kill_parallel ?retain_rows dir =
+let kill_parallel dir =
   match
-    run_streamed ?retain_rows ~config:parallel_config ~days:parallel_days
+    run_streamed ~config:parallel_config ~days:parallel_days
       ~chaos:(fun ~shard ~attempt:_ ~day ->
         if shard = 1 && day = 1 then raise Durable.Supervisor.Killed)
       dir
@@ -646,14 +645,14 @@ let test_parallel_kill_resume_identity () =
   with_temp_dir (fun dir ->
       kill_parallel dir;
       (* Resume at a different worker count than the killed run. *)
-      let resumed = run_streamed ~config:parallel_config ~days:parallel_days ~jobs:4 dir in
+      run_streamed ~config:parallel_config ~days:parallel_days ~jobs:4 dir;
       Alcotest.(check bool) "resume with jobs=4 is byte-identical" true
-        (String.equal (archive_bytes resumed) reference);
+        (String.equal (loaded_bytes dir) reference);
       (* Every shard is now fully recorded: a further resume (back at
          jobs=1) restores without scanning and still matches. *)
-      let restored = run_streamed ~config:parallel_config ~days:parallel_days dir in
+      run_streamed ~config:parallel_config ~days:parallel_days dir;
       Alcotest.(check bool) "full restore with jobs=1 is byte-identical" true
-        (String.equal (archive_bytes restored) reference))
+        (String.equal (loaded_bytes dir) reference))
 
 (* --- Spool framing ------------------------------------------------------------------ *)
 
@@ -716,23 +715,22 @@ let spool_files dir =
   |> List.map (fun n -> (n, Digest.to_hex (Digest.file (Filename.concat dir n))))
 
 let test_streamed_kill_resume_identity () =
-  (* With no rows retained, the run log alone carries the campaign: kill
-     mid-campaign, resume (at a different worker count) into the same
-     directory, and the directory ends file-for-file identical to an
-     uninterrupted run's, reassembling to the in-memory archive. *)
+  (* A streamed run keeps no rows, so the run log alone carries the
+     campaign: kill mid-campaign, resume (at a different worker count)
+     into the same directory, and the directory ends file-for-file
+     identical to an uninterrupted run's, reassembling to the in-memory
+     archive. *)
   let reference = Lazy.force parallel_reference in
   with_temp_dir (fun dir ->
       let killed = Filename.concat dir "killed" and clean = Filename.concat dir "clean" in
-      kill_parallel ~retain_rows:false killed;
+      kill_parallel killed;
       (* The killed run leaves footer-less spools behind; the loader must
          refuse them rather than serve a partial archive. *)
       (match Scanner.Daily_scan.load_stream killed with
       | Ok _ -> Alcotest.fail "interrupted streamed archive must not load"
       | Error _ -> ());
-      ignore
-        (run_streamed ~retain_rows:false ~config:parallel_config ~days:parallel_days ~jobs:4
-           killed);
-      ignore (run_streamed ~retain_rows:false ~config:parallel_config ~days:parallel_days clean);
+      run_streamed ~config:parallel_config ~days:parallel_days ~jobs:4 killed;
+      run_streamed ~config:parallel_config ~days:parallel_days clean;
       Alcotest.(check (list (pair string string))) "resumed run log equals the clean one"
         (spool_files clean) (spool_files killed);
       Alcotest.(check bool) "streamed resume is byte-identical" true
@@ -752,7 +750,7 @@ let damage_corpus =
      Sys.mkdir root 0o755;
      at_exit (fun () -> rm_rf root);
      let campaign = Filename.concat root "campaign" and traffic = Filename.concat root "traffic" in
-     ignore (run_streamed ~retain_rows:false ~config:parallel_config ~days:2 campaign);
+     run_streamed ~config:parallel_config ~days:2 campaign;
      let cfg =
        {
          Traffic.Population.default_config with
@@ -773,7 +771,7 @@ let damage_corpus =
        | Ok s -> s
        | Error e -> failwith e
      in
-     ignore (Traffic.Population.run ~jobs:1 ~sink ~retain_rows:false cfg);
+     ignore (Traffic.Population.run ~jobs:1 ~sink cfg);
      (campaign, traffic))
 
 let prop_stream_loaders_typed =

@@ -2,7 +2,7 @@
    exhaustion vs. outage recovery, the stream-isolation invariant
    (enabling faults leaves surviving observations byte-identical),
    worker-count invariance of faulty parallel campaigns, funnel
-   arithmetic, and legacy CSV compatibility. *)
+   arithmetic, and the refusal of pre-fault CSV rows. *)
 
 let world_config =
   { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "faults-test" }
@@ -398,42 +398,18 @@ let test_funnel_accounting () =
 
 (* --- CSV compatibility ----------------------------------------------------------------- *)
 
-(* A 12-column row as the pre-fault scanner wrote it. *)
+(* A 12-column row as the pre-fault scanner wrote it: the observation CSV
+   now has one header, so such a row is refused, not loaded with a
+   guessed failure cause and attempt count. *)
 let legacy_row obs =
   String.concat ","
     (List.filteri (fun i _ -> i < 12) (String.split_on_char ',' (Scanner.Observation.to_csv_row obs)))
 
 let test_legacy_csv_rows () =
-  let ok_obs =
-    {
-      Scanner.Observation.time = 77;
-      domain = "legacy.example";
-      ok = true;
-      resumed = Scanner.Observation.No_resumption;
-      cipher = Some Tls.Types.ECDHE_ECDSA_AES128_SHA256;
-      session_id_set = false;
-      session_id = "";
-      trusted = true;
-      stek_id = None;
-      ticket_hint = None;
-      dhe_value = None;
-      ecdhe_value = Some "0a0b";
-      failure = None;
-      attempts = 1;
-      region = Simnet.Region.default_name;
-    }
-  in
   let failed_obs = Scanner.Observation.failed_conn ~time:9 ~domain:"down.example" () in
-  (match Scanner.Observation.of_csv_row (legacy_row ok_obs) with
-  | Some c -> Alcotest.(check bool) "legacy ok row loads unchanged" true (c = ok_obs)
-  | None -> Alcotest.fail "legacy ok row did not parse");
-  (match Scanner.Observation.of_csv_row (legacy_row failed_obs) with
-  | Some c ->
-      Alcotest.(check bool) "legacy failed row maps to Unknown" true
-        (c.Scanner.Observation.failure = Some Faults.Fault.Unknown);
-      Alcotest.(check int) "legacy rows imply one attempt" 1 c.Scanner.Observation.attempts
-  | None -> Alcotest.fail "legacy failed row did not parse");
-  (* And the new schema round-trips the fault fields. *)
+  Alcotest.(check bool) "12-column row refused" true
+    (Scanner.Observation.of_csv_row (legacy_row failed_obs) = None);
+  (* The current schema round-trips the fault fields. *)
   let faulted =
     Scanner.Observation.failed_conn ~failure:Faults.Fault.Endpoint_outage ~attempts:3 ~time:9
       ~domain:"down.example" ()

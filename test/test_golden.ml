@@ -66,7 +66,7 @@ let test_stream_byte_identity () =
         | Ok s -> s
         | Error e -> Alcotest.fail e
       in
-      ignore (Scanner.Parallel_campaign.run ~jobs:1 ~sink ~retain_rows:false world ~days:2 ());
+      ignore (Scanner.Parallel_campaign.run ~jobs:1 ~sink world ~days:2 ());
       match Scanner.Daily_scan.load_stream dir with
       | Ok campaign -> check_golden campaign
       | Error e -> Alcotest.fail e)

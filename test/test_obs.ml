@@ -43,6 +43,31 @@ let test_merge_with_empty_is_identity () =
   Alcotest.(check string) "merging an empty registry changes nothing" before
     (Obs.Metrics.to_json_string m)
 
+(* The null recorder is shared by every worker domain: nothing done to or
+   through it may leave a trace, in it or in a live recorder. *)
+let test_null_recorder_records_nothing () =
+  let module R = Obs.Recorder in
+  let empty = R.metrics_json_string (R.create ()) in
+  let empty_trace = R.trace_json_string (R.create ()) in
+  let null = R.fork R.null in
+  Alcotest.(check bool) "fork of null is null" false (R.enabled null);
+  R.incr R.null "c";
+  R.add R.null "c" 2;
+  R.gauge_max R.null "g" 3;
+  R.observe R.null "h" ~bounds 1;
+  R.event R.null ~name:"e" ~at:5 ();
+  Alcotest.(check int) "span null f is f ()" 7
+    (R.span R.null ~name:"s" ~now:(fun () -> 0) (fun () -> 7));
+  let live = R.create () in
+  R.incr live "c";
+  let live_metrics = R.metrics_json_string live in
+  R.merge R.null live;
+  R.merge live R.null;
+  Alcotest.(check string) "null holds no metrics" empty (R.metrics_json_string R.null);
+  Alcotest.(check string) "null holds no spans" empty_trace (R.trace_json_string R.null);
+  Alcotest.(check string) "merging null changes nothing" live_metrics (R.metrics_json_string live);
+  Alcotest.(check bool) "fork of a live recorder is live" true (R.enabled (R.fork live))
+
 (* --- Merge is commutative and associative ----------------------------------------- *)
 
 (* Random registries are built from op lists; the name prefixes keep each
@@ -189,6 +214,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_metrics_basics;
           Alcotest.test_case "kind clash rejected" `Quick test_metrics_kind_clash;
           Alcotest.test_case "empty merge is identity" `Quick test_merge_with_empty_is_identity;
+          Alcotest.test_case "null recorder records nothing" `Quick
+            test_null_recorder_records_nothing;
           Alcotest.test_case "trace merge order independent" `Quick
             test_trace_merge_order_independent;
         ] );

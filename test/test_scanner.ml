@@ -52,6 +52,30 @@ let test_csv_file_roundtrip () =
       | Ok read -> Alcotest.(check bool) "file roundtrip" true (read = conns)
       | Error e -> Alcotest.fail e)
 
+(* A present field that does not parse makes the row bad; it must not
+   load as an absent value. *)
+let test_csv_rejects_malformed_fields () =
+  let fields = Array.of_list (String.split_on_char ',' (Scanner.Observation.to_csv_row sample_conn)) in
+  List.iter
+    (fun (what, column, value) ->
+      let f = Array.copy fields in
+      f.(column) <- value;
+      let row = String.concat "," (Array.to_list f) in
+      Alcotest.(check bool) (what ^ " rejected") true (Scanner.Observation.of_csv_row row = None);
+      let path = Filename.temp_file "tlsharm" ".csv" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out path in
+          output_string oc (Scanner.Observation.csv_header ^ "\n" ^ row ^ "\n");
+          close_out oc;
+          match Scanner.Observation.read_csv path with
+          | Ok _ -> Alcotest.fail (what ^ " loaded")
+          | Error e ->
+              Alcotest.(check bool) (what ^ " is a bad row") true
+                (String.starts_with ~prefix:"bad CSV row" e)))
+    [ ("ticket hint zz", 9, "zz"); ("cipher abc", 4, "abc"); ("unknown cipher 65535", 4, "65535") ]
+
 let prop_csv_roundtrip =
   QCheck2.Test.make ~name:"conn CSV roundtrip" ~count:200
     QCheck2.Gen.(
@@ -324,6 +348,19 @@ let test_load_rejects_bad_metadata () =
       | Ok _ -> Alcotest.fail "negative start_day must be rejected"
       | Error _ -> ())
 
+let test_load_rejects_bad_ticket_hint () =
+  let path = Filename.temp_file "tlsharm" ".campaign.csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path
+        ("#tlsharm-campaign,start_day=0,n_days=2\n" ^ Scanner.Daily_scan.csv_header ^ "\n"
+       ^ "a.example,1,1,true,true,0,true,true,ab,zz,,false,\n");
+      match Scanner.Daily_scan.load path with
+      | Ok _ -> Alcotest.fail "a ticket hint of zz must be rejected"
+      | Error e ->
+          Alcotest.(check bool) "a bad row" true (String.starts_with ~prefix:"campaign: bad row" e))
+
 let test_load_rejects_out_of_range_day () =
   let path = Filename.temp_file "tlsharm" ".campaign.csv" in
   Fun.protect
@@ -481,13 +518,18 @@ let make_sink w dir ~days =
 
 let test_stream_matches_archive () =
   (* A streamed 1-worker campaign reassembles to the byte-identical CSV
-     the in-memory path would have saved. *)
+     the same campaign run without a sink saves. *)
   with_temp_dir (fun dir ->
       let days = 2 in
+      let direct =
+        archive_bytes
+          (Scanner.Parallel_campaign.run ~jobs:1
+             (Simnet.World.create ~config:parallel_world_config ())
+             ~days ())
+      in
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days in
-      let t = Scanner.Parallel_campaign.run ~jobs:1 ~sink w ~days () in
-      let direct = archive_bytes t in
+      ignore (Scanner.Parallel_campaign.run ~jobs:1 ~sink w ~days ());
       Alcotest.(check bool) "rows streamed" true (Scanner.Stream_sink.rows_written sink > 0);
       match Scanner.Daily_scan.load_stream dir with
       | Error e -> Alcotest.fail e
@@ -497,14 +539,14 @@ let test_stream_matches_archive () =
 
 let test_stream_jobs_invariant () =
   (* Worker count must not leak into the streamed bytes: every per-shard
-     spool is byte-identical between jobs=1 and jobs=4, and with
-     retain_rows:false nothing row-shaped stays in memory. *)
+     spool is byte-identical between jobs=1 and jobs=4, and a streamed
+     run keeps nothing row-shaped in memory. *)
   let days = 2 in
   let run_streamed jobs dir =
     let w = Simnet.World.create ~config:parallel_world_config () in
     let sink = make_sink w dir ~days in
-    let t = Scanner.Parallel_campaign.run ~jobs ~sink ~retain_rows:false w ~days () in
-    Alcotest.(check int) "retain_rows:false keeps no day rows" 0
+    let t = Scanner.Parallel_campaign.run ~jobs ~sink w ~days () in
+    Alcotest.(check int) "a streamed run keeps no day rows" 0
       (Array.fold_left
          (fun acc (s : Scanner.Daily_scan.domain_series) ->
            acc + Array.length s.Scanner.Daily_scan.days)
@@ -634,35 +676,24 @@ let test_cross_vantage_rejects_bad_config () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty region list accepted"
 
-(* A pre-region archive (14-column header, no region column) loads with
-   every row attributed to the default vantage. *)
+(* The observation CSV has one header. A pre-region archive (14-column
+   header, no region column) is refused with a typed error naming the
+   row, never loaded with guessed values. *)
 let test_pre_region_csv_loads () =
-  let row14 =
-    String.concat ","
-      (List.filteri
-         (fun i _ -> i < 14)
-         (String.split_on_char ',' (Scanner.Observation.to_csv_row sample_conn)))
-  in
-  (match Scanner.Observation.of_csv_row row14 with
-  | Some c ->
-      Alcotest.(check string) "default region" Simnet.Region.default_name
-        c.Scanner.Observation.region;
-      Alcotest.(check bool) "rest of the row intact" true
-        (c = { sample_conn with Scanner.Observation.region = Simnet.Region.default_name })
-  | None -> Alcotest.fail "14-column row did not parse");
+  let first n line = String.concat "," (List.filteri (fun i _ -> i < n) (String.split_on_char ',' line)) in
+  let row14 = first 14 (Scanner.Observation.to_csv_row sample_conn) in
+  Alcotest.(check bool) "14-column row refused" true (Scanner.Observation.of_csv_row row14 = None);
   let path = Filename.temp_file "tlsharm-v14" ".csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc (Scanner.Observation.csv_header_v14 ^ "\n" ^ row14 ^ "\n");
+      output_string oc (first 14 Scanner.Observation.csv_header ^ "\n" ^ row14 ^ "\n");
       close_out oc;
       match Scanner.Observation.read_csv path with
-      | Ok [ c ] ->
-          Alcotest.(check string) "file row gets default region" Simnet.Region.default_name
-            c.Scanner.Observation.region
-      | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
-      | Error e -> Alcotest.fail e)
+      | Ok _ -> Alcotest.fail "a 14-column archive must not load"
+      | Error e ->
+          Alcotest.(check bool) "a bad row" true (String.starts_with ~prefix:"bad CSV row" e))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -673,6 +704,8 @@ let () =
         [
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
+          Alcotest.test_case "csv rejects malformed fields" `Quick
+            test_csv_rejects_malformed_fields;
         ] );
       qsuite "observation-properties" [ prop_csv_roundtrip ];
       ( "burst",
@@ -691,6 +724,8 @@ let () =
           Alcotest.test_case "campaign" `Slow test_daily_scan;
           Alcotest.test_case "save/load" `Slow test_campaign_save_load;
           Alcotest.test_case "load rejects bad metadata" `Quick test_load_rejects_bad_metadata;
+          Alcotest.test_case "load rejects bad ticket hint" `Quick
+            test_load_rejects_bad_ticket_hint;
           Alcotest.test_case "load rejects out-of-range day" `Quick
             test_load_rejects_out_of_range_day;
         ] );
