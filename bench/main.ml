@@ -1,99 +1,48 @@
-(* The reproduction harness: regenerates every table and figure of the
-   paper's evaluation against a freshly simulated world, prints the
-   Section 7.2 target analysis and the Section 8.2 mitigation ablations,
-   and runs a bechamel microbenchmark suite over the cryptographic
-   operations the crypto shortcuts exist to avoid.
+(* The crypto-kernel bench: a bechamel table of what full handshakes,
+   resumptions, the ticket machinery and the raw primitives cost — the
+   performance incentive the paper weighs against the shortcuts'
+   forward-secrecy harm — and the optimized kernels timed against their
+   retained seed-era references, gated against a committed baseline.
+   End-to-end campaign and traffic timing lives in perfbench/, and every
+   table and figure of the evaluation runs through `tlsharm experiment`.
 
    Usage:
-     bench/main.exe                 run everything
-     bench/main.exe t1 f3 google    run selected experiments
-     bench/main.exe micro           microbenchmarks only (writes BENCH_crypto.json)
-     bench/main.exe ablations       section 8.2 what-ifs only
-     bench/main.exe parallel        1-worker vs N-worker campaign wall-clock
-     bench/main.exe traffic         client-population runner throughput + speedup
-     bench/main.exe phases          per-phase campaign telemetry breakdown
-     bench/main.exe faults          fault-injected campaign + loss funnel
+     bench/main.exe                 both entries, in order
+     bench/main.exe micro           both tables; writes BENCH_crypto.json
      bench/main.exe check-baseline  compare BENCH_crypto.json to BENCH_baseline.json
 
-   The `micro`, `parallel`, `traffic` and `phases` entries additionally
-   emit machine-readable results to BENCH_crypto.json ("kernels",
-   "campaign", "traffic" and "phases" sections respectively; see
-   README.md for the format), and `check-baseline` exits nonzero if any
-   kernel regressed more than 2x against the committed baseline — the
-   CI bench smoke step.
+   `check-baseline` exits nonzero if any kernel runs at less than half
+   its baseline ops/sec or a headline kernel loses its speedup over the
+   seed-era reference — the CI bench smoke step. See README.md for the
+   file format.
 
    Environment:
-     TLSHARM_DOMAINS   sampled world size (default 4000)
-     TLSHARM_DAYS      campaign length in days (default 63)
-     TLSHARM_SEED      world seed (default "tlsharm")
-     TLSHARM_JOBS      campaign worker domains (default 1 for the study tables;
-                       the `parallel` and `traffic` entries gate their scheduled
-                       speedup at this worker count, defaulting to
-                       max 2 (recommended cores))
-     TLSHARM_BENCH_MS  per-kernel timing budget in ms (default 200; CI uses
-                       a reduced budget)
-     TLSHARM_TRAFFIC_USERS / _SHARD / _DAYS
-                       traffic bench population shape (default 1024 users,
-                       128-user shards, 3 days) *)
+     TLSHARM_BENCH_MS   per-kernel timing budget in ms, at least 1
+                        (default 200; CI uses a reduced budget)
+     TLSHARM_BENCH_OUT  the file `micro` writes and `check-baseline`
+                        reads (default BENCH_crypto.json) *)
 
-let env_int name default =
+let bench_ms () =
+  let name = "TLSHARM_BENCH_MS" in
   match Sys.getenv_opt name with
-  | None -> default
+  | None -> 200
   | Some v -> (
       match int_of_string_opt v with
-      | Some n -> n
+      | Some n when n >= 1 -> n
+      | Some _ ->
+          Printf.eprintf "bench: %s=%S must be >= 1\n" name v;
+          exit 2
       | None ->
           Printf.eprintf "bench: %s=%S is not an integer\n" name v;
           exit 2)
 
-let study_config () =
-  {
-    Tlsharm.Study.world_config =
-      {
-        Simnet.World.default_config with
-        Simnet.World.n_domains = env_int "TLSHARM_DOMAINS" 4000;
-        seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-      };
-    campaign_days = env_int "TLSHARM_DAYS" 63;
-    jobs = env_int "TLSHARM_JOBS" 1;
-    verbose = true;
-    (* The bench study stays fault-free so every table and figure is
-       byte-identical to the pre-fault harness; the dedicated "faults"
-       entry below exercises injection explicitly. *)
-    fault_profile = Faults.Profile.none;
-    retry = Faults.Retry.default;
-    obs = Obs.Recorder.null;
-  }
-
-let study = lazy (Tlsharm.Study.create ~config:(study_config ()) ())
-
-(* --- Section 7.2 ------------------------------------------------------------- *)
-
-let google_analysis () =
-  let study = Lazy.force study in
-  let a = Tlsharm.Target_analysis.analyze study ~operator:"google" ~flagship:"google.com" in
-  Tlsharm.Target_analysis.report a
-  ^ "\n"
-  ^ Tlsharm.Target_analysis.static_stek_contrast study ~flagship:"yandex.ru"
-  ^ "\n"
-
-(* --- Machine-readable bench output ------------------------------------------- *)
-
 let bench_json_path () =
   Option.value (Sys.getenv_opt "TLSHARM_BENCH_OUT") ~default:"BENCH_crypto.json"
 
-(* Replace one top-level section of BENCH_crypto.json, preserving the
-   others, so `micro` (kernels) and `parallel` (campaign) can each run
-   alone without clobbering the other's results. *)
-let update_bench_json section value =
-  let path = bench_json_path () in
-  let existing =
-    match (try Json_io.load path with Json_io.Parse_error _ -> None) with
-    | Some (Json_io.Obj fields) -> List.remove_assoc section fields
-    | _ -> []
-  in
-  let fields = ("schema", Json_io.Str "tlsharm-bench/1") :: List.remove_assoc "schema" existing in
-  Json_io.save path (Json_io.Obj (fields @ [ (section, value) ]))
+let pretty_ns ns =
+  if ns < 1_000.0 then Printf.sprintf "%.0f ns" ns
+  else if ns < 1_000_000.0 then Printf.sprintf "%.1f us" (ns /. 1e3)
+  else Printf.sprintf "%.2f ms" (ns /. 1e6)
 
 (* --- Crypto-kernel benchmarks -------------------------------------------------- *)
 
@@ -102,11 +51,11 @@ let update_bench_json section value =
    retained seed-era kernels — measured under the same loop, and a knob
    (TLSHARM_BENCH_MS) small enough for a CI smoke run. Chunked so the
    clock is read O(log n) times, not per call. *)
-let ns_per_op f =
+let ns_per_op ~budget_ms f =
   for _ = 1 to 3 do
     ignore (Sys.opaque_identity (f ()))
   done;
-  let budget = float_of_int (env_int "TLSHARM_BENCH_MS" 200) /. 1000.0 in
+  let budget = float_of_int budget_ms /. 1000.0 in
   let t0 = Unix.gettimeofday () in
   let total = ref 0 in
   let chunk = ref 1 in
@@ -215,36 +164,32 @@ let kernel_benches () =
       (fun () -> Ec.Reference.scalar_mult_base sim_curve k_sim);
   ]
 
-let kernel_report () =
-  let pretty ns =
-    if ns < 1_000.0 then Printf.sprintf "%.0f ns" ns
-    else if ns < 1_000_000.0 then Printf.sprintf "%.1f us" (ns /. 1e3)
-    else Printf.sprintf "%.2f ms" (ns /. 1e6)
-  in
+let kernel_report ~budget_ms =
   let measured =
     List.map
       (fun (name, opt, reference, agree) ->
         if not agree then failwith (Printf.sprintf "bench: kernel %s disagrees with reference" name);
-        let ns_new = ns_per_op opt in
-        let ns_ref = ns_per_op reference in
+        let ns_new = ns_per_op ~budget_ms opt in
+        let ns_ref = ns_per_op ~budget_ms reference in
         (name, ns_new, ns_ref))
       (kernel_benches ())
   in
   let json =
-    Json_io.List
+    Obs.Json.List
       (List.map
          (fun (name, ns_new, ns_ref) ->
-           Json_io.Obj
+           Obs.Json.Obj
              [
-               ("name", Json_io.Str name);
-               ("ns_per_op", Json_io.Num ns_new);
-               ("ops_per_sec", Json_io.Num (1e9 /. ns_new));
-               ("seed_ns_per_op", Json_io.Num ns_ref);
-               ("speedup_vs_seed", Json_io.Num (ns_ref /. ns_new));
+               ("name", Obs.Json.Str name);
+               ("ns_per_op", Obs.Json.Num ns_new);
+               ("ops_per_sec", Obs.Json.Num (1e9 /. ns_new));
+               ("seed_ns_per_op", Obs.Json.Num ns_ref);
+               ("speedup_vs_seed", Obs.Json.Num (ns_ref /. ns_new));
              ])
          measured)
   in
-  update_bench_json "kernels" json;
+  Durable.Atomic_io.write (bench_json_path ())
+    (Obs.Json.to_string (Obs.Json.Obj [ ("schema", Obs.Json.Str "tlsharm-bench/1"); ("kernels", json) ]));
   Analysis.Report.section "Crypto kernels: optimized vs seed-era reference"
   ^ "\n"
   ^ Analysis.Report.table
@@ -252,37 +197,37 @@ let kernel_report () =
       ~rows:
         (List.map
            (fun (name, ns_new, ns_ref) ->
-             [ name; pretty ns_new; pretty ns_ref; Printf.sprintf "%.2fx" (ns_ref /. ns_new) ])
+             [ name; pretty_ns ns_new; pretty_ns ns_ref; Printf.sprintf "%.2fx" (ns_ref /. ns_new) ])
            measured)
-  ^ Printf.sprintf "\n\nKernel section written to %s.\n" (bench_json_path ())
+  ^ Printf.sprintf "\n\nKernel results written to %s.\n" (bench_json_path ())
 
 (* --- Baseline regression check -------------------------------------------------- *)
 
 (* CI smoke: BENCH_crypto.json must exist, parse, and carry a well-formed
    kernel list; every kernel present in the committed baseline must still
-   be measured and run no slower than half its baseline ops/sec. Each
-   end-to-end section present ("campaign", "traffic", "faults",
-   "regions") is gated too: its run must be deterministic and within
-   the section's bound. *)
+   be measured and run no slower than half its baseline ops/sec. Any
+   unreadable input is one "check-baseline: PATH: ..." line and exit 1. *)
 let check_baseline () =
   let fail msg =
     prerr_endline ("check-baseline: " ^ msg);
     exit 1
   in
   let load path =
-    match (try Json_io.load path with Json_io.Parse_error e -> fail (path ^ ": " ^ e)) with
-    | Some v -> v
-    | None -> fail (path ^ ": missing")
+    match Durable.Atomic_io.read_any path with
+    | Error (Durable.Atomic_io.Io e) -> fail e
+    | Error e -> fail (Durable.Atomic_io.error_to_string ~what:path e)
+    | Ok contents -> (
+        match Obs.Json.of_string contents with Ok v -> v | Error e -> fail (path ^ ": " ^ e))
   in
   let kernels v path =
-    match Option.bind (Json_io.member "kernels" v) Json_io.to_list with
+    match Option.bind (Obs.Json.member "kernels" v) Obs.Json.to_list with
     | Some l when l <> [] -> l
     | _ -> fail (path ^ ": no \"kernels\" section")
   in
   let entry k path =
     match
-      ( Option.bind (Json_io.member "name" k) Json_io.to_str,
-        Option.bind (Json_io.member "ops_per_sec" k) Json_io.to_float )
+      ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
+        Option.bind (Obs.Json.member "ops_per_sec" k) Obs.Json.to_float )
     with
     | Some name, Some ops when ops > 0.0 -> (name, ops)
     | _ -> fail (path ^ ": malformed kernel entry")
@@ -293,104 +238,6 @@ let check_baseline () =
   let current = List.map (fun k -> entry k current_path) (kernels current_json current_path) in
   let baseline_json = load baseline_path in
   let baseline = List.map (fun k -> entry k baseline_path) (kernels baseline_json baseline_path) in
-  (* The end-to-end sections, one row each: the section, the bench entry
-     that writes it and what it gates, its required numeric keys, what a
-     false "deterministic" flag means, and the bound check, which renders
-     the report line. A section is gated whenever its entry has run. *)
-  let scheduled ~section ~what num =
-    let jobs = int_of_float (num "jobs") in
-    let n_shards = int_of_float (num "n_shards") in
-    let speedup = num "parallel_speedup" in
-    (* Floor: 0.8 x the effective worker count (jobs clamped to the shard
-       count — a tiny world cannot occupy more workers than it has
-       shards). *)
-    let effective = min jobs (max 1 n_shards) in
-    let floor = 0.8 *. float_of_int effective in
-    if speedup < floor then
-      fail
-        (Printf.sprintf
-           "%s: scheduled speedup %.2fx at %d jobs (%d shards) is below the %.2fx floor (0.8 x \
-            %d) — %s regressed"
-           section speedup jobs n_shards floor effective what);
-    Printf.sprintf "scheduled speedup %.2fx at %d jobs over %d shards (floor %.2fx)" speedup jobs
-      n_shards floor
-  in
-  let sections =
-    [
-      ( "campaign",
-        ("parallel", "the parallel runner"),
-        [ "jobs"; "n_shards"; "parallel_speedup" ],
-        "1-worker and N-worker series differ (jobs-invariance broken)",
-        fun num ->
-          Printf.sprintf "Campaign: %s, jobs-invariant.\n"
-            (scheduled ~section:"campaign" ~what:"shard packing or scheduling" num) );
-      ( "traffic",
-        ("traffic", "the population runner"),
-        [ "jobs"; "n_shards"; "parallel_speedup"; "user_days_per_sec" ],
-        "1-worker and N-worker rows differ (jobs-invariance broken)",
-        fun num ->
-          let sched = scheduled ~section:"traffic" ~what:"user sharding or scheduling" num in
-          (* Throughput must stay within 2x of the committed baseline. *)
-          let udps = num "user_days_per_sec" in
-          (match
-             Option.bind
-               (Option.bind (Json_io.member "traffic" baseline_json)
-                  (Json_io.member "user_days_per_sec"))
-               Json_io.to_float
-           with
-          | Some base when udps < 0.5 *. base ->
-              fail
-                (Printf.sprintf "traffic: throughput regressed %.2fx (%.0f -> %.0f user-days/s)"
-                   (base /. udps) base udps)
-          | _ -> ());
-          Printf.sprintf "Traffic: %.0f user-days/s, %s, jobs-invariant.\n" udps sched );
-      (* Fault synthesis runs the real codecs on every injected byzantine
-         decision, which must stay a bounded tax on probe throughput. *)
-      ( "faults",
-        ("faults", "byzantine overhead"),
-        [ "byzantine_overhead"; "byzantine_losses" ],
-        "surviving observations differ from the clean campaign (isolation broken)",
-        fun num ->
-          let overhead = num "byzantine_overhead" in
-          if overhead > 3.0 then
-            fail
-              (Printf.sprintf
-                 "faults: byzantine campaign overhead %.2fx exceeds the 3.0x ceiling — fault \
-                  synthesis or the breaker path regressed"
-                 overhead);
-          Printf.sprintf
-            "Faults: byzantine overhead %.2fx of clean (ceiling 3.0x), %.0f byzantine losses, \
-             survivors byte-identical.\n"
-            overhead (num "byzantine_losses") );
-      ( "regions",
-        ("regions", "the cross-vantage scan"),
-        [ "rows"; "n_regions"; "rows_per_sec" ],
-        "serial and parallel cross-vantage rows differ (jobs-invariance broken)",
-        fun num ->
-          Printf.sprintf "Regions: %.0f rows from %.0f vantages, %.0f rows/s, jobs-invariant.\n"
-            (num "rows") (num "n_regions") (num "rows_per_sec") );
-    ]
-  in
-  let gate (section, (entry, gates), keys, broken, check) =
-    match Json_io.member section current_json with
-    | None ->
-        Printf.sprintf "No %S section in %s; run `bench %s` to gate %s.\n" section current_path
-          entry gates
-    | Some c ->
-        let lacks key = fail (Printf.sprintf "%s: %s section lacks %S" current_path section key) in
-        let num key =
-          match Option.bind (Json_io.member key c) Json_io.to_float with
-          | Some v -> v
-          | None -> lacks key
-        in
-        List.iter (fun key -> ignore (num key)) keys;
-        (match Json_io.member "deterministic" c with
-        | Some (Json_io.Bool true) -> ()
-        | Some (Json_io.Bool false) -> fail (section ^ ": " ^ broken)
-        | _ -> lacks "deterministic");
-        check num
-  in
-  let section_gates = String.concat "" (List.map gate sections) in
   let rows =
     List.map
       (fun (name, base_ops) ->
@@ -416,9 +263,9 @@ let check_baseline () =
     let rec go = function
       | [] -> fail (Printf.sprintf "%s: kernel %S missing for speedup gate" current_path name)
       | k :: rest -> (
-          match Option.bind (Json_io.member "name" k) Json_io.to_str with
+          match Option.bind (Obs.Json.member "name" k) Obs.Json.to_str with
           | Some n when n = name -> (
-              match Option.bind (Json_io.member "speedup_vs_seed" k) Json_io.to_float with
+              match Option.bind (Obs.Json.member "speedup_vs_seed" k) Obs.Json.to_float with
               | Some s -> s
               | None -> fail (Printf.sprintf "%s: kernel %S lacks speedup_vs_seed" current_path name))
           | _ -> go rest)
@@ -445,11 +292,13 @@ let check_baseline () =
   Analysis.Report.section "Baseline check (current vs committed BENCH_baseline.json)"
   ^ "\n"
   ^ Analysis.Report.table ~headers:[ "Kernel"; "Baseline ops/s"; "Current ops/s"; "Ratio" ] ~rows
-  ^ "\n\nAll kernels within 2x of baseline.\n" ^ speedup_gates ^ section_gates
+  ^ "\n\nAll kernels within 2x of baseline.\n" ^ speedup_gates
 
 (* --- Microbenchmarks ----------------------------------------------------------- *)
 
 let microbenches () =
+  (* Validated before the bechamel table, so a bad budget fails fast. *)
+  let budget_ms = bench_ms () in
   let open Bechamel in
   let env = Tls.Config.sim_env () in
   let real = Tls.Config.real_env () in
@@ -620,580 +469,30 @@ let microbenches () =
       rows := (name, ns, r2) :: !rows)
     results;
   let rows = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !rows in
-  let pretty ns =
-    if ns < 1_000.0 then Printf.sprintf "%.0f ns" ns
-    else if ns < 1_000_000.0 then Printf.sprintf "%.1f us" (ns /. 1e3)
-    else Printf.sprintf "%.2f ms" (ns /. 1e6)
-  in
   Analysis.Report.section "Microbenchmarks (bechamel, monotonic clock)"
   ^ "\n"
   ^ Analysis.Report.table
       ~headers:[ "Operation"; "Time/run"; "r^2" ]
-      ~rows:(List.map (fun (n, ns, r2) -> [ n; pretty ns; Printf.sprintf "%.3f" r2 ]) rows)
+      ~rows:(List.map (fun (n, ns, r2) -> [ n; pretty_ns ns; Printf.sprintf "%.3f" r2 ]) rows)
   ^ "\n\nThe gap between full handshakes and resumptions is the performance incentive behind\n\
      the paper's crypto shortcuts; production-sized DHE (Oakley 1024) shows why servers\n\
      cached ephemeral values.\n"
-  ^ "\n" ^ kernel_report ()
-
-(* --- 1-worker vs N-worker campaign ---------------------------------------------------- *)
-
-(* The campaign runner at 1 and N workers, plus the determinism check
-   the sharded design promises: a 1-worker and an N-worker run of the
-   same world produce identical series. Each run gets a fresh world
-   (campaigns mutate server state), sized by TLSHARM_DOMAINS/TLSHARM_DAYS
-   with smaller defaults than the full study so "bench all" stays quick.
-
-   Run order is an untimed warm-up campaign, then 1 worker, then N
-   workers: the first run pays the allocator/page-fault warm-up, and it
-   must not be a timed one — the seed-era ordering timed the parallel
-   run on a cold process and biased the ratio against it.
-
-   Two speedups are reported and they answer different questions:
-
-   - [parallel_speedup] (the gated one) is *scheduled* speedup: per-shard
-     wall times are measured on the 1-worker run (campaign.shard spans,
-     where shards execute sequentially and do not contend), then the
-     exact heaviest-first atomic-queue schedule is simulated over [jobs]
-     workers; the speedup is total shard work over that makespan. This
-     measures what the sharder and scheduler control — balance and
-     granularity — and is what regresses if packing degrades.
-   - [wall_speedup] is raw end-to-end wall ratio (1 worker / N workers).
-     On a host with fewer free cores than [jobs] it measures the host,
-     not the scheduler (N OCaml domains time-slicing one core run
-     *slower* than one domain), so it is reported but not gated. *)
-let parallel_campaign_bench () =
-  let n_domains = env_int "TLSHARM_DOMAINS" 2000 in
-  let days = env_int "TLSHARM_DAYS" 7 in
-  let fresh () =
-    Simnet.World.create
-      ~config:
-        {
-          Simnet.World.default_config with
-          Simnet.World.n_domains;
-          seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-        }
-      ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let jobs =
-    let j = env_int "TLSHARM_JOBS" 0 in
-    if j >= 2 then j else max 2 (Scanner.Pool.default_jobs ())
-  in
-  let world = fresh () in
-  let n_shards = Array.length (Scanner.Parallel_campaign.shards world) in
-  ignore (Scanner.Parallel_campaign.run ~jobs:1 world ~days ());
-  let obs = Obs.Recorder.create ~wall:true () in
-  let one, t_one =
-    time (fun () -> Scanner.Parallel_campaign.run ~jobs:1 ~obs (fresh ()) ~days ())
-  in
-  let par, t_par = time (fun () -> Scanner.Parallel_campaign.run ~jobs (fresh ()) ~days ()) in
-  let deterministic = par.Scanner.Daily_scan.series = one.Scanner.Daily_scan.series in
-  (* Per-shard wall times, in shard-id (= queue) order, from the
-     1-worker run's campaign.shard spans. *)
-  let walls =
-    Obs.Trace.stats (Obs.Recorder.trace obs)
-    |> List.filter_map (fun (st : Obs.Trace.span_stat) ->
-           if String.equal st.Obs.Trace.span_name "campaign.shard" then
-             Option.bind (List.assoc_opt "shard" st.Obs.Trace.span_attrs) (fun id ->
-                 Option.map
-                   (fun id -> (id, st.Obs.Trace.span_wall_ns /. 1e9))
-                   (int_of_string_opt id))
-           else None)
-    |> List.sort compare |> List.map snd |> Array.of_list
-  in
-  let shard_work = Array.fold_left ( +. ) 0.0 walls in
-  let wall_max = Array.fold_left max 0.0 walls in
-  let wall_mean = if Array.length walls = 0 then 0.0 else shard_work /. float_of_int (Array.length walls) in
-  (* Replay the run-queue schedule: workers claim the next unstarted
-     shard (ids are heaviest-first) as they go idle. *)
-  let makespan jobs =
-    let jobs = max 1 (min jobs (Array.length walls)) in
-    let finish = Array.make jobs 0.0 in
-    Array.iter
-      (fun w ->
-        let best = ref 0 in
-        for i = 1 to jobs - 1 do
-          if finish.(i) < finish.(!best) then best := i
-        done;
-        finish.(!best) <- finish.(!best) +. w)
-      walls;
-    Array.fold_left max 0.0 finish
-  in
-  let scheduled_speedup =
-    if Array.length walls = 0 then 1.0 else shard_work /. makespan jobs
-  in
-  let utilization = scheduled_speedup /. float_of_int (min jobs (max 1 n_shards)) in
-  update_bench_json "campaign"
-    (Json_io.Obj
-       [
-         ("n_domains", Json_io.Num (float_of_int n_domains));
-         ("days", Json_io.Num (float_of_int days));
-         ("jobs", Json_io.Num (float_of_int jobs));
-         ("n_shards", Json_io.Num (float_of_int n_shards));
-         ("one_worker_s", Json_io.Num t_one);
-         ("parallel_s", Json_io.Num t_par);
-         ("shard_wall_max_s", Json_io.Num wall_max);
-         ("shard_wall_mean_s", Json_io.Num wall_mean);
-         ("shard_balance", Json_io.Num (if wall_mean > 0.0 then wall_max /. wall_mean else 1.0));
-         ("parallel_speedup", Json_io.Num scheduled_speedup);
-         ("parallel_utilization", Json_io.Num utilization);
-         ("wall_speedup", Json_io.Num (t_one /. t_par));
-         ("deterministic", Json_io.Bool deterministic);
-       ]);
-  Analysis.Report.section "Campaign runners (wall-clock)"
-  ^ "\n"
-  ^ Analysis.Report.table
-      ~headers:[ "Runner"; "Wall-clock"; "Notes" ]
-      ~rows:
-        [
-          [ "Parallel_campaign.run ~jobs:1"; Printf.sprintf "%.2f s" t_one; "" ];
-          [
-            Printf.sprintf "Parallel_campaign.run ~jobs:%d" jobs;
-            Printf.sprintf "%.2f s" t_par;
-            Printf.sprintf "%.2fx wall vs 1 worker" (t_one /. t_par);
-          ];
-        ]
-  ^ Printf.sprintf
-      "\n\n%d domains, %d days, %d shards, %d core(s) available; %d-worker series %s 1-worker \
-       series (%d domains scanned either way).\n\
-       Shard walls (1-worker run): max %.3f s, mean %.3f s, balance %.2fx.\n\
-       Scheduled speedup at %d jobs: %.2fx (%.0f%% utilization) — heaviest-first queue \
-       simulated over measured shard walls; see README for why the wall ratio is not the \
-       gated number on shared hosts.\n"
-      n_domains days n_shards
-      (Scanner.Pool.default_jobs ())
-      jobs
-      (if deterministic then "identical to" else "DIFFER FROM (BUG)")
-      (Array.length one.Scanner.Daily_scan.series)
-      wall_max wall_mean
-      (if wall_mean > 0.0 then wall_max /. wall_mean else 1.0)
-      jobs scheduled_speedup (100.0 *. utilization)
-
-(* --- Traffic population runner ------------------------------------------------------- *)
-
-(* The client-side runner under the same two lenses as the campaign
-   bench: throughput (user-days simulated per second, the number that
-   says whether 10^6 users x 63 days is tractable) and scheduled
-   speedup over the measured per-shard walls (what the user sharder
-   controls). Determinism is checked the same way: a 1-worker and an
-   N-worker run must produce identical rows. *)
-let traffic_bench () =
-  let users = env_int "TLSHARM_TRAFFIC_USERS" 1024 in
-  let shard_users = env_int "TLSHARM_TRAFFIC_SHARD" 128 in
-  let days = env_int "TLSHARM_TRAFFIC_DAYS" 3 in
-  let cfg =
-    {
-      Traffic.Population.default_config with
-      Traffic.Population.users;
-      days;
-      shard_users;
-      pages_per_day = 1.0;
-      world =
-        {
-          Simnet.World.default_config with
-          Simnet.World.n_domains = 1500;
-          seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-        };
-    }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let jobs =
-    let j = env_int "TLSHARM_JOBS" 0 in
-    if j >= 2 then j else max 2 (Scanner.Pool.default_jobs ())
-  in
-  let n_shards = Array.length (Traffic.Population.shards cfg) in
-  let obs = Obs.Recorder.create ~wall:true () in
-  let one, t_one = time (fun () -> Traffic.Population.run ~jobs:1 ~obs cfg) in
-  let par, t_par = time (fun () -> Traffic.Population.run ~jobs cfg) in
-  let deterministic = one.Traffic.Population.rows = par.Traffic.Population.rows in
-  let walls =
-    Obs.Trace.stats (Obs.Recorder.trace obs)
-    |> List.filter_map (fun (st : Obs.Trace.span_stat) ->
-           if String.equal st.Obs.Trace.span_name "traffic.shard" then
-             Option.bind (List.assoc_opt "shard" st.Obs.Trace.span_attrs) (fun id ->
-                 Option.map
-                   (fun id -> (id, st.Obs.Trace.span_wall_ns /. 1e9))
-                   (int_of_string_opt id))
-           else None)
-    |> List.sort compare |> List.map snd |> Array.of_list
-  in
-  let shard_work = Array.fold_left ( +. ) 0.0 walls in
-  let makespan jobs =
-    let jobs = max 1 (min jobs (Array.length walls)) in
-    let finish = Array.make jobs 0.0 in
-    Array.iter
-      (fun w ->
-        let best = ref 0 in
-        for i = 1 to jobs - 1 do
-          if finish.(i) < finish.(!best) then best := i
-        done;
-        finish.(!best) <- finish.(!best) +. w)
-      walls;
-    Array.fold_left max 0.0 finish
-  in
-  let scheduled_speedup =
-    if Array.length walls = 0 then 1.0 else shard_work /. makespan jobs
-  in
-  let user_days_per_sec = float_of_int (users * days) /. t_one in
-  update_bench_json "traffic"
-    (Json_io.Obj
-       [
-         ("users", Json_io.Num (float_of_int users));
-         ("days", Json_io.Num (float_of_int days));
-         ("shard_users", Json_io.Num (float_of_int shard_users));
-         ("n_shards", Json_io.Num (float_of_int n_shards));
-         ("jobs", Json_io.Num (float_of_int jobs));
-         ("connections", Json_io.Num (float_of_int one.Traffic.Population.total_rows));
-         ("one_worker_s", Json_io.Num t_one);
-         ("parallel_s", Json_io.Num t_par);
-         ("user_days_per_sec", Json_io.Num user_days_per_sec);
-         ("parallel_speedup", Json_io.Num scheduled_speedup);
-         ("wall_speedup", Json_io.Num (t_one /. t_par));
-         ("deterministic", Json_io.Bool deterministic);
-       ]);
-  Analysis.Report.section "Traffic population runner (wall-clock)"
-  ^ "\n"
-  ^ Analysis.Report.table
-      ~headers:[ "Runner"; "Wall-clock"; "Notes" ]
-      ~rows:
-        [
-          [ "Population.run ~jobs:1"; Printf.sprintf "%.2f s" t_one; "" ];
-          [
-            Printf.sprintf "Population.run ~jobs:%d" jobs;
-            Printf.sprintf "%.2f s" t_par;
-            Printf.sprintf "%.2fx wall vs 1 worker" (t_one /. t_par);
-          ];
-        ]
-  ^ Printf.sprintf
-      "\n\n%d users x %d days over %d shards (%d connections); %d-worker rows %s 1-worker \
-       rows.\n\
-       Throughput: %.0f user-days/s single-worker. Scheduled speedup at %d jobs: %.2fx over \
-       measured shard walls.\n"
-      users days n_shards one.Traffic.Population.total_rows jobs
-      (if deterministic then "identical to" else "DIFFER FROM (BUG)")
-      user_days_per_sec jobs scheduled_speedup
-
-(* --- Per-phase telemetry breakdown --------------------------------------------------- *)
-
-(* The observability layer over a mini-campaign with host-clock span
-   timing enabled: where a campaign's wall-clock actually goes, phase by
-   phase, plus the crypto-kernel call counts behind it. Emits a "phases"
-   section into BENCH_crypto.json so perf PRs can diff per-phase cost,
-   not just end-to-end seconds. *)
-let rec json_io_of_obs (j : Obs.Json.t) : Json_io.t =
-  match j with
-  | Obs.Json.Null -> Json_io.Null
-  | Obs.Json.Bool b -> Json_io.Bool b
-  | Obs.Json.Num n -> Json_io.Num n
-  | Obs.Json.Str s -> Json_io.Str s
-  | Obs.Json.List l -> Json_io.List (List.map json_io_of_obs l)
-  | Obs.Json.Obj kvs -> Json_io.Obj (List.map (fun (k, v) -> (k, json_io_of_obs v)) kvs)
-
-let phases_bench () =
-  let n_domains = env_int "TLSHARM_DOMAINS" 2000 in
-  let days = env_int "TLSHARM_DAYS" 7 in
-  let world =
-    Simnet.World.create
-      ~config:
-        {
-          Simnet.World.default_config with
-          Simnet.World.n_domains;
-          seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-        }
-      ()
-  in
-  let obs = Obs.Recorder.create ~wall:true () in
-  let kernel_before = Obs.Kernel.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let scan = Scanner.Parallel_campaign.run ~jobs:1 ~obs world ~days () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Obs.Kernel.add_to_metrics (Obs.Recorder.metrics obs)
-    (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ()));
-  update_bench_json "phases"
-    (Json_io.Obj
-       [
-         ("n_domains", Json_io.Num (float_of_int n_domains));
-         ("days", Json_io.Num (float_of_int days));
-         ("wall_s", Json_io.Num wall_s);
-         ("metrics", json_io_of_obs (Obs.Metrics.to_json (Obs.Recorder.metrics obs)));
-         ("trace", json_io_of_obs (Obs.Trace.to_json (Obs.Recorder.trace obs)));
-       ]);
-  let m = Obs.Recorder.metrics obs in
-  let counter name = Obs.Metrics.counter_value m name in
-  Analysis.Report.section "Campaign phase breakdown (telemetry, wall clock on)"
-  ^ "\n"
-  ^ Analysis.Report.table
-      ~headers:[ "Metric"; "Count" ]
-      ~rows:
-        (List.map
-           (fun name -> [ name; string_of_int (counter name) ])
-           [
-             "probe.connects";
-             "probe.attempts";
-             "probe.successes";
-             "probe.failures";
-             "probe.tickets.issued";
-             "probe.kex.dhe";
-             "probe.kex.ecdhe";
-             "kernel.pow_mod";
-             "kernel.pow_mod_fixed";
-             "kernel.ec_scalar_mult";
-             "kernel.ec_scalar_mult_base";
-             "kernel.x25519_mult";
-           ])
-  ^ Printf.sprintf
-      "\n\n%d domains, %d days, %d series rows; campaign wall-clock %.2f s. Full per-span wall \
-       timings are in the \"phases\" section of %s.\n"
-      n_domains days
-      (Array.length scan.Scanner.Daily_scan.series)
-      wall_s (bench_json_path ())
-
-(* --- Fault-injection funnel ---------------------------------------------------------- *)
-
-(* A fault-enabled mini-campaign under the default profile: the same
-   world scanned clean and faulty, reporting the measurement-loss funnel
-   and the wall-clock overhead of the retry machinery. The fault layer
-   promises that observations which succeed under injection are
-   byte-identical to the clean run's; this entry checks that promise on
-   every scan day. *)
-let faults_bench () =
-  let n_domains = env_int "TLSHARM_DOMAINS" 2000 in
-  let days = env_int "TLSHARM_DAYS" 7 in
-  let fresh () =
-    Simnet.World.create
-      ~config:
-        {
-          Simnet.World.default_config with
-          Simnet.World.n_domains;
-          seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-        }
-      ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let campaign ?injector ?funnel world =
-    Scanner.Parallel_campaign.run ~jobs:1 ?injector ~retry:Faults.Retry.default ?funnel world
-      ~days ()
-  in
-  (* Untimed warm-up: whichever campaign runs first pays the process's
-     cold caches and heap growth. That, and timing the clean run's world
-     construction with it, once made the byzantine run look cheaper than
-     the clean one. Every timer below covers the campaign alone. *)
-  ignore (campaign (fresh ()));
-  let clean_world = fresh () in
-  let clean, t_clean = time (fun () -> campaign clean_world) in
-  let world = fresh () in
-  let injector = Faults.Injector.create ~profile:Faults.Profile.default world in
-  let funnel = Faults.Funnel.create () in
-  let faulty, t_faulty = time (fun () -> campaign ~injector ~funnel world) in
-  (* Key day records by (domain, day): any day where both sweeps got
-     through the fault layer must match the clean run field-for-field. *)
-  let index (scan : Scanner.Daily_scan.t) =
-    let tbl = Hashtbl.create 4096 in
-    Array.iter
-      (fun (ds : Scanner.Daily_scan.domain_series) ->
-        Array.iter
-          (fun (r : Scanner.Daily_scan.day_record) ->
-            Hashtbl.replace tbl (ds.Scanner.Daily_scan.domain, r.Scanner.Daily_scan.day) r)
-          ds.Scanner.Daily_scan.days)
-      scan.Scanner.Daily_scan.series;
-    tbl
-  in
-  let clean_ix = index clean in
-  let mismatches = ref 0 and checked = ref 0 in
-  Hashtbl.iter
-    (fun key (r : Scanner.Daily_scan.day_record) ->
-      if r.Scanner.Daily_scan.default_ok && r.Scanner.Daily_scan.dhe_ok then
-        match Hashtbl.find_opt clean_ix key with
-        | Some c ->
-            incr checked;
-            if r <> c then incr mismatches
-        | None -> ())
-    (index faulty);
-  let totals = Faults.Funnel.totals funnel in
-  (* The byzantine profile is the expensive one: every injected fault
-     synthesizes and decodes hostile bytes through the real codecs, so
-     its probe throughput against the clean run is the honest price of
-     adversarial robustness — measured here, gated in check-baseline. *)
-  let byz_world = fresh () in
-  let byz_injector = Faults.Injector.create ~profile:Faults.Profile.byzantine byz_world in
-  let byz_funnel = Faults.Funnel.create () in
-  let byzantine, t_byz =
-    time (fun () -> campaign ~injector:byz_injector ~funnel:byz_funnel byz_world)
-  in
-  let byz_checked = ref 0 and byz_mismatches = ref 0 in
-  Hashtbl.iter
-    (fun key (r : Scanner.Daily_scan.day_record) ->
-      if r.Scanner.Daily_scan.default_ok && r.Scanner.Daily_scan.dhe_ok then
-        match Hashtbl.find_opt clean_ix key with
-        | Some c ->
-            incr byz_checked;
-            if r <> c then incr byz_mismatches
-        | None -> ())
-    (index byzantine);
-  let byz_totals = Faults.Funnel.totals byz_funnel in
-  let byz_lost_byzantine =
-    List.fold_left
-      (fun acc (f, n) -> if Faults.Fault.is_byzantine f then acc + n else acc)
-      0 byz_totals.Faults.Funnel.t_losses
-  in
-  let probes = float_of_int byz_totals.Faults.Funnel.t_probes in
-  update_bench_json "faults"
-    (Json_io.Obj
-       [
-         ("n_domains", Json_io.Num (float_of_int n_domains));
-         ("days", Json_io.Num (float_of_int days));
-         ("probes", Json_io.Num probes);
-         ("clean_s", Json_io.Num t_clean);
-         ("byzantine_s", Json_io.Num t_byz);
-         ("clean_probes_per_sec", Json_io.Num (probes /. t_clean));
-         ("byzantine_probes_per_sec", Json_io.Num (probes /. t_byz));
-         ("byzantine_overhead", Json_io.Num (t_byz /. t_clean));
-         ("byzantine_losses", Json_io.Num (float_of_int byz_lost_byzantine));
-         ("deterministic", Json_io.Bool (!byz_mismatches = 0 && !mismatches = 0));
-       ]);
-  Analysis.Funnel_report.render
-    ~title:
-      (Printf.sprintf "Fault-injection funnel (profile: default, %d domains, %d days)" n_domains
-         days)
-    funnel
-  ^ Printf.sprintf
-      "
-clean campaign %.2f s, faulty campaign %.2f s (%.2fx); %d surviving observations compared against the clean run, %d mismatch%s%s.
-"
-      t_clean t_faulty
-      (t_faulty /. t_clean)
-      !checked !mismatches
-      (if !mismatches = 1 then "" else "es")
-      (if !mismatches = 0 then "" else " (BUG: fault layer perturbed surviving probes)")
-  ^ Printf.sprintf "lost %d of %d probes to injected faults.
-"
-      (Faults.Funnel.lost totals) totals.Faults.Funnel.t_probes
-  ^ Analysis.Funnel_report.render
-      ~title:
-        (Printf.sprintf "Byzantine funnel (profile: byzantine, %d domains, %d days)" n_domains
-           days)
-      byz_funnel
-  ^ Printf.sprintf
-      "
-byzantine campaign %.2f s (%.2fx of clean, %.0f probes/s vs %.0f clean); %d surviving observations, %d mismatch%s%s.
-%d probes lost to byzantine causes (malformed + protocol violations).
-"
-      t_byz (t_byz /. t_clean) (probes /. t_byz) (probes /. t_clean) !byz_checked
-      !byz_mismatches
-      (if !byz_mismatches = 1 then "" else "es")
-      (if !byz_mismatches = 0 then "" else " (BUG: byzantine injection perturbed surviving probes)")
-      byz_lost_byzantine
-
-(* --- Cross-vantage bench --------------------------------------------------------
-
-   The cross-regional scan: the same domain-days probed from N vantage
-   regions, once serially and once with one worker per region. Region
-   scans are independent by construction, so the parallel rows must be
-   byte-identical to the serial ones — that invariance is what
-   check-baseline gates. *)
-let regions_bench () =
-  let n_domains = env_int "TLSHARM_DOMAINS" 1500 in
-  let days = env_int "TLSHARM_DAYS" 1 in
-  let n_regions = env_int "TLSHARM_REGIONS" 2 in
-  let cfg =
-    {
-      Scanner.Cross_vantage.base =
-        {
-          Simnet.World.default_config with
-          Simnet.World.n_domains;
-          seed = Option.value (Sys.getenv_opt "TLSHARM_SEED") ~default:"tlsharm";
-        };
-      regions = Simnet.Region.take n_regions;
-      days;
-    }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let one, t_one = time (fun () -> Scanner.Cross_vantage.run ~jobs:1 cfg) in
-  let par, t_par = time (fun () -> Scanner.Cross_vantage.run ~jobs:n_regions cfg) in
-  let rows_one = Scanner.Cross_vantage.rows one in
-  let deterministic = rows_one = Scanner.Cross_vantage.rows par in
-  let n_rows = List.length rows_one in
-  update_bench_json "regions"
-    (Json_io.Obj
-       [
-         ("n_domains", Json_io.Num (float_of_int n_domains));
-         ("days", Json_io.Num (float_of_int days));
-         ("n_regions", Json_io.Num (float_of_int n_regions));
-         ("rows", Json_io.Num (float_of_int n_rows));
-         ("one_worker_s", Json_io.Num t_one);
-         ("parallel_s", Json_io.Num t_par);
-         ("rows_per_sec", Json_io.Num (float_of_int n_rows /. t_one));
-         ("wall_speedup", Json_io.Num (t_one /. t_par));
-         ("deterministic", Json_io.Bool deterministic);
-       ]);
-  Analysis.Report.section "Cross-vantage scan (wall-clock)"
-  ^ "\n"
-  ^ Analysis.Report.table
-      ~headers:[ "Runner"; "Wall-clock"; "Notes" ]
-      ~rows:
-        [
-          [
-            "Cross_vantage.run ~jobs:1";
-            Printf.sprintf "%.2f s" t_one;
-            Printf.sprintf "%d regions, %d rows" n_regions n_rows;
-          ];
-          [
-            Printf.sprintf "Cross_vantage.run ~jobs:%d" n_regions;
-            Printf.sprintf "%.2f s" t_par;
-            Printf.sprintf "%.2fx wall vs 1 worker" (t_one /. t_par);
-          ];
-        ]
-  ^ Printf.sprintf "\n\njobs-invariant: %b\n" deterministic
+  ^ "\n" ^ kernel_report ~budget_ms
 
 (* --- Driver ------------------------------------------------------------------------- *)
 
-let ablations () = Tlsharm.Mitigations.report (Lazy.force study)
-let tls13 () = Tlsharm.Tls13_projection.report (Lazy.force study)
-
-let named : (string * (unit -> string)) list =
-  List.map (fun (name, f) -> (name, fun () -> f (Lazy.force study))) Tlsharm.Experiments.by_name
-  @ [
-      ("google", google_analysis);
-      ("ablations", ablations);
-      ("tls13", tls13);
-      ("micro", microbenches);
-      ("parallel", parallel_campaign_bench);
-      ("traffic", traffic_bench);
-      ("phases", phases_bench);
-      ("faults", faults_bench);
-      ("regions", regions_bench);
-      ("check-baseline", check_baseline);
-    ]
+let named = [ ("micro", microbenches); ("check-baseline", check_baseline) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let t0 = Unix.gettimeofday () in
-  let selected =
-    match args with [] | [ "all" ] -> List.map fst named | ids -> ids
-  in
+  let selected = match args with [] -> List.map fst named | ids -> ids in
   List.iter
     (fun id ->
-      match List.assoc_opt id named with
-      | Some f -> print_endline (f ())
-      | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" id
-            (String.concat " " (List.map fst named));
-          exit 1)
+      if not (List.mem_assoc id named) then (
+        Printf.eprintf "bench: unknown entry %S; available: %s\n" id
+          (String.concat " " (List.map fst named));
+        exit 1))
     selected;
+  List.iter (fun id -> print_endline (List.assoc id named ())) selected;
   Printf.printf "\n[bench completed in %.1f s]\n" (Unix.gettimeofday () -. t0)

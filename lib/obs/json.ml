@@ -2,10 +2,9 @@
    fully deterministic (callers hand us sorted fields; we add no
    whitespace variation), which is what lets two campaign runs be
    compared with [String.equal] on their metrics files. The parser is
-   the strict recursive-descent subset the harness needs — objects,
-   arrays, strings, numbers, booleans — mirroring [bench/json_io] but
-   living in a library so the CLI's [metrics-report] can read the files
-   back. *)
+   the strict recursive-descent subset the project needs — objects,
+   arrays, strings, numbers, booleans — shared by the CLI's
+   [metrics-report] and the bench's results files. *)
 
 type t =
   | Null

@@ -104,27 +104,6 @@ let schema = "tlsharm-obs-trace/1"
 
 let sorted_keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
 
-type span_stat = {
-  span_name : string;
-  span_attrs : (string * string) list;
-  span_count : int;
-  span_sim_total : int;
-  span_wall_ns : float;
-}
-
-let stats t =
-  List.map
-    (fun ((name, attrs) as key) ->
-      let a = Hashtbl.find t.tbl key in
-      {
-        span_name = name;
-        span_attrs = attrs;
-        span_count = a.count;
-        span_sim_total = a.sim_total;
-        span_wall_ns = a.wall_ns;
-      })
-    (sorted_keys t)
-
 let to_json t =
   let spans =
     List.map

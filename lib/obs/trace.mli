@@ -31,19 +31,6 @@ val timed : t -> name:string -> ?attrs:(string * string) list -> now:(unit -> in
 
 val merge : t -> t -> unit
 
-type span_stat = {
-  span_name : string;
-  span_attrs : (string * string) list;  (** canonically sorted *)
-  span_count : int;
-  span_sim_total : int;
-  span_wall_ns : float;  (** 0 unless the collector has [wall] on *)
-}
-
-val stats : t -> span_stat list
-(** Aggregated spans in key order, for programmatic consumers (the bench
-    derives per-shard utilization from [campaign.shard] spans) — the
-    same data {!to_json} renders. *)
-
 val schema : string
 val to_json : t -> Json.t
 val to_json_string : t -> string

@@ -58,10 +58,6 @@ val default_config : config
     strict policy, advertised lifetimes, 32-scope stores, 2 pages/day
     over the default world. *)
 
-type shard = { shard_id : int; users_lo : int; users_hi : int }
-
-val shards : config -> shard array
-
 type result = {
   n_shards : int;
   rows : Row.t list array;

@@ -169,16 +169,10 @@ let test_fault_rng_isolation () =
   (* The tentpole invariant: enabling faults must not perturb any probe
      that gets through. Run the same world clean and faulty; every
      (domain, day) record whose faulty sweeps both succeeded must be
-     field-identical to the clean run's. *)
+     field-identical to the clean run's. Checked under the aggressive
+     profile and under the default one the CLI ships. *)
   let days = 2 in
   let fresh () = Simnet.World.create ~config:(campaign_config "isolation-test") () in
-  let clean = Scanner.Parallel_campaign.run ~jobs:1 (fresh ()) ~days () in
-  let w = fresh () in
-  let injector = Faults.Injector.create ~profile:Faults.Profile.flaky w in
-  let funnel = Faults.Funnel.create () in
-  let faulty =
-    Scanner.Parallel_campaign.run ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w ~days ()
-  in
   let index (scan : Scanner.Daily_scan.t) =
     let tbl = Hashtbl.create 4096 in
     Array.iter
@@ -190,21 +184,34 @@ let test_fault_rng_isolation () =
       scan.Scanner.Daily_scan.series;
     tbl
   in
-  let clean_ix = index clean in
-  let checked = ref 0 and mismatched = ref 0 in
-  Hashtbl.iter
-    (fun key (r : Scanner.Daily_scan.day_record) ->
-      if r.Scanner.Daily_scan.default_ok && r.Scanner.Daily_scan.dhe_ok then (
-        incr checked;
-        match Hashtbl.find_opt clean_ix key with
-        | Some c when c = r -> ()
-        | _ -> incr mismatched))
-    (index faulty);
-  Alcotest.(check bool) "some probes survived injection" true (!checked > 0);
-  Alcotest.(check int) "surviving records identical to clean run" 0 !mismatched;
-  let totals = Faults.Funnel.totals funnel in
-  Alcotest.(check bool) "flaky profile lost probes" true (Faults.Funnel.lost totals > 0);
-  Alcotest.(check bool) "flaky profile retried probes" true (totals.Faults.Funnel.t_retries > 0)
+  let clean_ix = index (Scanner.Parallel_campaign.run ~jobs:1 (fresh ()) ~days ()) in
+  List.iter
+    (fun (profile : Faults.Profile.t) ->
+      let name = profile.Faults.Profile.name in
+      let w = fresh () in
+      let injector = Faults.Injector.create ~profile w in
+      let funnel = Faults.Funnel.create () in
+      let faulty =
+        Scanner.Parallel_campaign.run ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w
+          ~days ()
+      in
+      let checked = ref 0 and mismatched = ref 0 in
+      Hashtbl.iter
+        (fun key (r : Scanner.Daily_scan.day_record) ->
+          if r.Scanner.Daily_scan.default_ok && r.Scanner.Daily_scan.dhe_ok then (
+            incr checked;
+            match Hashtbl.find_opt clean_ix key with
+            | Some c when c = r -> ()
+            | _ -> incr mismatched))
+        (index faulty);
+      Alcotest.(check bool) (name ^ ": some probes survived injection") true (!checked > 0);
+      Alcotest.(check int) (name ^ ": surviving records identical to clean run") 0 !mismatched;
+      let totals = Faults.Funnel.totals funnel in
+      Alcotest.(check bool) (name ^ " profile lost probes") true (Faults.Funnel.lost totals > 0);
+      Alcotest.(check bool)
+        (name ^ " profile retried probes")
+        true (totals.Faults.Funnel.t_retries > 0))
+    [ Faults.Profile.flaky; Faults.Profile.default ]
 
 let test_faulty_parallel_campaign_worker_invariant () =
   let days = 2 in
