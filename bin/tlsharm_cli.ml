@@ -1,162 +1,213 @@
 (* tlsharm — command-line interface to the reproduction.
 
-     tlsharm world-info                 summarize the simulated population
-     tlsharm scan --mode burst          run one scan, emit CSV observations
-     tlsharm reproduce                  run the full study, print all
-                                        tables/figures (same as bench all)
-     tlsharm experiment t1 f8 google    selected experiments
-     tlsharm attack-demo                end-to-end stolen-secret decryptions
+     tlsharm world-info                summarize the simulated population
+     tlsharm scan --mode burst         run one scan, emit CSV observations
+     tlsharm reproduce                 run the full study, print every
+                                       table and figure
+     tlsharm experiment t1 f8 google   selected experiments
+     tlsharm campaign                  daily longitudinal campaign, archived
+                                       as CSV or streamed to a run log
+                                       (--stream-out); --regions N probes
+                                       from N vantage regions
+     tlsharm resume DIR                continue a killed --stream-out campaign
+     tlsharm analyze PATH              re-analyze a campaign or traffic archive
+     tlsharm vuln-report               rank operators by combined harm
+     tlsharm posture [DOMAIN...]       grade sites' forward-secrecy posture
+     tlsharm traffic                   client population: resumption latency
+                                       saved vs tracking exposure
+     tlsharm metrics-report FILE       render --metrics-out/--trace-out JSON
+     tlsharm attack-demo               end-to-end stolen-secret decryptions
+     tlsharm fuzz                      mutated transcripts through every
+                                       peer-facing decoder
 
-   Every command accepts --domains/--days/--seed to size the world; the
-   scanning commands also accept --fault-profile/--retries/--probe-deadline
-   to exercise the fault-injection layer and its retry machinery. *)
+   Flags shared by several commands (world size and seed, campaign
+   length, workers, fault injection, telemetry, the study) are declared
+   once each, below, as a cmdliner term that parses and validates them.
+   A bad value is a one-line usage error before any world is built, and
+   no command body checks a flag again. *)
 
 open Cmdliner
 
-(* --- Common options ------------------------------------------------------------ *)
+let ( let* ) = Result.bind
 
-let domains_arg =
-  Arg.(value & opt int 4000 & info [ "domains" ] ~docv:"N" ~doc:"Sampled world size.")
+(* --- Flag rules ---------------------------------------------------------------- *)
 
-let days_arg =
-  Arg.(value & opt int 63 & info [ "days" ] ~docv:"DAYS" ~doc:"Campaign length in days.")
+(* Each rule serves both its flag's term and [resume]'s manifest
+   decoder, so a run log is held to exactly what the flags accept.
+   Sizing mistakes come back as one-line errors, not as an
+   [Invalid_argument] backtrace from deep inside the world builder. *)
+let at_least flag min v =
+  if v < min then Error (Printf.sprintf "%s must be at least %d (got %d)" flag min v) else Ok v
 
-let seed_arg = Arg.(value & opt string "tlsharm" & info [ "seed" ] ~docv:"SEED" ~doc:"World seed.")
+let world_of ~domains ~seed =
+  let* n_domains = at_least "--domains" Simnet.World.min_domains domains in
+  Ok { Simnet.World.default_config with Simnet.World.n_domains; seed }
 
-let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Progress on stderr.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "TLSHARM_JOBS")
-        ~doc:
-          "Worker domains for the longitudinal campaign (default \\$(b,TLSHARM_JOBS) or 1). The \
-           campaign is operator-sharded at any N, and its archive is byte-identical for every N.")
-
-let fault_profile_arg =
-  Arg.(
-    value
-    & opt string "none"
-    & info [ "fault-profile" ] ~docv:"PROFILE"
-        ~doc:
-          "Fault-injection profile for the simulated network: $(b,none) (no injected faults, \
-           every probe makes one attempt; the default), $(b,default) (\u{00a7}3-plausible \
-           transient faults and endpoint outage windows), $(b,flaky) (hostile network for stress \
-           tests) or $(b,byzantine) (default-profile weather plus peers answering with malformed \
-           or protocol-violating bytes). Deterministic in the world and fault seeds.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Maximum connection attempts per probe (first attempt included). Only injected \
-           faults retry; default 3 when a fault profile is active.")
-
-let probe_deadline_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "probe-deadline" ] ~docv:"SECS"
-        ~doc:
-          "Per-probe retry deadline in virtual seconds on the probe's own backoff clock \
-           (default 60).")
-
-(* Resolve the three fault flags into a profile + retry policy, or a
-   cmdliner error on an unknown profile name. *)
-let fault_setup profile retries deadline =
+let faults_of ~profile ~retries ~deadline =
   match Faults.Profile.of_name profile with
   | None ->
       Error
         (Printf.sprintf "unknown fault profile %S (available: %s)" profile
            (String.concat " " Faults.Profile.names))
   | Some p ->
-      let retry = Faults.Retry.default in
-      let retry =
-        match retries with
-        | Some n -> { retry with Faults.Retry.max_attempts = max 1 n }
-        | None -> retry
-      in
-      let retry =
-        match deadline with
-        | Some d -> { retry with Faults.Retry.deadline = max 1 d }
-        | None -> retry
-      in
-      Ok (p, retry)
+      let* max_attempts = at_least "--retries" 1 retries in
+      let* deadline = at_least "--probe-deadline" 1 deadline in
+      Ok (p, { Faults.Retry.default with Faults.Retry.max_attempts; deadline })
 
-(* Argument validation: sizing mistakes should come back as one-line
-   usage errors with a nonzero exit, not as an [Invalid_argument]
-   backtrace from deep inside the world builder. *)
-let validate_sizes ~domains ~days ~jobs =
-  if domains < Simnet.World.min_domains then
-    Error
-      (Printf.sprintf "--domains must be at least %d (got %d)" Simnet.World.min_domains domains)
-  else if days < 1 then Error (Printf.sprintf "--days must be at least 1 (got %d)" days)
-  else if jobs < 1 then Error (Printf.sprintf "--jobs must be at least 1 (got %d)" jobs)
-  else Ok ()
+(* --- Shared flag terms --------------------------------------------------------- *)
 
-(* Last-resort net for exceptions no specific validation anticipated
+let checked rule arg = Term.(term_result' (const rule $ arg))
+
+let world_t =
+  let domains =
+    Arg.(value & opt int 4000 & info [ "domains" ] ~docv:"N" ~doc:"Sampled world size.")
+  in
+  let seed = Arg.(value & opt string "tlsharm" & info [ "seed" ] ~docv:"SEED" ~doc:"World seed.") in
+  Term.(term_result' (const (fun domains seed -> world_of ~domains ~seed) $ domains $ seed))
+
+let days_t =
+  checked (at_least "--days" 1)
+    Arg.(value & opt int 63 & info [ "days" ] ~docv:"DAYS" ~doc:"Campaign length in days.")
+
+let jobs_t =
+  checked (at_least "--jobs" 1)
+    Arg.(
+      value
+      & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "TLSHARM_JOBS")
+          ~doc:
+            "Worker domains for the longitudinal campaign (default \\$(b,TLSHARM_JOBS) or 1). The \
+             campaign is operator-sharded at any N, and its archive is byte-identical for every N.")
+
+let verbose_t = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Progress on stderr.")
+
+(* The fault profile and the resolved retry policy. *)
+let faults_t =
+  let profile =
+    Arg.(
+      value
+      & opt string "none"
+      & info [ "fault-profile" ] ~docv:"PROFILE"
+          ~doc:
+            "Fault-injection profile for the simulated network: $(b,none) (no injected faults, \
+             every probe makes one attempt; the default), $(b,default) (\u{00a7}3-plausible \
+             transient faults and endpoint outage windows), $(b,flaky) (hostile network for \
+             stress tests) or $(b,byzantine) (default-profile weather plus peers answering with \
+             malformed or protocol-violating bytes). Deterministic in the world and fault seeds.")
+  in
+  let retries =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Maximum connection attempts per probe (first attempt included). Only injected \
+             faults retry; default 3 when a fault profile is active.")
+  in
+  let deadline =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "probe-deadline" ] ~docv:"SECS"
+          ~doc:
+            "Per-probe retry deadline in virtual seconds on the probe's own backoff clock \
+             (default 60).")
+  in
+  let resolve profile retries deadline =
+    let d = Faults.Retry.default in
+    faults_of ~profile
+      ~retries:(Option.value retries ~default:d.Faults.Retry.max_attempts)
+      ~deadline:(Option.value deadline ~default:d.Faults.Retry.deadline)
+  in
+  Term.(term_result' (const resolve $ profile $ retries $ deadline))
+
+type telemetry = { metrics_out : string option; trace_out : string option }
+
+let telemetry_t =
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write campaign metrics (counters, gauges, histograms) as JSON. Telemetry only reads \
+             outcomes — the observation archive is byte-identical with or without it — and the \
+             metrics content is schedule-determined, so the JSON is identical for any --jobs. \
+             Render with $(b,tlsharm metrics-report).")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Write aggregated trace spans (handshake phases, scan days, campaign shards) as JSON, \
+             timed on the simulated clock. Unlike metrics, spans reflect how the run executed: a \
+             campaign resumed from its --stream-out log has no probe spans for the shards it \
+             restores.")
+  in
+  Term.(const (fun metrics_out trace_out -> { metrics_out; trace_out }) $ metrics_out $ trace_out)
+
+let study_t =
+  let config world_config campaign_days jobs verbose (fault_profile, retry) =
+    {
+      Tlsharm.Study.world_config;
+      campaign_days;
+      jobs;
+      verbose;
+      fault_profile;
+      retry;
+      obs = Obs.Recorder.null;
+    }
+  in
+  Term.(const config $ world_t $ days_t $ jobs_t $ verbose_t $ faults_t)
+
+(* --- Running commands ---------------------------------------------------------- *)
+
+(* Every command body returns [(unit, string) result]; an [Error] is
+   the one line cmdliner prints before exiting nonzero. *)
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.term_result' term)
+
+(* Last-resort net for exceptions no specific check anticipated
    (filesystem errors, corrupt inputs, a resume that diverges from its
-   run log): render one line and exit nonzero instead of dumping a
-   backtrace. *)
+   run log): one line and a nonzero exit instead of a backtrace. *)
 let guard f =
   try f () with
-  | Durable.Supervisor.Mismatch m -> `Error (false, "resume mismatch: " ^ m)
-  | Sys_error e -> `Error (false, e)
-  | Invalid_argument e | Failure e -> `Error (false, e)
+  | Durable.Supervisor.Mismatch m -> Error ("resume mismatch: " ^ m)
+  | Sys_error e | Invalid_argument e | Failure e -> Error e
   | Unix.Unix_error (err, fn, arg) ->
-      `Error
-        ( false,
-          Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
-            (if arg = "" then "" else " (" ^ arg ^ ")") )
+      Error
+        (Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
+           (if arg = "" then "" else " (" ^ arg ^ ")"))
 
 (* Telemetry is recorded only when some flag asks for it. *)
-let recorder ~metrics_out ~trace_out =
-  if metrics_out <> None || trace_out <> None then Obs.Recorder.create () else Obs.Recorder.null
+let telemetry_on t = t.metrics_out <> None || t.trace_out <> None
+let recorder t = if telemetry_on t then Obs.Recorder.create () else Obs.Recorder.null
 
 (* Kernel counters are process-global; the [kernel_before] snapshot
    scopes the published [kernel.*] deltas to the run itself (excluding
    world construction, which precedes it). *)
-let write_telemetry ~what obs ~kernel_before ~metrics_out ~trace_out =
+let write_telemetry ~what t obs ~kernel_before =
   Option.iter
     (fun path ->
       Obs.Kernel.add_to_metrics (Obs.Recorder.metrics obs)
         (Obs.Kernel.diff ~before:kernel_before ~after:(Obs.Kernel.snapshot ()));
       Durable.Atomic_io.write path (Obs.Recorder.metrics_json_string obs);
       Printf.printf "wrote %s metrics to %s\n" what path)
-    metrics_out;
+    t.metrics_out;
   Option.iter
     (fun path ->
       Durable.Atomic_io.write path (Obs.Recorder.trace_json_string obs);
       Printf.printf "wrote %s trace spans to %s\n" what path)
-    trace_out
+    t.trace_out
 
 (* The funnel report accompanies every run whose profile can fire. *)
 let faults_enabled profile = profile.Faults.Profile.name <> "none"
 
-let world_config ~domains ~seed =
-  { Simnet.World.default_config with Simnet.World.n_domains = domains; seed }
-
-let study_config ~domains ~days ~seed ~jobs ~verbose ~fault_profile ~retry =
-  {
-    Tlsharm.Study.world_config = world_config ~domains ~seed;
-    campaign_days = days;
-    jobs;
-    verbose;
-    fault_profile;
-    retry;
-    obs = Obs.Recorder.null;
-  }
-
 (* --- world-info ------------------------------------------------------------------ *)
 
-let world_info domains seed =
-  match validate_sizes ~domains ~days:1 ~jobs:1 with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
+let world_info config =
+  let world = Simnet.World.create ~config () in
   let ds = Simnet.World.domains world in
   let wsum f =
     Array.fold_left (fun acc d -> if f d then acc +. Simnet.World.domain_weight d else acc) 0.0 ds
@@ -185,24 +236,16 @@ let world_info domains seed =
     (fun i (op, w) -> if i < 12 && op <> "tail" then Printf.printf "  %-16s %8.0f\n" op w)
     ops;
   Printf.printf "\nnamed case-study domains: %d\n" (List.length Simnet.Notable.all);
-  `Ok ()
+  Ok ()
 
 let world_info_cmd =
-  Cmd.v
-    (Cmd.info "world-info" ~doc:"Summarize the simulated population.")
-    Term.(ret (const world_info $ domains_arg $ seed_arg))
+  cmd "world-info" ~doc:"Summarize the simulated population." Term.(const world_info $ world_t)
 
 (* --- scan ---------------------------------------------------------------------------- *)
 
-let scan domains seed mode out fault_profile retries deadline =
-  match validate_sizes ~domains ~days:1 ~jobs:1 with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  match fault_setup fault_profile retries deadline with
-  | Error e -> `Error (false, e)
-  | Ok (profile, retry) ->
+let scan config (profile, retry) mode out =
   guard @@ fun () ->
-  let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
+  let world = Simnet.World.create ~config () in
   let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
   let conns =
@@ -229,7 +272,7 @@ let scan domains seed mode out fault_profile retries deadline =
       List.iter (fun c -> print_endline (Scanner.Observation.to_csv_row c)) conns);
   if faults_enabled profile then
     print_string (Analysis.Funnel_report.render ~title:"Scan loss funnel" funnel);
-  `Ok ()
+  Ok ()
 
 let scan_cmd =
   let mode =
@@ -241,74 +284,61 @@ let scan_cmd =
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"CSV output path.")
   in
-  Cmd.v
-    (Cmd.info "scan" ~doc:"Run one scan over the simulated Top Million; emit CSV observations.")
-    Term.(
-      ret
-        (const scan $ domains_arg $ seed_arg $ mode $ out $ fault_profile_arg $ retries_arg
-       $ probe_deadline_arg))
+  cmd "scan" ~doc:"Run one scan over the simulated Top Million; emit CSV observations."
+    Term.(const scan $ world_t $ faults_t $ mode $ out)
 
 (* --- reproduce / experiment ----------------------------------------------------------- *)
 
-let run_experiments ids domains days seed jobs verbose fault_profile retries deadline =
-  match validate_sizes ~domains ~days ~jobs with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  match fault_setup fault_profile retries deadline with
-  | Error e -> `Error (false, e)
-  | Ok (profile, retry) ->
-  guard @@ fun () ->
-  let config =
-    study_config ~domains ~days ~seed ~jobs ~verbose ~fault_profile:profile ~retry
+let experiments =
+  Tlsharm.Experiments.by_name
+  @ [
+      ( "google",
+        fun st ->
+          let a = Tlsharm.Target_analysis.analyze st ~operator:"google" ~flagship:"google.com" in
+          Tlsharm.Target_analysis.report a
+          ^ "\n"
+          ^ Tlsharm.Target_analysis.static_stek_contrast st ~flagship:"yandex.ru" );
+      ("ablations", Tlsharm.Mitigations.report);
+      ("tls13", Tlsharm.Tls13_projection.report);
+    ]
+
+(* Ids resolve before any world is built: a typo costs nothing. *)
+let experiment_ids_t =
+  let ids =
+    Arg.(
+      value
+      & pos_all string []
+      & info [] ~docv:"ID" ~doc:"Experiment ids (t1..t7, f1..f8, google, ablations, tls13).")
   in
-  let study = Tlsharm.Study.create ~config () in
-  let named =
-    Tlsharm.Experiments.by_name
-    @ [
-        ( "google",
-          fun st ->
-            let a = Tlsharm.Target_analysis.analyze st ~operator:"google" ~flagship:"google.com" in
-            Tlsharm.Target_analysis.report a
-            ^ "\n"
-            ^ Tlsharm.Target_analysis.static_stek_contrast st ~flagship:"yandex.ru" );
-        ("ablations", Tlsharm.Mitigations.report);
-        ("tls13", Tlsharm.Tls13_projection.report);
-      ]
-  in
-  let selected = match ids with [] -> List.map fst named | ids -> ids in
-  let rec go = function
-    | [] -> `Ok ()
+  let rec resolve = function
+    | [] -> Ok []
     | id :: rest -> (
-        match List.assoc_opt id named with
-        | Some f ->
-            print_endline (f study);
-            go rest
+        match List.assoc_opt id experiments with
         | None ->
-            `Error
-              ( false,
-                Printf.sprintf "unknown experiment %S (available: %s)" id
-                  (String.concat " " (List.map fst named)) ))
+            Error
+              (Printf.sprintf "unknown experiment %S (available: %s)" id
+                 (String.concat " " (List.map fst experiments)))
+        | Some f ->
+            let* fs = resolve rest in
+            Ok (f :: fs))
   in
-  go selected
+  checked (function [] -> Ok (List.map snd experiments) | ids -> resolve ids) ids
+
+let run_experiments config selected =
+  guard @@ fun () ->
+  let study = Tlsharm.Study.create ~config () in
+  List.iter (fun f -> print_endline (f study)) selected;
+  Ok ()
 
 let experiment_cmd =
-  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (t1..t7, f1..f8, google, ablations, tls13).") in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run selected experiments of the study.")
-    Term.(
-      ret
-        (const run_experiments $ ids $ domains_arg $ days_arg $ seed_arg $ jobs_arg $ verbose_arg
-       $ fault_profile_arg $ retries_arg $ probe_deadline_arg))
+  cmd "experiment" ~doc:"Run selected experiments of the study."
+    Term.(const run_experiments $ study_t $ experiment_ids_t)
 
 let reproduce_cmd =
-  Cmd.v
-    (Cmd.info "reproduce" ~doc:"Run the full study and print every table and figure.")
-    Term.(
-      ret
-        (const (run_experiments []) $ domains_arg $ days_arg $ seed_arg $ jobs_arg $ verbose_arg
-       $ fault_profile_arg $ retries_arg $ probe_deadline_arg))
+  cmd "reproduce" ~doc:"Run the full study and print every table and figure."
+    Term.(const run_experiments $ study_t $ const (List.map snd experiments))
 
-(* --- campaign / analyze -------------------------------------------------------------------- *)
+(* --- campaign / resume / analyze ------------------------------------------------------- *)
 
 (* The stream manifest pins everything [resume] needs to rebuild the
    identical run and everything the streamed bytes depend on: world
@@ -316,11 +346,12 @@ let reproduce_cmd =
    flags, so flag defaults can change without orphaning old run logs)
    and the day range the loader reads. Not the worker count: archives
    are identical at any --jobs. *)
-let campaign_manifest ~domains ~days ~seed ~profile ~(retry : Faults.Retry.policy) ~start_day =
+let campaign_manifest ~(world : Simnet.World.config) ~days ~faults ~start_day =
+  let profile, (retry : Faults.Retry.policy) = faults in
   [
     ("mode", "campaign");
-    ("seed", seed);
-    ("n_domains", string_of_int domains);
+    ("seed", world.Simnet.World.seed);
+    ("n_domains", string_of_int world.Simnet.World.n_domains);
     ("days", string_of_int days);
     ("fault_profile", profile.Faults.Profile.name);
     ("retries", string_of_int retry.Faults.Retry.max_attempts);
@@ -329,6 +360,30 @@ let campaign_manifest ~domains ~days ~seed ~profile ~(retry : Faults.Retry.polic
     ("n_days", string_of_int days);
   ]
 
+(* [campaign_manifest]'s inverse, held to the flags' own rules. The
+   day range needs no decoding: [Stream_sink.create] re-attaches only
+   to an identical manifest. *)
+let campaign_of_manifest kvs =
+  let missing = "manifest is missing campaign fields" in
+  let field k = Option.to_result ~none:missing (List.assoc_opt k kvs) in
+  let int_field k =
+    let* v = field k in
+    Option.to_result ~none:missing (int_of_string_opt v)
+  in
+  let* mode = field "mode" in
+  if mode <> "campaign" then Error (Printf.sprintf "cannot resume mode %S" mode)
+  else
+    let* seed = field "seed" in
+    let* domains = int_field "n_domains" in
+    let* days = int_field "days" in
+    let* profile = field "fault_profile" in
+    let* retries = int_field "retries" in
+    let* deadline = int_field "deadline" in
+    let* world = world_of ~domains ~seed in
+    let* days = at_least "--days" 1 days in
+    let* faults = faults_of ~profile ~retries ~deadline in
+    Ok (world, days, faults)
+
 (* The campaign runner shared by [campaign] and [resume]: both must
    execute the identical code path for the resumed archive to come out
    byte-identical to an uninterrupted run. Telemetry rides alongside:
@@ -336,68 +391,59 @@ let campaign_manifest ~domains ~days ~seed ~profile ~(retry : Faults.Retry.polic
    archive, and its metrics are restricted to schedule-determined
    quantities, so the rendered metrics JSON is identical for any
    --jobs. *)
-let run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out ~trace_out () =
-  let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
+let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
+  let profile, retry = faults in
+  let world = Simnet.World.create ~config () in
   let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
-  let obs = recorder ~metrics_out ~trace_out in
+  let obs = recorder telemetry in
   (* The streaming sink replaces the end-of-run CSV: rows are appended
      per completed day and never held in memory (a run with a sink keeps
      no rows), which keeps RSS flat at --domains 100000. The sink
      directory is also the run log a killed run resumes from. Reassemble
      with `tlsharm analyze DIR` / Daily_scan.load_stream. *)
-  let output =
+  let* output =
     match output with
     | `Csv path -> Ok (`Csv path)
     | `Stream dir ->
         let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
         Scanner.Stream_sink.create ~dir
-          ~manifest:(campaign_manifest ~domains ~days ~seed ~profile ~retry ~start_day)
+          ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
         |> Result.map (fun s -> `Sink s)
   in
-  match output with
-  | Error e -> `Error (false, e)
-  | Ok output ->
-      let sink = match output with `Sink s -> Some s | `Csv _ -> None in
-      let kernel_before = Obs.Kernel.snapshot () in
-      let t =
-        Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ?sink ~obs world ~days ()
-      in
-      write_telemetry ~what:"campaign" obs ~kernel_before ~metrics_out ~trace_out;
-      (match output with
-      | `Sink s ->
-          Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
-            (Array.length t.Scanner.Daily_scan.series)
-            (Scanner.Stream_sink.dir s)
-            (Scanner.Stream_sink.rows_written s)
-            (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "")
-      | `Csv out ->
-          Scanner.Daily_scan.save t out;
-          Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days
-            (Array.length t.Scanner.Daily_scan.series)
-            out
-            (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else ""));
-      if faults_enabled profile then
-        print_string
-          (Analysis.Funnel_report.render
-             ~title:
-               (Printf.sprintf "Campaign loss funnel (fault profile: %s)"
-                  profile.Faults.Profile.name)
-             funnel);
-      `Ok ()
+  let sink = match output with `Sink s -> Some s | `Csv _ -> None in
+  let kernel_before = Obs.Kernel.snapshot () in
+  let t = Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ?sink ~obs world ~days () in
+  write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
+  (match output with
+  | `Sink s ->
+      Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
+        (Array.length t.Scanner.Daily_scan.series)
+        (Scanner.Stream_sink.dir s)
+        (Scanner.Stream_sink.rows_written s)
+        (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "")
+  | `Csv out ->
+      Scanner.Daily_scan.save t out;
+      Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days
+        (Array.length t.Scanner.Daily_scan.series)
+        out
+        (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else ""));
+  if faults_enabled profile then
+    print_string
+      (Analysis.Funnel_report.render
+         ~title:
+           (Printf.sprintf "Campaign loss funnel (fault profile: %s)" profile.Faults.Profile.name)
+         funnel);
+  Ok ()
 
 (* The cross-vantage path of [campaign --regions N]: one world per
    region, the same domain-days probed from each, archived as a single
    observation CSV with a region column. Region scans are independent,
    so the archive is byte-identical at any --jobs. *)
-let run_cross_vantage ~domains ~days ~seed ~jobs ~regions ~out () =
+let run_cross_vantage ~world ~days ~jobs ~regions ~out () =
   let cv =
     Scanner.Cross_vantage.run ~jobs
-      {
-        Scanner.Cross_vantage.base = world_config ~domains ~seed;
-        regions = Simnet.Region.take regions;
-        days;
-      }
+      { Scanner.Cross_vantage.base = world; regions = Simnet.Region.take regions; days }
   in
   Scanner.Cross_vantage.save cv out;
   Printf.printf "wrote %d-day cross-vantage scan from %d regions (%s) to %s (%d rows)%s\n" days
@@ -406,138 +452,82 @@ let run_cross_vantage ~domains ~days ~seed ~jobs ~regions ~out () =
     out
     (List.length (Scanner.Cross_vantage.rows cv))
     (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "");
-  `Ok ()
+  Ok ()
 
-let campaign domains days seed jobs regions out fault_profile retries deadline stream_out
-    metrics_out trace_out =
-  match validate_sizes ~domains ~days ~jobs with
-  | Error e -> `Error (false, e)
-  | Ok () when regions < 1 || regions > List.length Simnet.Region.all ->
-      `Error
-        ( false,
-          Printf.sprintf "--regions must be between 1 and %d (got %d)"
-            (List.length Simnet.Region.all) regions )
-  | Ok () when regions > 1 ->
-      if stream_out <> None || metrics_out <> None || trace_out <> None || fault_profile <> "none"
-      then
-        `Error
-          ( false,
-            "--regions > 1 runs the cross-vantage scan, which does not support --stream-out, \
-             --metrics-out, --trace-out or --fault-profile" )
-      else guard (run_cross_vantage ~domains ~days ~seed ~jobs ~regions ~out)
-  | Ok () -> (
-      match fault_setup fault_profile retries deadline with
-      | Error e -> `Error (false, e)
-      | Ok (profile, retry) ->
-          let output = match stream_out with Some dir -> `Stream dir | None -> `Csv out in
-          guard
-            (run_campaign ~domains ~days ~seed ~jobs ~output ~profile ~retry ~metrics_out
-               ~trace_out))
+let campaign world days jobs = function
+  | `Cross (regions, out) -> guard (run_cross_vantage ~world ~days ~jobs ~regions ~out)
+  | `Single (output, faults, telemetry) ->
+      guard (run_campaign ~world ~days ~jobs ~output ~faults ~telemetry)
 
-let stream_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stream-out" ] ~docv:"DIR"
-        ~doc:
-          "Stream each completed day's rows into $(i,DIR) (one append-only spool per campaign \
-           shard) instead of holding the full observation matrix in memory for a final CSV \
-           save — memory stays flat regardless of --domains. $(i,DIR) is also the run's \
-           crash-recovery log: every day block carries the scan's resume state, and \
-           $(b,tlsharm resume) $(i,DIR) continues a killed run from the last block that \
-           verifies. A $(i,DIR) holding a different run is refused. The streamed archive is \
-           byte-equivalent to the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and it \
-           is identical at any --jobs and across resumes.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write campaign metrics (counters, gauges, histograms) as JSON. Telemetry only reads \
-           outcomes — the observation archive is byte-identical with or without it — and the \
-           metrics content is schedule-determined, so the JSON is identical for any --jobs. \
-           Render with $(b,tlsharm metrics-report).")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write aggregated trace spans (handshake phases, scan days, campaign shards) as JSON, \
-           timed on the simulated clock. Unlike metrics, spans reflect how the run executed: a \
-           campaign resumed from its --stream-out log has no probe spans for the shards it \
-           restores.")
-
-let regions_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "regions" ] ~docv:"N"
-        ~doc:
-          (Printf.sprintf
-             "With N > 1, probe the same domain-days from the first N of the %d modeled vantage \
-              regions (%s) instead of running the single-vantage campaign, and archive the \
-              per-region observation rows (with a region column) as one CSV. Regions are \
-              independent, so the archive is byte-identical at any --jobs."
-             (List.length Simnet.Region.all)
-             Simnet.Region.names))
-
-let campaign_cmd =
+(* What [campaign] runs: the single-vantage campaign with its output,
+   faults and telemetry, or (--regions N > 1) the cross-vantage scan,
+   which takes none of the single-vantage extras. *)
+let campaign_run_t =
+  let regions =
+    let n = List.length Simnet.Region.all in
+    checked
+      (fun r ->
+        if r < 1 || r > n then
+          Error (Printf.sprintf "--regions must be between 1 and %d (got %d)" n r)
+        else Ok r)
+      Arg.(
+        value
+        & opt int 1
+        & info [ "regions" ] ~docv:"N"
+            ~doc:
+              (Printf.sprintf
+                 "With N > 1, probe the same domain-days from the first N of the %d modeled \
+                  vantage regions (%s) instead of running the single-vantage campaign, and \
+                  archive the per-region observation rows (with a region column) as one CSV. \
+                  Regions are independent, so the archive is byte-identical at any --jobs."
+                 n Simnet.Region.names))
+  in
   let out =
     Arg.(
       value
       & opt string "campaign.csv"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Campaign CSV output path.")
   in
-  Cmd.v
-    (Cmd.info "campaign" ~doc:"Run a daily longitudinal campaign and archive it as CSV.")
-    Term.(
-      ret
-        (const campaign $ domains_arg $ days_arg $ seed_arg $ jobs_arg $ regions_arg $ out
-       $ fault_profile_arg $ retries_arg $ probe_deadline_arg $ stream_out_arg $ metrics_out_arg
-       $ trace_out_arg))
+  let stream_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "stream-out" ] ~docv:"DIR"
+          ~doc:
+            "Stream each completed day's rows into $(i,DIR) (one append-only spool per campaign \
+             shard) instead of holding the full observation matrix in memory for a final CSV \
+             save — memory stays flat regardless of --domains. $(i,DIR) is also the run's \
+             crash-recovery log: every day block carries the scan's resume state, and \
+             $(b,tlsharm resume) $(i,DIR) continues a killed run from the last block that \
+             verifies. A $(i,DIR) holding a different run is refused. The streamed archive is \
+             byte-equivalent to the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and \
+             it is identical at any --jobs and across resumes.")
+  in
+  let select regions out faults stream_out telemetry =
+    if regions = 1 then
+      let output = match stream_out with Some dir -> `Stream dir | None -> `Csv out in
+      Ok (`Single (output, faults, telemetry))
+    else if
+      stream_out <> None || telemetry_on telemetry || faults_enabled (fst faults)
+    then
+      Error
+        "--regions > 1 runs the cross-vantage scan, which does not support --stream-out, \
+         --metrics-out, --trace-out or --fault-profile"
+    else Ok (`Cross (regions, out))
+  in
+  Term.(term_result' (const select $ regions $ out $ faults_t $ stream_out $ telemetry_t))
 
-(* --- resume -------------------------------------------------------------------------------- *)
+let campaign_cmd =
+  cmd "campaign" ~doc:"Run a daily longitudinal campaign and archive it as CSV."
+    Term.(const campaign $ world_t $ days_t $ jobs_t $ campaign_run_t)
 
-let resume dir jobs metrics_out trace_out =
-  match Scanner.Stream_sink.manifest ~dir with
-  | Error e -> `Error (false, dir ^ ": " ^ e)
-  | Ok kvs -> (
-      let field k = List.assoc_opt k kvs in
-      let int_field k = Option.bind (field k) int_of_string_opt in
-      match
-        ( field "mode",
-          field "seed",
-          int_field "n_domains",
-          int_field "days",
-          field "fault_profile",
-          int_field "retries",
-          int_field "deadline" )
-      with
-      | ( Some "campaign",
-          Some seed,
-          Some domains,
-          Some days,
-          Some profile,
-          Some retries,
-          Some deadline ) -> (
-          match validate_sizes ~domains ~days ~jobs with
-          | Error e -> `Error (false, e)
-          | Ok () -> (
-              match fault_setup profile (Some retries) (Some deadline) with
-              | Error e -> `Error (false, e)
-              | Ok (profile, retry) ->
-                  (* Shards and their seeds depend only on the world, so
-                     any worker count reproduces the original bytes. *)
-                  guard
-                    (run_campaign ~domains ~days ~seed ~jobs ~output:(`Stream dir) ~profile ~retry
-                       ~metrics_out ~trace_out)))
-      | Some mode, _, _, _, _, _, _ when mode <> "campaign" ->
-          `Error (false, Printf.sprintf "%s: cannot resume mode %S" dir mode)
-      | _ -> `Error (false, dir ^ ": manifest is missing campaign fields"))
+let resume dir jobs telemetry =
+  match Result.bind (Scanner.Stream_sink.manifest ~dir) campaign_of_manifest with
+  | Error e -> Error (dir ^ ": " ^ e)
+  | Ok (world, days, faults) ->
+      (* Shards and their seeds depend only on the world, so any worker
+         count reproduces the original bytes. *)
+      guard (run_campaign ~world ~days ~jobs ~output:(`Stream dir) ~faults ~telemetry)
 
 let resume_cmd =
   let dir =
@@ -546,15 +536,14 @@ let resume_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"DIR" ~doc:"The --stream-out directory of the interrupted campaign.")
   in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Resume an interrupted campaign from its --stream-out directory, the run's log. Fully \
-          recorded shards are restored without probing; the rest replay from day 0, checked \
-          block by block against the log, and continue. A damaged or torn newest block falls \
-          back to the last one that verifies. The finished directory is byte-identical to an \
-          uninterrupted run's at any --jobs.")
-    Term.(ret (const resume $ dir $ jobs_arg $ metrics_out_arg $ trace_out_arg))
+  cmd "resume"
+    ~doc:
+      "Resume an interrupted campaign from its --stream-out directory, the run's log. Fully \
+       recorded shards are restored without probing; the rest replay from day 0, checked block \
+       by block against the log, and continue. A damaged or torn newest block falls back to the \
+       last one that verifies. The finished directory is byte-identical to an uninterrupted \
+       run's at any --jobs."
+    Term.(const resume $ dir $ jobs_t $ telemetry_t)
 
 let analyze path =
   guard @@ fun () ->
@@ -568,41 +557,37 @@ let analyze path =
     | Ok kvs -> List.assoc_opt "mode" kvs = Some "traffic"
     | Error _ -> false
   in
-  if traffic_archive then
-    match Analysis.Tracking_report.of_sink ~dir:path with
-    | Error e -> `Error (false, e)
-    | Ok t ->
-        print_string (Analysis.Tracking_report.render t);
-        `Ok ()
+  if traffic_archive then (
+    let* t = Analysis.Tracking_report.of_sink ~dir:path in
+    print_string (Analysis.Tracking_report.render t);
+    Ok ())
   else
-  let load = if is_dir then Scanner.Daily_scan.load_stream else Scanner.Daily_scan.load in
-  match load path with
-  | Error e -> `Error (false, e)
-  | Ok campaign ->
-      let report field name paper =
-        let spans = Analysis.Lifetime.analyze ~field campaign in
-        let s = Analysis.Lifetime.summarize spans in
-        let pct v = Analysis.Report.fmt_pct (v /. s.Analysis.Lifetime.population) in
-        Printf.printf "%-6s never=%s daily=%s 7d+=%s 30d+=%s   (paper: %s)\n" name
-          (pct s.Analysis.Lifetime.never_observed)
-          (pct s.Analysis.Lifetime.changed_daily)
-          (pct s.Analysis.Lifetime.span_7d_plus)
-          (pct s.Analysis.Lifetime.span_30d_plus)
-          paper;
-        let top = Analysis.Lifetime.top_reusers ~min_days:7 ~limit:5 spans in
-        List.iter
-          (fun (x : Analysis.Lifetime.domain_spans) ->
-            Printf.printf "         r%-7d %-40s %2d days\n" x.Analysis.Lifetime.rank
-              x.Analysis.Lifetime.domain x.Analysis.Lifetime.max_span_days)
-          top
-      in
-      Printf.printf "campaign: %d domains, %d days\n\n"
-        (Array.length campaign.Scanner.Daily_scan.series)
-        campaign.Scanner.Daily_scan.n_days;
-      report Analysis.Lifetime.Stek "STEK" "23% never, 41% daily, 22% 7d+, 10% 30d+";
-      report Analysis.Lifetime.Dhe "DHE" "1.2% 7d+ of trusted";
-      report Analysis.Lifetime.Ecdhe "ECDHE" "3.0% 7d+ of trusted";
-      `Ok ()
+    let load = if is_dir then Scanner.Daily_scan.load_stream else Scanner.Daily_scan.load in
+    let* campaign = load path in
+    let report field name paper =
+      let spans = Analysis.Lifetime.analyze ~field campaign in
+      let s = Analysis.Lifetime.summarize spans in
+      let pct v = Analysis.Report.fmt_pct (v /. s.Analysis.Lifetime.population) in
+      Printf.printf "%-6s never=%s daily=%s 7d+=%s 30d+=%s   (paper: %s)\n" name
+        (pct s.Analysis.Lifetime.never_observed)
+        (pct s.Analysis.Lifetime.changed_daily)
+        (pct s.Analysis.Lifetime.span_7d_plus)
+        (pct s.Analysis.Lifetime.span_30d_plus)
+        paper;
+      let top = Analysis.Lifetime.top_reusers ~min_days:7 ~limit:5 spans in
+      List.iter
+        (fun (x : Analysis.Lifetime.domain_spans) ->
+          Printf.printf "         r%-7d %-40s %2d days\n" x.Analysis.Lifetime.rank
+            x.Analysis.Lifetime.domain x.Analysis.Lifetime.max_span_days)
+        top
+    in
+    Printf.printf "campaign: %d domains, %d days\n\n"
+      (Array.length campaign.Scanner.Daily_scan.series)
+      campaign.Scanner.Daily_scan.n_days;
+    report Analysis.Lifetime.Stek "STEK" "23% never, 41% daily, 22% 7d+, 10% 30d+";
+    report Analysis.Lifetime.Dhe "DHE" "1.2% 7d+ of trusted";
+    report Analysis.Lifetime.Ecdhe "ECDHE" "3.0% 7d+ of trusted";
+    Ok ()
 
 let analyze_cmd =
   let path =
@@ -612,44 +597,28 @@ let analyze_cmd =
       & info [] ~docv:"PATH"
           ~doc:"Campaign CSV, or a --stream-out sink directory (campaign or traffic mode).")
   in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Re-analyze an archived run from a CSV file or a --stream-out directory: \
-          secret-lifetime spans for campaigns, the tracking-exposure table for traffic \
-          archives.")
-    Term.(ret (const analyze $ path))
+  cmd "analyze"
+    ~doc:
+      "Re-analyze an archived run from a CSV file or a --stream-out directory: secret-lifetime \
+       spans for campaigns, the tracking-exposure table for traffic archives."
+    Term.(const analyze $ path)
 
 (* --- vuln-report ----------------------------------------------------------------------- *)
 
-let vuln_report domains days seed jobs verbose fault_profile retries deadline cross =
-  match validate_sizes ~domains ~days ~jobs with
-  | Error e -> `Error (false, e)
-  | Ok () -> (
-      match fault_setup fault_profile retries deadline with
-      | Error e -> `Error (false, e)
-      | Ok (profile, retry) -> (
-          guard @@ fun () ->
-          let study =
-            Tlsharm.Study.create
-              ~config:
-                (study_config ~domains ~days ~seed ~jobs ~verbose ~fault_profile:profile ~retry)
-              ()
-          in
-          print_string (Tlsharm.Study.vuln_report study);
-          print_newline ();
-          match cross with
-          | None -> `Ok ()
-          | Some path -> (
-              match Scanner.Cross_vantage.load path with
-              | Error e -> `Error (false, e)
-              | Ok rows ->
-                  print_string
-                    (Analysis.Vuln_report.render_inconsistency
-                       (Analysis.Vuln_report.inconsistency ~world:(Tlsharm.Study.world study)
-                          ~rows));
-                  print_newline ();
-                  `Ok ())))
+let vuln_report config cross =
+  guard @@ fun () ->
+  let study = Tlsharm.Study.create ~config () in
+  print_string (Tlsharm.Study.vuln_report study);
+  print_newline ();
+  match cross with
+  | None -> Ok ()
+  | Some path ->
+      let* rows = Scanner.Cross_vantage.load path in
+      print_string
+        (Analysis.Vuln_report.render_inconsistency
+           (Analysis.Vuln_report.inconsistency ~world:(Tlsharm.Study.world study) ~rows));
+      print_newline ();
+      Ok ()
 
 let vuln_report_cmd =
   let cross =
@@ -662,112 +631,95 @@ let vuln_report_cmd =
              by $(b,campaign --regions) N (HT weights and operator attribution come from the \
              same world the report runs against).")
   in
-  Cmd.v
-    (Cmd.info "vuln-report"
-       ~doc:
-         "Rank operators by combined harm — HT-weighted vulnerability-window days scaled by \
-          misconfiguration severity — and optionally the cross-regional inconsistency table \
-          from a --regions archive.")
-    Term.(
-      ret
-        (const vuln_report $ domains_arg $ days_arg $ seed_arg $ jobs_arg $ verbose_arg
-       $ fault_profile_arg $ retries_arg $ probe_deadline_arg $ cross))
+  cmd "vuln-report"
+    ~doc:
+      "Rank operators by combined harm — HT-weighted vulnerability-window days scaled by \
+       misconfiguration severity — and optionally the cross-regional inconsistency table from a \
+       --regions archive."
+    Term.(const vuln_report $ study_t $ cross)
 
 (* --- metrics-report -------------------------------------------------------------------- *)
 
 (* Human rendering of the JSON telemetry artifacts written by
-   [campaign --metrics-out/--trace-out] (and the bench phases entry).
-   Accepts either schema: both files carry a "schema" field, so one
-   command serves both rather than making the user remember which file
-   holds which. *)
+   [campaign --metrics-out/--trace-out]. Accepts either schema: both
+   files carry a "schema" field, so one command serves both rather than
+   making the user remember which file holds which. *)
 let metrics_report path =
   guard @@ fun () ->
-  match Durable.Atomic_io.read_any path with
-  | Error e -> `Error (false, Durable.Atomic_io.error_to_string ~what:path e)
-  | Ok content -> (
-      match Obs.Json.of_string content with
-      | Error e -> `Error (false, path ^ ": " ^ e)
-      | Ok json -> (
-          let obj_section name =
-            Option.value ~default:[]
-              (Option.bind (Obs.Json.member name json) Obs.Json.to_obj)
+  let* content =
+    Durable.Atomic_io.read_any path
+    |> Result.map_error (Durable.Atomic_io.error_to_string ~what:path)
+  in
+  let* json = Result.map_error (fun e -> path ^ ": " ^ e) (Obs.Json.of_string content) in
+  let obj_section name =
+    Option.value ~default:[] (Option.bind (Obs.Json.member name json) Obs.Json.to_obj)
+  in
+  let ints name j =
+    Option.value ~default:[]
+      (Option.map (List.filter_map Obs.Json.to_int)
+         (Option.bind (Obs.Json.member name j) Obs.Json.to_list))
+  in
+  match Option.bind (Obs.Json.member "schema" json) Obs.Json.to_str with
+  | Some s when String.equal s Obs.Metrics.schema ->
+      let counters = obj_section "counters" and gauges = obj_section "gauges" in
+      if counters <> [] then print_endline "counters:";
+      List.iter
+        (fun (name, v) ->
+          Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
+        counters;
+      if gauges <> [] then print_endline "gauges:";
+      List.iter
+        (fun (name, v) ->
+          Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
+        gauges;
+      let hists = obj_section "histograms" in
+      if hists <> [] then print_endline "histograms:";
+      List.iter
+        (fun (name, h) ->
+          let bounds = ints "bounds" h and counts = ints "counts" h in
+          let sum =
+            Option.value ~default:0 (Option.bind (Obs.Json.member "sum" h) Obs.Json.to_int)
           in
-          let ints name j =
-            Option.value ~default:[]
-              (Option.map (List.filter_map Obs.Json.to_int)
-                 (Option.bind (Obs.Json.member name j) Obs.Json.to_list))
-          in
-          match Option.bind (Obs.Json.member "schema" json) Obs.Json.to_str with
-          | Some s when String.equal s Obs.Metrics.schema ->
-              let counters = obj_section "counters" and gauges = obj_section "gauges" in
-              if counters <> [] then print_endline "counters:";
-              List.iter
-                (fun (name, v) ->
-                  Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
-                counters;
-              if gauges <> [] then print_endline "gauges:";
-              List.iter
-                (fun (name, v) ->
-                  Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
-                gauges;
-              let hists = obj_section "histograms" in
-              if hists <> [] then print_endline "histograms:";
-              List.iter
-                (fun (name, h) ->
-                  let bounds = ints "bounds" h and counts = ints "counts" h in
-                  let sum =
-                    Option.value ~default:0 (Option.bind (Obs.Json.member "sum" h) Obs.Json.to_int)
-                  in
-                  Printf.printf "  %-28s sum=%d\n" name sum;
-                  List.iteri
-                    (fun i c ->
-                      let label =
-                        if i < List.length bounds then
-                          Printf.sprintf "<= %d" (List.nth bounds i)
-                        else
-                          Printf.sprintf "> %d"
-                            (match List.rev bounds with b :: _ -> b | [] -> 0)
-                      in
-                      Printf.printf "    %-10s %d\n" label c)
-                    counts)
-                hists;
-              `Ok ()
-          | Some s when String.equal s Obs.Trace.schema ->
-              let spans =
-                Option.value ~default:[]
-                  (Option.bind (Obs.Json.member "spans" json) Obs.Json.to_list)
+          Printf.printf "  %-28s sum=%d\n" name sum;
+          List.iteri
+            (fun i c ->
+              let label =
+                if i < List.length bounds then Printf.sprintf "<= %d" (List.nth bounds i)
+                else Printf.sprintf "> %d" (match List.rev bounds with b :: _ -> b | [] -> 0)
               in
-              Printf.printf "%-24s %-32s %8s %12s %10s %10s\n" "span" "attrs" "count"
-                "sim_total_s" "sim_min_s" "sim_max_s";
-              List.iter
-                (fun span ->
-                  let str name =
-                    Option.value ~default:""
-                      (Option.bind (Obs.Json.member name span) Obs.Json.to_str)
-                  in
-                  let num name =
-                    Option.value ~default:0
-                      (Option.bind (Obs.Json.member name span) Obs.Json.to_int)
-                  in
-                  let attrs =
-                    Option.value ~default:[]
-                      (Option.bind (Obs.Json.member "attrs" span) Obs.Json.to_obj)
-                    |> List.map (fun (k, v) ->
-                           Printf.sprintf "%s=%s" k
-                             (Option.value ~default:"?" (Obs.Json.to_str v)))
-                    |> String.concat ","
-                  in
-                  Printf.printf "%-24s %-32s %8d %12d %10d %10d" (str "name") attrs (num "count")
-                    (num "sim_total_s") (num "sim_min_s") (num "sim_max_s");
-                  (match
-                     Option.bind (Obs.Json.member "wall_ns" span) Obs.Json.to_float
-                   with
-                  | Some w -> Printf.printf "  wall=%.3fms\n" (w /. 1e6)
-                  | None -> print_newline ()))
-                spans;
-              `Ok ()
-          | Some s -> `Error (false, Printf.sprintf "%s: unknown telemetry schema %S" path s)
-          | None -> `Error (false, path ^ ": missing schema field (not a telemetry file?)")))
+              Printf.printf "    %-10s %d\n" label c)
+            counts)
+        hists;
+      Ok ()
+  | Some s when String.equal s Obs.Trace.schema ->
+      let spans =
+        Option.value ~default:[] (Option.bind (Obs.Json.member "spans" json) Obs.Json.to_list)
+      in
+      Printf.printf "%-24s %-32s %8s %12s %10s %10s\n" "span" "attrs" "count" "sim_total_s"
+        "sim_min_s" "sim_max_s";
+      List.iter
+        (fun span ->
+          let str name =
+            Option.value ~default:"" (Option.bind (Obs.Json.member name span) Obs.Json.to_str)
+          in
+          let num name =
+            Option.value ~default:0 (Option.bind (Obs.Json.member name span) Obs.Json.to_int)
+          in
+          let attrs =
+            Option.value ~default:[] (Option.bind (Obs.Json.member "attrs" span) Obs.Json.to_obj)
+            |> List.map (fun (k, v) ->
+                   Printf.sprintf "%s=%s" k (Option.value ~default:"?" (Obs.Json.to_str v)))
+            |> String.concat ","
+          in
+          Printf.printf "%-24s %-32s %8d %12d %10d %10d" (str "name") attrs (num "count")
+            (num "sim_total_s") (num "sim_min_s") (num "sim_max_s");
+          match Option.bind (Obs.Json.member "wall_ns" span) Obs.Json.to_float with
+          | Some w -> Printf.printf "  wall=%.3fms\n" (w /. 1e6)
+          | None -> print_newline ())
+        spans;
+      Ok ()
+  | Some s -> Error (Printf.sprintf "%s: unknown telemetry schema %S" path s)
+  | None -> Error (path ^ ": missing schema field (not a telemetry file?)")
 
 let metrics_report_cmd =
   let path =
@@ -776,37 +728,39 @@ let metrics_report_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Metrics or trace JSON written by campaign/bench telemetry.")
   in
-  Cmd.v
-    (Cmd.info "metrics-report"
-       ~doc:"Render a telemetry artifact (--metrics-out or --trace-out JSON) as a table.")
-    Term.(ret (const metrics_report $ path))
+  cmd "metrics-report"
+    ~doc:"Render a telemetry artifact (--metrics-out or --trace-out JSON) as a table."
+    Term.(const metrics_report $ path)
 
 (* --- posture --------------------------------------------------------------------------- *)
 
-let posture domains seed targets =
-  match validate_sizes ~domains ~days:1 ~jobs:1 with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  let world = Simnet.World.create ~config:(world_config ~domains ~seed) () in
+let posture config targets =
+  let world = Simnet.World.create ~config () in
   let targets =
-    match targets with
-    | [] -> [ "google.com"; "yahoo.com"; "netflix.com"; "yandex.ru" ]
-    | l -> l
+    match targets with [] -> [ "google.com"; "yahoo.com"; "netflix.com"; "yandex.ru" ] | l -> l
   in
-  List.iter
-    (fun domain ->
-      print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain ()));
-      print_newline ())
-    targets;
-  `Ok ()
+  (* A name outside the sampled world has no endpoint to probe; grading
+     it would report a confident F for a site that was never looked at. *)
+  match List.find_opt (fun d -> Simnet.World.find_domain world d = None) targets with
+  | Some d ->
+      Error
+        (Printf.sprintf "unknown domain %S: not in the %d-domain world (seed %S)" d
+           config.Simnet.World.n_domains config.Simnet.World.seed)
+  | None ->
+      List.iter
+        (fun domain ->
+          print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain ()));
+          print_newline ())
+        targets;
+      Ok ()
 
 let posture_cmd =
   let targets = Arg.(value & pos_all string [] & info [] ~docv:"DOMAIN" ~doc:"Domains to assess.") in
-  Cmd.v
-    (Cmd.info "posture"
-       ~doc:
-         "Grade domains' forward-secrecy posture (resumption windows, STEK rotation, ephemeral           hygiene) - the per-site view of the study.")
-    Term.(ret (const posture $ domains_arg $ seed_arg $ targets))
+  cmd "posture"
+    ~doc:
+      "Grade domains' forward-secrecy posture (resumption windows, STEK rotation, ephemeral \
+       hygiene) - the per-site view of the study."
+    Term.(const posture $ world_t $ targets)
 
 (* --- attack-demo ------------------------------------------------------------------------ *)
 
@@ -887,13 +841,12 @@ let attack_demo () =
   run ~shortcuts:true "server with crypto shortcuts (tickets + cache + reused ECDHE)";
   print_newline ();
   run ~shortcuts:false "server with forward secrecy done right (no shortcuts)";
-  `Ok ()
+  Ok ()
 
 let attack_cmd =
-  Cmd.v
-    (Cmd.info "attack-demo"
-       ~doc:"Demonstrate the stolen-STEK / stolen-DH-value / stolen-cache decryptions end to end.")
-    Term.(ret (const attack_demo $ const ()))
+  cmd "attack-demo"
+    ~doc:"Demonstrate the stolen-STEK / stolen-DH-value / stolen-cache decryptions end to end."
+    Term.(const attack_demo $ const ())
 
 (* --- traffic ------------------------------------------------------------------------------ *)
 
@@ -901,10 +854,10 @@ let attack_cmd =
    [Traffic_sink.create] refuses to re-attach when any of these differ,
    and [Analysis.Tracking_report.of_sink] reads the run metadata back
    from here. *)
-let traffic_manifest ~(cfg : Traffic.Population.config) ~seed =
+let traffic_manifest (cfg : Traffic.Population.config) =
   [
     ("mode", "traffic");
-    ("seed", seed);
+    ("seed", cfg.Traffic.Population.world.Simnet.World.seed);
     ("n_domains", string_of_int cfg.Traffic.Population.world.Simnet.World.n_domains);
     ("users", string_of_int cfg.Traffic.Population.users);
     ("days", string_of_int cfg.Traffic.Population.days);
@@ -914,133 +867,119 @@ let traffic_manifest ~(cfg : Traffic.Population.config) ~seed =
     ("pages_per_day", Printf.sprintf "%g" cfg.Traffic.Population.pages_per_day);
   ]
 
-let traffic users days domains seed jobs shard_users policy ticket_lifetime pages_per_day
-    stream_out metrics_out trace_out =
-  match validate_sizes ~domains ~days ~jobs with
-  | Error e -> `Error (false, e)
-  | Ok () -> (
-      if users < 1 then `Error (false, Printf.sprintf "--users must be at least 1 (got %d)" users)
-      else if shard_users < 1 then
-        `Error (false, Printf.sprintf "--shard-users must be at least 1 (got %d)" shard_users)
-      else if ticket_lifetime < 0 then
-        `Error
-          (false, Printf.sprintf "--ticket-lifetime must be non-negative (got %d)" ticket_lifetime)
-      else if not (pages_per_day > 0.0) then
-        `Error
-          (false, Printf.sprintf "--pages-per-day must be positive (got %g)" pages_per_day)
-      else
-        match Traffic.Population.policy_of_string policy with
-        | Error e -> `Error (false, e)
-        | Ok policy ->
-            guard @@ fun () ->
-            let cfg =
-              {
-                Traffic.Population.default_config with
-                Traffic.Population.users;
-                days;
-                shard_users;
-                policy;
-                ticket_lifetime_cap = ticket_lifetime;
-                pages_per_day;
-                world = world_config ~domains ~seed;
-              }
-            in
-            let obs = recorder ~metrics_out ~trace_out in
-            let sink =
-              match stream_out with
-              | None -> Ok None
-              | Some dir ->
-                  Result.map Option.some
-                    (Traffic.Traffic_sink.create ~dir ~manifest:(traffic_manifest ~cfg ~seed))
-            in
-            (match sink with
-            | Error e -> `Error (false, e)
-            | Ok sink ->
-                let kernel_before = Obs.Kernel.snapshot () in
-                let r = Traffic.Population.run ~jobs ?sink ~obs cfg in
-                write_telemetry ~what:"traffic" obs ~kernel_before ~metrics_out ~trace_out;
-                (* A report-assembly failure must surface as a one-line
-                   CLI error, not as a raw exception message: routing it
-                   through [failwith] happened to be caught by [guard]
-                   but printed the bare payload with no context. *)
-                let report =
-                  match sink with
-                  | Some s ->
-                      Result.map_error
-                        (fun e -> "traffic archive: " ^ e)
-                        (Analysis.Tracking_report.of_sink ~dir:(Traffic.Traffic_sink.dir s))
-                  | None ->
-                      let meta =
-                        {
-                          Analysis.Tracking_report.policy =
-                            Traffic.Population.policy_to_string cfg.Traffic.Population.policy;
-                          ticket_lifetime;
-                          users;
-                          days;
-                        }
-                      in
-                      Ok
-                        (Analysis.Tracking_report.of_rows ~meta
-                           ~hosts:r.Traffic.Population.hosts
-                           (List.concat (Array.to_list r.Traffic.Population.rows)))
-                in
-                match report with
-                | Error e -> `Error (false, e)
-                | Ok report ->
-                    Printf.printf
-                      "simulated %d users over %d days (%d shards%s): %d connections%s\n\n" users
-                      days r.Traffic.Population.n_shards
-                      (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "")
-                      r.Traffic.Population.total_rows
-                      (match sink with
-                      | Some s -> " streamed to " ^ Traffic.Traffic_sink.dir s
-                      | None -> "");
-                    print_string (Analysis.Tracking_report.render report);
-                    `Ok ()))
+let traffic (cfg : Traffic.Population.config) jobs stream_out telemetry =
+  guard @@ fun () ->
+  let obs = recorder telemetry in
+  let* sink =
+    match stream_out with
+    | None -> Ok None
+    | Some dir ->
+        Result.map Option.some (Traffic.Traffic_sink.create ~dir ~manifest:(traffic_manifest cfg))
+  in
+  let kernel_before = Obs.Kernel.snapshot () in
+  let r = Traffic.Population.run ~jobs ?sink ~obs cfg in
+  write_telemetry ~what:"traffic" telemetry obs ~kernel_before;
+  let* report =
+    match sink with
+    | Some s ->
+        Result.map_error
+          (fun e -> "traffic archive: " ^ e)
+          (Analysis.Tracking_report.of_sink ~dir:(Traffic.Traffic_sink.dir s))
+    | None ->
+        let meta =
+          {
+            Analysis.Tracking_report.policy =
+              Traffic.Population.policy_to_string cfg.Traffic.Population.policy;
+            ticket_lifetime = cfg.Traffic.Population.ticket_lifetime_cap;
+            users = cfg.Traffic.Population.users;
+            days = cfg.Traffic.Population.days;
+          }
+        in
+        Ok
+          (Analysis.Tracking_report.of_rows ~meta ~hosts:r.Traffic.Population.hosts
+             (List.concat (Array.to_list r.Traffic.Population.rows)))
+  in
+  Printf.printf "simulated %d users over %d days (%d shards%s): %d connections%s\n\n"
+    cfg.Traffic.Population.users cfg.Traffic.Population.days r.Traffic.Population.n_shards
+    (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "")
+    r.Traffic.Population.total_rows
+    (match sink with Some s -> " streamed to " ^ Traffic.Traffic_sink.dir s | None -> "");
+  print_string (Analysis.Tracking_report.render report);
+  Ok ()
 
-let traffic_cmd =
+(* The population config, from the shared world and days terms plus the
+   traffic-only flags. *)
+let traffic_config_t =
   let users =
-    Arg.(
-      value
-      & opt int 10_000
-      & info [ "users" ] ~docv:"N" ~doc:"Simulated browser-like client population size.")
+    checked (at_least "--users" 1)
+      Arg.(
+        value
+        & opt int 10_000
+        & info [ "users" ] ~docv:"N" ~doc:"Simulated browser-like client population size.")
   in
   let shard_users =
-    Arg.(
-      value
-      & opt int 16_384
-      & info [ "shard-users" ] ~docv:"N"
-          ~doc:
-            "Users per shard. Sharding depends only on this and --users — never on --jobs — so \
-             the archive is byte-identical for any worker count. Each shard simulates its own \
-             deterministic world replica.")
+    checked (at_least "--shard-users" 1)
+      Arg.(
+        value
+        & opt int 16_384
+        & info [ "shard-users" ] ~docv:"N"
+            ~doc:
+              "Users per shard. Sharding depends only on this and --users — never on --jobs — \
+               so the archive is byte-identical for any worker count. Each shard simulates its \
+               own deterministic world replica.")
   in
   let policy =
-    Arg.(
-      value
-      & opt string "strict"
-      & info [ "resumption-policy" ] ~docv:"POLICY"
-          ~doc:
-            "Client resumption scope: $(b,strict) keys cached sessions and tickets by exact \
-             hostname; $(b,cross) shares them across all hostnames of one operator — more \
-             abbreviated handshakes, one linkable identity per operator.")
+    checked Traffic.Population.policy_of_string
+      Arg.(
+        value
+        & opt string "strict"
+        & info [ "resumption-policy" ] ~docv:"POLICY"
+            ~doc:
+              "Client resumption scope: $(b,strict) keys cached sessions and tickets by exact \
+               hostname; $(b,cross) shares them across all hostnames of one operator — more \
+               abbreviated handshakes, one linkable identity per operator.")
   in
   let ticket_lifetime =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "ticket-lifetime" ] ~docv:"SECS"
-          ~doc:
-            "Client-side cap on ticket reuse age, seconds; 0 (default) honors the server's \
-             advertised lifetime hint alone. Clients never offer state past its lifetime.")
+    checked
+      (fun v ->
+        if v < 0 then Error (Printf.sprintf "--ticket-lifetime must be non-negative (got %d)" v)
+        else Ok v)
+      Arg.(
+        value
+        & opt int 0
+        & info [ "ticket-lifetime" ] ~docv:"SECS"
+            ~doc:
+              "Client-side cap on ticket reuse age, seconds; 0 (default) honors the server's \
+               advertised lifetime hint alone. Clients never offer state past its lifetime.")
   in
   let pages_per_day =
-    Arg.(
-      value
-      & opt float 2.0
-      & info [ "pages-per-day" ] ~docv:"MEAN"
-          ~doc:"Mean page loads per user-day (each page fetches subresource hosts too).")
+    checked
+      (fun v ->
+        if v > 0.0 then Ok v
+        else Error (Printf.sprintf "--pages-per-day must be positive (got %g)" v))
+      Arg.(
+        value
+        & opt float 2.0
+        & info [ "pages-per-day" ] ~docv:"MEAN"
+            ~doc:"Mean page loads per user-day (each page fetches subresource hosts too).")
   in
+  let config world days users shard_users ticket_lifetime_cap pages_per_day policy =
+    {
+      Traffic.Population.default_config with
+      Traffic.Population.users;
+      days;
+      shard_users;
+      policy;
+      ticket_lifetime_cap;
+      pages_per_day;
+      world;
+    }
+  in
+  Term.(
+    const config $ world_t $ days_t $ users $ shard_users $ ticket_lifetime $ pages_per_day
+    $ policy)
+
+let traffic_cmd =
   let stream_out =
     Arg.(
       value
@@ -1053,55 +992,42 @@ let traffic_cmd =
              shards and reproduces the identical archive. Reassemble with $(b,tlsharm analyze) \
              $(i,DIR).")
   in
-  Cmd.v
-    (Cmd.info "traffic"
-       ~doc:
-         "Simulate a browser-like client population over the campaign window and report the \
-          latency-saved vs tracking-exposure tradeoff of session resumption (the client-side \
-          view of the study).")
-    Term.(
-      ret
-        (const traffic $ users $ days_arg $ domains_arg $ seed_arg $ jobs_arg $ shard_users
-       $ policy $ ticket_lifetime $ pages_per_day $ stream_out $ metrics_out_arg $ trace_out_arg))
+  cmd "traffic"
+    ~doc:
+      "Simulate a browser-like client population over the campaign window and report the \
+       latency-saved vs tracking-exposure tradeoff of session resumption (the client-side view \
+       of the study)."
+    Term.(const traffic $ traffic_config_t $ jobs_t $ stream_out $ telemetry_t)
 
 (* --- fuzz --------------------------------------------------------------------------------- *)
 
 let fuzz count seed artifact verbose =
-  guard (fun () ->
-      if count < 1 then `Error (false, "--count must be at least 1")
-      else begin
-        let progress n =
-          if verbose && n mod 10_000 = 0 then Printf.eprintf "fuzz: %d drives\r%!" n
-        in
-        let report = Faults.Fuzz.run ~seed ~progress ~count () in
-        if verbose then prerr_newline ();
-        Printf.printf "fuzz: %d drives (seed %S): %d parsed, %d rejected, %d escapes\n"
-          report.Faults.Fuzz.executed seed report.Faults.Fuzz.parsed
-          report.Faults.Fuzz.rejected
-          (List.length report.Faults.Fuzz.escapes);
-        List.iter
-          (fun (name, n) -> Printf.printf "  %-20s %8d\n" name n)
-          report.Faults.Fuzz.by_target;
-        match report.Faults.Fuzz.escapes with
-        | [] -> `Ok ()
-        | escapes ->
-            let text =
-              String.concat "\n" (List.map Faults.Fuzz.render_escape escapes)
-            in
-            (match artifact with
-            | Some path ->
-                Out_channel.with_open_text path (fun oc -> output_string oc text);
-                Printf.eprintf "fuzz: reproducers written to %s\n" path
-            | None -> prerr_string text);
-            `Error (false, Printf.sprintf "fuzz: %d escaped input(s)" (List.length escapes))
-      end)
+  guard @@ fun () ->
+  let progress n = if verbose && n mod 10_000 = 0 then Printf.eprintf "fuzz: %d drives\r%!" n in
+  let report = Faults.Fuzz.run ~seed ~progress ~count () in
+  if verbose then prerr_newline ();
+  Printf.printf "fuzz: %d drives (seed %S): %d parsed, %d rejected, %d escapes\n"
+    report.Faults.Fuzz.executed seed report.Faults.Fuzz.parsed report.Faults.Fuzz.rejected
+    (List.length report.Faults.Fuzz.escapes);
+  List.iter (fun (name, n) -> Printf.printf "  %-20s %8d\n" name n) report.Faults.Fuzz.by_target;
+  match report.Faults.Fuzz.escapes with
+  | [] -> Ok ()
+  | escapes ->
+      let text = String.concat "\n" (List.map Faults.Fuzz.render_escape escapes) in
+      (match artifact with
+      | Some path ->
+          Out_channel.with_open_text path (fun oc -> output_string oc text);
+          Printf.eprintf "fuzz: reproducers written to %s\n" path
+      | None -> prerr_string text);
+      Error (Printf.sprintf "fuzz: %d escaped input(s)" (List.length escapes))
 
 let fuzz_cmd =
   let count =
-    Arg.(
-      value
-      & opt int 100_000
-      & info [ "count" ] ~docv:"N" ~doc:"Number of mutated inputs to drive.")
+    checked (at_least "--count" 1)
+      Arg.(
+        value
+        & opt int 100_000
+        & info [ "count" ] ~docv:"N" ~doc:"Number of mutated inputs to drive.")
   in
   let seed =
     Arg.(
@@ -1119,13 +1045,12 @@ let fuzz_cmd =
       & info [ "artifact" ] ~docv:"PATH"
           ~doc:"Write escaped inputs as hex-dump reproducers to $(i,PATH) instead of stderr.")
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Drive deterministic structure-aware mutations of valid TLS transcripts through every \
-          peer-facing decoder and engine entry point; exit nonzero if any input escapes the \
-          typed-error contract (exception or allocation-cap breach).")
-    Term.(ret (const fuzz $ count $ seed $ artifact $ verbose_arg))
+  cmd "fuzz"
+    ~doc:
+      "Drive deterministic structure-aware mutations of valid TLS transcripts through every \
+       peer-facing decoder and engine entry point; exit nonzero if any input escapes the \
+       typed-error contract (exception or allocation-cap breach)."
+    Term.(const fuzz $ count $ seed $ artifact $ verbose_t)
 
 (* --- main --------------------------------------------------------------------------------- *)
 

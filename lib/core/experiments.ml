@@ -544,28 +544,7 @@ let section3 study =
      as in the paper; churned-in/out domains appear in the daily lists but not here.)
 "
 
-(* --- Everything ------------------------------------------------------------------------------ *)
-
-let all study =
-  String.concat "\n"
-    [
-      section3 study;
-      table1 study;
-      fig1 study;
-      fig2 study;
-      fig3 study;
-      fig4 study;
-      table2 study;
-      table3 study;
-      table4 study;
-      fig5 study;
-      table5 study;
-      table6 study;
-      table7 study;
-      fig6 study;
-      fig7 study;
-      fig8 study;
-    ]
+(* --- By id --------------------------------------------------------------------------------- *)
 
 let by_name =
   [

@@ -51,9 +51,7 @@ val fig7 : Study.t -> string
 val fig8 : Study.t -> string
 (** Overall vulnerability windows (the headline result). *)
 
-val all : Study.t -> string
-
 val by_name : (string * (Study.t -> string)) list
-(** [("t1", table1); ...; ("f8", fig8); ("funnel", ...)] — the ids the
-    CLI and bench use; ["funnel"] renders the scanner's own per-day
+(** [("t1", table1); ...; ("f8", fig8); ("funnel", ...)] — the ids
+    [tlsharm experiment] takes; ["funnel"] renders the scanner's own per-day
     measurement-loss funnel under the configured fault profile. *)

@@ -134,7 +134,3 @@ let rates_for t ~operator =
   match List.assoc_opt operator t.per_operator with
   | Some r -> r
   | None -> t.default_rates
-
-let transient_sum r =
-  r.timeout_p +. r.reset_p +. r.alert_p +. r.truncated_p +. r.byzantine_p
-  +. r.slow_p

@@ -35,6 +35,3 @@ val names : string list
 
 val of_name : string -> t option
 val rates_for : t -> operator:string -> rates
-
-val transient_sum : rates -> float
-(** Total per-attempt probability of any transient (non-outage) fault. *)

@@ -18,9 +18,6 @@ type policy = {
 let default =
   { max_attempts = 3; base_backoff = 2; multiplier = 2.0; max_backoff = 30; deadline = 60 }
 
-let no_retry =
-  { max_attempts = 1; base_backoff = 0; multiplier = 1.0; max_backoff = 0; deadline = 30 }
-
 (* Jitter in [0.5, 1.5): spreads a real fleet's retries; here it only
    needs to be deterministic, keyed by the probe's coordinates so two
    probes retrying the same host at different times decorrelate. *)

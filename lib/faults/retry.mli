@@ -13,8 +13,6 @@ type policy = {
 val default : policy
 (** 3 attempts, 2s base backoff doubling, 60s deadline. *)
 
-val no_retry : policy
-
 val backoff : policy -> key:string -> attempt:int -> int
 (** Seconds to wait after failed [attempt] (0-based): the exponential
     schedule scaled by a deterministic jitter in [0.5, 1.5), at least

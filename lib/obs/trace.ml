@@ -37,7 +37,6 @@ type t = {
 }
 
 let create ?(wall = false) () = { tbl = Hashtbl.create 64; wall }
-let wall_enabled t = t.wall
 
 let canonical_attrs attrs = List.sort compare attrs
 

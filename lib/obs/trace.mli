@@ -12,8 +12,6 @@ val create : ?wall:bool -> unit -> t
     nanoseconds per span — inherently nondeterministic, so the
     deterministic artifacts keep it off. *)
 
-val wall_enabled : t -> bool
-
 val record :
   t ->
   name:string ->

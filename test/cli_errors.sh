@@ -50,6 +50,12 @@ check "non-integer TLSHARM_JOBS" "TLSHARM_JOBS" \
 check "zero TLSHARM_JOBS" "--jobs must be at least 1 (got 0)" \
   env TLSHARM_JOBS=0 "$exe" campaign --domains 1500 --days 1
 
+# Fault flags below 1 are refused, not clamped.
+check "zero --retries" "--retries must be at least 1 (got 0)" \
+  "$exe" scan --domains 1500 --fault-profile default --retries 0
+check "zero --probe-deadline" "--probe-deadline must be at least 1 (got 0)" \
+  "$exe" scan --domains 1500 --fault-profile default --probe-deadline 0
+
 corrupt=$(mktemp /tmp/tlsharm-corrupt-XXXXXX.csv)
 printf 'not,a,campaign\n' >"$corrupt"
 check "corrupt archive" "campaign:" "$exe" analyze "$corrupt"
@@ -66,19 +72,27 @@ one_line() {
   fi
 }
 
+# Frame a manifest body by hand the way the durable-file writer frames
+# it: frame_manifest DIR BODY writes DIR/manifest.
+frame_manifest() {
+  printf '%s' "$2" >"$1/body"
+  {
+    printf '#tlsharm-durable v1\n'
+    cat "$1/body"
+    printf '\n#tlsharm-footer v1 bytes=%d block=65536 crc=%s\n' \
+      "$(wc -c <"$1/body")" "$(sha256sum "$1/body" | cut -c1-16)"
+  } >"$1/manifest"
+  rm "$1/body"
+}
+
 # A run log of the previous stream schema (tlsharm-stream/1, written
 # beside a separate checkpoint store) must be refused by schema, not
-# resumed or streamed into. The manifest is framed by hand the way the
-# durable-file writer frames it.
+# resumed or streamed into.
 old=$(mktemp -d /tmp/tlsharm-oldstream-XXXXXX)
-printf 'schema=tlsharm-stream/1\nstart_day=0\nn_days=2\n' >"$old/body"
-{
-  printf '#tlsharm-durable v1\n'
-  cat "$old/body"
-  printf '\n#tlsharm-footer v1 bytes=%d block=65536 crc=%s\n' \
-    "$(wc -c <"$old/body")" "$(sha256sum "$old/body" | cut -c1-16)"
-} >"$old/manifest"
-rm "$old/body"
+frame_manifest "$old" 'schema=tlsharm-stream/1
+start_day=0
+n_days=2
+'
 cp "$old/manifest" "$old/manifest.orig"
 check "resume of a tlsharm-stream/1 directory" "tlsharm-stream/1" \
   "$exe" resume "$old"
@@ -94,6 +108,40 @@ cmp -s "$old/manifest" "$old/manifest.orig" || {
   fails=$((fails + 1))
 }
 rm -rf "$old"
+
+# A run log's manifest is held to the same rules as the flags it
+# records: a retry budget the flags would refuse is not resumed.
+zero=$(mktemp -d /tmp/tlsharm-zeroretries-XXXXXX)
+frame_manifest "$zero" 'schema=tlsharm-stream/2
+mode=campaign
+seed=tlsharm
+n_domains=1500
+days=1
+fault_profile=default
+retries=0
+deadline=60
+start_day=16862
+n_days=1
+'
+check "resume of a manifest with retries=0" "--retries must be at least 1 (got 0)" \
+  "$exe" resume "$zero"
+one_line "manifest retries=0 refusal" "$exe" resume "$zero"
+ls "$zero" | grep -q '^rows-' && {
+  echo "FAIL: a manifest with retries=0 was resumed anyway"
+  fails=$((fails + 1))
+}
+rm -rf "$zero"
+
+# Unknown experiment ids are refused before any world is built or any
+# table printed: one line, even after a valid id.
+check "unknown experiment id" 'unknown experiment "nope"' \
+  "$exe" experiment --domains 1500 --days 1 t1 nope
+one_line "unknown experiment refusal" "$exe" experiment --domains 1500 --days 1 t1 nope
+
+# A posture target outside the world is an error, not a grade.
+check "posture of an unknown domain" 'unknown domain "nonexistent.example"' \
+  "$exe" posture --domains 1500 nonexistent.example
+one_line "unknown posture domain refusal" "$exe" posture --domains 1500 nonexistent.example
 
 # A --stream-out directory holding another run must be refused, not
 # mixed with it: the refused run leaves the first run's archive intact.
