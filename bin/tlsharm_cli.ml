@@ -5,10 +5,10 @@
      tlsharm reproduce                 run the full study, print every
                                        table and figure
      tlsharm experiment t1 f8 google   selected experiments
-     tlsharm campaign                  daily longitudinal campaign, archived
-                                       as CSV or streamed to a run log
-                                       (--stream-out); --regions N probes
-                                       from N vantage regions
+     tlsharm campaign                  daily longitudinal campaign: a CSV
+                                       exported from its run log, or the
+                                       log itself (--stream-out); --regions
+                                       N probes from N vantage regions
      tlsharm resume DIR                continue a killed --stream-out campaign
      tlsharm analyze PATH              re-analyze a campaign or traffic archive
      tlsharm vuln-report               rank operators by combined harm
@@ -42,6 +42,18 @@ let at_least flag min v =
 let world_of ~domains ~seed =
   let* n_domains = at_least "--domains" Simnet.World.min_domains domains in
   Ok { Simnet.World.default_config with Simnet.World.n_domains; seed }
+
+(* An output file is checked before any work: a scan of many days must
+   not end in a write that could never succeed. *)
+let writable_file path =
+  let parent = Filename.dirname path in
+  match Unix.access parent [ Unix.W_OK; Unix.X_OK ] with
+  | () when Sys.is_directory parent ->
+      if Sys.file_exists path && Sys.is_directory path then
+        Error (Printf.sprintf "%s: is a directory" path)
+      else Ok path
+  | () | (exception Unix.Unix_error _) ->
+      Error (Printf.sprintf "%s: %s is not a writable directory" path parent)
 
 let faults_of ~profile ~retries ~deadline =
   match Faults.Profile.of_name profile with
@@ -397,37 +409,35 @@ let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
   let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
   let obs = recorder telemetry in
-  (* The streaming sink replaces the end-of-run CSV: rows are appended
-     per completed day and never held in memory (a run with a sink keeps
-     no rows), which keeps RSS flat at --domains 100000. The sink
-     directory is also the run log a killed run resumes from. Reassemble
-     with `tlsharm analyze DIR` / Daily_scan.load_stream. *)
-  let* output =
-    match output with
-    | `Csv path -> Ok (`Csv path)
-    | `Stream dir ->
-        let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
-        Scanner.Stream_sink.create ~dir
-          ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
-        |> Result.map (fun s -> `Sink s)
+  let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
+  (* Every campaign writes its run log: into --stream-out's directory,
+     which a killed run resumes from, or, for a CSV archive, into a
+     temporary one the CSV is exported from. Rows are appended per
+     completed day and never held in memory. *)
+  let dir = match output with `Stream dir -> Some dir | `Csv _ -> None in
+  let domains = Array.length (Simnet.World.domains world) in
+  let jobs_note = if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "" in
+  let* () =
+    Scanner.Stream_sink.with_sink ?dir
+      ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
+      (fun sink ->
+        let kernel_before = Obs.Kernel.snapshot () in
+        Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ~sink ~obs world ~days ();
+        write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
+        match output with
+        | `Stream dir ->
+            Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
+              domains dir
+              (Scanner.Stream_sink.rows_written sink)
+              jobs_note;
+            Ok ()
+        | `Csv out ->
+            let* t = Scanner.Daily_scan.load_stream (Scanner.Stream_sink.dir sink) in
+            Scanner.Daily_scan.save t out;
+            Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days domains out
+              jobs_note;
+            Ok ())
   in
-  let sink = match output with `Sink s -> Some s | `Csv _ -> None in
-  let kernel_before = Obs.Kernel.snapshot () in
-  let t = Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ?sink ~obs world ~days () in
-  write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
-  (match output with
-  | `Sink s ->
-      Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
-        (Array.length t.Scanner.Daily_scan.series)
-        (Scanner.Stream_sink.dir s)
-        (Scanner.Stream_sink.rows_written s)
-        (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "")
-  | `Csv out ->
-      Scanner.Daily_scan.save t out;
-      Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days
-        (Array.length t.Scanner.Daily_scan.series)
-        out
-        (if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else ""));
   if faults_enabled profile then
     print_string
       (Analysis.Funnel_report.render
@@ -494,26 +504,28 @@ let campaign_run_t =
       & opt (some string) None
       & info [ "stream-out" ] ~docv:"DIR"
           ~doc:
-            "Stream each completed day's rows into $(i,DIR) (one append-only spool per campaign \
-             shard) instead of holding the full observation matrix in memory for a final CSV \
-             save — memory stays flat regardless of --domains. $(i,DIR) is also the run's \
-             crash-recovery log: every day block carries the scan's resume state, and \
-             $(b,tlsharm resume) $(i,DIR) continues a killed run from the last block that \
-             verifies. A $(i,DIR) holding a different run is refused. The streamed archive is \
-             byte-equivalent to the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and \
-             it is identical at any --jobs and across resumes.")
+            "Keep the run log in $(i,DIR): each completed day's rows are appended there (one \
+             append-only spool per campaign shard) instead of to a temporary directory that the \
+             CSV is exported from and that is removed when the run ends. Memory stays flat \
+             regardless of --domains either way. $(i,DIR) is also the run's crash-recovery \
+             log: every day block carries the scan's resume state, and $(b,tlsharm resume) \
+             $(i,DIR) continues a killed run from the last block that verifies. A $(i,DIR) \
+             holding a different run is refused. The streamed archive is byte-equivalent to \
+             the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and it is identical at \
+             any --jobs and across resumes.")
   in
   let select regions out faults stream_out telemetry =
     if regions = 1 then
-      let output = match stream_out with Some dir -> `Stream dir | None -> `Csv out in
-      Ok (`Single (output, faults, telemetry))
+      match stream_out with
+      | Some dir -> Ok (`Single (`Stream dir, faults, telemetry))
+      | None -> Result.map (fun out -> `Single (`Csv out, faults, telemetry)) (writable_file out)
     else if
       stream_out <> None || telemetry_on telemetry || faults_enabled (fst faults)
     then
       Error
         "--regions > 1 runs the cross-vantage scan, which does not support --stream-out, \
          --metrics-out, --trace-out or --fault-profile"
-    else Ok (`Cross (regions, out))
+    else Result.map (fun out -> `Cross (regions, out)) (writable_file out)
   in
   Term.(term_result' (const select $ regions $ out $ faults_t $ stream_out $ telemetry_t))
 
@@ -870,42 +882,24 @@ let traffic_manifest (cfg : Traffic.Population.config) =
 let traffic (cfg : Traffic.Population.config) jobs stream_out telemetry =
   guard @@ fun () ->
   let obs = recorder telemetry in
-  let* sink =
-    match stream_out with
-    | None -> Ok None
-    | Some dir ->
-        Result.map Option.some (Traffic.Traffic_sink.create ~dir ~manifest:(traffic_manifest cfg))
-  in
-  let kernel_before = Obs.Kernel.snapshot () in
-  let r = Traffic.Population.run ~jobs ?sink ~obs cfg in
-  write_telemetry ~what:"traffic" telemetry obs ~kernel_before;
-  let* report =
-    match sink with
-    | Some s ->
+  (* Without --stream-out the run log goes to a temporary directory; the
+     report is always folded from the log. *)
+  Traffic.Traffic_sink.with_sink ?dir:stream_out ~manifest:(traffic_manifest cfg) (fun sink ->
+      let kernel_before = Obs.Kernel.snapshot () in
+      let r = Traffic.Population.run ~jobs ~sink ~obs cfg in
+      write_telemetry ~what:"traffic" telemetry obs ~kernel_before;
+      let* report =
         Result.map_error
           (fun e -> "traffic archive: " ^ e)
-          (Analysis.Tracking_report.of_sink ~dir:(Traffic.Traffic_sink.dir s))
-    | None ->
-        let meta =
-          {
-            Analysis.Tracking_report.policy =
-              Traffic.Population.policy_to_string cfg.Traffic.Population.policy;
-            ticket_lifetime = cfg.Traffic.Population.ticket_lifetime_cap;
-            users = cfg.Traffic.Population.users;
-            days = cfg.Traffic.Population.days;
-          }
-        in
-        Ok
-          (Analysis.Tracking_report.of_rows ~meta ~hosts:r.Traffic.Population.hosts
-             (List.concat (Array.to_list r.Traffic.Population.rows)))
-  in
-  Printf.printf "simulated %d users over %d days (%d shards%s): %d connections%s\n\n"
-    cfg.Traffic.Population.users cfg.Traffic.Population.days r.Traffic.Population.n_shards
-    (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "")
-    r.Traffic.Population.total_rows
-    (match sink with Some s -> " streamed to " ^ Traffic.Traffic_sink.dir s | None -> "");
-  print_string (Analysis.Tracking_report.render report);
-  Ok ()
+          (Analysis.Tracking_report.of_sink ~dir:(Traffic.Traffic_sink.dir sink))
+      in
+      Printf.printf "simulated %d users over %d days (%d shards%s): %d connections%s\n\n"
+        cfg.Traffic.Population.users cfg.Traffic.Population.days r.Traffic.Population.n_shards
+        (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "")
+        r.Traffic.Population.total_rows
+        (match stream_out with Some dir -> " streamed to " ^ dir | None -> "");
+      print_string (Analysis.Tracking_report.render report);
+      Ok ())
 
 (* The population config, from the shared world and days terms plus the
    traffic-only flags. *)
@@ -986,11 +980,11 @@ let traffic_cmd =
       & opt (some string) None
       & info [ "stream-out" ] ~docv:"DIR"
           ~doc:
-            "Stream each completed day's rows into $(i,DIR) (one append-only spool per user \
-             shard) instead of retaining them in memory — RSS stays flat into the millions of \
-             users. Byte-identical at any --jobs; re-running after a crash skips complete \
-             shards and reproduces the identical archive. Reassemble with $(b,tlsharm analyze) \
-             $(i,DIR).")
+            "Keep the run log in $(i,DIR) (one append-only spool per user shard) instead of a \
+             temporary directory removed when the run ends; rows are never held in memory, so \
+             RSS stays flat into the millions of users. Byte-identical at any --jobs; \
+             re-running after a crash skips complete shards and reproduces the identical \
+             archive. Reassemble with $(b,tlsharm analyze) $(i,DIR).")
   in
   cmd "traffic"
     ~doc:

@@ -216,11 +216,6 @@ let finalize acc =
     rows = List.filter_map (fun d -> Option.map (row_of d) (Hashtbl.find_opt merged d)) order;
   }
 
-let of_rows ~meta ~hosts rows =
-  let acc = create ~meta ~hosts in
-  List.iter (add acc) rows;
-  finalize acc
-
 let of_sink ~dir =
   let ( let* ) = Result.bind in
   let* manifest = Traffic.Traffic_sink.manifest ~dir in

@@ -55,24 +55,11 @@ type t = { meta : meta; rows : class_row list }
 (** [rows]: operators above 1% of weighted connections, descending, then
     ["(other)"], then ["(all)"]. *)
 
-(** {2 Folding}
-
-    The accumulator streams: rows arrive shard by shard (any order
-    within a user is fine — chains are keyed, not positional), and only
-    per-chain and per-class aggregates are held. *)
-
-type acc
-
-val create : meta:meta -> hosts:(string * Traffic.Row.host_info) list -> acc
-val add : acc -> Traffic.Row.t -> unit
-val finalize : acc -> t
-
-val of_rows :
-  meta:meta -> hosts:(string * Traffic.Row.host_info) list -> Traffic.Row.t list -> t
-
 val of_sink : dir:string -> (t, string) result
-(** Load a streamed traffic archive one shard at a time; run metadata
-    comes from the sink manifest. *)
+(** Fold a traffic run log one shard at a time, holding only per-chain
+    and per-class aggregates (rows arrive shard by shard; any order
+    within a user is fine — chains are keyed, not positional). Run
+    metadata comes from the sink manifest. *)
 
 val render : t -> string
 (** The human-readable table the [traffic] CLI prints. *)

@@ -60,6 +60,8 @@ val cross_probe : t -> Scanner.Cross_probe.result
 val stek_groups_scan : t -> Scanner.Burst_scan.domain_result list
 val dh_groups_scan : t -> Scanner.Burst_scan.domain_result list
 val campaign : t -> Scanner.Daily_scan.t
+(** The daily campaign, written to a temporary run log and read back
+    from it; the log is removed once loaded. *)
 
 (** {2 Derived analyses} *)
 

@@ -350,7 +350,7 @@ let cond_sub_m ctx (t : int array) (hi : int) : int array =
 
 (* Fused CIOS Montgomery multiplication: out = a * b * R^-1 mod m. The
    multiply and the reduction share one inner loop per outer limb, halving
-   loop and memory traffic versus the two-pass seed kernel (retained in
+   loop and memory traffic versus the two-pass seed kernel (kept in
    {!Reference}). Range check for the fused accumulator: t.(j) < 2^26 and
    ai*b.(j) + u*m.(j) < 2^53, so s stays below 2^53 + 2^28 — inside a
    63-bit int — and carries below 2^27. [a], [b] and the result are n-limb

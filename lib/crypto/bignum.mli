@@ -80,7 +80,7 @@ val pow_mod_fixed : fixed_base -> t -> t
     {!pow_mod_ctx}. *)
 
 (** Seed-era kernels (two-pass CIOS multiply, plain left-to-right
-    square-and-multiply), retained verbatim as the semantic baseline for
+    square-and-multiply), kept verbatim as the semantic baseline for
     the property suite and the bench-regression harness. *)
 module Reference : sig
   val pow_mod : t -> t -> t -> t

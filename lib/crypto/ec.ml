@@ -708,7 +708,7 @@ let neg c = function
   | Affine (x, y) -> Affine (x, Bignum.sub (curve_p c) y)
 
 (* --- Seed-era reference kernel --------------------------------------------
-   The pre-optimization bit-at-a-time double-and-add, retained verbatim:
+   The pre-optimization bit-at-a-time double-and-add, kept verbatim:
    the property suite asserts the wNAF and comb paths agree with it, and
    the bench harness reports speedups against it. Do not "optimize". *)
 

@@ -58,7 +58,7 @@ val scalar_mult_base_add : curve -> Bignum.t -> Bignum.t -> point -> point
     in Jacobian coordinates, saving an affine conversion (a field
     inversion) per ECDSA verification. *)
 
-(** Seed-era bit-at-a-time double-and-add, retained verbatim as the
+(** Seed-era bit-at-a-time double-and-add, kept verbatim as the
     semantic baseline for the property suite and the bench harness. *)
 module Reference : sig
   val scalar_mult : curve -> Bignum.t -> point -> point

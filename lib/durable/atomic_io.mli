@@ -47,9 +47,10 @@ val read : string -> (string, error) result
 
 val read_any : string -> (string, error) result
 (** Like {!read}, but a file without the durable header is returned
-    verbatim ([Ok raw]) instead of [Error Not_durable] — the
-    compatibility path for archives written before this module existed.
-    Files *with* the header are still fully verified. *)
+    verbatim ([Ok raw]) instead of [Error Not_durable]. Only the JSON
+    readers ([metrics-report], the bench baseline) take this path; the
+    archive loaders use {!read}. Files *with* the header are still fully
+    verified. *)
 
 val block_size : int
 (** Content bytes covered by each checksum tag (64 KiB). *)

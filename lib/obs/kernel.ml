@@ -11,7 +11,7 @@
    keypair, one scalar mult per ECDHE share, ...) — DRBG rejection
    sampling retries draw bytes, not kernel calls.
 
-   Only the optimized kernels count; the retained seed-era [Reference]
+   Only the optimized kernels count; the kept seed-era [Reference]
    implementations are test/bench-only and stay silent. Callers take a
    {!snapshot} before and after a region and publish the {!diff} into a
    {!Metrics} registry under [kernel.*]. *)

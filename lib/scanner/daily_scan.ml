@@ -107,15 +107,27 @@ let content_lines content =
   | "" :: rest -> List.rev rest
   | _ as all -> List.rev all
 
+let blank_record day =
+  {
+    day;
+    present = false;
+    default_ok = false;
+    stek_id = None;
+    ticket_hint = None;
+    ecdhe_value = None;
+    dhe_ok = false;
+    dhe_value = None;
+  }
+
 let load path =
   let ( let* ) = Result.bind in
-  (* [read_any]: durable archives are checksum-verified (truncation and
-     bit flips become errors naming the damage), while pre-durability
-     archives still load verbatim. *)
+  (* Every archive is checksum-verified: truncation and bit flips become
+     errors naming the damage, and a file without the durable frame is
+     refused rather than trusted. *)
   let* content =
     Result.map_error
       (Durable.Atomic_io.error_to_string ~what:"campaign")
-      (Durable.Atomic_io.read_any path)
+      (Durable.Atomic_io.read path)
   in
   let* meta, rows =
     match content_lines content with
@@ -141,7 +153,8 @@ let load path =
       | _ -> Error "campaign: bad metadata line"
     else Error "campaign: missing metadata line"
   in
-  let by_domain : (string, domain_series) Hashtbl.t = Hashtbl.create 4096 in
+  (* Each domain's series and the days it has a row for. *)
+  let by_domain : (string, domain_series * bool array) Hashtbl.t = Hashtbl.create 4096 in
   let order = ref [] in
   let parse_row line =
         match String.split_on_char ',' line with
@@ -196,42 +209,41 @@ let load path =
               (Printf.sprintf "campaign: day %d out of range [0,%d) in row: %s" record.day
                  n_days line)
         in
-        (match Hashtbl.find_opt by_domain domain with
-        | Some series -> series.days.(record.day) <- record
-        | None ->
-            let days =
-              Array.init n_days (fun day ->
-                  {
-                    day;
-                    present = false;
-                    default_ok = false;
-                    stek_id = None;
-                    ticket_hint = None;
-                    ecdhe_value = None;
-                    dhe_ok = false;
-                    dhe_value = None;
-                  })
-            in
-            days.(record.day) <- record;
-            Hashtbl.replace by_domain domain { domain; rank; weight; trusted; stable; days };
-            order := domain :: !order);
+        let series, seen =
+          match Hashtbl.find_opt by_domain domain with
+          | Some entry -> entry
+          | None ->
+              let entry =
+                ( { domain; rank; weight; trusted; stable; days = Array.init n_days blank_record },
+                  Array.make n_days false )
+              in
+              Hashtbl.replace by_domain domain entry;
+              order := domain :: !order;
+              entry
+        in
+        (* One row per (domain, day): a repeated row would silently
+           overwrite its twin, and a missing one would load as absent. *)
+        let* () =
+          if seen.(record.day) then
+            Error (Printf.sprintf "campaign: repeated row for %s day %d" domain record.day)
+          else Ok ()
+        in
+        seen.(record.day) <- true;
+        series.days.(record.day) <- record;
         read_rows false rest
   in
   let* () = read_rows true rows in
-  let series = List.rev !order |> List.map (Hashtbl.find by_domain) |> Array.of_list in
-  Ok { start_day; n_days; series }
-
-let blank_record day =
-  {
-    day;
-    present = false;
-    default_ok = false;
-    stek_id = None;
-    ticket_hint = None;
-    ecdhe_value = None;
-    dhe_ok = false;
-    dhe_value = None;
-  }
+  let series = List.rev !order |> List.map (Hashtbl.find by_domain) in
+  let* () =
+    List.fold_left
+      (fun acc (s, seen) ->
+        let* () = acc in
+        match Array.find_index not seen with
+        | Some day -> Error (Printf.sprintf "campaign: no row for %s day %d" s.domain day)
+        | None -> Ok ())
+      (Ok ()) series
+  in
+  Ok { start_day; n_days; series = Array.of_list (List.map fst series) }
 
 (* --- Day block codec ---------------------------------------------------------
 
@@ -416,40 +428,13 @@ module Ckpt = struct
     Ok { s_day; s_state; s_rows = Array.of_list rows }
 end
 
-(* Build the final per-domain series from the (i, day) record matrix;
-   [trusted] comes from the default probe's trust cache, which either
-   the scan populated or the restore path refilled. When the scan
-   streamed into a sink, [records] is [None] and the series carry their
-   metadata with empty [days]: the rows live in the sink, not in
-   memory. *)
-let build_series ~(default_probe : Probe.t) ~(domains : Simnet.World.domain array) ~days records =
-  Array.mapi
-    (fun i d ->
-      let days_arr =
-        match records with
-        | None -> [||]
-        | Some m ->
-            Array.init days (fun day ->
-                match m.(i).(day) with Some r -> r | None -> blank_record day)
-      in
-      {
-        domain = Simnet.World.domain_name d;
-        rank = Simnet.World.domain_rank d;
-        weight = Simnet.World.domain_weight d;
-        trusted =
-          Option.value ~default:false
-            (Hashtbl.find_opt default_probe.Probe.trust_cache (Simnet.World.domain_name d));
-        stable = Simnet.World.domain_stable d;
-        days = days_arr;
-      })
-    domains
-
 (* --- Streamed archive ----------------------------------------------------------
 
    The streamed representation of one scan stream: one spool block per
-   day (the {!Ckpt} codec, so there is exactly one row grammar in the
-   project), and a trailer block carrying the per-domain facts that are
-   only known at campaign end — chiefly the trust verdicts. Member
+   day (the {!Ckpt} codec's positional row grammar, distinct from the
+   CSV row's named-domain one), and a trailer block carrying the
+   per-domain facts that are only known at campaign end — chiefly the
+   trust verdicts. Member
    *order* is the contract: day blocks reference domains positionally,
    and the trailer names them, which keeps a 100k-domain day block free
    of 100k repeated domain/rank/weight prefixes. *)
@@ -485,14 +470,15 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    domain array never depends on which worker runs it, which is what
    makes shard results independent of worker count.
 
-   With [sink] and [resume], each completed day's block carries the scan
-   state, and on entry the stream's recorded prefix — its leading
-   state-carrying blocks that frame-verify and decode — decides the
-   resume point. A damaged or torn newest block simply shortens the
-   prefix, falling back to the last day that verifies:
+   Each completed day's block is appended to [sink]. With [resume], it
+   also carries the scan state, and on entry the stream's recorded
+   prefix — its leading state-carrying blocks that frame-verify and
+   decode — decides the resume point. A damaged or torn newest block
+   simply shortens the prefix, falling back to the last day that
+   verifies:
 
-   - prefix = days: the whole scan is restored from the blocks (rows,
-     trust cache, funnel) without probing; the clock jumps to the end.
+   - prefix = days: the whole scan is restored from the blocks (trust
+     cache, funnel) without probing; the clock jumps to the end.
    - prefix < days: the scan runs from day 0. Replayed days (< prefix)
      re-encode their block and compare it byte-for-byte against the
      recorded one — any divergence (wrong world, wrong seed, code drift)
@@ -505,7 +491,7 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    mid-flight (endpoint RNGs, kex caches, session caches and STEK
    rotations make the world state surface enormous); determinism makes
    the re-execution exact, and the byte-compare proves it. *)
-let scan_stream ?sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~default_probe
+let scan_stream ~sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~default_probe
     ~dhe_probe ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
   let start = Simnet.Clock.now clock in
   (* [scan.days] is a gauge (max-merge): every stream of one campaign
@@ -514,49 +500,26 @@ let scan_stream ?sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~defaul
   if days > 0 then Obs.Recorder.gauge_max obs "scan.days" days;
   let n = Array.length domains in
   let recorded =
-    match sink with
-    | Some s when resume ->
-        Stream_sink.prefix s ~decode:(fun ~index block ->
-            match Ckpt.decode ~members:n block with
-            | Ok ({ Ckpt.s_state = Some _; _ } as snap) when index < days && snap.Ckpt.s_day = index
-              ->
-                Some snap
-            | Ok _ | Error _ -> None)
-        |> Array.of_list
-    | _ -> [||]
+    if not resume then [||]
+    else
+      Stream_sink.prefix sink ~decode:(fun ~index block ->
+          match Ckpt.decode ~members:n block with
+          | Ok ({ Ckpt.s_state = Some _; _ } as snap) when index < days && snap.Ckpt.s_day = index
+            ->
+              Some snap
+          | Ok _ | Error _ -> None)
+      |> Array.of_list
   in
   let prefix = Array.length recorded in
-  let finish_sink () =
-    let trusted name =
-      Option.value ~default:false (Hashtbl.find_opt default_probe.Probe.trust_cache name)
-    in
-    Option.iter (fun s -> stream_finish s ~trusted ~domains) sink
-  in
-  (* Rows stay in memory exactly when there is no sink to hold them. *)
-  let records = if Option.is_none sink then Some (Array.make_matrix n days None) else None in
-  let record ~day rows =
-    match records with
-    | Some m ->
-        for i = 0 to n - 1 do
-          m.(i).(day) <- rows.(i)
-        done
-    | None -> ()
-  in
   if prefix = days && days > 0 then begin
-    (* Every day is recorded and verified: restore without scanning.
-       Only a streamed run gets here, so no rows are kept. *)
-    Array.iter
-      (fun (raw, snap) -> Option.iter (fun s -> append_block s ~rows:snap.Ckpt.s_rows raw) sink)
-      recorded;
+    (* Every day is recorded and verified: restore without scanning. *)
+    Array.iter (fun (raw, snap) -> append_block sink ~rows:snap.Ckpt.s_rows raw) recorded;
     (* The last block carries the cumulative trust cache and funnel. *)
     let last = Option.get (snd recorded.(days - 1)).Ckpt.s_state in
     List.iter
       (fun (d, v) -> Hashtbl.replace default_probe.Probe.trust_cache d v)
       last.Ckpt.s_trust;
-    Faults.Funnel.absorb (Probe.funnel default_probe) last.Ckpt.s_funnel;
-    Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
-    finish_sink ();
-    build_series ~default_probe ~domains ~days None
+    Faults.Funnel.absorb (Probe.funnel default_probe) last.Ckpt.s_funnel
   end
   else begin
   (* Per-day scratch, reused across days so a long campaign's inner loop
@@ -617,35 +580,30 @@ let scan_stream ?sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~defaul
             dhe_value = dhe_obs.Observation.dhe_value;
           }
     done);
-    record ~day rows;
-    match sink with
-    | None -> ()
-    | Some s ->
-        let probes = if resume then Some (clock, default_probe, dhe_probe) else None in
-        let payload = Ckpt.encode ?probes ~day ~rows () in
-        (* Replay verification: the re-run day must reproduce the
-           recorded block exactly, or the log belongs to a different run
-           than the one being resumed. *)
-        if day < prefix && not (String.equal (fst recorded.(day)) payload) then
-          Durable.Supervisor.mismatch
-            "replayed day %d diverges from its recorded block (different world, seed or code?)"
-            day;
-        append_block s ~rows payload
-  done;
+    let probes = if resume then Some (clock, default_probe, dhe_probe) else None in
+    let payload = Ckpt.encode ?probes ~day ~rows () in
+    (* Replay verification: the re-run day must reproduce the recorded
+       block exactly, or the log belongs to a different run than the one
+       being resumed. *)
+    if day < prefix && not (String.equal (fst recorded.(day)) payload) then
+      Durable.Supervisor.mismatch
+        "replayed day %d diverges from its recorded block (different world, seed or code?)" day;
+    append_block sink ~rows payload
+  done
+  end;
   (* Leave the clock at the end of the campaign. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
-  finish_sink ();
-  build_series ~default_probe ~domains ~days records
-  end
+  let trusted name =
+    Option.value ~default:false (Hashtbl.find_opt default_probe.Probe.trust_cache name)
+  in
+  stream_finish sink ~trusted ~domains
 
 (* --- Streamed archive loader -------------------------------------------------
 
    Reassemble a campaign from a {!Stream_sink} directory: manifest for
    the day range, one spool per stream, trailer for per-domain metadata.
-   The result is sorted by (rank, domain) — the order
-   {!Parallel_campaign.run} produces — so [save] on a loaded streamed
-   archive is byte-identical to [save] on the equivalent
-   retained-in-memory campaign. *)
+   The result is sorted by (rank, domain), the world's order, which is
+   the row order of every campaign CSV. *)
 
 let load_stream dir =
   let ( let* ) = Result.bind in

@@ -3,8 +3,10 @@
     default (all-suites, tickets-on) sweep and a DHE-only sweep per day.
     Domains absent from that day's list are skipped, so churn shows up in
     the data. {!Parallel_campaign.run} runs a campaign; this module owns
-    its record types, the per-shard scan loop and the sweep schedule.
-    Campaigns serialize to CSV (the scans.io analog). *)
+    its record types, the per-shard scan loop, the sweep schedule and
+    the run log's day-block codec. A campaign is read back from its log
+    with {!load_stream} and exported to CSV (the scans.io analog) with
+    {!save}; a run's {!t} comes from {!load} or {!load_stream}. *)
 
 type day_record = {
   day : int;  (** day index from campaign start *)
@@ -36,7 +38,7 @@ val dhe_sweep_at : int
 (** Offset into each study day of the DHE-only sweep: 02:00. *)
 
 val scan_stream :
-  ?sink:Stream_sink.stream ->
+  sink:Stream_sink.stream ->
   ?resume:bool ->
   ?obs:Obs.Recorder.t ->
   clock:Simnet.Clock.t ->
@@ -46,31 +48,29 @@ val scan_stream :
   days:int ->
   ?progress:(int -> unit) ->
   unit ->
-  domain_series array
+  unit
 (** The campaign's per-shard loop: scan [domains] (in member order) for
     [days] days at the {!default_sweep_at} and {!dhe_sweep_at} times of
     each day, driving [clock]; both probes must read [clock] (create
     them with [?clock]) and share one funnel. Leaves [clock] at the
     campaign's end. {!Parallel_campaign.run} calls it once per shard.
 
-    With [sink], each day's block is appended to the stream as the day
-    completes, and the stream's trailer is written at the end. With
-    [resume] (the default) every block also carries the scan state
-    (clock, probe DRBG states, trust cache, funnel), and on entry the
-    stream's recorded prefix ({!Stream_sink.prefix}: leading
-    state-carrying blocks that frame-verify and decode) is used: a full
-    prefix restores the result without probing; a partial one re-runs
-    the scan from day 0, verifying each replayed day byte-for-byte
-    against its recorded block (raising {!Durable.Supervisor.Mismatch})
-    before scanning the remaining days fresh. Damaged or torn blocks end
-    the prefix — resume falls back to the last day that verifies. With
-    [~resume:false] (an in-process retry) the recorded prefix is ignored
-    and blocks are stateless. Restored, replayed and fresh days are all
-    re-emitted, so a resumed stream is byte-identical to an
-    uninterrupted one. A streamed scan keeps no [n * days] row matrix:
-    the returned series have empty [days] arrays, and the rows are read
-    back with {!load_stream}. Without [sink] the series carry every row.
-    [obs] defaults to {!Obs.Recorder.null}. *)
+    Each day's block is appended to [sink] as the day completes, and
+    the stream's trailer is written at the end; the scan keeps no rows,
+    which are read back with {!load_stream}. With [resume] (the
+    default) every block also carries the scan state (clock, probe DRBG
+    states, trust cache, funnel), and on entry the stream's recorded
+    prefix ({!Stream_sink.prefix}: leading state-carrying blocks that
+    frame-verify and decode) is used: a full prefix restores the scan
+    without probing; a partial one re-runs the scan from day 0,
+    verifying each replayed day byte-for-byte against its recorded block
+    (raising {!Durable.Supervisor.Mismatch}) before scanning the
+    remaining days fresh. Damaged or torn blocks end the prefix — resume
+    falls back to the last day that verifies. With [~resume:false] (an
+    in-process retry) the recorded prefix is ignored and blocks are
+    stateless. Restored, replayed and fresh days are all re-emitted, so
+    a resumed stream is byte-identical to an uninterrupted one. [obs]
+    defaults to {!Obs.Recorder.null}. *)
 
 val csv_header : string
 
@@ -80,10 +80,11 @@ val save : t -> string -> unit
     round-trip exactly through {!load}. *)
 
 val load : string -> (t, string) result
-(** [Error] on malformed rows, metadata declaring a non-positive
-    [n_days], or rows whose day index falls outside the declared range —
-    a file that contradicts its own metadata is reported, not silently
-    repaired. *)
+(** [Error] on a file without the durable checksum frame (or one whose
+    frame fails), malformed rows, metadata declaring a non-positive
+    [n_days], rows whose day index falls outside the declared range, and
+    a (domain, day) that is missing or repeated — a file that
+    contradicts its own metadata is reported, not silently repaired. *)
 
 val stream_day : Stream_sink.stream -> day:int -> rows:day_record option array -> unit
 (** Append one day's stateless block (rows in member order; [None] =
@@ -96,11 +97,9 @@ val stream_finish : Stream_sink.stream -> trusted:(string -> bool) -> domains:Si
     name) and seal the spool. *)
 
 val load_stream : string -> (t, string) result
-(** Reassemble a campaign from a {!Stream_sink} directory written by a
-    streamed run. Series are sorted by (rank, domain) — the order
-    {!Parallel_campaign.run} produces — so {!save} on the result
-    is byte-identical to {!save} on the same campaign run without a
-    sink. Day blocks with and without state lines decode
-    alike. An interrupted or damaged stream (spool without footer or
+(** Reassemble a campaign from the {!Stream_sink} directory a run
+    wrote. Series are sorted by (rank, domain), the world's order, so
+    {!save} on the result is the campaign's CSV archive. Day blocks with
+    and without state lines decode alike. An interrupted or damaged stream (spool without footer or
     trailer, or a block that fails its tag) is an [Error] naming the
     stream, never an exception; finish it by resuming the campaign. *)

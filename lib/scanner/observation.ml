@@ -135,7 +135,8 @@ let of_csv_row row =
   | _ -> None
 
 (* Atomic + checksummed like every archived artifact: a crash mid-write
-   cannot leave a torn CSV, and [read_csv] detects damage at load. *)
+   cannot leave a torn CSV, and [read_csv] detects damage at load and
+   refuses a file without the frame. *)
 let write_csv path conns =
   Durable.Atomic_io.with_writer path (fun w ->
       Durable.Atomic_io.add w csv_header;
@@ -147,7 +148,7 @@ let write_csv path conns =
         conns)
 
 let read_csv path =
-  match Durable.Atomic_io.read_any path with
+  match Durable.Atomic_io.read path with
   | Error e -> Error (Durable.Atomic_io.error_to_string ~what:"observations" e)
   | Ok content ->
       let lines =

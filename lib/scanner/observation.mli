@@ -49,3 +49,5 @@ val of_csv_row : string -> conn option
 
 val write_csv : string -> conn list -> unit
 val read_csv : string -> (conn list, string) result
+(** [Error] on a file without the durable checksum frame, a frame that
+    fails verification, or a bad row. *)

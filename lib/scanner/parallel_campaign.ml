@@ -33,10 +33,10 @@
 
    - shard composition and per-shard probe seeds depend only on the
      world and [target], never on the worker count, so a 1-worker and an
-     8-worker run of the same world produce byte-identical series;
-   - each shard's result lands in a slot owned by exactly one worker, so
-     the merge (by rank, then name) needs no synchronization beyond
-     the pool's join.
+     8-worker run of the same world write byte-identical run logs;
+   - each shard writes only its own stream and its own funnel and
+     recorder slots, so the merge needs no synchronization beyond the
+     pool's join.
 
    Per-shard probes draw from per-shard DRBG streams (seeded by shard
    id), yet the archive is the one a single pair of probes sweeping the
@@ -154,14 +154,13 @@ let shards ?(target = 128) world =
 
 let stream_name shard_id = Printf.sprintf "shard-%04d" shard_id
 
-let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Supervisor.default)
+let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?(supervise = Durable.Supervisor.default)
     ?chaos ?(obs = Obs.Recorder.null) world ~days () =
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
   let day0 = start / Simnet.Clock.day in
   let shard_arr = shards world in
   let n_shards = Array.length shard_arr in
-  let results = Array.make n_shards [||] in
   (* Loss telemetry: one private funnel per shard (written only by the
      worker that owns the shard), absorbed into the caller's funnel
      after the join. The injector itself is shared — its decisions are
@@ -177,65 +176,44 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Sup
      is independent of worker count and scheduling. *)
   let recorders = Array.make n_shards Obs.Recorder.null in
   (* A shard abandoned after exhausting its supervised restarts degrades
-     into ground truth minus measurements: its domains stay present on
-     the days the list carries them, every probe-derived field is empty,
-     and the funnel books two lost probes (default + DHE sweep) per
-     present domain-day under [Worker_crash] — so a degraded campaign is
-     visible in the §3-style loss table instead of silently thinner. *)
+     into ground truth minus measurements: its stream is sealed with
+     stateless blocks in which its domains stay present on the days the
+     list carries them and every probe-derived field is empty (so the
+     log of an otherwise-successful campaign still loads), and the
+     funnel books two lost probes (default + DHE sweep) per present
+     domain-day under [Worker_crash] — so a degraded campaign is visible
+     in the §3-style loss table instead of silently thinner. *)
   let abandon (s : shard) =
-    let degraded_day d day =
-      {
-        Daily_scan.day;
-        present = Simnet.World.in_list_on_day d ~day;
-        default_ok = false;
-        stek_id = None;
-        ticket_hint = None;
-        ecdhe_value = None;
-        dhe_ok = false;
-        dhe_value = None;
-      }
-    in
-    results.(s.shard_id) <-
-      Array.map
-        (fun d ->
-          {
-            Daily_scan.domain = Simnet.World.domain_name d;
-            rank = Simnet.World.domain_rank d;
-            weight = Simnet.World.domain_weight d;
-            trusted = false;
-            stable = Simnet.World.domain_stable d;
-            days = (if Option.is_none sink then Array.init days (degraded_day d) else [||]);
-          })
-        s.members;
-    (* A degraded shard must still seal its row stream, or the streamed
-       archive of an otherwise-successful campaign would be unloadable. *)
-    Option.iter
-      (fun sk ->
-        let stream = Stream_sink.stream sk (stream_name s.shard_id) in
-        let rows = Array.make (Array.length s.members) None in
-        for day = 0 to days - 1 do
-          Array.iteri
-            (fun i d ->
-              rows.(i) <-
-                (if Simnet.World.in_list_on_day d ~day then Some (degraded_day d day)
-                 else None))
-            s.members;
-          Daily_scan.stream_day stream ~day ~rows
-        done;
-        Daily_scan.stream_finish stream ~trusted:(fun _ -> false) ~domains:s.members)
-      sink;
+    let stream = Stream_sink.stream sink (stream_name s.shard_id) in
     let f = Faults.Funnel.create () in
     for day = 0 to days - 1 do
-      Array.iter
-        (fun d ->
-          if Simnet.World.in_list_on_day d ~day then begin
-            Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
-              Faults.Fault.Worker_crash;
-            Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
-              Faults.Fault.Worker_crash
-          end)
-        s.members
+      let rows =
+        Array.map
+          (fun d ->
+            if not (Simnet.World.in_list_on_day d ~day) then None
+            else begin
+              (* Two lost probes: the default and the DHE sweep. *)
+              for _ = 1 to 2 do
+                Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
+                  Faults.Fault.Worker_crash
+              done;
+              Some
+                {
+                  Daily_scan.day;
+                  present = true;
+                  default_ok = false;
+                  stek_id = None;
+                  ticket_hint = None;
+                  ecdhe_value = None;
+                  dhe_ok = false;
+                  dhe_value = None;
+                }
+            end)
+          s.members
+      in
+      Daily_scan.stream_day stream ~day ~rows
     done;
+    Daily_scan.stream_finish stream ~trusted:(fun _ -> false) ~domains:s.members;
     funnels.(s.shard_id) <- f
   in
   (* One supervised attempt at a shard. Private clock and probes: the
@@ -266,23 +244,21 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Sup
     (* The row stream is reopened on every attempt: opening truncates
        the spool, so a retry discards the crashed attempt's partial rows
        and re-emits its own. *)
-    let sink_stream = Option.map (fun sk -> Stream_sink.stream sk (stream_name s.shard_id)) sink in
+    let stream = Stream_sink.stream sink (stream_name s.shard_id) in
     let progress day =
       (match chaos with Some c -> c ~shard:s.shard_id ~attempt ~day | None -> ());
       match progress with Some p -> p ~shard:s.shard_id ~day | None -> ()
     in
-    let series =
-      (* The shard span covers the shard's whole campaign on its private
-         clock — [days] virtual days of simulated duration, plus the
-         shard's host-clock cost when wall timing is on. *)
-      Obs.Recorder.span shard_obs ~name:"campaign.shard"
-        ~attrs:[ ("shard", string_of_int s.shard_id) ]
-        ~now:(fun () -> Simnet.Clock.now clock)
-        (fun () ->
-          Daily_scan.scan_stream ?sink:sink_stream ~resume:(attempt = 0) ~obs:shard_obs ~clock
-            ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ())
-    in
-    (series, shard_funnel, shard_obs)
+    (* The shard span covers the shard's whole campaign on its private
+       clock — [days] virtual days of simulated duration, plus the
+       shard's host-clock cost when wall timing is on. *)
+    Obs.Recorder.span shard_obs ~name:"campaign.shard"
+      ~attrs:[ ("shard", string_of_int s.shard_id) ]
+      ~now:(fun () -> Simnet.Clock.now clock)
+      (fun () ->
+        Daily_scan.scan_stream ~sink:stream ~resume:(attempt = 0) ~obs:shard_obs ~clock
+          ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ());
+    (shard_funnel, shard_obs)
   in
   let run_shard (s : shard) =
     let on_crash ~attempt e =
@@ -290,14 +266,13 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Sup
         (Printexc.to_string e)
     in
     match Durable.Supervisor.supervised ~on_crash supervise ~attempt:(attempt_shard s) with
-    | Ok (series, shard_funnel, shard_obs) ->
-        results.(s.shard_id) <- series;
+    | Ok (shard_funnel, shard_obs) ->
         funnels.(s.shard_id) <- shard_funnel;
         recorders.(s.shard_id) <- shard_obs
     | Error _ -> abandon s
   in
-  (* Each slot of [results], [funnels] and [recorders] is written only
-     by the worker that claimed that shard. *)
+  (* Each slot of [funnels] and [recorders] is written only by the
+     worker that claimed that shard. *)
   Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
   (* Funnel merge in shard order: commutative sums, but a fixed order
      keeps even intermediate states reproducible. *)
@@ -306,9 +281,4 @@ let run ?jobs ?progress ?injector ?retry ?funnel ?sink ?(supervise = Durable.Sup
   Array.iter (Obs.Recorder.merge obs) recorders;
   (* Leave the world clock at the campaign's end: the study's later
      experiments run after the campaign on the world clock. *)
-  Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
-  let series = Array.concat (Array.to_list results) in
-  Array.sort
-    (fun (a : Daily_scan.domain_series) b -> compare (a.rank, a.domain) (b.rank, b.domain))
-    series;
-  { Daily_scan.start_day = start / Simnet.Clock.day; n_days = days; series }
+  Simnet.Clock.set clock (start + (days * Simnet.Clock.day))

@@ -6,7 +6,7 @@
     ({!Daily_scan.scan_stream}) over each shard with private probes and
     a private {!Simnet.Clock}, fanned over a {!Pool}. Shard composition
     and per-shard seeds depend only on the world, never on the worker
-    count, so results are byte-identical for any [jobs]. Because every
+    count, so the run log is byte-identical for any [jobs]. Because every
     archived field is server-derived, the archive also equals what one
     pair of probes sweeping the whole world in rank order records (the
     golden-file test checks this) — see the implementation header. *)
@@ -42,14 +42,14 @@ val run :
   ?injector:Faults.Injector.t ->
   ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
-  ?sink:Stream_sink.t ->
+  sink:Stream_sink.t ->
   ?supervise:Durable.Supervisor.policy ->
   ?chaos:(shard:int -> attempt:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->
   days:int ->
   unit ->
-  Daily_scan.t
+  unit
 (** Runs the campaign over all shards with [jobs] workers (default
     {!Pool.default_jobs}, clamped to the shard count; [jobs <= 1] runs
     sequentially on the calling domain). Workers drain the {!Pool}
@@ -58,18 +58,18 @@ val run :
     pool. Leaves the world clock at the campaign's end. [progress] is
     called from worker domains — keep it reentrant.
 
-    [sink] gives every shard a row stream (["shard-0007"], reopened on
-    each attempt) into which completed days are appended as they finish;
-    no shard then holds its observation matrix in memory and the
-    returned series carry empty [days] arrays — recover the campaign with
-    {!Daily_scan.load_stream}. Without [sink] every row is returned. The sink is also the
+    Every shard writes its rows to its own stream of [sink]
+    (["shard-0007"], reopened on each attempt) as its days complete; no
+    shard holds rows in memory, and the campaign is read back with
+    {!Daily_scan.load_stream} (a run that wants only a CSV passes a
+    temporary sink, {!Stream_sink.with_sink}). The sink is also the
     run's resume log: attempt 0 of each shard resumes from its stream's
     recorded prefix ({!Daily_scan.scan_stream}), so a re-run into the
     same directory restores fully-recorded shards without scanning them
     (shards are state-isolated by construction, so skipping one cannot
     change another's results). Abandoned shards still seal their
-    streams with degraded (probe-less, stateless) rows, so a streamed
-    archive loads whenever the campaign itself completed.
+    streams with degraded (probe-less, stateless) rows, so the log
+    loads whenever the campaign itself completed.
 
     [injector] (default: {!Faults.Profile.none}, which never fires) is
     shared across shards (its decisions are pure hashes,

@@ -1,12 +1,11 @@
 (* Directory-backed streaming observation sink, and the run's durable log.
 
-   A campaign archive normally materializes as one CSV written at the
-   end of the run, which means every domain-day row lives in memory
-   until then — at --domains 100000 that matrix dominates RSS. A stream
-   sink inverts the flow: the scanner appends each day's rows the moment
-   the day finishes, into one append-only spool per scan stream (one
-   "shard-NNNN" stream per campaign shard), and nothing row-shaped is
-   retained in memory.
+   Every campaign and traffic run writes its rows here: the scanner
+   appends each day's rows the moment the day finishes, into one
+   append-only spool per scan stream (one "shard-NNNN" stream per
+   campaign shard), and nothing row-shaped is held in memory — at
+   --domains 100000 a row matrix would dominate RSS. A CSV archive is an
+   export of this log, read back after the run.
 
    Layout:
 
@@ -114,6 +113,25 @@ let create ~dir ~manifest:kvs =
   with
   | Failure e -> Error e
   | Sys_error e -> Error e
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A run with no directory of its own logs to a private temporary one,
+   so the scanner and the population never hold rows; the log lives
+   exactly as long as the run that reads it back. *)
+let with_sink ?dir ~manifest f =
+  match dir with
+  | Some dir -> Result.bind (create ~dir ~manifest) f
+  | None ->
+      let dir = Filename.temp_dir "tlsharm-log" "" in
+      Fun.protect
+        ~finally:(fun () -> remove_tree dir)
+        (fun () -> Result.bind (create ~dir ~manifest) f)
 
 let dir t = t.dir
 

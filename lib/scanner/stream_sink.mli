@@ -1,21 +1,20 @@
 (** Directory-backed streaming observation sink, and the run's durable
     log.
 
-    Lets a campaign append each day's domain-day rows as the day
-    completes — one {!Durable.Spool} per scan stream — instead of
-    holding the full observation matrix in memory until a final CSV
-    save. The payloads are opaque here: {!Daily_scan} owns the block
-    codec (day blocks that also carry the scan's resume state, the
-    end-of-stream trailer, and the loader that reassembles a campaign
-    from a sink directory).
+    Every campaign and traffic run appends each day's rows here as the
+    day completes — one {!Durable.Spool} per scan stream — and holds no
+    observation matrix in memory; a CSV archive is exported from the
+    log after the run. The payloads are opaque here: {!Daily_scan} owns
+    the block codec (day blocks that also carry the scan's resume
+    state, the end-of-stream trailer, and the loader that reassembles a
+    campaign from a sink directory).
 
     The directory is the only crash-recovery log a campaign keeps: the
     manifest pins the run, and opening a stream hands the scanner the
-    spool's valid block prefix before truncating it. Streamed archives
-    obey the same two invariants as in-memory ones: byte-identical
-    content at any [--jobs] (stream names and payloads depend only on
-    the world and shard partition), and byte-identical content after a
-    resume (every block is re-emitted, restored or replayed). *)
+    spool's valid block prefix before truncating it. The log's content
+    is byte-identical at any [--jobs] (stream names and payloads depend
+    only on the world and shard partition), and after a resume (every
+    block is re-emitted, restored or replayed). *)
 
 type t
 (** An open sink directory. *)
@@ -35,6 +34,16 @@ val create : dir:string -> manifest:(string * string) list -> (t, string) result
     interrupted run resumes. A different run's manifest, a manifest of
     another schema and a damaged manifest are each an [Error]; nothing
     in the directory is touched. *)
+
+val with_sink :
+  ?dir:string ->
+  manifest:(string * string) list ->
+  (t -> ('a, string) result) ->
+  ('a, string) result
+(** [with_sink ?dir ~manifest f] runs [f] on the sink {!create} makes in
+    [dir]. A run given no [dir] still writes its log: to a fresh
+    directory under {!Filename.get_temp_dir_name}, removed with
+    everything in it when [f] returns or raises. *)
 
 val dir : t -> string
 

@@ -13,7 +13,7 @@
       client's session lifetime. Both are checked against the simulated
       clock at offer time; an entry is usable at exactly
       [stored_at + lifetime] and expired one second later.
-    - {b bound}: at most [capacity] scopes are retained; storing into a
+    - {b bound}: at most [capacity] scopes are kept; storing into a
       full store evicts the least-recently-used scope. Memory is
       therefore O(capacity) regardless of how many sites a user visits
       over a campaign. *)

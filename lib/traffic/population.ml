@@ -96,12 +96,6 @@ let prune_chains ~now u =
 
 (* --- One shard ---------------------------------------------------------------- *)
 
-type shard_outcome = {
-  so_rows : Row.t list; (* event order; [] unless retained *)
-  so_hosts : (string * Row.host_info) list;
-  so_count : int;
-}
-
 let scope_of world policy hostname =
   match policy with
   | Strict -> hostname
@@ -170,9 +164,9 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
     chain;
   }
 
-let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) =
-  (* Rows stay in memory exactly when there is no sink to hold them. *)
-  let retain = Option.is_none sink in
+(* Simulate one shard into its stream of [sink]; returns the shard's
+   connection count. *)
+let simulate_shard cfg ~sink ?chaos ~shard_obs (s : shard) =
   let world = Simnet.World.create ~config:cfg.world () in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -192,8 +186,7 @@ let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) =
     Array.init n_users (fun i ->
         make_user ~world_seed:cfg.world.Simnet.World.seed ~client_config cfg (s.users_lo + i))
   in
-  let sink_stream = Option.map (fun sk -> Traffic_sink.stream sk s.shard_id) sink in
-  let retained = ref [] in
+  let stream = Traffic_sink.stream sink s.shard_id in
   let total = ref 0 in
   (* Scratch: first/last event time per user within the current day, for
      the traffic.user_day spans. *)
@@ -262,63 +255,44 @@ let simulate_shard cfg ?sink ?chaos ~shard_obs (s : shard) =
       first_seen;
     let rows = List.rev !day_rows in
     total := !total + List.length rows;
-    Option.iter (fun st -> Traffic_sink.append_day st ~day rows) sink_stream;
-    if retain then retained := rows :: !retained
+    Traffic_sink.append_day stream ~day rows
   done;
   Simnet.Clock.set clock (start + (cfg.days * Simnet.Clock.day));
-  let hosts = Browse.hosts browse in
-  Option.iter
-    (fun st -> Traffic_sink.finish st ~users_lo:s.users_lo ~users_hi:s.users_hi ~hosts)
-    sink_stream;
-  {
-    so_rows = (if retain then List.concat (List.rev !retained) else []);
-    so_hosts = hosts;
-    so_count = !total;
-  }
+  Traffic_sink.finish stream ~users_lo:s.users_lo ~users_hi:s.users_hi
+    ~hosts:(Browse.hosts browse);
+  !total
 
 (* --- The parallel runner ------------------------------------------------------ *)
 
-type result = {
-  n_shards : int;
-  rows : Row.t list array;
-  hosts : (string * Row.host_info) list;
-  total_rows : int;
-}
+type result = { n_shards : int; total_rows : int }
 
-let run ?jobs ?sink ?chaos ?(obs = Obs.Recorder.null) cfg =
+let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
   validate cfg;
   let shard_arr = shards cfg in
   let n_shards = Array.length shard_arr in
-  let outcomes =
-    Array.make n_shards { so_rows = []; so_hosts = []; so_count = 0 }
-  in
+  let counts = Array.make n_shards 0 in
   let recorders = Array.make n_shards Obs.Recorder.null in
   let run_shard (s : shard) =
-    let skip =
-      match sink with
-      | Some sk ->
-          Traffic_sink.shard_complete ~dir:(Traffic_sink.dir sk) ~shard:s.shard_id
-            ~days:cfg.days
-      | None -> false
-    in
     (* Already spooled by a previous (interrupted) run: leave the bytes
        untouched; the rows are read back from the sink. *)
-    if not skip then begin
+    if
+      not
+        (Traffic_sink.shard_complete ~dir:(Traffic_sink.dir sink) ~shard:s.shard_id
+           ~days:cfg.days)
+    then begin
       let shard_obs = Obs.Recorder.fork obs in
       (* The shard span covers the whole shard — world construction
          included, since the scheduler pays for it too. Simulated time is
          read off a clock that exists only once the world does. *)
       let sim_now = ref cfg.world.Simnet.World.start_time in
-      let outcome =
+      counts.(s.shard_id) <-
         Obs.Recorder.span shard_obs ~name:"traffic.shard"
           ~attrs:[ ("shard", string_of_int s.shard_id) ]
           ~now:(fun () -> !sim_now)
           (fun () ->
-            let o = simulate_shard cfg ?sink ?chaos ~shard_obs s in
+            let n = simulate_shard cfg ~sink ?chaos ~shard_obs s in
             sim_now := cfg.world.Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
-            o)
-      in
-      outcomes.(s.shard_id) <- outcome;
+            n);
       recorders.(s.shard_id) <- shard_obs
     end
   in
@@ -328,14 +302,4 @@ let run ?jobs ?sink ?chaos ?(obs = Obs.Recorder.null) cfg =
   Obs.Recorder.gauge_max obs "traffic.days" cfg.days;
   Obs.Recorder.gauge_max obs "traffic.users" cfg.users;
   Array.iter (Obs.Recorder.merge obs) recorders;
-  let hosts =
-    Array.fold_left
-      (fun acc o -> match acc with [] -> o.so_hosts | _ -> acc)
-      [] outcomes
-  in
-  {
-    n_shards;
-    rows = Array.map (fun o -> o.so_rows) outcomes;
-    hosts;
-    total_rows = Array.fold_left (fun a o -> a + o.so_count) 0 outcomes;
-  }
+  { n_shards; total_rows = Array.fold_left ( + ) 0 counts }

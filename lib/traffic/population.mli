@@ -19,14 +19,13 @@
 
     {2 Streaming and resume}
 
-    With a {!Traffic_sink}, each simulated day's rows are spooled as the
-    day completes and nothing row-shaped is kept in memory: RSS is
-    bounded by [jobs] × (one world replica + one shard's user state),
+    Each simulated day's rows are spooled to the run's {!Traffic_sink}
+    as the day completes and nothing row-shaped is kept in memory: RSS
+    is bounded by [jobs] × (one world replica + one shard's user state),
     independent of the total user count. A shard whose spool is already
     complete for the whole run is skipped with its bytes untouched, so
     re-running after a crash yields an archive byte-identical to an
-    uninterrupted run. Read a streamed run's rows back through
-    {!Traffic_sink}. *)
+    uninterrupted run. *)
 
 (** How a user scopes resumption state (the Sy et al. axis): [Strict]
     keys the client store by exact hostname; [Cross_operator] shares
@@ -60,20 +59,19 @@ val default_config : config
 
 type result = {
   n_shards : int;
-  rows : Row.t list array;
-      (** per shard, in event order; empty when streamed to a sink *)
-  hosts : (string * Row.host_info) list;
-      (** browsable domains with rank/weight/operator *)
-  total_rows : int;
+  total_rows : int;  (** rows written by this run; a skipped shard adds none *)
 }
 
 val run :
   ?jobs:int ->
-  ?sink:Traffic_sink.t ->
+  sink:Traffic_sink.t ->
   ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   config ->
   result
-(** Raises on invalid configs; propagates shard exceptions (a crashed
-    run with a sink can simply be re-run — see resume above). [obs]
+(** Simulates every shard into its stream of [sink] and holds no rows;
+    read them back through {!Traffic_sink} (a run that wants only the
+    report passes a temporary sink, {!Traffic_sink.with_sink}). Raises
+    on invalid configs; propagates shard exceptions (a crashed run can
+    simply be re-run into the same sink — see resume above). [obs]
     defaults to {!Obs.Recorder.null}. *)

@@ -6,6 +6,7 @@ type stream = Scanner.Stream_sink.stream
 let stream_name shard = Printf.sprintf "users-%04d" shard
 
 let create = Scanner.Stream_sink.create
+let with_sink = Scanner.Stream_sink.with_sink
 let dir = Scanner.Stream_sink.dir
 let stream t shard = Scanner.Stream_sink.stream t (stream_name shard)
 

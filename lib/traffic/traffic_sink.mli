@@ -15,6 +15,14 @@ val create : dir:string -> manifest:(string * string) list -> (t, string) result
     world) is refused, since silently mixing two runs' spools would
     corrupt the resume-skip logic. *)
 
+val with_sink :
+  ?dir:string ->
+  manifest:(string * string) list ->
+  (t -> ('a, string) result) ->
+  ('a, string) result
+(** {!Scanner.Stream_sink.with_sink}: with no [dir], the archive lives
+    in a temporary directory for the length of the callback. *)
+
 val dir : t -> string
 val stream_name : int -> string
 

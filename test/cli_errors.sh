@@ -72,6 +72,15 @@ one_line() {
   fi
 }
 
+# An unwritable -o is refused before any world is built or any day
+# scanned (a 63-day campaign here would take minutes), naming the path
+# the user gave; --regions N writes its CSV there too.
+check "campaign -o under a missing directory" "/nonexistent/x.csv" \
+  "$exe" campaign --domains 1500 --days 63 -o /nonexistent/x.csv
+one_line "campaign -o refusal" "$exe" campaign --domains 1500 --days 63 -o /nonexistent/x.csv
+check "cross-vantage -o under a missing directory" "/nonexistent/x.csv" \
+  "$exe" campaign --domains 1500 --days 63 --regions 2 -o /nonexistent/x.csv
+
 # Frame a manifest body by hand the way the durable-file writer frames
 # it: frame_manifest DIR BODY writes DIR/manifest.
 frame_manifest() {
@@ -159,5 +168,38 @@ else
   echo "ok: refused run left the first run's archive"
 fi
 rm -rf "$reused"
+
+# A run given no directory writes its log to a fresh one under TMPDIR
+# and removes it when the run ends, whether it succeeded or failed.
+tmp=$(mktemp -d /tmp/tlsharm-tmpdir-XXXXXX)
+work=$(mktemp -d /tmp/tlsharm-out-XXXXXX)
+tmp_empty() {
+  if [ -n "$(ls -A "$tmp")" ]; then
+    echo "FAIL: $1 left its run log behind: $(ls -A "$tmp")"
+    fails=$((fails + 1))
+  else
+    echo "ok: $1 left TMPDIR empty"
+  fi
+}
+TMPDIR="$tmp" "$exe" campaign --domains 1500 --days 1 -o "$work/c.csv" >/dev/null
+tmp_empty "campaign -o"
+# A directory squatting on the CSV's temp name makes the export fail
+# after the scan, while the run log exists.
+mkdir "$work/fail.csv.tmp"
+check "campaign -o failing after the scan" "fail.csv.tmp" \
+  env TMPDIR="$tmp" "$exe" campaign --domains 1500 --days 1 -o "$work/fail.csv"
+tmp_empty "failed campaign -o"
+TMPDIR="$tmp" "$exe" traffic --domains 1500 --users 60 --days 1 >/dev/null
+tmp_empty "traffic without --stream-out"
+TMPDIR="$tmp" "$exe" experiment --domains 1500 --days 1 t1 >/dev/null
+tmp_empty "experiment t1"
+
+# The archive loaders verify the durable frame: the same CSV with its
+# frame lines stripped (so rows could be dropped or repeated unseen) is
+# refused, not trusted.
+grep -v '^#tlsharm-durable\|^#tlsharm-footer' "$work/c.csv" >"$work/unframed.csv"
+check "unframed campaign archive" "not a durable" "$exe" analyze "$work/unframed.csv"
+one_line "unframed archive refusal" "$exe" analyze "$work/unframed.csv"
+rm -rf "$tmp" "$work"
 
 exit "$fails"

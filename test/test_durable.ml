@@ -276,7 +276,7 @@ let small_campaign =
            { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-archive" }
          ()
      in
-     Scanner.Parallel_campaign.run ~jobs:1 w ~days:2 ())
+     Campaign_run.run ~jobs:1 w ~days:2)
 
 let test_campaign_load_rejects_damage () =
   with_temp_file (fun path ->
@@ -529,8 +529,8 @@ let loaded_bytes dir =
 
 (* One campaign streamed into the run log at [dir]. The default manifest
    pins the day range, as the CLI's does; a resume re-creates the sink
-   with the same manifest and re-attaches. A streamed run keeps no rows
-   in memory: read the archive back with [loaded_bytes dir]. *)
+   with the same manifest and re-attaches. A run keeps no rows in
+   memory: read the archive back with [loaded_bytes dir]. *)
 let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial_days) ?(jobs = 1)
     dir =
   let w = Simnet.World.create ~config () in
@@ -542,12 +542,12 @@ let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial
         [ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ]
   in
   let sink = create_sink ~manifest dir in
-  ignore (Scanner.Parallel_campaign.run ~jobs ~sink ?chaos ?obs w ~days ())
+  Scanner.Parallel_campaign.run ~jobs ~sink ?chaos ?obs w ~days ()
 
 let serial_reference =
   lazy
     (let w = Simnet.World.create ~config:serial_config () in
-     archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:serial_days ()))
+     archive_bytes (Campaign_run.run ~jobs:1 w ~days:serial_days))
 
 let recorded_blocks path =
   match Durable.Spool.read path with Ok r -> r | Error e -> Alcotest.fail e
@@ -627,7 +627,7 @@ let parallel_days = 3
 let parallel_reference =
   lazy
     (let w = Simnet.World.create ~config:parallel_config () in
-     archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days:parallel_days ()))
+     archive_bytes (Campaign_run.run ~jobs:1 w ~days:parallel_days))
 
 (* Kill the worker mid-shard: shard 1, start of day 1. *)
 let kill_parallel dir =
@@ -715,11 +715,10 @@ let spool_files dir =
   |> List.map (fun n -> (n, Digest.to_hex (Digest.file (Filename.concat dir n))))
 
 let test_streamed_kill_resume_identity () =
-  (* A streamed run keeps no rows, so the run log alone carries the
-     campaign: kill mid-campaign, resume (at a different worker count)
-     into the same directory, and the directory ends file-for-file
-     identical to an uninterrupted run's, reassembling to the in-memory
-     archive. *)
+  (* A run keeps no rows, so the run log alone carries the campaign:
+     kill mid-campaign, resume (at a different worker count) into the
+     same directory, and the directory ends file-for-file identical to
+     an uninterrupted run's, reassembling to the reference archive. *)
   let reference = Lazy.force parallel_reference in
   with_temp_dir (fun dir ->
       let killed = Filename.concat dir "killed" and clean = Filename.concat dir "clean" in
@@ -813,7 +812,7 @@ let test_supervised_retry_recovers () =
      uncrashed run exactly. *)
   let run ~chaos () =
     let w = Simnet.World.create ~config:parallel_config () in
-    Scanner.Parallel_campaign.run ~jobs:1 ?chaos w ~days:2 ()
+    Campaign_run.run ~jobs:1 ?chaos w ~days:2
   in
   let plain = run ~chaos:None () in
   let crashed_once = ref false in
@@ -850,10 +849,10 @@ let test_abandoned_shard_degrades () =
   in
   let funnel = Faults.Funnel.create () in
   let campaign =
-    Scanner.Parallel_campaign.run ~jobs:1 ~funnel
+    Campaign_run.run ~jobs:1 ~funnel
       ~supervise:{ Durable.Supervisor.max_restarts = 1 }
       ~chaos:(fun ~shard ~attempt:_ ~day:_ -> if shard = 0 then failwith "shard 0 always dies")
-      w ~days ()
+      w ~days
   in
   (* The campaign completes; shard 0's domains keep list-presence ground
      truth but no probe-derived data. *)

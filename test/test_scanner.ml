@@ -66,9 +66,7 @@ let test_csv_rejects_malformed_fields () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          let oc = open_out path in
-          output_string oc (Scanner.Observation.csv_header ^ "\n" ^ row ^ "\n");
-          close_out oc;
+          Durable.Atomic_io.write path (Scanner.Observation.csv_header ^ "\n" ^ row ^ "\n");
           match Scanner.Observation.read_csv path with
           | Ok _ -> Alcotest.fail (what ^ " loaded")
           | Error e ->
@@ -204,7 +202,7 @@ let test_daily_scan () =
       ()
   in
   let days = 4 in
-  let campaign = Scanner.Parallel_campaign.run ~jobs:1 w ~days () in
+  let campaign = Campaign_run.run ~jobs:1 w ~days in
   Alcotest.(check int) "day count" days campaign.Scanner.Daily_scan.n_days;
   Alcotest.(check int) "series per domain" 1500 (Array.length campaign.Scanner.Daily_scan.series);
   (* yahoo: static STEK, same id on every present day. *)
@@ -242,7 +240,7 @@ let test_campaign_save_load () =
       ~config:{ world_config with Simnet.World.seed = "persist-test"; n_domains = 1500 }
       ()
   in
-  let campaign = Scanner.Parallel_campaign.run ~jobs:1 w ~days:3 () in
+  let campaign = Campaign_run.run ~jobs:1 w ~days:3 in
   let path = Filename.temp_file "tlsharm" ".campaign.csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -329,9 +327,8 @@ let prop_campaign_roundtrip =
           Scanner.Daily_scan.save t path;
           match Scanner.Daily_scan.load path with Ok t' -> t' = t | Error _ -> false))
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+(* Fixtures are framed the way every archive writer frames its output. *)
+let write_file = Durable.Atomic_io.write
 
 let test_load_rejects_bad_metadata () =
   let path = Filename.temp_file "tlsharm" ".campaign.csv" in
@@ -372,6 +369,56 @@ let test_load_rejects_out_of_range_day () =
       match Scanner.Daily_scan.load path with
       | Ok _ -> Alcotest.fail "day 5 of a 2-day campaign must be rejected"
       | Error e -> Alcotest.(check bool) "error mentions range" true (String.length e > 0))
+
+let test_load_rejects_unframed () =
+  let body =
+    "#tlsharm-campaign,start_day=0,n_days=1\n" ^ Scanner.Daily_scan.csv_header ^ "\n"
+    ^ "a.example,1,1,true,true,0,true,true,,,,false,\n"
+  in
+  let path = Filename.temp_file "tlsharm" ".campaign.csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc body;
+      close_out oc;
+      (match Scanner.Daily_scan.load path with
+      | Ok _ -> Alcotest.fail "a campaign without the durable frame must not load"
+      | Error e ->
+          Alcotest.(check bool) "names the missing frame" true
+            (String.starts_with ~prefix:"campaign: not a durable" e));
+      (match Scanner.Observation.read_csv path with
+      | Ok _ -> Alcotest.fail "observations without the durable frame must not load"
+      | Error e ->
+          Alcotest.(check bool) "names the missing frame" true
+            (String.starts_with ~prefix:"observations: not a durable" e));
+      write_file path body;
+      match Scanner.Daily_scan.load path with
+      | Ok t -> Alcotest.(check int) "framed, it loads" 1 (Array.length t.Scanner.Daily_scan.series)
+      | Error e -> Alcotest.fail e)
+
+let test_load_rejects_missing_or_repeated_row () =
+  let path = Filename.temp_file "tlsharm" ".campaign.csv" in
+  let row day = Printf.sprintf "a.example,1,1,true,true,%d,true,true,,,,false,\n" day in
+  let load rows =
+    write_file path
+      ("#tlsharm-campaign,start_day=0,n_days=2\n" ^ Scanner.Daily_scan.csv_header ^ "\n"
+     ^ String.concat "" rows);
+    Scanner.Daily_scan.load path
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match load [ row 0 ] with
+      | Ok _ -> Alcotest.fail "a domain missing day 1 must not load"
+      | Error e -> Alcotest.(check string) "missing row" "campaign: no row for a.example day 1" e);
+      (match load [ row 0; row 0; row 1 ] with
+      | Ok _ -> Alcotest.fail "a repeated (domain, day) must not load"
+      | Error e ->
+          Alcotest.(check string) "repeated row" "campaign: repeated row for a.example day 0" e);
+      match load [ row 1; row 0 ] with
+      | Ok t -> Alcotest.(check int) "every day once, any order" 2 t.Scanner.Daily_scan.n_days
+      | Error e -> Alcotest.fail e)
 
 (* --- Parallel campaign ------------------------------------------------------------------------ *)
 
@@ -445,7 +492,7 @@ let test_parallel_deterministic_in_jobs () =
   let days = 2 in
   let run jobs =
     let w = Simnet.World.create ~config:parallel_world_config () in
-    Scanner.Parallel_campaign.run ~jobs w ~days ()
+    Campaign_run.run ~jobs w ~days
   in
   let one = run 1 in
   let four = run 4 in
@@ -517,19 +564,18 @@ let make_sink w dir ~days =
   | Error e -> Alcotest.fail e
 
 let test_stream_matches_archive () =
-  (* A streamed 1-worker campaign reassembles to the byte-identical CSV
-     the same campaign run without a sink saves. *)
+  (* A campaign streamed into a directory of its own reassembles to the
+     byte-identical CSV the same campaign exports through a temporary
+     run log. *)
   with_temp_dir (fun dir ->
       let days = 2 in
       let direct =
         archive_bytes
-          (Scanner.Parallel_campaign.run ~jobs:1
-             (Simnet.World.create ~config:parallel_world_config ())
-             ~days ())
+          (Campaign_run.run ~jobs:1 (Simnet.World.create ~config:parallel_world_config ()) ~days)
       in
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days in
-      ignore (Scanner.Parallel_campaign.run ~jobs:1 ~sink w ~days ());
+      Scanner.Parallel_campaign.run ~jobs:1 ~sink w ~days ();
       Alcotest.(check bool) "rows streamed" true (Scanner.Stream_sink.rows_written sink > 0);
       match Scanner.Daily_scan.load_stream dir with
       | Error e -> Alcotest.fail e
@@ -539,18 +585,11 @@ let test_stream_matches_archive () =
 
 let test_stream_jobs_invariant () =
   (* Worker count must not leak into the streamed bytes: every per-shard
-     spool is byte-identical between jobs=1 and jobs=4, and a streamed
-     run keeps nothing row-shaped in memory. *)
+     spool is byte-identical between jobs=1 and jobs=4. *)
   let days = 2 in
   let run_streamed jobs dir =
     let w = Simnet.World.create ~config:parallel_world_config () in
-    let sink = make_sink w dir ~days in
-    let t = Scanner.Parallel_campaign.run ~jobs ~sink w ~days () in
-    Alcotest.(check int) "a streamed run keeps no day rows" 0
-      (Array.fold_left
-         (fun acc (s : Scanner.Daily_scan.domain_series) ->
-           acc + Array.length s.Scanner.Daily_scan.days)
-         0 t.Scanner.Daily_scan.series)
+    Scanner.Parallel_campaign.run ~jobs ~sink:(make_sink w dir ~days) w ~days ()
   in
   with_temp_dir (fun dir1 ->
       with_temp_dir (fun dir4 ->
@@ -572,14 +611,39 @@ let test_stream_jobs_invariant () =
                    (slurp (Filename.concat dir1 ("rows-" ^ n)))
                    (slurp (Filename.concat dir4 ("rows-" ^ n)))))
             (names dir1);
-          (* And the reassembled archive equals a non-streamed parallel run. *)
+          (* And the reassembled archive equals a temporary-log run's. *)
           let w = Simnet.World.create ~config:parallel_world_config () in
-          let reference = archive_bytes (Scanner.Parallel_campaign.run ~jobs:1 w ~days ()) in
+          let reference = archive_bytes (Campaign_run.run ~jobs:1 w ~days) in
           match Scanner.Daily_scan.load_stream dir4 with
           | Error e -> Alcotest.fail e
           | Ok loaded ->
               Alcotest.(check bool) "streamed parallel archive byte-identical" true
                 (String.equal (archive_bytes loaded) reference)))
+
+(* A run given no directory logs to a temporary one, which must be gone
+   once the run ends, whether its body returned or raised. *)
+let test_temporary_log_removed () =
+  let manifest = [ ("start_day", "0"); ("n_days", "1") ] in
+  let seen = ref "" in
+  let write sink =
+    seen := Scanner.Stream_sink.dir sink;
+    let s = Scanner.Stream_sink.stream sink "shard-0000" in
+    Scanner.Stream_sink.append_day s ~rows:0 "day=0\nrows=0\n";
+    Alcotest.(check bool) "log written while the run lasts" true
+      (Sys.file_exists (Filename.concat !seen "rows-shard-0000"))
+  in
+  (match Scanner.Stream_sink.with_sink ~manifest (fun sink -> Ok (write sink)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "removed after the body returns" false (Sys.file_exists !seen);
+  (match
+     Scanner.Stream_sink.with_sink ~manifest (fun sink ->
+         write sink;
+         failwith "run crashed")
+   with
+  | _ -> Alcotest.fail "the body's exception must propagate"
+  | exception Failure m -> Alcotest.(check string) "the body's own exception" "run crashed" m);
+  Alcotest.(check bool) "removed after the body raises" false (Sys.file_exists !seen)
 
 let test_stream_incomplete_rejected () =
   (* A footer-less spool is an interrupted run: the loader must refuse it
@@ -687,9 +751,7 @@ let test_pre_region_csv_loads () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc (first 14 Scanner.Observation.csv_header ^ "\n" ^ row14 ^ "\n");
-      close_out oc;
+      Durable.Atomic_io.write path (first 14 Scanner.Observation.csv_header ^ "\n" ^ row14 ^ "\n");
       match Scanner.Observation.read_csv path with
       | Ok _ -> Alcotest.fail "a 14-column archive must not load"
       | Error e ->
@@ -728,6 +790,9 @@ let () =
             test_load_rejects_bad_ticket_hint;
           Alcotest.test_case "load rejects out-of-range day" `Quick
             test_load_rejects_out_of_range_day;
+          Alcotest.test_case "load rejects unframed archives" `Quick test_load_rejects_unframed;
+          Alcotest.test_case "load rejects missing or repeated rows" `Quick
+            test_load_rejects_missing_or_repeated_row;
         ] );
       qsuite "campaign-properties" [ prop_campaign_roundtrip ];
       ( "parallel",
@@ -744,6 +809,8 @@ let () =
           Alcotest.test_case "spool bytes invariant in worker count" `Slow
             test_stream_jobs_invariant;
           Alcotest.test_case "incomplete stream rejected" `Quick test_stream_incomplete_rejected;
+          Alcotest.test_case "temporary log removed on return and raise" `Quick
+            test_temporary_log_removed;
         ] );
       ("cross-probe", [ Alcotest.test_case "cloudflare" `Slow test_cross_probe ]);
       ( "cross-vantage",

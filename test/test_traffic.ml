@@ -272,22 +272,25 @@ let make_sink dir =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-(* A streamed run keeps no rows in memory; read them back from its sink. *)
+(* A run keeps no rows in memory; read them back from its sink. *)
 let sink_rows dir =
   match Traffic.Traffic_sink.fold_rows ~dir ~init:[] ~f:(fun acc row -> row :: acc) with
   | Ok (rows, _) -> List.rev rows
   | Error e -> Alcotest.fail e
 
-(* One deterministic reference run, shared by the tests below. *)
+(* One deterministic reference run, shared by the tests below, with the
+   tracking report folded from its sink. *)
 let reference =
   lazy
     (with_tmp_dir (fun dir ->
          let sink = make_sink dir in
          let r = Traffic.Population.run ~jobs:1 ~sink traffic_config in
-         (r, dir_contents dir, sink_rows dir)))
+         match Analysis.Tracking_report.of_sink ~dir with
+         | Ok report -> (r, dir_contents dir, sink_rows dir, report)
+         | Error e -> Alcotest.fail e))
 
 let test_jobs_invariance () =
-  let r1, bytes1, rows1 = Lazy.force reference in
+  let r1, bytes1, rows1, _ = Lazy.force reference in
   with_tmp_dir (fun dir ->
       let sink = make_sink dir in
       let r4 = Traffic.Population.run ~jobs:4 ~sink traffic_config in
@@ -298,7 +301,7 @@ let test_jobs_invariance () =
         "archive byte-identical at jobs 1 vs 4" bytes1 (dir_contents dir))
 
 let test_crash_rerun_identical () =
-  let _, reference_bytes, _ = Lazy.force reference in
+  let _, reference_bytes, _, _ = Lazy.force reference in
   with_tmp_dir (fun dir ->
       let armed = ref true in
       let chaos ~shard ~day =
@@ -330,7 +333,10 @@ let test_sink_refuses_mismatched_manifest () =
 
 let test_obs_and_store_bound () =
   let obs = Obs.Recorder.create () in
-  let r = Traffic.Population.run ~jobs:1 ~obs traffic_config in
+  let r =
+    with_tmp_dir (fun dir ->
+        Traffic.Population.run ~jobs:1 ~sink:(make_sink dir) ~obs traffic_config)
+  in
   let m = Obs.Recorder.metrics obs in
   Alcotest.(check int)
     "connects counter = rows" r.Traffic.Population.total_rows
@@ -350,11 +356,7 @@ let test_obs_and_store_bound () =
         (peak <= traffic_config.Traffic.Population.store_capacity)
 
 let test_tracking_report_renders () =
-  let r, _, rows = Lazy.force reference in
-  let meta =
-    { Analysis.Tracking_report.policy = "strict"; ticket_lifetime = 0; users = 45; days = 3 }
-  in
-  let t = Analysis.Tracking_report.of_rows ~meta ~hosts:r.Traffic.Population.hosts rows in
+  let r, _, _, t = Lazy.force reference in
   let all = List.find (fun row -> row.Analysis.Tracking_report.cls = "(all)") t.rows in
   Alcotest.(check int)
     "(all) row covers every connection" r.Traffic.Population.total_rows
