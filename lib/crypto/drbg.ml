@@ -7,24 +7,34 @@
    each simulated entity own a private stream that is insensitive to the
    draw order of its siblings. *)
 
+(* The state is just (K, V). A draw builds the keyed HMAC context of K
+   once and passes it down to [update], which builds one for each new K
+   it derives; the generator itself keeps no context, since holding one
+   in every live generator costs memory for no reuse across draws. *)
 type t = { mutable k : string; mutable v : string }
 
-let update t provided =
-  t.k <- Hmac.sha256 ~key:t.k (t.v ^ "\x00" ^ provided);
-  t.v <- Hmac.sha256 ~key:t.k t.v;
+(* [ctx] is the keyed context of the current K. *)
+let update t ctx provided =
+  t.k <- Hmac.mac_parts ctx [ t.v; "\x00"; provided ];
+  let ctx = Hmac.key t.k in
+  t.v <- Hmac.mac ctx t.v;
   if provided <> "" then begin
-    t.k <- Hmac.sha256 ~key:t.k (t.v ^ "\x01" ^ provided);
-    t.v <- Hmac.sha256 ~key:t.k t.v
+    t.k <- Hmac.mac_parts ctx [ t.v; "\x01"; provided ];
+    t.v <- Hmac.mac (Hmac.key t.k) t.v
   end
 
+let initial_k = String.make 32 '\x00'
+let initial_ctx = Hmac.key initial_k
+let initial_v = String.make 32 '\x01'
+
 let create ~seed =
-  let t = { k = String.make 32 '\x00'; v = String.make 32 '\x01' } in
-  update t seed;
+  let t = { k = initial_k; v = initial_v } in
+  update t initial_ctx seed;
   t
 
 let of_int_seed n = create ~seed:(Printf.sprintf "seed:%d" n)
 
-let reseed t entropy = update t entropy
+let reseed t entropy = update t (Hmac.key t.k) entropy
 
 (* Core draw: one HMAC per 32-byte block, written straight into the
    caller's buffer. [generate_into t buf ~pos ~len] advances (K, V)
@@ -35,16 +45,17 @@ let generate_into t (buf : Bytes.t) ~pos ~len =
   if len < 0 then invalid_arg "Drbg.generate_into: negative length";
   if pos < 0 || pos > Bytes.length buf - len then
     invalid_arg "Drbg.generate_into: range out of bounds";
+  let ctx = Hmac.key t.k in
   let off = ref pos in
   let remaining = ref len in
   while !remaining > 0 do
-    t.v <- Hmac.sha256 ~key:t.k t.v;
+    t.v <- Hmac.mac ctx t.v;
     let chunk = if !remaining < 32 then !remaining else 32 in
     Bytes.blit_string t.v 0 buf !off chunk;
     off := !off + chunk;
     remaining := !remaining - chunk
   done;
-  update t ""
+  update t ctx ""
 
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
@@ -68,19 +79,21 @@ let restore ~state:(k, v) =
 let byte t =
   (* One block draw; stream-equivalent to [generate t 1] but with only
      the unavoidable HMAC allocations. *)
-  t.v <- Hmac.sha256 ~key:t.k t.v;
+  let ctx = Hmac.key t.k in
+  t.v <- Hmac.mac ctx t.v;
   let b = Char.code t.v.[0] in
-  update t "";
+  update t ctx "";
   b
 
 let bits62 t =
-  t.v <- Hmac.sha256 ~key:t.k t.v;
+  let ctx = Hmac.key t.k in
+  t.v <- Hmac.mac ctx t.v;
   let v = t.v in
   let acc = ref 0 in
   for i = 0 to 7 do
     acc := (!acc lsl 8) lor Char.code (String.unsafe_get v i)
   done;
-  update t "";
+  update t ctx "";
   !acc land max_int
 
 let int_below t n =

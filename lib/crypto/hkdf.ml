@@ -11,11 +11,12 @@ let extract ?(salt = "") ikm =
 
 let expand ~prk ~info len =
   if len > 255 * hash_len then invalid_arg "Hkdf.expand: length too large";
+  let ctx = Hmac.key prk in
   let buf = Buffer.create len in
   let t = ref "" in
   let i = ref 1 in
   while Buffer.length buf < len do
-    t := Hmac.sha256 ~key:prk (!t ^ info ^ String.make 1 (Char.chr !i));
+    t := Hmac.mac_parts ctx [ !t; info; String.make 1 (Char.chr !i) ];
     Buffer.add_string buf !t;
     incr i
   done;

@@ -1,13 +1,17 @@
 (* The TLS 1.2 pseudorandom function (RFC 5246 section 5): P_SHA256 over
    HMAC-SHA256, plus the two standard derivations the handshake needs. *)
 
+(* A(i) = HMAC(secret, A(i-1)) with A(0) = seed; output block i is
+   HMAC(secret, A(i) || seed). A(i + 1) is computed only when block i + 1
+   is needed. *)
 let p_sha256 ~secret ~seed n =
+  let ctx = Hmac.key secret in
   let buf = Buffer.create n in
-  let a = ref (Hmac.sha256 ~key:secret seed) in
-  while Buffer.length buf < n do
-    Buffer.add_string buf (Hmac.sha256 ~key:secret (!a ^ seed));
-    a := Hmac.sha256 ~key:secret !a
-  done;
+  let rec fill a =
+    Buffer.add_string buf (Hmac.mac_parts ctx [ a; seed ]);
+    if Buffer.length buf < n then fill (Hmac.mac ctx a)
+  in
+  if n > 0 then fill (Hmac.mac ctx seed);
   Buffer.sub buf 0 n
 
 let prf ~secret ~label ~seed n = p_sha256 ~secret ~seed:(label ^ seed) n

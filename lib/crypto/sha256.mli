@@ -6,6 +6,11 @@ type t
 val init : unit -> t
 val update : t -> string -> unit
 
+val copy : t -> t
+(** An independent state with the same absorbed input: finalizing or
+    updating either leaves the other untouched. Running transcript hashes
+    finalize a copy to read the hash so far. *)
+
 val finalize : t -> string
 (** Returns the 32-byte digest. The state must not be reused afterwards. *)
 
@@ -17,3 +22,17 @@ val digest_list : string list -> string
 
 val digest_size : int
 val block_size : int
+
+(** {2 Midstates}
+
+    A midstate is the 32-byte chaining value after whole blocks. HMAC
+    absorbs its two key pads once per key and resumes from them for every
+    message. *)
+
+val midstate_of_block : Bytes.t -> Bytes.t -> pos:int -> unit
+(** [midstate_of_block block dst ~pos] writes into [dst] at [pos] the
+    midstate after absorbing exactly the first 64 bytes of [block]. *)
+
+val of_midstate : string -> pos:int -> t
+(** [of_midstate s ~pos] is the state that has absorbed one block whose
+    midstate is the 32 bytes of [s] at [pos]. *)

@@ -23,15 +23,18 @@ type offer =
 
 type state = {
   s_client : t;
-  s_transcript : Buffer.t;
+  s_transcript : Crypto.Sha256.t;
   s_hostname : string;
   s_random : string;
   s_offer : offer;
   s_now : int;
 }
 
-let add transcript msg = Buffer.add_string transcript (Msg.to_bytes msg)
-let transcript_hash transcript = Crypto.Sha256.digest (Buffer.contents transcript)
+(* The transcript is a running hash; each Finished reads a copy of it, so
+   no handshake re-hashes the messages (certificate chain included) it
+   has already absorbed. *)
+let add transcript msg = Crypto.Sha256.update transcript (Msg.to_bytes msg)
+let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 let hello t ~now ~hostname ~offer =
   let random = Crypto.Drbg.generate t.rng Types.random_len in
@@ -58,7 +61,7 @@ let hello t ~now ~hostname ~offer =
           Extension.Server_name hostname :: Extension.Supported_groups groups :: ticket_ext;
       }
   in
-  let transcript = Buffer.create 1024 in
+  let transcript = Crypto.Sha256.init () in
   add transcript ch;
   ( ch,
     {

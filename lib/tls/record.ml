@@ -83,7 +83,7 @@ let iv_len = 8
 let mac_len = 32
 let key_block_len = 2 * (mac_key_len + enc_key_len + iv_len)
 
-type direction_keys = { mac_key : string; enc_key : Crypto.Aes.t; iv : string }
+type direction_keys = { mac : Crypto.Hmac.key; enc_key : Crypto.Aes.t; iv : string }
 
 type keys = { client_write : direction_keys; server_write : direction_keys }
 
@@ -104,8 +104,10 @@ let derive_keys ~master ~client_random ~server_random =
   let client_iv = take iv_len in
   let server_iv = take iv_len in
   {
-    client_write = { mac_key = client_mac; enc_key = Crypto.Aes.of_key client_key; iv = client_iv };
-    server_write = { mac_key = server_mac; enc_key = Crypto.Aes.of_key server_key; iv = server_iv };
+    client_write =
+      { mac = Crypto.Hmac.key client_mac; enc_key = Crypto.Aes.of_key client_key; iv = client_iv };
+    server_write =
+      { mac = Crypto.Hmac.key server_mac; enc_key = Crypto.Aes.of_key server_key; iv = server_iv };
   }
 
 type cipher_state = {
@@ -149,7 +151,7 @@ let seal st record =
     mac_prefix st ~content_type:record.r_content_type ~version:record.r_version
       ~length:(String.length ciphertext)
   in
-  let mac = Crypto.Hmac.sha256_parts ~key:st.keys.mac_key [ pre; ciphertext ] in
+  let mac = Crypto.Hmac.mac_parts st.keys.mac [ pre; ciphertext ] in
   st.seq <- st.seq + 1;
   { record with r_payload = ciphertext ^ mac }
 
@@ -164,7 +166,7 @@ let open_ st record =
       mac_prefix st ~content_type:record.r_content_type ~version:record.r_version
         ~length:(String.length ciphertext)
     in
-    let expected = Crypto.Hmac.sha256_parts ~key:st.keys.mac_key [ pre; ciphertext ] in
+    let expected = Crypto.Hmac.mac_parts st.keys.mac [ pre; ciphertext ] in
     if not (Crypto.Hmac.equal_ct expected mac) then Error Types.Bad_record_mac
     else begin
       let nonce = record_nonce st in

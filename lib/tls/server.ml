@@ -39,8 +39,11 @@ let restart t ~now =
 
 (* --- Transcript -------------------------------------------------------------- *)
 
-let add transcript msg = Buffer.add_string transcript (Msg.to_bytes msg)
-let transcript_hash transcript = Crypto.Sha256.digest (Buffer.contents transcript)
+(* The transcript is a running hash; each Finished reads a copy of it, so
+   no handshake re-hashes the messages (certificate chain included) it
+   has already absorbed. *)
+let add transcript msg = Crypto.Sha256.update transcript (Msg.to_bytes msg)
+let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 (* --- Negotiation -------------------------------------------------------------- *)
 
@@ -58,7 +61,7 @@ let x25519_group_id = 29
 
 type pending = {
   p_server : t;
-  p_transcript : Buffer.t;
+  p_transcript : Crypto.Sha256.t;
   p_client_random : string;
   p_server_random : string;
   p_suite : Types.cipher_suite;
@@ -69,7 +72,6 @@ type pending = {
 
 type resuming = {
   r_server : t;
-  r_transcript : Buffer.t;
   r_session : Session.t;
   r_expected_verify : string; (* client Finished we await *)
 }
@@ -207,7 +209,7 @@ let handle_client_hello t ~now msg =
         let client_offers_ticket_ext = Extension.has_session_ticket ch.Msg.ch_extensions in
         let ticket_negotiated = client_offers_ticket_ext && t.config.Config.tickets <> None in
         let server_random = Crypto.Drbg.generate t.rng Types.random_len in
-        let transcript = Buffer.create 1024 in
+        let transcript = Crypto.Sha256.init () in
         add transcript msg;
         (* 1. Ticket resumption takes precedence (RFC 5077 section 3.4). *)
         match try_ticket_resumption t ~now ~offered_suites:offered ch.Msg.ch_extensions with
@@ -246,7 +248,6 @@ let handle_client_hello t ~now msg =
                  ( (sh :: reissue) @ [ server_fin ],
                    {
                      r_server = t;
-                     r_transcript = transcript;
                      r_session = session;
                      r_expected_verify = expected;
                    },
@@ -282,7 +283,6 @@ let handle_client_hello t ~now msg =
                      ( [ sh; server_fin ],
                        {
                          r_server = t;
-                         r_transcript = transcript;
                          r_session = session;
                          r_expected_verify = expected;
                        },

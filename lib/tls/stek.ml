@@ -6,7 +6,7 @@
 type t = {
   key_name : string; (* 16 bytes, public, embedded in tickets *)
   aes_key : Crypto.Aes.t; (* AES-128-CBC key, per RFC 5077's recommendation *)
-  hmac_key : string; (* 32 bytes for HMAC-SHA256 *)
+  mac : Crypto.Hmac.key; (* keyed HMAC-SHA256 context of the 32-byte MAC key *)
   created_at : int; (* epoch seconds *)
 }
 
@@ -25,7 +25,7 @@ let of_raw ~created_at raw =
   {
     key_name = String.sub raw 0 key_name_len;
     aes_key = Crypto.Aes.of_key (String.sub raw key_name_len aes_key_len);
-    hmac_key = String.sub raw (key_name_len + aes_key_len) hmac_key_len;
+    mac = Crypto.Hmac.key (String.sub raw (key_name_len + aes_key_len) hmac_key_len);
     created_at;
   }
 
@@ -39,7 +39,7 @@ let derive ~secret ~period ~now =
 
 let key_name t = t.key_name
 let aes_key t = t.aes_key
-let hmac_key t = t.hmac_key
+let mac t = t.mac
 let created_at t = t.created_at
 
 let key_name_hex t = Wire.Hex.encode t.key_name

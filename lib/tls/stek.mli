@@ -27,6 +27,8 @@ val derive : secret:string -> period:int -> now:int -> t
 
 val key_name : t -> string
 val aes_key : t -> Crypto.Aes.t
-val hmac_key : t -> string
+val mac : t -> Crypto.Hmac.key
+(** The ticket MAC key's HMAC context, built once per STEK. *)
+
 val created_at : t -> int
 val key_name_hex : t -> string

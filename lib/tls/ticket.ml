@@ -25,7 +25,7 @@ let seal stek rng (session : Session.t) =
         Wire.Writer.bytes w iv;
         Wire.Writer.vec16 w encrypted)
   in
-  body ^ Crypto.Hmac.sha256 ~key:(Stek.hmac_key stek) body
+  body ^ Crypto.Hmac.mac (Stek.mac stek) body
 
 (* The key name is visible to anyone holding the ticket (it rides outside
    the encryption); the scanner uses it to track STEK lifetimes. *)
@@ -58,7 +58,7 @@ let unseal ~find_stek ticket =
     | Some stek ->
         let body = String.sub ticket 0 (n - mac_len) in
         let mac = String.sub ticket (n - mac_len) mac_len in
-        if not (Crypto.Hmac.verify ~key:(Stek.hmac_key stek) ~msg:body ~tag:mac) then Error Bad_mac
+        if not (Crypto.Hmac.equal_ct (Crypto.Hmac.mac (Stek.mac stek) body) mac) then Error Bad_mac
         else begin
           let parse r =
             let _key_name = Wire.Reader.take r Stek.key_name_len in

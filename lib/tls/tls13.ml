@@ -64,7 +64,7 @@ let seal_psk stek rng state =
         Wire.Writer.bytes w iv;
         Wire.Writer.vec16 w encrypted)
   in
-  body ^ Crypto.Hmac.sha256 ~key:(Stek.hmac_key stek) body
+  body ^ Crypto.Hmac.mac (Stek.mac stek) body
 
 let unseal_psk ~find_stek ticket =
   let n = String.length ticket in
@@ -76,7 +76,7 @@ let unseal_psk ~find_stek ticket =
     | Some stek ->
         let body = String.sub ticket 0 (n - 32) in
         let mac = String.sub ticket (n - 32) 32 in
-        if not (Crypto.Hmac.verify ~key:(Stek.hmac_key stek) ~msg:body ~tag:mac) then
+        if not (Crypto.Hmac.equal_ct (Crypto.Hmac.mac (Stek.mac stek) body) mac) then
           Error "tls13: bad ticket MAC"
         else begin
           let parse r =
@@ -293,7 +293,7 @@ let handle_client_hello server ~now (ch : client_hello) =
           sh_new_ticket = None;
         }
       in
-      let full_hash = Crypto.Sha256.digest (ch_bytes ch ^ sh_bytes sh0) in
+      let full_hash = Crypto.Sha256.digest_list [ ch_bytes ch; sh_bytes sh0 ] in
       let secrets = key_schedule ?psk ?dh_shared ~ch_hash ~full_hash () in
       (* 3. 0-RTT: only valid when the PSK was accepted and allowed. *)
       let early =
@@ -402,7 +402,7 @@ let connect ~client_rng server ~now ~offer =
       let psk = if sr.sr_hello.sh_psk_accepted then Option.map (fun s -> s.psk) psk_state else None in
       let ch_hash = Crypto.Sha256.digest (ch_bytes ch2) in
       let full_hash =
-        Crypto.Sha256.digest (ch_bytes ch2 ^ sh_bytes { sr.sr_hello with sh_new_ticket = None })
+        Crypto.Sha256.digest_list [ ch_bytes ch2; sh_bytes { sr.sr_hello with sh_new_ticket = None } ]
       in
       let cl_secrets = key_schedule ?psk ?dh_shared ~ch_hash ~full_hash () in
       if not (String.equal cl_secrets.master_secret sr.sr_secrets.master_secret) then
@@ -447,7 +447,7 @@ let attack ~find_stek ~(ch : client_hello) ~(sh : server_hello) ~recorded_app =
       | Ok state ->
           let ch_hash = Crypto.Sha256.digest (ch_bytes ch) in
           let full_hash =
-            Crypto.Sha256.digest (ch_bytes ch ^ sh_bytes { sh with sh_new_ticket = None })
+            Crypto.Sha256.digest_list [ ch_bytes ch; sh_bytes { sh with sh_new_ticket = None } ]
           in
           let early_data =
             Option.map

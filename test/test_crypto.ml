@@ -42,6 +42,55 @@ let test_sha256_streaming () =
   Alcotest.(check string) "streaming = one-shot" (Crypto.Sha256.digest msg)
     (Crypto.Sha256.finalize t)
 
+(* Streaming with random split points agrees with one-shot at every length
+   up to 130 bytes, which crosses each padding boundary (55/56 and 119/120
+   bytes decide whether the length spills into an extra block; 63/64 and
+   127/128 fill the staging block exactly). *)
+let test_sha256_split_lengths () =
+  let rng = Random.State.make [| 180 |] in
+  for len = 0 to 130 do
+    let msg = String.init len (fun i -> Char.chr (((i * 7) + len) land 0xff)) in
+    let expected = Crypto.Sha256.digest msg in
+    for _ = 1 to 4 do
+      let t = Crypto.Sha256.init () in
+      let pos = ref 0 in
+      while !pos < len do
+        let n = 1 + Random.State.int rng (len - !pos) in
+        Crypto.Sha256.update t (String.sub msg !pos n);
+        pos := !pos + n
+      done;
+      Alcotest.(check string) (Printf.sprintf "length %d" len) expected (Crypto.Sha256.finalize t)
+    done
+  done;
+  check_hex "55 bytes" "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"
+    (Crypto.Sha256.digest (String.make 55 'a'));
+  check_hex "56 bytes" "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
+    (Crypto.Sha256.digest (String.make 56 'a'));
+  check_hex "64 bytes" "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+    (Crypto.Sha256.digest (String.make 64 'a'))
+
+(* FIPS 180-4 long-message vector: one million repetitions of 'a'. *)
+let test_sha256_million_a () =
+  check_hex "1e6 x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Crypto.Sha256.digest (String.make 1_000_000 'a'))
+
+let test_sha256_copy () =
+  let t = Crypto.Sha256.init () in
+  Crypto.Sha256.update t "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  let c = Crypto.Sha256.copy t in
+  Crypto.Sha256.update c "-tail-only-in-copy";
+  Alcotest.(check string) "original unaffected by copy's update"
+    (Crypto.Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+    (Crypto.Sha256.finalize (Crypto.Sha256.copy t));
+  Crypto.Sha256.update t "abc";
+  Alcotest.(check string) "copy unaffected by original's update"
+    (Crypto.Sha256.digest
+       "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq-tail-only-in-copy")
+    (Crypto.Sha256.finalize c);
+  Alcotest.(check string) "original continues its own stream"
+    (Crypto.Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopqabc")
+    (Crypto.Sha256.finalize t)
+
 (* --- HMAC (RFC 4231) ------------------------------------------------------ *)
 
 let test_hmac_vectors () =
@@ -53,7 +102,25 @@ let test_hmac_vectors () =
     (Crypto.Hmac.sha256 ~key:"Jefe" "what do ya want for nothing?");
   (* RFC 4231 test case 3: 20x 0xaa key, 50x 0xdd data. *)
   check_hex "tc3" "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Crypto.Hmac.sha256 ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'))
+    (Crypto.Hmac.sha256 ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
+  (* RFC 4231 test case 4: 25-byte counting key, 50x 0xcd data. *)
+  check_hex "tc4" "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+    (Crypto.Hmac.sha256 ~key:(String.init 25 (fun i -> Char.chr (i + 1))) (String.make 50 '\xcd'));
+  (* RFC 4231 test cases 6 and 7: a 131-byte key, longer than the block,
+     so HMAC hashes the key first. *)
+  let long_key = String.make 131 '\xaa' in
+  check_hex "tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Crypto.Hmac.sha256 ~key:long_key "Test Using Larger Than Block-Size Key - Hash Key First");
+  check_hex "tc7" "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Crypto.Hmac.sha256 ~key:long_key
+       "This is a test using a larger than block-size key and a larger than block-size data. \
+        The key needs to be hashed before being used by the HMAC algorithm.");
+  (* A keyed context gives the same tags, however often it is reused. *)
+  let ctx = Crypto.Hmac.key long_key in
+  for _ = 1 to 2 do
+    check_hex "tc6 via context" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+      (Crypto.Hmac.mac_parts ctx [ "Test Using Larger Than "; "Block-Size Key - Hash Key First" ])
+  done
 
 let test_hmac_ct_equal () =
   Alcotest.(check bool) "equal" true (Crypto.Hmac.equal_ct "same-bytes" "same-bytes");
@@ -443,6 +510,33 @@ let test_drbg_generate_into () =
   Alcotest.check_raises "out of bounds"
     (Invalid_argument "Drbg.generate_into: range out of bounds") (fun () ->
       Crypto.Drbg.generate_into a (Bytes.create 4) ~pos:2 ~len:3)
+
+(* The full HMAC-DRBG stream over a fixed script that reaches every entry
+   point, including reseed and the multi-block generate path, pinned to
+   one digest. Any change to the DRBG or the hash layers below it that
+   moves a single output byte fails here. *)
+let test_drbg_stream_pinned () =
+  let module D = Crypto.Drbg in
+  let out = Buffer.create 1024 in
+  let add s = Buffer.add_string out s in
+  let rng = D.create ~seed:"drbg-pin" in
+  List.iter (fun n -> add (D.generate rng n)) [ 0; 1; 31; 32; 33; 100 ];
+  add (Printf.sprintf "byte=%d;" (D.byte rng));
+  add (Printf.sprintf "int=%d;" (D.int_below rng 1_000_003));
+  add (Printf.sprintf "float=%h;" (D.float01 rng));
+  add (B.to_decimal (D.bignum_below rng (B.of_decimal "340282366920938463463374607431768211507")));
+  let child = D.fork rng ~label:"child" in
+  add (D.generate child 48);
+  D.reseed rng "fresh entropy";
+  add (D.generate rng 40);
+  let k, v = D.state rng in
+  add k;
+  add v;
+  let resumed = D.restore ~state:(k, v) in
+  add (D.generate resumed 65);
+  add (D.generate rng 65);
+  check_hex "stream digest" "dafe0cad31e609035bfc8c64ad967a34c8a65e69ce27fa46555c12e1238f88eb"
+    (Crypto.Sha256.digest (Buffer.contents out))
 
 let prop_drbg_int_below =
   QCheck2.Test.make ~name:"int_below stays in range" ~count:300
@@ -837,6 +931,9 @@ let () =
         [
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "streaming" `Quick test_sha256_streaming;
+          Alcotest.test_case "split points at every length" `Quick test_sha256_split_lengths;
+          Alcotest.test_case "one million a" `Quick test_sha256_million_a;
+          Alcotest.test_case "copy independence" `Quick test_sha256_copy;
         ] );
       ( "hmac",
         [
@@ -889,6 +986,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_drbg_determinism;
           Alcotest.test_case "fork" `Quick test_drbg_fork;
           Alcotest.test_case "generate_into" `Quick test_drbg_generate_into;
+          Alcotest.test_case "stream pinned" `Quick test_drbg_stream_pinned;
           Alcotest.test_case "weighted" `Quick test_drbg_weighted;
         ] );
       qsuite "drbg-properties" [ prop_drbg_int_below ];
