@@ -105,6 +105,7 @@ let kernel_benches () =
   let q_p256 = Ec.Reference.scalar_mult_base Ec.p256 (B.of_int 7919) in
   let sim_curve = Ec.generate_small ~bits:61 ~seed:"bench" in
   let k_sim = Crypto.Drbg.bignum_below rng (Ec.curve_order sim_curve) in
+  let q_sim = Ec.Reference.scalar_mult_base sim_curve (B.of_int 7919) in
   (* 2^31 - 1: the largest modulus the native-word pow_mod fast path
      accepts; exercises the skip-Montgomery-entirely branch. *)
   let m31 = B.of_int 0x7fffffff in
@@ -130,6 +131,14 @@ let kernel_benches () =
   in
   let g_mul () = B.Field.mul fp ga gb in
   let g_sqr () = B.Field.sqr fp ga in
+  (* The one-word backend of the simulation curves against the generic
+     Montgomery field on the same 61-bit prime. *)
+  let sim_p = Ec.curve_p sim_curve in
+  let wf = Crypto.Word_field.create sim_p in
+  let fsim = B.Field.create sim_p in
+  let sa = Crypto.Drbg.bignum_below rng sim_p and sb = Crypto.Drbg.bignum_below rng sim_p in
+  let wa = Crypto.Word_field.of_bignum wf sa and wb = Crypto.Word_field.of_bignum wf sb in
+  let ga_sim = B.Field.of_bignum fsim sa and gb_sim = B.Field.of_bignum fsim sb in
   let bn name f g = (name, (fun () -> ignore (Sys.opaque_identity (f ()))), (fun () -> ignore (Sys.opaque_identity (g ()))), B.equal (f ()) (g ())) in
   let pt name f g = (name, (fun () -> ignore (Sys.opaque_identity (f ()))), (fun () -> ignore (Sys.opaque_identity (g ()))), f () = g ()) in
   let fe name f g =
@@ -137,6 +146,14 @@ let kernel_benches () =
       (fun () -> ignore (Sys.opaque_identity (f ()))),
       (fun () -> ignore (Sys.opaque_identity (g ()))),
       B.equal (P.to_bignum (f ())) (B.Field.to_bignum fp (g ())) )
+  in
+  let word_field_mul =
+    ( "field_mul-sim61",
+      (fun () -> ignore (Sys.opaque_identity (Crypto.Word_field.mul wf wa wb))),
+      (fun () -> ignore (Sys.opaque_identity (B.Field.mul fsim ga_sim gb_sim))),
+      B.equal
+        (Crypto.Word_field.to_bignum wf (Crypto.Word_field.mul wf wa wb))
+        (B.Field.to_bignum fsim (B.Field.mul fsim ga_sim gb_sim)) )
   in
   [
     bn "pow_mod-2048"
@@ -159,9 +176,13 @@ let kernel_benches () =
     pt "scalar_mult-p256"
       (fun () -> Ec.scalar_mult Ec.p256 k_p256 q_p256)
       (fun () -> Ec.Reference.scalar_mult Ec.p256 k_p256 q_p256);
+    word_field_mul;
     pt "scalar_mult_base-sim61"
       (fun () -> Ec.scalar_mult_base sim_curve k_sim)
       (fun () -> Ec.Reference.scalar_mult_base sim_curve k_sim);
+    pt "scalar_mult-sim61"
+      (fun () -> Ec.scalar_mult sim_curve k_sim q_sim)
+      (fun () -> Ec.Reference.scalar_mult sim_curve k_sim q_sim);
   ]
 
 let kernel_report ~budget_ms =
@@ -256,9 +277,11 @@ let check_baseline () =
      of each pair are measured in the same run, so the ratio is immune to
      machine-speed drift that the raw ops/sec comparison above tolerates.
      Floors: the P-256 ladder must hold its >= 3x win over the seed-era
-     reference, pow_mod-sim64 must never fall back below parity, and the
+     reference, pow_mod-sim64 must never fall back below parity, the
      specialized field kernels must stay clearly ahead of the generic
-     Montgomery field. *)
+     Montgomery field, and both simulation-curve ladders (the one-word
+     field under the fixed-base comb and the wNAF ladder) must hold a
+     >= 6x win. *)
   let speedup_of name =
     let rec go = function
       | [] -> fail (Printf.sprintf "%s: kernel %S missing for speedup gate" current_path name)
@@ -287,6 +310,8 @@ let check_baseline () =
            ("pow_mod-sim64", 1.0);
            ("field_mul-p256", 2.0);
            ("field_sqr-p256", 2.0);
+           ("scalar_mult_base-sim61", 6.0);
+           ("scalar_mult-sim61", 6.0);
          ])
   in
   Analysis.Report.section "Baseline check (current vs committed BENCH_baseline.json)"

@@ -931,8 +931,6 @@ module Field = struct
       go k
     end
 
-  let neg (c : ctx) (a : fe) : fe = sub c (zero c) a
-
   let inv (c : ctx) (a : fe) : fe =
     (* Fermat inversion; modulus is prime for every caller. *)
     let av = to_bignum c a in

@@ -92,16 +92,15 @@ val mod_inverse_prime : t -> t -> t
     Raises [Invalid_argument] if [a mod p = 0]. *)
 
 (** Prime-field elements kept in Montgomery form, so long chains of modular
-    multiplications (elliptic-curve point arithmetic) cost one CIOS pass
-    each. The modulus must be odd; callers use prime moduli. *)
+    multiplications cost one CIOS pass each. The modulus must be odd;
+    callers use prime moduli. {!Ec} uses it for curve construction,
+    [on_curve] and its seed-era reference; its scalar-multiplication
+    ladders run on {!P256_field} and {!Word_field}. *)
 module Field : sig
   type ctx
 
-  type fe = int array
-  (** Montgomery-form limbs. The representation is exposed so {!Ec} can
-      dispatch between this generic backend and the specialized
-      {!P256_field} one behind a single array-based interface; treat
-      values as opaque outside those two modules. *)
+  type fe
+  (** An element in Montgomery form. *)
 
   val create : t -> ctx
   val modulus : ctx -> t
@@ -118,8 +117,6 @@ module Field : sig
 
   val mul_small : ctx -> fe -> int -> fe
   (** Multiply by a small non-negative integer via repeated addition. *)
-
-  val neg : ctx -> fe -> fe
 
   val inv : ctx -> fe -> fe
   (** Fermat inversion; requires a prime modulus and a nonzero argument. *)

@@ -16,12 +16,14 @@
    multiples, and [scalar_mult_base] walks a per-curve fixed-base comb of
    affine points (built once in [make_curve]) with mixed additions. The
    ladders run over a destination-passing field backend ({!fops}): the
-   generic [Bignum.Field] for simulation curves, and the specialized
-   {!P256_field} (Solinas reduction, no Montgomery form) whenever the
-   curve's field prime is the NIST P-256 prime — so the inner loop does
-   no per-operation boxing at all. The seed-era double-and-add loop
-   survives in {!Reference} as the semantic baseline for property tests
-   and the bench harness.
+   specialized {!P256_field} (Solinas reduction, no Montgomery form) when
+   the curve's field prime is the NIST P-256 prime, and the one-word
+   Montgomery {!Word_field} for every prime below 2^61 (the simulation
+   curves) — so the inner loop does no per-operation allocation at all.
+   [make_curve] refuses any other prime. [Bignum.Field] serves only curve
+   construction, [on_curve], [add]/[double] and the seed-era
+   double-and-add loop kept in {!Reference} as the semantic baseline for
+   property tests and the bench harness.
 
    Arithmetic is not constant-time; this library measures protocol
    behaviour, it does not defend live traffic. *)
@@ -34,7 +36,8 @@ type curve = {
   a : F.fe;
   b : F.fe;
   a_is_minus3 : bool;
-  use_p256 : bool; (* field prime = P-256 prime: use the Solinas backend *)
+  word : Word_field.t option; (* [None]: the P-256 prime, Solinas backend *)
+  ca : int array; (* [a] in the ladder backend's representation *)
   gx : Bignum.t;
   gy : Bignum.t;
   n : Bignum.t; (* order of the base point *)
@@ -46,9 +49,9 @@ type curve = {
 (* Lim–Lee comb over the base point: [ctable.(j)] is the affine form of
    Σ_{k ∈ bits j} 2^(k·cd) · G ([None] for the point at infinity, which a
    tooth pattern can hit when the implied scalar is a multiple of n).
-   Entries are stored in the curve's backend representation (Montgomery
-   limbs for generic curves, Solinas limbs for P-256), so every comb
-   addition is a mixed addition with no conversion. *)
+   Entries are stored in the curve's backend representation (one-word
+   Montgomery residues for simulation curves, Solinas limbs for P-256),
+   so every comb addition is a mixed addition with no conversion. *)
 and comb = { cw : int; cd : int; ctable : (int array * int array) option array }
 
 type point = Inf | Affine of Bignum.t * Bignum.t
@@ -131,79 +134,80 @@ let jac_add c p q =
 
 (* --- Field backend dispatch -----------------------------------------------
 
-   Both field representations are raw [int array]s (Montgomery limbs for
-   the generic backend, 29-bit Solinas limbs for P-256), so the point
-   formulas below are written once against a small dispatch layer: a
-   variant names the backend, and every op is a module-level function
-   that branches on it once — a perfectly-predicted branch plus a direct
-   call on each arm, measurably cheaper in the ladder than a record of
-   closures. The specialized ops mutate in place with per-workspace
-   scratch; the generic ones compute functionally and blit, which keeps
-   [Bignum.Field] untouched. Destinations may alias operands in every
-   op. *)
+   Both field representations are raw [int array]s (nine 29-bit Solinas
+   limbs for P-256, a single Montgomery residue for {!Word_field}
+   curves), so the point formulas below are written once against a small
+   dispatch layer: a variant names the backend, and every op is a
+   module-level function that branches on it once — a perfectly-predicted
+   branch plus a direct call on each arm, measurably cheaper in the
+   ladder than a record of closures. Every op writes its destination in
+   place and allocates nothing; destinations may alias operands. *)
 
 type fops =
   | P256 of P256_field.state
-  | Generic of F.ctx
+  | Word of Word_field.t
 
-let backend_width = function
-  | P256 _ -> P256_field.words
-  | Generic fctx -> Array.length (F.zero fctx)
+let backend_width = function P256 _ -> P256_field.words | Word _ -> 1
 
-let gblit r dst = Array.blit r 0 dst 0 (Array.length r)
+(* A value in the representation of the curve's backend ([curve.word]). *)
+let backend_of_bignum word v =
+  match word with
+  | Some f -> [| Word_field.of_bignum f v |]
+  | None -> P256_field.of_bignum v
+
+(* A loop rather than [Array.blit]: the C call dominates a one-word copy. *)
+let gblit r dst =
+  for i = 0 to Array.length r - 1 do
+    dst.(i) <- r.(i)
+  done
 
 let fmul o dst a b =
   match o with
   | P256 st -> P256_field.mul st dst a b
-  | Generic f -> gblit (F.mul f a b) dst
+  | Word f -> dst.(0) <- Word_field.mul f a.(0) b.(0)
 
 let fsqr o dst a =
   match o with
   | P256 st -> P256_field.sqr st dst a
-  | Generic f -> gblit (F.sqr f a) dst
+  | Word f -> dst.(0) <- Word_field.sqr f a.(0)
 
 let fadd o dst a b =
   match o with
   | P256 _ -> P256_field.add dst a b
-  | Generic f -> gblit (F.add f a b) dst
+  | Word f -> dst.(0) <- Word_field.add f a.(0) b.(0)
 
 let fsub o dst a b =
   match o with
   | P256 _ -> P256_field.sub dst a b
-  | Generic f -> gblit (F.sub f a b) dst
+  | Word f -> dst.(0) <- Word_field.sub f a.(0) b.(0)
 
 let fmuls o dst a k =
   match o with
   | P256 _ -> P256_field.mul_small dst a k
-  | Generic f -> gblit (F.mul_small f a k) dst
+  | Word f -> dst.(0) <- Word_field.mul_small f a.(0) k
 
 let fneg o dst a =
   match o with
   | P256 _ -> P256_field.neg dst a
-  | Generic f -> gblit (F.neg f a) dst
+  | Word f -> dst.(0) <- Word_field.neg f a.(0)
 
 let finv o dst a =
   match o with
   | P256 st -> P256_field.inv st dst a
-  | Generic f -> gblit (F.inv f a) dst
+  | Word f -> dst.(0) <- Word_field.inv f a.(0)
 
-let fz o a = match o with P256 _ -> P256_field.is_zero a | Generic _ -> F.is_zero a
-let feq o a b = match o with P256 _ -> P256_field.equal a b | Generic _ -> F.equal a b
+let fz o a = match o with P256 _ -> P256_field.is_zero a | Word _ -> a.(0) = 0
+let feq o a b = match o with P256 _ -> P256_field.equal a b | Word _ -> a.(0) = b.(0)
 
 let fone o dst =
   match o with
   | P256 _ -> P256_field.set_one dst
-  | Generic f -> gblit (F.one f) dst
-
-let fof o v =
-  match o with
-  | P256 _ -> P256_field.of_bignum v
-  | Generic f -> F.of_bignum f v
+  | Word f -> dst.(0) <- Word_field.one f
 
 let fto o a =
   match o with
   | P256 _ -> P256_field.to_bignum a
-  | Generic f -> F.to_bignum f a
+  | Word f -> Word_field.to_bignum f a.(0)
 
 (* A mutable Jacobian point over the backend representation. The array
    fields are mutable so a table entry can be viewed through a negated-y
@@ -220,7 +224,6 @@ type jpt = {
    workspace per call). *)
 type ws = {
   o : fops;
-  ca : int array; (* curve [a] in backend representation *)
   t1 : int array;
   t2 : int array;
   t3 : int array;
@@ -244,12 +247,11 @@ let jpt_blit dst src =
 
 let make_ws c =
   let o =
-    if c.use_p256 then P256 (P256_field.create_state ()) else Generic c.fctx
+    match c.word with Some f -> Word f | None -> P256 (P256_field.create_state ())
   in
   let mk () = Array.make (backend_width o) 0 in
   {
     o;
-    ca = fof o (F.to_bignum c.fctx c.a);
     t1 = mk ();
     t2 = mk ();
     t3 = mk ();
@@ -261,11 +263,11 @@ let make_ws c =
     tneg = { jx = mk (); jy = mk (); jz = mk (); jinf = false };
   }
 
-let jpt_of_point ws dst = function
+let jpt_of_point c ws dst = function
   | Inf -> dst.jinf <- true
   | Affine (x, y) ->
-      dst.jx <- fof ws.o x;
-      dst.jy <- fof ws.o y;
+      dst.jx <- backend_of_bignum c.word x;
+      dst.jy <- backend_of_bignum c.word y;
       fone ws.o dst.jz;
       dst.jinf <- false
 
@@ -297,9 +299,9 @@ let rec jpt_dbl c ws p =
         (* One direct call into the fused backend kernel instead of
            fourteen dispatched field ops. *)
         P256_field.point_dbl st p.jx p.jy p.jz
-    | _ -> jpt_dbl_generic c ws p
+    | _ -> jpt_dbl_ops c ws p
 
-and jpt_dbl_generic c ws p =
+and jpt_dbl_ops c ws p =
   if c.a_is_minus3 then begin
     let o = ws.o in
     fsqr o ws.t1 p.jz (* delta *);
@@ -333,7 +335,7 @@ and jpt_dbl_generic c ws p =
     fmuls o ws.t4 ws.t4 3 (* 3x^2 *);
     fsqr o ws.t5 p.jz;
     fsqr o ws.t5 ws.t5 (* z^4 *);
-    fmul o ws.t6 ws.ca ws.t5;
+    fmul o ws.t6 c.ca ws.t5;
     fadd o ws.t3 ws.t4 ws.t6 (* m = 3x^2 + a z^4 *);
     fmul o ws.t7 p.jy p.jz;
     fmuls o ws.t7 ws.t7 2 (* z' = 2yz *);
@@ -360,9 +362,9 @@ let rec jpt_add c ws p q =
         | 1 -> jpt_dbl c ws p
         | 2 -> p.jinf <- true
         | _ -> ())
-    | Generic _ -> jpt_add_generic c ws p q
+    | Word _ -> jpt_add_ops c ws p q
 
-and jpt_add_generic c ws p q =
+and jpt_add_ops c ws p q =
   begin
     let o = ws.o in
     fsqr o ws.t1 p.jz (* z1^2 *);
@@ -412,9 +414,9 @@ let rec jpt_add_affine c ws p ax ay =
         | 1 -> jpt_dbl c ws p
         | 2 -> p.jinf <- true
         | _ -> ())
-    | Generic _ -> jpt_add_affine_generic c ws p ax ay
+    | Word _ -> jpt_add_affine_ops c ws p ax ay
 
-and jpt_add_affine_generic c ws p ax ay =
+and jpt_add_affine_ops c ws p ax ay =
   let o = ws.o in
   begin
     fsqr o ws.t1 p.jz (* z1^2 *);
@@ -547,7 +549,7 @@ let scalar_mult c k p =
   | Affine _ ->
       let ws = make_ws c in
       let pj = jpt_make ws.o in
-      jpt_of_point ws pj p;
+      jpt_of_point c ws pj p;
       let acc = jpt_make ws.o in
       jac_scalar_mult_ws c ws k pj acc;
       point_of_jpt ws acc
@@ -560,7 +562,7 @@ let jac_scalar_mult_base_ws c ws k acc =
     (* Wider than the comb covers (scalars beyond the group order);
        correctness over speed. *)
     let g = jpt_make ws.o in
-    jpt_of_point ws g (Affine (c.gx, c.gy));
+    jpt_of_point c ws g (Affine (c.gx, c.gy));
     jac_scalar_mult_ws c ws k g acc
   end
   else begin
@@ -590,7 +592,7 @@ let scalar_mult_base_add c u1 u2 q =
   let acc = jpt_make ws.o in
   jac_scalar_mult_base_ws c ws u1 acc;
   let qj = jpt_make ws.o in
-  jpt_of_point ws qj q;
+  jpt_of_point c ws qj q;
   let acc2 = jpt_make ws.o in
   jac_scalar_mult_ws c ws u2 qj acc2;
   jpt_add c ws acc acc2;
@@ -640,17 +642,22 @@ let build_comb c =
           let ax = F.mul f jp.x zinv2 in
           let ay = F.mul f jp.y (F.mul f zinv2 zinv) in
           (* Store in the curve's ladder backend representation. *)
-          if c.use_p256 then
-            Some
-              ( P256_field.of_bignum (F.to_bignum f ax),
-                P256_field.of_bignum (F.to_bignum f ay) )
-          else Some (ax, ay)
+          let b v = backend_of_bignum c.word (F.to_bignum f v) in
+          Some (b ax, b ay)
         end)
       tbl
   in
   { cw = w; cd = d; ctable }
 
 let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
+  let word =
+    if Bignum.equal p P256_field.modulus then None
+    else
+      match Word_field.create p with
+      | f -> Some f
+      | exception Invalid_argument _ ->
+          invalid_arg "Ec.make_curve: field prime must be P-256's or an odd prime below 2^61"
+  in
   let fctx = F.create p in
   let a_fe = F.of_bignum fctx a in
   let c0 =
@@ -660,7 +667,8 @@ let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
       a = a_fe;
       b = F.of_bignum fctx b;
       a_is_minus3 = Bignum.equal a (Bignum.sub_int p 3);
-      use_p256 = Bignum.equal p P256_field.modulus;
+      word;
+      ca = backend_of_bignum word a;
       gx;
       gy;
       n;
@@ -736,7 +744,8 @@ end
 let generate_small_cache : (int * string, curve) Hashtbl.t = Hashtbl.create 8
 
 let generate_small_uncached ~bits ~seed =
-  if bits < 24 || bits > 128 then invalid_arg "Ec.generate_small: bits out of range";
+  if bits < 24 || bits > Word_field.max_bits then
+    invalid_arg "Ec.generate_small: bits out of range";
   let rng = Drbg.create ~seed:(Printf.sprintf "ec-curve:%s:%d" seed bits) in
   let rec find_p () =
     let raw = Bignum.of_bytes_be (Drbg.generate rng ((bits + 7) / 8)) in
@@ -791,9 +800,12 @@ let generate_small ~bits ~seed =
 
 type keypair = { curve : curve; priv : Bignum.t; pub : point }
 
-let gen_keypair curve rng =
-  let priv = Drbg.bignum_in_group rng curve.n in
+let keypair_of_private curve priv =
+  if Bignum.is_zero priv || Bignum.compare priv curve.n >= 0 then
+    invalid_arg "Ec.keypair_of_private: scalar outside [1, n-1]";
   { curve; priv; pub = scalar_mult_base curve priv }
+
+let gen_keypair curve rng = keypair_of_private curve (Drbg.bignum_in_group rng curve.n)
 
 let field_len c = (Bignum.num_bits (curve_p c) + 7) / 8
 
@@ -812,8 +824,14 @@ let point_of_bytes c s =
     else
       let x = Bignum.of_bytes_be (String.sub s 1 l) in
       let y = Bignum.of_bytes_be (String.sub s (1 + l) l) in
-      let pt = Affine (x, y) in
-      if on_curve c pt then Ok pt else Error "ec: point not on curve"
+      let p = curve_p c in
+      (* SEC 1 v2 §2.3.4: each coordinate must be a field element, so one
+         point has exactly one encoding. *)
+      if Bignum.compare x p >= 0 || Bignum.compare y p >= 0 then
+        Error "ec: point coordinate not below the field prime"
+      else
+        let pt = Affine (x, y) in
+        if on_curve c pt then Ok pt else Error "ec: point not on curve"
 
 let public_bytes kp = point_bytes kp.curve kp.pub
 

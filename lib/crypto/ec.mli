@@ -22,6 +22,9 @@ val make_curve :
   n:Bignum.t ->
   h:int ->
   curve
+(** The field prime must be the P-256 prime (Solinas backend) or an odd
+    prime below 2{^61} (one-word {!Word_field} backend); anything else
+    raises [Invalid_argument]. Builds the fixed-base comb eagerly. *)
 
 val p256 : curve
 (** NIST P-256 / secp256r1, the dominant TLS ECDHE curve of the study
@@ -29,8 +32,10 @@ val p256 : curve
 
 val generate_small : bits:int -> seed:string -> curve
 (** Deterministically build a supersingular curve y² = x³ + x over
-    p = 4q − 1 (p, q prime) with base point of prime order q. Small sizes
-    (24–128 bits) keep large simulations tractable; see DESIGN.md. *)
+    p = 4q − 1 (p, q prime) with base point of prime order q and cofactor
+    4. Sizes of 24–61 bits keep large simulations tractable and every
+    field element in one native int; other sizes raise
+    [Invalid_argument]. See DESIGN.md. *)
 
 val mod_order_inverse : curve -> Bignum.t -> Bignum.t
 (** Inverse modulo the (prime) group order, with a cached Montgomery
@@ -69,11 +74,17 @@ type keypair
 
 val gen_keypair : curve -> Drbg.t -> keypair
 
+val keypair_of_private : curve -> Bignum.t -> keypair
+(** The key pair of a given private scalar (for example one generated by
+    another implementation); its public point is [scalar_mult_base].
+    Raises [Invalid_argument] unless the scalar is in [\[1, n-1\]]. *)
+
 val point_bytes : curve -> point -> string
 (** Uncompressed SEC1 encoding [04 || X || Y] ([00] for infinity). *)
 
 val point_of_bytes : curve -> string -> (point, string) result
-(** Rejects encodings of points not on the curve. *)
+(** Rejects coordinates not below the field prime (SEC 1 v2 §2.3.4, so
+    every point has one encoding) and points not on the curve. *)
 
 val public_bytes : keypair -> string
 

@@ -6,9 +6,8 @@
     arrays; [mul]/[sqr]/[inv] take an explicit {!state} scratch so hot
     loops allocate nothing per operation. Destinations may alias
     operands. {!Ec} selects this backend automatically when a curve's
-    field prime equals {!modulus}; the generic [Bignum.Field] remains
-    the default for every other curve and {!Ec.Reference} stays the
-    correctness oracle. *)
+    field prime equals {!modulus} ({!Word_field} serves every prime below
+    2{^61}); {!Ec.Reference} stays the correctness oracle. *)
 
 val words : int
 (** Number of limbs in an element (9). *)

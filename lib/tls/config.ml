@@ -12,8 +12,8 @@ type env = {
   pki_curve : Crypto.Ec.curve; (* certificate / signature curve *)
 }
 
-(* Small-curve sizes: 52/53-bit primes keep field elements at two 26-bit
-   limbs (the arithmetic sweet spot) while leaving public-value collision
+(* Small-curve sizes: 52/53-bit primes keep each field element in one
+   native int (Crypto.Word_field) while leaving public-value collision
    probability across a full study negligible (~10^6 values in a ~2^50
    group: < 10^-3 expected accidental collisions). *)
 let sim_env ?(seed = "tlsharm") () =

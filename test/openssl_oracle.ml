@@ -1,7 +1,9 @@
 (* Differential oracle: SHA-256, HMAC-SHA256, the TLS 1.2 PRF and
    HKDF-Expand against the `openssl` command-line tool, over inputs drawn
    from a fixed qcheck seed. Keys run past the 64-byte block (so HMAC
-   hashes them first) and messages cross block boundaries.
+   hashes them first) and messages cross block boundaries. ECDH runs on
+   P-256 and on the 52-, 53- and 61-bit simulation curves against keys
+   `openssl genpkey` generates and `openssl pkeyutl -derive`.
 
    Usage: openssl_oracle.exe [--require]
 
@@ -29,11 +31,12 @@ let run openssl args =
   | Unix.WEXITED 0 -> out
   | _ -> failwith ("openssl failed: " ^ String.concat " " args)
 
-let with_file data f =
+let with_temp f =
   let path = Filename.temp_file "tlsharm-oracle" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let with_file data f =
+  with_temp (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
       f path)
 
@@ -101,6 +104,85 @@ let hkdf_expand openssl =
         ~actual:(Crypto.Hkdf.expand ~prk ~info n))
     (draw QCheck2.Gen.(triple (nonempty_bytes_gen ~max:150) (bytes_gen ~max:200) (int_range 1 300)))
 
+module Ec = Crypto.Ec
+
+(* Simulation curves are passed as explicit parameters. Every one is
+   y^2 = x^3 + x with cofactor 4, as [Ec.generate_small] builds them. *)
+let ec_keygen_opts c =
+  if c == Ec.p256 then [ "ec_paramgen_curve:P-256" ]
+  else
+    let dec = Crypto.Bignum.to_decimal in
+    [
+      "field-type:prime-field";
+      "p:" ^ dec (Ec.curve_p c);
+      "a:1";
+      "b:0";
+      "hexgenerator:" ^ hex (Ec.point_bytes c (Ec.base_point c));
+      "order:" ^ dec (Ec.curve_order c);
+      "cofactor:4";
+    ]
+
+(* The colon-separated hex block that follows the line [label] in
+   `openssl pkey -text` output, as bytes. *)
+let text_block text label =
+  let rec find = function
+    | [] -> failwith ("openssl pkey -text: no " ^ label ^ " block")
+    | l :: rest when String.trim l = label -> block rest []
+    | _ :: rest -> find rest
+  and block lines acc =
+    match lines with
+    | l :: rest when String.starts_with ~prefix:" " l -> block rest (String.trim l :: acc)
+    | _ -> String.concat "" (String.split_on_char ':' (String.concat "" (List.rev acc)))
+  in
+  Wire.Hex.decode (find (String.split_on_char '\n' text))
+
+(* Two openssl keys per curve. Our decoder must accept both public keys,
+   our fixed-base ladder must map each private scalar to its public key,
+   and our shared secret must equal `pkeyutl -derive`. *)
+let ecdh openssl (label, c) =
+  let genpkey pem =
+    ignore
+      (run openssl
+         ([ "genpkey"; "-algorithm"; "EC" ]
+         @ List.concat_map (fun o -> [ "-pkeyopt"; o ]) (ec_keygen_opts c)
+         @ [ "-out"; pem ]))
+  in
+  let key pem =
+    let text = run openssl [ "pkey"; "-in"; pem; "-text"; "-noout" ] in
+    let pub = text_block text "pub:" in
+    let kp = Ec.keypair_of_private c (Crypto.Bignum.of_bytes_be (text_block text "priv:")) in
+    check ("ecdh-" ^ label ^ " public key") ~input:(hex pub) ~expected:pub ~actual:(Ec.public_bytes kp);
+    match Ec.point_of_bytes c pub with
+    | Ok pt -> (kp, pt)
+    | Error e ->
+        check ("ecdh-" ^ label ^ " point_of_bytes") ~input:(hex pub) ~expected:"accepted" ~actual:e;
+        (kp, Ec.Inf)
+  in
+  with_temp (fun a_pem ->
+      with_temp (fun b_pem ->
+          with_temp (fun b_pub_pem ->
+              genpkey a_pem;
+              genpkey b_pem;
+              ignore (run openssl [ "pkey"; "-in"; b_pem; "-pubout"; "-out"; b_pub_pem ]);
+              let a, _ = key a_pem and _, b_pub = key b_pem in
+              let expected =
+                run openssl [ "pkeyutl"; "-derive"; "-inkey"; a_pem; "-peerkey"; b_pub_pem ]
+              in
+              let actual =
+                match Ec.shared_secret a ~peer_pub:b_pub with Ok z -> z | Error e -> e
+              in
+              check ("ecdh-" ^ label) ~input:(hex (Ec.public_bytes a) ^ " x " ^ hex (Ec.point_bytes c b_pub))
+                ~expected ~actual)))
+
+let ecdh_curves () =
+  let env = Tls.Config.sim_env () in
+  [
+    ("p256", Ec.p256);
+    ("sim52", env.Tls.Config.ecdhe_curve);
+    ("sim53", env.Tls.Config.pki_curve);
+    ("sim61", Ec.generate_small ~bits:61 ~seed:"test");
+  ]
+
 let () =
   let require = Array.exists (String.equal "--require") Sys.argv in
   match find_openssl () with
@@ -113,9 +195,12 @@ let () =
       hmac openssl;
       tls1_prf openssl;
       hkdf_expand openssl;
+      let curves = ecdh_curves () in
+      List.iter (ecdh openssl) curves;
       if !failures > 0 then begin
         Printf.printf "openssl oracle: %d mismatches\n" !failures;
         exit 1
       end;
-      Printf.printf "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree\n"
-        cases
+      Printf.printf
+        "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; ecdh agrees on %s\n"
+        cases (String.concat ", " (List.map fst curves))

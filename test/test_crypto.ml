@@ -418,7 +418,7 @@ let p256_pair_agrees a b =
   && agree (fun d -> P256.sqr st d pa) (B.Field.sqr ctx ga)
   && agree (fun d -> P256.add d pa pb) (B.Field.add ctx ga gb)
   && agree (fun d -> P256.sub d pa pb) (B.Field.sub ctx ga gb)
-  && agree (fun d -> P256.neg d pa) (B.Field.neg ctx ga)
+  && agree (fun d -> P256.neg d pa) (B.Field.sub ctx (B.Field.of_bignum ctx B.zero) ga)
   && agree (fun d -> P256.mul_small d pa 8) (B.Field.mul_small ctx ga 8)
   && agree (fun d -> P256.mul_small d pa 3) (B.Field.mul_small ctx ga 3)
   && (P256.is_zero pa || agree (fun d -> P256.inv st d pa) (B.Field.inv ctx ga))
@@ -468,6 +468,67 @@ let prop_p256_field_matches_generic =
   QCheck2.Test.make ~name:"p256 backend matches Bignum.Field" ~count:120
     QCheck2.Gen.(pair gen_bignum_256 gen_bignum_256)
     (fun (a, b) -> p256_pair_agrees a b)
+
+(* --- One-word field ---------------------------------------------------------- *)
+
+module W = Crypto.Word_field
+
+(* Odd primes from 24 to 61 bits, drawn once from a fixed DRBG, plus the
+   Mersenne prime 2^61 - 1 at the top of the accepted range. *)
+let word_primes =
+  let rng = Crypto.Drbg.create ~seed:"word-field-primes" in
+  let rec prime_from n = if Crypto.Dh.is_probably_prime n then n else prime_from (B.add_int n 2) in
+  B.sub_int (B.shift_left B.one 61) 1
+  :: List.map
+       (fun bits ->
+         let top = B.shift_left B.one (bits - 1) in
+         let n = B.add top (Crypto.Drbg.bignum_below rng top) in
+         prime_from (if B.is_even n then B.add_int n 1 else n))
+       [ 24; 25; 30; 31; 32; 33; 40; 47; 52; 53; 58; 60; 61; 61 ]
+
+let gen_word_case =
+  QCheck2.Gen.(
+    let* p = oneofl word_primes in
+    let operand =
+      oneof
+        [
+          oneofl [ B.zero; B.one; B.sub_int p 2; B.sub_int p 1 ];
+          map (fun s -> B.rem (B.of_bytes_be s) p) (string_size ~gen:char (return 8));
+        ]
+    in
+    triple (return p) operand operand)
+
+(* Every op agrees with Bignum arithmetic mod p, and every residue it
+   returns is canonical (in [0, p)), which equality tests rely on. *)
+let word_case_agrees (p, a, b) =
+  let f = W.create p in
+  let pi = B.to_int_exn p in
+  let wa = W.of_bignum f a and wb = W.of_bignum f b in
+  let agrees w expect = 0 <= w && w < pi && B.equal (W.to_bignum f w) (B.rem expect p) in
+  agrees wa a && agrees wb b
+  && agrees (W.mul f wa wb) (B.mul a b)
+  && agrees (W.sqr f wa) (B.mul a a)
+  && agrees (W.add f wa wb) (B.add a b)
+  && agrees (W.sub f wa wb) (B.sub (B.add a p) b)
+  && agrees (W.neg f wa) (B.sub p a)
+  && agrees (W.mul_small f wa 8) (B.mul_int a 8)
+  && agrees (W.mul_small f wa 3) (B.mul_int a 3)
+  && agrees (W.one f) B.one
+  && (B.is_zero a || agrees (W.inv f wa) (B.mod_inverse_prime a p))
+
+let prop_word_field_matches_bignum =
+  QCheck2.Test.make ~name:"word field matches Bignum" ~count:400 gen_word_case word_case_agrees
+
+let test_word_field_bounds () =
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (B.to_hex p)
+        (Invalid_argument "Word_field.create: modulus must be odd, at least 3 and below 2^61")
+        (fun () -> ignore (W.create p)))
+    [ B.shift_left B.one 61; B.add_int (B.shift_left B.one 61) 1; B.of_int 1000; B.one ];
+  let f = W.create (B.of_int 1_000_003) in
+  Alcotest.check_raises "inverse of zero" (Invalid_argument "Word_field.inv: zero") (fun () ->
+      ignore (W.inv f 0))
 
 (* --- DRBG ------------------------------------------------------------------ *)
 
@@ -766,24 +827,39 @@ let test_ec_scalar_mult_edge_cases () =
       Alcotest.(check bool) ("scalar_mult_base " ^ label) true (Ec.scalar_mult_base c k = expect))
     scalars
 
+(* The ladders are checked on the 61-bit test curve and on the two curves
+   the simulation runs on (default seed). *)
+let ladder_curves =
+  let env = Tls.Config.sim_env () in
+  [ small_curve; env.Tls.Config.ecdhe_curve; env.Tls.Config.pki_curve ]
+
 (* wNAF scalar_mult and the fixed-base comb agree with the retained seed-era
-   double-and-add kernel on random scalars, including beyond the order. *)
+   double-and-add kernel on random scalars, including beyond the order
+   (where the comb falls back to wNAF) and reduced below it. *)
 let prop_scalar_mult_matches_reference =
-  QCheck2.Test.make ~name:"wNAF/comb scalar_mult matches seed reference" ~count:60 gen_bignum
-    (fun k ->
-      let c = small_curve in
-      let expect = Ec.Reference.scalar_mult c k (Ec.base_point c) in
-      Ec.scalar_mult c k (Ec.base_point c) = expect && Ec.scalar_mult_base c k = expect)
+  QCheck2.Test.make ~name:"wNAF/comb scalar_mult matches seed reference" ~count:60
+    QCheck2.Gen.(pair gen_bignum (int_range 1 1000))
+    (fun (k, kq) ->
+      List.for_all
+        (fun c ->
+          let q = Ec.Reference.scalar_mult_base c (B.of_int kq) in
+          let kn = B.rem k (Ec.curve_order c) in
+          Ec.scalar_mult c k q = Ec.Reference.scalar_mult c k q
+          && Ec.scalar_mult_base c k = Ec.Reference.scalar_mult_base c k
+          && Ec.scalar_mult_base c kn = Ec.Reference.scalar_mult_base c kn)
+        ladder_curves)
 
 (* u1*G + u2*Q formed in Jacobian coordinates matches the affine composition. *)
 let prop_scalar_mult_base_add =
   QCheck2.Test.make ~name:"scalar_mult_base_add matches add of parts" ~count:40
     QCheck2.Gen.(triple gen_bignum gen_bignum (int_range 2 1000))
     (fun (u1, u2, kq) ->
-      let c = small_curve in
-      let q = Ec.Reference.scalar_mult_base c (B.of_int kq) in
-      Ec.scalar_mult_base_add c u1 u2 q
-      = Ec.add c (Ec.Reference.scalar_mult_base c u1) (Ec.Reference.scalar_mult c u2 q))
+      List.for_all
+        (fun c ->
+          let q = Ec.Reference.scalar_mult_base c (B.of_int kq) in
+          Ec.scalar_mult_base_add c u1 u2 q
+          = Ec.add c (Ec.Reference.scalar_mult_base c u1) (Ec.Reference.scalar_mult c u2 q))
+        ladder_curves)
 
 let test_ec_agreement () =
   let rng = Crypto.Drbg.create ~seed:"ec-agree" in
@@ -801,6 +877,42 @@ let test_ec_agreement () =
     | Ok za, Ok zb -> Alcotest.(check string) (Printf.sprintf "agreement %d" i) za zb
     | Error e, _ | _, Error e -> Alcotest.fail e
   done
+
+(* A coordinate at or above p must not decode: (x + p, y) reduces to the
+   same point as (x, y), so accepting it gives one public value two wire
+   encodings. *)
+let test_ec_rejects_noncanonical () =
+  let c = (Tls.Config.sim_env ()).Tls.Config.ecdhe_curve in
+  let p = Ec.curve_p c in
+  let l = (B.num_bits p + 7) / 8 in
+  let enc x y = "\x04" ^ B.to_bytes_be ~len:l x ^ B.to_bytes_be ~len:l y in
+  match Ec.base_point c with
+  | Ec.Inf -> Alcotest.fail "base point at infinity"
+  | Ec.Affine (x, y) ->
+      Alcotest.(check bool) "canonical G decodes" true (Ec.point_of_bytes c (enc x y) = Ok (Ec.base_point c));
+      List.iter
+        (fun (label, x, y) ->
+          match Ec.point_of_bytes c (enc x y) with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s accepted" label)
+        [ ("x + p", B.add x p, y); ("y + p", x, B.add y p); ("x = p", p, y) ]
+
+let test_ec_size_limits () =
+  Alcotest.check_raises "62-bit curve" (Invalid_argument "Ec.generate_small: bits out of range")
+    (fun () -> ignore (Ec.generate_small ~bits:62 ~seed:"too-wide"));
+  let unsupported =
+    Invalid_argument "Ec.make_curve: field prime must be P-256's or an odd prime below 2^61"
+  in
+  List.iter
+    (fun (label, p) ->
+      Alcotest.check_raises label unsupported (fun () ->
+          ignore
+            (Ec.make_curve ~name:label ~p ~a:B.one ~b:B.zero ~gx:B.one ~gy:B.one ~n:B.two ~h:1)))
+    [
+      ("64-bit prime", B.sub_int (B.shift_left B.one 64) 59);
+      ("2^61 + 1", B.add_int (B.shift_left B.one 61) 1);
+      ("even modulus", B.of_int 1_000_000);
+    ]
 
 let test_ec_rejects_off_curve () =
   let c = small_curve in
@@ -981,6 +1093,8 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_p256_field_roundtrip;
         ] );
       qsuite "p256-field-properties" [ prop_p256_field_matches_generic ];
+      ("word-field", [ Alcotest.test_case "bounds" `Quick test_word_field_bounds ]);
+      qsuite "word-field-properties" [ prop_word_field_matches_bignum ];
       ( "drbg",
         [
           Alcotest.test_case "determinism" `Quick test_drbg_determinism;
@@ -1010,6 +1124,8 @@ let () =
           Alcotest.test_case "scalar mult edge cases" `Quick test_ec_scalar_mult_edge_cases;
           Alcotest.test_case "agreement" `Quick test_ec_agreement;
           Alcotest.test_case "off-curve rejection" `Quick test_ec_rejects_off_curve;
+          Alcotest.test_case "non-canonical rejection" `Quick test_ec_rejects_noncanonical;
+          Alcotest.test_case "size limits" `Quick test_ec_size_limits;
           Alcotest.test_case "p256 agreement" `Slow test_p256_agreement;
         ] );
       qsuite "ec-properties" [ prop_scalar_mult_matches_reference; prop_scalar_mult_base_add ];
