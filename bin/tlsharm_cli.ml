@@ -659,7 +659,7 @@ let vuln_report_cmd =
 let metrics_report path =
   guard @@ fun () ->
   let* content =
-    Durable.Atomic_io.read_any path
+    Durable.Atomic_io.read path
     |> Result.map_error (Durable.Atomic_io.error_to_string ~what:path)
   in
   let* json = Result.map_error (fun e -> path ^ ": " ^ e) (Obs.Json.of_string content) in

@@ -94,8 +94,8 @@ val mod_inverse_prime : t -> t -> t
 (** Prime-field elements kept in Montgomery form, so long chains of modular
     multiplications cost one CIOS pass each. The modulus must be odd;
     callers use prime moduli. {!Ec} uses it for curve construction,
-    [on_curve] and its seed-era reference; its scalar-multiplication
-    ladders run on {!P256_field} and {!Word_field}. *)
+    [on_curve] and its seed-era reference, which is also P-256's ladder;
+    the simulation curves' ladder runs on {!Word_field}. *)
 module Field : sig
   type ctx
 

@@ -6,29 +6,28 @@
    examples and benches; [generate_small ~bits ~seed] deterministically
    builds a small supersingular curve (y^2 = x^3 + x over p = 4q - 1 with
    q prime, group order 4q) so simulation sweeps can run millions of
-   handshakes. Both are real EC groups exercising the same code path; the
-   small curves' cryptographic weakness (MOV) is irrelevant to the
-   measurements, as discussed in DESIGN.md.
+   handshakes. Both are real EC groups; the small curves' cryptographic
+   weakness (MOV) is irrelevant to the measurements, as discussed in
+   DESIGN.md.
 
    Scalar multiplication is the campaign's hottest kernel (one or two per
-   simulated handshake), so it stays entirely in Jacobian coordinates:
-   [scalar_mult] recodes the scalar in width-w NAF against a table of odd
-   multiples, and [scalar_mult_base] walks a per-curve fixed-base comb of
-   affine points (built once in [make_curve]) with mixed additions. The
-   ladders run over a destination-passing field backend ({!fops}): the
-   specialized {!P256_field} (Solinas reduction, no Montgomery form) when
-   the curve's field prime is the NIST P-256 prime, and the one-word
-   Montgomery {!Word_field} for every prime below 2^61 (the simulation
-   curves) — so the inner loop does no per-operation allocation at all.
-   [make_curve] refuses any other prime. [Bignum.Field] serves only curve
-   construction, [on_curve], [add]/[double] and the seed-era
-   double-and-add loop kept in {!Reference} as the semantic baseline for
-   property tests and the bench harness.
+   simulated handshake), so every curve whose field prime is below 2^61 —
+   every curve a simulation runs on — gets one fast ladder over
+   {!Word_field} residues held in plain ints: [scalar_mult] recodes the
+   scalar in width-w NAF against a table of odd multiples, and
+   [scalar_mult_base] walks a per-curve fixed-base comb of affine points
+   (built once in [make_curve]) with mixed additions, all in Jacobian
+   coordinates with no per-operation allocation. P-256, which no
+   simulation uses, runs on the seed-era double-and-add kept in
+   {!Reference} over [Bignum.Field]; [make_curve] refuses any other
+   prime. [Bignum.Field] also serves curve construction, [on_curve] and
+   [add]/[double].
 
    Arithmetic is not constant-time; this library measures protocol
    behaviour, it does not defend live traffic. *)
 
 module F = Bignum.Field
+module W = Word_field
 
 type curve = {
   name : string;
@@ -36,23 +35,26 @@ type curve = {
   a : F.fe;
   b : F.fe;
   a_is_minus3 : bool;
-  word : Word_field.t option; (* [None]: the P-256 prime, Solinas backend *)
-  ca : int array; (* [a] in the ladder backend's representation *)
   gx : Bignum.t;
   gy : Bignum.t;
   n : Bignum.t; (* order of the base point *)
   h : int; (* cofactor *)
   n_mont : Bignum.mont Lazy.t; (* cached context for mod-n arithmetic (ECDSA) *)
+  fast : fast option; (* the one-word ladder; [None] for P-256 *)
+}
+
+and fast = {
+  f : W.t;
+  ca : int; (* [a] as a Montgomery residue *)
   comb : comb; (* fixed-base comb for [scalar_mult_base], built eagerly *)
 }
 
 (* Lim–Lee comb over the base point: [ctable.(j)] is the affine form of
-   Σ_{k ∈ bits j} 2^(k·cd) · G ([None] for the point at infinity, which a
-   tooth pattern can hit when the implied scalar is a multiple of n).
-   Entries are stored in the curve's backend representation (one-word
-   Montgomery residues for simulation curves, Solinas limbs for P-256),
-   so every comb addition is a mixed addition with no conversion. *)
-and comb = { cw : int; cd : int; ctable : (int array * int array) option array }
+   Σ_{k ∈ bits j} 2^(k·cd) · G as Montgomery residues ([None] for the
+   point at infinity, which a tooth pattern can hit when the implied
+   scalar is a multiple of n), so every comb addition is a mixed addition
+   with no conversion. *)
+and comb = { cw : int; cd : int; ctable : (int * int) option array }
 
 type point = Inf | Affine of Bignum.t * Bignum.t
 
@@ -132,315 +134,121 @@ let jac_add c p q =
     end
   end
 
-(* --- Field backend dispatch -----------------------------------------------
+(* --- Seed-era reference kernel --------------------------------------------
+   The pre-optimization bit-at-a-time double-and-add, kept verbatim: the
+   property suite asserts the wNAF and comb paths agree with it, the
+   bench harness reports speedups against it, and P-256 runs on it. Do
+   not "optimize". *)
 
-   Both field representations are raw [int array]s (nine 29-bit Solinas
-   limbs for P-256, a single Montgomery residue for {!Word_field}
-   curves), so the point formulas below are written once against a small
-   dispatch layer: a variant names the backend, and every op is a
-   module-level function that branches on it once — a perfectly-predicted
-   branch plus a direct call on each arm, measurably cheaper in the
-   ladder than a record of closures. Every op writes its destination in
-   place and allocates nothing; destinations may alias operands. *)
-
-type fops =
-  | P256 of P256_field.state
-  | Word of Word_field.t
-
-let backend_width = function P256 _ -> P256_field.words | Word _ -> 1
-
-(* A value in the representation of the curve's backend ([curve.word]). *)
-let backend_of_bignum word v =
-  match word with
-  | Some f -> [| Word_field.of_bignum f v |]
-  | None -> P256_field.of_bignum v
-
-(* A loop rather than [Array.blit]: the C call dominates a one-word copy. *)
-let gblit r dst =
-  for i = 0 to Array.length r - 1 do
-    dst.(i) <- r.(i)
-  done
-
-let fmul o dst a b =
-  match o with
-  | P256 st -> P256_field.mul st dst a b
-  | Word f -> dst.(0) <- Word_field.mul f a.(0) b.(0)
-
-let fsqr o dst a =
-  match o with
-  | P256 st -> P256_field.sqr st dst a
-  | Word f -> dst.(0) <- Word_field.sqr f a.(0)
-
-let fadd o dst a b =
-  match o with
-  | P256 _ -> P256_field.add dst a b
-  | Word f -> dst.(0) <- Word_field.add f a.(0) b.(0)
-
-let fsub o dst a b =
-  match o with
-  | P256 _ -> P256_field.sub dst a b
-  | Word f -> dst.(0) <- Word_field.sub f a.(0) b.(0)
-
-let fmuls o dst a k =
-  match o with
-  | P256 _ -> P256_field.mul_small dst a k
-  | Word f -> dst.(0) <- Word_field.mul_small f a.(0) k
-
-let fneg o dst a =
-  match o with
-  | P256 _ -> P256_field.neg dst a
-  | Word f -> dst.(0) <- Word_field.neg f a.(0)
-
-let finv o dst a =
-  match o with
-  | P256 st -> P256_field.inv st dst a
-  | Word f -> dst.(0) <- Word_field.inv f a.(0)
-
-let fz o a = match o with P256 _ -> P256_field.is_zero a | Word _ -> a.(0) = 0
-let feq o a b = match o with P256 _ -> P256_field.equal a b | Word _ -> a.(0) = b.(0)
-
-let fone o dst =
-  match o with
-  | P256 _ -> P256_field.set_one dst
-  | Word f -> dst.(0) <- Word_field.one f
-
-let fto o a =
-  match o with
-  | P256 _ -> P256_field.to_bignum a
-  | Word f -> Word_field.to_bignum f a.(0)
-
-(* A mutable Jacobian point over the backend representation. The array
-   fields are mutable so a table entry can be viewed through a negated-y
-   scratch buffer without copying (wNAF negative digits). *)
-type jpt = {
-  mutable jx : int array;
-  mutable jy : int array;
-  mutable jz : int array;
-  mutable jinf : bool;
-}
-
-(* Per-call workspace: the backend ops plus temporaries for the point
-   formulas. Never shared across domains (parallel campaigns run one
-   workspace per call). *)
-type ws = {
-  o : fops;
-  t1 : int array;
-  t2 : int array;
-  t3 : int array;
-  t4 : int array;
-  t5 : int array;
-  t6 : int array;
-  t7 : int array;
-  nbuf : int array; (* negated y for wNAF table lookups *)
-  tneg : jpt; (* view of a table entry with y := nbuf *)
-}
-
-let jpt_make o =
-  let w = backend_width o in
-  { jx = Array.make w 0; jy = Array.make w 0; jz = Array.make w 0; jinf = true }
-
-let jpt_blit dst src =
-  gblit src.jx dst.jx;
-  gblit src.jy dst.jy;
-  gblit src.jz dst.jz;
-  dst.jinf <- src.jinf
-
-let make_ws c =
-  let o =
-    match c.word with Some f -> Word f | None -> P256 (P256_field.create_state ())
-  in
-  let mk () = Array.make (backend_width o) 0 in
-  {
-    o;
-    t1 = mk ();
-    t2 = mk ();
-    t3 = mk ();
-    t4 = mk ();
-    t5 = mk ();
-    t6 = mk ();
-    t7 = mk ();
-    nbuf = mk ();
-    tneg = { jx = mk (); jy = mk (); jz = mk (); jinf = false };
-  }
-
-let jpt_of_point c ws dst = function
-  | Inf -> dst.jinf <- true
-  | Affine (x, y) ->
-      dst.jx <- backend_of_bignum c.word x;
-      dst.jy <- backend_of_bignum c.word y;
-      fone ws.o dst.jz;
-      dst.jinf <- false
-
-let point_of_jpt ws j =
-  if j.jinf || fz ws.o j.jz then Inf
-  else begin
-    let o = ws.o in
-    finv o ws.t1 j.jz;
-    fsqr o ws.t2 ws.t1;
-    fmul o ws.t3 j.jx ws.t2;
-    fmul o ws.t4 ws.t2 ws.t1;
-    fmul o ws.t5 j.jy ws.t4;
-    Affine (fto o ws.t3, fto o ws.t5)
-  end
-
-(* p <- 2p, in place. Curves with a = -3 (P-256 and friends) take the
-   3M + 5S dbl-2001-b route:
-     delta = z^2, gamma = y^2, beta = x*gamma,
-     alpha = 3(x - delta)(x + delta),
-     x' = alpha^2 - 8 beta, z' = (y + z)^2 - gamma - delta,
-     y' = alpha(4 beta - x') - 8 gamma^2.
-   Other curves keep the general dbl-1986-cc formulas (as [jac_double]). *)
-let rec jpt_dbl c ws p =
-  if p.jinf then ()
-  else if fz ws.o p.jy then p.jinf <- true
-  else
-    match ws.o with
-    | P256 st when c.a_is_minus3 ->
-        (* One direct call into the fused backend kernel instead of
-           fourteen dispatched field ops. *)
-        P256_field.point_dbl st p.jx p.jy p.jz
-    | _ -> jpt_dbl_ops c ws p
-
-and jpt_dbl_ops c ws p =
-  if c.a_is_minus3 then begin
-    let o = ws.o in
-    fsqr o ws.t1 p.jz (* delta *);
-    fsqr o ws.t2 p.jy (* gamma *);
-    fmul o ws.t3 p.jx ws.t2 (* beta *);
-    fsub o ws.t4 p.jx ws.t1;
-    fadd o ws.t5 p.jx ws.t1;
-    fmul o ws.t4 ws.t4 ws.t5;
-    fmuls o ws.t4 ws.t4 3 (* alpha *);
-    fadd o ws.t5 p.jy p.jz;
-    fsqr o ws.t5 ws.t5;
-    fsub o ws.t5 ws.t5 ws.t2;
-    fsub o ws.t5 ws.t5 ws.t1 (* z' = (y+z)^2 - gamma - delta *);
-    fsqr o ws.t6 ws.t4;
-    fmuls o ws.t7 ws.t3 8;
-    fsub o p.jx ws.t6 ws.t7 (* x' = alpha^2 - 8 beta *);
-    fmuls o ws.t6 ws.t3 4;
-    fsub o ws.t6 ws.t6 p.jx;
-    fmul o ws.t6 ws.t4 ws.t6 (* alpha (4 beta - x') *);
-    fsqr o ws.t7 ws.t2;
-    fmuls o ws.t7 ws.t7 8 (* 8 gamma^2 *);
-    fsub o p.jy ws.t6 ws.t7;
-    gblit ws.t5 p.jz
-  end
-  else begin
-    let o = ws.o in
-    fsqr o ws.t1 p.jy (* y^2 *);
-    fmul o ws.t2 p.jx ws.t1;
-    fmuls o ws.t2 ws.t2 4 (* s = 4xy^2 *);
-    fsqr o ws.t4 p.jx;
-    fmuls o ws.t4 ws.t4 3 (* 3x^2 *);
-    fsqr o ws.t5 p.jz;
-    fsqr o ws.t5 ws.t5 (* z^4 *);
-    fmul o ws.t6 c.ca ws.t5;
-    fadd o ws.t3 ws.t4 ws.t6 (* m = 3x^2 + a z^4 *);
-    fmul o ws.t7 p.jy p.jz;
-    fmuls o ws.t7 ws.t7 2 (* z' = 2yz *);
-    fsqr o ws.t5 ws.t3;
-    fmuls o ws.t6 ws.t2 2;
-    fsub o p.jx ws.t5 ws.t6 (* x' = m^2 - 2s *);
-    fsub o ws.t5 ws.t2 p.jx;
-    fmul o ws.t6 ws.t3 ws.t5 (* m(s - x') *);
-    fsqr o ws.t5 ws.t1;
-    fmuls o ws.t5 ws.t5 8 (* 8y^4 *);
-    fsub o p.jy ws.t6 ws.t5;
-    gblit ws.t7 p.jz
-  end
-
-(* p <- p + q, in place; [q] is only read and must not share buffers with
-   [p]. Same add-1986-cc formulas as [jac_add]. *)
-let rec jpt_add c ws p q =
-  if q.jinf then ()
-  else if p.jinf then jpt_blit p q
-  else
-    match ws.o with
-    | P256 st -> (
-        match P256_field.point_add st p.jx p.jy p.jz q.jx q.jy q.jz with
-        | 1 -> jpt_dbl c ws p
-        | 2 -> p.jinf <- true
-        | _ -> ())
-    | Word _ -> jpt_add_ops c ws p q
-
-and jpt_add_ops c ws p q =
-  begin
-    let o = ws.o in
-    fsqr o ws.t1 p.jz (* z1^2 *);
-    fsqr o ws.t2 q.jz (* z2^2 *);
-    fmul o ws.t3 p.jx ws.t2 (* u1 *);
-    fmul o ws.t4 q.jx ws.t1 (* u2 *);
-    fmul o ws.t5 ws.t2 q.jz;
-    fmul o ws.t5 p.jy ws.t5 (* s1 = y1 z2^3 *);
-    fmul o ws.t6 ws.t1 p.jz;
-    fmul o ws.t6 q.jy ws.t6 (* s2 = y2 z1^3 *);
-    if feq o ws.t3 ws.t4 then
-      if feq o ws.t5 ws.t6 then jpt_dbl c ws p else p.jinf <- true
+module Reference = struct
+  let scalar_mult c k p =
+    if Bignum.is_zero k then Inf
     else begin
-      fsub o ws.t4 ws.t4 ws.t3 (* h = u2 - u1 *);
-      fsub o ws.t6 ws.t6 ws.t5 (* r = s2 - s1 *);
-      fmul o ws.t7 p.jz q.jz;
-      fmul o p.jz ws.t7 ws.t4 (* z3 = h z1 z2 *);
-      fsqr o ws.t1 ws.t4 (* h^2 *);
-      fmul o ws.t2 ws.t1 ws.t4 (* h^3 *);
-      fmul o ws.t7 ws.t3 ws.t1 (* u1 h^2 *);
-      fsqr o ws.t1 ws.t6;
-      fsub o ws.t1 ws.t1 ws.t2 (* r^2 - h^3 *);
-      fmuls o ws.t4 ws.t7 2;
-      fsub o p.jx ws.t1 ws.t4 (* x3 = r^2 - h^3 - 2 u1 h^2 *);
-      fsub o ws.t1 ws.t7 p.jx;
-      fmul o ws.t3 ws.t6 ws.t1 (* r (u1 h^2 - x3) *);
-      fmul o ws.t1 ws.t5 ws.t2 (* s1 h^3 *);
-      fsub o p.jy ws.t3 ws.t1
+      let base = to_jac c p in
+      let acc = ref (jac_inf c) in
+      for i = Bignum.num_bits k - 1 downto 0 do
+        acc := jac_double c !acc;
+        if Bignum.test_bit k i then acc := jac_add c !acc base
+      done;
+      of_jac c !acc
+    end
+
+  let scalar_mult_base c k = scalar_mult c k (base_point c)
+end
+
+(* --- One-word ladder -------------------------------------------------------
+   A Jacobian point over {!Word_field} residues is a record of three
+   mutable ints, Z = 0 marking infinity (residues are canonical, so 0 is
+   the only zero). Each formula reads its operands into locals before it
+   writes the result back, so the ladder allocates nothing per
+   operation. *)
+
+type wpt = { mutable x : int; mutable y : int; mutable z : int }
+
+let wpt_inf () = { x = 0; y = 0; z = 0 }
+
+let wpt_of_point fa = function
+  | Inf -> wpt_inf ()
+  | Affine (x, y) -> { x = W.of_bignum fa.f x; y = W.of_bignum fa.f y; z = W.one fa.f }
+
+let twice f v = W.add f v v
+
+(* p <- 2p: the general dbl-1986-cc formulas of [jac_double]. *)
+let wdbl fa p =
+  if p.z = 0 then ()
+  else if p.y = 0 then p.z <- 0
+  else begin
+    let f = fa.f in
+    let x = p.x and y = p.y and z = p.z in
+    let y2 = W.sqr f y in
+    let s = twice f (twice f (W.mul f x y2)) in
+    let x2 = W.sqr f x and z2 = W.sqr f z in
+    let m = W.add f (W.add f (twice f x2) x2) (W.mul f fa.ca (W.sqr f z2)) in
+    let x' = W.sub f (W.sqr f m) (twice f s) in
+    p.x <- x';
+    p.y <- W.sub f (W.mul f m (W.sub f s x')) (twice f (twice f (twice f (W.sqr f y2))));
+    p.z <- twice f (W.mul f y z)
+  end
+
+(* p <- p + (qx, qy, qz): the add-1986-cc formulas of [jac_add]. *)
+let wadd fa p qx qy qz =
+  if qz = 0 then ()
+  else if p.z = 0 then begin
+    p.x <- qx;
+    p.y <- qy;
+    p.z <- qz
+  end
+  else begin
+    let f = fa.f in
+    let x1 = p.x and y1 = p.y and z1 = p.z in
+    let z1z1 = W.sqr f z1 and z2z2 = W.sqr f qz in
+    let u1 = W.mul f x1 z2z2 and u2 = W.mul f qx z1z1 in
+    let s1 = W.mul f y1 (W.mul f z2z2 qz) and s2 = W.mul f qy (W.mul f z1z1 z1) in
+    if u1 = u2 then if s1 = s2 then wdbl fa p else p.z <- 0
+    else begin
+      let h = W.sub f u2 u1 and r = W.sub f s2 s1 in
+      let h2 = W.sqr f h in
+      let h3 = W.mul f h2 h and u1h2 = W.mul f u1 h2 in
+      let x3 = W.sub f (W.sub f (W.sqr f r) h3) (twice f u1h2) in
+      p.x <- x3;
+      p.y <- W.sub f (W.mul f r (W.sub f u1h2 x3)) (W.mul f s1 h3);
+      p.z <- W.mul f h (W.mul f z1 qz)
     end
   end
 
 (* p <- p + (ax, ay) with the second operand affine (Z = 1): saves four
-   multiplications and a squaring over [jpt_add]; it is what makes the
+   multiplications and a squaring over [wadd]; it is what makes the
    comb's affine table pay. *)
-let rec jpt_add_affine c ws p ax ay =
-  let o = ws.o in
-  if p.jinf then begin
-    gblit ax p.jx;
-    gblit ay p.jy;
-    fone o p.jz;
-    p.jinf <- false
+let wadd_affine fa p ax ay =
+  if p.z = 0 then begin
+    p.x <- ax;
+    p.y <- ay;
+    p.z <- W.one fa.f
   end
-  else
-    match o with
-    | P256 st -> (
-        match P256_field.point_add_affine st p.jx p.jy p.jz ax ay with
-        | 1 -> jpt_dbl c ws p
-        | 2 -> p.jinf <- true
-        | _ -> ())
-    | Word _ -> jpt_add_affine_ops c ws p ax ay
-
-and jpt_add_affine_ops c ws p ax ay =
-  let o = ws.o in
-  begin
-    fsqr o ws.t1 p.jz (* z1^2 *);
-    fmul o ws.t2 ax ws.t1 (* u2 *);
-    fmul o ws.t3 ws.t1 p.jz;
-    fmul o ws.t3 ay ws.t3 (* s2 = ay z1^3 *);
-    if feq o p.jx ws.t2 then
-      if feq o p.jy ws.t3 then jpt_dbl c ws p else p.jinf <- true
+  else begin
+    let f = fa.f in
+    let x1 = p.x and y1 = p.y and z1 = p.z in
+    let z1z1 = W.sqr f z1 in
+    let u2 = W.mul f ax z1z1 and s2 = W.mul f ay (W.mul f z1z1 z1) in
+    if x1 = u2 then if y1 = s2 then wdbl fa p else p.z <- 0
     else begin
-      fsub o ws.t2 ws.t2 p.jx (* h *);
-      fsub o ws.t3 ws.t3 p.jy (* r *);
-      fmul o p.jz p.jz ws.t2 (* z3 = z1 h *);
-      fsqr o ws.t4 ws.t2 (* h^2 *);
-      fmul o ws.t5 ws.t4 ws.t2 (* h^3 *);
-      fmul o ws.t6 p.jx ws.t4 (* v = x1 h^2 *);
-      fsqr o ws.t4 ws.t3;
-      fsub o ws.t4 ws.t4 ws.t5 (* r^2 - h^3 *);
-      fmuls o ws.t7 ws.t6 2;
-      fsub o p.jx ws.t4 ws.t7 (* x3 *);
-      fsub o ws.t4 ws.t6 p.jx;
-      fmul o ws.t6 ws.t3 ws.t4 (* r (v - x3) *);
-      fmul o ws.t4 p.jy ws.t5 (* y1 h^3 *);
-      fsub o p.jy ws.t6 ws.t4
+      let h = W.sub f u2 x1 and r = W.sub f s2 y1 in
+      let h2 = W.sqr f h in
+      let h3 = W.mul f h2 h and v = W.mul f x1 h2 in
+      let x3 = W.sub f (W.sub f (W.sqr f r) h3) (twice f v) in
+      p.x <- x3;
+      p.y <- W.sub f (W.mul f r (W.sub f v x3)) (W.mul f y1 h3);
+      p.z <- W.mul f z1 h
     end
+  end
+
+let point_of_wpt fa p =
+  if p.z = 0 then Inf
+  else begin
+    let f = fa.f in
+    let zinv = W.inv f p.z in
+    let zinv2 = W.sqr f zinv in
+    Affine (W.to_bignum f (W.mul f p.x zinv2), W.to_bignum f (W.mul f p.y (W.mul f zinv2 zinv)))
   end
 
 (* --- Scalar multiplication ----------------------------------------------- *)
@@ -505,98 +313,92 @@ let wnaf_digits ~w k =
 let wnaf_width kbits =
   if kbits <= 16 then 2 else if kbits <= 64 then 3 else if kbits <= 160 then 4 else 5
 
-(* acc <- k * p over the workspace backend. [p] is only read. *)
-let jac_scalar_mult_ws c ws k p acc =
-  if Bignum.is_zero k || p.jinf then acc.jinf <- true
-  else begin
-    let o = ws.o in
+(* acc <- k·q. [q] is only read and may be any point, infinity and
+   points outside the order-n subgroup included. *)
+let wnaf_mult fa k q acc =
+  acc.z <- 0;
+  if not (Bignum.is_zero k || q.z = 0) then begin
+    let f = fa.f in
     let w = wnaf_width (Bignum.num_bits k) in
-    (* Odd multiples P, 3P, 5P, …, (2^w - 1)P. *)
-    let tbl = Array.init (1 lsl (w - 1)) (fun _ -> jpt_make o) in
-    jpt_blit tbl.(0) p;
-    let p2 = jpt_make o in
-    jpt_blit p2 p;
-    jpt_dbl c ws p2;
-    for i = 1 to Array.length tbl - 1 do
-      jpt_blit tbl.(i) tbl.(i - 1);
-      jpt_add c ws tbl.(i) p2
+    (* Odd multiples Q, 3Q, 5Q, …, (2^w - 1)Q, one column per coordinate. *)
+    let size = 1 lsl (w - 1) in
+    let tx = Array.make size q.x and ty = Array.make size q.y and tz = Array.make size q.z in
+    let q2 = { x = q.x; y = q.y; z = q.z } in
+    wdbl fa q2;
+    let t = { x = q.x; y = q.y; z = q.z } in
+    for i = 1 to size - 1 do
+      wadd fa t q2.x q2.y q2.z;
+      tx.(i) <- t.x;
+      ty.(i) <- t.y;
+      tz.(i) <- t.z
     done;
     let digits, len = wnaf_digits ~w k in
-    acc.jinf <- true;
     for i = len - 1 downto 0 do
-      jpt_dbl c ws acc;
+      wdbl fa acc;
       let d = digits.(i) in
-      if d > 0 then jpt_add c ws acc tbl.((d - 1) / 2)
+      if d > 0 then begin
+        let j = (d - 1) / 2 in
+        wadd fa acc tx.(j) ty.(j) tz.(j)
+      end
       else if d < 0 then begin
-        (* View the table entry through the negated-y scratch: no copy,
-           no allocation. *)
-        let q = tbl.((-d - 1) / 2) in
-        let tneg = ws.tneg in
-        fneg o ws.nbuf q.jy;
-        tneg.jx <- q.jx;
-        tneg.jy <- ws.nbuf;
-        tneg.jz <- q.jz;
-        tneg.jinf <- q.jinf;
-        jpt_add c ws acc tneg
+        let j = (-d - 1) / 2 in
+        wadd fa acc tx.(j) (W.neg f ty.(j)) tz.(j)
       end
     done
   end
 
-let scalar_mult c k p =
-  Obs.Kernel.(bump ec_scalar_mult);
-  match p with
-  | Inf -> Inf
-  | Affine _ ->
-      let ws = make_ws c in
-      let pj = jpt_make ws.o in
-      jpt_of_point c ws pj p;
-      let acc = jpt_make ws.o in
-      jac_scalar_mult_ws c ws k pj acc;
-      point_of_jpt ws acc
-
-(* acc <- k * G via the fixed-base comb. *)
-let jac_scalar_mult_base_ws c ws k acc =
-  let { cw; cd; ctable } = c.comb in
-  if Bignum.is_zero k then acc.jinf <- true
-  else if Bignum.num_bits k > cw * cd then begin
+(* acc <- k·G via the fixed-base comb. *)
+let comb_mult c fa k acc =
+  let { cw; cd; ctable } = fa.comb in
+  if Bignum.num_bits k > cw * cd then
     (* Wider than the comb covers (scalars beyond the group order);
        correctness over speed. *)
-    let g = jpt_make ws.o in
-    jpt_of_point c ws g (Affine (c.gx, c.gy));
-    jac_scalar_mult_ws c ws k g acc
-  end
+    wnaf_mult fa k (wpt_of_point fa (base_point c)) acc
   else begin
-    acc.jinf <- true;
+    acc.z <- 0;
     for i = cd - 1 downto 0 do
-      jpt_dbl c ws acc;
+      wdbl fa acc;
       let j = ref 0 in
       for t = cw - 1 downto 0 do
         j := (!j lsl 1) lor (if Bignum.test_bit k (i + (t * cd)) then 1 else 0)
       done;
       if !j <> 0 then
         match ctable.(!j) with
-        | Some (ax, ay) -> jpt_add_affine c ws acc ax ay
+        | Some (ax, ay) -> wadd_affine fa acc ax ay
         | None -> () (* entry is the point at infinity; adding it is a no-op *)
     done
   end
 
+let scalar_mult c k p =
+  Obs.Kernel.(bump ec_scalar_mult);
+  match c.fast with
+  | None -> Reference.scalar_mult c k p
+  | Some fa ->
+      let acc = wpt_inf () in
+      wnaf_mult fa k (wpt_of_point fa p) acc;
+      point_of_wpt fa acc
+
 let scalar_mult_base c k =
   Obs.Kernel.(bump ec_scalar_mult_base);
-  let ws = make_ws c in
-  let acc = jpt_make ws.o in
-  jac_scalar_mult_base_ws c ws k acc;
-  point_of_jpt ws acc
+  match c.fast with
+  | None -> Reference.scalar_mult_base c k
+  | Some fa ->
+      let acc = wpt_inf () in
+      comb_mult c fa k acc;
+      point_of_wpt fa acc
+
+let add c p q = of_jac c (jac_add c (to_jac c p) (to_jac c q))
+let double c p = of_jac c (jac_double c (to_jac c p))
 
 let scalar_mult_base_add c u1 u2 q =
-  let ws = make_ws c in
-  let acc = jpt_make ws.o in
-  jac_scalar_mult_base_ws c ws u1 acc;
-  let qj = jpt_make ws.o in
-  jpt_of_point c ws qj q;
-  let acc2 = jpt_make ws.o in
-  jac_scalar_mult_ws c ws u2 qj acc2;
-  jpt_add c ws acc acc2;
-  point_of_jpt ws acc
+  match c.fast with
+  | None -> add c (Reference.scalar_mult_base c u1) (Reference.scalar_mult c u2 q)
+  | Some fa ->
+      let acc = wpt_inf () and acc2 = wpt_inf () in
+      comb_mult c fa u1 acc;
+      wnaf_mult fa u2 (wpt_of_point fa q) acc2;
+      wadd fa acc acc2.x acc2.y acc2.z;
+      point_of_wpt fa acc
 
 (* --- Curve construction --------------------------------------------------- *)
 
@@ -606,7 +408,11 @@ let scalar_mult_base_add c u1 u2 q =
    the small simulation curves generated in bulk. *)
 let comb_teeth = 5
 
-let build_comb c =
+(* Built over [Bignum.Field] (the seed-era formulas), then stored as
+   Montgomery residues. Its inversions go through the counted
+   [Bignum.pow_mod_ctx]; building it on the ladder instead would change
+   the [kernel.pow_mod] count of every run that builds a curve. *)
+let build_comb c f =
   let nbits = max 1 (Bignum.num_bits c.n) in
   let w = comb_teeth in
   let d = (nbits + w - 1) / w in
@@ -631,53 +437,48 @@ let build_comb c =
     done;
     tbl.(j) <- (if j = low then rows.(!k) else jac_add c tbl.(j - low) rows.(!k))
   done;
+  let residue v = W.of_bignum f v in
   let ctable =
     Array.map
       (fun jp ->
-        if jac_is_inf jp then None
-        else begin
-          let f = c.fctx in
-          let zinv = F.inv f jp.z in
-          let zinv2 = F.sqr f zinv in
-          let ax = F.mul f jp.x zinv2 in
-          let ay = F.mul f jp.y (F.mul f zinv2 zinv) in
-          (* Store in the curve's ladder backend representation. *)
-          let b v = backend_of_bignum c.word (F.to_bignum f v) in
-          Some (b ax, b ay)
-        end)
+        match of_jac c jp with
+        | Inf -> None
+        | Affine (x, y) -> Some (residue x, residue y))
       tbl
   in
   { cw = w; cd = d; ctable }
 
+let p256_prime = Bignum.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
+
 let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
   let word =
-    if Bignum.equal p P256_field.modulus then None
+    if Bignum.equal p p256_prime then None
     else
-      match Word_field.create p with
+      match W.create p with
       | f -> Some f
       | exception Invalid_argument _ ->
           invalid_arg "Ec.make_curve: field prime must be P-256's or an odd prime below 2^61"
   in
   let fctx = F.create p in
-  let a_fe = F.of_bignum fctx a in
-  let c0 =
+  let c =
     {
       name;
       fctx;
-      a = a_fe;
+      a = F.of_bignum fctx a;
       b = F.of_bignum fctx b;
       a_is_minus3 = Bignum.equal a (Bignum.sub_int p 3);
-      word;
-      ca = backend_of_bignum word a;
       gx;
       gy;
       n;
       h;
       n_mont = lazy (Bignum.mont_of_modulus n);
-      comb = { cw = 0; cd = 0; ctable = [||] };
+      fast = None;
     }
   in
-  { c0 with comb = build_comb c0 }
+  match word with
+  | None -> c
+  | Some f ->
+      { c with fast = Some { f; ca = W.of_bignum f a; comb = build_comb c f } }
 
 (* Inverse modulo the (prime) group order, with a cached Montgomery
    context — ECDSA calls this once per signature and verification. *)
@@ -689,7 +490,7 @@ let mod_order_inverse c (a : Bignum.t) =
 (* NIST P-256 (secp256r1) domain parameters; the test suite validates them
    structurally (base point on curve, n * G = infinity, p and n prime). *)
 let p256 =
-  let p = Bignum.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
+  let p = p256_prime in
   make_curve ~name:"secp256r1" ~p
     ~a:(Bignum.sub_int p 3)
     ~b:(Bignum.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
@@ -707,34 +508,33 @@ let on_curve c = function
       let rhs = F.add fctx (F.mul fctx (F.sqr fctx xf) xf) (F.add fctx (F.mul fctx c.a xf) c.b) in
       F.equal lhs rhs
 
-let add c p q = of_jac c (jac_add c (to_jac c p) (to_jac c q))
-let double c p = of_jac c (jac_double c (to_jac c p))
-
 let neg c = function
   | Inf -> Inf
   | Affine (_, y) as pt when Bignum.is_zero y -> pt (* 2-torsion: its own inverse *)
   | Affine (x, y) -> Affine (x, Bignum.sub (curve_p c) y)
 
-(* --- Seed-era reference kernel --------------------------------------------
-   The pre-optimization bit-at-a-time double-and-add, kept verbatim:
-   the property suite asserts the wNAF and comb paths agree with it, and
-   the bench harness reports speedups against it. Do not "optimize". *)
-
-module Reference = struct
-  let scalar_mult c k p =
-    if Bignum.is_zero k then Inf
-    else begin
-      let base = to_jac c p in
-      let acc = ref (jac_inf c) in
-      for i = Bignum.num_bits k - 1 downto 0 do
-        acc := jac_double c !acc;
-        if Bignum.test_bit k i then acc := jac_add c !acc base
+(* Whether h·Q = O for the curve's cofactor h > 1, i.e. Q lies in the
+   small subgroup a peer could confine a shared secret to. Left-to-right
+   double-and-add over h's bits (two doublings for h = 4), outside the
+   counted kernels so the [kernel.ec_*] counters see only real
+   multiplications. *)
+let small_order c q =
+  c.h > 1
+  &&
+  match c.fast with
+  | None -> Reference.scalar_mult c (Bignum.of_int c.h) q = Inf
+  | Some fa ->
+      let q = wpt_of_point fa q in
+      let acc = { x = q.x; y = q.y; z = q.z } in
+      let top = ref 0 in
+      while c.h lsr (!top + 1) > 0 do
+        incr top
       done;
-      of_jac c !acc
-    end
-
-  let scalar_mult_base c k = scalar_mult c k (base_point c)
-end
+      for i = !top - 1 downto 0 do
+        wdbl fa acc;
+        if (c.h lsr i) land 1 = 1 then wadd fa acc q.x q.y q.z
+      done;
+      acc.z = 0
 
 (* --- Small-curve generation ----------------------------------------------
    For p = 4q - 1 with p, q prime (so p = 3 mod 4), the curve
@@ -744,8 +544,7 @@ end
 let generate_small_cache : (int * string, curve) Hashtbl.t = Hashtbl.create 8
 
 let generate_small_uncached ~bits ~seed =
-  if bits < 24 || bits > Word_field.max_bits then
-    invalid_arg "Ec.generate_small: bits out of range";
+  if bits < 24 || bits > W.max_bits then invalid_arg "Ec.generate_small: bits out of range";
   let rng = Drbg.create ~seed:(Printf.sprintf "ec-curve:%s:%d" seed bits) in
   let rec find_p () =
     let raw = Bignum.of_bytes_be (Drbg.generate rng ((bits + 7) / 8)) in
@@ -839,10 +638,13 @@ let shared_secret kp ~peer_pub =
   match peer_pub with
   | Inf -> Error "ec: peer public is infinity"
   | Affine _ when not (on_curve kp.curve peer_pub) -> Error "ec: peer point not on curve"
+  | Affine _ when small_order kp.curve peer_pub ->
+      (* A point killed by the cofactor would confine the secret to a
+         handful of values, and which of them (or whether infinity)
+         depends on the private key's low bits. *)
+      Error "ec: peer point of small order"
   | Affine _ -> (
-      (* Clear the cofactor: rejects small-subgroup confinement. *)
-      let shared = scalar_mult kp.curve kp.priv peer_pub in
-      match shared with
+      match scalar_mult kp.curve kp.priv peer_pub with
       | Inf -> Error "ec: degenerate shared point"
       | Affine (x, _) ->
           (* TLS uses the x-coordinate of the shared point. *)

@@ -22,9 +22,11 @@ val make_curve :
   n:Bignum.t ->
   h:int ->
   curve
-(** The field prime must be the P-256 prime (Solinas backend) or an odd
-    prime below 2{^61} (one-word {!Word_field} backend); anything else
-    raises [Invalid_argument]. Builds the fixed-base comb eagerly. *)
+(** The field prime must be the P-256 prime or an odd prime below
+    2{^61}; anything else raises [Invalid_argument]. A prime below 2{^61}
+    gets the one-word {!Word_field} ladder and its fixed-base comb, built
+    eagerly; P-256 builds no comb and runs every multiplication on
+    {!Reference}. *)
 
 val p256 : curve
 (** NIST P-256 / secp256r1, the dominant TLS ECDHE curve of the study
@@ -50,21 +52,26 @@ val neg : curve -> point -> point
     their own inverse, as is infinity). *)
 
 val scalar_mult : curve -> Bignum.t -> point -> point
-(** Width-w NAF double-and-add, entirely in Jacobian coordinates with a
-    single affine conversion at the end. *)
+(** On the one-word ladder: width-w NAF double-and-add, entirely in
+    Jacobian coordinates with a single affine conversion at the end. On
+    P-256: {!Reference.scalar_mult}. *)
 
 val scalar_mult_base : curve -> Bignum.t -> point
-(** Multiplication of the base point via the curve's fixed-base comb
-    (built once in [make_curve]); scalars wider than the comb covers fall
-    back to {!scalar_mult}. *)
+(** On the one-word ladder: multiplication of the base point via the
+    curve's fixed-base comb (built once in [make_curve]); scalars wider
+    than the comb covers fall back to the wNAF ladder. On P-256:
+    {!Reference.scalar_mult_base}. *)
 
 val scalar_mult_base_add : curve -> Bignum.t -> Bignum.t -> point -> point
-(** [scalar_mult_base_add c u1 u2 q] is [u1·G + u2·Q] with the sum formed
-    in Jacobian coordinates, saving an affine conversion (a field
-    inversion) per ECDSA verification. *)
+(** [scalar_mult_base_add c u1 u2 q] is [u1·G + u2·Q]. On the one-word
+    ladder the sum is formed in Jacobian coordinates, saving an affine
+    conversion (a field inversion) per ECDSA verification; on P-256 it is
+    {!add} of the two {!Reference} products. *)
 
-(** Seed-era bit-at-a-time double-and-add, kept verbatim as the
-    semantic baseline for the property suite and the bench harness. *)
+(** Seed-era bit-at-a-time double-and-add over [Bignum.Field], kept
+    verbatim: the semantic baseline for the property suite and the bench
+    harness, and the ladder P-256 runs on. Uncounted: only the public
+    [scalar_mult*] functions bump the [kernel.ec_*] counters. *)
 module Reference : sig
   val scalar_mult : curve -> Bignum.t -> point -> point
   val scalar_mult_base : curve -> Bignum.t -> point
@@ -90,4 +97,15 @@ val public_bytes : keypair -> string
 
 val shared_secret : keypair -> peer_pub:point -> (string, string) result
 (** The x-coordinate of the shared point, as TLS uses it. Rejects
-    off-curve and degenerate peer values. *)
+    infinity, off-curve points, and on curves with cofactor h > 1 every
+    point of small order (h·Q = O), which would confine the secret to a
+    few values chosen by the private key's low bits; also rejects a
+    degenerate (infinite) shared point.
+
+    Full SEC 1 v2 §3.2.2.1 validation (n·Q = O) is not done on cofactor
+    curves: it is a second scalar multiplication per shared secret
+    (about 10 µs on the 52-bit curve, about 4% of a campaign's time). So a
+    mixed point (a point of order n plus one of small order) is still
+    accepted, and a peer who sends one can learn the private key modulo
+    h (two bits for h = 4) by trying h candidate secrets. The
+    simulation's peers are honest and never send such points. *)

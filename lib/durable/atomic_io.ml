@@ -14,8 +14,9 @@
      damage starts.
 
    The frame is line-oriented on purpose: durable files remain greppable
-   text, and the header line doubles as a format marker so pre-durability
-   archives (no header) are recognized and readable via [read_any]. *)
+   text, and the header line doubles as a format marker, so a file
+   without it (a pre-durability archive, a hand-written JSON) is refused
+   by name rather than misread. *)
 
 let header = "#tlsharm-durable v1\n"
 let footer_tag = "#tlsharm-footer v1 "
@@ -197,18 +198,6 @@ let read path =
   | exception Sys_error e -> Error (Io e)
   | raw -> (
       match frame raw with
-      | Error _ as e -> e
-      | Ok (content, footer_line) -> (
-          match parse_footer footer_line with
-          | None -> Error (Missing_footer { actual_bytes = String.length content })
-          | Some spec -> verify content spec))
-
-let read_any path =
-  match read_file path with
-  | exception Sys_error e -> Error (Io e)
-  | raw -> (
-      match frame raw with
-      | Error Not_durable -> Ok raw (* legacy, pre-durability file: no verification possible *)
       | Error _ as e -> e
       | Ok (content, footer_line) -> (
           match parse_footer footer_line with

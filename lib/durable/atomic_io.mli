@@ -45,13 +45,6 @@ val read : string -> (string, error) result
     stripped. Never raises on bad input; all failure modes are in
     {!type:error}. *)
 
-val read_any : string -> (string, error) result
-(** Like {!read}, but a file without the durable header is returned
-    verbatim ([Ok raw]) instead of [Error Not_durable]. Only the JSON
-    readers ([metrics-report], the bench baseline) take this path; the
-    archive loaders use {!read}. Files *with* the header are still fully
-    verified. *)
-
 val block_size : int
 (** Content bytes covered by each checksum tag (64 KiB). *)
 

@@ -11,8 +11,10 @@
    keypair, one scalar mult per ECDHE share, ...) — DRBG rejection
    sampling retries draw bytes, not kernel calls.
 
-   Only the optimized kernels count; the kept seed-era [Reference]
-   implementations are test/bench-only and stay silent. Callers take a
+   Only the public kernel entry points count; the kept seed-era
+   [Reference] implementations stay silent when called directly (P-256's
+   public multiplications run on them and count once, at the entry
+   point). Callers take a
    {!snapshot} before and after a region and publish the {!diff} into a
    {!Metrics} registry under [kernel.*]. *)
 

@@ -34,7 +34,6 @@ type config = {
   seed : string;
   n_domains : int; (* sampled population size *)
   start_time : int; (* epoch seconds at which the study begins *)
-  use_real_crypto : bool; (* Oakley-2 + P-256 instead of small groups *)
   stable_fraction : float; (* domains present in the list every day *)
   mx_google_fraction : float; (* domains whose MX points at Google (9.1%) *)
   region : Region.t; (* scan vantage; the default reproduces the paper *)
@@ -45,7 +44,6 @@ let default_config =
     seed = "tlsharm";
     n_domains = 10_000;
     start_time = 1_456_876_800; (* March 2, 2016 - the paper's first scan day *)
-    use_real_crypto = false;
     stable_fraction = 0.55;
     mx_google_fraction = 0.091;
     region = Region.default_name;
@@ -259,13 +257,7 @@ let misconfig_env b (m : Profile.misconfig) =
   match m.Profile.weak_dh with
   | None -> b.benv
   | Some grade ->
-      let bits =
-        match (b.bc.use_real_crypto, grade) with
-        | false, Profile.Export_grade -> 24
-        | false, Profile.Legacy -> 40
-        | true, Profile.Export_grade -> 160
-        | true, Profile.Legacy -> 256
-      in
+      let bits = match grade with Profile.Export_grade -> 24 | Profile.Legacy -> 40 in
       { b.benv with Tls.Config.dh_group = Crypto.Dh.generate ~bits ~seed:b.bc.seed }
 
 (* Restarts are jittered-periodic (period x 0.8..1.2), like cron-driven
@@ -836,10 +828,7 @@ let create ?(config = default_config) () =
     invalid_arg
       (Printf.sprintf "World.create: unknown region %S (available: %s)" config.region
          Region.names);
-  let env =
-    if config.use_real_crypto then Tls.Config.real_env ()
-    else Tls.Config.sim_env ~seed:config.seed ()
-  in
+  let env = Tls.Config.sim_env ~seed:config.seed () in
   let rng = Crypto.Drbg.create ~seed:("world:" ^ config.seed) in
   let curve = env.Tls.Config.pki_curve in
   let ca_rng = Crypto.Drbg.fork rng ~label:"pki" in

@@ -9,7 +9,6 @@ type config = {
   seed : string;
   n_domains : int;  (** sampled population size (min 1500) *)
   start_time : int;  (** epoch seconds at which the study begins *)
-  use_real_crypto : bool;  (** Oakley-2 + P-256 instead of small groups *)
   stable_fraction : float;  (** domains present in the list every day *)
   mx_google_fraction : float;  (** domains whose MX points at Google *)
   region : Region.t;
@@ -22,7 +21,9 @@ type config = {
 
 val default_config : config
 (** 10,000 domains, seed ["tlsharm"], starting March 2 2016 (the paper's
-    first scan day), small crypto parameters, the default region. *)
+    first scan day), the default region. Every world runs on the
+    simulation crypto environment {!Tls.Config.sim_env} derived from its
+    seed. *)
 
 val case_study_lead_days : int
 (** Days between world start and the longitudinal campaign in the

@@ -1,9 +1,10 @@
 (* Configuration for the TLS engines.
 
    [env] fixes the cryptographic environment — which DH group, ECDHE curve
-   and PKI curve a deployment uses. [sim_env] instantiates small-parameter
-   groups for large sweeps; [real_env] uses the production-sized Oakley-2
-   group and P-256 (see DESIGN.md on this substitution). *)
+   and PKI curve a deployment uses. [sim_env] instantiates the
+   small-parameter groups every world runs on (see DESIGN.md on this
+   substitution); the production-sized Oakley-2 group and P-256 stay in
+   {!Crypto} for tests, the OpenSSL oracle and the bench. *)
 
 type env = {
   dh_group : Crypto.Dh.group;
@@ -22,14 +23,6 @@ let sim_env ?(seed = "tlsharm") () =
     ecdhe_curve = Crypto.Ec.generate_small ~bits:52 ~seed;
     ecdhe_curve_id = 0xfe00;
     pki_curve = Crypto.Ec.generate_small ~bits:53 ~seed:(seed ^ "-pki");
-  }
-
-let real_env () =
-  {
-    dh_group = Crypto.Dh.oakley2;
-    ecdhe_curve = Crypto.Ec.p256;
-    ecdhe_curve_id = 23 (* secp256r1 *);
-    pki_curve = Crypto.Ec.p256;
   }
 
 (* --- Server-side ------------------------------------------------------------ *)

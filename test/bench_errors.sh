@@ -65,9 +65,20 @@ check "corrupt results" "check-baseline: corrupt.json: corrupt" \
   env TLSHARM_BENCH_OUT=corrupt.json "$exe" check-baseline
 check "missing results" "check-baseline: missing.json: No such file" \
   env TLSHARM_BENCH_OUT=missing.json "$exe" check-baseline
+# Results must be framed: a headerless file is refused by name, never
+# parsed as if it were checksummed.
 printf '{"schema": "tlsharm-bench/1"}\n' >empty.json
-check "results without kernels" 'check-baseline: empty.json: no "kernels" section' \
+check "headerless results" 'check-baseline: empty.json: not a durable (checksummed) file' \
   env TLSHARM_BENCH_OUT=empty.json "$exe" check-baseline
+# The same JSON in a valid frame (header, content, separator newline,
+# footer with the byte count and the block's SHA-256 tag) reaches the
+# kernel check.
+body='{"schema": "tlsharm-bench/1"}'
+tag=$(printf '%s' "$body" | sha256sum | cut -c1-16)
+printf '#tlsharm-durable v1\n%s\n#tlsharm-footer v1 bytes=%d block=65536 crc=%s\n' \
+  "$body" "${#body}" "$tag" >framed.json
+check "results without kernels" 'check-baseline: framed.json: no "kernels" section' \
+  env TLSHARM_BENCH_OUT=framed.json "$exe" check-baseline
 
 cd / && rm -rf "$dir"
 exit "$fails"

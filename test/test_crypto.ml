@@ -395,80 +395,6 @@ let prop_field_ops =
            (let am = B.rem a p and bm = B.rem b p in
             if B.compare am bm >= 0 then B.sub am bm else B.sub (B.add am p) bm))
 
-(* --- Specialized P-256 field ----------------------------------------------- *)
-
-module P256 = Crypto.P256_field
-
-let p256_fctx = lazy (B.Field.create P256.modulus)
-
-(* Every public field op of the specialized backend against the generic
-   Montgomery field on the same operands (values are reduced mod p on
-   entry, matching [of_bignum]). *)
-let p256_pair_agrees a b =
-  let ctx = Lazy.force p256_fctx in
-  let st = P256.create_state () in
-  let pa = P256.of_bignum a and pb = P256.of_bignum b in
-  let ga = B.Field.of_bignum ctx a and gb = B.Field.of_bignum ctx b in
-  let dst = P256.zero () in
-  let agree op gv =
-    op dst;
-    B.equal (P256.to_bignum dst) (B.Field.to_bignum ctx gv)
-  in
-  agree (fun d -> P256.mul st d pa pb) (B.Field.mul ctx ga gb)
-  && agree (fun d -> P256.sqr st d pa) (B.Field.sqr ctx ga)
-  && agree (fun d -> P256.add d pa pb) (B.Field.add ctx ga gb)
-  && agree (fun d -> P256.sub d pa pb) (B.Field.sub ctx ga gb)
-  && agree (fun d -> P256.neg d pa) (B.Field.sub ctx (B.Field.of_bignum ctx B.zero) ga)
-  && agree (fun d -> P256.mul_small d pa 8) (B.Field.mul_small ctx ga 8)
-  && agree (fun d -> P256.mul_small d pa 3) (B.Field.mul_small ctx ga 3)
-  && (P256.is_zero pa || agree (fun d -> P256.inv st d pa) (B.Field.inv ctx ga))
-
-(* Adversarial corners: zero, one, p-1, the Solinas term boundaries
-   2^96 / 2^192 / 2^224, and all-ones values that drive the fast-path
-   carry fold to its extremes in both directions. *)
-let p256_edge_values =
-  let p = P256.modulus in
-  [
-    B.zero;
-    B.one;
-    B.two;
-    B.sub_int p 1;
-    B.sub_int p 2;
-    B.shift_left B.one 96;
-    B.sub_int (B.shift_left B.one 96) 1;
-    B.shift_left B.one 192;
-    B.shift_left B.one 224;
-    B.sub_int (B.shift_left B.one 224) 1;
-    B.sub_int (B.shift_left B.one 255) 1;
-    B.sub_int (B.shift_left B.one 256) 1;
-  ]
-
-let test_p256_field_edges () =
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if not (p256_pair_agrees a b) then
-            Alcotest.failf "p256 field mismatch on edge pair (%s, %s)" (B.to_hex a) (B.to_hex b))
-        p256_edge_values)
-    p256_edge_values
-
-let test_p256_field_roundtrip () =
-  let v = B.sub_int P256.modulus 12345 in
-  Alcotest.(check bool) "bignum roundtrip" true (B.equal v (P256.to_bignum (P256.of_bignum v)));
-  Alcotest.(check string) "bytes roundtrip" (B.to_bytes_be ~len:32 v)
-    (P256.to_bytes_be (P256.of_bytes_be (B.to_bytes_be ~len:32 v)))
-
-let gen_bignum_256 =
-  QCheck2.Gen.(
-    let* bytes = string_size ~gen:(char_range '\000' '\255') (return 32) in
-    return (B.of_bytes_be bytes))
-
-let prop_p256_field_matches_generic =
-  QCheck2.Test.make ~name:"p256 backend matches Bignum.Field" ~count:120
-    QCheck2.Gen.(pair gen_bignum_256 gen_bignum_256)
-    (fun (a, b) -> p256_pair_agrees a b)
-
 (* --- One-word field ---------------------------------------------------------- *)
 
 module W = Crypto.Word_field
@@ -803,11 +729,28 @@ let test_ec_neg () =
         (Ec.neg c p = Ec.scalar_mult_base c (B.sub (Ec.curve_order c) k)))
     [ small_curve; Ec.p256 ]
 
+(* The 52-bit ECDHE curve the simulation runs on (cofactor 4). *)
+let sim52 = (Tls.Config.sim_env ()).Tls.Config.ecdhe_curve
+
+(* A point of order 4 on a cofactor-4 curve y^2 = x^3 + x: q·R for an
+   on-curve R of order 4q, so that 2·(q·R) is (0, 0) rather than
+   infinity. Square roots are z^((p+1)/4), as p = 3 mod 4. *)
+let order4_point c =
+  let p = Ec.curve_p c in
+  let rec search x =
+    let rhs = B.rem (B.add (B.pow_mod x (B.of_int 3) p) x) p in
+    let y = B.pow_mod rhs (B.shift_right (B.add_int p 1) 2) p in
+    let r = Ec.Affine (x, y) in
+    if not (Ec.on_curve c r) then search (B.add_int x 1)
+    else
+      match Ec.Reference.scalar_mult c (Ec.curve_order c) r with
+      | Ec.Affine _ as t when Ec.double c t <> Ec.Inf -> t
+      | _ -> search (B.add_int x 1)
+  in
+  search (B.of_int 2)
+
 let test_ec_scalar_mult_edge_cases () =
-  let c = small_curve in
-  let n = Ec.curve_order c in
-  let g = Ec.base_point c in
-  let scalars =
+  let scalars_for n =
     [
       ("0", B.zero);
       ("1", B.one);
@@ -820,12 +763,31 @@ let test_ec_scalar_mult_edge_cases () =
       ("2n + 3", B.add_int (B.shift_left n 1) 3);
     ]
   in
+  let c = small_curve in
+  let g = Ec.base_point c in
   List.iter
     (fun (label, k) ->
       let expect = Ec.Reference.scalar_mult c k g in
       Alcotest.(check bool) ("scalar_mult " ^ label) true (Ec.scalar_mult c k g = expect);
       Alcotest.(check bool) ("scalar_mult_base " ^ label) true (Ec.scalar_mult_base c k = expect))
-    scalars
+    (scalars_for (Ec.curve_order c));
+  (* Points outside the order-q subgroup: their wNAF tables and doublings
+     reach infinity, which no base-point input does. *)
+  let c = sim52 in
+  let t2 = Ec.Affine (B.zero, B.zero) in
+  let t4 = order4_point c in
+  let g = Ec.base_point c in
+  List.iter
+    (fun (plabel, pt) ->
+      Alcotest.(check bool) (plabel ^ " on curve") true (Ec.on_curve c pt);
+      List.iter
+        (fun (label, k) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "scalar_mult %s on %s" label plabel)
+            true
+            (Ec.scalar_mult c k pt = Ec.Reference.scalar_mult c k pt))
+        (scalars_for (Ec.curve_order c)))
+    [ ("T = (0, 0)", t2); ("order-4 point", t4); ("G + T", Ec.add c g t2) ]
 
 (* The ladders are checked on the 61-bit test curve and on the two curves
    the simulation runs on (default seed). *)
@@ -896,6 +858,45 @@ let test_ec_rejects_noncanonical () =
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "%s accepted" label)
         [ ("x + p", B.add x p, y); ("y + p", x, B.add y p); ("x = p", p, y) ]
+
+(* On a cofactor curve a point killed by the cofactor (h·Q = O) must not
+   yield a secret: k·Q would take one of h values fixed by k mod h, and
+   which of them (or infinity) leaks the key's low bits. The check must
+   not run through the counted ladder. *)
+let test_ec_rejects_small_order () =
+  let c = sim52 in
+  let t4 = order4_point c in
+  let small = [ ("(0, 0)", Ec.Affine (B.zero, B.zero)); ("order-4", t4); ("-order-4", Ec.neg c t4) ] in
+  let rng = Crypto.Drbg.create ~seed:"ec-small-order" in
+  let keys =
+    List.map B.of_int [ 1; 2; 3; 4 ]
+    @ List.init 8 (fun _ -> Crypto.Drbg.bignum_in_group rng (Ec.curve_order c))
+  in
+  List.iter
+    (fun (label, pt) ->
+      (match Ec.point_of_bytes c (Ec.point_bytes c pt) with
+      | Ok q -> Alcotest.(check bool) (label ^ " decodes to itself") true (q = pt)
+      | Error e -> Alcotest.failf "%s does not decode: %s" label e);
+      List.iter
+        (fun k ->
+          let kp = Ec.keypair_of_private c k in
+          let before = Obs.Kernel.snapshot () in
+          (match Ec.shared_secret kp ~peer_pub:pt with
+          | Error _ -> ()
+          | Ok _ ->
+              Alcotest.failf "%s accepted for a private key = %d mod 4" label
+                (B.to_int_exn (B.rem k (B.of_int 4))));
+          let moved =
+            List.filter (fun (_, d) -> d <> 0) (Obs.Kernel.diff ~before ~after:(Obs.Kernel.snapshot ()))
+          in
+          Alcotest.(check (list (pair string int))) (label ^ ": no kernel counted") [] moved)
+        keys)
+    small;
+  (* A point of order q next to them still agrees. *)
+  let alice = Ec.keypair_of_private c (B.of_int 3) in
+  match Ec.shared_secret alice ~peer_pub:(Ec.base_point c) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
 
 let test_ec_size_limits () =
   Alcotest.check_raises "62-bit curve" (Invalid_argument "Ec.generate_small: bits out of range")
@@ -1087,12 +1088,6 @@ let () =
           prop_pow_mod_matches_reference;
           prop_field_ops;
         ];
-      ( "p256-field",
-        [
-          Alcotest.test_case "adversarial edges" `Quick test_p256_field_edges;
-          Alcotest.test_case "roundtrips" `Quick test_p256_field_roundtrip;
-        ] );
-      qsuite "p256-field-properties" [ prop_p256_field_matches_generic ];
       ("word-field", [ Alcotest.test_case "bounds" `Quick test_word_field_bounds ]);
       qsuite "word-field-properties" [ prop_word_field_matches_bignum ];
       ( "drbg",
@@ -1126,6 +1121,7 @@ let () =
           Alcotest.test_case "off-curve rejection" `Quick test_ec_rejects_off_curve;
           Alcotest.test_case "non-canonical rejection" `Quick test_ec_rejects_noncanonical;
           Alcotest.test_case "size limits" `Quick test_ec_size_limits;
+          Alcotest.test_case "small-order rejection" `Quick test_ec_rejects_small_order;
           Alcotest.test_case "p256 agreement" `Slow test_p256_agreement;
         ] );
       qsuite "ec-properties" [ prop_scalar_mult_matches_reference; prop_scalar_mult_base_add ];

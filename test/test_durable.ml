@@ -74,16 +74,15 @@ let test_atomic_roundtrip () =
       | Ok c -> Alcotest.(check string) "empty content survives" "" c
       | Error e -> Alcotest.fail (Durable.Atomic_io.error_to_string e))
 
+(* A legacy (headerless) file is not passed through: every reader
+   refuses it by name. *)
 let test_atomic_legacy_passthrough () =
   with_temp_file (fun path ->
       spew path "plain,legacy\nrows\n";
-      (match Durable.Atomic_io.read path with
+      match Durable.Atomic_io.read path with
       | Error Durable.Atomic_io.Not_durable -> ()
       | Ok _ -> Alcotest.fail "read must reject a headerless file"
-      | Error e -> Alcotest.fail ("wrong error: " ^ Durable.Atomic_io.error_to_string e));
-      match Durable.Atomic_io.read_any path with
-      | Ok c -> Alcotest.(check string) "read_any passes legacy through" "plain,legacy\nrows\n" c
-      | Error e -> Alcotest.fail (Durable.Atomic_io.error_to_string e))
+      | Error e -> Alcotest.fail ("wrong error: " ^ Durable.Atomic_io.error_to_string e))
 
 let test_atomic_missing_and_empty () =
   (match Durable.Atomic_io.read "/nonexistent/tlsharm/path" with
@@ -92,14 +91,10 @@ let test_atomic_missing_and_empty () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Durable.Atomic_io.error_to_string e));
   with_temp_file (fun path ->
       spew path "";
-      (match Durable.Atomic_io.read path with
+      match Durable.Atomic_io.read path with
       | Error Durable.Atomic_io.Not_durable -> ()
       | Ok _ -> Alcotest.fail "empty file is not durable"
-      | Error e -> Alcotest.fail ("wrong error: " ^ Durable.Atomic_io.error_to_string e));
-      match Durable.Atomic_io.read_any path with
-      | Ok "" -> ()
-      | Ok _ -> Alcotest.fail "empty legacy file reads as empty"
-      | Error e -> Alcotest.fail (Durable.Atomic_io.error_to_string e))
+      | Error e -> Alcotest.fail ("wrong error: " ^ Durable.Atomic_io.error_to_string e))
 
 let test_atomic_detects_truncation () =
   with_temp_file (fun path ->
