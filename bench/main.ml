@@ -383,6 +383,11 @@ let microbenches () =
   let oakley_kp = Crypto.Dh.gen_keypair Crypto.Dh.oakley2 rng in
   let oakley_pub = Crypto.Bignum.of_bytes_be (Crypto.Dh.public_bytes oakley_kp) in
   let x_kp = Crypto.X25519.gen_keypair rng in
+  let drbg = Crypto.Drbg.create ~seed:"bench-drbg" in
+  let sha_block = Bytes.make Crypto.Sha256.block_size 'b' in
+  let sha_out = Bytes.create Crypto.Sha256.digest_size in
+  let mac_ctx = Crypto.Hmac.key (String.make 32 'k') in
+  let msg32 = String.make 32 'm' in
   let tests =
     [
       (* The shortcuts' cost story: what a full handshake costs versus a
@@ -436,6 +441,17 @@ let microbenches () =
         (Staged.stage (fun () -> ignore (Crypto.Aes.encrypt_block aes block)));
       Test.make ~name:"sym/hmac-sha256-1KiB"
         (Staged.stage (fun () -> ignore (Crypto.Hmac.sha256 ~key:"k" kb)));
+      (* The shapes most simulation hashing takes: one compression, a
+         one-block MAC under a kept context, and the two commonest DRBG
+         calls (8 and 12+ compressions). *)
+      Test.make ~name:"sym/sha256-block"
+        (Staged.stage (fun () -> Crypto.Sha256.midstate_of_block sha_block sha_out ~pos:0));
+      Test.make ~name:"sym/hmac-sha256-32B"
+        (Staged.stage (fun () -> ignore (Crypto.Hmac.mac mac_ctx msg32)));
+      Test.make ~name:"rng/drbg-int_below"
+        (Staged.stage (fun () -> ignore (Crypto.Drbg.int_below drbg 1000)));
+      Test.make ~name:"rng/drbg-fork"
+        (Staged.stage (fun () -> ignore (Crypto.Drbg.fork drbg ~label:"bench")));
     ]
   in
   let grouped = Test.make_grouped ~name:"tlsharm" tests in

@@ -7,37 +7,71 @@
    each simulated entity own a private stream that is insensitive to the
    draw order of its siblings. *)
 
-(* The state is just (K, V). A draw builds the keyed HMAC context of K
-   once and passes it down to [update], which builds one for each new K
-   it derives; the generator itself keeps no context, since holding one
-   in every live generator costs memory for no reuse across draws. *)
-type t = { mutable k : string; mutable v : string }
+(* The whole state lives in one buffer that every draw updates in place:
 
-(* [ctx] is the keyed context of the current K. *)
-let update t ctx provided =
-  t.k <- Hmac.mac_parts ctx [ t.v; "\x00"; provided ];
-  let ctx = Hmac.key t.k in
-  t.v <- Hmac.mac ctx t.v;
-  if provided <> "" then begin
-    t.k <- Hmac.mac_parts ctx [ t.v; "\x01"; provided ];
-    t.v <- Hmac.mac (Hmac.key t.k) t.v
-  end
+     [0, 32)    K
+     [32, 96)   K's HMAC context (ipad then opad midstate)
+     [96, 128)  V
+     [128]      0x00, so that V || 0x00 is one slice
 
-let initial_k = String.make 32 '\x00'
-let initial_ctx = Hmac.key initial_k
-let initial_v = String.make 32 '\x01'
+   A draw is V = HMAC(K, V) per 32-byte block, then the update with no
+   provided data: K = HMAC(K, V || 0x00), the context of the new K, and
+   V = HMAC(K, V). Each of those MACs is one inner and one outer
+   compression from the stored context, and the new K's pads are
+   absorbed once, so a one-block draw costs 8 compressions, the least any
+   layout that keeps the SP 800-90A stream can do. Keeping K's context
+   means no draw rebuilds it, and writing in place means a draw
+   allocates only its output. *)
+type t = Bytes.t
+
+let k_pos = 0
+let ctx_pos = 32
+let v_pos = ctx_pos + Hmac.context_size
+let size = v_pos + 33
+
+(* V = HMAC(K, V). *)
+let next_v t = Hmac.mac_into t ~ctx:ctx_pos t ~pos:v_pos ~len:32 t ~at:v_pos
+
+let set_k t k =
+  Bytes.blit_string k 0 t k_pos 32;
+  Hmac.key_into t ~pos:k_pos ~len:32 t ~at:ctx_pos
+
+(* The update with no provided data, in place. *)
+let finish_draw t =
+  Hmac.mac_into t ~ctx:ctx_pos t ~pos:v_pos ~len:33 t ~at:k_pos;
+  Hmac.key_into t ~pos:k_pos ~len:32 t ~at:ctx_pos;
+  next_v t
+
+(* The update with provided data, for [create] and [reseed] only: the
+   data may be any length, so K takes [mac_parts], which streams a
+   message too long for one block. *)
+let update t provided =
+  let step sep =
+    let v = Bytes.sub_string t v_pos 32 in
+    set_k t (Hmac.mac_parts (Hmac.context t ~pos:ctx_pos) [ v; sep; provided ]);
+    next_v t
+  in
+  step "\x00";
+  if provided <> "" then step "\x01"
+
+(* K = 0^32 with its context, V = 0x01^32. *)
+let initial =
+  let t = Bytes.make size '\x00' in
+  set_k t (String.make 32 '\x00');
+  Bytes.fill t v_pos 32 '\x01';
+  t
 
 let create ~seed =
-  let t = { k = initial_k; v = initial_v } in
-  update t initial_ctx seed;
+  let t = Bytes.copy initial in
+  update t seed;
   t
 
 let of_int_seed n = create ~seed:(Printf.sprintf "seed:%d" n)
 
-let reseed t entropy = update t (Hmac.key t.k) entropy
+let reseed t entropy = update t entropy
 
 (* Core draw: one HMAC per 32-byte block, written straight into the
-   caller's buffer. [generate_into t buf ~pos ~len] advances (K, V)
+   caller's buffer. [generate_into t buf ~pos ~len] advances the state
    exactly as a [generate t len] would, so the two are interchangeable
    mid-stream; hot paths use this to fill preallocated buffers without
    the Buffer/copy churn of the string variant. *)
@@ -45,17 +79,16 @@ let generate_into t (buf : Bytes.t) ~pos ~len =
   if len < 0 then invalid_arg "Drbg.generate_into: negative length";
   if pos < 0 || pos > Bytes.length buf - len then
     invalid_arg "Drbg.generate_into: range out of bounds";
-  let ctx = Hmac.key t.k in
   let off = ref pos in
   let remaining = ref len in
   while !remaining > 0 do
-    t.v <- Hmac.mac ctx t.v;
+    next_v t;
     let chunk = if !remaining < 32 then !remaining else 32 in
-    Bytes.blit_string t.v 0 buf !off chunk;
+    Bytes.blit t v_pos buf !off chunk;
     off := !off + chunk;
     remaining := !remaining - chunk
   done;
-  update t ctx ""
+  finish_draw t
 
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
@@ -65,46 +98,43 @@ let generate t n =
 
 let fork t ~label = create ~seed:(generate t 32 ^ "|" ^ label)
 
-(* The full generator state is just (K, V); exposing it lets campaign
-   day blocks snapshot and restore the exact position in a stream. *)
-let state t = (t.k, t.v)
+(* The SP 800-90A state is just (K, V); exposing it lets campaign day
+   blocks snapshot and restore the exact position in a stream. *)
+let state t = (Bytes.sub_string t k_pos 32, Bytes.sub_string t v_pos 32)
 
 let restore ~state:(k, v) =
   if String.length k <> 32 || String.length v <> 32 then
     invalid_arg "Drbg.restore: K and V must be 32 bytes";
-  { k; v }
+  let t = Bytes.make size '\x00' in
+  set_k t k;
+  Bytes.blit_string v 0 t v_pos 32;
+  t
 
 (* --- Convenience draws --------------------------------------------------- *)
 
+(* One block draw each, stream-equivalent to [generate t 1] and
+   [generate t 8] but allocation-free. *)
 let byte t =
-  (* One block draw; stream-equivalent to [generate t 1] but with only
-     the unavoidable HMAC allocations. *)
-  let ctx = Hmac.key t.k in
-  t.v <- Hmac.mac ctx t.v;
-  let b = Char.code t.v.[0] in
-  update t ctx "";
+  next_v t;
+  let b = Char.code (Bytes.get t v_pos) in
+  finish_draw t;
   b
 
 let bits62 t =
-  let ctx = Hmac.key t.k in
-  t.v <- Hmac.mac ctx t.v;
-  let v = t.v in
-  let acc = ref 0 in
-  for i = 0 to 7 do
-    acc := (!acc lsl 8) lor Char.code (String.unsafe_get v i)
-  done;
-  update t ctx "";
-  !acc land max_int
+  next_v t;
+  let v = Int64.to_int (Bytes.get_int64_be t v_pos) in
+  finish_draw t;
+  v land max_int
 
 let int_below t n =
   if n <= 0 then invalid_arg "Drbg.int_below: bound must be positive";
   (* Rejection sampling for an unbiased draw. *)
   let limit = max_int - (max_int mod n) in
-  let rec go () =
-    let v = bits62 t in
-    if v < limit then v mod n else go ()
-  in
-  go ()
+  let v = ref (bits62 t) in
+  while !v >= limit do
+    v := bits62 t
+  done;
+  !v mod n
 
 let int_range t lo hi =
   if hi < lo then invalid_arg "Drbg.int_range: empty range";

@@ -4,6 +4,9 @@
     simulation and key generation reproducible. *)
 
 type t
+(** A generator: K, K's HMAC context and V in one buffer, updated in place
+    by every draw. A one-block draw costs 8 SHA-256 compressions and
+    allocates only its output. *)
 
 val create : seed:string -> t
 val of_int_seed : int -> t

@@ -450,6 +450,24 @@ let build_comb c f =
 
 let p256_prime = Bignum.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
 
+(* The curve record without the one-word ladder, so every multiplication
+   runs on {!Reference}. *)
+let plain_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
+  let fctx = F.create p in
+  {
+    name;
+    fctx;
+    a = F.of_bignum fctx a;
+    b = F.of_bignum fctx b;
+    a_is_minus3 = Bignum.equal a (Bignum.sub_int p 3);
+    gx;
+    gy;
+    n;
+    h;
+    n_mont = lazy (Bignum.mont_of_modulus n);
+    fast = None;
+  }
+
 let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
   let word =
     if Bignum.equal p p256_prime then None
@@ -459,22 +477,7 @@ let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
       | exception Invalid_argument _ ->
           invalid_arg "Ec.make_curve: field prime must be P-256's or an odd prime below 2^61"
   in
-  let fctx = F.create p in
-  let c =
-    {
-      name;
-      fctx;
-      a = F.of_bignum fctx a;
-      b = F.of_bignum fctx b;
-      a_is_minus3 = Bignum.equal a (Bignum.sub_int p 3);
-      gx;
-      gy;
-      n;
-      h;
-      n_mont = lazy (Bignum.mont_of_modulus n);
-      fast = None;
-    }
-  in
+  let c = plain_curve ~name ~p ~a ~b ~gx ~gy ~n ~h in
   match word with
   | None -> c
   | Some f ->
@@ -575,12 +578,13 @@ let generate_small_uncached ~bits ~seed =
       let yf = F.pow fctx z sqrt_exp in
       let y = F.to_bignum fctx yf in
       let c =
-        make_curve ~name ~p ~a:Bignum.one ~b:Bignum.zero ~gx:(F.to_bignum fctx xf) ~gy:y ~n:q
+        plain_curve ~name ~p ~a:Bignum.one ~b:Bignum.zero ~gx:(F.to_bignum fctx xf) ~gy:y ~n:q
           ~h:4
       in
-      (* Clear the cofactor to land in the order-q subgroup. Rebuild the
-         curve around the new base point so the fixed-base comb matches. *)
-      match scalar_mult c (Bignum.of_int 4) (Affine (F.to_bignum fctx xf, y)) with
+      (* Clear the cofactor to land in the order-q subgroup, on the plain
+         ladder: the fixed-base comb is built once, around the cleared
+         point. *)
+      match scalar_mult c (Bignum.of_int 4) (base_point c) with
       | Inf -> find_g ()
       | Affine (gx, gy) -> make_curve ~name ~p ~a:Bignum.one ~b:Bignum.zero ~gx ~gy ~n:q ~h:4
     end
@@ -634,18 +638,20 @@ let point_of_bytes c s =
 
 let public_bytes kp = point_bytes kp.curve kp.pub
 
-let shared_secret kp ~peer_pub =
+let agree c priv ~peer_pub =
   match peer_pub with
   | Inf -> Error "ec: peer public is infinity"
-  | Affine _ when not (on_curve kp.curve peer_pub) -> Error "ec: peer point not on curve"
-  | Affine _ when small_order kp.curve peer_pub ->
+  | Affine _ when not (on_curve c peer_pub) -> Error "ec: peer point not on curve"
+  | Affine _ when small_order c peer_pub ->
       (* A point killed by the cofactor would confine the secret to a
          handful of values, and which of them (or whether infinity)
          depends on the private key's low bits. *)
       Error "ec: peer point of small order"
   | Affine _ -> (
-      match scalar_mult kp.curve kp.priv peer_pub with
+      match scalar_mult c priv peer_pub with
       | Inf -> Error "ec: degenerate shared point"
       | Affine (x, _) ->
           (* TLS uses the x-coordinate of the shared point. *)
-          Ok (Bignum.to_bytes_be ~len:(field_len kp.curve) x))
+          Ok (Bignum.to_bytes_be ~len:(field_len c) x))
+
+let shared_secret kp ~peer_pub = agree kp.curve kp.priv ~peer_pub

@@ -95,12 +95,14 @@ val point_of_bytes : curve -> string -> (point, string) result
 
 val public_bytes : keypair -> string
 
-val shared_secret : keypair -> peer_pub:point -> (string, string) result
-(** The x-coordinate of the shared point, as TLS uses it. Rejects
-    infinity, off-curve points, and on curves with cofactor h > 1 every
-    point of small order (h·Q = O), which would confine the secret to a
-    few values chosen by the private key's low bits; also rejects a
-    degenerate (infinite) shared point.
+val agree : curve -> Bignum.t -> peer_pub:point -> (string, string) result
+(** [agree c priv ~peer_pub] is the x-coordinate of [priv]·Q for the
+    peer's point Q, as TLS uses it. Rejects infinity, off-curve points,
+    and on curves with cofactor h > 1 every point of small order
+    (h·Q = O), which would confine the secret to a few values chosen by
+    the private key's low bits; also rejects a degenerate (infinite)
+    shared point. Every ECDH in the library, ephemeral or static, goes
+    through it.
 
     Full SEC 1 v2 §3.2.2.1 validation (n·Q = O) is not done on cofactor
     curves: it is a second scalar multiplication per shared secret
@@ -109,3 +111,6 @@ val shared_secret : keypair -> peer_pub:point -> (string, string) result
     accepted, and a peer who sends one can learn the private key modulo
     h (two bits for h = 4) by trying h candidate secrets. The
     simulation's peers are honest and never send such points. *)
+
+val shared_secret : keypair -> peer_pub:point -> (string, string) result
+(** [agree] with the key pair's curve and private scalar. *)

@@ -58,15 +58,7 @@ let verify ~curve ~pub ~msg { r; s } =
    directly for key agreement, as in the TLS ECDH_ECDSA suites. This is the
    non-forward-secret exchange of the paper — the long-term key decrypts
    everything, forever. *)
-let ecdh kp ~peer_pub =
-  match peer_pub with
-  | Ec.Inf -> Error "ecdh: peer public is infinity"
-  | Ec.Affine _ when not (Ec.on_curve kp.curve peer_pub) -> Error "ecdh: peer point not on curve"
-  | Ec.Affine _ -> (
-      match Ec.scalar_mult kp.curve kp.priv peer_pub with
-      | Ec.Inf -> Error "ecdh: degenerate shared point"
-      | Ec.Affine (x, _) ->
-          Ok (B.to_bytes_be ~len:((B.num_bits (Ec.curve_p kp.curve) + 7) / 8) x))
+let ecdh kp ~peer_pub = Ec.agree kp.curve kp.priv ~peer_pub
 
 (* Fixed-width (r, s) concatenation; width follows the group order. *)
 let order_len curve = (B.num_bits (Ec.curve_order curve) + 7) / 8

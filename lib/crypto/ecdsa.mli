@@ -8,7 +8,8 @@ val public_key : keypair -> Ec.point
 val curve : keypair -> Ec.curve
 
 val ecdh : keypair -> peer_pub:Ec.point -> (string, string) result
-(** Static ECDH using the signing key, as in the TLS ECDH_ECDSA suites. *)
+(** Static ECDH using the signing key, as in the TLS ECDH_ECDSA suites,
+    with {!Ec.agree}'s checks on the peer's point. *)
 
 val sign : keypair -> Drbg.t -> string -> signature
 val verify : curve:Ec.curve -> pub:Ec.point -> msg:string -> signature -> bool

@@ -25,9 +25,9 @@ val block_size : int
 
 (** {2 Midstates}
 
-    A midstate is the 32-byte chaining value after whole blocks. HMAC
-    absorbs its two key pads once per key and resumes from them for every
-    message. *)
+    A midstate is the 32-byte chaining value after whole blocks, big-endian
+    as in a digest. HMAC absorbs its two key pads once per key and resumes
+    from them for every message. *)
 
 val midstate_of_block : Bytes.t -> Bytes.t -> pos:int -> unit
 (** [midstate_of_block block dst ~pos] writes into [dst] at [pos] the
@@ -36,3 +36,14 @@ val midstate_of_block : Bytes.t -> Bytes.t -> pos:int -> unit
 val of_midstate : string -> pos:int -> t
 (** [of_midstate s ~pos] is the state that has absorbed one block whose
     midstate is the 32 bytes of [s] at [pos]. *)
+
+val max_short : int
+(** 55: the longest tail that fits in one final block with its padding. *)
+
+val finish_short : Bytes.t -> int -> Bytes.t -> pos:int -> len:int -> Bytes.t -> at:int -> unit
+(** [finish_short mid mpos msg ~pos ~len dst ~at] writes into [dst] at
+    [at] the digest of a message whose first 64-byte block has the
+    midstate at [mid.(mpos)] and whose remaining [len] bytes are those of
+    [msg] at [pos], in one compression and without allocating. [dst] may
+    overlap [msg] or the midstate. Raises [Invalid_argument] unless
+    [0 <= len <= max_short]. *)

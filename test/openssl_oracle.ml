@@ -1,7 +1,9 @@
 (* Differential oracle: SHA-256, HMAC-SHA256, the TLS 1.2 PRF and
    HKDF-Expand against the `openssl` command-line tool, over inputs drawn
    from a fixed qcheck seed. Keys run past the 64-byte block (so HMAC
-   hashes them first) and messages cross block boundaries. ECDH runs on
+   hashes them first) and messages cross block boundaries; HMAC under a
+   32-byte key also runs at every message length 0-64, across the
+   one-block limit at 55 bytes. ECDH runs on
    P-256 and on the 52-, 53- and 61-bit simulation curves against keys
    `openssl genpkey` generates and `openssl pkeyutl -derive`.
 
@@ -73,6 +75,24 @@ let hmac openssl =
       check "hmac-sha256" ~input:(hex key ^ " / " ^ hex msg) ~expected
         ~actual:(Crypto.Hmac.sha256 ~key msg))
     (draw QCheck2.Gen.(pair (nonempty_bytes_gen ~max:150) (bytes_gen ~max:300)))
+
+(* A 32-byte key, the DRBG's, at every message length 0-64: the one-block
+   path ends at 55 bytes and the block at 64. Its own random state, so
+   the draws of every other section stay as they were. *)
+let hmac_lengths openssl =
+  let rand = Random.State.make [| 0x0552 |] in
+  let exactly n = QCheck2.Gen.generate1 ~rand QCheck2.Gen.(string_size ~gen:char (pure n)) in
+  let key = exactly 32 in
+  let ctx = Crypto.Hmac.key key in
+  for len = 0 to 64 do
+    let msg = exactly len in
+    let expected =
+      with_file msg (fun f ->
+          run openssl [ "dgst"; "-sha256"; "-mac"; "HMAC"; "-macopt"; "hexkey:" ^ hex key; "-binary"; f ])
+    in
+    check "hmac-sha256 (32-byte key)" ~input:(hex key ^ " / " ^ hex msg) ~expected
+      ~actual:(Crypto.Hmac.mac ctx msg)
+  done
 
 let kdf openssl ~keylen opts name =
   run openssl
@@ -193,6 +213,7 @@ let () =
   | Some openssl ->
       sha256 openssl;
       hmac openssl;
+      hmac_lengths openssl;
       tls1_prf openssl;
       hkdf_expand openssl;
       let curves = ecdh_curves () in
@@ -202,5 +223,6 @@ let () =
         exit 1
       end;
       Printf.printf
-        "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; ecdh agrees on %s\n"
+        "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; hmac agrees at \
+         every length 0-64; ecdh agrees on %s\n"
         cases (String.concat ", " (List.map fst curves))

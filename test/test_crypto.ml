@@ -122,6 +122,58 @@ let test_hmac_vectors () =
       (Crypto.Hmac.mac_parts ctx [ "Test Using Larger Than "; "Block-Size Key - Hash Key First" ])
   done
 
+(* HMAC as RFC 2104 writes it, over nothing but [Sha256.digest]. *)
+let textbook_hmac key msg =
+  let key = if String.length key > 64 then Crypto.Sha256.digest key else key in
+  let pad c =
+    String.init 64 (fun i -> Char.chr (c lxor if i < String.length key then Char.code key.[i] else 0))
+  in
+  Crypto.Sha256.digest (pad 0x5c ^ Crypto.Sha256.digest (pad 0x36 ^ msg))
+
+(* Message lengths 0-130 cross the one-block limit (55 bytes), the block
+   boundary and the padding spill, under a key shorter and one longer
+   than a block. [mac_parts] gets random splits, empty parts included;
+   [mac_into] runs at unaligned offsets with its output over the
+   message. *)
+let test_hmac_textbook () =
+  let rand = Random.State.make [| 2104 |] in
+  List.iter
+    (fun key_len ->
+      let key = String.init key_len (fun i -> Char.chr (((i * 13) + 1) land 0xff)) in
+      let ctx = Crypto.Hmac.key key in
+      for len = 0 to 130 do
+        let msg = String.init len (fun i -> Char.chr (((i * 7) + len) land 0xff)) in
+        let want = Wire.Hex.encode (textbook_hmac key msg) in
+        let label what = Printf.sprintf "%s, %d-byte key, %d-byte message" what key_len len in
+        check_hex (label "mac") want (Crypto.Hmac.mac ctx msg);
+        let cuts =
+          List.sort compare (List.init (Random.State.int rand 4) (fun _ -> Random.State.int rand (len + 1)))
+        in
+        let rec split from = function
+          | [] -> [ String.sub msg from (len - from) ]
+          | c :: rest -> String.sub msg from (c - from) :: split c rest
+        in
+        check_hex (label "mac_parts") want (Crypto.Hmac.mac_parts ctx (split 0 cuts));
+        if len <= Crypto.Sha256.max_short && key_len <= 64 then begin
+          let buf = Bytes.make 200 '\x00' in
+          Bytes.blit_string key 0 buf 1 key_len;
+          let ctx_at = key_len + 3 and msg_at = 101 in
+          Crypto.Hmac.key_into buf ~pos:1 ~len:key_len buf ~at:ctx_at;
+          Bytes.blit_string msg 0 buf msg_at len;
+          let at = msg_at + (len / 2) in
+          Crypto.Hmac.mac_into buf ~ctx:ctx_at buf ~pos:msg_at ~len buf ~at;
+          check_hex (label "mac_into") want (Bytes.sub_string buf at 32)
+        end
+      done)
+    [ 32; 70 ];
+  let buf = Bytes.make 200 '\x00' in
+  Alcotest.check_raises "mac_into refuses a second block"
+    (Invalid_argument "Sha256.finish_short: message longer than 55 bytes") (fun () ->
+      Crypto.Hmac.mac_into buf ~ctx:0 buf ~pos:64 ~len:56 buf ~at:64);
+  Alcotest.check_raises "key_into refuses a long key"
+    (Invalid_argument "Hmac.key_into: key longer than a block") (fun () ->
+      Crypto.Hmac.key_into buf ~pos:0 ~len:65 buf ~at:100)
+
 let test_hmac_ct_equal () =
   Alcotest.(check bool) "equal" true (Crypto.Hmac.equal_ct "same-bytes" "same-bytes");
   Alcotest.(check bool) "different" false (Crypto.Hmac.equal_ct "same-bytes" "same-bytez");
@@ -524,6 +576,71 @@ let test_drbg_stream_pinned () =
   add (D.generate rng 65);
   check_hex "stream digest" "dafe0cad31e609035bfc8c64ad967a34c8a65e69ce27fa46555c12e1238f88eb"
     (Crypto.Sha256.digest (Buffer.contents out))
+
+(* A random script over the generator's entry points, cut at a random
+   point by [restore (state t)], must go on byte for byte as if never cut:
+   the snapshot is the whole state, the stored HMAC context included. *)
+type drbg_op =
+  | Generate of int
+  | Byte
+  | Int_below of int
+  | Float01
+  | Bignum_below
+  | Fork of string
+  | Reseed of string
+
+let drbg_op_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun n -> Generate n) (int_range 0 100);
+        pure Byte;
+        map (fun n -> Int_below n) (int_range 1 1_000_000);
+        pure Float01;
+        pure Bignum_below;
+        map (fun s -> Fork s) (string_size ~gen:printable (int_range 0 40));
+        map (fun s -> Reseed s) (string_size ~gen:printable (int_range 1 80));
+      ])
+
+let print_drbg_op = function
+  | Generate n -> Printf.sprintf "generate %d" n
+  | Byte -> "byte"
+  | Int_below n -> Printf.sprintf "int_below %d" n
+  | Float01 -> "float01"
+  | Bignum_below -> "bignum_below"
+  | Fork l -> Printf.sprintf "fork %S" l
+  | Reseed e -> Printf.sprintf "reseed %S" e
+
+let run_drbg_op t op =
+  let module D = Crypto.Drbg in
+  match op with
+  | Generate n -> D.generate t n
+  | Byte -> string_of_int (D.byte t)
+  | Int_below n -> string_of_int (D.int_below t n)
+  | Float01 -> Printf.sprintf "%h" (D.float01 t)
+  | Bignum_below -> B.to_decimal (D.bignum_below t (B.of_decimal "340282366920938463463374607431768211507"))
+  | Fork label -> D.generate (D.fork t ~label) 40
+  | Reseed e ->
+      D.reseed t e;
+      ""
+
+let prop_drbg_restore_continues =
+  QCheck2.Test.make ~name:"restore (state t) continues the stream" ~count:200
+    ~print:QCheck2.Print.(pair (list print_drbg_op) int)
+    QCheck2.Gen.(pair (list_size (int_range 1 25) drbg_op_gen) (int_range 0 25))
+    (fun (ops, cut) ->
+      let module D = Crypto.Drbg in
+      let whole = D.create ~seed:"drbg-script" in
+      let straight = List.map (run_drbg_op whole) ops in
+      let t = ref (D.create ~seed:"drbg-script") in
+      let resumed =
+        List.mapi
+          (fun i op ->
+            if i = cut then t := D.restore ~state:(D.state !t);
+            run_drbg_op !t op)
+          ops
+      in
+      straight = resumed && D.state whole = D.state !t)
 
 let prop_drbg_int_below =
   QCheck2.Test.make ~name:"int_below stays in range" ~count:300
@@ -988,6 +1105,41 @@ let test_ecdsa_static_ecdh () =
   | Ok za, Ok zb -> Alcotest.(check string) "static ecdh agreement" za zb
   | Error e, _ | _, Error e -> Alcotest.fail e
 
+(* The static ECDH of the ECDH_ECDSA suites must refuse the same small-
+   order points as [Ec.shared_secret], for odd and even keys alike (k·Q
+   for Q = (0, 0) is Q or infinity by k's parity), and without a counted
+   multiplication. [Ecdsa.gen_keypair] draws its key with
+   [bignum_in_group], so a restored copy of the generator shows which key
+   each pair holds. *)
+let test_ecdsa_ecdh_rejects_small_order () =
+  let c = ecdsa_curve in
+  let t4 = order4_point c in
+  let small = [ ("(0, 0)", Ec.Affine (B.zero, B.zero)); ("order-4", t4); ("-order-4", Ec.neg c t4) ] in
+  let rng = Crypto.Drbg.create ~seed:"ecdsa-small-order" in
+  let keys =
+    List.init 8 (fun _ ->
+        let priv =
+          Crypto.Drbg.bignum_in_group (Crypto.Drbg.restore ~state:(Crypto.Drbg.state rng)) (Ec.curve_order c)
+        in
+        (B.to_int_exn (B.rem priv (B.of_int 4)), Crypto.Ecdsa.gen_keypair c rng))
+  in
+  Alcotest.(check (list int)) "odd and even keys" [ 0; 1 ]
+    (List.sort_uniq compare (List.map (fun (r, _) -> r land 1) keys));
+  List.iter
+    (fun (label, pt) ->
+      List.iter
+        (fun (residue, kp) ->
+          let before = Obs.Kernel.snapshot () in
+          (match Crypto.Ecdsa.ecdh kp ~peer_pub:pt with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s accepted for a private key = %d mod 4" label residue);
+          let moved =
+            List.filter (fun (_, d) -> d <> 0) (Obs.Kernel.diff ~before ~after:(Obs.Kernel.snapshot ()))
+          in
+          Alcotest.(check (list (pair string int))) (label ^ ": no kernel counted") [] moved)
+        keys)
+    small
+
 let prop_ecdsa_sign_verify =
   QCheck2.Test.make ~name:"ecdsa sign/verify" ~count:50
     QCheck2.Gen.(pair small_int (string_size (int_range 0 100)))
@@ -1051,6 +1203,7 @@ let () =
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors;
+          Alcotest.test_case "textbook at every length" `Quick test_hmac_textbook;
           Alcotest.test_case "constant-time equal" `Quick test_hmac_ct_equal;
         ] );
       ( "aes",
@@ -1098,7 +1251,7 @@ let () =
           Alcotest.test_case "stream pinned" `Quick test_drbg_stream_pinned;
           Alcotest.test_case "weighted" `Quick test_drbg_weighted;
         ] );
-      qsuite "drbg-properties" [ prop_drbg_int_below ];
+      qsuite "drbg-properties" [ prop_drbg_int_below; prop_drbg_restore_continues ];
       ("prf", [ Alcotest.test_case "shapes" `Quick test_prf_shapes ]);
       ( "dh",
         [
@@ -1130,6 +1283,7 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_ecdsa_roundtrip;
           Alcotest.test_case "signature codec" `Quick test_ecdsa_signature_codec;
           Alcotest.test_case "static ecdh" `Quick test_ecdsa_static_ecdh;
+          Alcotest.test_case "static ecdh small-order rejection" `Quick test_ecdsa_ecdh_rejects_small_order;
         ] );
       qsuite "ecdsa-properties" [ prop_ecdsa_sign_verify ];
       ( "x25519",
