@@ -16,6 +16,38 @@ let fraction points pred =
     List.fold_left (fun acc p -> if pred p.value then acc +. p.weight else acc) 0.0 points
     /. total
 
+(* Horvitz-Thompson standard error of a weighted share. A share is a
+   ratio Y/X of two HT totals, so its variance is that of the total of
+   the residuals e = y - share over the population (Taylor
+   linearization), divided by X^2. Only the uniform stratum varies:
+   with n of its N = n * w units sampled, Var = N^2 (1 - n/N) s_e^2 / n,
+   where s_e^2 is the residuals' sample variance over all n units, the
+   ones outside the population contributing e = 0. *)
+type design = { tail_sampled : int; tail_weight : float }
+type estimate = { share : float; se : float }
+
+let ht_share design points pred =
+  let total = total_weight points in
+  let share = fraction points pred in
+  let n = float_of_int design.tail_sampled in
+  if total <= 0.0 || n < 2.0 then { share; se = 0.0 }
+  else begin
+    let sum = ref 0.0 and sum_sq = ref 0.0 in
+    List.iter
+      (fun p ->
+        if p.weight = design.tail_weight then begin
+          let e = (if pred p.value then 1.0 else 0.0) -. share in
+          sum := !sum +. e;
+          sum_sq := !sum_sq +. (e *. e)
+        end)
+      points;
+    let mean = !sum /. n in
+    let s2 = Float.max 0.0 ((!sum_sq -. (n *. mean *. mean)) /. (n -. 1.0)) in
+    let big_n = n *. design.tail_weight in
+    let var = big_n *. big_n *. Float.max 0.0 (1.0 -. (n /. big_n)) *. s2 /. n /. (total *. total) in
+    { share; se = sqrt var }
+  end
+
 (* An empirical CDF: sorted (value, cumulative fraction) steps. *)
 type cdf = (float * float) list
 

@@ -10,6 +10,25 @@ val total_weight : weighted list -> float
 val fraction : weighted list -> (float -> bool) -> float
 (** Weighted share of points satisfying the predicate (0 on empty). *)
 
+(** {2 Design-based standard errors} *)
+
+type design = { tail_sampled : int; tail_weight : float }
+(** The world's stratified sample: [tail_sampled] units drawn uniformly
+    from the rest of the Top Million, each of weight [tail_weight], plus
+    certainty units (ranks 1-1000 and named samples, weight 1) that
+    represent only themselves. *)
+
+type estimate = { share : float; se : float }
+
+val ht_share : design -> weighted list -> (float -> bool) -> estimate
+(** [ht_share design points pred] is [fraction points pred] with its
+    Horvitz-Thompson standard error: the linearized variance of the
+    ratio estimator, from the uniform stratum alone (certainty units add
+    none), with the finite-population correction. A point belongs to
+    the stratum when its weight is [tail_weight]; the stratum's units
+    that are not among [points] count as zero residuals. [se] is 0 on
+    empty input or a stratum of fewer than two units. *)
+
 type cdf = (float * float) list
 (** Sorted (value, cumulative fraction) steps. *)
 

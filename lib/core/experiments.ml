@@ -23,25 +23,11 @@ let weighted_count results pred =
       if pred r then acc +. r.Scanner.Burst_scan.weight else acc)
     0.0 results
 
-let burst_trusted (r : Scanner.Burst_scan.domain_result) =
-  r.Scanner.Burst_scan.trusted && r.Scanner.Burst_scan.successes > 0
-
 (* --- Table 1 -------------------------------------------------------------------- *)
 
 let table1 study =
   let r_dhe, r_ecdhe, r_ticket = Study.table1_bursts study in
-  (* Trust is established by the default (all-suites) scan; the DHE-only
-     and ECDHE-only scans cannot judge domains that refuse their offer,
-     so every block shares the same browser-trusted denominator, as in
-     the paper. *)
-  let trusted_set = Hashtbl.create 4096 in
-  List.iter
-    (fun (r : Scanner.Burst_scan.domain_result) ->
-      if burst_trusted r then Hashtbl.replace trusted_set r.Scanner.Burst_scan.domain ())
-    r_ticket;
-  let in_trusted (r : Scanner.Burst_scan.domain_result) =
-    Hashtbl.mem trusted_set r.Scanner.Burst_scan.domain
-  in
+  let in_trusted = Study.table1_trusted study in
   let block name results ~support ~field (paper : string list) =
     let total = weighted_count results (fun _ -> true) in
     let trusted = weighted_count results in_trusted in

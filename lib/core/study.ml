@@ -118,6 +118,20 @@ let table1_bursts t =
       t.table1_bursts <- Some r;
       r
 
+(* Table 1's shared denominator. Trust is established by the default
+   (all-suites) burst: the DHE-only and ECDHE-only bursts cannot judge
+   domains that refuse their offer, so every block counts against the
+   same browser-trusted set, as in the paper. *)
+let table1_trusted t =
+  let _, _, r_ticket = table1_bursts t in
+  let trusted = Hashtbl.create 4096 in
+  List.iter
+    (fun (r : Scanner.Burst_scan.domain_result) ->
+      if r.Scanner.Burst_scan.trusted && r.Scanner.Burst_scan.successes > 0 then
+        Hashtbl.replace trusted r.Scanner.Burst_scan.domain ())
+    r_ticket;
+  fun (r : Scanner.Burst_scan.domain_result) -> Hashtbl.mem trusted r.Scanner.Burst_scan.domain
+
 let fig1_results t =
   match t.fig1_results with
   | Some r -> r

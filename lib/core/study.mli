@@ -54,6 +54,11 @@ val table1_bursts :
   * Scanner.Burst_scan.domain_result list
 (** DHE-only, ECDHE-only and default (ticket) 10-connection bursts. *)
 
+val table1_trusted : t -> Scanner.Burst_scan.domain_result -> bool
+(** Table 1's shared denominator: whether a burst result's domain
+    completed a browser-trusted handshake in the default (all-suites)
+    burst. Every Table 1 block counts against this one set. *)
+
 val fig1_results : t -> Scanner.Resumption_scan.domain_result list
 val fig2_results : t -> Scanner.Resumption_scan.domain_result list
 val cross_probe : t -> Scanner.Cross_probe.result
