@@ -85,37 +85,37 @@ let modp2048 =
 
 (* Each kernel is timed twice under the same loop: the optimized path and
    the verbatim seed-era reference; the ratio is the recorded speedup.
-   Inputs are DRBG-derived so runs are reproducible, and each pair is
+   Inputs are Rng-derived so runs are reproducible, and each pair is
    checked for agreement before timing — a bench that measures a wrong
    kernel fast is worse than no bench. *)
 let kernel_benches () =
   let module B = Crypto.Bignum in
   let module Ec = Crypto.Ec in
-  let rng = Crypto.Drbg.create ~seed:"bench-kernels" in
+  let rng = Crypto.Rng.create ~seed:"bench-kernels" in
   let ctx2048 = B.mont_of_modulus modp2048 in
-  let base2048 = Crypto.Drbg.bignum_below rng modp2048 in
-  let e256 = B.of_bytes_be (Crypto.Drbg.generate rng 32) in
+  let base2048 = Crypto.Rng.bignum_below rng modp2048 in
+  let e256 = B.of_bytes_be (Crypto.Rng.generate rng 32) in
   let fb2048 = B.fixed_base ctx2048 B.two ~max_bits:256 in
   let sim_group = Crypto.Dh.generate ~bits:64 ~seed:"bench" in
   let sim_p = Crypto.Dh.group_p sim_group in
   let sim_ctx = B.mont_of_modulus sim_p in
-  let sim_base = Crypto.Drbg.bignum_below rng sim_p in
-  let sim_e = B.of_bytes_be (Crypto.Drbg.generate rng 8) in
+  let sim_base = Crypto.Rng.bignum_below rng sim_p in
+  let sim_e = B.of_bytes_be (Crypto.Rng.generate rng 8) in
   let sim_curve = Ec.generate_small ~bits:61 ~seed:"bench" in
-  let k_sim = Crypto.Drbg.bignum_below rng (Ec.curve_order sim_curve) in
+  let k_sim = Crypto.Rng.bignum_below rng (Ec.curve_order sim_curve) in
   let q_sim = Ec.Reference.scalar_mult_base sim_curve (B.of_int 7919) in
   (* 2^31 - 1: the largest modulus the native-word pow_mod fast path
      accepts; exercises the skip-Montgomery-entirely branch. *)
   let m31 = B.of_int 0x7fffffff in
   let ctx31 = B.mont_of_modulus m31 in
-  let base31 = Crypto.Drbg.bignum_below rng m31 in
-  let e31 = B.of_bytes_be (Crypto.Drbg.generate rng 8) in
+  let base31 = Crypto.Rng.bignum_below rng m31 in
+  let e31 = B.of_bytes_be (Crypto.Rng.generate rng 8) in
   (* The one-word backend of the simulation curves against the generic
      Montgomery field on the same 61-bit prime. *)
   let sim_p = Ec.curve_p sim_curve in
   let wf = Crypto.Word_field.create sim_p in
   let fsim = B.Field.create sim_p in
-  let sa = Crypto.Drbg.bignum_below rng sim_p and sb = Crypto.Drbg.bignum_below rng sim_p in
+  let sa = Crypto.Rng.bignum_below rng sim_p and sb = Crypto.Rng.bignum_below rng sim_p in
   let wa = Crypto.Word_field.of_bignum wf sa and wb = Crypto.Word_field.of_bignum wf sb in
   let ga_sim = B.Field.of_bignum fsim sa and gb_sim = B.Field.of_bignum fsim sb in
   let bn name f g = (name, (fun () -> ignore (Sys.opaque_identity (f ()))), (fun () -> ignore (Sys.opaque_identity (g ()))), B.equal (f ()) (g ())) in
@@ -285,7 +285,7 @@ let microbenches () =
   let budget_ms = bench_ms () in
   let open Bechamel in
   let env = Tls.Config.sim_env () in
-  let rng = Crypto.Drbg.create ~seed:"bench" in
+  let rng = Crypto.Rng.create ~seed:"bench" in
   (* A self-contained client/server pair at simulation parameters. *)
   let ca =
     Tls.Cert.self_signed ~curve:env.Tls.Config.pki_curve ~name:"Bench CA" ~not_before:0
@@ -321,7 +321,7 @@ let microbenches () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"bench-server")
+      ~rng:(Crypto.Rng.create ~seed:"bench-server")
   in
   let client =
     Tls.Client.create
@@ -335,7 +335,7 @@ let microbenches () =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"bench-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"bench-client") ()
   in
   let connect server offer () =
     let o = Tls.Engine.connect client server ~now:1 ~hostname:"bench.example" ~offer in
@@ -383,7 +383,8 @@ let microbenches () =
   let oakley_kp = Crypto.Dh.gen_keypair Crypto.Dh.oakley2 rng in
   let oakley_pub = Crypto.Bignum.of_bytes_be (Crypto.Dh.public_bytes oakley_kp) in
   let x_kp = Crypto.X25519.gen_keypair rng in
-  let drbg = Crypto.Drbg.create ~seed:"bench-drbg" in
+  let rng_draws = Crypto.Rng.create ~seed:"bench-rng" in
+  let rng_parent = Crypto.Rng.state (Crypto.Rng.create ~seed:"bench-rng-parent") in
   let sha_block = Bytes.make Crypto.Sha256.block_size 'b' in
   let sha_out = Bytes.create Crypto.Sha256.digest_size in
   let mac_ctx = Crypto.Hmac.key (String.make 32 'k') in
@@ -442,16 +443,20 @@ let microbenches () =
       Test.make ~name:"sym/hmac-sha256-1KiB"
         (Staged.stage (fun () -> ignore (Crypto.Hmac.sha256 ~key:"k" kb)));
       (* The shapes most simulation hashing takes: one compression, a
-         one-block MAC under a kept context, and the two commonest DRBG
-         calls (8 and 12+ compressions). *)
+         one-block MAC under a kept context, and the two commonest Rng
+         calls: a word draw (a quarter of a compression) and a fork (one
+         compression). A parent forks a label once, so each fork comes
+         from a fresh copy of one parent; a restore at a block boundary
+         hashes nothing. *)
       Test.make ~name:"sym/sha256-block"
         (Staged.stage (fun () -> Crypto.Sha256.midstate_of_block sha_block sha_out ~pos:0));
       Test.make ~name:"sym/hmac-sha256-32B"
         (Staged.stage (fun () -> ignore (Crypto.Hmac.mac mac_ctx msg32)));
-      Test.make ~name:"rng/drbg-int_below"
-        (Staged.stage (fun () -> ignore (Crypto.Drbg.int_below drbg 1000)));
-      Test.make ~name:"rng/drbg-fork"
-        (Staged.stage (fun () -> ignore (Crypto.Drbg.fork drbg ~label:"bench")));
+      Test.make ~name:"rng/int_below"
+        (Staged.stage (fun () -> ignore (Crypto.Rng.int_below rng_draws 1000)));
+      Test.make ~name:"rng/fork"
+        (Staged.stage (fun () ->
+             ignore (Crypto.Rng.fork (Crypto.Rng.restore ~state:rng_parent) ~label:"bench")));
     ]
   in
   let grouped = Test.make_grouped ~name:"tlsharm" tests in

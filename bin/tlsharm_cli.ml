@@ -778,7 +778,7 @@ let posture_cmd =
 
 let attack_demo () =
   let env = Tls.Config.sim_env () in
-  let rng = Crypto.Drbg.create ~seed:"attack-demo" in
+  let rng = Crypto.Rng.create ~seed:"attack-demo" in
   let ca =
     Tls.Cert.self_signed ~curve:env.Tls.Config.pki_curve ~name:"Demo CA" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 rng
@@ -817,7 +817,7 @@ let attack_demo () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"demo-server")
+      ~rng:(Crypto.Rng.create ~seed:"demo-server")
   in
   let client =
     Tls.Client.create
@@ -831,7 +831,7 @@ let attack_demo () =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"demo-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"demo-client") ()
   in
   let run ~shortcuts label =
     let server = server ~shortcuts in

@@ -8,7 +8,7 @@ let hex_prefix s n = Wire.Hex.encode (String.sub s 0 (min n (String.length s)))
 
 let () =
   let env = Tls.Config.sim_env () in
-  let rng = Crypto.Drbg.create ~seed:"demo" in
+  let rng = Crypto.Rng.create ~seed:"demo" in
 
   (* A one-domain PKI. *)
   let ca =
@@ -45,7 +45,7 @@ let () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"demo-server")
+      ~rng:(Crypto.Rng.create ~seed:"demo-server")
   in
   let client =
     Tls.Client.create
@@ -59,7 +59,7 @@ let () =
           evaluate_trust = true;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"demo-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"demo-client") ()
   in
 
   (* 1. Full handshake, with a wiretap printing the flights. *)

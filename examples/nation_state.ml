@@ -45,7 +45,7 @@ let () =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"victim") ()
+      ~rng:(Crypto.Rng.create ~seed:"victim") ()
   in
   (* Reach the flagship's server instance through the normal resolution
      path, then wiretap a victim connection to it. *)

@@ -30,9 +30,9 @@ let () =
           allowed_modes = [ Tls.Tls13.Psk_ke; Tls.Tls13.Psk_dhe_ke ];
           max_early_data = 16_384;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"t13-server")
+      ~rng:(Crypto.Rng.create ~seed:"t13-server")
   in
-  let rng = Crypto.Drbg.create ~seed:"t13-client" in
+  let rng = Crypto.Rng.create ~seed:"t13-client" in
 
   (* Bootstrap: a fresh handshake yields the first PSK ticket. *)
   let _, first =
@@ -54,7 +54,7 @@ let () =
     in
     let ch0 =
       {
-        Tls.Tls13.ch_random = Crypto.Drbg.generate rng 32;
+        Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
         ch_key_share = Option.map Crypto.Ec.public_bytes kp;
         ch_psk_identity = Some ticket;
         ch_psk_mode = mode;

@@ -87,10 +87,10 @@ let is_probably_prime ?(rounds = 20) ?rng n =
         d := Bignum.shift_right !d 1;
         incr r
       done;
-      let rng = match rng with Some r -> r | None -> Drbg.create ~seed:"mr-default" in
+      let rng = match rng with Some r -> r | None -> Rng.create ~seed:"mr-default" in
       let witness () =
         (* Draw a in [2, n-2]. *)
-        let a = Drbg.bignum_below rng (Bignum.sub n (Bignum.of_int 3)) in
+        let a = Rng.bignum_below rng (Bignum.sub n (Bignum.of_int 3)) in
         Bignum.add a Bignum.two
       in
       let rec loop k = k = 0 || (miller_rabin_round n ~d:!d ~r:!r (witness ()) && loop (k - 1)) in
@@ -113,9 +113,9 @@ let generate_lock = Mutex.create ()
 
 let generate_uncached ~bits ~seed =
   if bits < 16 || bits > 256 then invalid_arg "Dh.generate: bits out of range";
-  let rng = Drbg.create ~seed:(Printf.sprintf "dh-group:%s:%d" seed bits) in
+  let rng = Rng.create ~seed:(Printf.sprintf "dh-group:%s:%d" seed bits) in
   let rec search () =
-    let raw = Bignum.of_bytes_be (Drbg.generate rng ((bits + 7) / 8)) in
+    let raw = Bignum.of_bytes_be (Rng.generate rng ((bits + 7) / 8)) in
     (* Force the top bit (so q has exactly bits-1 bits) and oddness. *)
     let q =
       Bignum.add
@@ -160,7 +160,7 @@ type keypair = { group : group; priv : Bignum.t; pub : Bignum.t }
 let gen_keypair group rng =
   (* Short exponents: [q_bits] of entropy, never 0 or 1. *)
   let bound = Bignum.shift_left Bignum.one group.q_bits in
-  let priv = Bignum.add_int (Drbg.bignum_below rng (Bignum.sub_int bound 2)) 2 in
+  let priv = Bignum.add_int (Rng.bignum_below rng (Bignum.sub_int bound 2)) 2 in
   let pub = Bignum.pow_mod_fixed group.g_fixed priv in
   { group; priv; pub }
 

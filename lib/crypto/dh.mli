@@ -13,7 +13,7 @@ val oakley2 : group
 (** The real 1024-bit MODP group (RFC 2409 Second Oakley Group),
     generator 2 — the group production DHE deployments shipped. *)
 
-val is_probably_prime : ?rounds:int -> ?rng:Drbg.t -> Bignum.t -> bool
+val is_probably_prime : ?rounds:int -> ?rng:Rng.t -> Bignum.t -> bool
 (** Miller-Rabin with trial division by small primes. *)
 
 val generate : bits:int -> seed:string -> group
@@ -23,7 +23,7 @@ val generate : bits:int -> seed:string -> group
 
 type keypair
 
-val gen_keypair : group -> Drbg.t -> keypair
+val gen_keypair : group -> Rng.t -> keypair
 val public_bytes : keypair -> string
 (** Fixed-width big-endian encoding of the public value, the bytes a TLS
     ServerKeyExchange carries (and the scanner compares for reuse). *)

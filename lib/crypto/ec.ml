@@ -548,9 +548,9 @@ let generate_small_cache : (int * string, curve) Hashtbl.t = Hashtbl.create 8
 
 let generate_small_uncached ~bits ~seed =
   if bits < 24 || bits > W.max_bits then invalid_arg "Ec.generate_small: bits out of range";
-  let rng = Drbg.create ~seed:(Printf.sprintf "ec-curve:%s:%d" seed bits) in
+  let rng = Rng.create ~seed:(Printf.sprintf "ec-curve:%s:%d" seed bits) in
   let rec find_p () =
-    let raw = Bignum.of_bytes_be (Drbg.generate rng ((bits + 7) / 8)) in
+    let raw = Bignum.of_bytes_be (Rng.generate rng ((bits + 7) / 8)) in
     let q =
       Bignum.add
         (Bignum.rem raw (Bignum.shift_left Bignum.one (bits - 3)))
@@ -569,7 +569,7 @@ let generate_small_uncached ~bits ~seed =
   let curve_rhs xf = F.add fctx (F.mul fctx (F.sqr fctx xf) xf) xf in
   let name = Printf.sprintf "sim-ss%d(%s)" bits seed in
   let rec find_g () =
-    let x = Drbg.bignum_below rng p in
+    let x = Rng.bignum_below rng p in
     let xf = F.of_bignum fctx x in
     let z = curve_rhs xf in
     if F.is_zero z then find_g ()
@@ -608,7 +608,7 @@ let keypair_of_private curve priv =
     invalid_arg "Ec.keypair_of_private: scalar outside [1, n-1]";
   { curve; priv; pub = scalar_mult_base curve priv }
 
-let gen_keypair curve rng = keypair_of_private curve (Drbg.bignum_in_group rng curve.n)
+let gen_keypair curve rng = keypair_of_private curve (Rng.bignum_in_group rng curve.n)
 
 let field_len c = (Bignum.num_bits (curve_p c) + 7) / 8
 

@@ -79,7 +79,7 @@ end
 
 type keypair
 
-val gen_keypair : curve -> Drbg.t -> keypair
+val gen_keypair : curve -> Rng.t -> keypair
 
 val keypair_of_private : curve -> Bignum.t -> keypair
 (** The key pair of a given private scalar (for example one generated by

@@ -10,7 +10,7 @@ type signature = { r : B.t; s : B.t }
 
 let gen_keypair curve rng =
   let n = Ec.curve_order curve in
-  let priv = Drbg.bignum_in_group rng n in
+  let priv = Rng.bignum_in_group rng n in
   { curve; priv; pub = Ec.scalar_mult_base curve priv }
 
 let public_key kp = kp.pub
@@ -27,7 +27,7 @@ let sign kp rng msg =
   let n = Ec.curve_order kp.curve in
   let z = hash_to_z kp.curve msg in
   let rec attempt () =
-    let k = Drbg.bignum_in_group rng n in
+    let k = Rng.bignum_in_group rng n in
     match Ec.scalar_mult_base kp.curve k with
     | Ec.Inf -> attempt ()
     | Ec.Affine (x, _) ->

@@ -3,7 +3,7 @@
 type keypair
 type signature
 
-val gen_keypair : Ec.curve -> Drbg.t -> keypair
+val gen_keypair : Ec.curve -> Rng.t -> keypair
 val public_key : keypair -> Ec.point
 val curve : keypair -> Ec.curve
 
@@ -11,7 +11,7 @@ val ecdh : keypair -> peer_pub:Ec.point -> (string, string) result
 (** Static ECDH using the signing key, as in the TLS ECDH_ECDSA suites,
     with {!Ec.agree}'s checks on the peer's point. *)
 
-val sign : keypair -> Drbg.t -> string -> signature
+val sign : keypair -> Rng.t -> string -> signature
 val verify : curve:Ec.curve -> pub:Ec.point -> msg:string -> signature -> bool
 
 val signature_bytes : Ec.curve -> signature -> string

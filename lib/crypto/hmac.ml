@@ -3,20 +3,17 @@
 
    A keyed context is the two midstates after the ipad and opad blocks,
    64 bytes, inner then outer. Building it costs the two pad compressions
-   once per key; every MAC then resumes from it. A message of at most 55
-   bytes fits its padding in one block, so its MAC is one inner and one
-   outer compression straight from the midstates ([mac_into]), staged in
-   per-domain scratch with no hash state built. A [key] is a context in
-   an immutable string, so it can be shared freely, across domains
-   included; [key_into] and [mac_into] work on a context kept in the
-   caller's buffer instead. *)
+   once per key; every MAC then resumes from it. A message of at most
+   119 bytes fits its padding in two blocks, so its MAC is one or two
+   inner compressions and one outer straight from the midstates, staged
+   in per-domain scratch with no hash state built. A [key] is a context
+   in an immutable string, so it can be shared freely, across domains
+   included. *)
 
 type key = string
 
-let context_size = 2 * Sha256.digest_size
-
-(* The pad block [key_into] builds. Nothing in it yields, so one block
-   per domain serves every call. *)
+(* The pad block [key] builds. Nothing in it yields, so one block per
+   domain serves every call. *)
 let pad_block = Domain.DLS.new_key (fun () -> Bytes.create Sha256.block_size)
 
 let xor_block pad m =
@@ -24,36 +21,31 @@ let xor_block pad m =
     Bytes.set_int64_ne pad (8 * i) (Int64.logxor (Bytes.get_int64_ne pad (8 * i)) m)
   done
 
-let[@inline never] key_into src ~pos ~len dst ~at =
-  if len < 0 || len > Sha256.block_size then invalid_arg "Hmac.key_into: key longer than a block";
-  let pad = Domain.DLS.get pad_block in
-  Bytes.blit src pos pad 0 len;
-  Bytes.fill pad len (Sha256.block_size - len) '\x00';
-  xor_block pad 0x3636363636363636L;
-  Sha256.midstate_of_block pad dst ~pos:at;
-  (* ipad bytes into opad bytes. *)
-  xor_block pad 0x6a6a6a6a6a6a6a6aL;
-  Sha256.midstate_of_block pad dst ~pos:(at + Sha256.digest_size)
-
 let[@inline never] key k =
   let k = if String.length k > Sha256.block_size then Sha256.digest k else k in
-  let ctx = Bytes.create context_size in
-  key_into (Bytes.unsafe_of_string k) ~pos:0 ~len:(String.length k) ctx ~at:0;
+  let pad = Domain.DLS.get pad_block in
+  let ctx = Bytes.create (2 * Sha256.digest_size) in
+  Bytes.blit_string k 0 pad 0 (String.length k);
+  Bytes.fill pad (String.length k) (Sha256.block_size - String.length k) '\x00';
+  xor_block pad 0x3636363636363636L;
+  Sha256.midstate_of_block pad ctx ~pos:0;
+  (* ipad bytes into opad bytes. *)
+  xor_block pad 0x6a6a6a6a6a6a6a6aL;
+  Sha256.midstate_of_block pad ctx ~pos:Sha256.digest_size;
   Bytes.unsafe_to_string ctx
 
-let context buf ~pos = Bytes.sub_string buf pos context_size
-
-(* The inner digest goes straight into [dst], and the outer compression
-   reads it back from there as its message. *)
-let[@inline never] mac_into ctx ~ctx:cpos msg ~pos ~len dst ~at =
-  Sha256.finish_short ctx cpos msg ~pos ~len dst ~at;
-  Sha256.finish_short ctx (cpos + Sha256.digest_size) dst ~pos:at ~len:Sha256.digest_size dst ~at
-
-let short ctx msg =
+(* A message of at most [Sha256.max_tail] bytes: its inner hash is the
+   last one or two blocks from the ipad midstate, and the outer hash
+   reads the inner digest back from the tag buffer. *)
+let tail ctx msg ~len =
+  let ctx = Bytes.unsafe_of_string ctx in
   let out = Bytes.create Sha256.digest_size in
-  mac_into (Bytes.unsafe_of_string ctx) ~ctx:0 (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String.length msg)
-    out ~at:0;
+  Sha256.finish_short ctx 0 msg ~pos:0 ~len out ~at:0;
+  Sha256.finish_short ctx Sha256.digest_size out ~pos:0 ~len:Sha256.digest_size out ~at:0;
   Bytes.unsafe_to_string out
+
+(* Where [mac_parts] gathers a tail-sized message. *)
+let gather = Domain.DLS.new_key (fun () -> Bytes.create Sha256.max_tail)
 
 (* HMAC over the concatenation of [parts] without materializing it; the
    record layer MACs (sequence || header) and ciphertext as two parts
@@ -66,11 +58,22 @@ let streamed ctx parts =
   Sha256.finalize outer
 
 let[@inline never] mac ctx msg =
-  if String.length msg <= Sha256.max_short then short ctx msg else streamed ctx [ msg ]
+  let len = String.length msg in
+  if len <= Sha256.max_tail then tail ctx (Bytes.unsafe_of_string msg) ~len else streamed ctx [ msg ]
 
 let[@inline never] mac_parts ctx parts =
-  if List.fold_left (fun n p -> n + String.length p) 0 parts > Sha256.max_short then streamed ctx parts
-  else short ctx (match parts with [ msg ] -> msg | _ -> String.concat "" parts)
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  if len > Sha256.max_tail then streamed ctx parts
+  else begin
+    let buf = Domain.DLS.get gather in
+    ignore
+      (List.fold_left
+         (fun pos p ->
+           Bytes.blit_string p 0 buf pos (String.length p);
+           pos + String.length p)
+         0 parts);
+    tail ctx buf ~len
+  end
 
 let sha256 ~key:k msg = mac (key k) msg
 

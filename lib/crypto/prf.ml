@@ -2,17 +2,18 @@
    HMAC-SHA256, plus the two standard derivations the handshake needs. *)
 
 (* A(i) = HMAC(secret, A(i-1)) with A(0) = seed; output block i is
-   HMAC(secret, A(i) || seed). A(i + 1) is computed only when block i + 1
-   is needed. *)
+   HMAC(secret, A(i) || seed), written straight into the output. A(i + 1)
+   is computed only when block i + 1 is needed. *)
 let p_sha256 ~secret ~seed n =
   let ctx = Hmac.key secret in
-  let buf = Buffer.create n in
-  let rec fill a =
-    Buffer.add_string buf (Hmac.mac_parts ctx [ a; seed ]);
-    if Buffer.length buf < n then fill (Hmac.mac ctx a)
+  let out = Bytes.create n in
+  let rec fill a pos =
+    let block = Hmac.mac_parts ctx [ a; seed ] in
+    Bytes.blit_string block 0 out pos (min Sha256.digest_size (n - pos));
+    if pos + Sha256.digest_size < n then fill (Hmac.mac ctx a) (pos + Sha256.digest_size)
   in
-  if n > 0 then fill (Hmac.mac ctx seed);
-  Buffer.sub buf 0 n
+  if n > 0 then fill (Hmac.mac ctx seed) 0;
+  Bytes.unsafe_to_string out
 
 let prf ~secret ~label ~seed n = p_sha256 ~secret ~seed:(label ^ seed) n
 

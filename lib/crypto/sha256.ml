@@ -265,15 +265,34 @@ let of_midstate (s : string) ~pos =
   }
 
 let max_short = block_size - 9
+let max_tail = (2 * block_size) - 9
 
-(* The staging block of [finish_short]. Nothing in a compression yields,
-   so one block per domain serves every call. *)
-let staging = Domain.DLS.new_key (fun () -> Bytes.create block_size)
+(* The staging blocks of [finish_short] and [digest_short]. Nothing in a
+   compression yields, so one pair per domain serves every call. *)
+let staging = Domain.DLS.new_key (fun () -> Bytes.create (2 * block_size))
 
-let[@inline never] finish_short mid mpos msg ~pos ~len dst ~at =
-  if len < 0 || len > max_short then invalid_arg "Sha256.finish_short: message longer than 55 bytes";
+(* The padded tail of a message of [prefix + len] bytes, whose first
+   [prefix] bytes are already absorbed into the chaining value at
+   [mid.(mpos)]: one block up to [max_short] bytes, two up to
+   [max_tail]. *)
+let[@inline] last_blocks ~what mid mpos ~prefix msg pos len dst at =
+  if len < 0 || len > max_tail then invalid_arg (what ^ ": message longer than 119 bytes");
   let blk = Domain.DLS.get staging in
   Bytes.blit msg pos blk 0 len;
   Bytes.set blk len '\x80';
-  pad_tail blk (len + 1) (block_size + len);
-  compress mid mpos blk 0 dst at
+  if len <= max_short then begin
+    pad_tail blk (len + 1) (prefix + len);
+    compress mid mpos blk 0 dst at
+  end
+  else begin
+    Bytes.fill blk (len + 1) (max_tail - len) '\x00';
+    Bytes.set_int64_be blk ((2 * block_size) - 8) (Int64.of_int ((prefix + len) * 8));
+    compress mid mpos blk 0 dst at;
+    compress dst at blk block_size dst at
+  end
+
+let[@inline never] finish_short mid mpos msg ~pos ~len dst ~at =
+  last_blocks ~what:"Sha256.finish_short" mid mpos ~prefix:block_size msg pos len dst at
+
+let[@inline never] digest_short msg ~pos ~len dst ~at =
+  last_blocks ~what:"Sha256.digest_short" iv 0 ~prefix:0 msg pos len dst at

@@ -40,10 +40,18 @@ val of_midstate : string -> pos:int -> t
 val max_short : int
 (** 55: the longest tail that fits in one final block with its padding. *)
 
+val max_tail : int
+(** 119: the longest tail that fits in two final blocks. *)
+
 val finish_short : Bytes.t -> int -> Bytes.t -> pos:int -> len:int -> Bytes.t -> at:int -> unit
 (** [finish_short mid mpos msg ~pos ~len dst ~at] writes into [dst] at
     [at] the digest of a message whose first 64-byte block has the
     midstate at [mid.(mpos)] and whose remaining [len] bytes are those of
-    [msg] at [pos], in one compression and without allocating. [dst] may
-    overlap [msg] or the midstate. Raises [Invalid_argument] unless
-    [0 <= len <= max_short]. *)
+    [msg] at [pos]: one compression up to {!max_short} bytes, two up to
+    {!max_tail}, and no allocation. [dst] may overlap [msg] or the
+    midstate. Raises [Invalid_argument] unless [0 <= len <= max_tail]. *)
+
+val digest_short : Bytes.t -> pos:int -> len:int -> Bytes.t -> at:int -> unit
+(** [digest_short msg ~pos ~len dst ~at] writes into [dst] at [at] the
+    digest of the [len] bytes of [msg] at [pos], from the standard IV,
+    with {!finish_short}'s costs and limits. [dst] may overlap [msg]. *)

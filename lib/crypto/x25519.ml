@@ -77,7 +77,7 @@ let public_of_private scalar = scalar_mult ~scalar ~u:base_point
 type keypair = { priv : string; pub : string }
 
 let gen_keypair rng =
-  let priv = Drbg.generate rng key_len in
+  let priv = Rng.generate rng key_len in
   { priv; pub = public_of_private priv }
 
 let public_bytes kp = kp.pub

@@ -12,7 +12,7 @@ val public_of_private : string -> string
 
 type keypair
 
-val gen_keypair : Drbg.t -> keypair
+val gen_keypair : Rng.t -> keypair
 val public_bytes : keypair -> string
 
 val shared_secret : keypair -> peer_pub:string -> (string, string) result

@@ -8,7 +8,7 @@
    block being written, and the reader can tell exactly how much of the
    stream is trustworthy:
 
-     #tlsharm-spool v2
+     #tlsharm-spool v3
      #block 0 bytes=N tag=T
      <N bytes of payload>
      #block 1 bytes=M tag=T'
@@ -20,9 +20,25 @@
    (footer present, count matches), an *incomplete* one (the valid block
    prefix is returned; a torn tail, a payload whose tag no longer
    matches, or any non-canonical frame line ends it), and a foreign file
-   (malformed header), which is an error. *)
+   (malformed header), which is an error.
 
-let header = "#tlsharm-spool v2"
+   The version names the payloads as much as the frame: v3 day blocks
+   carry Rng stream positions where v2 carried HMAC-DRBG states, so a v2
+   spool is refused by version rather than misread. *)
+
+let version = 3
+let header = Printf.sprintf "#tlsharm-spool v%d" version
+
+type error = Unreadable of string | Not_a_spool | Old_version of int
+
+let error_to_string ~path = function
+  | Unreadable e -> e
+  | Not_a_spool -> Printf.sprintf "%s: not a spool file (bad header; this build reads %S)" path header
+  | Old_version v ->
+      Printf.sprintf
+        "%s: spool format v%d predates this build's v%d (the simulation's random streams changed); \
+         start the run afresh in a new directory"
+        path v version
 
 type writer = {
   oc : out_channel;
@@ -67,47 +83,54 @@ let close w =
 (* Frame parsing: blocks are consumed while their frames verify. A frame
    line must be exactly what the writer would emit for the values it
    declares, and a payload must match its tag; the first frame that
-   fails either check ends the valid prefix. Only a missing or malformed
-   header is an error, because then nothing about the file can be
-   trusted. *)
+   fails either check ends the valid prefix. Only a missing, malformed or
+   earlier-version header is an error, because then nothing about the
+   file can be trusted. *)
 exception Torn
+
+let line_end content pos =
+  match String.index_from_opt content pos '\n' with Some i -> i | None -> String.length content
+
+let read_blocks content ~from =
+  let len = String.length content in
+  let blocks = ref [] in
+  let n = ref 0 in
+  let complete = ref false in
+  (try
+     let pos = ref from in
+     while !pos < len do
+       let e = line_end content !pos in
+       if e >= len then raise Torn;
+       let marker = String.sub content !pos (e - !pos) in
+       if String.equal marker (footer !n) then begin
+         complete := true;
+         pos := len
+       end
+       else
+         match Scanf.sscanf_opt marker "#block %d bytes=%d tag=%s" (fun i b _ -> (i, b)) with
+         | Some (i, bytes) when i = !n && bytes >= 0 && e + 1 + bytes <= len ->
+             let payload = String.sub content (e + 1) bytes in
+             if not (String.equal marker (block_marker i payload)) then raise Torn;
+             blocks := payload :: !blocks;
+             incr n;
+             pos := e + 1 + bytes
+         | _ -> raise Torn
+     done
+   with Torn -> ());
+  (List.rev !blocks, !complete)
+
+(* An earlier version is recognized only by its exact header line. *)
+let old_version hdr =
+  match Scanf.sscanf_opt hdr "#tlsharm-spool v%u%!" Fun.id with
+  | Some v when v < version && String.equal hdr (Printf.sprintf "#tlsharm-spool v%d" v) -> Some v
+  | _ -> None
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | content ->
-      let len = String.length content in
-      let line_end pos =
-        match String.index_from_opt content pos '\n' with Some i -> i | None -> len
-      in
-      let hdr_end = line_end 0 in
-      if hdr_end >= len || not (String.equal (String.sub content 0 hdr_end) header) then
-        Error
-          (Printf.sprintf "%s: not a spool file (bad header; this build reads %S)" path header)
-      else begin
-        let blocks = ref [] in
-        let n = ref 0 in
-        let complete = ref false in
-        (try
-           let pos = ref (hdr_end + 1) in
-           while !pos < len do
-             let e = line_end !pos in
-             if e >= len then raise Torn;
-             let marker = String.sub content !pos (e - !pos) in
-             if String.equal marker (footer !n) then begin
-               complete := true;
-               pos := len
-             end
-             else
-               match Scanf.sscanf_opt marker "#block %d bytes=%d tag=%s" (fun i b _ -> (i, b)) with
-               | Some (i, bytes) when i = !n && bytes >= 0 && e + 1 + bytes <= len ->
-                   let payload = String.sub content (e + 1) bytes in
-                   if not (String.equal marker (block_marker i payload)) then raise Torn;
-                   blocks := payload :: !blocks;
-                   incr n;
-                   pos := e + 1 + bytes
-               | _ -> raise Torn
-           done
-         with Torn -> ());
-        Ok (List.rev !blocks, !complete)
-      end
+  | exception Sys_error e -> Error (Unreadable e)
+  | content -> (
+      let hdr_end = line_end content 0 in
+      let hdr = String.sub content 0 hdr_end in
+      if hdr_end < String.length content && String.equal hdr header then
+        Ok (read_blocks content ~from:(hdr_end + 1))
+      else match old_version hdr with Some v -> Error (Old_version v) | None -> Error Not_a_spool)

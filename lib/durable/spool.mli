@@ -26,10 +26,20 @@ val close : writer -> unit
 (** Write the end-of-spool footer, fsync, and close. Idempotent. A spool
     without its footer reads back as incomplete. *)
 
-val read : string -> (string list * bool, string) result
+type error =
+  | Unreadable of string  (** the file could not be read *)
+  | Not_a_spool  (** missing or foreign header *)
+  | Old_version of int
+      (** a spool of an earlier format, by its exact header line: v2 day
+          blocks carry HMAC-DRBG states this build cannot continue *)
+
+val error_to_string : path:string -> error -> string
+(** One line naming [path]. *)
+
+val read : string -> (string list * bool, error) result
 (** [read path] returns [(blocks, complete)]: the longest valid prefix
     of blocks, and whether the footer followed it with a matching block
     count. A torn tail, a payload that fails its tag and any frame line
     the writer would not have produced all end the prefix and leave the
-    spool incomplete; only an unreadable file or a missing or foreign
-    header is an [Error]. *)
+    spool incomplete; only an unreadable file, a missing or foreign
+    header, or an earlier version's header is an [Error]. *)

@@ -15,7 +15,7 @@
      stale ticket state)                    -> {!Fault.Protocol_violation}
 
    Every draw is a pure {!Det} hash of the caller's key, so the schedule
-   is stateless like the rest of the injector: no DRBG stream moves, and
+   is stateless like the rest of the injector: no Rng stream moves, and
    decisions are identical at any worker count. The module doubles as a
    continuous totality check — if a codec ever raised on mutated input,
    every byzantine campaign would crash instead of classifying. *)
@@ -29,10 +29,10 @@ module Record = Tls.Record
 
 (* --- Canned templates ------------------------------------------------------ *)
 
-(* Built once from fixed seeds; the DRBGs here are private to template
+(* Built once from fixed seeds; the generators here are private to template
    construction and never touch simulation streams. *)
 
-let template_rng label = Crypto.Drbg.create ~seed:("byzantine-template|" ^ label)
+let template_rng label = Crypto.Rng.create ~seed:("byzantine-template|" ^ label)
 
 let template_stek =
   Stek.derive ~secret:"byzantine-template-stek" ~period:(14 * 3600) ~now:86400
@@ -43,8 +43,8 @@ let find_stek name =
 let template_session =
   let rng = template_rng "session" in
   Session.make
-    ~id:(Crypto.Drbg.generate rng Tls.Types.session_id_max)
-    ~master_secret:(Crypto.Drbg.generate rng Crypto.Prf.master_secret_len)
+    ~id:(Crypto.Rng.generate rng Tls.Types.session_id_max)
+    ~master_secret:(Crypto.Rng.generate rng Crypto.Prf.master_secret_len)
     ~cipher_suite:Tls.Types.ECDHE_ECDSA_AES128_SHA256 ~established_at:86400
 
 let template_ticket =
@@ -59,7 +59,7 @@ let template_client_hello =
       Handshake_msg.Client_hello
         {
           ch_version = Tls.Types.TLS_1_2;
-          ch_random = Crypto.Drbg.generate rng Tls.Types.random_len;
+          ch_random = Crypto.Rng.generate rng Tls.Types.random_len;
           ch_session_id = "";
           ch_cipher_suites =
             List.map Tls.Types.suite_to_int Tls.Types.all_cipher_suites;
@@ -76,8 +76,8 @@ let template_server_hello rng =
   Handshake_msg.Server_hello
     {
       sh_version = Tls.Types.TLS_1_2;
-      sh_random = Crypto.Drbg.generate rng Tls.Types.random_len;
-      sh_session_id = Crypto.Drbg.generate rng Tls.Types.session_id_max;
+      sh_random = Crypto.Rng.generate rng Tls.Types.random_len;
+      sh_session_id = Crypto.Rng.generate rng Tls.Types.session_id_max;
       sh_cipher_suite = Tls.Types.DHE_ECDSA_AES128_SHA256;
       sh_extensions = [ Extension.Renegotiation_info ];
     }
@@ -89,7 +89,7 @@ let template_full_flight =
     [
       template_server_hello rng;
       Handshake_msg.Certificate
-        [ Crypto.Drbg.generate rng 200; Crypto.Drbg.generate rng 180 ];
+        [ Crypto.Rng.generate rng 200; Crypto.Rng.generate rng 180 ];
       Handshake_msg.Server_key_exchange
         {
           ske_params =
@@ -97,9 +97,9 @@ let template_full_flight =
               {
                 dh_p = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_p group);
                 dh_g = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_g group);
-                dh_ys = Crypto.Drbg.generate rng 128;
+                dh_ys = Crypto.Rng.generate rng 128;
               };
-          ske_signature = Crypto.Drbg.generate rng 64;
+          ske_signature = Crypto.Rng.generate rng 64;
         };
       Handshake_msg.Server_hello_done;
     ]
@@ -111,7 +111,7 @@ let template_abbreviated_flight =
       template_server_hello rng;
       Handshake_msg.New_session_ticket
         { nst_lifetime_hint = 28 * 3600; nst_ticket = template_ticket };
-      Handshake_msg.Finished (Crypto.Drbg.generate rng Tls.Types.verify_data_len);
+      Handshake_msg.Finished (Crypto.Rng.generate rng Tls.Types.verify_data_len);
     ]
 
 let template_record_stream =
@@ -119,7 +119,7 @@ let template_record_stream =
     (Record.make ~content_type:Tls.Types.Handshake_ct template_abbreviated_flight)
   ^ Record.to_bytes
       (Record.make ~content_type:Tls.Types.Application_data
-         (Crypto.Drbg.generate (template_rng "appdata") 256))
+         (Crypto.Rng.generate (template_rng "appdata") 256))
 
 (* What decodes a template's mutated bytes. *)
 type target = Handshake_flight | Session_blob | Ticket_blob | Record_stream

@@ -4,7 +4,7 @@
     result with the same total parsers the scanner uses; the verdict
     (typed rejection vs. parsed-but-corrupt) picks the fault cause. All
     draws are pure hashes of the key — stateless, worker-count
-    invariant, and side-effect free on simulation DRBG streams. *)
+    invariant, and side-effect free on simulation Rng streams. *)
 
 val classify : key:string -> Fault.t
 (** Always {!Fault.Malformed_response} or {!Fault.Protocol_violation},

@@ -1,5 +1,5 @@
 (* The fault layer's randomness: pure functions of (seed, coordinates),
-   not a stateful generator. A stateful DRBG stream would make every
+   not a stateful generator. A stateful Rng stream would make every
    fault decision depend on how many decisions preceded it — so enabling
    faults, changing the retry policy, or re-sharding a parallel campaign
    would shift all later draws. Hashing the coordinates instead makes
@@ -7,7 +7,7 @@
    attempt) always draws the same value, whichever worker asks first.
    This is the same trick the world uses for daily list membership
    ([in_list_on_day]) and it is what the ISSUE's "dedicated fault-RNG
-   stream" requirement needs: the existing handshake DRBG streams are
+   stream" requirement needs: the existing handshake Rng streams are
    never touched. *)
 
 (* First 8 digest bytes as a big-endian 53-bit mantissa in [0,1). *)

@@ -81,7 +81,7 @@ type fuzz_env = {
 
 let build_env () =
   let env = Tls.Config.sim_env ~seed:"wire-fuzz-env" () in
-  let r = Crypto.Drbg.create ~seed:"wire-fuzz-pki" in
+  let r = Crypto.Rng.create ~seed:"wire-fuzz-pki" in
   let ca =
     Tls.Cert.self_signed ~curve:env.Tls.Config.pki_curve ~name:"Fuzz CA" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 r
@@ -115,7 +115,7 @@ let build_env () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"wire-fuzz-server")
+      ~rng:(Crypto.Rng.create ~seed:"wire-fuzz-server")
   in
   let client_config =
     {
@@ -131,7 +131,7 @@ let build_env () =
   (* One real server flight (and a pending handshake) to mutate. *)
   let probe_client =
     Tls.Client.create ~config:client_config
-      ~rng:(Crypto.Drbg.create ~seed:"wire-fuzz-probe")
+      ~rng:(Crypto.Rng.create ~seed:"wire-fuzz-probe")
       ()
   in
   let ch, _ =
@@ -149,7 +149,7 @@ let build_env () =
      the client's peer-supplied-group validation, the path where a
      hostile modulus once meant an exception or an unbounded pow_mod. *)
   let dhe_flight =
-    let r = Crypto.Drbg.create ~seed:"wire-fuzz-dhe" in
+    let r = Crypto.Rng.create ~seed:"wire-fuzz-dhe" in
     let group = env.Tls.Config.dh_group in
     String.concat ""
       (List.map Msg.to_bytes
@@ -157,7 +157,7 @@ let build_env () =
            Msg.Server_hello
              {
                sh_version = Tls.Types.TLS_1_2;
-               sh_random = Crypto.Drbg.generate r Tls.Types.random_len;
+               sh_random = Crypto.Rng.generate r Tls.Types.random_len;
                sh_session_id = "";
                sh_cipher_suite = Tls.Types.DHE_ECDSA_AES128_SHA256;
                sh_extensions = [ Tls.Extension.Renegotiation_info ];
@@ -170,18 +170,18 @@ let build_env () =
                    {
                      dh_p = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_p group);
                      dh_g = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_g group);
-                     dh_ys = Crypto.Drbg.generate r 8;
+                     dh_ys = Crypto.Rng.generate r 8;
                    };
-               ske_signature = Crypto.Drbg.generate r 64;
+               ske_signature = Crypto.Rng.generate r 64;
              };
            Msg.Server_hello_done;
          ])
   in
-  let psk_rng = Crypto.Drbg.create ~seed:"wire-fuzz-psk" in
+  let psk_rng = Crypto.Rng.create ~seed:"wire-fuzz-psk" in
   let psk_blob =
     Tls.Tls13.seal_psk Byzantine.template_stek psk_rng
       {
-        Tls.Tls13.psk = Crypto.Drbg.generate psk_rng 32;
+        Tls.Tls13.psk = Crypto.Rng.generate psk_rng 32;
         issued_at = 100;
         lifetime = 7 * 86400;
         max_early_data = 16384;
@@ -232,7 +232,7 @@ let targets env =
   let client_state () =
     let client =
       Tls.Client.create ~config:env.client_config
-        ~rng:(Crypto.Drbg.create ~seed:"wire-fuzz-client")
+        ~rng:(Crypto.Rng.create ~seed:"wire-fuzz-client")
         ()
     in
     snd (Tls.Client.hello client ~now:100 ~hostname:"fuzz.example" ~offer:Tls.Client.Fresh)
@@ -361,8 +361,8 @@ let run ?(seed = "wire-fuzz") ?(progress = fun _ -> ()) ~count () =
        template's structure, so pure noise covers the far shore. *)
     let input =
       if Det.int_in (key ^ "|raw") ~lo:0 ~hi:15 = 0 then
-        Crypto.Drbg.generate
-          (Crypto.Drbg.create ~seed:(key ^ "|rawbytes"))
+        Crypto.Rng.generate
+          (Crypto.Rng.create ~seed:(key ^ "|rawbytes"))
           (Det.int_in (key ^ "|rawlen") ~lo:0 ~hi:512)
       else Byzantine.mutate ~key t.t_template
     in

@@ -3,7 +3,7 @@
    dies of an injected fault — deterministically.
 
    Every decision is a pure hash of (fault seed, endpoint, hostname,
-   time, attempt) via {!Det}, never a stateful DRBG draw. That is the
+   time, attempt) via {!Det}, never a stateful Rng draw. That is the
    load-bearing design choice: the world's handshake and endpoint
    streams are untouched whether faults are on or off, decisions are
    identical no matter which parallel-campaign worker asks first, and

@@ -1,6 +1,6 @@
 (** The deterministic fault schedule: a pure function of (seed,
     endpoint, hostname, virtual time, attempt index). Stateless by
-    design — enabling faults perturbs no existing DRBG stream, and
+    design — enabling faults perturbs no existing Rng stream, and
     decisions are identical regardless of query order or worker
     count. *)
 

@@ -7,7 +7,7 @@
    clock's unmodified time*. Three consequences follow:
 
    - a faulted attempt short-circuits before the world is touched, so
-     the endpoint's DRBG streams (failure coin, slot pick, handshake
+     the endpoint's Rng streams (failure coin, slot pick, handshake
      randomness) advance exactly as in a fault-free run;
    - retry backoff accumulates on a local attempt clock ([elapsed]); the
      shared scan clock never moves, so no other observation shifts in

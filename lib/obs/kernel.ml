@@ -8,7 +8,7 @@
    [Atomic] counters instead: increments commute, so the totals are
    identical at any worker count, and the counters stay deterministic
    because every counted call is schedule-determined (one pow per DH
-   keypair, one scalar mult per ECDHE share, ...) — DRBG rejection
+   keypair, one scalar mult per ECDHE share, ...) — Rng rejection
    sampling retries draw bytes, not kernel calls.
 
    Only the public kernel entry points count; the kept seed-era

@@ -3,7 +3,7 @@
    takes a [Recorder.t]; telemetry off is the [null] recorder, on which
    every operation is a no-op that allocates nothing. Either way the
    simulation is untouched, because a recorder only ever *reads*
-   simulation state (it never draws from a DRBG or advances a clock).
+   simulation state (it never draws from an Rng or advances a clock).
 
    [null] is one value shared by every worker domain, so it holds no
    mutable state at all: a variant case, not an empty registry that a

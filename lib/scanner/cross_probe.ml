@@ -16,12 +16,12 @@ type result = {
 let pick_neighbors rng ~self ~limit candidates =
   let others = List.filter (fun n -> not (String.equal n self)) candidates in
   let arr = Array.of_list others in
-  Crypto.Drbg.shuffle rng arr;
+  Crypto.Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min limit (Array.length arr)))
 
 let run ?injector ?retry ?funnel world ?(per_side = 5) ?(domains = None) () =
   let probe = Probe.create ?injector ?retry ?funnel ~seed:"cross-probe" world in
-  let rng = Crypto.Drbg.create ~seed:"cross-probe-neighbors" in
+  let rng = Crypto.Rng.create ~seed:"cross-probe-neighbors" in
   let clock = Simnet.World.clock world in
   let targets =
     match domains with

@@ -7,7 +7,7 @@
    region serves the same population and differs only where a
    regionally-inconsistent operator applies a local override — and runs
    the same daily sweep schedule against each. Each vantage probes on
-   its own DRBG streams (seeded by region name), so adding or removing
+   its own Rng streams (seeded by region name), so adding or removing
    a region never perturbs another region's observations.
 
    Regions are fully independent of one another, which makes the

@@ -1,5 +1,5 @@
 (** Cross-regional scanning: the same domain-days probed from several
-    vantage points (one world per region, per-vantage DRBG streams),
+    vantage points (one world per region, per-vantage Rng streams),
     after Alashwali et al.'s HTTPS-inconsistency measurements. Region
     scans are independent, so results are byte-identical at any job
     count. *)

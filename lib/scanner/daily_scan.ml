@@ -253,15 +253,15 @@ let load path =
    by a run that cannot be resumed from (an in-process retry, an
    abandoned shard), everything a resumed run must reproduce to stay
    byte-identical to an uninterrupted one: the virtual clock, both
-   probes' DRBG positions, the default probe's trust cache and the
+   probes' generator positions, the default probe's trust cache and the
    stream's cumulative loss funnel.
 
      day=4
-     clock=…                      \
-     drbg-default=K:V              |
-     drbg-dhe=K:V                  | the state lines; absent from a
-     trust=N, then N "domain bool" | stateless block
-     funnel=M, then M funnel lines /
+     clock=…                       \
+     rng-default=KEY:COUNTER:OFFSET|
+     rng-dhe=KEY:COUNTER:OFFSET    | the state lines; absent from a
+     trust=N, then N "domain bool"  | stateless block
+     funnel=M, then M funnel lines  /
      rows=R, then R row lines
 
    The codec is deterministic — equal state encodes to equal bytes —
@@ -277,9 +277,7 @@ module Ckpt = struct
     s_rows : day_record option array;
   }
 
-  let drbg_line label drbg =
-    let k, v = Crypto.Drbg.state drbg in
-    Printf.sprintf "%s=%s:%s" label (Wire.Hex.encode k) (Wire.Hex.encode v)
+  let rng_line label rng = label ^ "=" ^ Crypto.Rng.state_to_string (Crypto.Rng.state rng)
 
   let opt_dash = function None -> "-" | Some s -> s
 
@@ -309,8 +307,8 @@ module Ckpt = struct
     | None -> ()
     | Some (clock, (default_probe : Probe.t), (dhe_probe : Probe.t)) ->
         line "clock=%d" (Simnet.Clock.now clock);
-        line "%s" (drbg_line "drbg-default" (Tls.Client.rng default_probe.Probe.client));
-        line "%s" (drbg_line "drbg-dhe" (Tls.Client.rng dhe_probe.Probe.client));
+        line "%s" (rng_line "rng-default" (Tls.Client.rng default_probe.Probe.client));
+        line "%s" (rng_line "rng-dhe" (Tls.Client.rng dhe_probe.Probe.client));
         let trust =
           Hashtbl.fold (fun d v acc -> (d, v) :: acc) default_probe.Probe.trust_cache []
           |> List.sort compare
@@ -350,8 +348,9 @@ module Ckpt = struct
           | _ -> Error (Printf.sprintf "day block: bad row %S" l))
       | _ -> Error (Printf.sprintf "day block: bad row %S" l)
 
-  (* Strict decode: every section length must match, DRBG states must be
-     64 valid hex bytes, and nothing may trail the last row. Any slack
+  (* Strict decode: every section length must match, generator states
+     must be canonical {!Crypto.Rng.state_of_string} text, and nothing
+     may trail the last row. Any slack
      would let a damaged-but-frame-valid block (or one from a different
      world size) slip into the loader or the resume path. *)
   let decode ~members payload =
@@ -376,15 +375,9 @@ module Ckpt = struct
       let* v = kv key in
       match int_of_string_opt v with Some n when n >= 0 -> Ok n | _ -> err "bad %s value %S" key v
     in
-    let drbg_kv key =
+    let rng_kv key =
       let* v = kv key in
-      match String.index_opt v ':' with
-      | Some i -> (
-          let kh = String.sub v 0 i and vh = String.sub v (i + 1) (String.length v - i - 1) in
-          match (Wire.Hex.decode_opt kh, Wire.Hex.decode_opt vh) with
-          | Some k, Some vv when String.length k = 32 && String.length vv = 32 -> Ok (k, vv)
-          | _ -> err "bad %s state" key)
-      | None -> err "bad %s state" key
+      match Crypto.Rng.state_of_string v with Some st -> Ok st | None -> err "bad %s state" key
     in
     let rec times n f acc =
       if n = 0 then Ok (List.rev acc)
@@ -397,8 +390,8 @@ module Ckpt = struct
       match !rest with
       | l :: _ when String.starts_with ~prefix:"clock=" l ->
           let* _clock = int_kv "clock" in
-          let* _default_state = drbg_kv "drbg-default" in
-          let* _dhe_state = drbg_kv "drbg-dhe" in
+          let* _default_state = rng_kv "rng-default" in
+          let* _dhe_state = rng_kv "rng-dhe" in
           let* n_trust = int_kv "trust" in
           let* s_trust =
             times n_trust

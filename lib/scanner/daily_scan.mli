@@ -58,7 +58,7 @@ val scan_stream :
     Each day's block is appended to [sink] as the day completes, and
     the stream's trailer is written at the end; the scan keeps no rows,
     which are read back with {!load_stream}. With [resume] (the
-    default) every block also carries the scan state (clock, probe DRBG
+    default) every block also carries the scan state (clock, probe Rng
     states, trust cache, funnel), and on entry the stream's recorded
     prefix ({!Stream_sink.prefix}: leading state-carrying blocks that
     frame-verify and decode) is used: a full prefix restores the scan

@@ -38,12 +38,12 @@
      recorder slots, so the merge needs no synchronization beyond the
      pool's join.
 
-   Per-shard probes draw from per-shard DRBG streams (seeded by shard
+   Per-shard probes draw from per-shard Rng streams (seeded by shard
    id), yet the archive is the one a single pair of probes sweeping the
    whole world would record: every archived field (STEK id, ticket
    hint, (EC)DHE values, trust) is chosen by the server, never by the
    probe's randomness. Only the state lines of the streamed day blocks,
-   which carry the probe DRBG positions, are shard-specific. *)
+   which carry the probe Rng positions, are shard-specific. *)
 
 type shard = {
   shard_id : int;

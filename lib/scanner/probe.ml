@@ -37,7 +37,7 @@ let create ?(offer_suites = Tls.Types.all_cipher_suites) ?(offer_ticket = true) 
           evaluate_trust = false;
           verify_ske = false;
         }
-      ~rng:(Crypto.Drbg.create ~seed:("probe:" ^ seed)) ()
+      ~rng:(Crypto.Rng.create ~seed:("probe:" ^ seed)) ()
   in
   let clock = Option.value clock ~default:(Simnet.World.clock world) in
   let injector =

@@ -31,7 +31,7 @@
    partition — identical at any --jobs. *)
 
 let manifest_file = "manifest"
-let schema = "tlsharm-stream/2"
+let schema = "tlsharm-stream/3"
 
 type t = { dir : string; rows : int Atomic.t }
 
@@ -179,8 +179,9 @@ let stream_names ~dir =
       |> Result.ok
 
 let read_stream ~dir name =
-  match Durable.Spool.read (spool_path dir name) with
-  | Error e -> Error e
+  let path = spool_path dir name in
+  match Durable.Spool.read path with
+  | Error e -> Error (Durable.Spool.error_to_string ~path e)
   | Ok (_, false) ->
       Error
         (Printf.sprintf

@@ -104,18 +104,18 @@ let misconfig_suites m suites =
    ~3% run a stale preference order. *)
 let sample_misconfig rng =
   let weak_dh =
-    Crypto.Drbg.weighted rng
+    Crypto.Rng.weighted rng
       [ (0.974, None); (0.008, Some Export_grade); (0.018, Some Legacy) ]
   in
-  let static_only = Crypto.Drbg.bool rng ~p:0.006 in
-  let stale_order = Crypto.Drbg.bool rng ~p:0.03 in
+  let static_only = Crypto.Rng.bool rng ~p:0.006 in
+  let stale_order = Crypto.Rng.bool rng ~p:0.03 in
   { weak_dh; static_only; stale_order }
 
 (* A regional downgrade for the cross-vantage worlds: what an
    inconsistent operator serves from its weaker regions, combined with
    the base misconfiguration by {!misconfig_combine}. *)
 let sample_downgrade rng =
-  Crypto.Drbg.weighted rng
+  Crypto.Rng.weighted rng
     [
       (0.40, { well_configured with weak_dh = Some Legacy });
       (0.15, { well_configured with weak_dh = Some Export_grade });
@@ -146,7 +146,7 @@ let no_https =
    exchange only. Weights below are the joint mix that realizes those
    marginals. *)
 let sample_suites rng =
-  Crypto.Drbg.weighted rng
+  Crypto.Rng.weighted rng
     [
       (* ECDHE preferred, DHE fallback, static fallback: the common
          full-support configuration. *)
@@ -165,17 +165,17 @@ let sample_suites rng =
    0.8% resume for 24 hours or more. 97% of domains set an ID but only
    83/97 ever resume (Nginx issues IDs with resumption off). *)
 let sample_session_id rng =
-  let issue_ids = Crypto.Drbg.bool rng ~p:0.97 in
+  let issue_ids = Crypto.Rng.bool rng ~p:0.97 in
   if not issue_ids then (false, None)
   else begin
-    let resumes = Crypto.Drbg.bool rng ~p:(0.83 /. 0.97) in
+    let resumes = Crypto.Rng.bool rng ~p:(0.83 /. 0.97) in
     if not resumes then (true, None)
     else
-      (* Weights must sum to 1.0: [Drbg.weighted] normalizes by the
+      (* Weights must sum to 1.0: [Rng.weighted] normalizes by the
          total, so a short table silently rescales every entry and the
          calibration comments stop matching the sampled marginals. *)
       let lifetime =
-        Crypto.Drbg.weighted rng
+        Crypto.Rng.weighted rng
           [
             (0.10, 3 * minute);
             (0.53, 5 * minute) (* Apache / Nginx default *);
@@ -199,7 +199,7 @@ let sample_session_id rng =
    restart cadence *is* the rotation schedule; a minority load a static
    key file and never rotate. *)
 let sample_stek rng =
-  Crypto.Drbg.weighted rng
+  Crypto.Rng.weighted rng
     [
       (* Modern deployments with real rotation. *)
       (0.28, `Rotate (day, 2 * hour));
@@ -219,11 +219,11 @@ let sample_stek rng =
    hint follows the accept time except for ~4% of issuers that leave it
    unspecified (hint 0), and a couple of outliers advertise 90 days. *)
 let sample_ticket rng ~stek =
-  let issues = Crypto.Drbg.bool rng ~p:0.70 in
+  let issues = Crypto.Rng.bool rng ~p:0.70 in
   if not issues then None
   else begin
     let accept =
-      Crypto.Drbg.weighted rng
+      Crypto.Rng.weighted rng
         [
           (0.84, 3 * minute) (* Apache / Nginx default *);
           (0.04, 5 * minute);
@@ -235,7 +235,7 @@ let sample_ticket rng ~stek =
           (0.01, 24 * hour);
         ]
     in
-    let hint = if Crypto.Drbg.bool rng ~p:0.04 then 0 else accept in
+    let hint = if Crypto.Rng.bool rng ~p:0.04 then 0 else accept in
     let policy =
       match stek with
       | `Rotate (period, window) ->
@@ -258,7 +258,7 @@ let sample_ticket rng ~stek =
    [`Mean m] for process-lifetime reuse on a server restarted every ~m
    seconds, [`Never] for set-and-forget servers. *)
 let sample_dhe_policy rng =
-  Crypto.Drbg.weighted rng
+  Crypto.Rng.weighted rng
     [
       (0.918, (Tls.Kex_cache.Fresh_always, `No_pref));
       (0.020, (Tls.Kex_cache.Reuse_for (1 * hour), `No_pref));
@@ -269,7 +269,7 @@ let sample_dhe_policy rng =
     ]
 
 let sample_ecdhe_policy rng =
-  Crypto.Drbg.weighted rng
+  Crypto.Rng.weighted rng
     [
       (0.836, (Tls.Kex_cache.Fresh_always, `No_pref));
       (0.060, (Tls.Kex_cache.Reuse_for (30 * minute), `No_pref));
@@ -283,9 +283,9 @@ let sample_ecdhe_policy rng =
    Table 1 funnel: ~66% of stable Top Million domains support HTTPS and
    ~60% of those present a browser-trusted chain (~45% overall incl. the big operators). *)
 let sample_tail rng =
-  if not (Crypto.Drbg.bool rng ~p:0.66) then no_https
+  if not (Crypto.Rng.bool rng ~p:0.66) then no_https
   else begin
-    let trusted = Crypto.Drbg.bool rng ~p:0.58 in
+    let trusted = Crypto.Rng.bool rng ~p:0.58 in
     let suites = sample_suites rng in
     let issue_ids, cache_lifetime = sample_session_id rng in
     let stek = sample_stek rng in

@@ -64,7 +64,7 @@ type slot = {
   sl_servers : (string, Tls.Server.t) Hashtbl.t;
   mutable sl_next_restart : int option;
   mutable sl_scheduled : int list; (* ascending epoch seconds *)
-  sl_rng : Crypto.Drbg.t;
+  sl_rng : Crypto.Rng.t;
 }
 
 type endpoint = {
@@ -78,7 +78,7 @@ type endpoint = {
   ep_flush_cache_on_restart : bool;
   ep_restart_period : int option; (* jittered-periodic process restarts *)
   ep_slots : slot array;
-  ep_rng : Crypto.Drbg.t;
+  ep_rng : Crypto.Rng.t;
 }
 
 (* How an endpoint's STEK is provisioned: one synchronized key (a key
@@ -188,7 +188,7 @@ let domain_shard_keys _t d =
 type builder = {
   bc : config;
   benv : Tls.Config.env;
-  brng : Crypto.Drbg.t;
+  brng : Crypto.Rng.t;
   broot : Tls.Cert.authority;
   bintermediate : Tls.Cert.authority;
   brogue : Tls.Cert.authority;
@@ -209,7 +209,7 @@ let fresh_ip b =
    A non-default region's world differs from the default vantage only in
    the configurations of regionally-inconsistent operators. Every
    decision below is a hash of (seed, operator[, region]) or a dedicated
-   DRBG seeded from them — never the sequential builder DRBG — so adding
+   Rng seeded from them — never the sequential builder Rng — so adding
    or changing overrides cannot shift any other draw: certificates,
    ranks, endpoints and secrets are byte-identical across regions. *)
 
@@ -242,7 +242,7 @@ let effective_misconfig (bc : config) ~operator ~note ~base =
     then base
     else
       let rng =
-        Crypto.Drbg.create
+        Crypto.Rng.create
           ~seed:(Printf.sprintf "%s:region:%s:%s" bc.seed bc.region operator)
       in
       Profile.misconfig_combine base (Profile.sample_downgrade rng)
@@ -264,16 +264,16 @@ let misconfig_env b (m : Profile.misconfig) =
    deployments: exponential gaps would make the *maximum* gap over nine
    weeks several times the mean and inflate every span statistic. *)
 let next_restart_gap rng period =
-  max 600 (int_of_float (float_of_int period *. (0.8 +. (0.4 *. Crypto.Drbg.float01 rng))))
+  max 600 (int_of_float (float_of_int period *. (0.8 +. (0.4 *. Crypto.Rng.float01 rng))))
 
 let make_endpoint b ~operator ~label ~asn ~ip_count ~cache_lifetime ~stek ~dhe ~ecdhe
     ?(failure_rate = 0.01) ?(flush_on_restart = true) ?(n_slots = 1) ?restart_period
     ?(restart_days = []) () =
   b.bep_id <- b.bep_id + 1;
-  let rng = Crypto.Drbg.fork b.brng ~label:(Printf.sprintf "ep:%s:%s:%d" operator label b.bep_id) in
+  let rng = Crypto.Rng.fork b.brng ~label:(Printf.sprintf "ep:%s:%s:%d" operator label b.bep_id) in
   let slots =
     Array.init (max 1 n_slots) (fun i ->
-        let sl_rng = Crypto.Drbg.fork rng ~label:(Printf.sprintf "slot%d" i) in
+        let sl_rng = Crypto.Rng.fork rng ~label:(Printf.sprintf "slot%d" i) in
         let sl_stek =
           match stek with
           | None -> None
@@ -291,7 +291,7 @@ let make_endpoint b ~operator ~label ~asn ~ip_count ~cache_lifetime ~stek ~dhe ~
           if scheduled <> [] then None
           else
             Option.map
-              (fun period -> b.bc.start_time + Crypto.Drbg.int_below sl_rng (max 1 period))
+              (fun period -> b.bc.start_time + Crypto.Rng.int_below sl_rng (max 1 period))
               restart_period
         in
         {
@@ -329,16 +329,16 @@ let make_endpoint b ~operator ~label ~asn ~ip_count ~cache_lifetime ~stek ~dhe ~
    chain from the rogue CA (not in the root store) or an expired cert. *)
 let issue_chain b ~hostname ~trusted =
   let curve = b.benv.Tls.Config.pki_curve in
-  let rng = Crypto.Drbg.fork b.brng ~label:("cert:" ^ hostname) in
+  let rng = Crypto.Rng.fork b.brng ~label:("cert:" ^ hostname) in
   let keypair = Crypto.Ecdsa.gen_keypair curve rng in
   let pub = Crypto.Ec.point_bytes curve (Crypto.Ecdsa.public_key keypair) in
   let not_before = b.bc.start_time - (180 * day) in
   let not_after = b.bc.start_time + (365 * day) in
-  let serial = Crypto.Drbg.int_below rng 1_000_000_000 in
+  let serial = Crypto.Rng.int_below rng 1_000_000_000 in
   let sans = [ "www." ^ hostname ] in
   if trusted then begin
     (* Most chains go through the intermediate, like real ones do. *)
-    if Crypto.Drbg.bool rng ~p:0.8 then begin
+    if Crypto.Rng.bool rng ~p:0.8 then begin
       let leaf =
         Tls.Cert.issue b.bintermediate ~curve ~subject:hostname ~sans ~not_before ~not_after
           ~serial ~pub rng
@@ -353,7 +353,7 @@ let issue_chain b ~hostname ~trusted =
       ([ leaf ], keypair)
     end
   end
-  else if Crypto.Drbg.bool rng ~p:0.5 then begin
+  else if Crypto.Rng.bool rng ~p:0.5 then begin
     (* Chain from an untrusted CA. *)
     let leaf =
       Tls.Cert.issue b.brogue ~curve ~subject:hostname ~sans ~not_before ~not_after ~serial ~pub
@@ -376,8 +376,8 @@ let add_domain b ~name ~rank ~weight ~operator ~endpoint ~behavior ?(misconfig =
     match endpoint with
     | None -> 0
     | Some ep ->
-        let rng = Crypto.Drbg.fork b.brng ~label:("ip:" ^ name) in
-        ep.ep_ips.(Crypto.Drbg.int_below rng (Array.length ep.ep_ips))
+        let rng = Crypto.Rng.fork b.brng ~label:("ip:" ^ name) in
+        ep.ep_ips.(Crypto.Rng.int_below rng (Array.length ep.ep_ips))
   in
   (match endpoint with
   | None -> ()
@@ -411,7 +411,7 @@ let add_domain b ~name ~rank ~weight ~operator ~endpoint ~behavior ?(misconfig =
           in
           let server =
             Tls.Server.create ~config
-              ~rng:(Crypto.Drbg.fork b.brng ~label:(Printf.sprintf "srv:%s/%d" name slot.sl_index))
+              ~rng:(Crypto.Rng.fork b.brng ~label:(Printf.sprintf "srv:%s/%d" name slot.sl_index))
           in
           Hashtbl.replace slot.sl_servers name server)
         ep.ep_slots);
@@ -443,17 +443,17 @@ let stek_manager b ~label ~policy =
 (* --- Population segments --------------------------------------------------------- *)
 
 let presence_sample rng stable_fraction =
-  if Crypto.Drbg.bool rng ~p:stable_fraction then (true, 1.0)
-  else (false, 0.3 +. (0.67 *. Crypto.Drbg.float01 rng))
+  if Crypto.Rng.bool rng ~p:stable_fraction then (true, 1.0)
+  else (false, 0.3 +. (0.67 *. Crypto.Rng.float01 rng))
 
-let mx_sample rng fraction = Crypto.Drbg.bool rng ~p:fraction
+let mx_sample rng fraction = Crypto.Rng.bool rng ~p:fraction
 
 (* Named operators: create pods (endpoints), flagship domains, and sampled
    customer domains with the right weights. *)
 let build_operators b ~scale =
   List.iter
     (fun (spec : Operators.spec) ->
-      let rng = Crypto.Drbg.fork b.brng ~label:("op:" ^ spec.Operators.op_name) in
+      let rng = Crypto.Rng.fork b.brng ~label:("op:" ^ spec.Operators.op_name) in
       let lead = b.bc.start_time + (case_study_lead_days * day) in
       let stek_of_scope pod_label =
         match spec.Operators.ticket with
@@ -594,7 +594,7 @@ let build_mail_hosts b =
                 let server =
                   Tls.Server.create ~config
                     ~rng:
-                      (Crypto.Drbg.fork b.brng
+                      (Crypto.Rng.fork b.brng
                          ~label:(Printf.sprintf "mail:%s/%d" host slot.sl_index))
                 in
                 Hashtbl.replace slot.sl_servers host server)
@@ -676,7 +676,7 @@ let build_notables b =
 (* The long tail: shared-hosting pods plus independent sites, drawn from
    the calibrated profile distributions. *)
 let build_tail b ~count ~weight =
-  let rng = Crypto.Drbg.fork b.brng ~label:"tail" in
+  let rng = Crypto.Rng.fork b.brng ~label:"tail" in
   let hosting_asns = Array.init 60 (fun i -> 64_000 + i) in
   let solo_asns = Array.init 2_000 (fun i -> 3_000 + i) in
   (* A currently-filling shared-hosting pod, if any. *)
@@ -712,7 +712,7 @@ let build_tail b ~count ~weight =
        terminators serve 50..1200 real domains; the sampled pod size is
        that target divided by the sampling weight, keeping weighted group
        sizes scale-invariant. *)
-    let use_shared = Crypto.Drbg.bool rng ~p:0.15 in
+    let use_shared = Crypto.Rng.bool rng ~p:0.15 in
     let profile, endpoint =
       if use_shared then begin
         match !pod_slot with
@@ -724,10 +724,10 @@ let build_tail b ~count ~weight =
             if not profile.Profile.https then (profile, None)
             else begin
               let target_weighted =
-                50.0 *. exp (Crypto.Drbg.float01 rng *. log (1200.0 /. 50.0))
+                50.0 *. exp (Crypto.Rng.float01 rng *. log (1200.0 /. 50.0))
               in
               let capacity = max 1 (int_of_float (Float.round (target_weighted /. weight))) in
-              let asn = Crypto.Drbg.pick rng hosting_asns in
+              let asn = Crypto.Rng.pick rng hosting_asns in
               let ep =
                 endpoint_for_profile ~label:(Printf.sprintf "hosting%d" i) ~asn ~ip_count:2 profile
               in
@@ -739,11 +739,11 @@ let build_tail b ~count ~weight =
         let profile = Profile.sample_tail rng in
         if not profile.Profile.https then (profile, None)
         else begin
-          let asn = Crypto.Drbg.pick rng solo_asns in
+          let asn = Crypto.Rng.pick rng solo_asns in
           (* ~15% of independent sites run small load-balanced farms
              without client affinity. *)
           let n_slots =
-            if Crypto.Drbg.bool rng ~p:0.15 then Crypto.Drbg.int_range rng 2 4 else 1
+            if Crypto.Rng.bool rng ~p:0.15 then Crypto.Rng.int_range rng 2 4 else 1
           in
           ( profile,
             Some
@@ -771,13 +771,13 @@ let build_tail b ~count ~weight =
 (* --- Rank assignment --------------------------------------------------------------- *)
 
 let assign_ranks b domains =
-  let rng = Crypto.Drbg.fork b.brng ~label:"ranks" in
+  let rng = Crypto.Rng.fork b.brng ~label:"ranks" in
   let used = Hashtbl.create 1024 in
   Array.iter (fun d -> if d.d_rank > 0 then Hashtbl.replace used d.d_rank ()) domains;
   let unranked =
     Array.of_list (Array.to_list domains |> List.filter (fun d -> d.d_rank = 0))
   in
-  Crypto.Drbg.shuffle rng unranked;
+  Crypto.Rng.shuffle rng unranked;
   (* Fill ranks 1..1000 exhaustively, then scatter the rest over
      1001..1M without collisions. *)
   let next_low = ref 1 in
@@ -796,7 +796,7 @@ let assign_ranks b domains =
       end
       else begin
         let rec draw () =
-          let r = 1001 + Crypto.Drbg.int_below rng (universe - 1000) in
+          let r = 1001 + Crypto.Rng.int_below rng (universe - 1000) in
           if Hashtbl.mem used r then draw () else r
         in
         let r = draw () in
@@ -829,9 +829,9 @@ let create ?(config = default_config) () =
       (Printf.sprintf "World.create: unknown region %S (available: %s)" config.region
          Region.names);
   let env = Tls.Config.sim_env ~seed:config.seed () in
-  let rng = Crypto.Drbg.create ~seed:("world:" ^ config.seed) in
+  let rng = Crypto.Rng.create ~seed:("world:" ^ config.seed) in
   let curve = env.Tls.Config.pki_curve in
-  let ca_rng = Crypto.Drbg.fork rng ~label:"pki" in
+  let ca_rng = Crypto.Rng.fork rng ~label:"pki" in
   let not_before = max 0 (config.start_time - (3650 * day)) in
   let not_after = config.start_time + (3650 * day) in
   let root_ca =
@@ -968,9 +968,9 @@ let connect_service_host ?clock t ~client ~hostname ~offer =
   | None -> Error No_such_domain
   | Some ep ->
       process_restarts ep ~now;
-      if Crypto.Drbg.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
+      if Crypto.Rng.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
       else begin
-        let slot = ep.ep_slots.(Crypto.Drbg.int_below ep.ep_rng (Array.length ep.ep_slots)) in
+        let slot = ep.ep_slots.(Crypto.Rng.int_below ep.ep_rng (Array.length ep.ep_slots)) in
         match Hashtbl.find_opt slot.sl_servers hostname with
         | None -> Error No_https
         | Some server -> Ok (Tls.Engine.connect client server ~now ~hostname ~offer)
@@ -992,11 +992,11 @@ let connect ?clock t ~client ~hostname ~offer =
       | None -> Error No_https
       | Some ep ->
           process_restarts ep ~now;
-          if Crypto.Drbg.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
+          if Crypto.Rng.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
           else begin
             (* No client affinity: the load balancer hands this connection
                to an arbitrary process of the farm. *)
-            let slot = ep.ep_slots.(Crypto.Drbg.int_below ep.ep_rng (Array.length ep.ep_slots)) in
+            let slot = ep.ep_slots.(Crypto.Rng.int_below ep.ep_rng (Array.length ep.ep_slots)) in
             match Hashtbl.find_opt slot.sl_servers hostname with
             | None -> Error No_https
             | Some server -> Ok (Tls.Engine.connect client server ~now ~hostname ~offer)

@@ -37,7 +37,7 @@ val self_signed :
   not_before:int ->
   not_after:int ->
   serial:int ->
-  Crypto.Drbg.t ->
+  Crypto.Rng.t ->
   authority
 
 val issue :
@@ -50,7 +50,7 @@ val issue :
   not_after:int ->
   serial:int ->
   pub:string ->
-  Crypto.Drbg.t ->
+  Crypto.Rng.t ->
   t
 
 (** {2 Validation} *)

@@ -6,7 +6,7 @@
 
 module Msg = Handshake_msg
 
-type t = { config : Config.client_config; rng : Crypto.Drbg.t; prefer_x25519 : bool }
+type t = { config : Config.client_config; rng : Crypto.Rng.t; prefer_x25519 : bool }
 
 let x25519_group_id = 29
 
@@ -37,7 +37,7 @@ let add transcript msg = Crypto.Sha256.update transcript (Msg.to_bytes msg)
 let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 let hello t ~now ~hostname ~offer =
-  let random = Crypto.Drbg.generate t.rng Types.random_len in
+  let random = Crypto.Rng.generate t.rng Types.random_len in
   let session_id = match offer with Offer_session_id s -> Session.id s | _ -> "" in
   let ticket_ext =
     if not t.config.Config.offer_ticket then []

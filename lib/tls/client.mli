@@ -5,12 +5,12 @@
 
 type t
 
-val create : ?prefer_x25519:bool -> config:Config.client_config -> rng:Crypto.Drbg.t -> unit -> t
+val create : ?prefer_x25519:bool -> config:Config.client_config -> rng:Crypto.Rng.t -> unit -> t
 (** [prefer_x25519] ranks the X25519 named group (29) first in the
     supported_groups extension; servers honor the client's order. *)
 
-val rng : t -> Crypto.Drbg.t
-(** The client's private DRBG. Campaign day blocks snapshot its state
+val rng : t -> Crypto.Rng.t
+(** The client's private Rng. Campaign day blocks snapshot its state
     so a resumed scan draws the same key shares an uninterrupted one
     would. *)
 

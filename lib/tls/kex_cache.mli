@@ -24,10 +24,10 @@ val ecdhe_policy : t -> policy
 val restart : t -> unit
 (** Simulated process restart: cached values die. *)
 
-val dhe_keypair : t -> now:int -> group:Crypto.Dh.group -> Crypto.Drbg.t -> Crypto.Dh.keypair
-val ecdhe_keypair : t -> now:int -> curve:Crypto.Ec.curve -> Crypto.Drbg.t -> Crypto.Ec.keypair
+val dhe_keypair : t -> now:int -> group:Crypto.Dh.group -> Crypto.Rng.t -> Crypto.Dh.keypair
+val ecdhe_keypair : t -> now:int -> curve:Crypto.Ec.curve -> Crypto.Rng.t -> Crypto.Ec.keypair
 
-val x25519_keypair : t -> now:int -> Crypto.Drbg.t -> Crypto.X25519.keypair
+val x25519_keypair : t -> now:int -> Crypto.Rng.t -> Crypto.X25519.keypair
 (** X25519 shares follow the ECDHE reuse policy. *)
 
 val current_dhe : t -> Crypto.Dh.keypair option

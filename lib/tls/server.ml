@@ -22,7 +22,7 @@
 
 module Msg = Handshake_msg
 
-type t = { config : Config.server_config; rng : Crypto.Drbg.t }
+type t = { config : Config.server_config; rng : Crypto.Rng.t }
 
 let create ~config ~rng = { config; rng }
 let config t = t.config
@@ -198,7 +198,7 @@ let try_id_resumption t ~now ~offered_suites session_id =
       | Some _ | None -> None)
   | Some _ -> None
 
-let fresh_session_id t = if t.config.Config.issue_session_ids then Crypto.Drbg.generate t.rng 32 else ""
+let fresh_session_id t = if t.config.Config.issue_session_ids then Crypto.Rng.generate t.rng 32 else ""
 
 let handle_client_hello t ~now msg =
   match msg with
@@ -208,7 +208,7 @@ let handle_client_hello t ~now msg =
         let offered = ch.Msg.ch_cipher_suites in
         let client_offers_ticket_ext = Extension.has_session_ticket ch.Msg.ch_extensions in
         let ticket_negotiated = client_offers_ticket_ext && t.config.Config.tickets <> None in
-        let server_random = Crypto.Drbg.generate t.rng Types.random_len in
+        let server_random = Crypto.Rng.generate t.rng Types.random_len in
         let transcript = Crypto.Sha256.init () in
         add transcript msg;
         (* 1. Ticket resumption takes precedence (RFC 5077 section 3.4). *)

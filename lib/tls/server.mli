@@ -10,7 +10,7 @@
 
 type t
 
-val create : config:Config.server_config -> rng:Crypto.Drbg.t -> t
+val create : config:Config.server_config -> rng:Crypto.Rng.t -> t
 val config : t -> Config.server_config
 
 val restart : t -> now:int -> unit

@@ -29,13 +29,13 @@ let of_raw ~created_at raw =
     created_at;
   }
 
-let generate rng ~now = of_raw ~created_at:now (Crypto.Drbg.generate rng raw_len)
+let generate rng ~now = of_raw ~created_at:now (Crypto.Rng.generate rng raw_len)
 
 (* Deterministic derivation, used for epoch-aligned rotation schedules:
    the STEK for period [k] of a given secret is a pure function of both. *)
 let derive ~secret ~period ~now =
-  let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "stek:%s:%d" secret period) in
-  of_raw ~created_at:now (Crypto.Drbg.generate rng raw_len)
+  let rng = Crypto.Rng.create ~seed:(Printf.sprintf "stek:%s:%d" secret period) in
+  of_raw ~created_at:now (Crypto.Rng.generate rng raw_len)
 
 let key_name t = t.key_name
 let aes_key t = t.aes_key

@@ -18,7 +18,7 @@ val raw_len : int
 val of_raw : created_at:int -> string -> t
 (** Raises [Invalid_argument] unless the input is {!raw_len} bytes. *)
 
-val generate : Crypto.Drbg.t -> now:int -> t
+val generate : Crypto.Rng.t -> now:int -> t
 
 val derive : secret:string -> period:int -> now:int -> t
 (** Deterministic derivation for epoch-aligned rotation: the STEK for

@@ -17,7 +17,7 @@ let iv_len = 16
 let mac_len = 32
 
 let seal stek rng (session : Session.t) =
-  let iv = Crypto.Drbg.generate rng iv_len in
+  let iv = Crypto.Rng.generate rng iv_len in
   let encrypted = Crypto.Block_mode.cbc_encrypt (Stek.aes_key stek) ~iv (Session.to_bytes session) in
   let body =
     Wire.Writer.build (fun w ->

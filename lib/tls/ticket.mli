@@ -3,7 +3,7 @@
     handed to the client. Anyone holding the STEK can open every ticket
     sealed with it — the paper's central attack (Section 6.1). *)
 
-val seal : Stek.t -> Crypto.Drbg.t -> Session.t -> string
+val seal : Stek.t -> Crypto.Rng.t -> Session.t -> string
 
 val peek_key_name : string -> string option
 (** The STEK key name rides outside the encryption; this is what the

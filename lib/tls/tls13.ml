@@ -55,7 +55,7 @@ let read_psk_state r =
    tickets: the 1.3 draft changed the protocol, not the operational
    practice the paper worries about. *)
 let seal_psk stek rng state =
-  let iv = Crypto.Drbg.generate rng 16 in
+  let iv = Crypto.Rng.generate rng 16 in
   let plain = Wire.Writer.build (fun w -> write_psk_state w state) in
   let encrypted = Crypto.Block_mode.cbc_encrypt (Stek.aes_key stek) ~iv plain in
   let body =
@@ -217,7 +217,7 @@ type server_config = {
   max_early_data : int; (* 0 = no 0-RTT *)
 }
 
-type server = { sc : server_config; srng : Crypto.Drbg.t }
+type server = { sc : server_config; srng : Crypto.Rng.t }
 
 let server ~config ~rng = { sc = config; srng = rng }
 
@@ -287,7 +287,7 @@ let handle_client_hello server ~now (ch : client_hello) =
       let ch_hash = Crypto.Sha256.digest (ch_bytes ch) in
       let sh0 =
         {
-          sh_random = Crypto.Drbg.generate server.srng 32;
+          sh_random = Crypto.Rng.generate server.srng 32;
           sh_key_share = server_share;
           sh_psk_accepted = accepted_psk <> None;
           sh_new_ticket = None;
@@ -306,7 +306,7 @@ let handle_client_hello server ~now (ch : client_hello) =
             Some (unprotect ~traffic_secret:secrets.client_early_traffic data)
       in
       (* 4. Issue a fresh ticket for the *next* resumption. *)
-      let nonce = Crypto.Drbg.generate server.srng 8 in
+      let nonce = Crypto.Rng.generate server.srng 8 in
       let new_psk = psk_of_resumption_master ~resumption_master:secrets.resumption_master ~nonce in
       let new_state =
         {
@@ -354,7 +354,7 @@ let connect ~client_rng server ~now ~offer =
   in
   let ch0 =
     {
-      ch_random = Crypto.Drbg.generate client_rng 32;
+      ch_random = Crypto.Rng.generate client_rng 32;
       ch_key_share = Option.map Crypto.Ec.public_bytes kp;
       ch_psk_identity = psk_identity;
       ch_psk_mode = mode;

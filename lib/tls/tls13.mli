@@ -18,7 +18,7 @@ type psk_state = {
   max_early_data : int;
 }
 
-val seal_psk : Stek.t -> Crypto.Drbg.t -> psk_state -> string
+val seal_psk : Stek.t -> Crypto.Rng.t -> psk_state -> string
 val unseal_psk : find_stek:(string -> Stek.t option) -> string -> (psk_state, string) result
 
 (** {2 Key schedule} *)
@@ -77,9 +77,9 @@ type server_config = {
   max_early_data : int;
 }
 
-type server = { sc : server_config; srng : Crypto.Drbg.t }
+type server = { sc : server_config; srng : Crypto.Rng.t }
 
-val server : config:server_config -> rng:Crypto.Drbg.t -> server
+val server : config:server_config -> rng:Crypto.Rng.t -> server
 
 type server_result = {
   sr_hello : server_hello;
@@ -103,7 +103,7 @@ type client_result = {
 }
 
 val connect :
-  client_rng:Crypto.Drbg.t ->
+  client_rng:Crypto.Rng.t ->
   server ->
   now:int ->
   offer:client_offer ->

@@ -73,7 +73,7 @@ let search cum target =
   !lo
 
 let draw t rng ~cum ~total =
-  let u = Crypto.Drbg.float01 rng *. total in
+  let u = Crypto.Rng.float01 rng *. total in
   t.names.(search cum u)
 
 type page = { p_primary : string; p_subresources : string list }
@@ -82,7 +82,7 @@ type page = { p_primary : string; p_subresources : string list }
    distribution; the exact shape only needs a realistic mix of
    no-third-party and heavy pages. *)
 let sub_count rng =
-  Crypto.Drbg.weighted rng [ (0.25, 0); (0.30, 1); (0.25, 2); (0.12, 3); (0.08, 4) ]
+  Crypto.Rng.weighted rng [ (0.25, 0); (0.30, 1); (0.25, 2); (0.12, 3); (0.08, 4) ]
 
 let page t rng =
   let p_primary = draw t rng ~cum:t.cum ~total:t.total in
@@ -96,4 +96,4 @@ let page t rng =
 
 let pages_today _t rng ~mean ~max_pages =
   if mean <= 0.0 then 0
-  else min max_pages (int_of_float (Crypto.Drbg.exponential rng ~mean))
+  else min max_pages (int_of_float (Crypto.Rng.exponential rng ~mean))

@@ -5,7 +5,7 @@
     additionally pulls 0–4 subresource hosts from the head of the
     population — the shared CDN/analytics operators whose recurrence
     across unrelated pages is exactly what makes third-party resumption
-    state a tracking vector. All draws come from the DRBG the caller
+    state a tracking vector. All draws come from the Rng the caller
     passes (the per-user generator), so a user's browsing history
     depends only on their own seed. *)
 
@@ -24,8 +24,8 @@ type page = {
   p_subresources : string list;  (** deduplicated, never the primary *)
 }
 
-val page : t -> Crypto.Drbg.t -> page
+val page : t -> Crypto.Rng.t -> page
 
-val pages_today : t -> Crypto.Drbg.t -> mean:float -> max_pages:int -> int
+val pages_today : t -> Crypto.Rng.t -> mean:float -> max_pages:int -> int
 (** How many pages a user loads on one day: a truncated exponential
     draw — most days are light, a long tail of heavy browsing days. *)

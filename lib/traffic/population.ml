@@ -62,7 +62,7 @@ let shards cfg =
 
 type user = {
   uid : int;
-  drbg : Crypto.Drbg.t;
+  rng : Crypto.Rng.t;
   client : Tls.Client.t;
   store : Tls.Client_store.t;
   chains : (string, int) Hashtbl.t; (* scope -> current chain ordinal *)
@@ -74,13 +74,13 @@ type user = {
    browsing history and key shares are independent of sharding, worker
    count and every other user. *)
 let make_user ~world_seed ~client_config cfg uid =
-  let drbg = Crypto.Drbg.create ~seed:(Printf.sprintf "traffic:%s:user:%d" world_seed uid) in
-  let client = Tls.Client.create ~config:client_config ~rng:(Crypto.Drbg.fork drbg ~label:"tls") () in
+  let rng = Crypto.Rng.create ~seed:(Printf.sprintf "traffic:%s:user:%d" world_seed uid) in
+  let client = Tls.Client.create ~config:client_config ~rng:(Crypto.Rng.fork rng ~label:"tls") () in
   let store =
     Tls.Client_store.create ~session_lifetime:cfg.session_lifetime
       ~ticket_lifetime_cap:cfg.ticket_lifetime_cap ~capacity:cfg.store_capacity ()
   in
-  { uid; drbg; client; store; chains = Hashtbl.create 8; next_chain = 0; pages = 0 }
+  { uid; rng; client; store; chains = Hashtbl.create 8; next_chain = 0; pages = 0 }
 
 (* The chains table tracks the current linkability chain per scope; it
    only matters for scopes the store still holds (a dropped scope's next
@@ -196,17 +196,17 @@ let simulate_shard cfg ~sink ?chaos ~shard_obs (s : shard) =
     (match chaos with Some c -> c ~shard:s.shard_id ~day | None -> ());
     let day_start = start + (day * Simnet.Clock.day) in
     (* Plan the day in uid order: each user draws page count, times and
-       compositions from their own DRBG, so plans are user-local... *)
+       compositions from their own Rng, so plans are user-local... *)
     let events = ref [] in
     Array.iteri
       (fun i u ->
         let n =
-          Browse.pages_today browse u.drbg ~mean:cfg.pages_per_day
+          Browse.pages_today browse u.rng ~mean:cfg.pages_per_day
             ~max_pages:cfg.max_pages_per_day
         in
         for k = 0 to n - 1 do
-          let time = day_start + Crypto.Drbg.int_below u.drbg Simnet.Clock.day in
-          let page = Browse.page browse u.drbg in
+          let time = day_start + Crypto.Rng.int_below u.rng Simnet.Clock.day in
+          let page = Browse.page browse u.rng in
           events := (time, i, k, page) :: !events
         done)
       users;

@@ -121,7 +121,7 @@ rm -rf "$old"
 # A run log's manifest is held to the same rules as the flags it
 # records: a retry budget the flags would refuse is not resumed.
 zero=$(mktemp -d /tmp/tlsharm-zeroretries-XXXXXX)
-frame_manifest "$zero" 'schema=tlsharm-stream/2
+frame_manifest "$zero" 'schema=tlsharm-stream/3
 mode=campaign
 seed=tlsharm
 n_domains=1500
@@ -140,6 +140,30 @@ ls "$zero" | grep -q '^rows-' && {
   fails=$((fails + 1))
 }
 rm -rf "$zero"
+
+# A run log of the previous format (stream schema 2, "#tlsharm-spool v2"
+# spools whose day blocks carry HMAC-DRBG states) is refused by version,
+# in one line, by both analyze and resume, and left as it was. With the
+# manifest current and only the spools old, the spool version is named.
+v2=$(mktemp -d /tmp/tlsharm-v2log-XXXXXX)
+"$exe" campaign --domains 1500 --days 1 --stream-out "$v2" >/dev/null
+cp "$v2/manifest" "$v2.manifest"
+for f in "$v2"/rows-*; do sed -i '1s/^#tlsharm-spool v3$/#tlsharm-spool v2/' "$f"; done
+frame_manifest "$v2" "$(sed -e '1d' -e '$d' "$v2.manifest" | sed 's|^schema=tlsharm-stream/3$|schema=tlsharm-stream/2|')
+"
+before=$(cat "$v2"/* | sha256sum)
+check "analyze of a v2 run log" "tlsharm-stream/2" "$exe" analyze "$v2"
+one_line "v2 analyze refusal" "$exe" analyze "$v2"
+check "resume of a v2 run log" "tlsharm-stream/2" "$exe" resume "$v2"
+one_line "v2 resume refusal" "$exe" resume "$v2"
+[ "$(cat "$v2"/* | sha256sum)" = "$before" ] || {
+  echo "FAIL: a refused v2 run log was changed"
+  fails=$((fails + 1))
+}
+cp "$v2.manifest" "$v2/manifest"
+check "analyze of v2 spools" "spool format v2" "$exe" analyze "$v2"
+one_line "v2 spool refusal" "$exe" analyze "$v2"
+rm -rf "$v2" "$v2.manifest"
 
 # Unknown experiment ids are refused before any world is built or any
 # table printed: one line, even after a valid id.

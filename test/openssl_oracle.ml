@@ -1,10 +1,12 @@
 (* Differential oracle: SHA-256, HMAC-SHA256, the TLS 1.2 PRF and
    HKDF-Expand against the `openssl` command-line tool, over inputs drawn
-   from a fixed qcheck seed. Keys run past the 64-byte block (so HMAC
-   hashes them first) and messages cross block boundaries; HMAC under a
-   32-byte key also runs at every message length 0-64, across the
-   one-block limit at 55 bytes. ECDH runs on
-   P-256 and on the 52-, 53- and 61-bit simulation curves against keys
+   from a fixed seed. Keys run past the 64-byte block (so HMAC hashes
+   them first) and messages cross block boundaries; HMAC under a 32-byte
+   key also runs at every message length 0-130, across the one-block
+   limit at 55 bytes and the two-block limit at 119. The [Rng]
+   generator's root key, fork keys and blocks are checked against
+   `openssl dgst` of their documented hash inputs. ECDH runs on P-256 and
+   on the 52-, 53- and 61-bit simulation curves against keys
    `openssl genpkey` generates and `openssl pkeyutl -derive`.
 
    Usage: openssl_oracle.exe [--require]
@@ -42,10 +44,12 @@ let with_file data f =
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
       f path)
 
-let bytes_gen ~max = QCheck2.Gen.(string_size ~gen:char (int_range 0 max))
-let nonempty_bytes_gen ~max = QCheck2.Gen.(string_size ~gen:char (int_range 1 max))
-let rand = Random.State.make [| 0x0551 |]
-let draw gen = QCheck2.Gen.generate ~rand ~n:cases gen
+module Rng = Crypto.Rng
+
+let rand = Rng.create ~seed:"openssl-oracle"
+let bytes ~max () = Rng.generate rand (Rng.int_below rand (max + 1))
+let nonempty_bytes ~max () = Rng.generate rand (Rng.int_range rand 1 max)
+let draw gen = List.init cases (fun _ -> gen ())
 
 let failures = ref 0
 
@@ -61,7 +65,7 @@ let sha256 openssl =
     (fun msg ->
       let expected = with_file msg (fun f -> run openssl [ "dgst"; "-sha256"; "-binary"; f ]) in
       check "sha256" ~input:(hex msg) ~expected ~actual:(Crypto.Sha256.digest msg))
-    (draw (bytes_gen ~max:300))
+    (draw (bytes ~max:300))
 
 (* The openssl CLI refuses an empty HMAC key, so keys have at least one byte. *)
 let hmac openssl =
@@ -74,18 +78,20 @@ let hmac openssl =
       in
       check "hmac-sha256" ~input:(hex key ^ " / " ^ hex msg) ~expected
         ~actual:(Crypto.Hmac.sha256 ~key msg))
-    (draw QCheck2.Gen.(pair (nonempty_bytes_gen ~max:150) (bytes_gen ~max:300)))
+    (draw (fun () ->
+         let key = nonempty_bytes ~max:150 () in
+         (key, bytes ~max:300 ())))
 
-(* A 32-byte key, the DRBG's, at every message length 0-64: the one-block
-   path ends at 55 bytes and the block at 64. Its own random state, so
+(* A 32-byte key, the PRF's master secret's size, at every message length
+   0-130: the one-block path ends at 55 bytes, the block at 64, the
+   two-block path at 119 and the second block at 128. Its own stream, so
    the draws of every other section stay as they were. *)
 let hmac_lengths openssl =
-  let rand = Random.State.make [| 0x0552 |] in
-  let exactly n = QCheck2.Gen.generate1 ~rand QCheck2.Gen.(string_size ~gen:char (pure n)) in
-  let key = exactly 32 in
+  let rand = Rng.create ~seed:"openssl-oracle-lengths" in
+  let key = Rng.generate rand 32 in
   let ctx = Crypto.Hmac.key key in
-  for len = 0 to 64 do
-    let msg = exactly len in
+  for len = 0 to 130 do
+    let msg = Rng.generate rand len in
     let expected =
       with_file msg (fun f ->
           run openssl [ "dgst"; "-sha256"; "-mac"; "HMAC"; "-macopt"; "hexkey:" ^ hex key; "-binary"; f ])
@@ -108,11 +114,11 @@ let tls1_prf openssl =
       in
       check "tls1-prf" ~input:(Printf.sprintf "%s / %s%s / %d" (hex secret) (hex label) (hex seed) n)
         ~expected ~actual:(Crypto.Prf.prf ~secret ~label ~seed n))
-    (draw
-       QCheck2.Gen.(
-         triple (bytes_gen ~max:150)
-           (pair (nonempty_bytes_gen ~max:20) (bytes_gen ~max:100))
-           (int_range 1 200)))
+    (draw (fun () ->
+         let secret = bytes ~max:150 () in
+         let label = nonempty_bytes ~max:20 () in
+         let seed = bytes ~max:100 () in
+         (secret, (label, seed), Rng.int_range rand 1 200)))
 
 let hkdf_expand openssl =
   List.iter
@@ -122,7 +128,40 @@ let hkdf_expand openssl =
       in
       check "hkdf-expand" ~input:(Printf.sprintf "%s / %s / %d" (hex prk) (hex info) n) ~expected
         ~actual:(Crypto.Hkdf.expand ~prk ~info n))
-    (draw QCheck2.Gen.(triple (nonempty_bytes_gen ~max:150) (bytes_gen ~max:200) (int_range 1 300)))
+    (draw (fun () ->
+         let prk = nonempty_bytes ~max:150 () in
+         let info = bytes ~max:200 () in
+         (prk, info, Rng.int_range rand 1 300)))
+
+(* The generator against its documented construction: root key
+   SHA-256("tlsharm-rng" || 0x02 || seed); fork key
+   SHA-256(key || 0x01 || label), for labels hashed in one block, in two
+   and streamed; and block i SHA-256(key || 0x00 || i as 8 bytes
+   big-endian), here the first three and one far block reached through
+   [restore]. *)
+let rng openssl =
+  let dgst data = with_file data (fun f -> run openssl [ "dgst"; "-sha256"; "-binary"; f ]) in
+  let block key i =
+    let idx = Bytes.create 8 in
+    Bytes.set_int64_be idx 0 (Int64.of_int i);
+    dgst (key ^ "\x00" ^ Bytes.to_string idx)
+  in
+  let key_of t = (Rng.state t).Rng.key in
+  let seed = "oracle-seed" in
+  let root = dgst ("tlsharm-rng\x02" ^ seed) in
+  let t = Rng.create ~seed in
+  check "rng root key" ~input:seed ~expected:root ~actual:(key_of t);
+  check "rng blocks 0-2" ~input:seed
+    ~expected:(String.concat "" (List.map (block root) [ 0; 1; 2 ]))
+    ~actual:(Rng.generate t 96);
+  List.iter
+    (fun label ->
+      check "rng fork key" ~input:label ~expected:(dgst (root ^ "\x01" ^ label))
+        ~actual:(key_of (Rng.fork t ~label)))
+    [ "ep:cloudflare:edge:7"; String.make 60 'M'; String.make 100 'L' ];
+  let far = 1 lsl 40 in
+  check "rng far block" ~input:(string_of_int far) ~expected:(block root far)
+    ~actual:(Rng.generate (Rng.restore ~state:{ Rng.key = root; counter = far; offset = 32 }) 32)
 
 module Ec = Crypto.Ec
 
@@ -216,6 +255,7 @@ let () =
       hmac_lengths openssl;
       tls1_prf openssl;
       hkdf_expand openssl;
+      rng openssl;
       let curves = ecdh_curves () in
       List.iter (ecdh openssl) curves;
       if !failures > 0 then begin
@@ -224,5 +264,5 @@ let () =
       end;
       Printf.printf
         "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; hmac agrees at \
-         every length 0-64; ecdh agrees on %s\n"
+         every length 0-130; rng keys and blocks agree; ecdh agrees on %s\n"
         cases (String.concat ", " (List.map fst curves))

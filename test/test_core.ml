@@ -187,7 +187,7 @@ let test_posture_grades () =
 let attack_env = Tls.Config.sim_env ()
 
 let attack_fixture ~shortcuts =
-  let rng = Crypto.Drbg.create ~seed:"attack-fixture" in
+  let rng = Crypto.Rng.create ~seed:"attack-fixture" in
   let ca =
     Tls.Cert.self_signed ~curve:attack_env.Tls.Config.pki_curve ~name:"Attack CA" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 rng
@@ -227,7 +227,7 @@ let attack_fixture ~shortcuts =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"attack-server")
+      ~rng:(Crypto.Rng.create ~seed:"attack-server")
   in
   let client =
     Tls.Client.create
@@ -241,7 +241,7 @@ let attack_fixture ~shortcuts =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"attack-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"attack-client") ()
   in
   (client, server)
 
@@ -278,7 +278,7 @@ let test_attacks_fail_without_shortcuts () =
 
 let test_attack_dhe_variant () =
   (* Same theft against a DHE-only reusing server. *)
-  let rng = Crypto.Drbg.create ~seed:"dhe-attack" in
+  let rng = Crypto.Rng.create ~seed:"dhe-attack" in
   let ca =
     Tls.Cert.self_signed ~curve:attack_env.Tls.Config.pki_curve ~name:"CA2" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 rng
@@ -303,7 +303,7 @@ let test_attack_dhe_variant () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"dhe-attack-server")
+      ~rng:(Crypto.Rng.create ~seed:"dhe-attack-server")
   in
   let client =
     Tls.Client.create
@@ -317,7 +317,7 @@ let test_attack_dhe_variant () =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"dhe-attack-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"dhe-attack-client") ()
   in
   match
     Tlsharm.Attack.victim_connection ~plaintext:"dhe secret" client server ~now:100
@@ -335,7 +335,7 @@ let test_attack_x25519_variant () =
      the 32-byte ClientKeyExchange against the cached X25519 private
      value (regression: the cache had no accessor for it, so this theft
      was invisible to the demos). *)
-  let rng = Crypto.Drbg.create ~seed:"x25519-attack" in
+  let rng = Crypto.Rng.create ~seed:"x25519-attack" in
   let ca =
     Tls.Cert.self_signed ~curve:attack_env.Tls.Config.pki_curve ~name:"CA3" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 rng
@@ -360,7 +360,7 @@ let test_attack_x25519_variant () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"x25519-attack-server")
+      ~rng:(Crypto.Rng.create ~seed:"x25519-attack-server")
   in
   let client =
     Tls.Client.create ~prefer_x25519:true
@@ -374,7 +374,7 @@ let test_attack_x25519_variant () =
           evaluate_trust = false;
           verify_ske = true;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"x25519-attack-client") ()
+      ~rng:(Crypto.Rng.create ~seed:"x25519-attack-client") ()
   in
   match
     Tlsharm.Attack.victim_connection ~plaintext:"x25519 secret" client server ~now:100

@@ -47,7 +47,7 @@ let test_sha256_streaming () =
    bytes decide whether the length spills into an extra block; 63/64 and
    127/128 fill the staging block exactly). *)
 let test_sha256_split_lengths () =
-  let rng = Random.State.make [| 180 |] in
+  let rng = Crypto.Rng.create ~seed:"sha256-splits" in
   for len = 0 to 130 do
     let msg = String.init len (fun i -> Char.chr (((i * 7) + len) land 0xff)) in
     let expected = Crypto.Sha256.digest msg in
@@ -55,7 +55,7 @@ let test_sha256_split_lengths () =
       let t = Crypto.Sha256.init () in
       let pos = ref 0 in
       while !pos < len do
-        let n = 1 + Random.State.int rng (len - !pos) in
+        let n = 1 + Crypto.Rng.int_below rng (len - !pos) in
         Crypto.Sha256.update t (String.sub msg !pos n);
         pos := !pos + n
       done;
@@ -70,6 +70,21 @@ let test_sha256_split_lengths () =
     (Crypto.Sha256.digest (String.make 64 'a'))
 
 (* FIPS 180-4 long-message vector: one million repetitions of 'a'. *)
+(* [digest_short] at every length it takes, one compression up to 55
+   bytes and two up to 119, with the digest written over the message. *)
+let test_sha256_short_tails () =
+  for len = 0 to Crypto.Sha256.max_tail do
+    let msg = String.init len (fun i -> Char.chr (((i * 11) + len) land 0xff)) in
+    let buf = Bytes.make (len + 40) '\x00' in
+    Bytes.blit_string msg 0 buf 3 len;
+    Crypto.Sha256.digest_short buf ~pos:3 ~len buf ~at:5;
+    Alcotest.(check string) (Printf.sprintf "length %d" len) (Crypto.Sha256.digest msg)
+      (Bytes.sub_string buf 5 32)
+  done;
+  Alcotest.check_raises "120 bytes refused"
+    (Invalid_argument "Sha256.digest_short: message longer than 119 bytes") (fun () ->
+      Crypto.Sha256.digest_short (Bytes.create 120) ~pos:0 ~len:120 (Bytes.create 32) ~at:0)
+
 let test_sha256_million_a () =
   check_hex "1e6 x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Crypto.Sha256.digest (String.make 1_000_000 'a'))
@@ -131,12 +146,11 @@ let textbook_hmac key msg =
   Crypto.Sha256.digest (pad 0x5c ^ Crypto.Sha256.digest (pad 0x36 ^ msg))
 
 (* Message lengths 0-130 cross the one-block limit (55 bytes), the block
-   boundary and the padding spill, under a key shorter and one longer
-   than a block. [mac_parts] gets random splits, empty parts included;
-   [mac_into] runs at unaligned offsets with its output over the
-   message. *)
+   boundary, the two-block limit (119 bytes) and the padding spill, under
+   a key shorter and one longer than a block. [mac_parts] gets random
+   splits, empty parts included. *)
 let test_hmac_textbook () =
-  let rand = Random.State.make [| 2104 |] in
+  let rand = Crypto.Rng.create ~seed:"hmac-textbook" in
   List.iter
     (fun key_len ->
       let key = String.init key_len (fun i -> Char.chr (((i * 13) + 1) land 0xff)) in
@@ -147,32 +161,15 @@ let test_hmac_textbook () =
         let label what = Printf.sprintf "%s, %d-byte key, %d-byte message" what key_len len in
         check_hex (label "mac") want (Crypto.Hmac.mac ctx msg);
         let cuts =
-          List.sort compare (List.init (Random.State.int rand 4) (fun _ -> Random.State.int rand (len + 1)))
+          List.sort compare (List.init (Crypto.Rng.int_below rand 4) (fun _ -> Crypto.Rng.int_below rand (len + 1)))
         in
         let rec split from = function
           | [] -> [ String.sub msg from (len - from) ]
           | c :: rest -> String.sub msg from (c - from) :: split c rest
         in
         check_hex (label "mac_parts") want (Crypto.Hmac.mac_parts ctx (split 0 cuts));
-        if len <= Crypto.Sha256.max_short && key_len <= 64 then begin
-          let buf = Bytes.make 200 '\x00' in
-          Bytes.blit_string key 0 buf 1 key_len;
-          let ctx_at = key_len + 3 and msg_at = 101 in
-          Crypto.Hmac.key_into buf ~pos:1 ~len:key_len buf ~at:ctx_at;
-          Bytes.blit_string msg 0 buf msg_at len;
-          let at = msg_at + (len / 2) in
-          Crypto.Hmac.mac_into buf ~ctx:ctx_at buf ~pos:msg_at ~len buf ~at;
-          check_hex (label "mac_into") want (Bytes.sub_string buf at 32)
-        end
       done)
-    [ 32; 70 ];
-  let buf = Bytes.make 200 '\x00' in
-  Alcotest.check_raises "mac_into refuses a second block"
-    (Invalid_argument "Sha256.finish_short: message longer than 55 bytes") (fun () ->
-      Crypto.Hmac.mac_into buf ~ctx:0 buf ~pos:64 ~len:56 buf ~at:64);
-  Alcotest.check_raises "key_into refuses a long key"
-    (Invalid_argument "Hmac.key_into: key longer than a block") (fun () ->
-      Crypto.Hmac.key_into buf ~pos:0 ~len:65 buf ~at:100)
+    [ 32; 70 ]
 
 let test_hmac_ct_equal () =
   Alcotest.(check bool) "equal" true (Crypto.Hmac.equal_ct "same-bytes" "same-bytes");
@@ -322,7 +319,7 @@ let test_pow_mod_edge_exponents () =
 let test_pow_mod_native_word () =
   (* Moduli around the native-word fast-path cutoff (31 bits) agree with
      the seed reference through both entry points, odd and even. *)
-  let rng = Crypto.Drbg.create ~seed:"native-pow" in
+  let rng = Crypto.Rng.create ~seed:"native-pow" in
   let moduli =
     [
       B.of_int 3;
@@ -337,8 +334,8 @@ let test_pow_mod_native_word () =
   List.iter
     (fun m ->
       for _ = 1 to 10 do
-        let a = Crypto.Drbg.bignum_below rng (B.shift_left B.one 40) in
-        let e = Crypto.Drbg.bignum_below rng (B.shift_left B.one 40) in
+        let a = Crypto.Rng.bignum_below rng (B.shift_left B.one 40) in
+        let e = Crypto.Rng.bignum_below rng (B.shift_left B.one 40) in
         Alcotest.(check string)
           (Printf.sprintf "m = %s" (B.to_decimal m))
           (B.to_decimal (B.Reference.pow_mod a e m))
@@ -451,16 +448,16 @@ let prop_field_ops =
 
 module W = Crypto.Word_field
 
-(* Odd primes from 24 to 61 bits, drawn once from a fixed DRBG, plus the
+(* Odd primes from 24 to 61 bits, drawn once from a fixed Rng, plus the
    Mersenne prime 2^61 - 1 at the top of the accepted range. *)
 let word_primes =
-  let rng = Crypto.Drbg.create ~seed:"word-field-primes" in
+  let rng = Crypto.Rng.create ~seed:"word-field-primes" in
   let rec prime_from n = if Crypto.Dh.is_probably_prime n then n else prime_from (B.add_int n 2) in
   B.sub_int (B.shift_left B.one 61) 1
   :: List.map
        (fun bits ->
          let top = B.shift_left B.one (bits - 1) in
-         let n = B.add top (Crypto.Drbg.bignum_below rng top) in
+         let n = B.add top (Crypto.Rng.bignum_below rng top) in
          prime_from (if B.is_even n then B.add_int n 1 else n))
        [ 24; 25; 30; 31; 32; 33; 40; 47; 52; 53; 58; 60; 61; 61 ]
 
@@ -508,78 +505,149 @@ let test_word_field_bounds () =
   Alcotest.check_raises "inverse of zero" (Invalid_argument "Word_field.inv: zero") (fun () ->
       ignore (W.inv f 0))
 
-(* --- DRBG ------------------------------------------------------------------ *)
+(* --- Rng -------------------------------------------------------------------
+   The project's deterministic random bit generator; its tests keep the
+   "drbg" group name. *)
+
+module R = Crypto.Rng
 
 let test_drbg_determinism () =
-  let a = Crypto.Drbg.create ~seed:"fixed" and b = Crypto.Drbg.create ~seed:"fixed" in
-  Alcotest.(check string) "same seed, same stream"
-    (Crypto.Drbg.generate a 64) (Crypto.Drbg.generate b 64);
-  let c = Crypto.Drbg.create ~seed:"other" in
+  let a = R.create ~seed:"fixed" and b = R.create ~seed:"fixed" in
+  Alcotest.(check string) "same seed, same stream" (R.generate a 64) (R.generate b 64);
+  let c = R.create ~seed:"other" in
   Alcotest.(check bool) "different seed, different stream" false
-    (String.equal (Crypto.Drbg.generate b 64) (Crypto.Drbg.generate c 64))
+    (String.equal (R.generate b 64) (R.generate c 64))
 
 let test_drbg_fork () =
-  let parent1 = Crypto.Drbg.create ~seed:"p" in
-  let parent2 = Crypto.Drbg.create ~seed:"p" in
-  let c1 = Crypto.Drbg.fork parent1 ~label:"a" in
-  let c2 = Crypto.Drbg.fork parent2 ~label:"a" in
-  Alcotest.(check string) "same fork label, same stream"
-    (Crypto.Drbg.generate c1 32) (Crypto.Drbg.generate c2 32);
-  let d1 = Crypto.Drbg.fork parent1 ~label:"x" in
-  let d2 = Crypto.Drbg.fork parent1 ~label:"y" in
+  let parent1 = R.create ~seed:"p" in
+  let parent2 = R.create ~seed:"p" in
+  ignore (R.generate parent2 100);
+  let c1 = R.fork parent1 ~label:"a" in
+  let c2 = R.fork parent2 ~label:"a" in
+  Alcotest.(check string) "same key and label, same child, whatever was drawn"
+    (R.generate c1 32) (R.generate c2 32);
+  let d1 = R.fork parent1 ~label:"x" in
+  let d2 = R.fork parent1 ~label:"y" in
   Alcotest.(check bool) "distinct labels diverge" false
-    (String.equal (Crypto.Drbg.generate d1 32) (Crypto.Drbg.generate d2 32))
+    (String.equal (R.generate d1 32) (R.generate d2 32));
+  Alcotest.(check bool) "a child is not its parent" false
+    (String.equal (R.generate (R.create ~seed:"p") 32) (R.generate (R.fork (R.create ~seed:"p") ~label:"") 32))
+
+let test_drbg_fork_leaves_parent () =
+  let plain = R.create ~seed:"parent" and forking = R.create ~seed:"parent" in
+  let a = R.generate plain 13 and b = R.generate forking 13 in
+  Alcotest.(check string) "prefix" a b;
+  List.iter (fun label -> ignore (R.generate (R.fork forking ~label) 40)) [ "one"; "two"; "three" ];
+  Alcotest.(check string) "forks consume nothing" (R.generate plain 77) (R.generate forking 77);
+  Alcotest.(check int) "word draws too" (R.int_below plain 1_000_003) (R.int_below forking 1_000_003)
+
+let test_drbg_fork_repeated_label () =
+  let t = R.create ~seed:"guard" in
+  ignore (R.fork t ~label:"child");
+  ignore (R.fork t ~label:"other");
+  Alcotest.check_raises "second fork of one label"
+    (Invalid_argument "Rng.fork: label \"child\" forked twice") (fun () ->
+      ignore (R.fork t ~label:"child"));
+  (* The guard is per parent: another parent may use the label. *)
+  ignore (R.fork (R.create ~seed:"guard") ~label:"child");
+  (* Past a handful of labels the parent keeps them in a table. *)
+  let many = R.create ~seed:"many" in
+  for i = 0 to 40 do
+    ignore (R.fork many ~label:(string_of_int i))
+  done;
+  List.iter
+    (fun label ->
+      Alcotest.check_raises ("repeat of " ^ label)
+        (Invalid_argument (Printf.sprintf "Rng.fork: label %S forked twice" label)) (fun () ->
+          ignore (R.fork many ~label)))
+    [ "0"; "8"; "9"; "40" ]
+
+(* Fork and seed inputs past two blocks (119 bytes) take the streaming
+   hash; the key is the same function of the input either way. *)
+let test_drbg_long_label () =
+  let long = String.init 300 (fun i -> Char.chr (32 + (i mod 90))) in
+  let a = R.fork (R.create ~seed:"long") ~label:long in
+  let b = R.fork (R.create ~seed:"long") ~label:long in
+  Alcotest.(check string) "long label, same child" (R.generate a 50) (R.generate b 50);
+  let c = R.fork (R.create ~seed:"long") ~label:(String.sub long 0 299) in
+  Alcotest.(check bool) "one byte shorter diverges" false (String.equal (R.generate b 50) (R.generate c 50));
+  Alcotest.(check string) "long seed"
+    (R.generate (R.create ~seed:long) 40) (R.generate (R.create ~seed:long) 40);
+  (* 22/23 and 86/87 bytes sit either side of the one- and two-block
+     limits for a fork (32-byte key, separator, label). *)
+  List.iter
+    (fun n ->
+      let label = String.make n 'L' in
+      Alcotest.(check string) (Printf.sprintf "%d-byte label" n)
+        (R.generate (R.fork (R.create ~seed:"edge") ~label) 32)
+        (R.generate (R.fork (R.create ~seed:"edge") ~label) 32))
+    [ 22; 23; 86; 87 ]
 
 let test_drbg_generate_into () =
   (* generate_into is stream-identical to generate: same bytes out, same
      state advance, for lengths on both sides of the 32-byte block. *)
-  let a = Crypto.Drbg.create ~seed:"gi" in
-  let b = Crypto.Drbg.create ~seed:"gi" in
+  let a = R.create ~seed:"gi" in
+  let b = R.create ~seed:"gi" in
   List.iter
     (fun n ->
-      let s = Crypto.Drbg.generate a n in
+      let s = R.generate a n in
       let buf = Bytes.make (n + 7) 'Z' in
-      Crypto.Drbg.generate_into b buf ~pos:3 ~len:n;
+      R.generate_into b buf ~pos:3 ~len:n;
       Alcotest.(check string) (Printf.sprintf "chunk of %d" n) s (Bytes.sub_string buf 3 n);
       Alcotest.(check string) "prefix untouched" "ZZZ" (Bytes.sub_string buf 0 3);
       Alcotest.(check string) "suffix untouched" "ZZZZ" (Bytes.sub_string buf (3 + n) 4))
     [ 1; 31; 32; 33; 0; 64; 100 ];
-  Alcotest.(check (pair string string)) "states still aligned"
-    (Crypto.Drbg.state a) (Crypto.Drbg.state b);
+  Alcotest.(check bool) "states still aligned" true (R.state a = R.state b);
   Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Drbg.generate_into: range out of bounds") (fun () ->
-      Crypto.Drbg.generate_into a (Bytes.create 4) ~pos:2 ~len:3)
+    (Invalid_argument "Rng.generate_into: range out of bounds") (fun () ->
+      R.generate_into a (Bytes.create 4) ~pos:2 ~len:3)
 
-(* The full HMAC-DRBG stream over a fixed script that reaches every entry
-   point, including reseed and the multi-block generate path, pinned to
-   one digest. Any change to the DRBG or the hash layers below it that
-   moves a single output byte fails here. *)
+(* The draw rule: byte strings run on across blocks, and a word that does
+   not fit in what is left of a block is the next block's first 8 bytes. *)
+let test_drbg_draw_rule () =
+  let blocks = R.generate (R.create ~seed:"rule") 96 in
+  let t = R.create ~seed:"rule" in
+  Alcotest.(check string) "bytes straddle blocks" (String.sub blocks 0 30) (R.generate t 30);
+  Alcotest.(check int) "byte 30" (Char.code blocks.[30]) (R.byte t);
+  let word = Int64.to_int (String.get_int64_be blocks 32) land max_int in
+  Alcotest.(check int) "a word skips the last byte" (word land ((1 lsl 40) - 1)) (R.int_below t (1 lsl 40));
+  Alcotest.(check string) "then bytes go on after it" (String.sub blocks 40 20) (R.generate t 20);
+  Alcotest.(check bool) "state" true (R.state t = { R.key = (R.state t).R.key; counter = 2; offset = 28 })
+
+(* The stream over a fixed script that reaches every entry point, pinned
+   to one digest. Any change to the generator or the hash layers below it
+   that moves a single output byte fails here. *)
 let test_drbg_stream_pinned () =
-  let module D = Crypto.Drbg in
   let out = Buffer.create 1024 in
   let add s = Buffer.add_string out s in
-  let rng = D.create ~seed:"drbg-pin" in
-  List.iter (fun n -> add (D.generate rng n)) [ 0; 1; 31; 32; 33; 100 ];
-  add (Printf.sprintf "byte=%d;" (D.byte rng));
-  add (Printf.sprintf "int=%d;" (D.int_below rng 1_000_003));
-  add (Printf.sprintf "float=%h;" (D.float01 rng));
-  add (B.to_decimal (D.bignum_below rng (B.of_decimal "340282366920938463463374607431768211507")));
-  let child = D.fork rng ~label:"child" in
-  add (D.generate child 48);
-  D.reseed rng "fresh entropy";
-  add (D.generate rng 40);
-  let k, v = D.state rng in
-  add k;
-  add v;
-  let resumed = D.restore ~state:(k, v) in
-  add (D.generate resumed 65);
-  add (D.generate rng 65);
-  check_hex "stream digest" "dafe0cad31e609035bfc8c64ad967a34c8a65e69ce27fa46555c12e1238f88eb"
+  let rng = R.create ~seed:"rng-pin" in
+  List.iter (fun n -> add (R.generate rng n)) [ 0; 1; 31; 32; 33; 100 ];
+  add (Printf.sprintf "byte=%d;" (R.byte rng));
+  add (Printf.sprintf "int=%d;" (R.int_below rng 1_000_003));
+  add (Printf.sprintf "range=%d;" (R.int_range rng (-5) 5));
+  add (Printf.sprintf "float=%h;" (R.float01 rng));
+  add (Printf.sprintf "bool=%b;" (R.bool rng ~p:0.5));
+  add (Printf.sprintf "exp=%h;" (R.exponential rng ~mean:3.0));
+  add (R.pick rng [| "a"; "b"; "c" |] ^ R.pick_list rng [ "x"; "y" ] ^ R.weighted rng [ (0.5, "u"); (0.5, "v") ]);
+  let arr = Array.init 10 Fun.id in
+  R.shuffle rng arr;
+  Array.iter (fun i -> add (string_of_int i)) arr;
+  add (B.to_decimal (R.bignum_below rng (B.of_decimal "340282366920938463463374607431768211507")));
+  add (B.to_decimal (R.bignum_in_group rng (B.of_int 1_000_000_007)));
+  let child = R.fork rng ~label:"child" in
+  add (R.generate child 48);
+  add (R.generate (R.fork rng ~label:(String.make 80 'l')) 16);
+  let st = R.state rng in
+  add (R.state_to_string st);
+  let resumed = R.restore ~state:st in
+  add (R.generate resumed 65);
+  add (R.generate rng 65);
+  check_hex "stream digest" "992304a32737802a7301194978e76d65f8c1dba4ba9ae307c7308edb6ec1bb82"
     (Crypto.Sha256.digest (Buffer.contents out))
 
 (* A random script over the generator's entry points, cut at a random
    point by [restore (state t)], must go on byte for byte as if never cut:
-   the snapshot is the whole state, the stored HMAC context included. *)
+   the snapshot is the whole stream position. *)
 type drbg_op =
   | Generate of int
   | Byte
@@ -587,7 +655,6 @@ type drbg_op =
   | Float01
   | Bignum_below
   | Fork of string
-  | Reseed of string
 
 let drbg_op_gen =
   QCheck2.Gen.(
@@ -599,7 +666,6 @@ let drbg_op_gen =
         pure Float01;
         pure Bignum_below;
         map (fun s -> Fork s) (string_size ~gen:printable (int_range 0 40));
-        map (fun s -> Reseed s) (string_size ~gen:printable (int_range 1 80));
       ])
 
 let print_drbg_op = function
@@ -609,52 +675,48 @@ let print_drbg_op = function
   | Float01 -> "float01"
   | Bignum_below -> "bignum_below"
   | Fork l -> Printf.sprintf "fork %S" l
-  | Reseed e -> Printf.sprintf "reseed %S" e
 
-let run_drbg_op t op =
-  let module D = Crypto.Drbg in
+(* A fork's label carries the op's index: one parent never forks a label
+   twice. *)
+let run_drbg_op t i op =
   match op with
-  | Generate n -> D.generate t n
-  | Byte -> string_of_int (D.byte t)
-  | Int_below n -> string_of_int (D.int_below t n)
-  | Float01 -> Printf.sprintf "%h" (D.float01 t)
-  | Bignum_below -> B.to_decimal (D.bignum_below t (B.of_decimal "340282366920938463463374607431768211507"))
-  | Fork label -> D.generate (D.fork t ~label) 40
-  | Reseed e ->
-      D.reseed t e;
-      ""
+  | Generate n -> R.generate t n
+  | Byte -> string_of_int (R.byte t)
+  | Int_below n -> string_of_int (R.int_below t n)
+  | Float01 -> Printf.sprintf "%h" (R.float01 t)
+  | Bignum_below -> B.to_decimal (R.bignum_below t (B.of_decimal "340282366920938463463374607431768211507"))
+  | Fork label -> R.generate (R.fork t ~label:(Printf.sprintf "%d:%s" i label)) 40
 
 let prop_drbg_restore_continues =
   QCheck2.Test.make ~name:"restore (state t) continues the stream" ~count:200
     ~print:QCheck2.Print.(pair (list print_drbg_op) int)
     QCheck2.Gen.(pair (list_size (int_range 1 25) drbg_op_gen) (int_range 0 25))
     (fun (ops, cut) ->
-      let module D = Crypto.Drbg in
-      let whole = D.create ~seed:"drbg-script" in
-      let straight = List.map (run_drbg_op whole) ops in
-      let t = ref (D.create ~seed:"drbg-script") in
+      let whole = R.create ~seed:"drbg-script" in
+      let straight = List.mapi (run_drbg_op whole) ops in
+      let t = ref (R.create ~seed:"drbg-script") in
       let resumed =
         List.mapi
           (fun i op ->
-            if i = cut then t := D.restore ~state:(D.state !t);
-            run_drbg_op !t op)
+            if i = cut then t := R.restore ~state:(R.state !t);
+            run_drbg_op !t i op)
           ops
       in
-      straight = resumed && D.state whole = D.state !t)
+      straight = resumed && R.state whole = R.state !t)
 
 let prop_drbg_int_below =
   QCheck2.Test.make ~name:"int_below stays in range" ~count:300
     QCheck2.Gen.(pair (int_range 1 1_000_000) small_int)
     (fun (bound, salt) ->
-      let rng = Crypto.Drbg.create ~seed:(string_of_int salt) in
-      let v = Crypto.Drbg.int_below rng bound in
+      let rng = R.create ~seed:(string_of_int salt) in
+      let v = R.int_below rng bound in
       v >= 0 && v < bound)
 
 let test_drbg_weighted () =
-  let rng = Crypto.Drbg.create ~seed:"weighted" in
+  let rng = R.create ~seed:"weighted" in
   let counts = Hashtbl.create 3 in
   for _ = 1 to 3000 do
-    let v = Crypto.Drbg.weighted rng [ (0.7, "a"); (0.2, "b"); (0.1, "c") ] in
+    let v = R.weighted rng [ (0.7, "a"); (0.2, "b"); (0.1, "c") ] in
     Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
   done;
   let get k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
@@ -717,7 +779,7 @@ let test_generated_group () =
   Alcotest.(check bool) "g^2 <> 1" false (B.is_one (B.pow_mod g B.two p))
 
 let test_dh_agreement () =
-  let rng = Crypto.Drbg.create ~seed:"dh-agree" in
+  let rng = Crypto.Rng.create ~seed:"dh-agree" in
   for i = 1 to 10 do
     let alice = Crypto.Dh.gen_keypair sim_group rng in
     let bob = Crypto.Dh.gen_keypair sim_group rng in
@@ -731,7 +793,7 @@ let test_dh_agreement () =
   done
 
 let test_dh_rejects_degenerate () =
-  let rng = Crypto.Drbg.create ~seed:"dh-degenerate" in
+  let rng = Crypto.Rng.create ~seed:"dh-degenerate" in
   let kp = Crypto.Dh.gen_keypair sim_group rng in
   let p = Crypto.Dh.group_p sim_group in
   List.iter
@@ -773,7 +835,7 @@ let test_dh_generate_race () =
     (Crypto.Dh.generate ~bits ~seed == results.(0).(0))
 
 let test_dh_oakley_agreement () =
-  let rng = Crypto.Drbg.create ~seed:"dh-oakley" in
+  let rng = Crypto.Rng.create ~seed:"dh-oakley" in
   let alice = Crypto.Dh.gen_keypair Crypto.Dh.oakley2 rng in
   let bob = Crypto.Dh.gen_keypair Crypto.Dh.oakley2 rng in
   let za = Crypto.Dh.shared_secret_exn alice ~peer_pub:(B.of_bytes_be (Crypto.Dh.public_bytes bob)) in
@@ -941,7 +1003,7 @@ let prop_scalar_mult_base_add =
         ladder_curves)
 
 let test_ec_agreement () =
-  let rng = Crypto.Drbg.create ~seed:"ec-agree" in
+  let rng = Crypto.Rng.create ~seed:"ec-agree" in
   for i = 1 to 10 do
     let alice = Ec.gen_keypair small_curve rng in
     let bob = Ec.gen_keypair small_curve rng in
@@ -984,10 +1046,10 @@ let test_ec_rejects_small_order () =
   let c = sim52 in
   let t4 = order4_point c in
   let small = [ ("(0, 0)", Ec.Affine (B.zero, B.zero)); ("order-4", t4); ("-order-4", Ec.neg c t4) ] in
-  let rng = Crypto.Drbg.create ~seed:"ec-small-order" in
+  let rng = Crypto.Rng.create ~seed:"ec-small-order" in
   let keys =
     List.map B.of_int [ 1; 2; 3; 4 ]
-    @ List.init 8 (fun _ -> Crypto.Drbg.bignum_in_group rng (Ec.curve_order c))
+    @ List.init 8 (fun _ -> Crypto.Rng.bignum_in_group rng (Ec.curve_order c))
   in
   List.iter
     (fun (label, pt) ->
@@ -1037,7 +1099,7 @@ let test_ec_rejects_off_curve () =
   let bogus = Ec.Affine (B.of_int 12345, B.of_int 678) in
   if Ec.on_curve c bogus then ()
   else begin
-    let rng = Crypto.Drbg.create ~seed:"ec-reject" in
+    let rng = Crypto.Rng.create ~seed:"ec-reject" in
     let kp = Ec.gen_keypair c rng in
     (match Ec.shared_secret kp ~peer_pub:bogus with
     | Error _ -> ()
@@ -1048,7 +1110,7 @@ let test_ec_rejects_off_curve () =
   end
 
 let test_p256_agreement () =
-  let rng = Crypto.Drbg.create ~seed:"p256-agree" in
+  let rng = Crypto.Rng.create ~seed:"p256-agree" in
   let alice = Ec.gen_keypair Ec.p256 rng in
   let bob = Ec.gen_keypair Ec.p256 rng in
   let pub kp =
@@ -1067,7 +1129,7 @@ let test_p256_agreement () =
 let ecdsa_curve = Ec.generate_small ~bits:53 ~seed:"ecdsa-test"
 
 let test_ecdsa_roundtrip () =
-  let rng = Crypto.Drbg.create ~seed:"ecdsa" in
+  let rng = Crypto.Rng.create ~seed:"ecdsa" in
   let kp = Crypto.Ecdsa.gen_keypair ecdsa_curve rng in
   let msg = "to be signed" in
   let sg = Crypto.Ecdsa.sign kp rng msg in
@@ -1081,7 +1143,7 @@ let test_ecdsa_roundtrip () =
     (Crypto.Ecdsa.verify ~curve:ecdsa_curve ~pub:(Crypto.Ecdsa.public_key other) ~msg sg)
 
 let test_ecdsa_signature_codec () =
-  let rng = Crypto.Drbg.create ~seed:"ecdsa-codec" in
+  let rng = Crypto.Rng.create ~seed:"ecdsa-codec" in
   let kp = Crypto.Ecdsa.gen_keypair ecdsa_curve rng in
   let sg = Crypto.Ecdsa.sign kp rng "payload" in
   let bytes = Crypto.Ecdsa.signature_bytes ecdsa_curve sg in
@@ -1095,7 +1157,7 @@ let test_ecdsa_signature_codec () =
   | Ok _ -> Alcotest.fail "bad length accepted"
 
 let test_ecdsa_static_ecdh () =
-  let rng = Crypto.Drbg.create ~seed:"ecdsa-ecdh" in
+  let rng = Crypto.Rng.create ~seed:"ecdsa-ecdh" in
   let a = Crypto.Ecdsa.gen_keypair ecdsa_curve rng in
   let b = Crypto.Ecdsa.gen_keypair ecdsa_curve rng in
   match
@@ -1115,11 +1177,11 @@ let test_ecdsa_ecdh_rejects_small_order () =
   let c = ecdsa_curve in
   let t4 = order4_point c in
   let small = [ ("(0, 0)", Ec.Affine (B.zero, B.zero)); ("order-4", t4); ("-order-4", Ec.neg c t4) ] in
-  let rng = Crypto.Drbg.create ~seed:"ecdsa-small-order" in
+  let rng = Crypto.Rng.create ~seed:"ecdsa-small-order" in
   let keys =
     List.init 8 (fun _ ->
         let priv =
-          Crypto.Drbg.bignum_in_group (Crypto.Drbg.restore ~state:(Crypto.Drbg.state rng)) (Ec.curve_order c)
+          Crypto.Rng.bignum_in_group (Crypto.Rng.restore ~state:(Crypto.Rng.state rng)) (Ec.curve_order c)
         in
         (B.to_int_exn (B.rem priv (B.of_int 4)), Crypto.Ecdsa.gen_keypair c rng))
   in
@@ -1144,7 +1206,7 @@ let prop_ecdsa_sign_verify =
   QCheck2.Test.make ~name:"ecdsa sign/verify" ~count:50
     QCheck2.Gen.(pair small_int (string_size (int_range 0 100)))
     (fun (salt, msg) ->
-      let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "e-%d" salt) in
+      let rng = Crypto.Rng.create ~seed:(Printf.sprintf "e-%d" salt) in
       let kp = Crypto.Ecdsa.gen_keypair ecdsa_curve rng in
       let sg = Crypto.Ecdsa.sign kp rng msg in
       Crypto.Ecdsa.verify ~curve:ecdsa_curve ~pub:(Crypto.Ecdsa.public_key kp) ~msg sg)
@@ -1161,7 +1223,7 @@ let test_x25519_dh_vectors () =
   (* Self-consistency: independently generated keypairs agree on the
      shared secret, and the base point behaves. *)
   Alcotest.(check int) "base point length" 32 (String.length Crypto.X25519.base_point);
-  let rng = Crypto.Drbg.create ~seed:"x25519" in
+  let rng = Crypto.Rng.create ~seed:"x25519" in
   let kp1 = Crypto.X25519.gen_keypair rng in
   let kp2 = Crypto.X25519.gen_keypair rng in
   match
@@ -1173,7 +1235,7 @@ let test_x25519_dh_vectors () =
 
 let prop_x25519_agreement =
   QCheck2.Test.make ~name:"x25519 agreement" ~count:20 QCheck2.Gen.small_int (fun salt ->
-      let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "x-%d" salt) in
+      let rng = Crypto.Rng.create ~seed:(Printf.sprintf "x-%d" salt) in
       let kp1 = Crypto.X25519.gen_keypair rng in
       let kp2 = Crypto.X25519.gen_keypair rng in
       match
@@ -1197,6 +1259,7 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "streaming" `Quick test_sha256_streaming;
           Alcotest.test_case "split points at every length" `Quick test_sha256_split_lengths;
+          Alcotest.test_case "short tails at every length" `Quick test_sha256_short_tails;
           Alcotest.test_case "one million a" `Quick test_sha256_million_a;
           Alcotest.test_case "copy independence" `Quick test_sha256_copy;
         ] );
@@ -1247,7 +1310,11 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_drbg_determinism;
           Alcotest.test_case "fork" `Quick test_drbg_fork;
+          Alcotest.test_case "fork leaves the parent's stream" `Quick test_drbg_fork_leaves_parent;
+          Alcotest.test_case "fork refuses a repeated label" `Quick test_drbg_fork_repeated_label;
+          Alcotest.test_case "fork and seed past one block" `Quick test_drbg_long_label;
           Alcotest.test_case "generate_into" `Quick test_drbg_generate_into;
+          Alcotest.test_case "draw rule" `Quick test_drbg_draw_rule;
           Alcotest.test_case "stream pinned" `Quick test_drbg_stream_pinned;
           Alcotest.test_case "weighted" `Quick test_drbg_weighted;
         ] );

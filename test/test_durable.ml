@@ -488,15 +488,39 @@ let prop_drbg_state_roundtrip =
   QCheck2.Test.make ~name:"drbg state/restore continues the stream" ~count:100
     QCheck2.Gen.(pair (string_size (int_range 1 32)) (int_range 1 120))
     (fun (seed, n) ->
-      let d = Crypto.Drbg.create ~seed in
-      ignore (Crypto.Drbg.generate d n);
-      let d' = Crypto.Drbg.restore ~state:(Crypto.Drbg.state d) in
-      String.equal (Crypto.Drbg.generate d 48) (Crypto.Drbg.generate d' 48))
+      let d = Crypto.Rng.create ~seed in
+      ignore (Crypto.Rng.generate d n);
+      let d' = Crypto.Rng.restore ~state:(Crypto.Rng.state d) in
+      String.equal (Crypto.Rng.generate d 48) (Crypto.Rng.generate d' 48))
 
 let test_drbg_restore_rejects_bad_state () =
-  match Crypto.Drbg.restore ~state:("short", String.make 32 'v') with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a non-32-byte state must be rejected"
+  let key = String.make 32 'k' in
+  List.iter
+    (fun (what, state) ->
+      match Crypto.Rng.restore ~state with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (what ^ " must be rejected"))
+    [
+      ("a short key", { Crypto.Rng.key = "short"; counter = 1; offset = 0 });
+      ("a negative counter", { Crypto.Rng.key; counter = -1; offset = 32 });
+      ("an offset past the block", { Crypto.Rng.key; counter = 1; offset = 33 });
+      ("a used block before any block", { Crypto.Rng.key; counter = 0; offset = 4 });
+    ];
+  let good = Crypto.Rng.state_to_string { Crypto.Rng.key; counter = 7; offset = 12 } in
+  Alcotest.(check bool) "canonical text parses" true (Crypto.Rng.state_of_string good <> None);
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "%S refused" text) true
+        (Crypto.Rng.state_of_string text = None))
+    [
+      "";
+      String.sub good 0 (String.length good - 1) ^ ":";
+      good ^ ":1";
+      Wire.Hex.encode key ^ ":07:12";
+      Wire.Hex.encode key ^ ":7:+12";
+      Wire.Hex.encode "short" ^ ":7:12";
+      Wire.Hex.encode key ^ ":0:12";
+    ]
 
 (* --- One-worker kill-and-resume ---------------------------------------------------
 
@@ -545,7 +569,9 @@ let serial_reference =
      archive_bytes (Campaign_run.run ~jobs:1 w ~days:serial_days))
 
 let recorded_blocks path =
-  match Durable.Spool.read path with Ok r -> r | Error e -> Alcotest.fail e
+  match Durable.Spool.read path with
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Durable.Spool.error_to_string ~path e)
 
 let kill_serial_after dir ~k =
   match
@@ -662,7 +688,7 @@ let test_spool_roundtrip () =
       | Ok (blocks, complete) ->
           Alcotest.(check bool) "footer seen" true complete;
           Alcotest.(check (list string)) "blocks survive" [ "alpha"; "two\nlines\n"; "" ] blocks
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail (Durable.Spool.error_to_string ~path e))
 
 let test_spool_torn_tail_is_valid_prefix () =
   (* A crash mid-append must cost at most the torn block: the reader
@@ -679,7 +705,7 @@ let test_spool_torn_tail_is_valid_prefix () =
       | Ok (blocks, complete) ->
           Alcotest.(check bool) "flagged incomplete" false complete;
           Alcotest.(check (list string)) "valid prefix survives" [ "first" ] blocks
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail (Durable.Spool.error_to_string ~path e))
 
 let test_spool_damaged_block_ends_prefix () =
   (* A payload byte flipped at rest no longer matches its frame's tag:
@@ -694,14 +720,43 @@ let test_spool_damaged_block_ends_prefix () =
       | Ok (blocks, complete) ->
           Alcotest.(check bool) "flagged incomplete" false complete;
           Alcotest.(check (list string)) "prefix ends at the damage" [ "first" ] blocks
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail (Durable.Spool.error_to_string ~path e))
 
 let test_spool_bad_header_rejected () =
   with_temp_file (fun path ->
       spew path "not a spool\n#block 0 bytes=1\nx\n";
       match Durable.Spool.read path with
       | Ok _ -> Alcotest.fail "a foreign file must not parse as a spool"
-      | Error e -> Alcotest.(check bool) "error names the file" true (contains e path))
+      | Error e ->
+          Alcotest.(check bool) "error names the file" true
+            (contains (Durable.Spool.error_to_string ~path e) path))
+
+(* A spool of the previous format is refused by its version, in one
+   line; a later or malformed version is a foreign file. *)
+let test_spool_old_version_refused () =
+  with_temp_file (fun path ->
+      let w = Durable.Spool.create path in
+      List.iter (Durable.Spool.add_block w) [ "day=0\n"; "trailer\n" ];
+      Durable.Spool.close w;
+      let raw = slurp path in
+      let body = String.sub raw (String.index raw '\n') (String.length raw - String.index raw '\n') in
+      let with_header h =
+        spew path (h ^ body);
+        Durable.Spool.read path
+      in
+      (match with_header "#tlsharm-spool v2" with
+      | Error (Durable.Spool.Old_version 2 as e) ->
+          let msg = Durable.Spool.error_to_string ~path e in
+          Alcotest.(check bool) "names the path and both versions" true
+            (contains msg path && contains msg "v2" && contains msg "v3");
+          Alcotest.(check bool) "one line" false (String.contains msg '\n')
+      | _ -> Alcotest.fail "a v2 spool must be refused by version");
+      List.iter
+        (fun h ->
+          match with_header h with
+          | Error Durable.Spool.Not_a_spool -> ()
+          | _ -> Alcotest.failf "%S must read as a foreign file" h)
+        [ "#tlsharm-spool v4"; "#tlsharm-spool v02"; "#tlsharm-spool v2 "; "#tlsharm-spool" ])
 
 (* --- Streamed kill-and-resume ------------------------------------------------------- *)
 
@@ -729,6 +784,40 @@ let test_streamed_kill_resume_identity () =
         (spool_files clean) (spool_files killed);
       Alcotest.(check bool) "streamed resume is byte-identical" true
         (String.equal (loaded_bytes killed) reference))
+
+(* A run log of the previous format (stream schema 2, v2 spools whose
+   day blocks carry HMAC-DRBG states) is refused in one line by the
+   loader and by a resume's re-attach, and nothing in it changes. With
+   the manifest current and only the spools old, the loader names the
+   spool version. *)
+let test_v2_run_log_refused () =
+  with_temp_dir (fun dir ->
+      let run = Filename.concat dir "run" in
+      run_streamed ~days:1 run;
+      let mpath = Filename.concat run "manifest" in
+      let current = match Durable.Atomic_io.read mpath with Ok m -> m | Error _ -> Alcotest.fail "manifest" in
+      let relabel ~from ~to_ text =
+        String.split_on_char '\n' text
+        |> List.map (fun l -> if String.equal l from then to_ else l)
+        |> String.concat "\n"
+      in
+      Durable.Atomic_io.write mpath
+        (relabel ~from:("schema=" ^ Scanner.Stream_sink.schema) ~to_:"schema=tlsharm-stream/2" current);
+      let spool = first_spool run in
+      spew spool (relabel ~from:"#tlsharm-spool v3" ~to_:"#tlsharm-spool v2" (slurp spool));
+      let before = spool_files run in
+      let one_line what needle = function
+        | Ok _ -> Alcotest.failf "%s: a v2 run log must be refused" what
+        | Error e ->
+            Alcotest.(check bool) (what ^ " names the version") true (contains e needle);
+            Alcotest.(check bool) (what ^ " is one line") false (String.contains e '\n')
+      in
+      one_line "load" "tlsharm-stream/2" (Scanner.Daily_scan.load_stream run);
+      one_line "re-attach" "tlsharm-stream/2"
+        (Result.map ignore (Scanner.Stream_sink.create ~dir:run ~manifest:[]));
+      Alcotest.(check (list (pair string string))) "left as it was" before (spool_files run);
+      Durable.Atomic_io.write mpath current;
+      one_line "load of v2 spools" "spool format v2" (Scanner.Daily_scan.load_stream run))
 
 (* --- Stream loaders under damage ------------------------------------------------------
 
@@ -930,9 +1019,12 @@ let () =
           Alcotest.test_case "torn tail is valid prefix" `Quick
             test_spool_torn_tail_is_valid_prefix;
           Alcotest.test_case "bad header rejected" `Quick test_spool_bad_header_rejected;
+          Alcotest.test_case "v2 spool refused by version" `Quick test_spool_old_version_refused;
           Alcotest.test_case "damaged block ends prefix" `Quick
             test_spool_damaged_block_ends_prefix;
         ] );
+      ( "v2-run-log",
+        [ Alcotest.test_case "refused by version" `Quick test_v2_run_log_refused ] );
       ( "parallel-resume",
         [
           Alcotest.test_case "kill/resume across worker counts" `Slow

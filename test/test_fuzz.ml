@@ -4,7 +4,7 @@
    malformed ServerHello is useless on the real Internet, so these
    invariants matter beyond tidiness. *)
 
-let rng = Crypto.Drbg.create ~seed:"fuzz"
+let rng = Crypto.Rng.create ~seed:"fuzz"
 
 let random_bytes_gen =
   QCheck2.Gen.(string_size ~gen:(char_range '\x00' '\xff') (int_range 0 300))
@@ -51,8 +51,8 @@ let valid_client_hello =
     (Tls.Handshake_msg.Client_hello
        {
          ch_version = Tls.Types.TLS_1_2;
-         ch_random = Crypto.Drbg.generate rng 32;
-         ch_session_id = Crypto.Drbg.generate rng 16;
+         ch_random = Crypto.Rng.generate rng 32;
+         ch_session_id = Crypto.Rng.generate rng 16;
          ch_cipher_suites = [ 0xffa1; 0xffa2 ];
          ch_extensions =
            [ Tls.Extension.Server_name "fuzz.example"; Tls.Extension.Session_ticket "" ];
@@ -79,7 +79,7 @@ let prop_mutated_hello_total =
 let fuzz_env = Tls.Config.sim_env ()
 
 let fuzz_server =
-  let r = Crypto.Drbg.create ~seed:"fuzz-server" in
+  let r = Crypto.Rng.create ~seed:"fuzz-server" in
   let ca =
     Tls.Cert.self_signed ~curve:fuzz_env.Tls.Config.pki_curve ~name:"Fuzz CA" ~not_before:0
       ~not_after:(1 lsl 40) ~serial:1 r
@@ -111,7 +111,7 @@ let fuzz_server =
         cert_chain = [ cert ];
         cert_key = key;
       }
-    ~rng:(Crypto.Drbg.create ~seed:"fuzz-server-rng")
+    ~rng:(Crypto.Rng.create ~seed:"fuzz-server-rng")
 
 let prop_server_survives_mutated_hello =
   QCheck2.Test.make ~name:"server engine survives mutated hellos" ~count:300
@@ -142,7 +142,7 @@ let prop_server_survives_garbage_cke =
               evaluate_trust = false;
               verify_ske = false;
             }
-          ~rng:(Crypto.Drbg.create ~seed:"fuzz-client") ()
+          ~rng:(Crypto.Rng.create ~seed:"fuzz-client") ()
       in
       let ch, _state = Tls.Client.hello client ~now:100 ~hostname:"fuzz.example" ~offer:Tls.Client.Fresh in
       match Tls.Server.handle_client_hello fuzz_server ~now:100 ch with

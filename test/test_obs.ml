@@ -194,7 +194,7 @@ let test_archive_bytes_unchanged_by_telemetry () =
 
 let test_kernel_snapshot_diff () =
   let before = Obs.Kernel.snapshot () in
-  ignore (Crypto.Dh.gen_keypair Crypto.Dh.oakley2 (Crypto.Drbg.create ~seed:"obs-kernel-test"));
+  ignore (Crypto.Dh.gen_keypair Crypto.Dh.oakley2 (Crypto.Rng.create ~seed:"obs-kernel-test"));
   let after = Obs.Kernel.snapshot () in
   let diff = Obs.Kernel.diff ~before ~after in
   Alcotest.(check bool) "fixed-base pow advanced" true

@@ -18,7 +18,7 @@ let mk_client ?(offer_ticket = true) ?(suites = Tls.Types.all_cipher_suites) () 
         evaluate_trust = true;
         verify_ske = true;
       }
-    ~rng:(Crypto.Drbg.create ~seed:"simnet-test-client") ()
+    ~rng:(Crypto.Rng.create ~seed:"simnet-test-client") ()
 
 let connect ?offer hostname =
   let w = Lazy.force world in
@@ -265,7 +265,7 @@ let test_determinism () =
 (* --- Profiles ------------------------------------------------------------------------ *)
 
 let test_profile_sampler () =
-  let rng = Crypto.Drbg.create ~seed:"profile-test" in
+  let rng = Crypto.Rng.create ~seed:"profile-test" in
   let n = 3000 in
   let https = ref 0 and trusted = ref 0 and tickets = ref 0 and dhe_reuse = ref 0 in
   for _ = 1 to n do

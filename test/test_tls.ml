@@ -7,7 +7,7 @@ module T = Tls.Types
 module Msg = Tls.Handshake_msg
 
 let env = Tls.Config.sim_env ()
-let rng () = Crypto.Drbg.create ~seed:"test-tls"
+let rng () = Crypto.Rng.create ~seed:"test-tls"
 
 (* --- A tiny PKI ------------------------------------------------------------- *)
 
@@ -16,11 +16,11 @@ let day = 86_400
 let ca =
   Tls.Cert.self_signed ~curve:env.Tls.Config.pki_curve ~name:"Test Root CA" ~not_before:0
     ~not_after:(3650 * day) ~serial:1
-    (Crypto.Drbg.create ~seed:"test-ca")
+    (Crypto.Rng.create ~seed:"test-ca")
 
 let issue_leaf ?(hostname = "example.com") ?(sans = []) ?(not_before = 0)
     ?(not_after = 3650 * day) ?(serial = 42) () =
-  let r = Crypto.Drbg.create ~seed:("leaf-" ^ hostname) in
+  let r = Crypto.Rng.create ~seed:("leaf-" ^ hostname) in
   let keypair = Crypto.Ecdsa.gen_keypair env.Tls.Config.pki_curve r in
   let pub = Crypto.Ec.point_bytes env.Tls.Config.pki_curve (Crypto.Ecdsa.public_key keypair) in
   let cert =
@@ -74,7 +74,7 @@ let make_server ?(hostname = "example.com") ~now:_ opts =
       cert_key = key;
     }
   in
-  Tls.Server.create ~config ~rng:(Crypto.Drbg.create ~seed:("server-" ^ hostname))
+  Tls.Server.create ~config ~rng:(Crypto.Rng.create ~seed:("server-" ^ hostname))
 
 let make_client ?(offer_ticket = true) ?(suites = T.all_cipher_suites) ?(check = false) () =
   Tls.Client.create
@@ -215,7 +215,7 @@ let test_shared_session_cache () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:("shared-" ^ hostname))
+      ~rng:(Crypto.Rng.create ~seed:("shared-" ^ hostname))
   in
   let server_a = mk "a.example" and server_b = mk "b.example" in
   let client = make_client ~offer_ticket:false () in
@@ -514,7 +514,7 @@ let test_shared_stek_cross_domain () =
           cert_chain = [ cert ];
           cert_key = key;
         }
-      ~rng:(Crypto.Drbg.create ~seed:("stek-shared-" ^ hostname))
+      ~rng:(Crypto.Rng.create ~seed:("stek-shared-" ^ hostname))
   in
   let server_a = mk "mail.example" and server_b = mk "docs.example" in
   let client = make_client () in
@@ -583,7 +583,7 @@ let make_x25519_client () =
         evaluate_trust = true;
         verify_ske = true;
       }
-    ~rng:(Crypto.Drbg.create ~seed:"x25519-client") ()
+    ~rng:(Crypto.Rng.create ~seed:"x25519-client") ()
 
 let test_x25519_negotiation () =
   let now = 1000 in
@@ -662,9 +662,9 @@ let test_cert_untrusted_root () =
   let curve = env.Tls.Config.pki_curve in
   let rogue =
     Tls.Cert.self_signed ~curve ~name:"Rogue CA" ~not_before:0 ~not_after:(3650 * day) ~serial:666
-      (Crypto.Drbg.create ~seed:"rogue")
+      (Crypto.Rng.create ~seed:"rogue")
   in
-  let r = Crypto.Drbg.create ~seed:"rogue-leaf" in
+  let r = Crypto.Rng.create ~seed:"rogue-leaf" in
   let keypair = Crypto.Ecdsa.gen_keypair curve r in
   let cert =
     Tls.Cert.issue rogue ~curve ~subject:"example.com" ~not_before:0 ~not_after:(3650 * day)
@@ -679,7 +679,7 @@ let test_cert_untrusted_root () =
 
 let test_cert_chain_with_intermediate () =
   let curve = env.Tls.Config.pki_curve in
-  let r = Crypto.Drbg.create ~seed:"intermediate" in
+  let r = Crypto.Rng.create ~seed:"intermediate" in
   let int_key = Crypto.Ecdsa.gen_keypair curve r in
   let intermediate =
     Tls.Cert.issue ca ~curve ~subject:"Test Intermediate CA" ~is_ca:true ~not_before:0
@@ -827,7 +827,7 @@ let test_hostile_ske_params_rejected () =
           evaluate_trust = false;
           verify_ske = false;
         }
-      ~rng:(Crypto.Drbg.create ~seed:"hostile-ske") ()
+      ~rng:(Crypto.Rng.create ~seed:"hostile-ske") ()
   in
   let cert, _ = issue_leaf () in
   let flight ~dh_p ~dh_g ~dh_ys =
@@ -883,7 +883,7 @@ let test_hostile_ske_params_rejected () =
 
 let test_ticket_tamper_rejected () =
   let now = 1000 in
-  let rng = Crypto.Drbg.create ~seed:"tamper" in
+  let rng = Crypto.Rng.create ~seed:"tamper" in
   let stek = Tls.Stek.generate rng ~now in
   let session =
     Tls.Session.make ~id:"" ~master_secret:(String.make 48 'm')
@@ -1092,7 +1092,7 @@ let prop_handshake_schedules =
               evaluate_trust = true;
               verify_ske = true;
             }
-          ~rng:(Crypto.Drbg.create ~seed:(Printf.sprintf "sched-%d" salt)) ()
+          ~rng:(Crypto.Rng.create ~seed:(Printf.sprintf "sched-%d" salt)) ()
       in
       let o0 = connect client server ~now in
       if not o0.Tls.Engine.ok then false

@@ -52,9 +52,9 @@ let make_server ?(modes = [ Tls.Tls13.Psk_ke; Tls.Tls13.Psk_dhe_ke ]) ?(max_earl
         allowed_modes = modes;
         max_early_data;
       }
-    ~rng:(Crypto.Drbg.create ~seed:"t13-server")
+    ~rng:(Crypto.Rng.create ~seed:"t13-server")
 
-let crng () = Crypto.Drbg.create ~seed:"t13-client"
+let crng () = Crypto.Rng.create ~seed:"t13-client"
 
 let expect_ok = function
   | Ok v -> v
@@ -167,7 +167,7 @@ let test_attack_psk_ke () =
   in
   let ch0 =
     {
-      Tls.Tls13.ch_random = Crypto.Drbg.generate rng 32;
+      Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
       ch_key_share = None;
       ch_psk_identity = Some ticket;
       ch_psk_mode = Tls.Tls13.Psk_ke;
@@ -210,7 +210,7 @@ let test_attack_psk_dhe_ke () =
   in
   let ch0 =
     {
-      Tls.Tls13.ch_random = Crypto.Drbg.generate rng 32;
+      Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
       ch_key_share = Some (Crypto.Ec.public_bytes kp);
       ch_psk_identity = Some ticket;
       ch_psk_mode = Tls.Tls13.Psk_dhe_ke;
@@ -257,7 +257,7 @@ let prop_resumption_chains =
     QCheck2.Gen.(pair small_int (list_size (int_range 1 6) bool))
     (fun (salt, modes) ->
       let server = make_server () in
-      let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "chain-%d" salt) in
+      let rng = Crypto.Rng.create ~seed:(Printf.sprintf "chain-%d" salt) in
       match Tls.Tls13.connect ~client_rng:rng server ~now:100 ~offer:Tls.Tls13.Fresh13 with
       | Error _ -> false
       | Ok (_, first) ->

@@ -370,6 +370,23 @@ let test_tracking_report_renders () =
   Alcotest.(check bool) "table mentions policy" true (contains ~needle:"policy=strict" rendered);
   Alcotest.(check bool) "table has (all) row" true (contains ~needle:"(all)" rendered)
 
+(* [Crypto.Rng.fork] refuses a label its parent already forked, so a
+   world build, a campaign and a traffic run that finish have forked
+   every label once: no two entities silently share a stream. Three
+   seeds, so the check does not hang on one world's population. *)
+let test_fork_labels_unique () =
+  List.iter
+    (fun seed ->
+      let world_config = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed } in
+      let world = Simnet.World.create ~config:world_config () in
+      ignore (Campaign_run.run ~jobs:2 world ~days:1);
+      with_tmp_dir (fun dir ->
+          let config =
+            { traffic_config with Traffic.Population.days = 1; world = world_config }
+          in
+          ignore (Traffic.Population.run ~jobs:1 ~sink:(make_sink dir) config)))
+    [ "tlsharm"; "fork-labels-1"; "fork-labels-2" ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "traffic"
@@ -408,4 +425,6 @@ let () =
           Alcotest.test_case "obs counters + store bound" `Slow test_obs_and_store_bound;
           Alcotest.test_case "tracking report totals" `Slow test_tracking_report_renders;
         ] );
+      ( "rng-forks",
+        [ Alcotest.test_case "world, campaign and traffic at three seeds" `Slow test_fork_labels_unique ] );
     ]
