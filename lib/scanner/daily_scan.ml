@@ -257,11 +257,11 @@ let load path =
    stream's cumulative loss funnel.
 
      day=4
-     clock=…                       \
-     rng-default=KEY:COUNTER:OFFSET|
-     rng-dhe=KEY:COUNTER:OFFSET    | the state lines; absent from a
-     trust=N, then N "domain bool"  | stateless block
-     funnel=M, then M funnel lines  /
+     clock=…                         \
+     rng-default=KEY:COUNTER:OFFSET   |
+     rng-dhe=KEY:COUNTER:OFFSET       | the state lines; absent from a
+     trust=N, then N "domain bool"    | stateless block
+     funnel=M, then M funnel lines    /
      rows=R, then R row lines
 
    The codec is deterministic — equal state encodes to equal bytes —
@@ -350,9 +350,9 @@ module Ckpt = struct
 
   (* Strict decode: every section length must match, generator states
      must be canonical {!Crypto.Rng.state_of_string} text, and nothing
-     may trail the last row. Any slack
-     would let a damaged-but-frame-valid block (or one from a different
-     world size) slip into the loader or the resume path. *)
+     may trail the last row. Any slack would let a damaged-but-frame-valid
+     block (or one from a different world size) slip into the loader or
+     the resume path. *)
   let decode ~members payload =
     let ( let* ) = Result.bind in
     let err fmt = Printf.ksprintf (fun s -> Error ("day block: " ^ s)) fmt in
