@@ -320,7 +320,9 @@ let experiment_ids_t =
     Arg.(
       value
       & pos_all string []
-      & info [] ~docv:"ID" ~doc:"Experiment ids (t1..t7, f1..f8, google, ablations, tls13).")
+      & info [] ~docv:"ID"
+          ~doc:
+            (Printf.sprintf "Experiment ids (%s)." (String.concat ", " (List.map fst experiments))))
   in
   let rec resolve = function
     | [] -> Ok []
@@ -576,29 +578,7 @@ let analyze path =
   else
     let load = if is_dir then Scanner.Daily_scan.load_stream else Scanner.Daily_scan.load in
     let* campaign = load path in
-    let report field name paper =
-      let spans = Analysis.Lifetime.analyze ~field campaign in
-      let s = Analysis.Lifetime.summarize spans in
-      let pct v = Analysis.Report.fmt_pct (v /. s.Analysis.Lifetime.population) in
-      Printf.printf "%-6s never=%s daily=%s 7d+=%s 30d+=%s   (paper: %s)\n" name
-        (pct s.Analysis.Lifetime.never_observed)
-        (pct s.Analysis.Lifetime.changed_daily)
-        (pct s.Analysis.Lifetime.span_7d_plus)
-        (pct s.Analysis.Lifetime.span_30d_plus)
-        paper;
-      let top = Analysis.Lifetime.top_reusers ~min_days:7 ~limit:5 spans in
-      List.iter
-        (fun (x : Analysis.Lifetime.domain_spans) ->
-          Printf.printf "         r%-7d %-40s %2d days\n" x.Analysis.Lifetime.rank
-            x.Analysis.Lifetime.domain x.Analysis.Lifetime.max_span_days)
-        top
-    in
-    Printf.printf "campaign: %d domains, %d days\n\n"
-      (Array.length campaign.Scanner.Daily_scan.series)
-      campaign.Scanner.Daily_scan.n_days;
-    report Analysis.Lifetime.Stek "STEK" "23% never, 41% daily, 22% 7d+, 10% 30d+";
-    report Analysis.Lifetime.Dhe "DHE" "1.2% 7d+ of trusted";
-    report Analysis.Lifetime.Ecdhe "ECDHE" "3.0% 7d+ of trusted";
+    print_string (Tlsharm.Experiments.lifetime_report campaign);
     Ok ()
 
 let analyze_cmd =

@@ -64,27 +64,6 @@ let analyze ?(restrict_stable_trusted = true) ~field (campaign : Scanner.Daily_s
          then Some (spans_of_series ~field s)
          else None)
 
-(* Aggregate shares, weighted: the headline Section 4.3 / 4.4 numbers. *)
-type summary = {
-  population : float; (* weighted domain count considered *)
-  never_observed : float;
-  changed_daily : float; (* observed, max span = 1 day *)
-  span_1d_plus : float; (* span of at least 2 calendar days *)
-  span_7d_plus : float;
-  span_30d_plus : float;
-}
-
-let summarize spans =
-  let w f = List.fold_left (fun acc s -> if f s then acc +. s.weight else acc) 0.0 spans in
-  {
-    population = w (fun _ -> true);
-    never_observed = w (fun s -> s.max_span_days = 0);
-    changed_daily = w (fun s -> s.max_span_days = 1);
-    span_1d_plus = w (fun s -> s.max_span_days >= 2);
-    span_7d_plus = w (fun s -> s.max_span_days >= 7);
-    span_30d_plus = w (fun s -> s.max_span_days >= 30);
-  }
-
 (* CDF input for Figures 3 and 5. *)
 let span_points ?(include_unobserved = false) spans =
   List.filter_map

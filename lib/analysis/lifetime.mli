@@ -22,17 +22,6 @@ val analyze :
   ?restrict_stable_trusted:bool -> field:field -> Scanner.Daily_scan.t -> domain_spans list
 (** Defaults to the paper's analysis population (stable and trusted). *)
 
-type summary = {
-  population : float;
-  never_observed : float;
-  changed_daily : float;  (** observed, max span one day *)
-  span_1d_plus : float;  (** span of at least two calendar days *)
-  span_7d_plus : float;
-  span_30d_plus : float;
-}
-
-val summarize : domain_spans list -> summary
-
 val span_points : ?include_unobserved:bool -> domain_spans list -> Stats.weighted list
 (** CDF input for Figures 3 and 5. *)
 

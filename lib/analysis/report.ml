@@ -60,10 +60,6 @@ let ascii_cdf ?(height = 12) ~ticks (c : Stats.cdf) =
   List.iter (fun (_, label) -> Buffer.add_string buf (pad 5 label)) ticks;
   Buffer.contents buf
 
-(* A one-line comparison row for EXPERIMENTS.md-style summaries. *)
-let compare_line ~label ~paper ~measured =
-  Printf.sprintf "  %-42s paper: %-12s measured: %s" label paper measured
-
 let section title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.sprintf "\n%s\n= %s =\n%s" bar title bar

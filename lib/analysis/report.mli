@@ -16,5 +16,4 @@ val fmt_float : ?digits:int -> float -> string
 val ascii_cdf : ?height:int -> ticks:(float * string) list -> Stats.cdf -> string
 (** The cumulative fraction at each labeled tick, drawn as columns. *)
 
-val compare_line : label:string -> paper:string -> measured:string -> string
 val section : string -> string

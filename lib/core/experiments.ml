@@ -1,10 +1,11 @@
 (* One entry point per table and figure of the paper's evaluation. Each
-   function runs (or reuses) the relevant experiments through {!Study},
-   prints the measured rows/series next to the values the paper reports,
-   and returns the formatted text. Absolute counts are weighted estimates
-   of Top Million domains (see DESIGN.md on sampling weights); the
-   reproduction targets are fractions, orderings and curve shapes, not
-   absolute match. *)
+   function runs (or reuses) the relevant experiments through {!Study}
+   and returns the formatted text. Paper values, and how each headline
+   share is counted, come from {!Paper}: the headline tables render its
+   population counts and measured targets. Absolute counts are weighted
+   estimates of Top Million domains (see DESIGN.md on sampling weights);
+   the reproduction targets are fractions, orderings and curve shapes,
+   not absolute match. *)
 
 module R = Analysis.Report
 module St = Analysis.Stats
@@ -12,199 +13,65 @@ module L = Analysis.Lifetime
 module SG = Analysis.Service_groups
 
 let day = Simnet.Clock.day
-let minute = Simnet.Clock.minute
-let hour = Simnet.Clock.hour
 
 (* --- Helpers ------------------------------------------------------------------ *)
 
-let weighted_count results pred =
-  List.fold_left
-    (fun acc (r : Scanner.Burst_scan.domain_result) ->
-      if pred r then acc +. r.Scanner.Burst_scan.weight else acc)
-    0.0 results
+(* Paper's population counts and headline targets for experiment [id],
+   measured on the study. *)
+let headline study id =
+  let counts =
+    match List.filter (fun (c : Paper.count) -> c.Paper.table = id) Paper.counts with
+    | [] -> ""
+    | counts ->
+        R.table
+          ~headers:[ "Population"; "Paper"; "Measured (weighted)" ]
+          ~rows:
+            (List.map
+               (fun (c : Paper.count) ->
+                 [
+                   c.Paper.label; R.fmt_count c.Paper.paper_count; R.fmt_count (Paper.size study c);
+                 ])
+               counts)
+        ^ "\n\n"
+  in
+  counts ^ Paper.render (Paper.measure study (Paper.of_experiment id))
 
 (* --- Table 1 -------------------------------------------------------------------- *)
 
 let table1 study =
-  let r_dhe, r_ecdhe, r_ticket = Study.table1_bursts study in
-  let in_trusted = Study.table1_trusted study in
-  let block name results ~support ~field (paper : string list) =
-    let total = weighted_count results (fun _ -> true) in
-    let trusted = weighted_count results in_trusted in
-    let supports = weighted_count results (fun r -> in_trusted r && support r) in
-    let repeat2, repeat_all =
-      List.fold_left
-        (fun (acc2, acc_all) (r : Scanner.Burst_scan.domain_result) ->
-          if in_trusted r then begin
-            let any2, all = Scanner.Burst_scan.repeats (Scanner.Burst_scan.result_values ~field r) in
-            ( (acc2 +. if any2 then r.Scanner.Burst_scan.weight else 0.0),
-              acc_all +. if all then r.Scanner.Burst_scan.weight else 0.0 )
-          end
-          else (acc2, acc_all))
-        (0.0, 0.0) results
-    in
-    let rows =
-      [
-        [ name; "Alexa 1M domains (weighted)"; R.fmt_count total; List.nth paper 0 ];
-        [ ""; "Browser-trusted TLS domains"; R.fmt_count trusted; List.nth paper 1 ];
-        [ ""; "Support / issue"; R.fmt_count supports; List.nth paper 2 ];
-        [ ""; ">= 2x same value"; R.fmt_count repeat2; List.nth paper 3 ];
-        [ ""; "All same value"; R.fmt_count repeat_all; List.nth paper 4 ];
-      ]
-    in
-    rows
-  in
-  let has_value ~field (r : Scanner.Burst_scan.domain_result) =
-    Scanner.Burst_scan.result_values ~field r <> []
-  in
-  let rows =
-    block "DHE" r_dhe
-      ~support:(fun r -> r.Scanner.Burst_scan.successes > 0)
-      ~field:`Dhe
-      [ "957,116"; "427,313"; "252,340"; "18,113"; "12,461" ]
-    @ block "ECDHE" r_ecdhe
-        ~support:(fun r -> r.Scanner.Burst_scan.successes > 0)
-        ~field:`Ecdhe
-        [ "958,470"; "438,383"; "390,120"; "60,370"; "41,683" ]
-    @ block "Tickets" r_ticket ~support:(has_value ~field:`Stek) ~field:`Stek
-        [ "956,094"; "435,150"; "354,697"; "353,124"; "334,404" ]
-  in
-  R.section "Table 1: Support for Forward Secrecy and Resumption"
-  ^ "\n"
-  ^ R.table ~headers:[ "Scan"; "Metric"; "Measured (weighted)"; "Paper" ] ~rows
-  ^ "\n"
+  R.section "Table 1: Support for Forward Secrecy and Resumption" ^ "\n" ^ headline study "t1"
 
 (* --- Figures 1 and 2: resumption lifetimes ---------------------------------------- *)
 
-let resumption_points results =
-  List.filter_map
-    (fun (r : Scanner.Resumption_scan.domain_result) ->
-      Option.map
-        (fun h -> { St.value = float_of_int h; weight = r.Scanner.Resumption_scan.weight })
-        r.Scanner.Resumption_scan.max_honored)
-    results
+let resumption_figure ~title id results study =
+  R.section title ^ "\n" ^ headline study id
+  ^ "\nCDF of max successful resumption delay (trusted resumers):\n"
+  ^ R.ascii_cdf ~ticks:Study.ascii_hour_ticks (St.cdf (Paper.resumers (results study)))
 
-let resumption_figure ~title ~support_label ~paper_lines study results =
-  let trusted = Study.trusted_results results in
-  let weight_of f =
-    List.fold_left
-      (fun acc (r : Scanner.Resumption_scan.domain_result) ->
-        if f r then acc +. r.Scanner.Resumption_scan.weight else acc)
-      0.0 trusted
-  in
-  let total = weight_of (fun _ -> true) in
-  let supports = weight_of (fun r -> r.Scanner.Resumption_scan.supports) in
-  let resumed_1s = weight_of (fun r -> r.Scanner.Resumption_scan.resumed_at_1s) in
-  let points = resumption_points trusted in
-  let resumer_frac limit = St.fraction points (fun v -> v <= limit) in
-  let cdf = St.cdf points in
-  ignore study;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf (R.section title);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (R.table
-       ~headers:[ "Metric"; "Measured"; "Paper" ]
-       ~rows:
-         [
-           [ "Trusted HTTPS domains (weighted)"; R.fmt_count total; List.nth paper_lines 0 ];
-           [ support_label; R.fmt_pct (supports /. total); List.nth paper_lines 1 ];
-           [ "Resumed after 1 second"; R.fmt_pct (resumed_1s /. total); List.nth paper_lines 2 ];
-           [ "Resumers honoring <= 5 min"; R.fmt_pct (resumer_frac 300.0); List.nth paper_lines 3 ];
-           [ "Resumers honoring <= 1 hour"; R.fmt_pct (resumer_frac 3600.0); List.nth paper_lines 4 ];
-           [
-             "Resumers honoring >= 24 hours";
-             R.fmt_pct (1.0 -. St.fraction points (fun v -> v < 86_399.0));
-             List.nth paper_lines 5;
-           ];
-         ]);
-  Buffer.add_string buf "\n\nCDF of max successful resumption delay (trusted resumers):\n";
-  Buffer.add_string buf (R.ascii_cdf ~ticks:Study.ascii_hour_ticks cdf);
-  Buffer.contents buf
-
-let fig1 study =
-  resumption_figure study
-    (Study.fig1_results study)
-    ~title:"Figure 1: Session ID Lifetime" ~support_label:"Set a session ID in ServerHello"
-    ~paper_lines:[ "433,220"; "97%"; "83%"; "61%"; "82%"; "0.8%" ]
+let fig1 = resumption_figure ~title:"Figure 1: Session ID Lifetime" "f1" Study.fig1_results
 
 let fig2 study =
-  let text =
-    resumption_figure study
-      (Study.fig2_results study)
-      ~title:"Figure 2: Session Ticket Lifetime" ~support_label:"Issued a session ticket"
-      ~paper_lines:[ "461,475"; "79%"; "76%"; "67%"; "76%"; "2%" ]
-  in
-  (* Lifetime-hint specifics the paper calls out. *)
-  let trusted = Study.trusted_results (Study.fig2_results study) in
-  let hinted =
+  (* The lifetime-hint case study the paper calls out. *)
+  let extremes =
     List.filter_map
       (fun (r : Scanner.Resumption_scan.domain_result) ->
-        Option.map (fun h -> (r, h)) r.Scanner.Resumption_scan.hint)
-      trusted
+        match r.Scanner.Resumption_scan.hint with
+        | Some h when h >= 10 * day ->
+            Some (Printf.sprintf "%s (%dd)" r.Scanner.Resumption_scan.domain (h / day))
+        | _ -> None)
+      (Study.trusted_results (Study.fig2_results study))
   in
-  let total_issuers =
-    List.fold_left (fun acc ((r : Scanner.Resumption_scan.domain_result), _) -> acc +. r.Scanner.Resumption_scan.weight) 0.0 hinted
-  in
-  let unspecified =
-    List.fold_left
-      (fun acc ((r : Scanner.Resumption_scan.domain_result), h) ->
-        if h = 0 then acc +. r.Scanner.Resumption_scan.weight else acc)
-      0.0 hinted
-  in
-  let extremes =
-    List.filter (fun (_, h) -> h >= 10 * day) hinted
-    |> List.map (fun ((r : Scanner.Resumption_scan.domain_result), h) ->
-           Printf.sprintf "%s (%dd)" r.Scanner.Resumption_scan.domain (h / day))
-  in
-  (* "The indicated ticket lifetime closely follows the advertised
-     lifetime hint": compare hint vs measured honored time. *)
-  let agreement =
-    let within = ref 0.0 and comparable = ref 0.0 in
-    List.iter
-      (fun ((r : Scanner.Resumption_scan.domain_result), h) ->
-        match r.Scanner.Resumption_scan.max_honored with
-        | Some honored when h > 0 ->
-            comparable := !comparable +. r.Scanner.Resumption_scan.weight;
-            (* Honored within one probe interval (5 min) of the hint. *)
-            if abs (honored - h) <= 300 then within := !within +. r.Scanner.Resumption_scan.weight
-        | _ -> ())
-      hinted;
-    if !comparable > 0.0 then !within /. !comparable else 0.0
-  in
-  text
+  resumption_figure ~title:"Figure 2: Session Ticket Lifetime" "f2" Study.fig2_results study
   ^ Printf.sprintf
-      "\n\nLifetime hints: %s of issuers leave the hint unspecified (paper: 14,663 domains).\n\
-       Hints of 10+ days: %s (paper: fantabobworld.com and fantabobshow.com at 90 days).\n\
-       Honored time within one probe interval of the hint: %s of hinted resumers\n\
-       (paper: \"the indicated ticket lifetime closely follows the advertised hint\").\n"
-      (R.fmt_pct (if total_issuers > 0.0 then unspecified /. total_issuers else 0.0))
+      "\n\nHints of 10+ days: %s (paper: fantabobworld.com and fantabobshow.com at 90 days).\n"
       (match extremes with [] -> "none" | l -> String.concat ", " l)
-      (R.fmt_pct agreement)
 
 (* --- Figure 3: STEK lifetime -------------------------------------------------------- *)
 
 let fig3 study =
-  let spans = Study.stek_spans study in
-  let s = L.summarize spans in
-  let points = L.span_points spans in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf (R.section "Figure 3: STEK Lifetime");
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (R.table
-       ~headers:[ "Metric"; "Measured"; "Paper" ]
-       ~rows:
-         [
-           [ "Stable trusted domains (weighted)"; R.fmt_count s.L.population; "291,643" ];
-           [ "Never issued a ticket"; R.fmt_pct (s.L.never_observed /. s.L.population); "23%" ];
-           [ "Different issuing STEK each day"; R.fmt_pct (s.L.changed_daily /. s.L.population); "41%" ];
-           [ "Same STEK for 7+ days"; R.fmt_pct (s.L.span_7d_plus /. s.L.population); "22%" ];
-           [ "Same STEK for 30+ days"; R.fmt_pct (s.L.span_30d_plus /. s.L.population); "10%" ];
-         ]);
-  Buffer.add_string buf "\n\nCDF of max STEK span (days, ticket issuers):\n";
-  Buffer.add_string buf (R.ascii_cdf ~ticks:Study.ascii_day_ticks (St.cdf points));
-  Buffer.contents buf
+  R.section "Figure 3: STEK Lifetime" ^ "\n" ^ headline study "f3"
+  ^ "\nCDF of max STEK span (days, ticket issuers):\n"
+  ^ R.ascii_cdf ~ticks:Study.ascii_day_ticks (St.cdf (L.span_points (Study.stek_spans study)))
 
 (* --- Figure 4: STEK lifetime by rank -------------------------------------------------- *)
 
@@ -274,36 +141,16 @@ let table4 study =
 (* --- Figure 5: ephemeral value reuse --------------------------------------------------- *)
 
 let fig5 study =
-  let dhe = Study.dhe_spans study in
-  let ecdhe = Study.ecdhe_spans study in
-  let line name spans paper =
-    let s = L.summarize spans in
-    let connected = s.L.population -. s.L.never_observed in
-    [
-      name;
-      R.fmt_count connected;
-      R.fmt_pct (s.L.span_1d_plus /. connected);
-      R.fmt_pct (s.L.span_7d_plus /. connected);
-      R.fmt_pct (s.L.span_30d_plus /. connected);
-      paper;
-    ]
-  in
-  R.section "Figure 5: Ephemeral Exchange Value Reuse"
-  ^ "\n"
-  ^ R.table
-      ~headers:[ "KEX"; "Connected (wt)"; ">=1d reuse"; ">=7d"; ">=30d"; "Paper (1d/7d/30d)" ]
-      ~rows:
-        [
-          line "DHE" dhe "2.3% / 2.0% / 0.92%";
-          line "ECDHE" ecdhe "4.2% / 3.7% / 1.7%";
-        ]
-  ^ "\n\nCDF of max server KEX value span (days, domains that completed the exchange):\n\n"
-  ^ "DHE:\n"
-  ^ R.ascii_cdf ~ticks:Study.ascii_day_ticks (St.cdf (L.span_points dhe))
+  let cdf spans = R.ascii_cdf ~ticks:Study.ascii_day_ticks (St.cdf (L.span_points spans)) in
+  R.section "Figure 5: Ephemeral Exchange Value Reuse" ^ "\n" ^ headline study "f5"
+  ^ "\nShares and CDFs are of the domains that completed that key exchange; Table 1 (t1)\n\
+     reports within-burst repetition.\n\n\
+     CDF of max server KEX value span (days):\n\n\
+     DHE:\n"
+  ^ cdf (Study.dhe_spans study)
   ^ "\nECDHE:\n"
-  ^ R.ascii_cdf ~ticks:Study.ascii_day_ticks (St.cdf (L.span_points ecdhe))
-  ^ "\n(Paper fractions above are per domain *completing* that key exchange; the paper's\n\
-     Table 1 also reports within-burst repetition: 7.2% of DHE and 15.5% of ECDHE domains.)\n"
+  ^ cdf (Study.ecdhe_spans study)
+  ^ "\n"
 
 (* --- Tables 5-7: service groups --------------------------------------------------------- *)
 
@@ -439,96 +286,54 @@ let fig7 study =
 (* --- Figure 8: combined vulnerability windows ----------------------------------------------- *)
 
 let fig8 study =
-  let windows = Study.vulnerability_windows study in
-  let s = Analysis.Vuln_window.summarize windows in
-  let cdf = St.cdf (Analysis.Vuln_window.cdf_points windows) in
-  R.section "Figure 8: Overall Vulnerability Windows"
-  ^ "\n"
-  ^ R.table
-      ~headers:[ "Metric"; "Measured"; "Paper" ]
-      ~rows:
-        [
-          [ "Participating domains (weighted)"; R.fmt_count s.Analysis.Vuln_window.population; "288,252" ];
-          [ "Window > 24 hours"; R.fmt_pct (s.Analysis.Vuln_window.over_24h /. s.Analysis.Vuln_window.population); "38%" ];
-          [ "Window > 7 days"; R.fmt_pct (s.Analysis.Vuln_window.over_7d /. s.Analysis.Vuln_window.population); "22%" ];
-          [ "Window > 30 days"; R.fmt_pct (s.Analysis.Vuln_window.over_30d /. s.Analysis.Vuln_window.population); "10%" ];
-        ]
-  ^ "\n\nCDF of maximum exposure window:\n"
-  ^ R.ascii_cdf ~ticks:Study.ascii_window_ticks cdf
+  R.section "Figure 8: Overall Vulnerability Windows" ^ "\n" ^ headline study "f8"
+  ^ "\nCDF of maximum exposure window:\n"
+  ^ R.ascii_cdf ~ticks:Study.ascii_window_ticks
+      (St.cdf (Analysis.Vuln_window.cdf_points (Study.vulnerability_windows study)))
 
 (* --- Section 3: the dataset funnel ------------------------------------------------------------ *)
 
 (* The paper's data-collection statistics: how much of the Top Million is
    stable across the nine weeks, and how the analysis population funnels
-   down from it (539,546 always-listed -> 68% ever HTTPS -> 54% ever
-   browser-trusted -> 53% participating in some studied mechanism). *)
+   down from it. *)
 let section3 study =
-  let world = Study.world study in
-  let campaign = Study.campaign study in
-  let fig1 = Study.fig1_results study and fig2 = Study.fig2_results study in
-  let supports = Hashtbl.create 4096 in
-  List.iter
-    (fun (r : Scanner.Resumption_scan.domain_result) ->
-      if r.Scanner.Resumption_scan.supports then
-        Hashtbl.replace supports r.Scanner.Resumption_scan.domain ())
-    (fig1 @ fig2);
-  let stable = ref 0.0 and ever_https = ref 0.0 and ever_trusted = ref 0.0 in
-  let participated = ref 0.0 in
-  Array.iter
-    (fun (series : Scanner.Daily_scan.domain_series) ->
-      if series.Scanner.Daily_scan.stable then begin
-        let w = series.Scanner.Daily_scan.weight in
-        stable := !stable +. w;
-        let https =
-          Array.exists
-            (fun (r : Scanner.Daily_scan.day_record) ->
-              r.Scanner.Daily_scan.default_ok || r.Scanner.Daily_scan.dhe_ok)
-            series.Scanner.Daily_scan.days
-        in
-        if https then ever_https := !ever_https +. w;
-        if https && series.Scanner.Daily_scan.trusted then begin
-          ever_trusted := !ever_trusted +. w;
-          let kex_or_ticket =
-            Array.exists
-              (fun (r : Scanner.Daily_scan.day_record) ->
-                r.Scanner.Daily_scan.stek_id <> None
-                || r.Scanner.Daily_scan.ecdhe_value <> None
-                || r.Scanner.Daily_scan.dhe_value <> None)
-              series.Scanner.Daily_scan.days
-          in
-          if kex_or_ticket || Hashtbl.mem supports series.Scanner.Daily_scan.domain then
-            participated := !participated +. w
-        end
-      end)
-    campaign.Scanner.Daily_scan.series;
-  let total =
-    Array.fold_left
-      (fun acc d -> acc +. Simnet.World.domain_weight d)
-      0.0 (Simnet.World.domains world)
-  in
-  let pct v = R.fmt_pct (v /. !stable) in
   R.section "Section 3: Data Collection (the analysis-population funnel)"
-  ^ "
-"
-  ^ R.table
-      ~headers:[ "Metric"; "Measured (weighted)"; "Paper" ]
-      ~rows:
-        [
-          [ "Top Million represented"; R.fmt_count total; "1,000,000/day" ];
-          [ "In the list all days"; R.fmt_count !stable; "539,546" ];
-          [ "...ever supported HTTPS"; R.fmt_count !ever_https ^ " (" ^ pct !ever_https ^ ")"; "369,034 (68%)" ];
-          [ "...ever browser-trusted"; R.fmt_count !ever_trusted ^ " (" ^ pct !ever_trusted ^ ")"; "291,643 (54%)" ];
-          [
-            "...issued a ticket, resumed, or did (EC)DHE";
-            R.fmt_count !participated ^ " (" ^ pct !participated ^ ")";
-            "288,252 (53%)";
-          ];
-        ]
-  ^ "
+  ^ "\n" ^ headline study "s3"
+  ^ "\n(Measurements over multiple days are restricted to the always-listed population,\n\
+     as in the paper; churned-in/out domains appear in the daily lists but not here.)\n"
 
-(Measurements over multiple days are restricted to the always-listed population,
-     as in the paper; churned-in/out domains appear in the daily lists but not here.)
-"
+(* --- Archived campaigns ---------------------------------------------------------------------- *)
+
+let lifetime_report (campaign : Scanner.Daily_scan.t) =
+  let pct (r : Paper.result) =
+    Printf.sprintf "%s (SE %s)"
+      (R.fmt_pct r.Paper.measured.St.share)
+      (R.fmt_pct r.Paper.measured.St.se)
+  in
+  let measure = Paper.measure_archive campaign in
+  let field_lines (field, name) =
+    let shape = measure (Paper.lifetime field) in
+    Printf.sprintf "%-6s %s\n" name
+      (String.concat " "
+         (List.map2
+            (fun label (r : Paper.result) -> label ^ "=" ^ R.fmt_pct r.Paper.measured.St.share)
+            [ "never"; "daily"; "7d+"; "30d+" ] shape))
+    ^ String.concat ""
+        (List.map
+           (fun (r : Paper.result) ->
+             Printf.sprintf "         %s %s: %s, paper %s\n" r.Paper.target.Paper.experiment
+               r.Paper.target.Paper.metric (pct r) (R.fmt_pct r.Paper.target.Paper.paper))
+           (measure (Paper.of_field field)))
+    ^ String.concat ""
+        (List.map
+           (fun (x : L.domain_spans) ->
+             Printf.sprintf "         r%-7d %-40s %2d days\n" x.L.rank x.L.domain x.L.max_span_days)
+           (L.top_reusers ~min_days:7 ~limit:5 (L.analyze ~field campaign)))
+  in
+  Printf.sprintf "campaign: %d domains, %d days\n\n"
+    (Array.length campaign.Scanner.Daily_scan.series)
+    campaign.Scanner.Daily_scan.n_days
+  ^ String.concat "" (List.map field_lines [ (L.Stek, "STEK"); (L.Dhe, "DHE"); (L.Ecdhe, "ECDHE") ])
 
 (* --- By id --------------------------------------------------------------------------------- *)
 
@@ -556,4 +361,3 @@ let by_name =
     ("funnel", Study.funnel_report);
   ]
 
-let _ = (minute, hour)

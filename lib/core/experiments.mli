@@ -1,6 +1,7 @@
 (** One entry point per table and figure of the paper's evaluation. Each
     function runs (or reuses) the needed experiments via {!Study} and
-    returns formatted text with measured values next to the paper's. *)
+    returns formatted text; the headline tables (s3, t1, f1-f3, f5, f8)
+    render {!Paper}'s counts and targets, measured on the study. *)
 
 val section3 : Study.t -> string
 (** The data-collection funnel: always-listed population, ever-HTTPS,
@@ -55,3 +56,8 @@ val by_name : (string * (Study.t -> string)) list
 (** [("t1", table1); ...; ("f8", fig8); ("funnel", ...)] — the ids
     [tlsharm experiment] takes; ["funnel"] renders the scanner's own per-day
     measurement-loss funnel under the configured fault profile. *)
+
+val lifetime_report : Scanner.Daily_scan.t -> string
+(** [tlsharm analyze] of a campaign archive: Figure 3's counts over each
+    field's spans, the field's {!Paper} targets measured on the archive
+    beside their paper values, and its longest reusers. *)

@@ -145,11 +145,17 @@ let test_summarize_and_top () =
       { Analysis.Lifetime.domain = "d"; rank = 7; weight = 1.0; trusted = true; stable = true; observed_days = 0; distinct_values = 0; max_span_days = 0 };
     ]
   in
-  let s = Analysis.Lifetime.summarize spans in
-  Alcotest.(check (float 1e-9)) "population" 5.0 s.Analysis.Lifetime.population;
-  Alcotest.(check (float 1e-9)) "never" 1.0 s.Analysis.Lifetime.never_observed;
-  Alcotest.(check (float 1e-9)) "7d+" 3.0 s.Analysis.Lifetime.span_7d_plus;
-  Alcotest.(check (float 1e-9)) "30d+" 2.0 s.Analysis.Lifetime.span_30d_plus;
+  (* Figure 3's population: every domain, the never-observed at 0 days. *)
+  let points = Analysis.Lifetime.span_points ~include_unobserved:true spans in
+  let weight pred =
+    Analysis.Stats.total_weight (List.filter (fun p -> pred p.Analysis.Stats.value) points)
+  in
+  Alcotest.(check (float 1e-9)) "population" 5.0 (Analysis.Stats.total_weight points);
+  Alcotest.(check (float 1e-9)) "never" 1.0 (weight (fun v -> v = 0.));
+  Alcotest.(check (float 1e-9)) "7d+" 3.0 (weight (fun v -> v >= 7.));
+  Alcotest.(check (float 1e-9)) "30d+" 2.0 (weight (fun v -> v >= 30.));
+  Alcotest.(check int) "completed only by default" 3
+    (List.length (Analysis.Lifetime.span_points spans));
   let top = Analysis.Lifetime.top_reusers ~min_days:7 ~limit:10 spans in
   Alcotest.(check (list string)) "ordered by rank" [ "c"; "a" ]
     (List.map (fun (x : Analysis.Lifetime.domain_spans) -> x.Analysis.Lifetime.domain) top)

@@ -20,6 +20,11 @@ let study =
 
 (* --- Experiments produce sane reports ------------------------------------------ *)
 
+let contains text needle =
+  let n = String.length needle and l = String.length text in
+  let rec go i = i + n <= l && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
 let test_all_experiments_report () =
   let s = Lazy.force study in
   List.iter
@@ -30,13 +35,59 @@ let test_all_experiments_report () =
         (id ^ " mentions measured data or paper")
         true
         (let lower = String.lowercase_ascii text in
-         let contains needle =
-           let n = String.length needle and l = String.length lower in
-           let rec go i = i + n <= l && (String.sub lower i n = needle || go (i + 1)) in
-           go 0
-         in
-         contains "paper" || contains "cdf"))
+         contains lower "paper" || contains lower "cdf"))
     Tlsharm.Experiments.by_name
+
+(* Some line of [text] holds both needles. *)
+let on_one_line text a b =
+  List.exists (fun line -> contains line a && contains line b) (String.split_on_char '\n' text)
+
+(* Every printed headline table is a rendering of Paper's targets: each
+   target names a real experiment once, and that experiment's text shows
+   its metric beside its paper value. *)
+let test_tables_render_paper () =
+  let s = Lazy.force study in
+  let module P = Tlsharm.Paper in
+  List.iter
+    (fun (t : P.target) ->
+      Alcotest.(check bool)
+        (t.P.experiment ^ " is an experiment id")
+        true
+        (List.mem_assoc t.P.experiment Tlsharm.Experiments.by_name))
+    P.targets;
+  let keys = List.map (fun (t : P.target) -> (t.P.experiment, t.P.metric)) P.targets in
+  Alcotest.(check int) "(experiment, metric) pairs unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  List.iter
+    (fun (id, render) ->
+      match P.of_experiment id with
+      | [] -> ()
+      | targets ->
+          let text = render s in
+          List.iter
+            (fun (t : P.target) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s prints %S beside %s" id t.P.metric
+                   (Analysis.Report.fmt_pct t.P.paper))
+                true
+                (on_one_line text t.P.metric (Analysis.Report.fmt_pct t.P.paper)))
+            targets)
+    Tlsharm.Experiments.by_name
+
+(* [tlsharm analyze] renders Figures 3 and 5's targets on the archive,
+   each beside Paper's value. *)
+let test_analyze_quotes_paper () =
+  let s = Lazy.force study in
+  let module P = Tlsharm.Paper in
+  let text = Tlsharm.Experiments.lifetime_report (Tlsharm.Study.campaign s) in
+  List.iter
+    (fun (t : P.target) ->
+      let paper = ", paper " ^ Analysis.Report.fmt_pct t.P.paper in
+      Alcotest.(check bool)
+        (Printf.sprintf "analyze quotes %s %s%s" t.P.experiment t.P.metric paper)
+        true
+        (on_one_line text (Printf.sprintf " %s %s: " t.P.experiment t.P.metric) paper))
+    (P.of_experiment "f3" @ P.of_experiment "f5")
 
 let test_table1_shape () =
   let s = Lazy.force study in
@@ -401,6 +452,8 @@ let () =
       ( "study",
         [
           Alcotest.test_case "all experiments report" `Slow test_all_experiments_report;
+          Alcotest.test_case "tables render paper targets" `Slow test_tables_render_paper;
+          Alcotest.test_case "analyze quotes paper" `Slow test_analyze_quotes_paper;
           Alcotest.test_case "table1 shape" `Slow test_table1_shape;
           Alcotest.test_case "span invariants" `Slow test_study_invariants;
           Alcotest.test_case "vulnerability windows" `Slow test_vuln_windows;

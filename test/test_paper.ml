@@ -11,7 +11,7 @@ let study () =
     ()
 
 let test_headline () =
-  let results = Tlsharm.Paper.measure (study ()) in
+  let results = Tlsharm.Paper.measure (study ()) Tlsharm.Paper.targets in
   print_string (Tlsharm.Paper.render results);
   Alcotest.(check int) "every target measured" (List.length Tlsharm.Paper.targets) (List.length results);
   List.iter

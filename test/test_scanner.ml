@@ -256,12 +256,7 @@ let test_campaign_save_load () =
             (Array.length loaded.Scanner.Daily_scan.series);
           (* Analyses agree on the round-tripped data. *)
           let spans t = Analysis.Lifetime.analyze ~field:Analysis.Lifetime.Stek t in
-          let summarize t = Analysis.Lifetime.summarize (spans t) in
-          let a = summarize campaign and b = summarize loaded in
-          Alcotest.(check (float 1e-3)) "population" a.Analysis.Lifetime.population
-            b.Analysis.Lifetime.population;
-          Alcotest.(check (float 1e-3)) "never" a.Analysis.Lifetime.never_observed
-            b.Analysis.Lifetime.never_observed;
+          Alcotest.(check bool) "spans" true (spans campaign = spans loaded);
           Alcotest.(check bool) "per-series records equal" true
             (Array.for_all2
                (fun (x : Scanner.Daily_scan.domain_series) (y : Scanner.Daily_scan.domain_series) ->
