@@ -11,10 +11,10 @@
      bench/main.exe micro           both tables; writes BENCH_crypto.json
      bench/main.exe check-baseline  compare BENCH_crypto.json to BENCH_baseline.json
 
-   `check-baseline` exits nonzero if any kernel runs at less than half
-   its baseline ops/sec or a headline kernel loses its speedup over the
-   seed-era reference — the CI bench smoke step. See README.md for the
-   file format.
+   `check-baseline` exits nonzero if a kernel's speedup over its
+   seed-era reference, measured in the same run, falls below the larger
+   of its fixed floor and half the baseline's recorded speedup — the CI
+   bench smoke step. See README.md for the file format.
 
    Environment:
      TLSHARM_BENCH_MS   per-kernel timing budget in ms, at least 1
@@ -189,9 +189,21 @@ let kernel_report ~budget_ms =
 
 (* --- Baseline regression check -------------------------------------------------- *)
 
+(* Fixed speedup-vs-seed floors: pow_mod-sim64 must never fall back
+   below parity, and both simulation-curve ladders (the one-word field
+   under the fixed-base comb and the wNAF ladder) must hold a >= 6x
+   win. *)
+let fixed_floors =
+  [ ("pow_mod-sim64", 1.0); ("scalar_mult_base-sim61", 6.0); ("scalar_mult-sim61", 6.0) ]
+
 (* CI smoke: BENCH_crypto.json must exist, parse, and carry a well-formed
    kernel list; every kernel present in the committed baseline must still
-   be measured and run no slower than half its baseline ops/sec. Any
+   be measured. Each kernel is gated on its speedup over the seed-era
+   reference measured in the same run, which a slower or busier host
+   moves on both sides alike: the floor is the larger of its fixed floor
+   and half the baseline's recorded speedup — "half the baseline ops/s"
+   on the baseline's own host. Raw ops/s against the baseline is printed
+   but not gated: it measures the host as much as the code. Any
    unreadable input is one "check-baseline: PATH: ..." line and exit 1. *)
 let check_baseline () =
   let fail msg =
@@ -205,78 +217,80 @@ let check_baseline () =
     | Ok contents -> (
         match Obs.Json.of_string contents with Ok v -> v | Error e -> fail (path ^ ": " ^ e))
   in
-  let kernels v path =
+  let kernels path =
+    let v = load path in
     match Option.bind (Obs.Json.member "kernels" v) Obs.Json.to_list with
-    | Some l when l <> [] -> l
+    | Some l when l <> [] ->
+        List.map
+          (fun k ->
+            let num field = Option.bind (Obs.Json.member field k) Obs.Json.to_float in
+            match
+              ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
+                num "ops_per_sec",
+                num "speedup_vs_seed" )
+            with
+            | Some name, Some ops, Some speedup when ops > 0.0 && speedup > 0.0 ->
+                (name, (ops, speedup))
+            | _ -> fail (path ^ ": malformed kernel entry"))
+          l
     | _ -> fail (path ^ ": no \"kernels\" section")
   in
-  let entry k path =
-    match
-      ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
-        Option.bind (Obs.Json.member "ops_per_sec" k) Obs.Json.to_float )
-    with
-    | Some name, Some ops when ops > 0.0 -> (name, ops)
-    | _ -> fail (path ^ ": malformed kernel entry")
-  in
   let current_path = bench_json_path () in
-  let baseline_path = "BENCH_baseline.json" in
-  let current_json = load current_path in
-  let current = List.map (fun k -> entry k current_path) (kernels current_json current_path) in
-  let baseline_json = load baseline_path in
-  let baseline = List.map (fun k -> entry k baseline_path) (kernels baseline_json baseline_path) in
-  let rows =
+  let current = kernels current_path in
+  let baseline = kernels "BENCH_baseline.json" in
+  let measured name =
+    match List.assoc_opt name current with
+    | Some m -> m
+    | None -> fail (Printf.sprintf "kernel %S in baseline but not measured" name)
+  in
+  let ops_rows =
     List.map
-      (fun (name, base_ops) ->
-        match List.assoc_opt name current with
-        | None -> fail (Printf.sprintf "kernel %S in baseline but not measured" name)
-        | Some ops ->
-            let ratio = ops /. base_ops in
-            if ratio < 0.5 then
-              fail
-                (Printf.sprintf "kernel %S regressed %.2fx (%.0f -> %.0f ops/sec)" name
-                   (base_ops /. ops) base_ops ops);
-            [ name; Printf.sprintf "%.0f" base_ops; Printf.sprintf "%.0f" ops; Printf.sprintf "%.2fx" ratio ])
+      (fun (name, (base_ops, _)) ->
+        let ops, _ = measured name in
+        [
+          name;
+          Printf.sprintf "%.0f" base_ops;
+          Printf.sprintf "%.0f" ops;
+          Printf.sprintf "%.2fx" (ops /. base_ops);
+        ])
       baseline
   in
-  (* Absolute speedup-vs-seed gates for the headline kernels: both sides
-     of each pair are measured in the same run, so the ratio is immune to
-     machine-speed drift that the raw ops/sec comparison above tolerates.
-     Floors: pow_mod-sim64 must never fall back below parity, and both
-     simulation-curve ladders (the one-word field under the fixed-base
-     comb and the wNAF ladder) must hold a >= 6x win. *)
-  let speedup_of name =
-    let rec go = function
-      | [] -> fail (Printf.sprintf "%s: kernel %S missing for speedup gate" current_path name)
-      | k :: rest -> (
-          match Option.bind (Obs.Json.member "name" k) Obs.Json.to_str with
-          | Some n when n = name -> (
-              match Option.bind (Obs.Json.member "speedup_vs_seed" k) Obs.Json.to_float with
-              | Some s -> s
-              | None -> fail (Printf.sprintf "%s: kernel %S lacks speedup_vs_seed" current_path name))
-          | _ -> go rest)
-    in
-    go (kernels current_json current_path)
+  let gated =
+    List.map fst baseline
+    @ List.filter (fun name -> not (List.mem_assoc name baseline)) (List.map fst fixed_floors)
   in
-  let gate_speedup (name, floor) =
-    let s = speedup_of name in
-    if s < floor then
-      fail
-        (Printf.sprintf "kernel %S speedup %.2fx vs seed is below the %.2fx floor" name s floor);
-    Printf.sprintf "%-24s %6.2fx vs seed (floor %.2fx)\n" name s floor
-  in
-  let speedup_gates =
-    String.concat ""
-      (List.map gate_speedup
-         [
-           ("pow_mod-sim64", 1.0);
-           ("scalar_mult_base-sim61", 6.0);
-           ("scalar_mult-sim61", 6.0);
-         ])
+  let speedup_rows =
+    List.map
+      (fun name ->
+        let base_speedup = Option.map snd (List.assoc_opt name baseline) in
+        let floor =
+          Float.max
+            (Option.value (List.assoc_opt name fixed_floors) ~default:0.0)
+            (0.5 *. Option.value base_speedup ~default:0.0)
+        in
+        let _, speedup = measured name in
+        if speedup < floor then
+          fail
+            (Printf.sprintf "kernel %S speedup %.2fx vs seed is below the %.2fx floor" name speedup
+               floor);
+        [
+          name;
+          (match base_speedup with Some s -> Printf.sprintf "%.2fx" s | None -> "-");
+          Printf.sprintf "%.2fx" speedup;
+          Printf.sprintf "%.2fx" floor;
+        ])
+      gated
   in
   Analysis.Report.section "Baseline check (current vs committed BENCH_baseline.json)"
   ^ "\n"
-  ^ Analysis.Report.table ~headers:[ "Kernel"; "Baseline ops/s"; "Current ops/s"; "Ratio" ] ~rows
-  ^ "\n\nAll kernels within 2x of baseline.\n" ^ speedup_gates
+  ^ Analysis.Report.table
+      ~headers:[ "Kernel"; "Baseline speedup"; "Current speedup"; "Floor" ]
+      ~rows:speedup_rows
+  ^ "\n\nEvery kernel holds its speedup-vs-seed floor.\n\n"
+  ^ Analysis.Report.table
+      ~headers:[ "Kernel"; "Baseline ops/s"; "Current ops/s"; "Ratio (report only)" ]
+      ~rows:ops_rows
+  ^ "\n"
 
 (* --- Microbenchmarks ----------------------------------------------------------- *)
 
@@ -389,6 +403,10 @@ let microbenches () =
   let sha_out = Bytes.create Crypto.Sha256.digest_size in
   let mac_ctx = Crypto.Hmac.key (String.make 32 'k') in
   let msg32 = String.make 32 'm' in
+  let rng_bn = Crypto.Rng.create ~seed:"bench-bignum" in
+  let bytes32 = Crypto.Rng.generate rng_bn 32 in
+  let a112 = Crypto.Bignum.of_bytes_be ("\x80" ^ Crypto.Rng.generate rng_bn 13) in
+  let b56 = Crypto.Bignum.of_bytes_be ("\x80" ^ Crypto.Rng.generate rng_bn 6) in
   let tests =
     [
       (* The shortcuts' cost story: what a full handshake costs versus a
@@ -457,6 +475,13 @@ let microbenches () =
       Test.make ~name:"rng/fork"
         (Staged.stage (fun () ->
              ignore (Crypto.Rng.fork (Crypto.Rng.restore ~state:rng_parent) ~label:"bench")));
+      (* The Bignum conversions and division under every ECDSA signature,
+         point decoding and Miller-Rabin round: a 32-byte hash or
+         coordinate decoded, and a 112-bit value reduced by a 56-bit one. *)
+      Test.make ~name:"bignum/of_bytes_be-32B"
+        (Staged.stage (fun () -> ignore (Crypto.Bignum.of_bytes_be bytes32)));
+      Test.make ~name:"bignum/rem-112/56"
+        (Staged.stage (fun () -> ignore (Crypto.Bignum.rem a112 b56)));
     ]
   in
   let grouped = Test.make_grouped ~name:"tlsharm" tests in

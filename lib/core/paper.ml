@@ -26,6 +26,7 @@ type target = {
   reason : string;
   population : population;
   pred : float -> bool;
+  needs_days : int;
 }
 
 let day = float_of_int Simnet.Clock.day
@@ -61,8 +62,8 @@ let stable_trust =
 
 let flag b = if b then 1.0 else 0.0
 
-let target experiment metric paper (tolerance, reason) population pred =
-  { experiment; metric; paper; tolerance; reason; population; pred }
+let target ?(needs_days = 0) experiment metric paper (tolerance, reason) population pred =
+  { experiment; metric; paper; tolerance; reason; population; pred; needs_days }
 
 (* --- Section 3 ------------------------------------------------------------------ *)
 
@@ -181,12 +182,13 @@ let fig2 =
 
 let lifetime field =
   List.map
-    (fun (metric, paper, pred) -> target "f3" metric paper profile_share (Lifetimes field) pred)
+    (fun (metric, paper, needs_days, pred) ->
+      target ~needs_days "f3" metric paper profile_share (Lifetimes field) pred)
     [
-      ("never issued a ticket", 0.23, fun v -> v = 0.);
-      ("different issuing STEK each day", 0.41, fun v -> v = 1.);
-      ("same STEK for 7+ days", 0.22, fun v -> v >= 7.);
-      ("same STEK for 30+ days", 0.10, fun v -> v >= 30.);
+      ("never issued a ticket", 0.23, 0, fun v -> v = 0.);
+      ("different issuing STEK each day", 0.41, 1, fun v -> v = 1.);
+      ("same STEK for 7+ days", 0.22, 7, fun v -> v >= 7.);
+      ("same STEK for 30+ days", 0.10, 30, fun v -> v >= 30.);
     ]
 
 (* A value seen on two calendar days was reused for at least one day. *)
@@ -195,26 +197,25 @@ let fig5 =
     (fun (name, field, (p_1d, p_7d, p_30d)) ->
       List.map
         (fun (horizon, paper, days) ->
-          target "f5"
+          target ~needs_days:days "f5"
             (Printf.sprintf "%s: value reused >= %s" name horizon)
             paper (long_tail paper) (Reuses field)
-            (fun v -> v >= days))
-        [ ("1 day", p_1d, 2.); ("7 days", p_7d, 7.); ("30 days", p_30d, 30.) ])
+            (fun v -> v >= float_of_int days))
+        [ ("1 day", p_1d, 2); ("7 days", p_7d, 7); ("30 days", p_30d, 30) ])
     [ ("DHE", L.Dhe, (0.023, 0.020, 0.0092)); ("ECDHE", L.Ecdhe, (0.042, 0.037, 0.017)) ]
 
 (* --- Figure 8 ------------------------------------------------------------------------------ *)
 
 let windows = Of_study (fun s -> Analysis.Vuln_window.cdf_points (Study.vulnerability_windows s))
 
+(* A window past N days needs a span of N + 1 days: the resumption
+   walks stop at 24 hours, and a span of d days is a window of d days. *)
 let fig8 =
   List.map
-    (fun (metric, paper, limit) ->
-      target "f8" metric paper combined_window windows (fun v -> v > limit))
-    [
-      ("window > 24 hours", 0.38, day);
-      ("window > 7 days", 0.22, 7. *. day);
-      ("window > 30 days", 0.10, 30. *. day);
-    ]
+    (fun (metric, paper, days) ->
+      target ~needs_days:(days + 1) "f8" metric paper combined_window windows (fun v ->
+          v > float_of_int days *. day))
+    [ ("window > 24 hours", 0.38, 1); ("window > 7 days", 0.22, 7); ("window > 30 days", 0.10, 30) ]
 
 let targets = section3 @ table1 @ fig1 @ fig2 @ lifetime L.Stek @ fig5 @ fig8
 let of_experiment id = List.filter (fun t -> t.experiment = id) targets
@@ -282,12 +283,16 @@ let points ~spans ~study = function
   | Reuses field -> L.span_points (spans field)
   | Of_study f -> f (study ())
 
-type result = { target : target; measured : St.estimate }
+type result = { target : target; measured : St.estimate; campaign_days : int }
 
-let measure_with design ~spans ~study targets =
+let measure_with design ~campaign_days ~spans ~study targets =
   List.map
     (fun t ->
-      { target = t; measured = St.ht_share design (points ~spans ~study t.population) t.pred })
+      {
+        target = t;
+        measured = St.ht_share design (points ~spans ~study t.population) t.pred;
+        campaign_days;
+      })
     targets
 
 let study_spans study = function
@@ -299,7 +304,8 @@ let measure study targets =
   let weights =
     Array.to_list (Simnet.World.domains (Study.world study)) |> List.map Simnet.World.domain_weight
   in
-  measure_with (design weights) ~spans:(study_spans study) ~study:(fun () -> study) targets
+  measure_with (design weights) ~campaign_days:(Study.campaign_days study)
+    ~spans:(study_spans study) ~study:(fun () -> study) targets
 
 let size study c =
   St.total_weight (points ~spans:(study_spans study) ~study:(fun () -> study) c.members)
@@ -311,12 +317,13 @@ let measure_archive (campaign : Ds.t) =
   let spans =
     List.map (fun field -> (field, lazy (L.analyze ~field campaign))) [ L.Stek; L.Dhe; L.Ecdhe ]
   in
-  measure_with (design weights)
+  measure_with (design weights) ~campaign_days:campaign.Ds.n_days
     ~spans:(fun field -> Lazy.force (List.assoc field spans))
     ~study:(fun () -> invalid_arg "Paper.measure_archive: a target counted over more than spans")
 
 let band r = r.target.tolerance +. (3.0 *. r.measured.St.se)
 let passes r = Float.abs (r.measured.St.share -. r.target.paper) <= band r
+let reachable r = r.target.needs_days <= r.campaign_days
 
 let render results =
   let module R = Analysis.Report in
@@ -332,7 +339,9 @@ let render results =
              R.fmt_pct r.measured.St.share;
              R.fmt_pct r.measured.St.se;
              "+/-" ^ R.fmt_pct (band r);
-             (if passes r then "ok" else "FAIL");
+             (if not (reachable r) then Printf.sprintf "n/a (needs >=%d d)" r.target.needs_days
+              else if passes r then "ok"
+              else "FAIL");
            ])
          results)
   ^ "\n"

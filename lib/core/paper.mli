@@ -28,6 +28,10 @@ type target = {
   reason : string;  (** why the model may sit this far from the paper *)
   population : population;
   pred : float -> bool;  (** the points the share counts *)
+  needs_days : int;
+      (** the shortest campaign, in days, on which [pred] can hold: a
+          span of N days needs N, a window past N days needs N + 1; 0
+          when the share does not depend on the campaign's length *)
 }
 
 val targets : target list
@@ -55,7 +59,11 @@ type count = { table : string; label : string; paper_count : float; members : po
 val counts : count list
 val size : Study.t -> count -> float
 
-type result = { target : target; measured : Analysis.Stats.estimate }
+type result = {
+  target : target;
+  measured : Analysis.Stats.estimate;
+  campaign_days : int;  (** the length of the campaign it was measured on *)
+}
 
 val measure : Study.t -> target list -> result list
 (** The targets measured on the study, forcing the experiments they
@@ -73,5 +81,11 @@ val band : result -> float
 val passes : result -> bool
 (** [|measured - paper| <= band]. *)
 
+val reachable : result -> bool
+(** [needs_days <= campaign_days]: a shorter campaign cannot show the
+    share, so its 0 is no evidence either way. *)
+
 val render : result list -> string
-(** One row per target: paper, measured, SE, band and verdict. *)
+(** One row per target: paper, measured, SE, band and verdict: ok, FAIL,
+    or [n/a (needs >=N d)] for a target the campaign is too short to
+    reach, which is not a failure. *)

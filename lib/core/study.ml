@@ -79,6 +79,7 @@ let create ?(config = default_config) () =
   of_world ~config (Simnet.World.create ~config:config.world_config ())
 
 let world t = t.world
+let campaign_days t = t.config.campaign_days
 let funnel t = t.funnel
 
 (* Every serial experiment probe shares the study's injector, retry

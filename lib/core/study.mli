@@ -33,6 +33,7 @@ type t
 val create : ?config:config -> unit -> t
 val of_world : ?config:config -> Simnet.World.t -> t
 val world : t -> Simnet.World.t
+val campaign_days : t -> int
 
 val funnel : t -> Faults.Funnel.t
 (** The shared measurement-loss telemetry every experiment probe records

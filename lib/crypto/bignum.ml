@@ -14,7 +14,8 @@
    squaring path ([mont_sqr]), sliding-window exponentiation and a
    fixed-base comb cache; {!Reference} retains the seed-era kernels as the
    obviously-correct baseline for property tests and the bench-regression
-   harness. Everything else is simple schoolbook code. *)
+   harness. Division is limb-wise (Knuth's Algorithm D); everything else
+   is simple schoolbook code. *)
 
 let limb_bits = 26
 let base = 1 lsl limb_bits
@@ -75,13 +76,14 @@ let compare (a : t) (b : t) =
 let equal a b = compare a b = 0
 let is_one a = equal a one
 
+(* Bit width of a non-negative int: 0 for 0. *)
+let limb_width v =
+  let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
+  go v 0
+
 let num_bits (a : t) =
   let n = Array.length a in
-  if n = 0 then 0
-  else
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
+  if n = 0 then 0 else ((n - 1) * limb_bits) + limb_width a.(n - 1)
 
 let test_bit (a : t) i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -189,61 +191,96 @@ let shift_right (a : t) bits : t =
       done;
       norm out
 
-(* Binary long division: not fast, but it only runs during setup
-   (Montgomery context construction, conversions) and in tests, never in
-   the per-handshake hot path. *)
+(* Short division by a one-limb divisor: every partial dividend
+   [r * 2^26 + limb] stays below 2^52. *)
+let divmod_limb (a : t) (d : int) : t * t =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let cur = (!r lsl limb_bits) lor a.(i) in
+    let qi = cur / d in
+    q.(i) <- qi;
+    r := cur - (qi * d)
+  done;
+  (norm q, if !r = 0 then zero else [| !r |])
+
+(* Long division, Knuth's Algorithm D (TAOCP vol. 2, §4.3.1) over the
+   26-bit limbs: one quotient limb per step instead of one bit. Both
+   operands are shifted left by [s] so the divisor's top limb has its
+   high bit set; then the two-limb estimate [qhat] of each quotient limb,
+   corrected against the divisor's next limb, is at most one too large,
+   and the rare overshoot is repaired by adding the divisor back. Every
+   intermediate stays below 2^54: the estimate's numerator below 2^52,
+   [qhat] at most 2^26 + 1 against the next limb, and each
+   multiply-subtract product below 2^52 + 2^26. Runs on every ECDSA
+   signature and verification, curve-order inverse and Miller-Rabin
+   round. *)
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
+  else if Array.length b = 1 then divmod_limb a b.(0)
   else begin
-    let bits = num_bits a in
-    let q = Array.make (Array.length a) 0 in
-    (* Remainder kept as a mutable window at most one limb longer than b. *)
-    let rlen = Array.length b + 1 in
-    let r = Array.make rlen 0 in
-    let r_ge_b () =
-      let rec go i =
-        if i < 0 then true
-        else
-          let bv = if i < Array.length b then b.(i) else 0 in
-          if r.(i) <> bv then r.(i) > bv else go (i - 1)
-      in
-      go (rlen - 1)
+    let la = Array.length a and n = Array.length b in
+    let s = limb_bits - limb_width b.(n - 1) in
+    (* v = b lsl s (n limbs, top bit set); u = a lsl s (la + 1 limbs). *)
+    let shifted x len =
+      Array.init len (fun i ->
+          let lo = if i < Array.length x then (x.(i) lsl s) land mask else 0 in
+          let hi = if i > 0 then x.(i - 1) lsr (limb_bits - s) else 0 in
+          lo lor hi)
     in
-    let r_sub_b () =
-      let borrow = ref 0 in
-      for i = 0 to rlen - 1 do
-        let bv = if i < Array.length b then b.(i) else 0 in
-        let d = r.(i) - bv - !borrow in
+    let v = shifted b n and u = shifted a (la + 1) in
+    let vtop = v.(n - 1) and vnext = v.(n - 2) in
+    let q = Array.make (la - n + 1) 0 in
+    for j = la - n downto 0 do
+      let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) in
+      let rhat = ref (num - (!qhat * vtop)) in
+      while
+        !rhat < base
+        && (!qhat >= base || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
+      done;
+      (* u[j..j+n] -= qhat * v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (!qhat * v.(i)) + !carry in
+        carry := p lsr limb_bits;
+        let d = u.(i + j) - (p land mask) - !borrow in
         if d < 0 then begin
-          r.(i) <- d + base;
+          u.(i + j) <- d + base;
           borrow := 1
         end
         else begin
-          r.(i) <- d;
+          u.(i + j) <- d;
           borrow := 0
         end
       done;
-      assert (!borrow = 0)
-    in
-    let r_shl1_or bit =
-      let carry = ref bit in
-      for i = 0 to rlen - 1 do
-        let v = (r.(i) lsl 1) lor !carry in
-        r.(i) <- v land mask;
-        carry := v lsr limb_bits
-      done;
-      (* The remainder never outgrows b by more than one bit before the
-         conditional subtraction below, so the final carry is always 0. *)
-      assert (!carry = 0)
-    in
-    for i = bits - 1 downto 0 do
-      r_shl1_or (if test_bit a i then 1 else 0);
-      if r_ge_b () then begin
-        r_sub_b ();
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
+      let top = u.(j + n) - !carry - !borrow in
+      if top >= 0 then begin
+        u.(j + n) <- top;
+        q.(j) <- !qhat
+      end
+      else begin
+        (* qhat was one too large: add v back; the carry out cancels the
+           borrow, leaving the top limb 0. *)
+        q.(j) <- !qhat - 1;
+        let carry = ref 0 in
+        for i = 0 to n - 1 do
+          let sum = u.(i + j) + v.(i) + !carry in
+          u.(i + j) <- sum land mask;
+          carry := sum lsr limb_bits
+        done;
+        u.(j + n) <- (top + !carry) land mask
       end
     done;
+    (* The remainder is u[0..n-1] lsr s; u[n] is 0. *)
+    let r =
+      Array.init n (fun i ->
+          (u.(i) lsr s) lor ((u.(i + 1) lsl (limb_bits - s)) land mask))
+    in
     (norm q, norm r)
   end
 
@@ -943,10 +980,25 @@ end
 
 (* --- Conversions -------------------------------------------------------- *)
 
+(* One pass from the last (least significant) byte: bytes are packed 8
+   bits at a time into the limb being filled, which spills into the next
+   once it holds 26 bits. *)
 let of_bytes_be (s : string) : t =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let out = Array.make (((len * 8) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      out.(!k) <- !acc land mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr k
+    end
+  done;
+  if !bits > 0 then out.(!k) <- !acc;
+  norm out
 
 let to_bytes_be ?len (a : t) : string =
   let nbytes = (num_bits a + 7) / 8 in

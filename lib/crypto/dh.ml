@@ -47,11 +47,12 @@ let small_primes =
     71; 73; 79; 83; 89; 97; 101; 103; 107; 109; 113; 127; 131; 137; 139; 149;
     151; 157; 163; 167; 173; 179; 181; 191; 193; 197; 199 ]
 
-let miller_rabin_round n ~d ~r a =
+let miller_rabin_round ctx n ~d ~r a =
   (* n - 1 = d * 2^r with d odd; returns false iff [a] witnesses
-     compositeness. *)
+     compositeness. [ctx] is n's Montgomery context, shared by every
+     round over one candidate. *)
   let n1 = Bignum.sub n Bignum.one in
-  let x = ref (Bignum.pow_mod a d n) in
+  let x = ref (Bignum.pow_mod_ctx ctx a d) in
   if Bignum.is_one !x || Bignum.equal !x n1 then true
   else begin
     let ok = ref false in
@@ -93,7 +94,10 @@ let is_probably_prime ?(rounds = 20) ?rng n =
         let a = Rng.bignum_below rng (Bignum.sub n (Bignum.of_int 3)) in
         Bignum.add a Bignum.two
       in
-      let rec loop k = k = 0 || (miller_rabin_round n ~d:!d ~r:!r (witness ()) && loop (k - 1)) in
+      let ctx = Bignum.mont_of_modulus n in
+      let rec loop k =
+        k = 0 || (miller_rabin_round ctx n ~d:!d ~r:!r (witness ()) && loop (k - 1))
+      in
       loop rounds
     end
   end

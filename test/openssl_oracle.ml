@@ -7,7 +7,9 @@
    generator's root key, fork keys and blocks are checked against
    `openssl dgst` of their documented hash inputs. ECDH runs on P-256 and
    on the 52-, 53- and 61-bit simulation curves against keys
-   `openssl genpkey` generates and `openssl pkeyutl -derive`.
+   `openssl genpkey` generates and `openssl pkeyutl -derive`. Miller-Rabin
+   agrees with `openssl prime` on the simulation groups' and curves'
+   primes and on known composites.
 
    Usage: openssl_oracle.exe [--require]
 
@@ -233,6 +235,44 @@ let ecdh openssl (label, c) =
               check ("ecdh-" ^ label) ~input:(hex (Ec.public_bytes a) ^ " x " ^ hex (Ec.point_bytes c b_pub))
                 ~expected ~actual)))
 
+(* Primality: `openssl prime` and [Dh.is_probably_prime] must give the
+   same answer on the simulation parameters [Tls.Config.sim_env] finds
+   at the default seed and at perfbench-1 (the DH group's p and
+   (p - 1) / 2, both curves' p and prime order q), and on known
+   composites: the Carmichael numbers 561, 41041 and 3215031751 (a
+   strong pseudoprime to bases 2, 3, 5 and 7) and a product of two
+   31-bit primes. *)
+let primality_cases () =
+  let module B = Crypto.Bignum in
+  let of_env name (env : Tls.Config.env) =
+    let p = Crypto.Dh.group_p env.Tls.Config.dh_group in
+    let curve label c = [ (label ^ " p", Ec.curve_p c); (label ^ " q", Ec.curve_order c) ] in
+    List.map
+      (fun (label, n) -> (name ^ " " ^ label, n))
+      ([ ("dh p", p); ("dh (p-1)/2", B.shift_right (B.sub p B.one) 1) ]
+      @ curve "ecdhe" env.Tls.Config.ecdhe_curve
+      @ curve "pki" env.Tls.Config.pki_curve)
+  in
+  of_env "default" (Tls.Config.sim_env ())
+  @ of_env "perfbench-1" (Tls.Config.sim_env ~seed:"perfbench-1" ())
+  @ List.map
+      (fun d -> ("composite " ^ d, B.of_decimal d))
+      [ "561"; "41041"; "3215031751"; "4611685975477714963" (* 2147483647 * 2147483629 *) ]
+
+let primality openssl cases =
+  List.iter
+    (fun (label, n) ->
+      let dec = Crypto.Bignum.to_decimal n in
+      let out = run openssl [ "prime"; dec ] in
+      let expected =
+        if String.ends_with ~suffix:" is prime\n" out then "prime"
+        else if String.ends_with ~suffix:" is not prime\n" out then "composite"
+        else failwith ("openssl prime: unexpected output " ^ String.escaped out)
+      in
+      let actual = if Crypto.Dh.is_probably_prime n then "prime" else "composite" in
+      check ("primality " ^ label) ~input:dec ~expected ~actual)
+    cases
+
 let ecdh_curves () =
   let env = Tls.Config.sim_env () in
   [
@@ -258,11 +298,14 @@ let () =
       rng openssl;
       let curves = ecdh_curves () in
       List.iter (ecdh openssl) curves;
+      let primes = primality_cases () in
+      primality openssl primes;
       if !failures > 0 then begin
         Printf.printf "openssl oracle: %d mismatches\n" !failures;
         exit 1
       end;
       Printf.printf
         "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; hmac agrees at \
-         every length 0-130; rng keys and blocks agree; ecdh agrees on %s\n"
-        cases (String.concat ", " (List.map fst curves))
+         every length 0-130; rng keys and blocks agree; ecdh agrees on %s; primality agrees on \
+         %d numbers\n"
+        cases (String.concat ", " (List.map fst curves)) (List.length primes)

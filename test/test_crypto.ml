@@ -255,6 +255,73 @@ let test_bignum_divmod () =
   Alcotest.(check bool) "r < b" true (B.compare r b < 0);
   Alcotest.check_raises "div by zero" Division_by_zero (fun () -> ignore (B.divmod a B.zero))
 
+(* Algorithm D's branches, each on inputs that reach it: short division
+   by one limb, divisors whose top limb needs no normalisation shift
+   (2^25, the smallest such, and 2^26 - 1, the largest) or the widest
+   one (top limb 1, shifted 25 bits), a dividend shorter than or equal to the
+   divisor, a two-limb estimate that needs its correction against the
+   next limb, and the add-back after a one-too-large estimate. The last
+   three literals were found by search over byte-patterned operands,
+   with a counter on each branch. *)
+let test_bignum_divmod_branches () =
+  let check_qr name a b ~q ~r =
+    let q', r' = B.divmod a b in
+    Alcotest.(check string) (name ^ ": q") (B.to_decimal q) (B.to_decimal q');
+    Alcotest.(check string) (name ^ ": r") (B.to_decimal r) (B.to_decimal r')
+  in
+  (* Operands built as a = q*b + r, so the answer is known. *)
+  let built name b q r =
+    if B.compare r b >= 0 then invalid_arg "built: r >= b";
+    check_qr name (B.add (B.mul q b) r) b ~q ~r
+  in
+  let pow2 k = B.shift_left B.one k in
+  let q_big = B.sub_int (pow2 200) 12345 in
+  built "one-limb divisor 7" (B.of_int 7) q_big (B.of_int 6);
+  built "one-limb divisor 2^26-1" (B.of_int 0x3ffffff) q_big (B.of_int 0x3fffffe);
+  built "one-limb divisor, zero remainder" (B.of_int 10) q_big B.zero;
+  let top_1 = B.add_int (pow2 26) 3 in
+  (* two limbs, top limb 1 *)
+  built "top limb 1" top_1 q_big (B.sub_int top_1 1);
+  let top_2_25 = B.add_int (pow2 51) 1 in
+  (* two limbs, top limb 2^25 *)
+  built "top limb 2^25" top_2_25 q_big (B.sub_int top_2_25 1);
+  built "top limb 2^25, short quotient" top_2_25 (B.of_int 3) (B.of_int 5);
+  let top_max = B.add_int (B.shift_left (B.of_int 0x3ffffff) 52) 5 in
+  (* three limbs, top limb 2^26 - 1: no normalisation shift *)
+  built "top limb 2^26-1" top_max q_big (B.sub_int top_max 1);
+  built "top limb 2^26-1, quotient 2^26-1" top_max (B.of_int 0x3ffffff) (B.of_int 77);
+  let b = bn "987654321987654321987654321" in
+  check_qr "a shorter than b" (B.of_int 5) b ~q:B.zero ~r:(B.of_int 5);
+  check_qr "a = b" b b ~q:B.one ~r:B.zero;
+  check_qr "a = b - 1" (B.sub_int b 1) b ~q:B.zero ~r:(B.sub_int b 1);
+  check_qr "qhat corrected against the next limb" (B.of_hex "ffffffff00ff00")
+    (B.of_hex "ff0000ffff") ~q:(B.of_hex "010100") ~r:(B.of_hex "fefe020000");
+  (* Here the two-limb estimate is two too large: one add-back alone
+     would leave a wrong quotient limb. *)
+  check_qr "qhat two too large" (B.of_hex "807f017f8001007f") (B.of_hex "80ff007f")
+    ~q:(B.of_hex "ff01fc0d") ~r:(B.of_hex "6d11f60c");
+  check_qr "add-back" (B.of_hex "ffff00ffff0000ff00") (B.of_hex "ff0000ff000000ff")
+    ~q:(B.of_hex "0100") ~r:(B.of_hex "ff0000ff00000000")
+
+(* Decoding: the empty string is zero, leading zero bytes add nothing,
+   and every length 1-80 (limb boundaries every 26 bits) round-trips
+   through [to_bytes_be ~len], random and all-ones bytes alike. *)
+let test_bignum_of_bytes_edges () =
+  Alcotest.(check bool) "empty is zero" true (B.is_zero (B.of_bytes_be ""));
+  Alcotest.(check bool) "zero bytes are zero" true (B.is_zero (B.of_bytes_be "\x00\x00\x00\x00"));
+  Alcotest.(check string) "leading zero bytes" "258"
+    (B.to_decimal (B.of_bytes_be "\x00\x00\x00\x01\x02"));
+  let rng = Crypto.Rng.create ~seed:"bignum-of-bytes" in
+  for len = 1 to 80 do
+    List.iter
+      (fun s ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d bytes roundtrip" len)
+          (Wire.Hex.encode s)
+          (Wire.Hex.encode (B.to_bytes_be ~len (B.of_bytes_be s))))
+      [ Crypto.Rng.generate rng len; String.make len '\xff'; "\x00" ^ Crypto.Rng.generate rng (len - 1) ]
+  done
+
 let test_bignum_pow_mod () =
   (* 5^3 mod 13 = 8; also a Fermat check: a^(p-1) = 1 mod p. *)
   Alcotest.(check int) "5^3 mod 13" 8 (B.to_int_exn (B.pow_mod (B.of_int 5) (B.of_int 3) (B.of_int 13)));
@@ -1284,6 +1351,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_bignum_basics;
           Alcotest.test_case "divmod" `Quick test_bignum_divmod;
+          Alcotest.test_case "divmod branches" `Quick test_bignum_divmod_branches;
+          Alcotest.test_case "of_bytes_be edges" `Quick test_bignum_of_bytes_edges;
           Alcotest.test_case "pow_mod" `Quick test_bignum_pow_mod;
           Alcotest.test_case "mod inverse" `Quick test_bignum_mod_inverse;
           Alcotest.test_case "byte conversions" `Quick test_bignum_bytes;

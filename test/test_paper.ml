@@ -18,6 +18,9 @@ let test_headline () =
     (fun (r : Tlsharm.Paper.result) ->
       let t = r.Tlsharm.Paper.target in
       Alcotest.(check bool)
+        (Printf.sprintf "%s %s reachable in 35 days" t.Tlsharm.Paper.experiment t.Tlsharm.Paper.metric)
+        true (Tlsharm.Paper.reachable r);
+      Alcotest.(check bool)
         (Printf.sprintf "%s %s: %.4f vs paper %.4f within %.4f" t.Tlsharm.Paper.experiment
            t.Tlsharm.Paper.metric r.Tlsharm.Paper.measured.Analysis.Stats.share t.Tlsharm.Paper.paper
            (Tlsharm.Paper.band r))
@@ -43,12 +46,41 @@ let test_ht_share () =
     (sqrt (1600. *. 0.9 *. (1. /. 6.) /. 4. /. 400.))
     e.St.se
 
+(* A horizon longer than the campaign renders n/a, not FAIL: an 8-day
+   campaign's 0% for "30+ days" says nothing about the model. *)
+let test_out_of_reach () =
+  let module P = Tlsharm.Paper in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let zero = { Analysis.Stats.share = 0.0; se = 0.0 } in
+  let verdict ~campaign_days experiment metric =
+    let target = List.find (fun t -> t.P.experiment = experiment && t.P.metric = metric) P.targets in
+    P.render [ { P.target; measured = zero; campaign_days } ]
+  in
+  List.iter
+    (fun (experiment, metric, needs) ->
+      let short = verdict ~campaign_days:(needs - 1) experiment metric in
+      Alcotest.(check bool) (metric ^ ": n/a one day short") true
+        (contains short (Printf.sprintf "n/a (needs >=%d d)" needs) && not (contains short "FAIL"));
+      Alcotest.(check bool) (metric ^ ": FAIL once reachable") true
+        (contains (verdict ~campaign_days:needs experiment metric) "FAIL"))
+    [
+      ("f3", "same STEK for 30+ days", 30);
+      ("f8", "window > 7 days", 8);
+      ("f8", "window > 30 days", 31);
+      ("f3", "same STEK for 7+ days", 7);
+    ]
+
 let () =
   Alcotest.run "paper"
     [
       ( "paper",
         [
           Alcotest.test_case "ht_share by hand" `Quick test_ht_share;
+          Alcotest.test_case "horizons past the campaign are n/a" `Quick test_out_of_reach;
           Alcotest.test_case "headline targets on a reduced world" `Slow test_headline;
         ] );
     ]
