@@ -156,7 +156,7 @@ let telemetry_t =
             "Write aggregated trace spans (handshake phases, scan days, campaign shards) as JSON, \
              timed on the simulated clock. Unlike metrics, spans reflect how the run executed: a \
              campaign resumed from its --stream-out log has no probe spans for the shards it \
-             restores.")
+             keeps.")
   in
   Term.(const (fun metrics_out trace_out -> { metrics_out; trace_out }) $ metrics_out $ trace_out)
 
@@ -510,9 +510,9 @@ let campaign_run_t =
              append-only spool per campaign shard) instead of to a temporary directory that the \
              CSV is exported from and that is removed when the run ends. Memory stays flat \
              regardless of --domains either way. $(i,DIR) is also the run's crash-recovery \
-             log: every day block carries the scan's resume state, and $(b,tlsharm resume) \
-             $(i,DIR) continues a killed run from the last block that verifies. A $(i,DIR) \
-             holding a different run is refused. The streamed archive is byte-equivalent to \
+             log: $(b,tlsharm resume) $(i,DIR) keeps every shard the log holds whole and re-runs \
+             the rest from day 0, checking each re-run day against the block the log recorded. \
+             A $(i,DIR) holding a different run is refused. The streamed archive is byte-equivalent to \
              the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and it is identical at \
              any --jobs and across resumes.")
   in
@@ -552,11 +552,12 @@ let resume_cmd =
   in
   cmd "resume"
     ~doc:
-      "Resume an interrupted campaign from its --stream-out directory, the run's log. Fully \
-       recorded shards are restored without probing; the rest replay from day 0, checked block \
-       by block against the log, and continue. A damaged or torn newest block falls back to the \
-       last one that verifies. The finished directory is byte-identical to an uninterrupted \
-       run's at any --jobs."
+      "Resume an interrupted campaign from its --stream-out directory, the run's log. A shard \
+       whose spool is sealed with every day is kept as it is, without probing. Every other shard \
+       is re-run from day 0, each day checked against the block its spool recorded, up to a \
+       damaged or torn block or one an in-process retry wrote. The finished directory is \
+       byte-identical to an uninterrupted run's at any --jobs. The printed row count counts only \
+       the rows this run wrote."
     Term.(const resume $ dir $ jobs_t $ telemetry_t)
 
 let analyze path =
@@ -963,8 +964,9 @@ let traffic_cmd =
             "Keep the run log in $(i,DIR) (one append-only spool per user shard) instead of a \
              temporary directory removed when the run ends; rows are never held in memory, so \
              RSS stays flat into the millions of users. Byte-identical at any --jobs; \
-             re-running after a crash skips complete shards and reproduces the identical \
-             archive. Reassemble with $(b,tlsharm analyze) $(i,DIR).")
+             re-running after a crash keeps complete shards, re-runs the rest checked against \
+             their recorded days, and reproduces the identical archive. Reassemble with \
+             $(b,tlsharm analyze) $(i,DIR).")
   in
   cmd "traffic"
     ~doc:

@@ -546,6 +546,11 @@ let small_order c q =
    order q. Square roots use z^((p+1)/4), valid because p = 3 mod 4. *)
 let generate_small_cache : (int * string, curve) Hashtbl.t = Hashtbl.create 8
 
+(* Guards [generate_small_cache], as [Dh.generate]'s lock guards its
+   cache: traffic shards build their world replicas, hence the
+   simulation curves, on parallel domains. *)
+let generate_small_lock = Mutex.create ()
+
 let generate_small_uncached ~bits ~seed =
   if bits < 24 || bits > W.max_bits then invalid_arg "Ec.generate_small: bits out of range";
   let rng = Rng.create ~seed:(Printf.sprintf "ec-curve:%s:%d" seed bits) in
@@ -592,12 +597,23 @@ let generate_small_uncached ~bits ~seed =
   find_g ()
 
 let generate_small ~bits ~seed =
-  match Hashtbl.find_opt generate_small_cache (bits, seed) with
+  let cached =
+    Mutex.protect generate_small_lock (fun () ->
+        Hashtbl.find_opt generate_small_cache (bits, seed))
+  in
+  match cached with
   | Some c -> c
   | None ->
+      (* Search outside the lock; the curve is deterministic in
+         (bits, seed), and the first writer wins so every caller shares
+         one physical curve (and its comb). *)
       let c = generate_small_uncached ~bits ~seed in
-      Hashtbl.replace generate_small_cache (bits, seed) c;
-      c
+      Mutex.protect generate_small_lock (fun () ->
+          match Hashtbl.find_opt generate_small_cache (bits, seed) with
+          | Some c -> c
+          | None ->
+              Hashtbl.replace generate_small_cache (bits, seed) c;
+              c)
 
 (* --- Key exchange --------------------------------------------------------- *)
 

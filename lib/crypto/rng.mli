@@ -76,8 +76,8 @@ type state = { key : string; counter : int; offset : int }
     as at the start). *)
 
 val state : t -> state
-(** Snapshot for the resume state of campaign day blocks. The set of
-    labels already forked is not part of it. *)
+(** Snapshot of the generator's position. The set of labels already
+    forked is not part of it. *)
 
 val restore : state:state -> t
 (** The generator that continues the stream exactly where the snapshot

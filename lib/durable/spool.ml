@@ -22,9 +22,9 @@
    matches, or any non-canonical frame line ends it), and a foreign file
    (malformed header), which is an error.
 
-   The version names the payloads as much as the frame: v3 day blocks
-   carry Rng stream positions where v2 carried HMAC-DRBG states, so a v2
-   spool is refused by version rather than misread. *)
+   The version names the payloads as much as the frame: v2 blocks were
+   drawn from HMAC-DRBG streams where v3 blocks come from the Rng, so a
+   v2 spool is refused by version rather than misread. *)
 
 let version = 3
 let header = Printf.sprintf "#tlsharm-spool v%d" version

@@ -6,15 +6,15 @@
     per scan day in O(block) rather than O(file). Every block frame
     carries the payload's {!Atomic_io.block_tag}, so the reader tells a
     complete spool from one torn by a crash or damaged at rest: the
-    valid block prefix is returned either way, and the resume path
-    re-emits the rest. *)
+    valid block prefix is returned either way, and a resume re-runs the
+    stream, checking it against that prefix. *)
 
 type writer
 
 val create : string -> writer
 (** [create path] truncates [path] and starts a fresh spool. The
     previous content is intentionally discarded: a reader that wants it
-    (the resume path) reads it first, and a rerun re-emits every block,
+    (the resume rule) reads it first, and a re-run re-emits every block,
     so the spool is byte-identical whether or not the run was
     interrupted. *)
 
@@ -30,8 +30,9 @@ type error =
   | Unreadable of string  (** the file could not be read *)
   | Not_a_spool  (** missing or foreign header *)
   | Old_version of int
-      (** a spool of an earlier format, by its exact header line: v2 day
-          blocks carry HMAC-DRBG states this build cannot continue *)
+      (** a spool of an earlier format, by its exact header line: v2
+          blocks were drawn from HMAC-DRBG streams, so this build can
+          neither reproduce nor compare them *)
 
 val error_to_string : path:string -> error -> string
 (** One line naming [path]. *)

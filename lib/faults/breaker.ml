@@ -14,7 +14,7 @@
    calls, which the scan path makes in per-shard probe order. Operators
    never span shards (shards are connectivity-closed), so the
    per-operator call sequence — and therefore every budget decision — is
-   identical at any worker count, and a resume's replay rebuilds the
+   identical at any worker count, and a resume's re-run rebuilds the
    same state by re-executing the same sequence. *)
 
 type cell = { mutable consecutive : int; mutable open_left : int }

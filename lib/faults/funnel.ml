@@ -129,10 +129,11 @@ let totals t =
 let lost tot =
   List.fold_left (fun acc (_, n) -> acc + n) 0 tot.t_losses
 
-(* --- Checkpoint serialization ------------------------------------------------ *)
+(* --- Trailer serialization --------------------------------------------------- *)
 
-(* A funnel snapshot travels inside campaign day blocks so a resumed
-   run reports the same loss table as an uninterrupted one. The format
+(* A stream's funnel travels in its campaign trailer so a resumed run
+   that keeps the stream reports the same loss table as an uninterrupted
+   one. The format
    is deterministic (days sorted, losses in [Fault.all] order) so equal
    funnels always serialize to equal bytes. *)
 

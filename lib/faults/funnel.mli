@@ -39,9 +39,9 @@ val lost : totals -> int
 (** Total probes lost across all causes. *)
 
 val to_lines : t -> string list
-(** Deterministic line serialization for the resume state in campaign
-    day blocks: equal funnels produce equal lines (days ascending,
-    losses in {!Fault.all} order). *)
+(** Deterministic line serialization for campaign stream trailers, from
+    which a kept stream restores its funnel: equal funnels produce equal
+    lines (days ascending, losses in {!Fault.all} order). *)
 
 val of_lines : string list -> (t, string) result
 (** Inverse of {!to_lines}; never raises on malformed input. *)

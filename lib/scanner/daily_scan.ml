@@ -248,197 +248,154 @@ let load path =
 (* --- Day block codec ---------------------------------------------------------
 
    One block per completed scan day per stream (a stream = one shard of
-   the campaign), appended to the stream's spool. A block carries that
-   day's observed row for every member domain and, unless it was written
-   by a run that cannot be resumed from (an in-process retry, an
-   abandoned shard), everything a resumed run must reproduce to stay
-   byte-identical to an uninterrupted one: the virtual clock, both
-   probes' generator positions, the default probe's trust cache and the
-   stream's cumulative loss funnel.
+   the campaign), appended to the stream's spool: that day's observed
+   row for every member domain, in member order.
 
-     day=4
-     clock=…                         \
-     rng-default=KEY:COUNTER:OFFSET   |
-     rng-dhe=KEY:COUNTER:OFFSET       | the state lines; absent from a
-     trust=N, then N "domain bool"    | stateless block
-     funnel=M, then M funnel lines    /
+     day=4                   (or "day=4 unchecked", see [checked])
      rows=R, then R row lines
 
-   The codec is deterministic — equal state encodes to equal bytes —
-   which is what lets resume *verify* replayed days by comparing the
-   re-encoded block against the recorded one, byte for byte. *)
+   The codec is deterministic, so a clean re-run of a shard re-encodes
+   each recorded day to the same bytes: that is what the resume rule
+   ({!Stream_sink.stream}) compares. *)
 
-module Ckpt = struct
-  type state = { s_trust : (string * bool) list; s_funnel : Faults.Funnel.t }
+let unchecked_mark = " unchecked"
 
-  type snapshot = {
-    s_day : int;
-    s_state : state option; (* [None]: a stateless block *)
-    s_rows : day_record option array;
-  }
+(* A block a clean re-run reproduces. An in-process retry scans a world
+   the crashed attempt dirtied, and an abandoned shard writes probe-less
+   rows, so their blocks carry the mark: it ends the checked prefix, and
+   a resume re-runs such a shard without comparing. *)
+let checked block =
+  let first = match String.index_opt block '\n' with Some i -> String.sub block 0 i | None -> block in
+  not (String.ends_with ~suffix:unchecked_mark first)
 
-  let rng_line label rng = label ^ "=" ^ Crypto.Rng.state_to_string (Crypto.Rng.state rng)
+let opt_dash = function None -> "-" | Some s -> s
 
-  let opt_dash = function None -> "-" | Some s -> s
+(* The per-day values are exactly the persisted CSV columns, so the
+   loader rebuilds the archive without scanning. *)
+let row_line = function
+  | None -> "0"
+  | Some r ->
+      String.concat ","
+        [
+          "1";
+          string_of_bool r.default_ok;
+          opt_dash r.stek_id;
+          (match r.ticket_hint with None -> "-" | Some h -> string_of_int h);
+          opt_dash r.ecdhe_value;
+          string_of_bool r.dhe_ok;
+          opt_dash r.dhe_value;
+        ]
 
-  (* The per-day values are exactly the persisted CSV columns, so the
-     loader and the restore path rebuild the archive without scanning. *)
-  let row_line = function
-    | None -> "0"
-    | Some r ->
-        String.concat ","
-          [
-            "1";
-            string_of_bool r.default_ok;
-            opt_dash r.stek_id;
-            (match r.ticket_hint with None -> "-" | Some h -> string_of_int h);
-            opt_dash r.ecdhe_value;
-            string_of_bool r.dhe_ok;
-            opt_dash r.dhe_value;
-          ]
+let day_payload ~checked ~day ~(rows : day_record option array) =
+  let b = Buffer.create (64 + (16 * Array.length rows)) in
+  Printf.bprintf b "day=%d%s\nrows=%d\n" day
+    (if checked then "" else unchecked_mark)
+    (Array.length rows);
+  Array.iter
+    (fun r ->
+      Buffer.add_string b (row_line r);
+      Buffer.add_char b '\n')
+    rows;
+  Buffer.contents b
 
-  (* [probes] = (clock, default probe, DHE probe) adds the state lines;
-     the funnel is the one both probes share. *)
-  let encode ?probes ~day ~(rows : day_record option array) () =
-    let b = Buffer.create (256 + (16 * Array.length rows)) in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-    line "day=%d" day;
-    (match probes with
-    | None -> ()
-    | Some (clock, (default_probe : Probe.t), (dhe_probe : Probe.t)) ->
-        line "clock=%d" (Simnet.Clock.now clock);
-        line "%s" (rng_line "rng-default" (Tls.Client.rng default_probe.Probe.client));
-        line "%s" (rng_line "rng-dhe" (Tls.Client.rng dhe_probe.Probe.client));
-        let trust =
-          Hashtbl.fold (fun d v acc -> (d, v) :: acc) default_probe.Probe.trust_cache []
-          |> List.sort compare
-        in
-        line "trust=%d" (List.length trust);
-        List.iter (fun (d, v) -> line "%s %b" d v) trust;
-        let flines = Faults.Funnel.to_lines (Probe.funnel default_probe) in
-        line "funnel=%d" (List.length flines);
-        List.iter (fun l -> line "%s" l) flines);
-    line "rows=%d" (Array.length rows);
-    Array.iter (fun r -> line "%s" (row_line r)) rows;
-    Buffer.contents b
+let parse_row ~day l =
+  if l = "0" then Ok None
+  else
+    match String.split_on_char ',' l with
+    | [ "1"; ok; stek; hint; ecdhe; dhe_ok; dhe ] -> (
+        let undash s = if s = "-" then None else Some s in
+        match (bool_of_string_opt ok, bool_of_string_opt dhe_ok) with
+        | Some default_ok, Some dhe_ok -> (
+            match if hint = "-" then Some None else Option.map Option.some (int_of_string_opt hint) with
+            | Some ticket_hint ->
+                Ok
+                  (Some
+                     {
+                       day;
+                       present = true;
+                       default_ok;
+                       stek_id = undash stek;
+                       ticket_hint;
+                       ecdhe_value = undash ecdhe;
+                       dhe_ok;
+                       dhe_value = undash dhe;
+                     })
+            | None -> Error (Printf.sprintf "day block: bad ticket hint in row %S" l))
+        | _ -> Error (Printf.sprintf "day block: bad row %S" l))
+    | _ -> Error (Printf.sprintf "day block: bad row %S" l)
 
-  let parse_row ~day l =
-    if l = "0" then Ok None
-    else
-      match String.split_on_char ',' l with
-      | [ "1"; ok; stek; hint; ecdhe; dhe_ok; dhe ] -> (
-          let undash s = if s = "-" then None else Some s in
-          match (bool_of_string_opt ok, bool_of_string_opt dhe_ok) with
-          | Some default_ok, Some dhe_ok -> (
-              match if hint = "-" then Some None else Option.map Option.some (int_of_string_opt hint) with
-              | Some ticket_hint ->
-                  Ok
-                    (Some
-                       {
-                         day;
-                         present = true;
-                         default_ok;
-                         stek_id = undash stek;
-                         ticket_hint;
-                         ecdhe_value = undash ecdhe;
-                         dhe_ok;
-                         dhe_value = undash dhe;
-                       })
-              | None -> Error (Printf.sprintf "day block: bad ticket hint in row %S" l))
-          | _ -> Error (Printf.sprintf "day block: bad row %S" l))
-      | _ -> Error (Printf.sprintf "day block: bad row %S" l)
+let ( let* ) = Result.bind
 
-  (* Strict decode: every section length must match, generator states
-     must be canonical {!Crypto.Rng.state_of_string} text, and nothing
-     may trail the last row. Any slack would let a damaged-but-frame-valid
-     block (or one from a different world size) slip into the loader or
-     the resume path. *)
-  let decode ~members payload =
-    let ( let* ) = Result.bind in
-    let err fmt = Printf.ksprintf (fun s -> Error ("day block: " ^ s)) fmt in
-    let rest = ref (content_lines payload) in
-    let next what =
-      match !rest with
-      | [] -> err "truncated payload (wanted %s)" what
-      | l :: tl ->
-          rest := tl;
-          Ok l
-    in
-    let kv key =
-      let* l = next key in
-      match String.index_opt l '=' with
-      | Some i when String.sub l 0 i = key ->
-          Ok (String.sub l (i + 1) (String.length l - i - 1))
-      | _ -> err "expected %s=, got %S" key l
-    in
-    let int_kv key =
-      let* v = kv key in
-      match int_of_string_opt v with Some n when n >= 0 -> Ok n | _ -> err "bad %s value %S" key v
-    in
-    let rng_kv key =
-      let* v = kv key in
-      match Crypto.Rng.state_of_string v with Some st -> Ok st | None -> err "bad %s state" key
-    in
-    let rec times n f acc =
-      if n = 0 then Ok (List.rev acc)
-      else
-        let* v = f () in
-        times (n - 1) f (v :: acc)
-    in
-    let* s_day = int_kv "day" in
-    let* s_state =
-      match !rest with
-      | l :: _ when String.starts_with ~prefix:"clock=" l ->
-          let* _clock = int_kv "clock" in
-          let* _default_state = rng_kv "rng-default" in
-          let* _dhe_state = rng_kv "rng-dhe" in
-          let* n_trust = int_kv "trust" in
-          let* s_trust =
-            times n_trust
-              (fun () ->
-                let* l = next "trust entry" in
-                match String.rindex_opt l ' ' with
-                | Some i -> (
-                    match bool_of_string_opt (String.sub l (i + 1) (String.length l - i - 1)) with
-                    | Some v -> Ok (String.sub l 0 i, v)
-                    | None -> err "bad trust entry %S" l)
-                | None -> err "bad trust entry %S" l)
-              []
-          in
-          let* n_funnel = int_kv "funnel" in
-          let* funnel_lines = times n_funnel (fun () -> next "funnel line") [] in
-          let* s_funnel = Faults.Funnel.of_lines funnel_lines in
-          Ok (Some { s_trust; s_funnel })
-      | _ -> Ok None
-    in
-    let* n_rows = int_kv "rows" in
-    let* () =
-      if n_rows = members then Ok ()
-      else err "block covers %d domains, stream has %d" n_rows members
-    in
-    let* rows = times n_rows (fun () -> let* l = next "row" in parse_row ~day:s_day l) [] in
-    let* () = match !rest with [] -> Ok () | l :: _ -> err "trailing data %S" l in
-    Ok { s_day; s_state; s_rows = Array.of_list rows }
-end
+(* A [KEY=N] line with N a non-negative integer. *)
+let count_line ~what key l =
+  match String.index_opt l '=' with
+  | Some i when String.equal (String.sub l 0 i) key -> (
+      let v = String.sub l (i + 1) (String.length l - i - 1) in
+      match int_of_string_opt v with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (Printf.sprintf "%s: bad %s value %S" what key v))
+  | _ -> Error (Printf.sprintf "%s: expected %s=, got %S" what key l)
+
+let map_result f l =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) l
+  |> Result.map List.rev
+
+(* Strict decode: the row count must match the stream's member count
+   and the rows it declares, so a damaged-but-frame-valid block (or one
+   from a different world size) cannot slip into the loader. *)
+let decode_day ~members payload =
+  match content_lines payload with
+  | day_line :: rows_line :: row_lines ->
+      let day_line =
+        if String.ends_with ~suffix:unchecked_mark day_line then
+          String.sub day_line 0 (String.length day_line - String.length unchecked_mark)
+        else day_line
+      in
+      let* day = count_line ~what:"day block" "day" day_line in
+      let* n_rows = count_line ~what:"day block" "rows" rows_line in
+      let* () =
+        if n_rows = members then Ok ()
+        else Error (Printf.sprintf "day block: covers %d domains, stream has %d" n_rows members)
+      in
+      let* () =
+        if List.length row_lines = n_rows then Ok ()
+        else
+          Error
+            (Printf.sprintf "day block: declares %d rows, carries %d" n_rows
+               (List.length row_lines))
+      in
+      let* rows = map_result (parse_row ~day) row_lines in
+      Ok (day, Array.of_list rows)
+  | _ -> Error "day block: truncated payload"
 
 (* --- Streamed archive ----------------------------------------------------------
 
    The streamed representation of one scan stream: one spool block per
-   day (the {!Ckpt} codec's positional row grammar, distinct from the
-   CSV row's named-domain one), and a trailer block carrying the
-   per-domain facts that are only known at campaign end — chiefly the
-   trust verdicts. Member
-   *order* is the contract: day blocks reference domains positionally,
-   and the trailer names them, which keeps a 100k-domain day block free
-   of 100k repeated domain/rank/weight prefixes. *)
+   day (the positional row grammar above, distinct from the CSV row's
+   named-domain one), and a trailer block carrying what is only known
+   at campaign end: each member's trust verdict and the stream's loss
+   funnel, which a kept stream restores from.
+
+     trailer
+     domains=N, then N "domain,rank,weight,trusted,stable" lines
+     funnel=M, then M {!Faults.Funnel.to_lines} lines
+
+   Member *order* is the contract: day blocks reference domains
+   positionally, and the trailer names them, which keeps a 100k-domain
+   day block free of 100k repeated domain/rank/weight prefixes. *)
 
 let append_block s ~rows payload =
   let present = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 rows in
   Stream_sink.append_day s ~rows:present payload
 
-let stream_day s ~day ~rows = append_block s ~rows (Ckpt.encode ~day ~rows ())
+let stream_day s ~day ~rows = append_block s ~rows (day_payload ~checked:false ~day ~rows)
 
-let stream_finish s ~trusted ~(domains : Simnet.World.domain array) =
+let stream_finish s ~trusted ~funnel ~(domains : Simnet.World.domain array) =
   let b = Buffer.create (32 * Array.length domains) in
   Printf.bprintf b "trailer\ndomains=%d\n" (Array.length domains);
   Array.iter
@@ -447,7 +404,48 @@ let stream_finish s ~trusted ~(domains : Simnet.World.domain array) =
       Printf.bprintf b "%s,%d,%.17g,%b,%b\n" name (Simnet.World.domain_rank d)
         (Simnet.World.domain_weight d) (trusted name) (Simnet.World.domain_stable d))
     domains;
+  let flines = Faults.Funnel.to_lines funnel in
+  Printf.bprintf b "funnel=%d\n" (List.length flines);
+  List.iter (Printf.bprintf b "%s\n") flines;
   Stream_sink.finish s ~trailer:(Buffer.contents b)
+
+let decode_trailer trailer =
+  let what = "trailer" in
+  let rec take n acc rest =
+    if n = 0 then Ok (List.rev acc, rest)
+    else match rest with l :: tl -> take (n - 1) (l :: acc) tl | [] -> Error "trailer: truncated"
+  in
+  let section key = function
+    | l :: rest ->
+        let* n = count_line ~what key l in
+        take n [] rest
+    | [] -> Error (Printf.sprintf "trailer: missing %s section" key)
+  in
+  let parse_meta l =
+    match String.split_on_char ',' l with
+    | [ domain; rank; weight; trusted; stable ] -> (
+        match
+          ( int_of_string_opt rank,
+            float_of_string_opt weight,
+            bool_of_string_opt trusted,
+            bool_of_string_opt stable )
+        with
+        | Some rank, Some weight, Some trusted, Some stable ->
+            Ok (domain, rank, weight, trusted, stable)
+        | _ -> Error (Printf.sprintf "trailer: bad entry %S" l))
+    | _ -> Error (Printf.sprintf "trailer: bad entry %S" l)
+  in
+  match content_lines trailer with
+  | "trailer" :: rest ->
+      let* metas, rest = section "domains" rest in
+      let* funnel_lines, rest = section "funnel" rest in
+      let* () = match rest with [] -> Ok () | l :: _ -> Error (Printf.sprintf "trailer: trailing data %S" l) in
+      let* metas = map_result parse_meta metas in
+      let* funnel = Faults.Funnel.of_lines funnel_lines in
+      Ok (metas, funnel)
+  | _ -> Error "trailer: malformed"
+
+let trailer_funnel trailer = Result.map snd (decode_trailer trailer)
 
 (* The daily sweep schedule, as offsets into each study day: the default
    sweep (all suites, tickets on) at 00:30, the DHE-only sweep at 02:00.
@@ -463,58 +461,21 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    domain array never depends on which worker runs it, which is what
    makes shard results independent of worker count.
 
-   Each completed day's block is appended to [sink]. With [resume], it
-   also carries the scan state, and on entry the stream's recorded
-   prefix — its leading state-carrying blocks that frame-verify and
-   decode — decides the resume point. A damaged or torn newest block
-   simply shortens the prefix, falling back to the last day that
-   verifies:
-
-   - prefix = days: the whole scan is restored from the blocks (trust
-     cache, funnel) without probing; the clock jumps to the end.
-   - prefix < days: the scan runs from day 0. Replayed days (< prefix)
-     re-encode their block and compare it byte-for-byte against the
-     recorded one — any divergence (wrong world, wrong seed, code drift)
-     raises {!Durable.Supervisor.Mismatch} rather than silently archiving
-     a run that is not the one the log belongs to.
-
-   Either way every block is re-emitted into the reopened spool, so the
-   stream ends byte-identical to an uninterrupted run's. Replay
-   re-executes completed days instead of deserializing the world
-   mid-flight (endpoint RNGs, kex caches, session caches and STEK
-   rotations make the world state surface enormous); determinism makes
-   the re-execution exact, and the byte-compare proves it. *)
-let scan_stream ~sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~default_probe
-    ~dhe_probe ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
+   Each completed day's block is appended to [sink], marked unchecked
+   when [retry]; the stream the caller opened checks it against the
+   block recorded at its position. A resume re-executes completed days
+   instead of deserializing the world mid-flight (endpoint RNGs, kex
+   caches, session caches and STEK rotations make the world state
+   surface enormous); determinism makes the re-execution exact, and the
+   block compare proves it. *)
+let scan_stream ~sink ~retry ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_probe
+    ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
   let start = Simnet.Clock.now clock in
   (* [scan.days] is a gauge (max-merge): every stream of one campaign
      scans the same day count, so a counter would multiply it by the
      shard count under parallel execution. *)
   if days > 0 then Obs.Recorder.gauge_max obs "scan.days" days;
   let n = Array.length domains in
-  let recorded =
-    if not resume then [||]
-    else
-      Stream_sink.prefix sink ~decode:(fun ~index block ->
-          match Ckpt.decode ~members:n block with
-          | Ok ({ Ckpt.s_state = Some _; _ } as snap) when index < days && snap.Ckpt.s_day = index
-            ->
-              Some snap
-          | Ok _ | Error _ -> None)
-      |> Array.of_list
-  in
-  let prefix = Array.length recorded in
-  if prefix = days && days > 0 then begin
-    (* Every day is recorded and verified: restore without scanning. *)
-    Array.iter (fun (raw, snap) -> append_block sink ~rows:snap.Ckpt.s_rows raw) recorded;
-    (* The last block carries the cumulative trust cache and funnel. *)
-    let last = Option.get (snd recorded.(days - 1)).Ckpt.s_state in
-    List.iter
-      (fun (d, v) -> Hashtbl.replace default_probe.Probe.trust_cache d v)
-      last.Ckpt.s_trust;
-    Faults.Funnel.absorb (Probe.funnel default_probe) last.Ckpt.s_funnel
-  end
-  else begin
   (* Per-day scratch, reused across days so a long campaign's inner loop
      allocates nothing proportional to [n * days]: this day's rows (also
      the block payload source), the default sweep's observations, and
@@ -573,23 +534,14 @@ let scan_stream ~sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~defaul
             dhe_value = dhe_obs.Observation.dhe_value;
           }
     done);
-    let probes = if resume then Some (clock, default_probe, dhe_probe) else None in
-    let payload = Ckpt.encode ?probes ~day ~rows () in
-    (* Replay verification: the re-run day must reproduce the recorded
-       block exactly, or the log belongs to a different run than the one
-       being resumed. *)
-    if day < prefix && not (String.equal (fst recorded.(day)) payload) then
-      Durable.Supervisor.mismatch
-        "replayed day %d diverges from its recorded block (different world, seed or code?)" day;
-    append_block sink ~rows payload
-  done
-  end;
+    append_block sink ~rows (day_payload ~checked:(not retry) ~day ~rows)
+  done;
   (* Leave the clock at the end of the campaign. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
   let trusted name =
     Option.value ~default:false (Hashtbl.find_opt default_probe.Probe.trust_cache name)
   in
-  stream_finish sink ~trusted ~domains
+  stream_finish sink ~trusted ~funnel:(Probe.funnel default_probe) ~domains
 
 (* --- Streamed archive loader -------------------------------------------------
 
@@ -599,7 +551,6 @@ let scan_stream ~sink ?(resume = true) ?(obs = Obs.Recorder.null) ~clock ~defaul
    the row order of every campaign CSV. *)
 
 let load_stream dir =
-  let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun s -> Error ("stream archive: " ^ s)) fmt in
   let* manifest = Stream_sink.manifest ~dir in
   let int_field key =
@@ -615,39 +566,11 @@ let load_stream dir =
   let* () = if n_days > 0 then Ok () else err "n_days must be positive" in
   let* names = Stream_sink.stream_names ~dir in
   let* () = if names = [] then err "no row streams in %s" dir else Ok () in
-  let parse_trailer name trailer =
-    match content_lines trailer with
-    | "trailer" :: counted :: metas -> (
-        match Scanf.sscanf_opt counted "domains=%d" Fun.id with
-        | Some n when n = List.length metas ->
-            let parse_meta l =
-              match String.split_on_char ',' l with
-              | [ domain; rank; weight; trusted; stable ] -> (
-                  match
-                    ( int_of_string_opt rank,
-                      float_of_string_opt weight,
-                      bool_of_string_opt trusted,
-                      bool_of_string_opt stable )
-                  with
-                  | Some rank, Some weight, Some trusted, Some stable ->
-                      Ok (domain, rank, weight, trusted, stable)
-                  | _ -> err "stream %S: bad trailer entry %S" name l)
-              | _ -> err "stream %S: bad trailer entry %S" name l
-            in
-            List.fold_left
-              (fun acc l ->
-                let* acc = acc in
-                let* m = parse_meta l in
-                Ok (m :: acc))
-              (Ok []) metas
-            |> Result.map List.rev
-        | Some n -> err "stream %S: trailer declares %d domains, carries %d" name n (List.length metas)
-        | None -> err "stream %S: bad trailer count line %S" name counted)
-    | _ -> err "stream %S: malformed trailer" name
-  in
   let load_one name =
     let* blocks, trailer = Stream_sink.read_stream ~dir name in
-    let* metas = parse_trailer name trailer in
+    let* metas, _ =
+      Result.map_error (Printf.sprintf "stream archive: stream %S: %s" name) (decode_trailer trailer)
+    in
     let members = List.length metas in
     let* () =
       if List.length blocks = n_days then Ok ()
@@ -658,16 +581,16 @@ let load_stream dir =
       List.fold_left
         (fun acc block ->
           let* day = acc in
-          let* snap =
+          let* block_day, rows =
             Result.map_error
               (Printf.sprintf "stream archive: stream %S, day %d: %s" name day)
-              (Ckpt.decode ~members block)
+              (decode_day ~members block)
           in
           let* () =
-            if snap.Ckpt.s_day = day then Ok ()
-            else err "stream %S: expected day %d, found day %d" name day snap.Ckpt.s_day
+            if block_day = day then Ok ()
+            else err "stream %S: expected day %d, found day %d" name day block_day
           in
-          Array.iteri (fun i r -> records.(i).(day) <- r) snap.Ckpt.s_rows;
+          Array.iteri (fun i r -> records.(i).(day) <- r) rows;
           Ok (day + 1))
         (Ok 0) blocks
       |> Result.map ignore
@@ -687,15 +610,7 @@ let load_stream dir =
       metas
     |> Result.ok
   in
-  let* series_lists =
-    List.fold_left
-      (fun acc name ->
-        let* acc = acc in
-        let* s = load_one name in
-        Ok (s :: acc))
-      (Ok []) names
-    |> Result.map List.rev
-  in
+  let* series_lists = map_result load_one names in
   let series = Array.of_list (List.concat series_lists) in
   Array.sort (fun a b -> compare (a.rank, a.domain) (b.rank, b.domain)) series;
   Ok { start_day; n_days; series }

@@ -39,7 +39,7 @@ val dhe_sweep_at : int
 
 val scan_stream :
   sink:Stream_sink.stream ->
-  ?resume:bool ->
+  retry:bool ->
   ?obs:Obs.Recorder.t ->
   clock:Simnet.Clock.t ->
   default_probe:Probe.t ->
@@ -53,24 +53,21 @@ val scan_stream :
     [days] days at the {!default_sweep_at} and {!dhe_sweep_at} times of
     each day, driving [clock]; both probes must read [clock] (create
     them with [?clock]) and share one funnel. Leaves [clock] at the
-    campaign's end. {!Parallel_campaign.run} calls it once per shard.
+    campaign's end. {!Parallel_campaign.run} calls it once per shard,
+    on a stream {!Stream_sink.stream} opened for a re-run.
 
     Each day's block is appended to [sink] as the day completes, and
-    the stream's trailer is written at the end; the scan keeps no rows,
-    which are read back with {!load_stream}. With [resume] (the
-    default) every block also carries the scan state (clock, probe Rng
-    states, trust cache, funnel), and on entry the stream's recorded
-    prefix ({!Stream_sink.prefix}: leading state-carrying blocks that
-    frame-verify and decode) is used: a full prefix restores the scan
-    without probing; a partial one re-runs the scan from day 0,
-    verifying each replayed day byte-for-byte against its recorded block
-    (raising {!Durable.Supervisor.Mismatch}) before scanning the
-    remaining days fresh. Damaged or torn blocks end the prefix — resume
-    falls back to the last day that verifies. With [~resume:false] (an
-    in-process retry) the recorded prefix is ignored and blocks are
-    stateless. Restored, replayed and fresh days are all re-emitted, so
-    a resumed stream is byte-identical to an uninterrupted one. [obs]
+    the stream's trailer (trust verdicts and the probes' funnel) is
+    written at the end; the scan keeps no rows, which are read back
+    with {!load_stream}. [retry] (an in-process retry, whose world the
+    crashed attempt dirtied) marks every block unchecked, so a later
+    resume re-runs the shard instead of comparing against it. [obs]
     defaults to {!Obs.Recorder.null}. *)
+
+val checked : string -> bool
+(** Whether a day block is one a clean re-run must reproduce: [false]
+    for the marked blocks of an in-process retry or an abandoned shard.
+    The [checked] predicate every campaign stream opens with. *)
 
 val csv_header : string
 
@@ -87,19 +84,28 @@ val load : string -> (t, string) result
     contradicts its own metadata is reported, not silently repaired. *)
 
 val stream_day : Stream_sink.stream -> day:int -> rows:day_record option array -> unit
-(** Append one day's stateless block (rows in member order; [None] =
+(** Append one day's unchecked block (rows in member order; [None] =
     absent that day) to a stream. Exposed for {!Parallel_campaign},
     whose abandoned-shard path must emit degraded rows without a probe
     in hand. *)
 
-val stream_finish : Stream_sink.stream -> trusted:(string -> bool) -> domains:Simnet.World.domain array -> unit
+val stream_finish :
+  Stream_sink.stream ->
+  trusted:(string -> bool) ->
+  funnel:Faults.Funnel.t ->
+  domains:Simnet.World.domain array ->
+  unit
 (** Write the end-of-stream trailer ([trusted] is consulted per domain
-    name) and seal the spool. *)
+    name; [funnel] is the stream's loss funnel) and seal the spool. *)
+
+val trailer_funnel : string -> (Faults.Funnel.t, string) result
+(** The loss funnel a stream's trailer carries: what a kept stream
+    contributes to the campaign's funnel without probing. *)
 
 val load_stream : string -> (t, string) result
 (** Reassemble a campaign from the {!Stream_sink} directory a run
     wrote. Series are sorted by (rank, domain), the world's order, so
-    {!save} on the result is the campaign's CSV archive. Day blocks with
-    and without state lines decode alike. An interrupted or damaged stream (spool without footer or
+    {!save} on the result is the campaign's CSV archive. Checked and
+    unchecked day blocks decode alike. An interrupted or damaged stream (spool without footer or
     trailer, or a block that fails its tag) is an [Error] naming the
     stream, never an exception; finish it by resuming the campaign. *)

@@ -42,8 +42,7 @@
    id), yet the archive is the one a single pair of probes sweeping the
    whole world would record: every archived field (STEK id, ticket
    hint, (EC)DHE values, trust) is chosen by the server, never by the
-   probe's randomness. Only the state lines of the streamed day blocks,
-   which carry the probe Rng positions, are shard-specific. *)
+   probe's randomness. *)
 
 type shard = {
   shard_id : int;
@@ -175,89 +174,103 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?(supervise = Durable.Sup
      gauges max — commutative and associative — so the merged registry
      is independent of worker count and scheduling. *)
   let recorders = Array.make n_shards Obs.Recorder.null in
+  let open_stream (s : shard) =
+    Stream_sink.stream sink (stream_name s.shard_id) ~days ~checked:Daily_scan.checked
+  in
+  (* A kept stream's trailer carries the shard's loss funnel. One this
+     build cannot decode was not written by this run. *)
+  let kept_funnel (s : shard) trailer =
+    match Daily_scan.trailer_funnel trailer with
+    | Ok f -> f
+    | Error e -> Durable.Supervisor.mismatch "shard %d: kept stream: %s" s.shard_id e
+  in
   (* A shard abandoned after exhausting its supervised restarts degrades
      into ground truth minus measurements: its stream is sealed with
-     stateless blocks in which its domains stay present on the days the
+     unchecked blocks in which its domains stay present on the days the
      list carries them and every probe-derived field is empty (so the
      log of an otherwise-successful campaign still loads), and the
      funnel books two lost probes (default + DHE sweep) per present
      domain-day under [Worker_crash] — so a degraded campaign is visible
      in the §3-style loss table instead of silently thinner. *)
   let abandon (s : shard) =
-    let stream = Stream_sink.stream sink (stream_name s.shard_id) in
-    let f = Faults.Funnel.create () in
-    for day = 0 to days - 1 do
-      let rows =
-        Array.map
-          (fun d ->
-            if not (Simnet.World.in_list_on_day d ~day) then None
-            else begin
-              (* Two lost probes: the default and the DHE sweep. *)
-              for _ = 1 to 2 do
-                Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
-                  Faults.Fault.Worker_crash
-              done;
-              Some
-                {
-                  Daily_scan.day;
-                  present = true;
-                  default_ok = false;
-                  stek_id = None;
-                  ticket_hint = None;
-                  ecdhe_value = None;
-                  dhe_ok = false;
-                  dhe_value = None;
-                }
-            end)
-          s.members
-      in
-      Daily_scan.stream_day stream ~day ~rows
-    done;
-    Daily_scan.stream_finish stream ~trusted:(fun _ -> false) ~domains:s.members;
-    funnels.(s.shard_id) <- f
+    match open_stream s with
+    | Stream_sink.Kept trailer -> funnels.(s.shard_id) <- kept_funnel s trailer
+    | Stream_sink.Rerun stream ->
+        let f = Faults.Funnel.create () in
+        for day = 0 to days - 1 do
+          let rows =
+            Array.map
+              (fun d ->
+                if not (Simnet.World.in_list_on_day d ~day) then None
+                else begin
+                  (* Two lost probes: the default and the DHE sweep. *)
+                  for _ = 1 to 2 do
+                    Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
+                      Faults.Fault.Worker_crash
+                  done;
+                  Some
+                    {
+                      Daily_scan.day;
+                      present = true;
+                      default_ok = false;
+                      stek_id = None;
+                      ticket_hint = None;
+                      ecdhe_value = None;
+                      dhe_ok = false;
+                      dhe_value = None;
+                    }
+                end)
+              s.members
+          in
+          Daily_scan.stream_day stream ~day ~rows
+        done;
+        Daily_scan.stream_finish stream ~trusted:(fun _ -> false) ~funnel:f ~domains:s.members;
+        funnels.(s.shard_id) <- f
   in
-  (* One supervised attempt at a shard. Private clock and probes: the
-     shard replays the standard daily sweep schedule without touching the
-     world clock or any state outside its connectivity component. Seeds
-     derive from the shard id, so they are stable for a fixed world
-     regardless of [jobs]. The funnel is fresh per attempt so a crashed
-     attempt's partial counts are discarded with it.
+  (* One supervised attempt at a shard. A stream the run log holds whole
+     is kept: its funnel comes from the trailer and nothing is probed
+     (shards are state-isolated by construction, so skipping one cannot
+     change another's results). Any other stream is scanned afresh with
+     private clock and probes: the shard replays the standard daily
+     sweep schedule without touching the world clock or any state
+     outside its connectivity component. Seeds derive from the shard id,
+     so they are stable for a fixed world regardless of [jobs]. The
+     funnel is fresh per attempt so a crashed attempt's partial counts
+     are discarded with it.
 
-     Only attempt 0 resumes from the shard's recorded blocks and writes
-     state into its own: an in-process retry runs against world state
-     already dirtied by the crashed attempt, so its days would fail the
-     replay byte-compare by construction. Its blocks are stateless, and a
-     later process-level resume, which starts from a clean world, simply
-     re-scans that shard. *)
+     The stream is reopened on every attempt, so a retry discards the
+     crashed attempt's partial rows. A retry runs against world state
+     the crashed attempt dirtied, so its blocks are marked unchecked: a
+     later process-level resume, which starts from a clean world,
+     re-scans that shard rather than comparing against them. *)
   let attempt_shard (s : shard) attempt =
-    let clock = Simnet.Clock.create ~start () in
     let shard_funnel = Faults.Funnel.create () in
     let shard_obs = Obs.Recorder.fork obs in
-    let default_probe =
-      Probe.create ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs
-        ~seed:(Printf.sprintf "daily-default:shard:%d" s.shard_id) world
-    in
-    let dhe_probe =
-      Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs world
-        ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
-    in
-    (* The row stream is reopened on every attempt: opening truncates
-       the spool, so a retry discards the crashed attempt's partial rows
-       and re-emits its own. *)
-    let stream = Stream_sink.stream sink (stream_name s.shard_id) in
-    let progress day =
-      (match chaos with Some c -> c ~shard:s.shard_id ~attempt ~day | None -> ());
-      match progress with Some p -> p ~shard:s.shard_id ~day | None -> ()
-    in
-    (* The shard span covers the shard's whole campaign on its private
-       clock — [days] virtual days of simulated duration, plus the
-       shard's host-clock cost when wall timing is on. *)
-    Obs.Recorder.span shard_obs ~name:"campaign.shard"
-      ~attrs:[ ("shard", string_of_int s.shard_id) ]
-      ~now:(fun () -> Simnet.Clock.now clock)
-      (fun () ->
-        Daily_scan.scan_stream ~sink:stream ~resume:(attempt = 0) ~obs:shard_obs ~clock
-          ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ());
+    (match open_stream s with
+    | Stream_sink.Kept trailer -> Faults.Funnel.absorb shard_funnel (kept_funnel s trailer)
+    | Stream_sink.Rerun stream ->
+        let clock = Simnet.Clock.create ~start () in
+        let default_probe =
+          Probe.create ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs
+            ~seed:(Printf.sprintf "daily-default:shard:%d" s.shard_id) world
+        in
+        let dhe_probe =
+          Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs world
+            ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
+        in
+        let progress day =
+          (match chaos with Some c -> c ~shard:s.shard_id ~attempt ~day | None -> ());
+          match progress with Some p -> p ~shard:s.shard_id ~day | None -> ()
+        in
+        (* The shard span covers the shard's whole campaign on its private
+           clock — [days] virtual days of simulated duration, plus the
+           shard's host-clock cost when wall timing is on. *)
+        Obs.Recorder.span shard_obs ~name:"campaign.shard"
+          ~attrs:[ ("shard", string_of_int s.shard_id) ]
+          ~now:(fun () -> Simnet.Clock.now clock)
+          (fun () ->
+            Daily_scan.scan_stream ~sink:stream ~retry:(attempt > 0) ~obs:shard_obs ~clock
+              ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ()));
     (shard_funnel, shard_obs)
   in
   let run_shard (s : shard) =

@@ -63,12 +63,14 @@ val run :
     shard holds rows in memory, and the campaign is read back with
     {!Daily_scan.load_stream} (a run that wants only a CSV passes a
     temporary sink, {!Stream_sink.with_sink}). The sink is also the
-    run's resume log: attempt 0 of each shard resumes from its stream's
-    recorded prefix ({!Daily_scan.scan_stream}), so a re-run into the
-    same directory restores fully-recorded shards without scanning them
-    (shards are state-isolated by construction, so skipping one cannot
-    change another's results). Abandoned shards still seal their
-    streams with degraded (probe-less, stateless) rows, so the log
+    run's resume log, opened under {!Stream_sink.stream}'s rule: a
+    re-run into the same directory keeps every shard whose stream is
+    sealed for the whole run, without scanning it, and takes its funnel
+    from the stream's trailer (shards are state-isolated by
+    construction, so skipping one cannot change another's results);
+    every other shard is scanned from day 0, each day checked against
+    the block its stream recorded. Abandoned shards still seal their
+    streams with degraded (probe-less, unchecked) rows, so the log
     loads whenever the campaign itself completed.
 
     [injector] (default: {!Faults.Profile.none}, which never fires) is
@@ -84,9 +86,9 @@ val run :
     keep their list-presence ground truth, probe-derived fields stay
     empty, and the funnel records two {!Faults.Fault.Worker_crash}
     losses per present domain-day. In-process retries (attempt > 0)
-    ignore the recorded prefix and write stateless blocks: the world
-    state the crashed attempt dirtied would fail the replay verification
-    by design. [chaos] is a test
+    mark their blocks unchecked: a clean re-run cannot reproduce the
+    world state the crashed attempt dirtied, so a later resume re-runs
+    such a shard without comparing. [chaos] is a test
     hook called at the start of every (shard, attempt, day); raising
     from it simulates a worker crash.
 

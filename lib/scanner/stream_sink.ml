@@ -23,22 +23,27 @@
 
    The directory is also the run's crash-recovery log. The manifest pins
    the run: [create] re-attaches only to an identical manifest, so two
-   runs' spools never mix. Opening a stream reads the spool's valid
-   block prefix before truncating it; the scanner restores or replays
-   from that prefix and re-emits every block, so the streamed archive is
-   byte-identical whether the run was interrupted or not, and — because
-   stream names and day payloads depend only on the world and the shard
-   partition — identical at any --jobs. *)
+   runs' spools never mix. [stream] applies the one resume rule: a
+   sealed spool holding the whole run is kept untouched, and any other
+   is re-run from day 0 with each re-emitted block compared against the
+   block recorded at its position, up to the first block the caller
+   marks unchecked. A re-run stream therefore ends byte-identical to an
+   uninterrupted run's, and, because stream names and day payloads
+   depend only on the world and the shard partition, identical at any
+   --jobs. *)
 
 let manifest_file = "manifest"
-let schema = "tlsharm-stream/3"
+let schema = "tlsharm-stream/4"
 
 type t = { dir : string; rows : int Atomic.t }
 
 type stream = {
   sink : t;
+  name : string;
   spool : Durable.Spool.writer;
-  recorded : string list; (* valid blocks the spool held when opened *)
+  checked : string -> bool;
+  mutable recorded : string list; (* recorded blocks not yet compared *)
+  mutable index : int; (* blocks appended so far *)
   mutable finished : bool;
 }
 
@@ -135,26 +140,38 @@ let with_sink ?dir ~manifest f =
 
 let dir t = t.dir
 
-let stream t name =
-  let path = spool_path t.dir name in
-  let recorded =
-    match Durable.Spool.read path with Ok (blocks, _) -> blocks | Error _ -> []
-  in
-  { sink = t; spool = Durable.Spool.create path; recorded; finished = false }
+type opened = Kept of string | Rerun of stream
 
-let prefix stream ~decode =
-  let rec go index = function
-    | [] -> []
-    | block :: rest -> (
-        match decode ~index block with
-        | Some v -> (block, v) :: go (index + 1) rest
-        | None -> [])
-  in
-  go 0 stream.recorded
+let stream t name ~days ~checked =
+  let path = spool_path t.dir name in
+  match Durable.Spool.read path with
+  | Ok (blocks, true) when List.length blocks = days + 1 -> Kept (List.nth blocks days)
+  | read ->
+      let recorded = match read with Ok (blocks, _) -> blocks | Error _ -> [] in
+      Rerun
+        {
+          sink = t;
+          name;
+          spool = Durable.Spool.create path;
+          checked;
+          recorded;
+          index = 0;
+          finished = false;
+        }
 
 let append_day stream ~rows payload =
   if stream.finished then invalid_arg "Stream_sink.append_day: stream already finished";
+  (match stream.recorded with
+  | recorded :: rest when stream.checked recorded && stream.checked payload ->
+      if not (String.equal recorded payload) then
+        Durable.Supervisor.mismatch
+          "stream %S: re-run block %d diverges from the recorded one (different world, seed or \
+           code?)"
+          stream.name stream.index;
+      stream.recorded <- rest
+  | _ -> stream.recorded <- []);
   Durable.Spool.add_block stream.spool payload;
+  stream.index <- stream.index + 1;
   ignore (Atomic.fetch_and_add stream.sink.rows rows)
 
 let finish stream ~trailer =

@@ -4,17 +4,16 @@
     Every campaign and traffic run appends each day's rows here as the
     day completes — one {!Durable.Spool} per scan stream — and holds no
     observation matrix in memory; a CSV archive is exported from the
-    log after the run. The payloads are opaque here: {!Daily_scan} owns
-    the block codec (day blocks that also carry the scan's resume
-    state, the end-of-stream trailer, and the loader that reassembles a
-    campaign from a sink directory).
+    log after the run. The payloads are opaque here: {!Daily_scan} and
+    the traffic row codec own them.
 
-    The directory is the only crash-recovery log a campaign keeps: the
-    manifest pins the run, and opening a stream hands the scanner the
-    spool's valid block prefix before truncating it. The log's content
-    is byte-identical at any [--jobs] (stream names and payloads depend
-    only on the world and shard partition), and after a resume (every
-    block is re-emitted, restored or replayed). *)
+    The directory is the only crash-recovery log a run keeps, and one
+    rule resumes every stream in it ({!stream}): a sealed stream that
+    holds the whole run is kept as it is, and any other stream is
+    re-run from day 0, each re-emitted block checked against the block
+    the spool held at that position. The log's content is byte-identical
+    at any [--jobs] (stream names and payloads depend only on the world
+    and shard partition), and after a resume. *)
 
 type t
 (** An open sink directory. *)
@@ -25,7 +24,7 @@ type stream
 
 val schema : string
 (** The manifest schema this build writes and reads
-    (["tlsharm-stream/2"]). *)
+    (["tlsharm-stream/4"]). *)
 
 val create : dir:string -> manifest:(string * string) list -> (t, string) result
 (** Create [dir] if needed and write its manifest ([schema] is
@@ -47,25 +46,36 @@ val with_sink :
 
 val dir : t -> string
 
-val stream : t -> string -> stream
-(** Open the named row spool: read its valid block prefix (see
-    {!prefix}), then truncate it for this run's blocks. *)
+type opened =
+  | Kept of string
+      (** The spool was sealed with the run's day blocks and a trailer:
+          its bytes are left untouched, and this is its trailer. *)
+  | Rerun of stream  (** The spool was truncated; write every block again. *)
 
-val prefix : stream -> decode:(index:int -> string -> 'a option) -> (string * 'a) list
-(** The leading blocks the spool held when {!stream} opened it — each
-    framed intact and accepted by [decode] (called with the block's
-    position) — paired with their raw bytes. The first block [decode]
-    refuses ends the prefix, as does the first damaged or torn frame. *)
+val stream : t -> string -> days:int -> checked:(string -> bool) -> opened
+(** [stream t name ~days ~checked] opens the named row spool under the
+    resume rule. A spool that is sealed and holds exactly [days] day
+    blocks plus a trailer is [Kept]. Any other spool (missing, partial,
+    torn, damaged, or of another day count) is read for its valid block
+    prefix and truncated, and the stream is re-run from day 0: while
+    {!append_day} re-emits block [i], it compares it with the [i]-th
+    recorded block and raises {!Durable.Supervisor.Mismatch} if they
+    differ. The comparison stops for good at the first position where
+    [checked] refuses the recorded or the re-emitted block: an
+    unchecked block is one a clean re-run cannot reproduce (an
+    in-process retry's, say). *)
 
 val append_day : stream -> rows:int -> string -> unit
-(** Append one day-block payload; [rows] feeds {!rows_written}. *)
+(** Append one day-block payload, checked as {!stream} says; [rows]
+    feeds {!rows_written}. *)
 
 val finish : stream -> trailer:string -> unit
 (** Append the end-of-stream trailer (per-domain facts only known at
     campaign end, e.g. trust verdicts) and seal the spool. Idempotent. *)
 
 val rows_written : t -> int
-(** Total rows appended across all streams (worker-domain safe). *)
+(** Rows this process appended across all streams (worker-domain safe).
+    A [Kept] stream adds none. *)
 
 val manifest : dir:string -> ((string * string) list, string) result
 (** The manifest of a sink directory; a missing or damaged manifest, or

@@ -164,9 +164,9 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
     chain;
   }
 
-(* Simulate one shard into its stream of [sink]; returns the shard's
-   connection count. *)
-let simulate_shard cfg ~sink ?chaos ~shard_obs (s : shard) =
+(* Simulate one shard into [stream]; returns the shard's connection
+   count. *)
+let simulate_shard cfg ~stream ?chaos ~shard_obs (s : shard) =
   let world = Simnet.World.create ~config:cfg.world () in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -186,7 +186,6 @@ let simulate_shard cfg ~sink ?chaos ~shard_obs (s : shard) =
     Array.init n_users (fun i ->
         make_user ~world_seed:cfg.world.Simnet.World.seed ~client_config cfg (s.users_lo + i))
   in
-  let stream = Traffic_sink.stream sink s.shard_id in
   let total = ref 0 in
   (* Scratch: first/last event time per user within the current day, for
      the traffic.user_day spans. *)
@@ -273,28 +272,26 @@ let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
   let counts = Array.make n_shards 0 in
   let recorders = Array.make n_shards Obs.Recorder.null in
   let run_shard (s : shard) =
-    (* Already spooled by a previous (interrupted) run: leave the bytes
-       untouched; the rows are read back from the sink. *)
-    if
-      not
-        (Traffic_sink.shard_complete ~dir:(Traffic_sink.dir sink) ~shard:s.shard_id
-           ~days:cfg.days)
-    then begin
-      let shard_obs = Obs.Recorder.fork obs in
-      (* The shard span covers the whole shard — world construction
-         included, since the scheduler pays for it too. Simulated time is
-         read off a clock that exists only once the world does. *)
-      let sim_now = ref cfg.world.Simnet.World.start_time in
-      counts.(s.shard_id) <-
-        Obs.Recorder.span shard_obs ~name:"traffic.shard"
-          ~attrs:[ ("shard", string_of_int s.shard_id) ]
-          ~now:(fun () -> !sim_now)
-          (fun () ->
-            let n = simulate_shard cfg ~sink ?chaos ~shard_obs s in
-            sim_now := cfg.world.Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
-            n);
-      recorders.(s.shard_id) <- shard_obs
-    end
+    match Traffic_sink.stream sink s.shard_id ~days:cfg.days with
+    | Scanner.Stream_sink.Kept _ ->
+        (* Spooled whole by a previous (interrupted) run: its bytes stay
+           as they are, and its rows are read back from the sink. *)
+        ()
+    | Scanner.Stream_sink.Rerun stream ->
+        let shard_obs = Obs.Recorder.fork obs in
+        (* The shard span covers the whole shard — world construction
+           included, since the scheduler pays for it too. Simulated time
+           is read off a clock that exists only once the world does. *)
+        let sim_now = ref cfg.world.Simnet.World.start_time in
+        counts.(s.shard_id) <-
+          Obs.Recorder.span shard_obs ~name:"traffic.shard"
+            ~attrs:[ ("shard", string_of_int s.shard_id) ]
+            ~now:(fun () -> !sim_now)
+            (fun () ->
+              let n = simulate_shard cfg ~stream ?chaos ~shard_obs s in
+              sim_now := cfg.world.Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
+              n);
+        recorders.(s.shard_id) <- shard_obs
   in
   Scanner.Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
   (* Merge in shard order: counters sum and gauges max commutatively, but

@@ -22,10 +22,12 @@
     Each simulated day's rows are spooled to the run's {!Traffic_sink}
     as the day completes and nothing row-shaped is kept in memory: RSS
     is bounded by [jobs] × (one world replica + one shard's user state),
-    independent of the total user count. A shard whose spool is already
-    complete for the whole run is skipped with its bytes untouched, so
-    re-running after a crash yields an archive byte-identical to an
-    uninterrupted run. *)
+    independent of the total user count. Re-running into the same sink
+    resumes under {!Scanner.Stream_sink.stream}'s rule: a shard whose
+    spool is sealed for the whole run is kept with its bytes untouched,
+    and any other is simulated again from day 0, each day checked
+    against the block its spool recorded, so re-running after a crash
+    yields an archive byte-identical to an uninterrupted run. *)
 
 (** How a user scopes resumption state (the Sy et al. axis): [Strict]
     keys the client store by exact hostname; [Cross_operator] shares
@@ -59,7 +61,7 @@ val default_config : config
 
 type result = {
   n_shards : int;
-  total_rows : int;  (** rows written by this run; a skipped shard adds none *)
+  total_rows : int;  (** rows written by this run; a kept shard adds none *)
 }
 
 val run :

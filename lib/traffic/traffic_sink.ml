@@ -8,7 +8,8 @@ let stream_name shard = Printf.sprintf "users-%04d" shard
 let create = Scanner.Stream_sink.create
 let with_sink = Scanner.Stream_sink.with_sink
 let dir = Scanner.Stream_sink.dir
-let stream t shard = Scanner.Stream_sink.stream t (stream_name shard)
+let stream t shard ~days =
+  Scanner.Stream_sink.stream t (stream_name shard) ~days ~checked:(fun _ -> true)
 
 let append_day s ~day rows =
   Scanner.Stream_sink.append_day s ~rows:(List.length rows) (Row.day_payload ~day rows)
@@ -47,13 +48,6 @@ let read_shard ~dir ~shard =
   let* blocks, trailer = Scanner.Stream_sink.read_stream ~dir (stream_name shard) in
   let* days, t = decode_blocks blocks trailer in
   Ok (List.concat_map snd days, t)
-
-let shard_complete ~dir ~shard ~days =
-  match Scanner.Stream_sink.read_stream ~dir (stream_name shard) with
-  | Error _ -> false
-  | Ok (blocks, trailer) -> (
-      List.length blocks = days
-      && match Row.decode_trailer trailer with Ok _ -> true | Error _ -> false)
 
 let fold_rows ~dir ~init ~f =
   let* names = Scanner.Stream_sink.stream_names ~dir in

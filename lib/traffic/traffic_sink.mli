@@ -1,11 +1,12 @@
 (** Streaming archive for a traffic run: a {!Scanner.Stream_sink}
     directory (mode [traffic]) holding one spool per user shard, each a
     sequence of {!Row} day blocks plus a trailer. The payload codec
-    lives in {!Row}; this module frames it, guards the manifest, and
-    gives the runner its resume primitive: a shard whose spool is
-    already complete for the whole run is skipped and its bytes left
-    untouched, which is what makes a crashed-and-rerun traffic run
-    byte-identical to an uninterrupted one. *)
+    lives in {!Row}; this module frames it and guards the manifest.
+    Shards resume under {!Scanner.Stream_sink.stream}'s rule: a shard
+    whose spool is already sealed for the whole run is kept with its
+    bytes untouched, and any other is re-run from day 0 and checked
+    against its recorded blocks, which is what makes a crashed-and-rerun
+    traffic run byte-identical to an uninterrupted one. *)
 
 type t
 
@@ -13,7 +14,7 @@ val create : dir:string -> manifest:(string * string) list -> (t, string) result
 (** {!Scanner.Stream_sink.create}: re-attaching to a directory whose
     manifest differs from [manifest] (a different population, policy or
     world) is refused, since silently mixing two runs' spools would
-    corrupt the resume-skip logic. *)
+    corrupt the resume rule. *)
 
 val with_sink :
   ?dir:string ->
@@ -26,10 +27,12 @@ val with_sink :
 val dir : t -> string
 val stream_name : int -> string
 
-type stream
+type stream = Scanner.Stream_sink.stream
 
-val stream : t -> int -> stream
-(** Open (truncating) shard [i]'s spool. *)
+val stream : t -> int -> days:int -> Scanner.Stream_sink.opened
+(** Open shard [i]'s spool under the resume rule for a [days]-day run.
+    Every traffic block is checked: a traffic shard has no in-process
+    retry. *)
 
 val append_day : stream -> day:int -> Row.t list -> unit
 
@@ -41,10 +44,6 @@ val manifest : dir:string -> ((string * string) list, string) result
 
 val shard_ids : dir:string -> (int list, string) result
 (** Shard ids present in an archive, ascending. *)
-
-val shard_complete : dir:string -> shard:int -> days:int -> bool
-(** The shard's spool is sealed and holds exactly [days] day blocks and
-    a decodable trailer — safe to skip on resume. *)
 
 val read_shard :
   dir:string ->

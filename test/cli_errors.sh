@@ -121,7 +121,7 @@ rm -rf "$old"
 # A run log's manifest is held to the same rules as the flags it
 # records: a retry budget the flags would refuse is not resumed.
 zero=$(mktemp -d /tmp/tlsharm-zeroretries-XXXXXX)
-frame_manifest "$zero" 'schema=tlsharm-stream/3
+frame_manifest "$zero" 'schema=tlsharm-stream/4
 mode=campaign
 seed=tlsharm
 n_domains=1500
@@ -149,7 +149,7 @@ v2=$(mktemp -d /tmp/tlsharm-v2log-XXXXXX)
 "$exe" campaign --domains 1500 --days 1 --stream-out "$v2" >/dev/null
 cp "$v2/manifest" "$v2.manifest"
 for f in "$v2"/rows-*; do sed -i '1s/^#tlsharm-spool v3$/#tlsharm-spool v2/' "$f"; done
-frame_manifest "$v2" "$(sed -e '1d' -e '$d' "$v2.manifest" | sed 's|^schema=tlsharm-stream/3$|schema=tlsharm-stream/2|')
+frame_manifest "$v2" "$(sed -e '1d' -e '$d' "$v2.manifest" | sed 's|^schema=tlsharm-stream/4$|schema=tlsharm-stream/2|')
 "
 before=$(cat "$v2"/* | sha256sum)
 check "analyze of a v2 run log" "tlsharm-stream/2" "$exe" analyze "$v2"
@@ -164,6 +164,24 @@ cp "$v2.manifest" "$v2/manifest"
 check "analyze of v2 spools" "spool format v2" "$exe" analyze "$v2"
 one_line "v2 spool refusal" "$exe" analyze "$v2"
 rm -rf "$v2" "$v2.manifest"
+
+# A run log of stream schema 3 (day blocks that carried scan state) is
+# refused by its schema name, in one line, by both analyze and resume,
+# and left as it was.
+v3=$(mktemp -d /tmp/tlsharm-v3log-XXXXXX)
+"$exe" campaign --domains 1500 --days 1 --stream-out "$v3" >/dev/null
+frame_manifest "$v3" "$(sed -e '1d' -e '$d' "$v3/manifest" | sed 's|^schema=tlsharm-stream/4$|schema=tlsharm-stream/3|')
+"
+before=$(cat "$v3"/* | sha256sum)
+check "analyze of a tlsharm-stream/3 run log" "tlsharm-stream/3" "$exe" analyze "$v3"
+one_line "tlsharm-stream/3 analyze refusal" "$exe" analyze "$v3"
+check "resume of a tlsharm-stream/3 run log" "tlsharm-stream/3" "$exe" resume "$v3"
+one_line "tlsharm-stream/3 resume refusal" "$exe" resume "$v3"
+[ "$(cat "$v3"/* | sha256sum)" = "$before" ] || {
+  echo "FAIL: a refused tlsharm-stream/3 run log was changed"
+  fails=$((fails + 1))
+}
+rm -rf "$v3"
 
 # Unknown experiment ids are refused before any world is built or any
 # table printed: one line, even after a valid id.

@@ -871,17 +871,20 @@ let test_dh_rejects_degenerate () =
     [ ("zero", B.zero); ("one", B.one); ("p-1", B.sub_int p 1); ("p", p) ]
 
 let test_dh_generate_race () =
-  (* [Dh.generate] memoizes into a process-global cache; a parallel
-     campaign's workers all derive the same weak groups from the world
-     seed, so concurrent first calls must agree on one group object
-     (LOGJAM realism: weak endpoints share their group) rather than
-     racing the hashtable. Hammer several fresh (bits, seed) keys from
-     four domains at once. *)
+  (* [Dh.generate] and [Ec.generate_small] memoize into process-global
+     caches; a parallel campaign's workers and traffic's world replicas
+     all derive the same simulation groups and curves from the world
+     seed, so concurrent first calls must agree on one object (LOGJAM
+     realism: weak endpoints share their group) rather than racing the
+     hashtable. Hammer several fresh (bits, seed) keys from four domains
+     at once. *)
   let combos =
     Array.init 8 (fun i -> (24 + (8 * (i mod 4)), Printf.sprintf "race-seed-%d" (i / 4)))
   in
   let worker () =
-    Array.map (fun (bits, seed) -> Crypto.Dh.generate ~bits ~seed) combos
+    Array.map
+      (fun (bits, seed) -> (Crypto.Dh.generate ~bits ~seed, Crypto.Ec.generate_small ~bits ~seed))
+      combos
   in
   let results =
     Array.init 4 (fun _ -> Domain.spawn worker) |> Array.map Domain.join
@@ -893,13 +896,19 @@ let test_dh_generate_race () =
           Alcotest.(check bool)
             (Printf.sprintf "worker %d shares group (%d bits, %s)" k bits seed)
             true
-            (r.(j) == results.(0).(j)))
+            (fst r.(j) == fst results.(0).(j));
+          Alcotest.(check bool)
+            (Printf.sprintf "worker %d shares curve (%d bits, %s)" k bits seed)
+            true
+            (snd r.(j) == snd results.(0).(j)))
         results)
     combos;
-  (* And the cached object is what a later caller sees. *)
+  (* And the cached objects are what a later caller sees. *)
   let bits, seed = combos.(0) in
   Alcotest.(check bool) "later call hits the cache" true
-    (Crypto.Dh.generate ~bits ~seed == results.(0).(0))
+    (Crypto.Dh.generate ~bits ~seed == fst results.(0).(0));
+  Alcotest.(check bool) "later curve call hits the cache" true
+    (Crypto.Ec.generate_small ~bits ~seed == snd results.(0).(0))
 
 let test_dh_oakley_agreement () =
   let rng = Crypto.Rng.create ~seed:"dh-oakley" in

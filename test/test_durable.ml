@@ -355,39 +355,75 @@ let test_checkpoint_attach_errors () =
       Alcotest.(check bool) "old schema named" true
         (contains (refused "old-schema") "tlsharm-stream/1"))
 
+(* The resume rule on opaque payloads. A re-run stream compares each
+   re-emitted block with the block recorded at its position; the checked
+   prefix of a recorded spool is read off as the positions at which a
+   divergent block raises [Mismatch]. *)
 let test_checkpoint_valid_prefix () =
   with_temp_dir (fun dir ->
       let sink = create_sink (Filename.concat dir "run") in
       let path = Filename.concat (Filename.concat dir "run") "rows-shard-0000" in
+      let days = 4 in
       let payload day = Printf.sprintf "payload for day %d" day in
-      let decode ~index b = if String.equal b (payload index) then Some index else None in
-      let prefix ?(decode = decode) () =
-        Scanner.Stream_sink.stream sink "shard-0000"
-        |> Scanner.Stream_sink.prefix ~decode
-        |> List.map snd
-      in
+      let checked b = not (String.starts_with ~prefix:"unchecked" b) in
       let record blocks =
         let w = Durable.Spool.create path in
         List.iter (Durable.Spool.add_block w) blocks;
         Durable.Spool.close w
       in
-      Alcotest.(check (list int)) "no spool yet" [] (prefix ());
-      record (List.init 4 payload @ [ "trailer" ]);
-      Alcotest.(check (list int)) "four days" [ 0; 1; 2; 3 ] (prefix ());
+      let rerun () =
+        match Scanner.Stream_sink.stream sink "shard-0000" ~days ~checked with
+        | Scanner.Stream_sink.Rerun s -> s
+        | Scanner.Stream_sink.Kept _ -> Alcotest.fail "only a sealed whole run is kept"
+      in
+      let checked_prefix setup =
+        List.filter
+          (fun i ->
+            setup ();
+            let s = rerun () in
+            for d = 0 to i - 1 do
+              Scanner.Stream_sink.append_day s ~rows:0 (payload d)
+            done;
+            match Scanner.Stream_sink.append_day s ~rows:0 "diverged" with
+            | () -> false
+            | exception Durable.Supervisor.Mismatch _ -> true)
+          (List.init days Fun.id)
+      in
+      let no_spool () = if Sys.file_exists path then Sys.remove path in
+      Alcotest.(check (list int)) "no spool yet" [] (checked_prefix no_spool);
+      Alcotest.(check (list int)) "four days" [ 0; 1; 2; 3 ]
+        (checked_prefix (fun () -> record (List.init days payload)));
+      (* The whole run sealed with its trailer is kept, bytes untouched. *)
+      record (List.init days payload @ [ "trailer" ]);
+      let sealed = slurp path in
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~checked with
+      | Scanner.Stream_sink.Kept trailer -> Alcotest.(check string) "trailer handed back" "trailer" trailer
+      | Scanner.Stream_sink.Rerun _ -> Alcotest.fail "a sealed whole run must be kept");
+      Alcotest.(check string) "kept spool untouched" sealed (slurp path);
+      (* The same spool under another day count is re-run, and opening
+         it truncated the spool. *)
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) ~checked with
+      | Scanner.Stream_sink.Rerun _ -> ()
+      | Scanner.Stream_sink.Kept _ -> Alcotest.fail "another day count must re-run");
       Alcotest.(check (option (pair (list string) bool)))
         "opening the stream truncated the spool"
         (Some ([], false))
         (Result.to_option (Durable.Spool.read path));
-      record (List.init 4 payload);
-      (* A decoder veto ends the prefix. *)
-      Alcotest.(check (list int)) "decode veto" [ 0 ]
-        (prefix ~decode:(fun ~index b -> if index < 1 then decode ~index b else None) ());
-      (* Damaging day 1 limits resume to day 1 even though days 2-3 are
-         intact: later days build on earlier state. *)
-      record (List.init 4 payload);
-      let day1 = block_payload_start (slurp path) ~block:1 in
-      flip_byte path ~pos:day1;
-      Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ] (prefix ()))
+      (* An unchecked recorded block ends the checked prefix... *)
+      Alcotest.(check (list int)) "unchecked recorded block" [ 0 ]
+        (checked_prefix (fun () ->
+             record (payload 0 :: "unchecked day 1" :: List.init 2 (fun i -> payload (i + 2)))));
+      (* ...and so does an unchecked re-emitted one, for good. *)
+      record (List.init days payload);
+      let s = rerun () in
+      Scanner.Stream_sink.append_day s ~rows:0 "unchecked day 0";
+      Scanner.Stream_sink.append_day s ~rows:0 "diverged";
+      (* Damaging day 1 ends the prefix there even though days 2-3 are
+         intact. *)
+      Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ]
+        (checked_prefix (fun () ->
+             record (List.init days payload);
+             flip_byte path ~pos:(block_payload_start (slurp path) ~block:1))))
 
 (* --- Supervisor ---------------------------------------------------------------- *)
 
@@ -598,7 +634,7 @@ let test_serial_kill_resume_identity () =
             (Printf.sprintf "resume after day %d is byte-identical" k)
             true
             (String.equal (loaded_bytes dir) reference);
-          (* The completed log now restores without probing. *)
+          (* The completed log is now kept whole, without probing. *)
           let obs = Obs.Recorder.create () in
           run_streamed ~obs dir;
           Alcotest.(check int) "full restore makes no probe" 0
@@ -669,11 +705,71 @@ let test_parallel_kill_resume_identity () =
       run_streamed ~config:parallel_config ~days:parallel_days ~jobs:4 dir;
       Alcotest.(check bool) "resume with jobs=4 is byte-identical" true
         (String.equal (loaded_bytes dir) reference);
-      (* Every shard is now fully recorded: a further resume (back at
-         jobs=1) restores without scanning and still matches. *)
+      (* Every shard is now sealed: a further resume (back at jobs=1)
+         keeps them all without scanning and still matches. *)
       run_streamed ~config:parallel_config ~days:parallel_days dir;
       Alcotest.(check bool) "full restore with jobs=1 is byte-identical" true
         (String.equal (loaded_bytes dir) reference))
+
+(* Shard 1 crashes on attempt 0 and is killed during its in-process
+   retry: the spool then holds the retry's unchecked blocks, which end
+   the checked prefix, so the resume re-runs the shard afresh without a
+   [Mismatch] and converges on the clean archive. *)
+let test_retry_then_kill_resumes () =
+  let reference = Lazy.force parallel_reference in
+  with_temp_dir (fun dir ->
+      (match
+         run_streamed ~config:parallel_config ~days:parallel_days
+           ~chaos:(fun ~shard ~attempt ~day ->
+             if shard = 1 && day = 1 then
+               if attempt = 0 then failwith "injected worker crash"
+               else raise Durable.Supervisor.Killed)
+           dir
+       with
+      | _ -> Alcotest.fail "the kill must fire"
+      | exception Durable.Supervisor.Killed -> ());
+      let blocks, _ = recorded_blocks (Filename.concat dir "rows-shard-0001") in
+      Alcotest.(check (list bool)) "the retry's day 0 is recorded, unchecked" [ false ]
+        (List.map Scanner.Daily_scan.checked blocks);
+      run_streamed ~config:parallel_config ~days:parallel_days dir;
+      Alcotest.(check bool) "resume after a killed retry is byte-identical" true
+        (String.equal (loaded_bytes dir) reference))
+
+(* A fault-injected campaign (shard 0 abandoned, so one trailer books
+   worker-crash losses) run twice into one directory: the second run
+   keeps every shard, writes no row, and restores the same loss funnel
+   from the trailers. *)
+let test_kept_funnel_from_trailers () =
+  with_temp_dir (fun dir ->
+      let run () =
+        let w = Simnet.World.create ~config:parallel_config () in
+        let injector = Faults.Injector.create ~profile:Faults.Profile.default w in
+        let funnel = Faults.Funnel.create () in
+        let sink = create_sink ~manifest:manifest_fixture dir in
+        let obs = Obs.Recorder.create () in
+        Scanner.Parallel_campaign.run ~jobs:1 ~sink ~injector ~funnel ~obs
+          ~supervise:{ Durable.Supervisor.max_restarts = 0 }
+          ~chaos:(fun ~shard ~attempt:_ ~day:_ -> if shard = 0 then failwith "shard 0 always dies")
+          w ~days:2 ();
+        ( funnel,
+          Scanner.Stream_sink.rows_written sink,
+          Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects" )
+      in
+      let first, first_rows, _ = run () in
+      let second, second_rows, second_connects = run () in
+      Alcotest.(check bool) "the first run scanned" true (first_rows > 0);
+      Alcotest.(check (pair int int)) "the second run kept every shard" (0, 0)
+        (second_rows, second_connects);
+      let totals = Faults.Funnel.totals first in
+      Alcotest.(check bool) "faults and worker crashes were booked" true
+        (Faults.Funnel.lost totals > 0
+        && List.mem_assoc Faults.Fault.Worker_crash totals.Faults.Funnel.t_losses);
+      Alcotest.(check bool) "funnel totals restored" true (totals = Faults.Funnel.totals second);
+      Alcotest.(check (list string)) "funnel lines restored" (Faults.Funnel.to_lines first)
+        (Faults.Funnel.to_lines second);
+      Alcotest.(check string) "loss table restored"
+        (Analysis.Funnel_report.render first)
+        (Analysis.Funnel_report.render second))
 
 (* --- Spool framing ------------------------------------------------------------------ *)
 
@@ -819,6 +915,32 @@ let test_v2_run_log_refused () =
       Durable.Atomic_io.write mpath current;
       one_line "load of v2 spools" "spool format v2" (Scanner.Daily_scan.load_stream run))
 
+(* A run log of stream schema 3, whose day blocks carried scan state,
+   is refused by its schema name in one line by the loader and by a
+   resume's re-attach, and nothing in it changes. *)
+let test_v3_run_log_refused () =
+  with_temp_dir (fun dir ->
+      let run = Filename.concat dir "run" in
+      run_streamed ~days:1 run;
+      let mpath = Filename.concat run "manifest" in
+      let current = match Durable.Atomic_io.read mpath with Ok m -> m | Error _ -> Alcotest.fail "manifest" in
+      Durable.Atomic_io.write mpath
+        (String.split_on_char '\n' current
+        |> List.map (fun l ->
+               if String.equal l ("schema=" ^ Scanner.Stream_sink.schema) then "schema=tlsharm-stream/3"
+               else l)
+        |> String.concat "\n");
+      let before = spool_files run in
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s: a tlsharm-stream/3 run log must be refused" what
+        | Error e ->
+            Alcotest.(check bool) (what ^ " names the schema") true (contains e "tlsharm-stream/3");
+            Alcotest.(check bool) (what ^ " is one line") false (String.contains e '\n')
+      in
+      refused "load" (Result.map ignore (Scanner.Daily_scan.load_stream run));
+      refused "re-attach" (Result.map ignore (Scanner.Stream_sink.create ~dir:run ~manifest:[]));
+      Alcotest.(check (list (pair string string))) "left as it was" before (spool_files run))
+
 (* --- Stream loaders under damage ------------------------------------------------------
 
    A sealed campaign log and a sealed traffic log, each damaged by one
@@ -887,6 +1009,40 @@ let prop_stream_loaders_typed =
           | exception e ->
               QCheck2.Test.fail_reportf "flip at byte %d of %s raised %s" p name
                 (Printexc.to_string e)))
+
+(* A traffic shard re-run into a partial spool that another world wrote
+   under the same manifest must refuse to graft onto it. *)
+let test_traffic_rerun_mismatches () =
+  with_temp_dir (fun dir ->
+      let run ?chaos seed =
+        let cfg =
+          {
+            Traffic.Population.default_config with
+            Traffic.Population.users = 30;
+            days = 2;
+            shard_users = 16;
+            pages_per_day = 1.5;
+            world = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed };
+          }
+        in
+        let sink =
+          match Traffic.Traffic_sink.create ~dir ~manifest:[ ("mode", "traffic") ] with
+          | Ok s -> s
+          | Error e -> Alcotest.fail e
+        in
+        ignore (Traffic.Population.run ~jobs:1 ~sink ?chaos cfg)
+      in
+      (match
+         run "durable-traffic"
+           ~chaos:(fun ~shard ~day -> if shard = 0 && day = 1 then raise Durable.Supervisor.Killed)
+       with
+      | () -> Alcotest.fail "the kill must fire"
+      | exception Durable.Supervisor.Killed -> ());
+      Alcotest.(check int) "shard 0 recorded one day" 1
+        (List.length (fst (recorded_blocks (Filename.concat dir "rows-users-0000"))));
+      match run "other-world" with
+      | () -> Alcotest.fail "another world must not re-run into this spool"
+      | exception Durable.Supervisor.Mismatch _ -> ())
 
 (* --- Worker supervision ------------------------------------------------------------ *)
 
@@ -1025,12 +1181,17 @@ let () =
         ] );
       ( "v2-run-log",
         [ Alcotest.test_case "refused by version" `Quick test_v2_run_log_refused ] );
+      ( "v3-run-log",
+        [ Alcotest.test_case "refused by schema name" `Quick test_v3_run_log_refused ] );
       ( "parallel-resume",
         [
           Alcotest.test_case "kill/resume across worker counts" `Slow
             test_parallel_kill_resume_identity;
           Alcotest.test_case "streamed kill/resume byte identity" `Slow
             test_streamed_kill_resume_identity;
+          Alcotest.test_case "retry then kill resumes" `Slow test_retry_then_kill_resumes;
+          Alcotest.test_case "kept funnel from trailers" `Slow test_kept_funnel_from_trailers;
+          Alcotest.test_case "traffic re-run mismatches" `Slow test_traffic_rerun_mismatches;
         ] );
       ( "supervision",
         [

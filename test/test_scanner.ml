@@ -615,6 +615,11 @@ let test_stream_jobs_invariant () =
               Alcotest.(check bool) "streamed parallel archive byte-identical" true
                 (String.equal (archive_bytes loaded) reference)))
 
+let rerun_stream sink name ~days =
+  match Scanner.Stream_sink.stream sink name ~days ~checked:(fun _ -> true) with
+  | Scanner.Stream_sink.Rerun s -> s
+  | Scanner.Stream_sink.Kept _ -> Alcotest.fail "a fresh spool cannot be kept"
+
 (* A run given no directory logs to a temporary one, which must be gone
    once the run ends, whether its body returned or raised. *)
 let test_temporary_log_removed () =
@@ -622,7 +627,7 @@ let test_temporary_log_removed () =
   let seen = ref "" in
   let write sink =
     seen := Scanner.Stream_sink.dir sink;
-    let s = Scanner.Stream_sink.stream sink "shard-0000" in
+    let s = rerun_stream sink "shard-0000" ~days:1 in
     Scanner.Stream_sink.append_day s ~rows:0 "day=0\nrows=0\n";
     Alcotest.(check bool) "log written while the run lasts" true
       (Sys.file_exists (Filename.concat !seen "rows-shard-0000"))
@@ -646,7 +651,7 @@ let test_stream_incomplete_rejected () =
   with_temp_dir (fun dir ->
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days:3 in
-      let s = Scanner.Stream_sink.stream sink "shard-0000" in
+      let s = rerun_stream sink "shard-0000" ~days:3 in
       Scanner.Stream_sink.append_day s ~rows:0 "day=0\nrows=0\n";
       (* no [finish]: simulates a crash between days *)
       match Scanner.Daily_scan.load_stream dir with
