@@ -64,7 +64,7 @@ let faults_of ~profile ~retries ~deadline =
   | Some p ->
       let* max_attempts = at_least "--retries" 1 retries in
       let* deadline = at_least "--probe-deadline" 1 deadline in
-      Ok (p, { Faults.Retry.default with Faults.Retry.max_attempts; deadline })
+      Ok (p, { Faults.Retry.max_attempts; deadline })
 
 (* --- Shared flag terms --------------------------------------------------------- *)
 
@@ -647,32 +647,63 @@ let metrics_report path =
   let obj_section name =
     Option.value ~default:[] (Option.bind (Obs.Json.member name json) Obs.Json.to_obj)
   in
-  let ints name j =
-    Option.value ~default:[]
-      (Option.map (List.filter_map Obs.Json.to_int)
-         (Option.bind (Obs.Json.member name j) Obs.Json.to_list))
+  (* Every number the report prints is read before anything is printed:
+     a missing or non-integer one is refused by its path in the file,
+     never shown as 0. *)
+  let all_ok results =
+    List.fold_right
+      (fun r acc ->
+        let* x = r in
+        let* acc = acc in
+        Ok (x :: acc))
+      results (Ok [])
+  in
+  let int_of field v =
+    Option.to_result
+      ~none:(Printf.sprintf "%s: %s is not an integer" path field)
+      (Obs.Json.to_int v)
+  in
+  let member_int field name j =
+    match Obs.Json.member name j with
+    | None -> Error (Printf.sprintf "%s: %s.%s is missing" path field name)
+    | Some v -> int_of (field ^ "." ^ name) v
+  in
+  let ints field name j =
+    let field = field ^ "." ^ name in
+    match Option.bind (Obs.Json.member name j) Obs.Json.to_list with
+    | None -> Error (Printf.sprintf "%s: %s is missing or not a list" path field)
+    | Some l -> all_ok (List.mapi (fun i v -> int_of (Printf.sprintf "%s[%d]" field i) v) l)
+  in
+  let named_ints section =
+    all_ok
+      (List.map
+         (fun (name, v) ->
+           let* n = int_of (section ^ "." ^ name) v in
+           Ok (name, n))
+         (obj_section section))
   in
   match Option.bind (Obs.Json.member "schema" json) Obs.Json.to_str with
   | Some s when String.equal s Obs.Metrics.schema ->
-      let counters = obj_section "counters" and gauges = obj_section "gauges" in
+      let* counters = named_ints "counters" in
+      let* gauges = named_ints "gauges" in
+      let* hists =
+        all_ok
+          (List.map
+             (fun (name, h) ->
+               let field = "histograms." ^ name in
+               let* bounds = ints field "bounds" h in
+               let* counts = ints field "counts" h in
+               let* sum = member_int field "sum" h in
+               Ok (name, bounds, counts, sum))
+             (obj_section "histograms"))
+      in
       if counters <> [] then print_endline "counters:";
-      List.iter
-        (fun (name, v) ->
-          Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
-        counters;
+      List.iter (fun (name, v) -> Printf.printf "  %-28s %d\n" name v) counters;
       if gauges <> [] then print_endline "gauges:";
-      List.iter
-        (fun (name, v) ->
-          Printf.printf "  %-28s %d\n" name (Option.value ~default:0 (Obs.Json.to_int v)))
-        gauges;
-      let hists = obj_section "histograms" in
+      List.iter (fun (name, v) -> Printf.printf "  %-28s %d\n" name v) gauges;
       if hists <> [] then print_endline "histograms:";
       List.iter
-        (fun (name, h) ->
-          let bounds = ints "bounds" h and counts = ints "counts" h in
-          let sum =
-            Option.value ~default:0 (Option.bind (Obs.Json.member "sum" h) Obs.Json.to_int)
-          in
+        (fun (name, bounds, counts, sum) ->
           Printf.printf "  %-28s sum=%d\n" name sum;
           List.iteri
             (fun i c ->
@@ -688,28 +719,38 @@ let metrics_report path =
       let spans =
         Option.value ~default:[] (Option.bind (Obs.Json.member "spans" json) Obs.Json.to_list)
       in
+      let* rows =
+        all_ok
+          (List.mapi
+             (fun i span ->
+               let field = Printf.sprintf "spans[%d]" i in
+               let str name =
+                 Option.value ~default:"" (Option.bind (Obs.Json.member name span) Obs.Json.to_str)
+               in
+               let attrs =
+                 Option.value ~default:[]
+                   (Option.bind (Obs.Json.member "attrs" span) Obs.Json.to_obj)
+                 |> List.map (fun (k, v) ->
+                        Printf.sprintf "%s=%s" k (Option.value ~default:"?" (Obs.Json.to_str v)))
+                 |> String.concat ","
+               in
+               let* count = member_int field "count" span in
+               let* total = member_int field "sim_total_s" span in
+               let* lo = member_int field "sim_min_s" span in
+               let* hi = member_int field "sim_max_s" span in
+               let wall = Option.bind (Obs.Json.member "wall_ns" span) Obs.Json.to_float in
+               Ok (str "name", attrs, (count, total, lo, hi), wall))
+             spans)
+      in
       Printf.printf "%-24s %-32s %8s %12s %10s %10s\n" "span" "attrs" "count" "sim_total_s"
         "sim_min_s" "sim_max_s";
       List.iter
-        (fun span ->
-          let str name =
-            Option.value ~default:"" (Option.bind (Obs.Json.member name span) Obs.Json.to_str)
-          in
-          let num name =
-            Option.value ~default:0 (Option.bind (Obs.Json.member name span) Obs.Json.to_int)
-          in
-          let attrs =
-            Option.value ~default:[] (Option.bind (Obs.Json.member "attrs" span) Obs.Json.to_obj)
-            |> List.map (fun (k, v) ->
-                   Printf.sprintf "%s=%s" k (Option.value ~default:"?" (Obs.Json.to_str v)))
-            |> String.concat ","
-          in
-          Printf.printf "%-24s %-32s %8d %12d %10d %10d" (str "name") attrs (num "count")
-            (num "sim_total_s") (num "sim_min_s") (num "sim_max_s");
-          match Option.bind (Obs.Json.member "wall_ns" span) Obs.Json.to_float with
+        (fun (name, attrs, (count, total, lo, hi), wall) ->
+          Printf.printf "%-24s %-32s %8d %12d %10d %10d" name attrs count total lo hi;
+          match wall with
           | Some w -> Printf.printf "  wall=%.3fms\n" (w /. 1e6)
           | None -> print_newline ())
-        spans;
+        rows;
       Ok ()
   | Some s -> Error (Printf.sprintf "%s: unknown telemetry schema %S" path s)
   | None -> Error (path ^ ": missing schema field (not a telemetry file?)")
@@ -930,8 +971,10 @@ let traffic_config_t =
   let pages_per_day =
     checked
       (fun v ->
-        if v > 0.0 then Ok v
-        else Error (Printf.sprintf "--pages-per-day must be positive (got %g)" v))
+        if not (v > 0.0) then Error (Printf.sprintf "--pages-per-day must be positive (got %g)" v)
+        else if not (Float.is_finite v) then
+          Error (Printf.sprintf "--pages-per-day must be finite (got %g)" v)
+        else Ok v)
       Arg.(
         value
         & opt float 2.0

@@ -3,8 +3,6 @@
 
 type tier = { upper_rank : int; label : string }
 
-val tiers : tier list
-
 type tier_summary = {
   t : tier;
   issuers : float;  (** weighted ticket-issuing domains in the tier *)

@@ -1,9 +1,6 @@
 (** Plain-text rendering: aligned tables and ASCII CDF plots, used by the
     bench harness to print every table and figure. *)
 
-val pad : int -> string -> string
-val pad_left : int -> string -> string
-
 val table : headers:string list -> rows:string list list -> string
 (** Aligned columns; numeric-looking cells right-aligned. *)
 

@@ -11,10 +11,6 @@ type group = {
   label : string;  (** dominant operator *)
 }
 
-val build_groups : world:Simnet.World.t -> (string, string list) Hashtbl.t -> group list
-(** Transitive closure over a key -> members index; singletons included.
-    Sorted by weighted size, largest first. *)
-
 val stek_groups : world:Simnet.World.t -> Scanner.Burst_scan.domain_result list -> group list
 val dh_groups : world:Simnet.World.t -> Scanner.Burst_scan.domain_result list -> group list
 val session_cache_groups : world:Simnet.World.t -> Scanner.Cross_probe.result -> group list

@@ -168,11 +168,9 @@ let histogram ~bounds points =
   buckets
 
 (* Human-readable durations for axis labels. *)
-let pp_duration ppf seconds =
+let duration_to_string seconds =
   let s = int_of_float seconds in
-  if s < 60 then Format.fprintf ppf "%ds" s
-  else if s < 3600 then Format.fprintf ppf "%dm" (s / 60)
-  else if s < 86_400 then Format.fprintf ppf "%dh" (s / 3600)
-  else Format.fprintf ppf "%dd" (s / 86_400)
-
-let duration_to_string seconds = Format.asprintf "%a" pp_duration seconds
+  if s < 60 then Printf.sprintf "%ds" s
+  else if s < 3600 then Printf.sprintf "%dm" (s / 60)
+  else if s < 86_400 then Printf.sprintf "%dh" (s / 3600)
+  else Printf.sprintf "%dd" (s / 86_400)

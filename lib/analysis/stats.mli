@@ -55,5 +55,4 @@ val histogram : bounds:float list -> weighted list -> float array
 (** Per-bucket weight over ascending upper bounds; the final bucket is
     open-ended. *)
 
-val pp_duration : Format.formatter -> float -> unit
 val duration_to_string : float -> string

@@ -6,7 +6,6 @@ type longevity_class = Under_1d | D1_to_7 | D7_to_30 | Over_30d
 
 val classify_days : float -> longevity_class
 val class_label : longevity_class -> string
-val class_glyph : longevity_class -> char
 
 type cell = {
   label : string;

@@ -26,10 +26,6 @@ type inconsistency = {
       (** weighted inconsistent domains per operator, descending *)
 }
 
-val fingerprint : Scanner.Observation.conn -> string
-(** Handshake fingerprint: negotiated suite + key-exchange value sizes —
-    what a scanner sees without ground-truth access. *)
-
 val inconsistency :
   world:Simnet.World.t -> rows:Scanner.Observation.conn list -> inconsistency
 (** [rows] is a cross-vantage observation archive; [world] supplies

@@ -120,10 +120,6 @@ let windows_of_components ?(mitigate = fun c -> c) components =
     (fun (domain, rank, weight, c) -> combine ~domain ~rank ~weight (mitigate c))
     components
 
-let assemble ~session_results ~ticket_results ~stek_spans ~dhe_spans ~ecdhe_spans =
-  windows_of_components
-    (assemble_components ~session_results ~ticket_results ~stek_spans ~dhe_spans ~ecdhe_spans)
-
 (* Headline shares (Section 6.4): fractions of the population with
    windows above the paper's thresholds. *)
 type summary = {

@@ -19,7 +19,6 @@ type window = {
   dominant : string;  (** which mechanism set the window *)
 }
 
-val mechanism_windows : components -> (string * int) list
 val combine : domain:string -> rank:int -> weight:float -> components -> window
 
 val assemble_components :
@@ -35,14 +34,6 @@ val assemble_components :
 val windows_of_components :
   ?mitigate:(components -> components) -> (string * int * float * components) list -> window list
 (** [mitigate] transforms components first — the Section 8.2 what-ifs. *)
-
-val assemble :
-  session_results:Scanner.Resumption_scan.domain_result list ->
-  ticket_results:Scanner.Resumption_scan.domain_result list ->
-  stek_spans:Lifetime.domain_spans list ->
-  dhe_spans:Lifetime.domain_spans list ->
-  ecdhe_spans:Lifetime.domain_spans list ->
-  window list
 
 type summary = {
   population : float;

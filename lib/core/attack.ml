@@ -92,6 +92,14 @@ let decrypt_with_master recording ~master =
   | Ok plain -> Ok plain
   | Error a -> Error (Format.asprintf "decryption failed: %a" Tls.Types.pp_alert a)
 
+(* The master secret an (EC)DHE pre-master secret yields on this
+   recording's hello randoms, then the decryption under it. *)
+let decrypt_with_pre_master recording pre_master =
+  decrypt_with_master recording
+    ~master:
+      (Crypto.Prf.master_secret ~pre_master ~client_random:recording.capture.client_random
+         ~server_random:recording.capture.server_random)
+
 (* --- Attack 1: stolen STEK (Section 6.1) ------------------------------------- *)
 
 let steal_stek_and_decrypt recording ~server ~now =
@@ -126,48 +134,28 @@ let steal_kex_value_and_decrypt recording ~server ~env =
                  be an X25519 share. *)
               match Tls.Kex_cache.current_x25519 kex_cache with
               | None -> Error "server holds no cached X25519 value (nothing to steal)"
-              | Some stolen -> (
-                  match Crypto.X25519.shared_secret stolen ~peer_pub:client_public with
-                  | Error e -> Error e
-                  | Ok pre_master ->
-                      let master =
-                        Crypto.Prf.master_secret ~pre_master
-                          ~client_random:recording.capture.client_random
-                          ~server_random:recording.capture.server_random
-                      in
-                      decrypt_with_master recording ~master))
+              | Some stolen ->
+                  Result.bind
+                    (Crypto.X25519.shared_secret stolen ~peer_pub:client_public)
+                    (decrypt_with_pre_master recording))
           | Tls.Types.Ecdhe -> (
               match Tls.Kex_cache.current_ecdhe kex_cache with
               | None -> Error "server holds no cached ECDHE value (nothing to steal)"
               | Some stolen -> (
                   match Crypto.Ec.point_of_bytes env.Tls.Config.ecdhe_curve client_public with
                   | Error e -> Error e
-                  | Ok client_point -> (
-                      match Crypto.Ec.shared_secret stolen ~peer_pub:client_point with
-                      | Error e -> Error e
-                      | Ok pre_master ->
-                          let master =
-                            Crypto.Prf.master_secret ~pre_master
-                              ~client_random:recording.capture.client_random
-                              ~server_random:recording.capture.server_random
-                          in
-                          decrypt_with_master recording ~master)))
+                  | Ok client_point ->
+                      Result.bind
+                        (Crypto.Ec.shared_secret stolen ~peer_pub:client_point)
+                        (decrypt_with_pre_master recording)))
           | Tls.Types.Dhe -> (
               match Tls.Kex_cache.current_dhe kex_cache with
               | None -> Error "server holds no cached DHE value (nothing to steal)"
-              | Some stolen -> (
-                  match
-                    Crypto.Dh.shared_secret stolen
-                      ~peer_pub:(Crypto.Bignum.of_bytes_be client_public)
-                  with
-                  | Error e -> Error e
-                  | Ok pre_master ->
-                      let master =
-                        Crypto.Prf.master_secret ~pre_master
-                          ~client_random:recording.capture.client_random
-                          ~server_random:recording.capture.server_random
-                      in
-                      decrypt_with_master recording ~master))
+              | Some stolen ->
+                  Result.bind
+                    (Crypto.Dh.shared_secret stolen
+                       ~peer_pub:(Crypto.Bignum.of_bytes_be client_public))
+                    (decrypt_with_pre_master recording))
           | Tls.Types.Static_ecdh -> Error "static suite: steal the certificate key instead")
       | None -> Error "victim connection failed")
 

@@ -31,9 +31,6 @@ val victim_connection :
 (** Handshake under the wiretap, then application data protected with the
     negotiated keys and recorded as ciphertext. *)
 
-val decrypt_with_master : recording -> master:string -> (string, string) result
-(** Re-derive the key block exactly as the endpoints did. *)
-
 val steal_stek_and_decrypt :
   recording -> server:Tls.Server.t -> now:int -> (string, string) result
 (** Section 6.1: recorded ticket + stolen STEK -> plaintext. *)
@@ -41,10 +38,6 @@ val steal_stek_and_decrypt :
 val steal_kex_value_and_decrypt :
   recording -> server:Tls.Server.t -> env:Tls.Config.env -> (string, string) result
 (** Section 6.3: stolen cached (EC)DHE private value -> plaintext. *)
-
-val steal_session_cache_and_decrypt :
-  recording -> server:Tls.Server.t -> (string, string) result
-(** Section 6.2: stolen session-cache contents -> plaintext. *)
 
 val attempt_all :
   recording ->

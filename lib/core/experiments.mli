@@ -19,43 +19,23 @@ val fig2 : Study.t -> string
 val fig3 : Study.t -> string
 (** STEK lifetime shares and CDF. *)
 
-val fig4 : Study.t -> string
-(** STEK lifetime by Alexa rank tier. *)
-
-val table2 : Study.t -> string
-(** Top domains with prolonged STEK reuse. *)
-
-val table3 : Study.t -> string
-(** Top domains with prolonged DHE reuse. *)
-
-val table4 : Study.t -> string
-(** Top domains with prolonged ECDHE reuse. *)
-
 val fig5 : Study.t -> string
 (** Ephemeral exchange value reuse shares and CDFs. *)
 
-val table5 : Study.t -> string
-(** Largest session-cache service groups. *)
-
 val table6 : Study.t -> string
 (** Largest STEK service groups. *)
-
-val table7 : Study.t -> string
-(** Largest Diffie-Hellman service groups. *)
-
-val fig6 : Study.t -> string
-(** STEK sharing x longevity (treemap data + mosaic). *)
-
-val fig7 : Study.t -> string
-(** Session-cache and Diffie-Hellman sharing x longevity. *)
 
 val fig8 : Study.t -> string
 (** Overall vulnerability windows (the headline result). *)
 
 val by_name : (string * (Study.t -> string)) list
 (** [("t1", table1); ...; ("f8", fig8); ("funnel", ...)] — the ids
-    [tlsharm experiment] takes; ["funnel"] renders the scanner's own per-day
-    measurement-loss funnel under the configured fault profile. *)
+    [tlsharm experiment] takes, and the only entry point for those with no
+    function above: f4 (STEK lifetime by rank tier), t2-t4 (top prolonged
+    STEK, DHE and ECDHE reusers), t5 and t7 (largest session-cache and
+    Diffie-Hellman service groups), f6 and f7 (sharing x longevity).
+    ["funnel"] renders the scanner's own per-day measurement-loss funnel
+    under the configured fault profile. *)
 
 val lifetime_report : Scanner.Daily_scan.t -> string
 (** [tlsharm analyze] of a campaign archive: Figure 3's counts over each

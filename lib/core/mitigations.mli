@@ -12,5 +12,4 @@ val scenarios : scenario list
 (** Measured baseline, daily STEK rotation, 5-minute caches, no (EC)DHE
     reuse, all three combined, and shortcuts disabled. *)
 
-val regional_partitioning : Study.t -> string
 val report : Study.t -> string

@@ -60,7 +60,8 @@ type t = {
   funnel : Faults.Funnel.t; (* shared loss telemetry across all experiments *)
 }
 
-let of_world ?(config = default_config) world =
+let create ?(config = default_config) () =
+  let world = Simnet.World.create ~config:config.world_config () in
   {
     config;
     world;
@@ -74,9 +75,6 @@ let of_world ?(config = default_config) world =
     injector = Faults.Injector.create ~profile:config.fault_profile world;
     funnel = Faults.Funnel.create ();
   }
-
-let create ?(config = default_config) () =
-  of_world ~config (Simnet.World.create ~config:config.world_config ())
 
 let world t = t.world
 let campaign_days t = t.config.campaign_days
@@ -290,10 +288,9 @@ let vulnerability_components t =
 let vulnerability_windows t =
   Analysis.Vuln_window.windows_of_components (vulnerability_components t)
 
-let operator_harms t =
-  Analysis.Vuln_report.rank_operators ~world:t.world ~windows:(vulnerability_windows t)
-
-let vuln_report t = Analysis.Vuln_report.render_harm (operator_harms t)
+let vuln_report t =
+  Analysis.Vuln_report.render_harm
+    (Analysis.Vuln_report.rank_operators ~world:t.world ~windows:(vulnerability_windows t))
 
 let ascii_hour_ticks =
   [

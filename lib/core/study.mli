@@ -31,7 +31,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-val of_world : ?config:config -> Simnet.World.t -> t
 val world : t -> Simnet.World.t
 val campaign_days : t -> int
 
@@ -62,9 +61,6 @@ val table1_trusted : t -> Scanner.Burst_scan.domain_result -> bool
 
 val fig1_results : t -> Scanner.Resumption_scan.domain_result list
 val fig2_results : t -> Scanner.Resumption_scan.domain_result list
-val cross_probe : t -> Scanner.Cross_probe.result
-val stek_groups_scan : t -> Scanner.Burst_scan.domain_result list
-val dh_groups_scan : t -> Scanner.Burst_scan.domain_result list
 val campaign : t -> Scanner.Daily_scan.t
 (** The daily campaign, written to a temporary run log and read back
     from it; the log is removed once loaded. *)
@@ -81,9 +77,6 @@ val dh_service_groups : t -> Analysis.Service_groups.group list
 val trusted_results :
   Scanner.Resumption_scan.domain_result list -> Scanner.Resumption_scan.domain_result list
 
-val stable_trusted_results :
-  Scanner.Resumption_scan.domain_result list -> Scanner.Resumption_scan.domain_result list
-
 val vulnerability_components :
   t -> (string * int * float * Analysis.Vuln_window.components) list
 (** Per-domain exposure components over the paper's analysis population
@@ -91,12 +84,10 @@ val vulnerability_components :
 
 val vulnerability_windows : t -> Analysis.Vuln_window.window list
 
-val operator_harms : t -> Analysis.Vuln_report.operator_harm list
-(** Operators ranked by combined harm: HT-weighted vulnerability-window
-    days scaled by misconfiguration severity. Forces the study. *)
-
 val vuln_report : t -> string
-(** Rendered {!operator_harms} table. *)
+(** Operators ranked by combined harm: HT-weighted vulnerability-window
+    days scaled by misconfiguration severity, rendered as a table. Forces
+    the study. *)
 
 (** {2 Axis ticks for the ASCII figures} *)
 

@@ -31,10 +31,10 @@ type t = {
          None when no mail host is modeled *)
 }
 
-(* Watch the flagship's STEK identifier over [horizon] seconds, probing
-   every [step]. *)
-let measure_rollover world ~flagship ?(horizon = 48 * Simnet.Clock.hour)
-    ?(step = Simnet.Clock.hour) () =
+(* Watch the flagship's STEK identifier over two days, probing every
+   hour. *)
+let measure_rollover world ~flagship =
+  let horizon = 48 * Simnet.Clock.hour and step = Simnet.Clock.hour in
   let probe = Scanner.Probe.create ~seed:("rollover:" ^ flagship) world in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -109,7 +109,7 @@ let measure_rollover world ~flagship ?(horizon = 48 * Simnet.Clock.hour)
 
 let analyze study ~operator ~flagship =
   let world = Study.world study in
-  let rollover = measure_rollover world ~flagship () in
+  let rollover = measure_rollover world ~flagship in
   (* The operator's STEK service group from the Table 6 scan. *)
   let groups = Study.stek_service_groups study in
   let group =

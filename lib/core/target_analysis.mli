@@ -22,9 +22,6 @@ type t = {
       (** the operator's mail front-ends use the web STEK (Google: yes) *)
 }
 
-val measure_rollover :
-  Simnet.World.t -> flagship:string -> ?horizon:int -> ?step:int -> unit -> rollover
-
 val analyze : Study.t -> operator:string -> flagship:string -> t
 val report : t -> string
 

@@ -4,5 +4,4 @@
     exposure gone, ephemeral reuse remains), and 0-RTT early data (full
     STEK window again). *)
 
-val projections : (string * (Analysis.Vuln_window.components -> Analysis.Vuln_window.components)) list
 val report : Study.t -> string

@@ -284,10 +284,7 @@ let divmod (a : t) (b : t) : t * t =
     (norm q, norm r)
   end
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
-
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
 (* --- Montgomery arithmetic (odd modulus) ------------------------------- *)
 
@@ -1022,8 +1019,6 @@ let to_bytes_be ?len (a : t) : string =
 let of_hex h = of_bytes_be (Wire.Hex.decode h)
 
 let to_hex a = Wire.Hex.encode (to_bytes_be a)
-
-let pp ppf a = Format.fprintf ppf "0x%s" (to_hex a)
 
 (* Decimal rendering, for human-readable sizes in reports. *)
 let to_decimal (a : t) : string =

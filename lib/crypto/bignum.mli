@@ -43,9 +43,7 @@ val shift_right : t -> int -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero]. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
-val gcd : t -> t -> t
 
 val pow_mod : t -> t -> t -> t
 (** [pow_mod a e m] is [a{^e} mod m]. Odd moduli take the sliding-window
@@ -133,4 +131,3 @@ val of_hex : string -> t
 val to_hex : t -> string
 val of_decimal : string -> t
 val to_decimal : t -> string
-val pp : Format.formatter -> t -> unit

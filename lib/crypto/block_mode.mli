@@ -1,8 +1,5 @@
 (** Block-cipher modes over {!Aes}: CBC with PKCS#7 padding and CTR. *)
 
-val pkcs7_pad : string -> string
-val pkcs7_unpad : string -> (string, string) result
-
 val cbc_encrypt : Aes.t -> iv:string -> string -> string
 (** PKCS#7-pads and encrypts. The IV must be 16 bytes. *)
 

@@ -11,7 +11,6 @@
    just over smaller parameters (documented in DESIGN.md). *)
 
 type group = {
-  name : string;
   p : Bignum.t; (* prime modulus *)
   g : Bignum.t; (* generator *)
   q_bits : int; (* exponent size drawn for private values *)
@@ -19,11 +18,10 @@ type group = {
   g_fixed : Bignum.fixed_base; (* comb table for g^priv in gen_keypair *)
 }
 
-let make_group ~name ~p ~g ~q_bits =
+let make_group ~p ~g ~q_bits =
   let mont = Bignum.mont_of_modulus p in
-  { name; p; g; q_bits; mont; g_fixed = Bignum.fixed_base mont g ~max_bits:q_bits }
+  { p; g; q_bits; mont; g_fixed = Bignum.fixed_base mont g ~max_bits:q_bits }
 
-let group_name g = g.name
 let group_p g = g.p
 let group_g g = g.g
 
@@ -38,7 +36,7 @@ let oakley2 =
      ^ "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
      ^ "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF")
   in
-  make_group ~name:"modp1024(oakley2)" ~p ~g:Bignum.two ~q_bits:256
+  make_group ~p ~g:Bignum.two ~q_bits:256
 
 (* --- Primality ----------------------------------------------------------- *)
 
@@ -130,13 +128,9 @@ let generate_uncached ~bits ~seed =
     if not (is_probably_prime ~rounds:16 ~rng q) then search ()
     else
       let p = Bignum.add_int (Bignum.shift_left q 1) 1 in
-      if is_probably_prime ~rounds:16 ~rng p then (p, q) else search ()
+      if is_probably_prime ~rounds:16 ~rng p then p else search ()
   in
-  let p, q = search () in
-  ignore q;
-  make_group
-    ~name:(Printf.sprintf "sim-modp%d(%s)" bits seed)
-    ~p ~g:(Bignum.of_int 4) ~q_bits:(min (bits - 2) 64)
+  make_group ~p:(search ()) ~g:(Bignum.of_int 4) ~q_bits:(min (bits - 2) 64)
 
 let generate ~bits ~seed =
   let cached =
@@ -184,8 +178,3 @@ let shared_secret kp ~peer_pub =
     let len = (Bignum.num_bits kp.group.p + 7) / 8 in
     Ok (Bignum.to_bytes_be ~len z)
   end
-
-let shared_secret_exn kp ~peer_pub =
-  match shared_secret kp ~peer_pub with
-  | Ok z -> z
-  | Error e -> invalid_arg e

@@ -4,8 +4,7 @@
 type group
 (** A (p, g) group with a cached Montgomery context. *)
 
-val make_group : name:string -> p:Bignum.t -> g:Bignum.t -> q_bits:int -> group
-val group_name : group -> string
+val make_group : p:Bignum.t -> g:Bignum.t -> q_bits:int -> group
 val group_p : group -> Bignum.t
 val group_g : group -> Bignum.t
 
@@ -28,8 +27,4 @@ val public_bytes : keypair -> string
 (** Fixed-width big-endian encoding of the public value, the bytes a TLS
     ServerKeyExchange carries (and the scanner compares for reuse). *)
 
-val valid_public : group -> Bignum.t -> bool
-(** Rejects 0, 1, p-1 and out-of-range values. *)
-
 val shared_secret : keypair -> peer_pub:Bignum.t -> (string, string) result
-val shared_secret_exn : keypair -> peer_pub:Bignum.t -> string

@@ -1,7 +1,6 @@
 (** TLS 1.2 pseudorandom function (RFC 5246, section 5) and the standard
     handshake derivations built on it. *)
 
-val p_sha256 : secret:string -> seed:string -> int -> string
 val prf : secret:string -> label:string -> seed:string -> int -> string
 
 val master_secret_len : int

@@ -225,15 +225,3 @@ let restore ~state:st =
   t.counter <- st.counter;
   t.offset <- st.offset;
   t
-
-let state_to_string st = Printf.sprintf "%s:%d:%d" (Wire.Hex.encode st.key) st.counter st.offset
-
-let state_of_string s =
-  match String.split_on_char ':' s with
-  | [ kh; c; o ] -> (
-      match (Wire.Hex.decode_opt kh, int_of_string_opt c, int_of_string_opt o) with
-      | Some key, Some counter, Some offset ->
-          let st = { key; counter; offset } in
-          if valid st && String.equal (state_to_string st) s then Some st else None
-      | _ -> None)
-  | _ -> None

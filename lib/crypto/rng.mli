@@ -84,10 +84,3 @@ val restore : state:state -> t
     was taken. Raises [Invalid_argument] unless the key is 32 bytes,
     [0 <= offset <= 32], [counter >= 0] and [counter > 0] whenever
     [offset < 32]. *)
-
-val state_to_string : state -> string
-(** [KEY:COUNTER:OFFSET], the key in hex and the two counts in decimal. *)
-
-val state_of_string : string -> state option
-(** The inverse of {!state_to_string}: [None] unless the text is exactly
-    a valid, canonical state. *)

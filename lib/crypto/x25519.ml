@@ -72,13 +72,11 @@ let scalar_mult ~scalar ~u =
 
 let base_point = encode_u_coordinate (Bignum.of_int 9)
 
-let public_of_private scalar = scalar_mult ~scalar ~u:base_point
-
 type keypair = { priv : string; pub : string }
 
 let gen_keypair rng =
   let priv = Rng.generate rng key_len in
-  { priv; pub = public_of_private priv }
+  { priv; pub = scalar_mult ~scalar:priv ~u:base_point }
 
 let public_bytes kp = kp.pub
 

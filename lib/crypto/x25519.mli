@@ -8,7 +8,6 @@ val scalar_mult : scalar:string -> u:string -> string
     Montgomery ladder at the u-coordinate [u] (32 bytes, little-endian). *)
 
 val base_point : string
-val public_of_private : string -> string
 
 type keypair
 

@@ -25,10 +25,7 @@ type t = {
   cells : (string, cell) Hashtbl.t;
 }
 
-let default_threshold = 5
-let default_cooldown = 25
-
-let create ?(threshold = default_threshold) ?(cooldown = default_cooldown) () =
+let create ?(threshold = 5) ?(cooldown = 25) () =
   if threshold <= 0 then invalid_arg "Breaker.create: threshold must be positive";
   if cooldown <= 0 then invalid_arg "Breaker.create: cooldown must be positive";
   { threshold; cooldown; cells = Hashtbl.create 64 }

@@ -7,14 +7,10 @@
 
 type t
 
-val default_threshold : int
-(** 5 consecutive failures arm the breaker. *)
-
-val default_cooldown : int
-(** 25 single-attempt probes before the full budget returns. *)
-
 val create : ?threshold:int -> ?cooldown:int -> unit -> t
-(** Raises [Invalid_argument] on non-positive parameters. *)
+(** By default 5 consecutive failures arm the breaker and 25
+    single-attempt probes pass before the full budget returns. Raises
+    [Invalid_argument] on non-positive parameters. *)
 
 val attempts_allowed : t -> operator:string -> max_attempts:int -> int
 (** The retry budget for the next probe against [operator] — 1 while the

@@ -90,7 +90,7 @@ let attempt t ~hostname ~now ~connect =
   and next ~attempt ~elapsed f =
     let jitter_key = Printf.sprintf "%s|%d" hostname now in
     go ~attempt:(attempt + 1)
-      ~elapsed:(elapsed + Retry.backoff p ~key:jitter_key ~attempt)
+      ~elapsed:(elapsed + Retry.backoff ~key:jitter_key ~attempt)
       ~last:(Some f)
   in
   go ~attempt:0 ~elapsed:0 ~last:None

@@ -13,8 +13,6 @@ val create : injector:Injector.t -> ?policy:Retry.policy -> ?funnel:Funnel.t -> 
 
 val funnel : t -> Funnel.t
 
-val classify_error : Simnet.World.connect_error -> Fault.t
-
 val attempt :
   t ->
   hostname:string ->

@@ -231,6 +231,10 @@ let of_string s =
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_float = function Num f -> Some f | _ -> None
-let to_int = function Num f when Float.is_integer f -> Some (int_of_float f) | _ -> None
+(* Only integral numbers in OCaml's int range [-2^62, 2^62) convert;
+   [int_of_float] is unspecified outside it. *)
+let to_int = function
+  | Num f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Some (int_of_float f)
+  | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None

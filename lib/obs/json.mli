@@ -25,5 +25,7 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option
 val to_int : t -> int option
+(** [None] unless the number is integral and in OCaml's int range. *)
+
 val to_str : t -> string option
 val to_obj : t -> (string * t) list option

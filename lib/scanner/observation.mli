@@ -4,9 +4,6 @@
 
 type resumption = No_resumption | By_session_id | By_ticket
 
-val resumption_to_string : resumption -> string
-val resumption_of_string : string -> resumption option
-
 (** One TLS connection attempt. *)
 type conn = {
   time : int;  (** epoch seconds of the attempt *)

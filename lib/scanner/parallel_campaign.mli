@@ -14,16 +14,14 @@
 type shard = {
   shard_id : int;
   members : Simnet.World.domain array;  (** in world (rank) order *)
-  weight : float;  (** summed {!estimated_cost} of the members *)
+  weight : float;
+      (** summed per-domain probe-cost estimate of the members: an HTTPS
+          domain-day (two full handshakes) is weighted ~60x a no-HTTPS
+          one (two refused connects) *)
   max_component : float;
       (** weight of the heaviest single connectivity component packed
           into this shard — the unsplittable lower bound on its size *)
 }
-
-val estimated_cost : Simnet.World.domain -> float
-(** The per-domain probe-cost estimate the packing balances: an HTTPS
-    domain-day (two full handshakes) is weighted ~60x a no-HTTPS one
-    (two refused connects). *)
 
 val shards : ?target:int -> Simnet.World.t -> shard array
 (** The deterministic shard decomposition: connectivity components of

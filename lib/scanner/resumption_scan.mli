@@ -18,9 +18,6 @@ type domain_result = {
   hint : int option;  (** advertised ticket lifetime hint *)
 }
 
-val interval : int
-(** 5 minutes. *)
-
 val run :
   Probe.t ->
   mode:mode ->

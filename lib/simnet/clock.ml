@@ -23,11 +23,5 @@ let second = 1
 let minute = 60
 let hour = 3600
 let day = 86_400
-let week = 7 * day
 
 let day_of t = t.now / day
-
-let pp ppf t =
-  let d = t.now / day and rest = t.now mod day in
-  Format.fprintf ppf "day %d %02d:%02d:%02d" d (rest / hour) (rest mod hour / minute)
-    (rest mod minute)

@@ -17,7 +17,5 @@ val second : int
 val minute : int
 val hour : int
 val day : int
-val week : int
 
 val day_of : t -> int
-val pp : Format.formatter -> t -> unit

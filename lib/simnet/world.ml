@@ -33,21 +33,20 @@ let case_study_lead_days = 3
 type config = {
   seed : string;
   n_domains : int; (* sampled population size *)
-  start_time : int; (* epoch seconds at which the study begins *)
-  stable_fraction : float; (* domains present in the list every day *)
-  mx_google_fraction : float; (* domains whose MX points at Google (9.1%) *)
   region : Region.t; (* scan vantage; the default reproduces the paper *)
 }
 
-let default_config =
-  {
-    seed = "tlsharm";
-    n_domains = 10_000;
-    start_time = 1_456_876_800; (* March 2, 2016 - the paper's first scan day *)
-    stable_fraction = 0.55;
-    mx_google_fraction = 0.091;
-    region = Region.default_name;
-  }
+let default_config = { seed = "tlsharm"; n_domains = 10_000; region = Region.default_name }
+
+(* Epoch seconds at which the study begins: March 2, 2016, the paper's
+   first scan day. *)
+let start_time = 1_456_876_800
+
+(* Share of domains present in the list every day. *)
+let stable_fraction = 0.55
+
+(* Share of domains whose MX points at Google (9.1%). *)
+let mx_google_fraction = 0.091
 
 (* --- Endpoints ---------------------------------------------------------------- *)
 
@@ -148,7 +147,6 @@ let domain_operator d = d.d_operator
 let domain_trusted d = d.d_trusted
 let domain_has_https d = d.d_endpoint <> None
 let domain_stable d = d.d_stable
-let domain_mx_google d = d.d_mx_google
 let domain_ip d = d.d_ip
 let domain_asn d = match d.d_endpoint with Some ep -> ep.ep_asn | None -> 0
 let domain_misconfig d = d.d_misconfig
@@ -282,7 +280,7 @@ let make_endpoint b ~operator ~label ~asn ~ip_count ~cache_lifetime ~stek ~dhe ~
               Some
                 (Tls.Stek_manager.create ~policy:Tls.Stek_manager.Per_process
                    ~secret:(Printf.sprintf "%s:%s/slot%d" b.bc.seed secret_label i)
-                   ~now:b.bc.start_time)
+                   ~now:start_time)
         in
         let scheduled = List.sort compare restart_days in
         let sl_next_restart =
@@ -291,7 +289,7 @@ let make_endpoint b ~operator ~label ~asn ~ip_count ~cache_lifetime ~stek ~dhe ~
           if scheduled <> [] then None
           else
             Option.map
-              (fun period -> b.bc.start_time + Crypto.Rng.int_below sl_rng (max 1 period))
+              (fun period -> start_time + Crypto.Rng.int_below sl_rng (max 1 period))
               restart_period
         in
         {
@@ -332,8 +330,8 @@ let issue_chain b ~hostname ~trusted =
   let rng = Crypto.Rng.fork b.brng ~label:("cert:" ^ hostname) in
   let keypair = Crypto.Ecdsa.gen_keypair curve rng in
   let pub = Crypto.Ec.point_bytes curve (Crypto.Ecdsa.public_key keypair) in
-  let not_before = b.bc.start_time - (180 * day) in
-  let not_after = b.bc.start_time + (365 * day) in
+  let not_before = start_time - (180 * day) in
+  let not_after = start_time + (365 * day) in
   let serial = Crypto.Rng.int_below rng 1_000_000_000 in
   let sans = [ "www." ^ hostname ] in
   if trusted then begin
@@ -365,7 +363,7 @@ let issue_chain b ~hostname ~trusted =
     (* Expired certificate from the real CA. *)
     let leaf =
       Tls.Cert.issue b.bintermediate ~curve ~subject:hostname ~sans ~not_before
-        ~not_after:(b.bc.start_time - day) ~serial ~pub rng
+        ~not_after:(start_time - day) ~serial ~pub rng
     in
     ([ leaf; Tls.Cert.authority_cert b.bintermediate ], keypair)
   end
@@ -436,17 +434,17 @@ let stek_manager b ~label ~policy =
   match Hashtbl.find_opt b.bsteks label with
   | Some m -> m
   | None ->
-      let m = Tls.Stek_manager.create ~policy ~secret:(b.bc.seed ^ ":stek:" ^ label) ~now:b.bc.start_time in
+      let m = Tls.Stek_manager.create ~policy ~secret:(b.bc.seed ^ ":stek:" ^ label) ~now:start_time in
       Hashtbl.replace b.bsteks label m;
       m
 
 (* --- Population segments --------------------------------------------------------- *)
 
-let presence_sample rng stable_fraction =
+let presence_sample rng =
   if Crypto.Rng.bool rng ~p:stable_fraction then (true, 1.0)
   else (false, 0.3 +. (0.67 *. Crypto.Rng.float01 rng))
 
-let mx_sample rng fraction = Crypto.Rng.bool rng ~p:fraction
+let mx_sample rng = Crypto.Rng.bool rng ~p:mx_google_fraction
 
 (* Named operators: create pods (endpoints), flagship domains, and sampled
    customer domains with the right weights. *)
@@ -454,7 +452,7 @@ let build_operators b ~scale =
   List.iter
     (fun (spec : Operators.spec) ->
       let rng = Crypto.Rng.fork b.brng ~label:("op:" ^ spec.Operators.op_name) in
-      let lead = b.bc.start_time + (case_study_lead_days * day) in
+      let lead = start_time + (case_study_lead_days * day) in
       let stek_of_scope pod_label =
         match spec.Operators.ticket with
         | None -> None
@@ -540,10 +538,10 @@ let build_operators b ~scale =
               Namegen.operator_domain ~operator:spec.Operators.op_name !customer_index
             in
             incr customer_index;
-            let stable, presence_p = presence_sample rng b.bc.stable_fraction in
+            let stable, presence_p = presence_sample rng in
             add_domain b ~name ~rank:0 ~weight ~operator:spec.Operators.op_name
               ~endpoint:(Some ep) ~behavior ~misconfig ~trusted:true
-              ~mx_google:(mx_sample rng b.bc.mx_google_fraction)
+              ~mx_google:(mx_sample rng)
               ~stable ~presence_p ()
           done)
         pods)
@@ -610,7 +608,7 @@ let build_notables b =
   List.iter
     (fun (n : Notable.t) ->
       let name = n.Notable.name in
-      let lead = b.bc.start_time + (case_study_lead_days * day) in
+      let lead = start_time + (case_study_lead_days * day) in
       let stek_policy =
         match n.Notable.stek with
         | `Span d when d >= 63 -> Some Tls.Stek_manager.Static
@@ -706,8 +704,8 @@ let build_tail b ~count ~weight =
   in
   for i = 0 to count - 1 do
     let name = Namegen.domain i in
-    let stable, presence_p = presence_sample rng b.bc.stable_fraction in
-    let mx_google = mx_sample rng b.bc.mx_google_fraction in
+    let stable, presence_p = presence_sample rng in
+    let mx_google = mx_sample rng in
     (* 15% of HTTPS tail sites live with shared-hosting providers whose
        terminators serve 50..1200 real domains; the sampled pod size is
        that target divided by the sampling weight, keeping weighted group
@@ -832,8 +830,8 @@ let create ?(config = default_config) () =
   let rng = Crypto.Rng.create ~seed:("world:" ^ config.seed) in
   let curve = env.Tls.Config.pki_curve in
   let ca_rng = Crypto.Rng.fork rng ~label:"pki" in
-  let not_before = max 0 (config.start_time - (3650 * day)) in
-  let not_after = config.start_time + (3650 * day) in
+  let not_before = start_time - (3650 * day) in
+  let not_after = start_time + (3650 * day) in
   let root_ca =
     Tls.Cert.self_signed ~curve ~name:"SimTrust Root CA" ~not_before ~not_after ~serial:1 ca_rng
   in
@@ -904,7 +902,7 @@ let create ?(config = default_config) () =
     root_ca;
     intermediate_ca;
     rogue_ca;
-    clock = Clock.create ~start:config.start_time ();
+    clock = Clock.create ~start:start_time ();
     domains;
     by_name;
     endpoints = List.rev b.bendpoints;
@@ -1016,12 +1014,6 @@ let endpoint_info t hostname =
 (* Neighbour queries used by the cross-domain probing experiments. *)
 let domains_in_asn t asn = Option.value ~default:[] (Hashtbl.find_opt t.by_asn asn)
 let domains_on_ip t ip = Option.value ~default:[] (Hashtbl.find_opt t.by_ip ip)
-
-(* The analysis population of the paper: domains in the list every day
-   that support HTTPS with a browser-trusted certificate. *)
-let stable_trusted_https t =
-  Array.to_list t.domains
-  |> List.filter (fun d -> d.d_stable && d.d_trusted && d.d_endpoint <> None)
 
 (* DNS: MX resolution for the section 7.2 analysis. *)
 let mx_points_to_google d = d.d_mx_google

@@ -8,9 +8,6 @@
 type config = {
   seed : string;
   n_domains : int;  (** sampled population size (min 1500) *)
-  start_time : int;  (** epoch seconds at which the study begins *)
-  stable_fraction : float;  (** domains present in the list every day *)
-  mx_google_fraction : float;  (** domains whose MX points at Google *)
   region : Region.t;
       (** scan vantage point. A world is a pure function of
           [(config, region)]: the default region reproduces the paper's
@@ -20,15 +17,13 @@ type config = {
 }
 
 val default_config : config
-(** 10,000 domains, seed ["tlsharm"], starting March 2 2016 (the paper's
-    first scan day), the default region. Every world runs on the
-    simulation crypto environment {!Tls.Config.sim_env} derived from its
-    seed. *)
+(** 10,000 domains, seed ["tlsharm"], the default region. Every world
+    runs on the simulation crypto environment {!Tls.Config.sim_env}
+    derived from its seed. *)
 
-val case_study_lead_days : int
-(** Days between world start and the longitudinal campaign in the
-    standard study timeline; seeded case-study schedules account for
-    it. *)
+val start_time : int
+(** Epoch seconds at which every world's clock starts: March 2 2016, the
+    paper's first scan day. *)
 
 type t
 type domain
@@ -74,7 +69,6 @@ val domain_operator : domain -> string
 val domain_trusted : domain -> bool
 val domain_has_https : domain -> bool
 val domain_stable : domain -> bool
-val domain_mx_google : domain -> bool
 val mx_points_to_google : domain -> bool
 val domain_ip : domain -> int
 val domain_asn : domain -> int
@@ -97,9 +91,6 @@ val domain_shard_keys : t -> domain -> string list
 
 val domains_in_asn : t -> int -> string list
 val domains_on_ip : t -> int -> string list
-val stable_trusted_https : t -> domain list
-(** The paper's analysis population: always-listed, browser-trusted,
-    HTTPS. *)
 
 (** {2 Connecting} *)
 

@@ -21,8 +21,6 @@ type t = {
 let subject c = c.subject
 let issuer c = c.issuer
 let public_key c = c.pub
-let is_ca c = c.is_ca
-let validity c = (c.not_before, c.not_after)
 
 (* --- Encoding ------------------------------------------------------------- *)
 
@@ -66,7 +64,6 @@ let of_bytes s = Wire.Reader.parse_result s read
 type authority = { cert : t; keypair : Crypto.Ecdsa.keypair }
 
 let authority_cert a = a.cert
-let authority_keypair a = a.keypair
 
 (* Wrap an already-issued CA certificate (e.g. an intermediate) so it can
    issue further certificates. *)
@@ -140,10 +137,9 @@ let pp_validation_error ppf = function
 type root_store = (string, string) Hashtbl.t
 
 let empty_store () : root_store = Hashtbl.create 16
-let add_root store cert = Hashtbl.replace store cert.subject cert.pub
 let store_of_list certs =
   let s = empty_store () in
-  List.iter (add_root s) certs;
+  List.iter (fun c -> Hashtbl.replace s c.subject c.pub) certs;
   s
 
 (* Wildcard matching: "*.example.com" covers exactly one extra label. *)

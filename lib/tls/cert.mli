@@ -10,12 +10,6 @@ val issuer : t -> string
 val public_key : t -> string
 (** SEC1 point bytes on the PKI curve. *)
 
-val is_ca : t -> bool
-val validity : t -> int * int
-
-val tbs_bytes : t -> string
-(** The to-be-signed encoding the signature covers. *)
-
 val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
 val read : Wire.Reader.t -> t
@@ -25,7 +19,6 @@ val read : Wire.Reader.t -> t
 type authority
 
 val authority_cert : authority -> t
-val authority_keypair : authority -> Crypto.Ecdsa.keypair
 
 val authority_of : cert:t -> keypair:Crypto.Ecdsa.keypair -> authority
 (** Wrap an issued CA certificate (e.g. an intermediate) so it can issue
@@ -72,14 +65,11 @@ type root_store
     the paper validates against. *)
 
 val empty_store : unit -> root_store
-val add_root : root_store -> t -> unit
 val store_of_list : t list -> root_store
 
 val name_matches : hostname:string -> string -> bool
 (** Wildcard matching: ["*.example.com"] covers exactly one extra label;
     case-insensitive. *)
-
-val covers_hostname : t -> hostname:string -> bool
 
 val validate :
   curve:Crypto.Ec.curve ->

@@ -144,8 +144,7 @@ let group_of_ske_params t ~dh_p ~dh_g =
     then Error "dhe: peer generator out of range"
     else
       Ok
-        (Crypto.Dh.make_group ~name:"peer-supplied" ~p ~g
-           ~q_bits:(min (p_bits - 2) 256))
+        (Crypto.Dh.make_group ~p ~g ~q_bits:(min (p_bits - 2) 256))
   end
 
 (* Key exchange from the client side; returns the CKE public value, the

@@ -83,8 +83,5 @@ let read_block r =
 let find_session_ticket exts =
   List.find_map (function Session_ticket t -> Some t | _ -> None) exts
 
-let find_server_name exts =
-  List.find_map (function Server_name h -> Some h | _ -> None) exts
-
 let has_session_ticket exts =
   List.exists (function Session_ticket _ -> true | _ -> false) exts

@@ -19,5 +19,4 @@ val write_block : Wire.Writer.t -> t list -> unit
 val read_block : Wire.Reader.t -> t list
 
 val find_session_ticket : t list -> string option
-val find_server_name : t list -> string option
 val has_session_ticket : t list -> bool

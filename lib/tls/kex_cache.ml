@@ -76,12 +76,3 @@ let x25519_keypair t ~now rng =
       if t.ecdhe_policy <> Fresh_always then t.x25519 <- Some (kp, now);
       kp
 
-(* Upper bound on how long one cached value lives (None = unbounded),
-   feeding the Section 6.3 exposure analysis. *)
-let policy_exposure_seconds = function
-  | Fresh_always -> Some 0
-  | Reuse_for ttl -> Some ttl
-  | Reuse_forever -> None
-
-let dhe_exposure_seconds t = policy_exposure_seconds t.dhe_policy
-let ecdhe_exposure_seconds t = policy_exposure_seconds t.ecdhe_policy

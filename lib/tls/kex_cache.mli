@@ -39,8 +39,3 @@ val current_ecdhe : t -> Crypto.Ec.keypair option
 val current_x25519 : t -> Crypto.X25519.keypair option
 (** Cached X25519 share (reused under the ECDHE policy) — without this
     the attack demos could not see an X25519 compromise at all. *)
-
-val dhe_exposure_seconds : t -> int option
-(** Upper bound on one cached value's lifetime; [None] = unbounded. *)
-
-val ecdhe_exposure_seconds : t -> int option

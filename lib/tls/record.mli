@@ -7,9 +7,6 @@
 
 type t
 
-val header_len : int
-val max_payload : int
-
 val make : content_type:Types.content_type -> ?version:Types.version -> string -> t
 val content_type : t -> Types.content_type
 val payload : t -> string
@@ -18,7 +15,7 @@ val of_bytes : string -> (t, string) result
 val read_all : string -> (t list, string) result
 
 val encoded_len : t -> int
-(** Length of the wire encoding: {!header_len} plus the payload. *)
+(** Length of the wire encoding: the 5-byte header plus the payload. *)
 
 val to_bytes_into : Bytes.t -> pos:int -> t -> int
 (** Frame into a caller-owned buffer at [pos], returning the number of
@@ -33,7 +30,6 @@ val of_bytes_sub : Bytes.t -> pos:int -> len:int -> (t, string) result
 (** {2 Connection protection} *)
 
 val mac_len : int
-val key_block_len : int
 
 type direction_keys
 type keys = { client_write : direction_keys; server_write : direction_keys }

@@ -22,8 +22,6 @@ let master_secret t = t.master_secret
 let cipher_suite t = t.cipher_suite
 let established_at t = t.established_at
 
-let with_id t ~id = { t with id }
-
 (* Wire form, used inside session tickets. *)
 let write w t =
   Wire.Writer.vec8 w t.id;

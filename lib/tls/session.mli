@@ -17,7 +17,6 @@ val cipher_suite : t -> Types.cipher_suite
 val established_at : t -> int
 (** Epoch seconds of the original full handshake. *)
 
-val with_id : t -> id:string -> t
 val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
 val write : Wire.Writer.t -> t -> unit

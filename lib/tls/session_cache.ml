@@ -100,10 +100,6 @@ let flush t =
   Queue.clear t.order;
   t.ghosts <- 0
 
-(* The earliest moment at which no currently cached secret remains alive:
-   used by the analysis to reason about vulnerability windows. *)
-let latest_expiry t = Hashtbl.fold (fun _ e acc -> max acc e.expires_at) t.table 0
-
 (* Compromise accessor: everything an attacker who reads the cache memory
    obtains. Used by the Attack demonstrations. *)
 let dump t = Hashtbl.fold (fun _ e acc -> e.session :: acc) t.table []

@@ -26,9 +26,6 @@ val lookup : t -> now:int -> string -> Session.t option
 val remove : t -> string -> unit
 val flush : t -> unit
 
-val latest_expiry : t -> int
-(** When the last currently cached secret dies (0 if empty). *)
-
 val dump : t -> Session.t list
 (** Compromise accessor: what an attacker reading the cache memory
     obtains. Used by the {!Tlsharm.Attack} demonstrations. *)

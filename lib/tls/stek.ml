@@ -20,8 +20,6 @@ let hmac_key_len = 32
 let raw_len = key_name_len + aes_key_len + hmac_key_len
 
 let of_raw ~created_at raw =
-  if String.length raw <> raw_len then
-    invalid_arg (Printf.sprintf "Stek.of_raw: need %d bytes" raw_len);
   {
     key_name = String.sub raw 0 key_name_len;
     aes_key = Crypto.Aes.of_key (String.sub raw key_name_len aes_key_len);
@@ -41,5 +39,3 @@ let key_name t = t.key_name
 let aes_key t = t.aes_key
 let mac t = t.mac
 let created_at t = t.created_at
-
-let key_name_hex t = Wire.Hex.encode t.key_name

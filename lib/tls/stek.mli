@@ -7,17 +7,6 @@ type t
 
 val key_name_len : int (** 16 *)
 
-val aes_key_len : int (** 16 *)
-
-val hmac_key_len : int (** 32 *)
-
-val raw_len : int
-(** 64: name || AES key || HMAC key, the shape of the key files Apache
-    2.4 / Nginx 1.5.7+ load to synchronize STEKs across servers. *)
-
-val of_raw : created_at:int -> string -> t
-(** Raises [Invalid_argument] unless the input is {!raw_len} bytes. *)
-
 val generate : Crypto.Rng.t -> now:int -> t
 
 val derive : secret:string -> period:int -> now:int -> t
@@ -31,4 +20,3 @@ val mac : t -> Crypto.Hmac.key
 (** The ticket MAC key's HMAC context, built once per STEK. *)
 
 val created_at : t -> int
-val key_name_hex : t -> string

@@ -80,12 +80,6 @@ let schedule_interval boundaries ~now =
   in
   go 0 boundaries
 
-let current_period t ~now =
-  match t.policy with
-  | Rotate_every { period; _ } -> now / period
-  | Scheduled boundaries -> schedule_interval boundaries ~now
-  | Static | Per_process -> 0
-
 (* Start of schedule interval [k]: the (k-1)-th rotation boundary, or the
    manager's creation time before the first rotation. Mirrors how
    [Rotate_every] stamps keys with the start of their issue period rather
@@ -141,13 +135,3 @@ let find_for_decrypt t ~now key_name =
           if String.equal (Stek.key_name candidate) key_name then Some candidate else scan (k + 1)
       in
       scan 0
-
-(* How long a single STEK issued at [now] will exist somewhere in the
-   deployment (issue period + acceptance tail); the per-mechanism
-   vulnerability-window bound used by the Section 6 analysis. *)
-let key_exposure_seconds t =
-  match t.policy with
-  | Static -> None (* unbounded: never rotated *)
-  | Per_process -> None (* bounded only by the restart schedule, unknown here *)
-  | Scheduled _ -> None (* bounded only by the administrator's calendar *)
-  | Rotate_every { period; accept_window } -> Some (period + accept_window)

@@ -37,9 +37,3 @@ val issuing : t -> now:int -> Stek.t
 val find_for_decrypt : t -> now:int -> string -> Stek.t option
 (** Resolve a ticket's key name; under rotation, keys within the accept
     window remain valid after they stop issuing. *)
-
-val current_period : t -> now:int -> int
-
-val key_exposure_seconds : t -> int option
-(** Upper bound on one key's lifetime ([None] = unbounded: static,
-    per-process, or calendar-driven). *)

@@ -24,9 +24,6 @@ let zeros = String.make hash_len '\x00'
 
 type psk_mode = Psk_ke | Psk_dhe_ke
 
-let pp_psk_mode ppf m =
-  Format.pp_print_string ppf (match m with Psk_ke -> "psk_ke" | Psk_dhe_ke -> "psk_dhe_ke")
-
 (* --- The PSK state a ticket carries -------------------------------------------- *)
 
 (* What the client stores next to the opaque ticket, and what the server

@@ -7,8 +7,6 @@
 
 type psk_mode = Psk_ke | Psk_dhe_ke
 
-val pp_psk_mode : Format.formatter -> psk_mode -> unit
-
 (** {2 PSK state and tickets} *)
 
 type psk_state = {
@@ -34,16 +32,9 @@ type secrets = {
   resumption_master : string;
 }
 
-val key_schedule :
-  ?psk:string -> ?dh_shared:string -> ch_hash:string -> full_hash:string -> unit -> secrets
-
-val psk_of_resumption_master : resumption_master:string -> nonce:string -> string
-
 val protect : traffic_secret:string -> string -> string
 (** Traffic protection with keys expanded from the secret (a stand-in
     AEAD: AES-128-CTR + HMAC with the real "key"/"iv" derivations). *)
-
-val unprotect : traffic_secret:string -> string -> (string, string) result
 
 (** {2 Messages} *)
 
@@ -64,7 +55,6 @@ type server_hello = {
 }
 
 val ch_bytes : ?with_binder:bool -> client_hello -> string
-val sh_bytes : server_hello -> string
 val binder_for : binder_key:string -> truncated_ch_hash:string -> string
 
 (** {2 Server} *)

@@ -11,20 +11,12 @@ let version_of_int = function
   | 0x0303 -> Some TLS_1_2
   | _ -> None
 
-let pp_version ppf v =
-  Format.pp_print_string ppf
-    (match v with TLS_1_0 -> "TLS1.0" | TLS_1_1 -> "TLS1.1" | TLS_1_2 -> "TLS1.2")
-
 (* Key exchange families. [Static_ecdh] stands in for the non-forward-secret
    key exchanges (RSA key transport in the paper): the client computes a DH
    share against the *certificate's* long-term key, so compromising the
    long-term key retroactively decrypts everything — exactly the property
    the paper contrasts (EC)DHE against. *)
 type key_exchange = Dhe | Ecdhe | Static_ecdh
-
-let pp_key_exchange ppf k =
-  Format.pp_print_string ppf
-    (match k with Dhe -> "DHE" | Ecdhe -> "ECDHE" | Static_ecdh -> "ECDH-static")
 
 (* Cipher suites: the study cares about the key exchange; symmetric
    protection is uniformly AES-128-CTR + HMAC-SHA256 in this
@@ -76,35 +68,6 @@ type alert =
   | Decrypt_error
   | Protocol_version
   | Illegal_parameter
-
-let alert_to_int = function
-  | Close_notify -> 0
-  | Unexpected_message -> 10
-  | Bad_record_mac -> 20
-  | Handshake_failure -> 40
-  | Bad_certificate -> 42
-  | Certificate_expired -> 45
-  | Certificate_unknown -> 46
-  | Unknown_ca -> 48
-  | Decode_error -> 50
-  | Decrypt_error -> 51
-  | Protocol_version -> 70
-  | Illegal_parameter -> 47
-
-let alert_of_int = function
-  | 0 -> Some Close_notify
-  | 10 -> Some Unexpected_message
-  | 20 -> Some Bad_record_mac
-  | 40 -> Some Handshake_failure
-  | 42 -> Some Bad_certificate
-  | 45 -> Some Certificate_expired
-  | 46 -> Some Certificate_unknown
-  | 48 -> Some Unknown_ca
-  | 50 -> Some Decode_error
-  | 51 -> Some Decrypt_error
-  | 70 -> Some Protocol_version
-  | 47 -> Some Illegal_parameter
-  | _ -> None
 
 let pp_alert ppf a =
   Format.pp_print_string ppf

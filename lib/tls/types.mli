@@ -4,7 +4,6 @@ type version = TLS_1_0 | TLS_1_1 | TLS_1_2
 
 val version_to_int : version -> int
 val version_of_int : int -> version option
-val pp_version : Format.formatter -> version -> unit
 
 (** Key-exchange families. [Static_ecdh] is the non-forward-secret
     exchange (the role RSA key transport plays in the paper): the
@@ -12,8 +11,6 @@ val pp_version : Format.formatter -> version -> unit
     later key compromise retroactively decrypts every recorded
     connection. *)
 type key_exchange = Dhe | Ecdhe | Static_ecdh
-
-val pp_key_exchange : Format.formatter -> key_exchange -> unit
 
 (** Cipher suites. The measurements only care about the key exchange;
     symmetric protection is uniformly AES-128-CTR + HMAC-SHA256. *)
@@ -44,8 +41,6 @@ type alert =
   | Protocol_version
   | Illegal_parameter
 
-val alert_to_int : alert -> int
-val alert_of_int : int -> alert option
 val pp_alert : Format.formatter -> alert -> unit
 
 type content_type = Change_cipher_spec | Alert_ct | Handshake_ct | Application_data

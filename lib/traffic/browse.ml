@@ -94,6 +94,10 @@ let page t rng =
   done;
   { p_primary; p_subresources = List.rev !subs }
 
-let pages_today _t rng ~mean ~max_pages =
+(* The draw is capped as a float: [int_of_float] of a draw at or past
+   2^62 (any draw at all under an infinite mean) is unspecified. *)
+let pages_today rng ~mean ~max_pages =
   if mean <= 0.0 then 0
-  else min max_pages (int_of_float (Crypto.Rng.exponential rng ~mean))
+  else
+    let draw = Crypto.Rng.exponential rng ~mean in
+    if draw >= float_of_int max_pages then max_pages else int_of_float draw

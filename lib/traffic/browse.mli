@@ -26,6 +26,7 @@ type page = {
 
 val page : t -> Crypto.Rng.t -> page
 
-val pages_today : t -> Crypto.Rng.t -> mean:float -> max_pages:int -> int
-(** How many pages a user loads on one day: a truncated exponential
-    draw — most days are light, a long tail of heavy browsing days. *)
+val pages_today : Crypto.Rng.t -> mean:float -> max_pages:int -> int
+(** How many pages a user loads on one day: an exponential draw capped
+    at [max_pages] — most days are light, a long tail of heavy browsing
+    days. *)

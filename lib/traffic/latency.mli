@@ -5,11 +5,6 @@
     application data, an abbreviated one costs one; resumption therefore
     saves exactly one RTT per connection. *)
 
-val rtt_ms : string -> int
-(** Deterministic round-trip time for a hostname, in [16, 240] ms. *)
-
-val full_ms : string -> int
-val abbreviated_ms : string -> int
-
 val saved_ms : string -> int
-(** [full_ms - abbreviated_ms]: one RTT. *)
+(** The full handshake's cost less the abbreviated one's: one
+    deterministic round-trip time for the hostname, in [16, 240] ms. *)

@@ -16,10 +16,8 @@ type config = {
   shard_users : int;
   policy : policy;
   ticket_lifetime_cap : int;
-  session_lifetime : int;
   store_capacity : int;
   pages_per_day : float;
-  max_pages_per_day : int;
   world : Simnet.World.config;
 }
 
@@ -30,12 +28,16 @@ let default_config =
     shard_users = 16_384;
     policy = Strict;
     ticket_lifetime_cap = 0;
-    session_lifetime = Simnet.Clock.day;
     store_capacity = 32;
     pages_per_day = 2.0;
-    max_pages_per_day = 12;
     world = Simnet.World.default_config;
   }
+
+(* Client-side session-ID reuse bound, seconds. *)
+let session_lifetime = Simnet.Clock.day
+
+(* Cap on one user's page loads in a day. *)
+let max_pages_per_day = 12
 
 type shard = { shard_id : int; users_lo : int; users_hi : int }
 
@@ -44,9 +46,9 @@ let validate cfg =
   if cfg.days <= 0 then invalid_arg "Population: days must be positive";
   if cfg.shard_users <= 0 then invalid_arg "Population: shard_users must be positive";
   if cfg.store_capacity <= 0 then invalid_arg "Population: store_capacity must be positive";
-  if cfg.ticket_lifetime_cap < 0 || cfg.session_lifetime < 0 then
-    invalid_arg "Population: negative lifetime";
-  if cfg.max_pages_per_day < 0 then invalid_arg "Population: negative max_pages_per_day"
+  if cfg.ticket_lifetime_cap < 0 then invalid_arg "Population: negative lifetime";
+  if not (Float.is_finite cfg.pages_per_day) then
+    invalid_arg "Population: pages_per_day must be finite"
 
 let shards cfg =
   validate cfg;
@@ -77,7 +79,7 @@ let make_user ~world_seed ~client_config cfg uid =
   let rng = Crypto.Rng.create ~seed:(Printf.sprintf "traffic:%s:user:%d" world_seed uid) in
   let client = Tls.Client.create ~config:client_config ~rng:(Crypto.Rng.fork rng ~label:"tls") () in
   let store =
-    Tls.Client_store.create ~session_lifetime:cfg.session_lifetime
+    Tls.Client_store.create ~session_lifetime
       ~ticket_lifetime_cap:cfg.ticket_lifetime_cap ~capacity:cfg.store_capacity ()
   in
   { uid; rng; client; store; chains = Hashtbl.create 8; next_chain = 0; pages = 0 }
@@ -200,8 +202,7 @@ let simulate_shard cfg ~stream ?chaos ~shard_obs (s : shard) =
     Array.iteri
       (fun i u ->
         let n =
-          Browse.pages_today browse u.rng ~mean:cfg.pages_per_day
-            ~max_pages:cfg.max_pages_per_day
+          Browse.pages_today u.rng ~mean:cfg.pages_per_day ~max_pages:max_pages_per_day
         in
         for k = 0 to n - 1 do
           let time = day_start + Crypto.Rng.int_below u.rng Simnet.Clock.day in
@@ -282,14 +283,14 @@ let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
         (* The shard span covers the whole shard — world construction
            included, since the scheduler pays for it too. Simulated time
            is read off a clock that exists only once the world does. *)
-        let sim_now = ref cfg.world.Simnet.World.start_time in
+        let sim_now = ref Simnet.World.start_time in
         counts.(s.shard_id) <-
           Obs.Recorder.span shard_obs ~name:"traffic.shard"
             ~attrs:[ ("shard", string_of_int s.shard_id) ]
             ~now:(fun () -> !sim_now)
             (fun () ->
               let n = simulate_shard cfg ~stream ?chaos ~shard_obs s in
-              sim_now := cfg.world.Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
+              sim_now := Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
               n);
         recorders.(s.shard_id) <- shard_obs
   in

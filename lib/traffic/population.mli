@@ -47,17 +47,16 @@ type config = {
   ticket_lifetime_cap : int;
       (** client-side cap on ticket reuse, seconds; 0 = honor the
           server's advertised hint alone *)
-  session_lifetime : int;  (** client-side session-ID reuse bound, seconds *)
   store_capacity : int;  (** scopes per user's {!Tls.Client_store} *)
-  pages_per_day : float;  (** mean page loads per user-day *)
-  max_pages_per_day : int;
+  pages_per_day : float;  (** mean page loads per user-day; finite *)
   world : Simnet.World.config;
 }
 
 val default_config : config
 (** 10k users, 63 days (the paper's nine weeks), 16384-user shards,
     strict policy, advertised lifetimes, 32-scope stores, 2 pages/day
-    over the default world. *)
+    over the default world. Every user also reuses a session ID for at
+    most one day and loads at most 12 pages a day. *)
 
 type result = {
   n_shards : int;

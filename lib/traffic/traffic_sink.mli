@@ -25,8 +25,6 @@ val with_sink :
     in a temporary directory for the length of the callback. *)
 
 val dir : t -> string
-val stream_name : int -> string
-
 type stream = Scanner.Stream_sink.stream
 
 val stream : t -> int -> days:int -> Scanner.Stream_sink.opened

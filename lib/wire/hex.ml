@@ -32,5 +32,3 @@ let decode s =
       Char.chr ((digit_value compact.[2 * i] lsl 4) lor digit_value compact.[(2 * i) + 1]))
 
 let decode_opt s = try Some (decode s) with Invalid_argument _ -> None
-
-let pp ppf s = Format.pp_print_string ppf (encode s)

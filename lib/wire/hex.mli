@@ -11,5 +11,3 @@ val decode : string -> string
 val decode_opt : string -> string option
 (** Like {!decode} but returning [None] on malformed input. *)
 
-val pp : Format.formatter -> string -> unit
-(** Pretty-print a byte string as hex. *)

@@ -22,7 +22,6 @@ let of_bytes ?pos ?len buf = of_string ?pos ?len (Bytes.unsafe_to_string buf)
 
 let remaining t = t.limit - t.pos
 let is_empty t = remaining t = 0
-let position t = t.pos
 
 let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 

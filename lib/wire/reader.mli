@@ -14,9 +14,7 @@ val of_string : ?pos:int -> ?len:int -> string -> t
     and the vector decoders are copies and stay valid. *)
 val of_bytes : ?pos:int -> ?len:int -> Bytes.t -> t
 
-val remaining : t -> int
 val is_empty : t -> bool
-val position : t -> int
 
 val u8 : t -> int
 val u16 : t -> int

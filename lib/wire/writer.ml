@@ -65,13 +65,6 @@ let build f =
   f t;
   to_string t
 
-(* Standalone encoders used when a single integer must become bytes. *)
-
-let u16_string v = build (fun t -> u16 t v)
-let u24_string v = build (fun t -> u24 t v)
-let u32_string v = build (fun t -> u32 t v)
-let u64_string v = build (fun t -> u64 t v)
-
 (* Direct big-endian stores into preallocated buffers: the reuse-oriented
    counterparts of the streaming writers above. The record layer frames
    headers, nonces and MAC prefixes into per-connection scratch with

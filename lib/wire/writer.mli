@@ -33,11 +33,6 @@ val vec24 : t -> string -> unit
 val build : (t -> unit) -> string
 (** [build f] runs [f] on a fresh writer and returns the accumulated bytes. *)
 
-val u16_string : int -> string
-val u24_string : int -> string
-val u32_string : int -> string
-val u64_string : int -> string
-
 (** {2 Direct stores into preallocated buffers}
 
     Big-endian counterparts of the streaming writers that encode at a

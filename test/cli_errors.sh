@@ -44,6 +44,8 @@ check "bad fault profile" "unknown fault profile" \
   "$exe" campaign --domains 1500 --days 1 --fault-profile warp
 check "traffic bad users" "--users must be at least 1" \
   "$exe" traffic --users 0 --domains 1500 --days 1
+check "traffic infinite --pages-per-day" "--pages-per-day must be finite (got inf)" \
+  "$exe" traffic --users 10 --domains 1500 --days 1 --pages-per-day=inf
 # TLSHARM_JOBS is parsed and validated exactly like --jobs.
 check "non-integer TLSHARM_JOBS" "TLSHARM_JOBS" \
   env TLSHARM_JOBS=abc "$exe" campaign --domains 1500 --days 1
@@ -243,5 +245,22 @@ grep -v '^#tlsharm-durable\|^#tlsharm-footer' "$work/c.csv" >"$work/unframed.csv
 check "unframed campaign archive" "not a durable" "$exe" analyze "$work/unframed.csv"
 one_line "unframed archive refusal" "$exe" analyze "$work/unframed.csv"
 rm -rf "$tmp" "$work"
+
+# metrics-report prints only the integers it can read: a counter that is
+# text, fractional or past OCaml's int range is refused by its path in
+# the file, never printed as 0. Each file carries a valid durable frame
+# (header, content, separator newline, footer with the byte count and
+# the content's SHA-256 tag), so only the counter is wrong.
+metrics=$(mktemp -d /tmp/tlsharm-metrics-XXXXXX)
+for v in '"lots"' 2.5 1e300; do
+  body="{\"schema\": \"tlsharm-obs/1\", \"counters\": {\"scan.probes\": $v}, \"gauges\": {}, \"histograms\": {}}"
+  tag=$(printf '%s' "$body" | sha256sum | cut -c1-16)
+  printf '#tlsharm-durable v1\n%s\n#tlsharm-footer v1 bytes=%d block=65536 crc=%s\n' \
+    "$body" "${#body}" "$tag" >"$metrics/m.json"
+  check "metrics-report counter $v" "counters.scan.probes is not an integer" \
+    "$exe" metrics-report "$metrics/m.json"
+  one_line "metrics-report counter $v refusal" "$exe" metrics-report "$metrics/m.json"
+done
+rm -rf "$metrics"
 
 exit "$fails"

@@ -204,6 +204,17 @@ let test_kernel_snapshot_diff () =
   Alcotest.(check bool) "published under kernel.*" true
     (Obs.Metrics.counter_value m "kernel.pow_mod_fixed" > 0)
 
+(* Integral floats outside OCaml's int range must not convert:
+   [int_of_float] of them is unspecified (2^62 wraps to min_int). *)
+let test_json_to_int_range () =
+  let to_int f = Obs.Json.to_int (Obs.Json.Num f) in
+  Alcotest.(check (option int)) "2^62 - 2^9" (Some (max_int - 511)) (to_int (Float.pred 0x1p62));
+  Alcotest.(check (option int)) "-2^62" (Some min_int) (to_int (-0x1p62));
+  Alcotest.(check (option int)) "2^62" None (to_int 0x1p62);
+  Alcotest.(check (option int)) "1e300" None (to_int 1e300);
+  Alcotest.(check (option int)) "-1e300" None (to_int (-1e300));
+  Alcotest.(check (option int)) "2.5" None (to_int 2.5)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -218,6 +229,7 @@ let () =
             test_null_recorder_records_nothing;
           Alcotest.test_case "trace merge order independent" `Quick
             test_trace_merge_order_independent;
+          Alcotest.test_case "json to_int range" `Quick test_json_to_int_range;
         ] );
       qsuite "merge-laws" [ prop_merge_commutative; prop_merge_associative ];
       ( "campaign",

@@ -331,6 +331,22 @@ let test_sink_refuses_mismatched_manifest () =
       | Ok _ -> Alcotest.fail "mismatched manifest accepted"
       | Error _ -> ())
 
+(* A huge mean must cap the day's page count, not wrap it: the draw is
+   capped before it becomes an int. An infinite mean is refused up
+   front. *)
+let test_pages_today_caps_huge_mean () =
+  let rng = Crypto.Rng.create ~seed:"pages-today" in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "1e300 mean hits the cap" 12
+      (Traffic.Browse.pages_today rng ~mean:1e300 ~max_pages:12)
+  done;
+  with_tmp_dir (fun dir ->
+      Alcotest.check_raises "infinite mean refused"
+        (Invalid_argument "Population: pages_per_day must be finite") (fun () ->
+          ignore
+            (Traffic.Population.run ~jobs:1 ~sink:(make_sink dir)
+               { traffic_config with Traffic.Population.pages_per_day = infinity })))
+
 let test_obs_and_store_bound () =
   let obs = Obs.Recorder.create () in
   let r =
@@ -422,6 +438,7 @@ let () =
           Alcotest.test_case "crash + rerun byte-identical" `Slow test_crash_rerun_identical;
           Alcotest.test_case "sink refuses mismatched manifest" `Quick
             test_sink_refuses_mismatched_manifest;
+          Alcotest.test_case "pages_today caps a huge mean" `Quick test_pages_today_caps_huge_mean;
           Alcotest.test_case "obs counters + store bound" `Slow test_obs_and_store_bound;
           Alcotest.test_case "tracking report totals" `Slow test_tracking_report_renders;
         ] );

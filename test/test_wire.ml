@@ -22,8 +22,8 @@ let test_integers () =
       Alcotest.(check int) "u64" 0x0123456789abcd (R.u64 r))
 
 let test_big_endian () =
-  Alcotest.(check string) "u16 order" "\x12\x34" (W.u16_string 0x1234);
-  Alcotest.(check string) "u32 order" "\x00\x00\x01\x00" (W.u32_string 256)
+  Alcotest.(check string) "u16 order" "\x12\x34" (W.build (fun w -> W.u16 w 0x1234));
+  Alcotest.(check string) "u32 order" "\x00\x00\x01\x00" (W.build (fun w -> W.u32 w 256))
 
 let test_range_checks () =
   let w = W.create () in
@@ -122,7 +122,7 @@ let prop_vec_roundtrip =
 let prop_int_roundtrip =
   QCheck2.Test.make ~name:"u32 roundtrips" ~count:300
     QCheck2.Gen.(int_range 0 0xffffffff)
-    (fun v -> R.parse (W.u32_string v) R.u32 = v)
+    (fun v -> R.parse (W.build (fun w -> W.u32 w v)) R.u32 = v)
 
 let prop_concat_roundtrip =
   QCheck2.Test.make ~name:"mixed sequences roundtrip" ~count:200
