@@ -885,7 +885,7 @@ let attack_cmd =
 (* --- traffic ------------------------------------------------------------------------------ *)
 
 (* Pins everything the archive means: population shape, policy, world.
-   [Traffic_sink.create] refuses to re-attach when any of these differ,
+   [Scanner.Stream_sink.create] refuses to re-attach when any of these differ,
    and [Analysis.Tracking_report.of_sink] reads the run metadata back
    from here. *)
 let traffic_manifest (cfg : Traffic.Population.config) =
@@ -906,14 +906,14 @@ let traffic (cfg : Traffic.Population.config) jobs stream_out telemetry =
   let obs = recorder telemetry in
   (* Without --stream-out the run log goes to a temporary directory; the
      report is always folded from the log. *)
-  Traffic.Traffic_sink.with_sink ?dir:stream_out ~manifest:(traffic_manifest cfg) (fun sink ->
+  Scanner.Stream_sink.with_sink ?dir:stream_out ~manifest:(traffic_manifest cfg) (fun sink ->
       let kernel_before = Obs.Kernel.snapshot () in
       let r = Traffic.Population.run ~jobs ~sink ~obs cfg in
       write_telemetry ~what:"traffic" telemetry obs ~kernel_before;
       let* report =
         Result.map_error
           (fun e -> "traffic archive: " ^ e)
-          (Analysis.Tracking_report.of_sink ~dir:(Traffic.Traffic_sink.dir sink))
+          (Analysis.Tracking_report.of_sink ~dir:(Scanner.Stream_sink.dir sink))
       in
       Printf.printf "simulated %d users over %d days (%d shards%s): %d connections%s\n\n"
         cfg.Traffic.Population.users cfg.Traffic.Population.days r.Traffic.Population.n_shards

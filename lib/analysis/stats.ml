@@ -135,11 +135,6 @@ let quantiles points qs =
 
 let median points = percentile points 0.5
 
-let mean points =
-  let total = total_weight points in
-  if total <= 0.0 then nan
-  else List.fold_left (fun acc p -> acc +. (p.value *. p.weight)) 0.0 points /. total
-
 (* Weighted histogram over explicit bucket upper bounds (ascending); the
    final bucket is open-ended. Returns per-bucket weight. Bucket lookup
    is a binary search, not a linear rescan per point. *)

@@ -49,7 +49,6 @@ val quantiles : weighted list -> float list -> float list
     raises [Invalid_argument] if any [q] is outside [0,1]. *)
 
 val median : weighted list -> float
-val mean : weighted list -> float
 
 val histogram : bounds:float list -> weighted list -> float array
 (** Per-bucket weight over ascending upper bounds; the final bucket is

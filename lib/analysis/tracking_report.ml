@@ -218,7 +218,7 @@ let finalize acc =
 
 let of_sink ~dir =
   let ( let* ) = Result.bind in
-  let* manifest = Traffic.Traffic_sink.manifest ~dir in
+  let* manifest = Scanner.Stream_sink.manifest ~dir in
   let get key = List.assoc_opt key manifest in
   let int_of key = Option.bind (get key) int_of_string_opt in
   let meta =

@@ -3,24 +3,11 @@
     returns formatted text; the headline tables (s3, t1, f1-f3, f5, f8)
     render {!Paper}'s counts and targets, measured on the study. *)
 
-val section3 : Study.t -> string
-(** The data-collection funnel: always-listed population, ever-HTTPS,
-    ever-trusted, participating shares. *)
-
-val table1 : Study.t -> string
-(** Support for forward secrecy and resumption. *)
-
-val fig1 : Study.t -> string
-(** Session-ID lifetime (resumption-delay walk + CDF). *)
-
 val fig2 : Study.t -> string
 (** Session-ticket lifetime, including lifetime-hint specifics. *)
 
 val fig3 : Study.t -> string
 (** STEK lifetime shares and CDF. *)
-
-val fig5 : Study.t -> string
-(** Ephemeral exchange value reuse shares and CDFs. *)
 
 val table6 : Study.t -> string
 (** Largest STEK service groups. *)

@@ -78,7 +78,6 @@ let create ?(config = default_config) () =
 
 let world t = t.world
 let campaign_days t = t.config.campaign_days
-let funnel t = t.funnel
 
 (* Every serial experiment probe shares the study's injector, retry
    policy and funnel; with the default [none] profile no fault fires

@@ -34,10 +34,6 @@ val create : ?config:config -> unit -> t
 val world : t -> Simnet.World.t
 val campaign_days : t -> int
 
-val funnel : t -> Faults.Funnel.t
-(** The shared measurement-loss telemetry every experiment probe records
-    into. *)
-
 val run_all : t -> unit
 (** Force every experiment now (they otherwise run lazily on demand). *)
 

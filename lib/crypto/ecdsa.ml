@@ -14,7 +14,6 @@ let gen_keypair curve rng =
   { curve; priv; pub = Ec.scalar_mult_base curve priv }
 
 let public_key kp = kp.pub
-let curve kp = kp.curve
 
 (* Truncate the hash to the bit length of the group order (FIPS 186-4). *)
 let hash_to_z curve msg =

@@ -5,7 +5,6 @@ type signature
 
 val gen_keypair : Ec.curve -> Rng.t -> keypair
 val public_key : keypair -> Ec.point
-val curve : keypair -> Ec.curve
 
 val ecdh : keypair -> peer_pub:Ec.point -> (string, string) result
 (** Static ECDH using the signing key, as in the TLS ECDH_ECDSA suites,

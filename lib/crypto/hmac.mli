@@ -10,7 +10,7 @@ val key : string -> key
 val mac : key -> string -> string
 (** [mac (key k) msg] is the 32-byte HMAC-SHA256 tag, [sha256 ~key:k msg].
     A message of at most {!Sha256.max_tail} bytes costs two compressions
-    (three past {!Sha256.max_short}) and allocates only the tag. *)
+    (three past 55 bytes) and allocates only the tag. *)
 
 val mac_parts : key -> string list -> string
 (** [mac_parts ctx parts] is [mac ctx (String.concat "" parts)] without

@@ -11,8 +11,5 @@ val master_secret :
 
 val key_block : master:string -> client_random:string -> server_random:string -> int -> string
 
-val verify_data_len : int
-(** 12 bytes. *)
-
 val client_finished : master:string -> handshake_hash:string -> string
 val server_finished : master:string -> handshake_hash:string -> string

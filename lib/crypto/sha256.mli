@@ -37,9 +37,6 @@ val of_midstate : string -> pos:int -> t
 (** [of_midstate s ~pos] is the state that has absorbed one block whose
     midstate is the 32 bytes of [s] at [pos]. *)
 
-val max_short : int
-(** 55: the longest tail that fits in one final block with its padding. *)
-
 val max_tail : int
 (** 119: the longest tail that fits in two final blocks. *)
 
@@ -47,7 +44,7 @@ val finish_short : Bytes.t -> int -> Bytes.t -> pos:int -> len:int -> Bytes.t ->
 (** [finish_short mid mpos msg ~pos ~len dst ~at] writes into [dst] at
     [at] the digest of a message whose first 64-byte block has the
     midstate at [mid.(mpos)] and whose remaining [len] bytes are those of
-    [msg] at [pos]: one compression up to {!max_short} bytes, two up to
+    [msg] at [pos]: one compression up to 55 bytes, two up to
     {!max_tail}, and no allocation. [dst] may overlap [msg] or the
     midstate. Raises [Invalid_argument] unless [0 <= len <= max_tail]. *)
 

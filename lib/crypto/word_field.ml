@@ -61,8 +61,6 @@ let create (m : Bignum.t) =
     modulus = m;
   }
 
-let modulus f = f.modulus
-
 (* a·b·R^-1 mod p for canonical a, b. *)
 let mul f a b =
   let p0 = f.p0 and p1 = f.p1 and pinv = f.pinv in

@@ -19,8 +19,6 @@ val create : Bignum.t -> t
     below 2{^61}. Primality is the caller's precondition ({!inv} relies
     on it). *)
 
-val modulus : t -> Bignum.t
-
 val of_bignum : t -> Bignum.t -> int
 (** Into Montgomery form; values outside [\[0, p)] are reduced. *)
 

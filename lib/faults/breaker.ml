@@ -19,27 +19,23 @@
 
 type cell = { mutable consecutive : int; mutable open_left : int }
 
-type t = {
-  threshold : int;
-  cooldown : int;
-  cells : (string, cell) Hashtbl.t;
-}
+type t = (string, cell) Hashtbl.t (* by operator *)
 
-let create ?(threshold = 5) ?(cooldown = 25) () =
-  if threshold <= 0 then invalid_arg "Breaker.create: threshold must be positive";
-  if cooldown <= 0 then invalid_arg "Breaker.create: cooldown must be positive";
-  { threshold; cooldown; cells = Hashtbl.create 64 }
+let threshold = 5
+let cooldown = 25
+
+let create () = Hashtbl.create 64
 
 let cell t operator =
-  match Hashtbl.find_opt t.cells operator with
+  match Hashtbl.find_opt t operator with
   | Some c -> c
   | None ->
       let c = { consecutive = 0; open_left = 0 } in
-      Hashtbl.replace t.cells operator c;
+      Hashtbl.replace t operator c;
       c
 
 let is_open t ~operator =
-  match Hashtbl.find_opt t.cells operator with
+  match Hashtbl.find_opt t operator with
   | Some c -> c.open_left > 0
   | None -> false
 
@@ -67,7 +63,7 @@ let record t ~operator outcome =
   | Error fault ->
       if Fault.is_injected fault then begin
         c.consecutive <- c.consecutive + 1;
-        if c.consecutive >= t.threshold then c.open_left <- t.cooldown
+        if c.consecutive >= threshold then c.open_left <- cooldown
       end
       else begin
         c.consecutive <- 0;

@@ -1,16 +1,13 @@
-(** Per-operator circuit breaker: after [threshold] consecutive
-    injected-fault failures against one operator, the next [cooldown]
-    probes get a single-attempt retry budget instead of the full one.
+(** Per-operator circuit breaker: after 5 consecutive injected-fault
+    failures against one operator, the next 25 probes get a
+    single-attempt retry budget instead of the full one.
     Success (or a ground-truth world error) closes the breaker. State
     advances only through {!attempts_allowed}/{!record} in probe order,
     so budgets are deterministic and jobs-invariant. *)
 
 type t
 
-val create : ?threshold:int -> ?cooldown:int -> unit -> t
-(** By default 5 consecutive failures arm the breaker and 25
-    single-attempt probes pass before the full budget returns. Raises
-    [Invalid_argument] on non-positive parameters. *)
+val create : unit -> t
 
 val attempts_allowed : t -> operator:string -> max_attempts:int -> int
 (** The retry budget for the next probe against [operator] — 1 while the

@@ -23,10 +23,6 @@ val templates : (string * target * string) array
 (** Canned valid wire blobs (name, decoding target, bytes): hellos,
     server flights, session state, a sealed ticket, a record stream. *)
 
-val decode : target -> string -> bool
-(** Run bytes through the target's total decoder; [true] means the
-    bytes parsed (cryptographic-check failures count as parsed). *)
-
 val template_stek : Tls.Stek.t
 (** The STEK sealing {!templates}' ticket blob. *)
 

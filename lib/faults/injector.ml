@@ -26,7 +26,6 @@ type t = {
 }
 
 let create ?(seed = "faults") ~profile world = { seed; profile; world }
-let profile t = t.profile
 
 let outage_epoch = 6 * Simnet.Clock.hour
 

@@ -15,8 +15,6 @@ val create : ?seed:string -> profile:Profile.t -> Simnet.World.t -> t
 (** [seed] defaults to ["faults"]; it namespaces the whole fault
     timeline and is independent of the world seed. *)
 
-val profile : t -> Profile.t
-
 val decide : t -> hostname:string -> time:int -> attempt:int -> decision
 (** [Pass] without hashing anything when every rate for the serving
     operator is zero, as under {!Profile.none}. *)

@@ -34,6 +34,5 @@ val merge : t -> t -> unit
 
 val schema : string
 
-val to_json : t -> Json.t
 val to_json_string : t -> string
 val equal : t -> t -> bool

@@ -26,9 +26,6 @@ val fork : t -> t
     back into the parent after the join; {!null} for {!null}. *)
 
 val metrics : t -> Metrics.t
-val trace : t -> Trace.t
-(** The underlying registry and collector. For {!null} each call returns
-    a fresh empty one. *)
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit

@@ -123,4 +123,3 @@ let to_json t =
   Json.Obj [ ("schema", Json.Str schema); ("spans", Json.List spans) ]
 
 let to_json_string t = Json.to_string (to_json t)
-let equal a b = String.equal (to_json_string a) (to_json_string b)

@@ -30,6 +30,4 @@ val timed : t -> name:string -> ?attrs:(string * string) list -> now:(unit -> in
 val merge : t -> t -> unit
 
 val schema : string
-val to_json : t -> Json.t
 val to_json_string : t -> string
-val equal : t -> t -> bool

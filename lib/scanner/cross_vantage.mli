@@ -17,8 +17,8 @@ type t
 val run : ?jobs:int -> config -> t
 (** Raises [Invalid_argument] on an unknown region, an empty region
     list, or [days < 1]. Whole regions are scanned on a {!Pool} of
-    [jobs] workers (default {!Pool.default_jobs}); the result is
-    identical at any value. *)
+    [jobs] workers (default [Domain.recommended_domain_count ()]); the
+    result is identical at any value. *)
 
 val rows : t -> Observation.conn list
 (** Region-major (configured order), then day, then sweep (default

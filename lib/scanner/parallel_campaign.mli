@@ -49,11 +49,11 @@ val run :
   unit ->
   unit
 (** Runs the campaign over all shards with [jobs] workers (default
-    {!Pool.default_jobs}, clamped to the shard count; [jobs <= 1] runs
-    sequentially on the calling domain). Workers drain the {!Pool}
-    queue in heaviest-first shard order — work-stealing LPT scheduling,
-    so adding workers never strands a straggler shard behind an idle
-    pool. Leaves the world clock at the campaign's end. [progress] is
+    [Domain.recommended_domain_count ()], clamped to the shard count;
+    [jobs <= 1] runs sequentially on the calling domain). Workers drain
+    the {!Pool} queue in heaviest-first shard order — work-stealing LPT
+    scheduling, so adding workers never strands a straggler shard behind
+    an idle pool. Leaves the world clock at the campaign's end. [progress] is
     called from worker domains — keep it reentrant.
 
     Every shard writes its rows to its own stream of [sink]

@@ -54,14 +54,6 @@ val ecdhe_only :
   seed:string ->
   t
 
-val evaluate_trust : t -> domain:string -> chain:Tls.Cert.t list -> now:int -> bool
-(** Chain validation, cached per domain. Only a full-chain evaluation
-    populates the cache; an empty chain (failed or resumed connection)
-    evaluates untrusted without poisoning the cache. *)
-
-val observe :
-  ?attempts:int -> t -> domain:string -> Tls.Engine.outcome -> now:int -> Observation.conn
-
 val connect :
   ?offer:Tls.Client.offer -> t -> domain:string -> Observation.conn * Tls.Engine.outcome option
 (** One probe operation at the probe clock's current virtual time:

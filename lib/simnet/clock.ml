@@ -19,7 +19,6 @@ let set t time =
   t.now <- time
 
 (* Conversions used throughout the experiments. *)
-let second = 1
 let minute = 60
 let hour = 3600
 let day = 86_400

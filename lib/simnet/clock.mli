@@ -13,7 +13,6 @@ val advance : t -> int -> unit
 val set : t -> int -> unit
 (** Raises [Invalid_argument] if the target is in the past. *)
 
-val second : int
 val minute : int
 val hour : int
 val day : int

@@ -134,7 +134,6 @@ type t = {
 let clock t = t.clock
 let env t = t.env
 let region t = t.config.region
-let world_config t = t.config
 let root_store t = t.root_store
 let domains t = t.domains
 let find_domain t name = Hashtbl.find_opt t.by_name name

@@ -46,7 +46,6 @@ val region : t -> Region.t
 (** The vantage this world is observed from; stamped into every
     observation row the scanner produces against it. *)
 
-val world_config : t -> config
 val root_store : t -> Tls.Cert.root_store
 val domains : t -> domain array
 (** Sorted by rank. *)

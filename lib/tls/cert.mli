@@ -12,7 +12,6 @@ val public_key : t -> string
 
 val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
-val read : Wire.Reader.t -> t
 
 (** {2 Authorities} *)
 

@@ -11,7 +11,6 @@ type t = { config : Config.client_config; rng : Crypto.Rng.t; prefer_x25519 : bo
 let x25519_group_id = 29
 
 let create ?(prefer_x25519 = false) ~config ~rng () = { config; rng; prefer_x25519 }
-let rng t = t.rng
 
 (* What the client offers for resumption. Ticket offers carry the cached
    session state (master secret) the client kept alongside the opaque
@@ -81,11 +80,6 @@ type full_continuation = {
   f_suite : Types.cipher_suite;
   f_session_id : string;
 }
-
-(* Accessor for wire-level drivers ({!Connection}): the master secret a
-   full handshake will establish, needed to encrypt the Finished record
-   mid-handshake. *)
-let continuation_master cont = cont.f_master
 
 (* The result of processing the server's first flight. For an abbreviated
    handshake the connection is essentially done (the caller forwards our

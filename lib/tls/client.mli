@@ -9,11 +9,6 @@ val create : ?prefer_x25519:bool -> config:Config.client_config -> rng:Crypto.Rn
 (** [prefer_x25519] ranks the X25519 named group (29) first in the
     supported_groups extension; servers honor the client's order. *)
 
-val rng : t -> Crypto.Rng.t
-(** The client's private Rng. Campaign day blocks snapshot its state
-    so a resumed scan draws the same key shares an uninterrupted one
-    would. *)
-
 (** What the client offers for resumption. Ticket offers carry the cached
     session state (master secret) kept alongside the opaque ticket, as
     RFC 5077 requires. *)
@@ -28,10 +23,6 @@ type state
 val hello : t -> now:int -> hostname:string -> offer:offer -> Handshake_msg.t * state
 
 type full_continuation
-
-val continuation_master : full_continuation -> string
-(** The master secret the handshake will establish; wire-level drivers
-    need it to derive record keys before the closing flights. *)
 
 type flight_result =
   | Abbreviated of {

@@ -10,8 +10,10 @@ type entry = {
   mutable e_touched : int;
 }
 
+(* Session-ID reuse bound, seconds: one day. *)
+let session_lifetime = 86_400
+
 type t = {
-  session_lifetime : int;
   ticket_lifetime_cap : int;
   cap : int;
   entries : (string, entry) Hashtbl.t;
@@ -20,12 +22,10 @@ type t = {
   mutable expired : int;
 }
 
-let create ?(session_lifetime = 86_400) ?(ticket_lifetime_cap = 0) ~capacity () =
+let create ?(ticket_lifetime_cap = 0) ~capacity () =
   if capacity <= 0 then invalid_arg "Client_store.create: non-positive capacity";
-  if session_lifetime < 0 || ticket_lifetime_cap < 0 then
-    invalid_arg "Client_store.create: negative lifetime";
+  if ticket_lifetime_cap < 0 then invalid_arg "Client_store.create: negative lifetime";
   {
-    session_lifetime;
     ticket_lifetime_cap;
     cap = capacity;
     entries = Hashtbl.create (min capacity 64);
@@ -67,7 +67,7 @@ let purge t ~now e =
       | _ -> ())
   | None -> ());
   match e.e_session with
-  | Some (_, stored_at) when now > stored_at + t.session_lifetime ->
+  | Some (_, stored_at) when now > stored_at + session_lifetime ->
       e.e_session <- None;
       t.expired <- t.expired + 1
   | _ -> ()
@@ -142,5 +142,3 @@ let note t ~now ~scope ~session ~ticket =
     purge t ~now e;
     touch t e
   end
-
-let drop t ~scope = Hashtbl.remove t.entries scope

@@ -20,15 +20,14 @@
 
 type t
 
-val create :
-  ?session_lifetime:int -> ?ticket_lifetime_cap:int -> capacity:int -> unit -> t
-(** [session_lifetime] (default one day) bounds session-ID reuse — the
+val create : ?ticket_lifetime_cap:int -> capacity:int -> unit -> t
+(** A session ID is offered for one day after it was stored — the
     protocol advertises no lifetime for IDs, so this is pure client
     policy. [ticket_lifetime_cap] (default 0 = honor the advertised
     hint) caps ticket reuse below the server's hint; the effective
     ticket lifetime is the minimum of the positive values among hint and
-    cap. Raises [Invalid_argument] on non-positive capacity or negative
-    lifetimes. *)
+    cap. Raises [Invalid_argument] on non-positive capacity or a
+    negative cap. *)
 
 val capacity : t -> int
 
@@ -66,6 +65,3 @@ val holds : t -> now:int -> scope:string -> bool
 (** Whether {!offer} would return something other than [Fresh] for
     [scope] at [now] — without counting as a use for LRU purposes.
     Expired components are still purged. *)
-
-val drop : t -> scope:string -> unit
-(** Forget everything held for [scope]. *)

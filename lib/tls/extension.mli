@@ -8,10 +8,6 @@ type t =
   | Renegotiation_info
   | Unknown of int * string
 
-val type_code : t -> int
-val write : Wire.Writer.t -> t -> unit
-val read : Wire.Reader.t -> t
-
 val write_block : Wire.Writer.t -> t list -> unit
 (** The hello extensions block; an empty list encodes as nothing at all
     (old-client style). *)

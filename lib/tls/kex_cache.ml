@@ -30,9 +30,6 @@ let create ?(dhe = Fresh_always) ?(ecdhe = Fresh_always) () =
 
 let uniform ~policy = create ~dhe:policy ~ecdhe:policy ()
 
-let dhe_policy t = t.dhe_policy
-let ecdhe_policy t = t.ecdhe_policy
-
 (* Simulated process restart: cached values die with the process. *)
 let restart t =
   t.dhe <- None;

@@ -18,8 +18,6 @@ val create : ?dhe:policy -> ?ecdhe:policy -> unit -> t
     {!Fresh_always}. *)
 
 val uniform : policy:policy -> t
-val dhe_policy : t -> policy
-val ecdhe_policy : t -> policy
 
 val restart : t -> unit
 (** Simulated process restart: cached values die. *)

@@ -8,7 +8,7 @@
    prescribes, which is what makes the paper's attacks concrete here: a
    recovered master secret (from a stolen STEK, a session cache, or a
    reused DH value) re-derives these keys and decrypts recorded records.
-   See [Attack.decrypt_recorded_conversation] in the core library. *)
+   See [Attack.decrypt_with_master] in the core library. *)
 
 
 type t = { r_content_type : Types.content_type; r_version : Types.version; r_payload : string }
@@ -23,22 +23,13 @@ let make ~content_type ?(version = Types.TLS_1_2) payload =
 let content_type r = r.r_content_type
 let payload r = r.r_payload
 
-let encoded_len r = header_len + String.length r.r_payload
-
-let to_bytes_into buf ~pos r =
-  let len = String.length r.r_payload in
-  if len > 0xffff then invalid_arg "Record.to_bytes_into: payload too long";
-  if pos < 0 || pos > Bytes.length buf - header_len - len then
-    invalid_arg "Record.to_bytes_into: range out of bounds";
-  Wire.Writer.set_u8 buf pos (Types.content_type_to_int r.r_content_type);
-  Wire.Writer.set_u16 buf (pos + 1) (Types.version_to_int r.r_version);
-  Wire.Writer.set_u16 buf (pos + 3) len;
-  Bytes.blit_string r.r_payload 0 buf (pos + header_len) len;
-  header_len + len
-
 let to_bytes r =
-  let buf = Bytes.create (encoded_len r) in
-  ignore (to_bytes_into buf ~pos:0 r);
+  let len = String.length r.r_payload in
+  let buf = Bytes.create (header_len + len) in
+  Wire.Writer.set_u8 buf 0 (Types.content_type_to_int r.r_content_type);
+  Wire.Writer.set_u16 buf 1 (Types.version_to_int r.r_version);
+  Wire.Writer.set_u16 buf 3 len;
+  Bytes.blit_string r.r_payload 0 buf header_len len;
   Bytes.unsafe_to_string buf
 
 let read r =
@@ -61,19 +52,6 @@ let read_all s =
   Wire.Reader.parse_result s (fun r ->
       let rec go acc = if Wire.Reader.is_empty r then List.rev acc else go (read r :: acc) in
       go [])
-
-(* Decode straight out of a reused receive buffer; zero-copy on the
-   framing side ({!Wire.Reader.of_bytes} aliases [buf]), with the payload
-   copied out so the result outlives the buffer's next refill. *)
-let of_bytes_sub buf ~pos ~len =
-  match
-    let r = Wire.Reader.of_bytes ~pos ~len buf in
-    let v = read r in
-    Wire.Reader.expect_end r;
-    v
-  with
-  | v -> Ok v
-  | exception Wire.Reader.Error msg -> Error msg
 
 (* --- Connection protection ---------------------------------------------------- *)
 

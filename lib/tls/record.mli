@@ -14,22 +14,7 @@ val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
 val read_all : string -> (t list, string) result
 
-val encoded_len : t -> int
-(** Length of the wire encoding: the 5-byte header plus the payload. *)
-
-val to_bytes_into : Bytes.t -> pos:int -> t -> int
-(** Frame into a caller-owned buffer at [pos], returning the number of
-    bytes written ({!encoded_len}); lets senders reuse one buffer across
-    records. Raises [Invalid_argument] if the record does not fit. *)
-
-val of_bytes_sub : Bytes.t -> pos:int -> len:int -> (t, string) result
-(** Decode one record from [len] bytes of a reused receive buffer at
-    [pos]. The framing is parsed zero-copy; the returned payload is a
-    copy and survives the buffer's next refill. *)
-
 (** {2 Connection protection} *)
-
-val mac_len : int
 
 type direction_keys
 type keys = { client_write : direction_keys; server_write : direction_keys }

@@ -334,9 +334,6 @@ let handle_client_hello t ~now msg =
       end)
   | _ -> Error Types.Unexpected_message
 
-(* Accessors for wire-level drivers ({!Connection}). *)
-let resuming_session r = r.r_session
-
 (* Compute the premaster secret from the ClientKeyExchange payload. *)
 let premaster_of_cke pending cke_public =
   let env = pending.p_server.config.Config.env in
@@ -354,17 +351,6 @@ let premaster_of_cke pending cke_public =
       match Crypto.Ec.point_of_bytes env.Config.pki_curve cke_public with
       | Error e -> Error e
       | Ok peer -> Crypto.Ecdsa.ecdh pending.p_server.config.Config.cert_key ~peer_pub:peer)
-
-(* The master secret a pending handshake reaches with this CKE — what a
-   wire-level driver needs to decrypt the client's Finished record before
-   handing the flight to [handle_client_flight] (which recomputes it). *)
-let master_of_cke pending ~cke_public =
-  match premaster_of_cke pending cke_public with
-  | Error _ -> Error Types.Illegal_parameter
-  | Ok pre_master ->
-      Ok
-        (Crypto.Prf.master_secret ~pre_master ~client_random:pending.p_client_random
-           ~server_random:pending.p_server_random)
 
 (* Handle the client's [ClientKeyExchange; Finished] flight, completing a
    full handshake. Returns the server's closing flight and the freshly

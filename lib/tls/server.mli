@@ -32,14 +32,6 @@ type hello_result =
 
 val handle_client_hello : t -> now:int -> Handshake_msg.t -> (hello_result, Types.alert) result
 
-val resuming_session : resuming -> Session.t
-(** The session being resumed; wire-level drivers derive record keys
-    from its master secret. *)
-
-val master_of_cke : pending -> cke_public:string -> (string, Types.alert) result
-(** The master secret this ClientKeyExchange leads to (pure; the later
-    {!handle_client_flight} recomputes it). *)
-
 val handle_client_flight :
   pending -> now:int -> Handshake_msg.t list -> (Handshake_msg.t list * Session.t, Types.alert) result
 (** Takes [\[ClientKeyExchange; Finished\]]; returns [(NST); Finished]

@@ -19,6 +19,4 @@ val established_at : t -> int
 
 val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
-val write : Wire.Writer.t -> t -> unit
-val read : Wire.Reader.t -> t
 val equal : t -> t -> bool

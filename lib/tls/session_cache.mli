@@ -9,21 +9,16 @@ val create : lifetime:int -> capacity:int -> t
 (** [lifetime = 0] disables caching (state dropped immediately). Raises
     [Invalid_argument] on negative lifetime or non-positive capacity. *)
 
-val lifetime : t -> int
 val size : t -> int
 
-val queue_length : t -> int
-(** Diagnostic: current length of the FIFO eviction queue, including
-    not-yet-purged ghosts of removed entries. Bounded by twice the
-    capacity regardless of campaign length. *)
-
 val store : t -> now:int -> Session.t -> unit
-(** Raises [Invalid_argument] on an empty session ID. *)
+(** Drops the expired oldest entries, then evicts the oldest live one if
+    the cache is full. Raises [Invalid_argument] on an empty session
+    ID. *)
 
 val lookup : t -> now:int -> string -> Session.t option
-(** Expired entries are dropped lazily on access. *)
+(** [None] for an expired entry; removes nothing. *)
 
-val remove : t -> string -> unit
 val flush : t -> unit
 
 val dump : t -> Session.t list

@@ -33,9 +33,6 @@ let default_config =
     world = Simnet.World.default_config;
   }
 
-(* Client-side session-ID reuse bound, seconds. *)
-let session_lifetime = Simnet.Clock.day
-
 (* Cap on one user's page loads in a day. *)
 let max_pages_per_day = 12
 
@@ -79,8 +76,8 @@ let make_user ~world_seed ~client_config cfg uid =
   let rng = Crypto.Rng.create ~seed:(Printf.sprintf "traffic:%s:user:%d" world_seed uid) in
   let client = Tls.Client.create ~config:client_config ~rng:(Crypto.Rng.fork rng ~label:"tls") () in
   let store =
-    Tls.Client_store.create ~session_lifetime
-      ~ticket_lifetime_cap:cfg.ticket_lifetime_cap ~capacity:cfg.store_capacity ()
+    Tls.Client_store.create ~ticket_lifetime_cap:cfg.ticket_lifetime_cap
+      ~capacity:cfg.store_capacity ()
   in
   { uid; rng; client; store; chains = Hashtbl.create 8; next_chain = 0; pages = 0 }
 

@@ -13,7 +13,7 @@
     as the population model intends, while users in different shards
     live in parallel replicas. Shards are drained by a
     {!Scanner.Pool} of [jobs] workers (default
-    {!Scanner.Pool.default_jobs}), and every result lands in a slot
+    [Domain.recommended_domain_count ()]), and every result lands in a slot
     owned by one worker — so archives and merged telemetry are byte-identical at
     any [jobs], the same contract {!Scanner.Parallel_campaign} makes.
 
@@ -65,14 +65,14 @@ type result = {
 
 val run :
   ?jobs:int ->
-  sink:Traffic_sink.t ->
+  sink:Scanner.Stream_sink.t ->
   ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   config ->
   result
 (** Simulates every shard into its stream of [sink] and holds no rows;
     read them back through {!Traffic_sink} (a run that wants only the
-    report passes a temporary sink, {!Traffic_sink.with_sink}). Raises
+    report passes a temporary sink, {!Scanner.Stream_sink.with_sink}). Raises
     on invalid configs; propagates shard exceptions (a crashed run can
     simply be re-run into the same sink — see resume above). [obs]
     defaults to {!Obs.Recorder.null}. *)

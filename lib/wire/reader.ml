@@ -6,19 +6,7 @@ exception Error of string
 
 type t = { data : string; mutable pos : int; limit : int }
 
-let of_string ?(pos = 0) ?len data =
-  let limit =
-    match len with None -> String.length data | Some l -> pos + l
-  in
-  if pos < 0 || limit > String.length data || pos > limit then
-    raise (Error "Reader.of_string: bad bounds");
-  { data; pos; limit }
-
-(* Zero-copy cursor over a caller-owned buffer. The reader aliases the
-   buffer's storage rather than copying it, so the caller must not mutate
-   [buf] while the reader (or any [sub] of it) is still in use; strings
-   returned by [take] are copies and stay valid. *)
-let of_bytes ?pos ?len buf = of_string ?pos ?len (Bytes.unsafe_to_string buf)
+let of_string data = { data; pos = 0; limit = String.length data }
 
 let remaining t = t.limit - t.pos
 let is_empty t = remaining t = 0

@@ -6,14 +6,6 @@ exception Error of string
 
 type t
 
-val of_string : ?pos:int -> ?len:int -> string -> t
-
-(** Zero-copy cursor over a caller-owned buffer: the reader aliases
-    the buffer's storage, so the buffer must not be mutated while the
-    reader (or any {!sub} of it) is in use. Strings returned by {!take}
-    and the vector decoders are copies and stay valid. *)
-val of_bytes : ?pos:int -> ?len:int -> Bytes.t -> t
-
 val is_empty : t -> bool
 
 val u8 : t -> int

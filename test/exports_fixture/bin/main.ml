@@ -1,0 +1,6 @@
+(* Names Fixture.pp only in this comment. *)
+module F = Fixture
+
+let pp ppf n = Format.fprintf ppf "Fixture.pp %d" n
+let () = pp Format.std_formatter (F.via_alias 1)
+let () = Lib.Fixture.via_path 2 |> ignore

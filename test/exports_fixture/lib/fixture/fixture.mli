@@ -1,0 +1,7 @@
+(* Input for exports.sh's own test: [pp] has no caller, although its
+   name appears as a bare word, in a comment and in a string elsewhere. *)
+
+val pp : Format.formatter -> int -> unit
+val via_alias : int -> int
+val via_open : int -> int
+val via_path : int -> int

@@ -957,7 +957,7 @@ let damage_corpus =
        }
      in
      let sink =
-       match Traffic.Traffic_sink.create ~dir:traffic ~manifest:[ ("mode", "traffic") ] with
+       match Scanner.Stream_sink.create ~dir:traffic ~manifest:[ ("mode", "traffic") ] with
        | Ok s -> s
        | Error e -> failwith e
      in
@@ -1011,7 +1011,7 @@ let test_traffic_rerun_mismatches () =
           }
         in
         let sink =
-          match Traffic.Traffic_sink.create ~dir ~manifest:[ ("mode", "traffic") ] with
+          match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "traffic") ] with
           | Ok s -> s
           | Error e -> Alcotest.fail e
         in

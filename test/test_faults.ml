@@ -326,28 +326,38 @@ let test_byzantine_profile_campaign () =
 
 (* --- Circuit breaker ------------------------------------------------------------------- *)
 
+(* The breaker trips after 5 consecutive injected faults and then caps
+   the next 25 probes to a single attempt. *)
 let test_breaker_opens_and_cools () =
-  let b = Faults.Breaker.create ~threshold:3 ~cooldown:2 () in
+  let b = Faults.Breaker.create () in
   let op = "operator-a" in
-  Alcotest.(check int) "closed breaker allows full retries" 5
-    (Faults.Breaker.attempts_allowed b ~operator:op ~max_attempts:5);
-  Faults.Breaker.record b ~operator:op (Error Faults.Fault.Connect_timeout);
-  Faults.Breaker.record b ~operator:op (Error Faults.Fault.Tcp_reset);
-  Alcotest.(check bool) "below threshold stays closed" false
+  let allowed () = Faults.Breaker.attempts_allowed b ~operator:op ~max_attempts:5 in
+  Alcotest.(check int) "closed breaker allows full retries" 5 (allowed ());
+  let faults =
+    Faults.Fault.
+      [ Connect_timeout; Tcp_reset; Malformed_response; Connect_timeout; Tcp_reset ]
+  in
+  List.iteri
+    (fun i fault ->
+      Alcotest.(check bool)
+        (Printf.sprintf "closed after %d faults" i)
+        false
+        (Faults.Breaker.is_open b ~operator:op);
+      Faults.Breaker.record b ~operator:op (Error fault))
+    faults;
+  Alcotest.(check bool) "fifth fault opens the breaker" true
     (Faults.Breaker.is_open b ~operator:op);
-  Faults.Breaker.record b ~operator:op (Error (Faults.Fault.Malformed_response));
-  Alcotest.(check bool) "threshold opens the breaker" true
-    (Faults.Breaker.is_open b ~operator:op);
-  (* While open, probes get exactly one attempt for [cooldown] probes. *)
-  Alcotest.(check int) "open breaker caps to one attempt" 1
-    (Faults.Breaker.attempts_allowed b ~operator:op ~max_attempts:5);
-  Alcotest.(check int) "still open for the second probe" 1
-    (Faults.Breaker.attempts_allowed b ~operator:op ~max_attempts:5);
-  Alcotest.(check int) "cooldown expired, retries restored" 5
-    (Faults.Breaker.attempts_allowed b ~operator:op ~max_attempts:5);
+  (* While open, probes get exactly one attempt for 25 probes. *)
+  for probe = 1 to 25 do
+    Alcotest.(check int) (Printf.sprintf "open breaker caps probe %d" probe) 1 (allowed ())
+  done;
+  Alcotest.(check int) "cooldown expired, retries restored" 5 (allowed ());
   (* A success closes everything. *)
+  List.iter (fun f -> Faults.Breaker.record b ~operator:op (Error f)) faults;
+  Alcotest.(check bool) "re-armed" true (Faults.Breaker.is_open b ~operator:op);
   Faults.Breaker.record b ~operator:op (Ok ());
   Alcotest.(check bool) "success resets" false (Faults.Breaker.is_open b ~operator:op);
+  Alcotest.(check int) "full retries after success" 5 (allowed ());
   (* Operators are independent. *)
   Alcotest.(check int) "other operators unaffected" 5
     (Faults.Breaker.attempts_allowed b ~operator:"operator-b" ~max_attempts:5)
@@ -355,15 +365,23 @@ let test_breaker_opens_and_cools () =
 let test_breaker_ignores_world_errors () =
   (* Ground-truth failures (NXDOMAIN, no TLS) say nothing about operator
      health; only injected faults count toward the trip threshold. *)
-  let b = Faults.Breaker.create ~threshold:2 ~cooldown:5 () in
+  let b = Faults.Breaker.create () in
   let op = "operator-c" in
-  Faults.Breaker.record b ~operator:op (Error Faults.Fault.Connect_timeout);
+  let injected n =
+    for _ = 1 to n do
+      Faults.Breaker.record b ~operator:op (Error Faults.Fault.Connect_timeout)
+    done
+  in
+  injected 4;
   Faults.Breaker.record b ~operator:op (Error Faults.Fault.No_such_domain);
-  Faults.Breaker.record b ~operator:op (Error Faults.Fault.Connect_timeout);
+  injected 4;
   Alcotest.(check bool) "world errors reset the streak" false
     (Faults.Breaker.is_open b ~operator:op);
   Faults.Breaker.record b ~operator:op (Error Faults.Fault.Protocol_violation);
-  Alcotest.(check bool) "two consecutive injected faults trip it" true
+  Alcotest.(check bool) "five consecutive injected faults trip it" true
+    (Faults.Breaker.is_open b ~operator:op);
+  Faults.Breaker.record b ~operator:op (Error Faults.Fault.No_https);
+  Alcotest.(check bool) "a world error closes an open breaker" false
     (Faults.Breaker.is_open b ~operator:op)
 
 (* --- Funnel arithmetic ---------------------------------------------------------------- *)

@@ -63,10 +63,11 @@ let test_ticket_no_bound_never_self_expires () =
     (is_ticket (Tls.Client_store.offer store ~now:(400 * 86_400) ~scope:"a"))
 
 let test_session_id_boundary () =
-  let store = Tls.Client_store.create ~session_lifetime:86_400 ~capacity:4 () in
+  (* A session ID lives for one day. *)
+  let store = Tls.Client_store.create ~capacity:4 () in
   Tls.Client_store.note store ~now:0 ~scope:"a" ~session:(Some (session ())) ~ticket:None;
   Alcotest.(check bool)
-    "live at session_lifetime" true
+    "live at one day" true
     (is_session_id (Tls.Client_store.offer store ~now:86_400 ~scope:"a"));
   Alcotest.(check bool)
     "dead one second past" true
@@ -259,7 +260,7 @@ let dir_contents dir =
 
 let make_sink dir =
   match
-    Traffic.Traffic_sink.create ~dir
+    Scanner.Stream_sink.create ~dir
       ~manifest:
         [
           ("mode", "traffic");
@@ -274,8 +275,13 @@ let make_sink dir =
 
 (* A run keeps no rows in memory; read them back from its sink. *)
 let sink_rows dir =
-  match Traffic.Traffic_sink.fold_rows ~dir ~init:[] ~f:(fun acc row -> row :: acc) with
-  | Ok (rows, _) -> List.rev rows
+  let shard_rows shard =
+    match Traffic.Traffic_sink.read_shard ~dir ~shard with
+    | Ok (rows, _) -> rows
+    | Error e -> Alcotest.fail e
+  in
+  match Traffic.Traffic_sink.shard_ids ~dir with
+  | Ok ids -> List.concat_map shard_rows ids
   | Error e -> Alcotest.fail e
 
 (* One deterministic reference run, shared by the tests below, with the
@@ -324,10 +330,10 @@ let test_crash_rerun_identical () =
 
 let test_sink_refuses_mismatched_manifest () =
   with_tmp_dir (fun dir ->
-      (match Traffic.Traffic_sink.create ~dir ~manifest:[ ("mode", "traffic"); ("users", "45") ] with
+      (match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "traffic"); ("users", "45") ] with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e);
-      match Traffic.Traffic_sink.create ~dir ~manifest:[ ("mode", "traffic"); ("users", "46") ] with
+      match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "traffic"); ("users", "46") ] with
       | Ok _ -> Alcotest.fail "mismatched manifest accepted"
       | Error _ -> ())
 

@@ -94,17 +94,6 @@ let test_direct_stores () =
   Alcotest.check_raises "set_u64 negative" (Invalid_argument "Writer.set_u64: negative")
     (fun () -> W.set_u64 buf 0 (-1))
 
-let test_of_bytes () =
-  let buf = Bytes.of_string "\x12\x34\x02ab" in
-  let r = R.of_bytes buf in
-  Alcotest.(check int) "u16" 0x1234 (R.u16 r);
-  Alcotest.(check string) "vec8" "ab" (R.vec8 r);
-  R.expect_end r;
-  (* Windowed view. *)
-  let r = R.of_bytes ~pos:1 ~len:2 buf in
-  Alcotest.(check int) "windowed u16" 0x3402 (R.u16 r);
-  Alcotest.(check bool) "windowed end" true (R.is_empty r)
-
 let test_writer_clear () =
   let w = W.create () in
   W.u16 w 0xbeef;
@@ -165,7 +154,6 @@ let () =
           Alcotest.test_case "short reads" `Quick test_short_reads;
           Alcotest.test_case "sub reader" `Quick test_sub_reader;
           Alcotest.test_case "direct stores" `Quick test_direct_stores;
-          Alcotest.test_case "reader over bytes" `Quick test_of_bytes;
           Alcotest.test_case "writer clear" `Quick test_writer_clear;
         ] );
       qsuite "properties" [ prop_vec_roundtrip; prop_int_roundtrip; prop_concat_roundtrip ];
