@@ -9,7 +9,7 @@
                                        exported from its run log, or the
                                        log itself (--stream-out); --regions
                                        N probes from N vantage regions
-     tlsharm resume DIR                continue a killed --stream-out campaign
+     tlsharm resume DIR                finish a killed or failed --stream-out campaign
      tlsharm analyze PATH              re-analyze a campaign or traffic archive
      tlsharm vuln-report               rank operators by combined harm
      tlsharm posture [DOMAIN...]       grade sites' forward-secrecy posture
@@ -185,7 +185,7 @@ let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.term_result' term)
    run log): one line and a nonzero exit instead of a backtrace. *)
 let guard f =
   try f () with
-  | Durable.Supervisor.Mismatch m -> Error ("resume mismatch: " ^ m)
+  | Scanner.Stream_sink.Mismatch m -> Error ("resume mismatch: " ^ m)
   | Sys_error e | Invalid_argument e | Failure e -> Error e
   | Unix.Unix_error (err, fn, arg) ->
       Error
@@ -510,11 +510,12 @@ let campaign_run_t =
              append-only spool per campaign shard) instead of to a temporary directory that the \
              CSV is exported from and that is removed when the run ends. Memory stays flat \
              regardless of --domains either way. $(i,DIR) is also the run's crash-recovery \
-             log: $(b,tlsharm resume) $(i,DIR) keeps every shard the log holds whole and re-runs \
-             the rest from day 0, checking each re-run day against the block the log recorded. \
-             A $(i,DIR) holding a different run is refused. The streamed archive is byte-equivalent to \
-             the CSV one: $(b,tlsharm analyze) $(i,DIR) reassembles it, and it is identical at \
-             any --jobs and across resumes.")
+             log: a run that is killed, or that fails because a shard raised, leaves that \
+             shard's spool unsealed, and $(b,tlsharm resume) $(i,DIR) keeps every shard the log \
+             holds whole and re-runs the rest from day 0, checking each re-run day against the \
+             block the log recorded. A $(i,DIR) holding a different run is refused. The \
+             streamed archive is byte-equivalent to the CSV one: $(b,tlsharm analyze) $(i,DIR) \
+             reassembles it, and it is identical at any --jobs and across resumes.")
   in
   let select regions out faults stream_out telemetry =
     if regions = 1 then
@@ -552,12 +553,13 @@ let resume_cmd =
   in
   cmd "resume"
     ~doc:
-      "Resume an interrupted campaign from its --stream-out directory, the run's log. A shard \
-       whose spool is sealed with every day is kept as it is, without probing. Every other shard \
-       is re-run from day 0, each day checked against the block its spool recorded, up to a \
-       damaged or torn block or one an in-process retry wrote. The finished directory is \
-       byte-identical to an uninterrupted run's at any --jobs. The printed row count counts only \
-       the rows this run wrote."
+      "Resume an interrupted campaign from its --stream-out directory, the run's log: one killed, \
+       or one that failed because a shard raised. A shard whose spool is sealed with every day is \
+       kept as it is, without probing. Every other shard is re-run from day 0, each day checked \
+       against the block its spool recorded, up to a damaged or torn block; a block that differs \
+       is refused as a resume mismatch. The finished directory is byte-identical to an \
+       uninterrupted run's at any --jobs. The printed row count counts only the rows this run \
+       wrote."
     Term.(const resume $ dir $ jobs_t $ telemetry_t)
 
 let analyze path =
@@ -738,18 +740,14 @@ let metrics_report path =
                let* total = member_int field "sim_total_s" span in
                let* lo = member_int field "sim_min_s" span in
                let* hi = member_int field "sim_max_s" span in
-               let wall = Option.bind (Obs.Json.member "wall_ns" span) Obs.Json.to_float in
-               Ok (str "name", attrs, (count, total, lo, hi), wall))
+               Ok (str "name", attrs, (count, total, lo, hi)))
              spans)
       in
       Printf.printf "%-24s %-32s %8s %12s %10s %10s\n" "span" "attrs" "count" "sim_total_s"
         "sim_min_s" "sim_max_s";
       List.iter
-        (fun (name, attrs, (count, total, lo, hi), wall) ->
-          Printf.printf "%-24s %-32s %8d %12d %10d %10d" name attrs count total lo hi;
-          match wall with
-          | Some w -> Printf.printf "  wall=%.3fms\n" (w /. 1e6)
-          | None -> print_newline ())
+        (fun (name, attrs, (count, total, lo, hi)) ->
+          Printf.printf "%-24s %-32s %8d %12d %10d %10d\n" name attrs count total lo hi)
         rows;
       Ok ()
   | Some s -> Error (Printf.sprintf "%s: unknown telemetry schema %S" path s)

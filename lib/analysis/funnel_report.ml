@@ -58,18 +58,7 @@ let render ?(title = "Measurement-loss funnel (per scan day)") funnel =
                     (fun (f, n) -> Printf.sprintf "%s %d" (Faults.Fault.to_string f) n)
                     losses));
             Buffer.add_char buf '\n');
-        (* Supervised worker failures get their own row: probes booked
-           under [Worker_crash] were never attempted at all (a shard
-           exhausted its restarts and was abandoned), which is a
-           different kind of loss than any per-connection fault and the
-           signature of a degraded — but completed — campaign. *)
-        (match List.assoc_opt Faults.Fault.Worker_crash t.Faults.Funnel.t_losses with
-        | Some n when n > 0 ->
-            Buffer.add_string buf
-              (Printf.sprintf "supervised shard failures: %d probes abandoned (%s of probes)\n" n
-                 (Report.fmt_pct (float_of_int n /. probes)))
-        | _ -> ());
-        (* Byzantine peers get the same treatment: responses the peer
+        (* Byzantine peers get their own row: responses the peer
            actively corrupted, split between bytes the parsers rejected
            outright and bytes that decoded into protocol nonsense. *)
         let byz_lost f =

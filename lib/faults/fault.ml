@@ -17,7 +17,6 @@ type t =
   | Endpoint_outage (* whole-endpoint down-window (minutes to hours) *)
   | Malformed_response (* injected: well-framed bytes the codecs reject *)
   | Protocol_violation (* injected: parses cleanly but breaks the protocol *)
-  | Worker_crash (* a scanning worker died; the shard's probes were abandoned *)
   | Unknown (* archived row predating failure classification *)
 
 let all =
@@ -33,7 +32,6 @@ let all =
     Endpoint_outage;
     Malformed_response;
     Protocol_violation;
-    Worker_crash;
     Unknown;
   ]
 
@@ -50,7 +48,6 @@ let to_string = function
   | Endpoint_outage -> "outage"
   | Malformed_response -> "malformed"
   | Protocol_violation -> "byzantine"
-  | Worker_crash -> "crash"
   | Unknown -> "unknown"
 
 let of_string = function
@@ -65,7 +62,6 @@ let of_string = function
   | "outage" -> Some Endpoint_outage
   | "malformed" -> Some Malformed_response
   | "byzantine" -> Some Protocol_violation
-  | "crash" -> Some Worker_crash
   | "unknown" -> Some Unknown
   | _ -> None
 
@@ -76,7 +72,7 @@ let is_injected = function
   | Connect_timeout | Tcp_reset | Tls_alert | Truncated_record | Slow_handshake
   | Endpoint_outage | Malformed_response | Protocol_violation ->
       true
-  | No_such_domain | No_https | Connection_refused | Worker_crash | Unknown -> false
+  | No_such_domain | No_https | Connection_refused | Unknown -> false
 
 (* The byzantine subset: losses caused by a peer that *answered* but
    answered wrong — what the circuit breaker and the funnel report's

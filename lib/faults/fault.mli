@@ -17,9 +17,6 @@ type t =
   | Protocol_violation
       (** injected byzantine response that parses cleanly but violates
           the protocol (wrong version, bad MAC, stale ticket) *)
-  | Worker_crash
-      (** a scanning worker exhausted its supervised restarts; the
-          shard's remaining probes were abandoned *)
   | Unknown  (** archived row predating failure classification *)
 
 val all : t list

@@ -14,9 +14,7 @@
      equal bytes regardless of insertion order.
 
    Values are plain ints on the simulated timeline (counts, seconds);
-   nothing here reads a wall clock — the optional host-clock side of the
-   observability layer lives in {!Trace} and is excluded from the
-   deterministic artifacts unless explicitly enabled. *)
+   nothing in the observability layer reads a wall clock. *)
 
 type hist = {
   bounds : int array; (* ascending upper bounds; last bucket is open *)

@@ -9,15 +9,15 @@
    mutable state at all: a variant case, not an empty registry that a
    stray write could fill. *)
 
-type live = { metrics : Metrics.t; trace : Trace.t; wall : bool }
+type live = { metrics : Metrics.t; trace : Trace.t }
 type t = Null | Live of live
 
 let null = Null
-let create ?(wall = false) () = Live { metrics = Metrics.create (); trace = Trace.create ~wall (); wall }
+let create () = Live { metrics = Metrics.create (); trace = Trace.create () }
 let enabled = function Null -> false | Live _ -> true
 
 (* A shard recorder: private to one worker, merged back after the join. *)
-let fork = function Null -> Null | Live r -> create ~wall:r.wall ()
+let fork = function Null -> Null | Live _ -> create ()
 
 (* [null] has no registry of its own; callers that read one get a fresh
    empty registry, so nothing they do to it can reach [null]. *)

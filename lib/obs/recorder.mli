@@ -12,9 +12,7 @@ val null : t
     into or from it does nothing. It is shared by every worker domain
     and never mutated. *)
 
-val create : ?wall:bool -> unit -> t
-(** [wall] (default false) enables host-clock span timing — see
-    {!Trace.create}. *)
+val create : unit -> t
 
 val enabled : t -> bool
 (** [false] exactly for {!null}. Instrumentation sites need it only to
@@ -22,8 +20,8 @@ val enabled : t -> bool
     null recorder would discard. *)
 
 val fork : t -> t
-(** A fresh shard recorder with the parent's [wall] setting, to merge
-    back into the parent after the join; {!null} for {!null}. *)
+(** A fresh shard recorder, to merge back into the parent after the
+    join; {!null} for {!null}. *)
 
 val metrics : t -> Metrics.t
 

@@ -251,22 +251,12 @@ let load path =
    the campaign), appended to the stream's spool: that day's observed
    row for every member domain, in member order.
 
-     day=4                   (or "day=4 unchecked", see [checked])
+     day=4
      rows=R, then R row lines
 
    The codec is deterministic, so a clean re-run of a shard re-encodes
    each recorded day to the same bytes: that is what the resume rule
    ({!Stream_sink.stream}) compares. *)
-
-let unchecked_mark = " unchecked"
-
-(* A block a clean re-run reproduces. An in-process retry scans a world
-   the crashed attempt dirtied, and an abandoned shard writes probe-less
-   rows, so their blocks carry the mark: it ends the checked prefix, and
-   a resume re-runs such a shard without comparing. *)
-let checked block =
-  let first = match String.index_opt block '\n' with Some i -> String.sub block 0 i | None -> block in
-  not (String.ends_with ~suffix:unchecked_mark first)
 
 let opt_dash = function None -> "-" | Some s -> s
 
@@ -286,11 +276,9 @@ let row_line = function
           opt_dash r.dhe_value;
         ]
 
-let day_payload ~checked ~day ~(rows : day_record option array) =
+let day_payload ~day ~(rows : day_record option array) =
   let b = Buffer.create (64 + (16 * Array.length rows)) in
-  Printf.bprintf b "day=%d%s\nrows=%d\n" day
-    (if checked then "" else unchecked_mark)
-    (Array.length rows);
+  Printf.bprintf b "day=%d\nrows=%d\n" day (Array.length rows);
   Array.iter
     (fun r ->
       Buffer.add_string b (row_line r);
@@ -351,11 +339,6 @@ let map_result f l =
 let decode_day ~members payload =
   match content_lines payload with
   | day_line :: rows_line :: row_lines ->
-      let day_line =
-        if String.ends_with ~suffix:unchecked_mark day_line then
-          String.sub day_line 0 (String.length day_line - String.length unchecked_mark)
-        else day_line
-      in
       let* day = count_line ~what:"day block" "day" day_line in
       let* n_rows = count_line ~what:"day block" "rows" rows_line in
       let* () =
@@ -388,12 +371,6 @@ let decode_day ~members payload =
    Member *order* is the contract: day blocks reference domains
    positionally, and the trailer names them, which keeps a 100k-domain
    day block free of 100k repeated domain/rank/weight prefixes. *)
-
-let append_block s ~rows payload =
-  let present = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 rows in
-  Stream_sink.append_day s ~rows:present payload
-
-let stream_day s ~day ~rows = append_block s ~rows (day_payload ~checked:false ~day ~rows)
 
 let stream_finish s ~trusted ~funnel ~(domains : Simnet.World.domain array) =
   let b = Buffer.create (32 * Array.length domains) in
@@ -461,14 +438,13 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    domain array never depends on which worker runs it, which is what
    makes shard results independent of worker count.
 
-   Each completed day's block is appended to [sink], marked unchecked
-   when [retry]; the stream the caller opened checks it against the
-   block recorded at its position. A resume re-executes completed days
-   instead of deserializing the world mid-flight (endpoint RNGs, kex
-   caches, session caches and STEK rotations make the world state
-   surface enormous); determinism makes the re-execution exact, and the
-   block compare proves it. *)
-let scan_stream ~sink ~retry ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_probe
+   Each completed day's block is appended to [sink]; the stream the
+   caller opened checks it against the block recorded at its position.
+   A resume re-executes completed days instead of deserializing the
+   world mid-flight (endpoint RNGs, kex caches, session caches and STEK
+   rotations make the world state surface enormous); determinism makes
+   the re-execution exact, and the block compare proves it. *)
+let scan_stream ~sink ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_probe
     ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
   let start = Simnet.Clock.now clock in
   (* [scan.days] is a gauge (max-merge): every stream of one campaign
@@ -534,7 +510,7 @@ let scan_stream ~sink ~retry ?(obs = Obs.Recorder.null) ~clock ~default_probe ~d
             dhe_value = dhe_obs.Observation.dhe_value;
           }
     done);
-    append_block sink ~rows (day_payload ~checked:(not retry) ~day ~rows)
+    Stream_sink.append_day sink ~rows:n_present (day_payload ~day ~rows)
   done;
   (* Leave the clock at the end of the campaign. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day));

@@ -4,9 +4,12 @@
     Domains absent from that day's list are skipped, so churn shows up in
     the data. {!Parallel_campaign.run} runs a campaign; this module owns
     its record types, the per-shard scan loop, the sweep schedule and
-    the run log's day-block codec. A campaign is read back from its log
-    with {!load_stream} and exported to CSV (the scans.io analog) with
-    {!save}; a run's {!t} comes from {!load} or {!load_stream}. *)
+    the run log's day-block codec. Every day block is one a clean re-run
+    reproduces byte for byte: a scan that raises leaves its stream
+    unsealed, and nothing writes a block without probing. A campaign is
+    read back from its log with {!load_stream} and exported to CSV (the
+    scans.io analog) with {!save}; a run's {!t} comes from {!load} or
+    {!load_stream}. *)
 
 type day_record = {
   day : int;  (** day index from campaign start *)
@@ -39,7 +42,6 @@ val dhe_sweep_at : int
 
 val scan_stream :
   sink:Stream_sink.stream ->
-  retry:bool ->
   ?obs:Obs.Recorder.t ->
   clock:Simnet.Clock.t ->
   default_probe:Probe.t ->
@@ -59,15 +61,9 @@ val scan_stream :
     Each day's block is appended to [sink] as the day completes, and
     the stream's trailer (trust verdicts and the probes' funnel) is
     written at the end; the scan keeps no rows, which are read back
-    with {!load_stream}. [retry] (an in-process retry, whose world the
-    crashed attempt dirtied) marks every block unchecked, so a later
-    resume re-runs the shard instead of comparing against it. [obs]
-    defaults to {!Obs.Recorder.null}. *)
-
-val checked : string -> bool
-(** Whether a day block is one a clean re-run must reproduce: [false]
-    for the marked blocks of an in-process retry or an abandoned shard.
-    The [checked] predicate every campaign stream opens with. *)
+    with {!load_stream}. An exception from a probe or from [progress]
+    propagates, leaving the stream unsealed for a resume to re-run.
+    [obs] defaults to {!Obs.Recorder.null}. *)
 
 val csv_header : string
 
@@ -83,21 +79,6 @@ val load : string -> (t, string) result
     a (domain, day) that is missing or repeated — a file that
     contradicts its own metadata is reported, not silently repaired. *)
 
-val stream_day : Stream_sink.stream -> day:int -> rows:day_record option array -> unit
-(** Append one day's unchecked block (rows in member order; [None] =
-    absent that day) to a stream. Exposed for {!Parallel_campaign},
-    whose abandoned-shard path must emit degraded rows without a probe
-    in hand. *)
-
-val stream_finish :
-  Stream_sink.stream ->
-  trusted:(string -> bool) ->
-  funnel:Faults.Funnel.t ->
-  domains:Simnet.World.domain array ->
-  unit
-(** Write the end-of-stream trailer ([trusted] is consulted per domain
-    name; [funnel] is the stream's loss funnel) and seal the spool. *)
-
 val trailer_funnel : string -> (Faults.Funnel.t, string) result
 (** The loss funnel a stream's trailer carries: what a kept stream
     contributes to the campaign's funnel without probing. *)
@@ -105,7 +86,9 @@ val trailer_funnel : string -> (Faults.Funnel.t, string) result
 val load_stream : string -> (t, string) result
 (** Reassemble a campaign from the {!Stream_sink} directory a run
     wrote. Series are sorted by (rank, domain), the world's order, so
-    {!save} on the result is the campaign's CSV archive. Checked and
-    unchecked day blocks decode alike. An interrupted or damaged stream (spool without footer or
-    trailer, or a block that fails its tag) is an [Error] naming the
-    stream, never an exception; finish it by resuming the campaign. *)
+    {!save} on the result is the campaign's CSV archive. An interrupted
+    or damaged stream (spool without footer or trailer, or a block that
+    fails its tag) is an [Error] naming the stream, never an exception;
+    finish it by resuming the campaign. A day block this build would
+    not write (a day line other than [day=N], say) is an [Error] naming
+    the stream and the day. *)

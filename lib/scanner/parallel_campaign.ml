@@ -153,11 +153,10 @@ let shards ?(target = 128) world =
 
 let stream_name shard_id = Printf.sprintf "shard-%04d" shard_id
 
-let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?(supervise = Durable.Supervisor.default)
-    ?chaos ?(obs = Obs.Recorder.null) world ~days () =
+let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Recorder.null) world
+    ~days () =
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
-  let day0 = start / Simnet.Clock.day in
   let shard_arr = shards world in
   let n_shards = Array.length shard_arr in
   (* Loss telemetry: one private funnel per shard (written only by the
@@ -167,87 +166,30 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?(supervise = Durable.Sup
      queries from different workers are race-free and their answers
      independent of scheduling. *)
   let funnels = Array.init n_shards (fun _ -> Faults.Funnel.create ()) in
-  (* Telemetry mirrors the funnel discipline: each shard attempt records
-     into a private recorder (so a crashed attempt's partial counts die
-     with it), and successful shards merge into the caller's recorder
-     after the join, in shard order. Counters and histograms sum and
-     gauges max — commutative and associative — so the merged registry
-     is independent of worker count and scheduling. *)
+  (* Telemetry mirrors the funnel discipline: each shard records into a
+     private recorder, merged into the caller's recorder after the join,
+     in shard order. Counters and histograms sum and gauges max —
+     commutative and associative — so the merged registry is
+     independent of worker count and scheduling. *)
   let recorders = Array.make n_shards Obs.Recorder.null in
-  let open_stream (s : shard) =
-    Stream_sink.stream sink (stream_name s.shard_id) ~days ~checked:Daily_scan.checked
-  in
-  (* A kept stream's trailer carries the shard's loss funnel. One this
-     build cannot decode was not written by this run. *)
-  let kept_funnel (s : shard) trailer =
-    match Daily_scan.trailer_funnel trailer with
-    | Ok f -> f
-    | Error e -> Durable.Supervisor.mismatch "shard %d: kept stream: %s" s.shard_id e
-  in
-  (* A shard abandoned after exhausting its supervised restarts degrades
-     into ground truth minus measurements: its stream is sealed with
-     unchecked blocks in which its domains stay present on the days the
-     list carries them and every probe-derived field is empty (so the
-     log of an otherwise-successful campaign still loads), and the
-     funnel books two lost probes (default + DHE sweep) per present
-     domain-day under [Worker_crash] — so a degraded campaign is visible
-     in the §3-style loss table instead of silently thinner. *)
-  let abandon (s : shard) =
-    match open_stream s with
-    | Stream_sink.Kept trailer -> funnels.(s.shard_id) <- kept_funnel s trailer
-    | Stream_sink.Rerun stream ->
-        let f = Faults.Funnel.create () in
-        for day = 0 to days - 1 do
-          let rows =
-            Array.map
-              (fun d ->
-                if not (Simnet.World.in_list_on_day d ~day) then None
-                else begin
-                  (* Two lost probes: the default and the DHE sweep. *)
-                  for _ = 1 to 2 do
-                    Faults.Funnel.record_failure f ~day:(day0 + day) ~attempts:0
-                      Faults.Fault.Worker_crash
-                  done;
-                  Some
-                    {
-                      Daily_scan.day;
-                      present = true;
-                      default_ok = false;
-                      stek_id = None;
-                      ticket_hint = None;
-                      ecdhe_value = None;
-                      dhe_ok = false;
-                      dhe_value = None;
-                    }
-                end)
-              s.members
-          in
-          Daily_scan.stream_day stream ~day ~rows
-        done;
-        Daily_scan.stream_finish stream ~trusted:(fun _ -> false) ~funnel:f ~domains:s.members;
-        funnels.(s.shard_id) <- f
-  in
-  (* One supervised attempt at a shard. A stream the run log holds whole
-     is kept: its funnel comes from the trailer and nothing is probed
-     (shards are state-isolated by construction, so skipping one cannot
-     change another's results). Any other stream is scanned afresh with
+  (* One shard. A stream the run log holds whole is kept: its funnel
+     comes from the trailer and nothing is probed (shards are
+     state-isolated by construction, so skipping one cannot change
+     another's results); a trailer this build cannot decode was not
+     written by this run. Any other stream is scanned afresh with
      private clock and probes: the shard replays the standard daily
      sweep schedule without touching the world clock or any state
      outside its connectivity component. Seeds derive from the shard id,
-     so they are stable for a fixed world regardless of [jobs]. The
-     funnel is fresh per attempt so a crashed attempt's partial counts
-     are discarded with it.
-
-     The stream is reopened on every attempt, so a retry discards the
-     crashed attempt's partial rows. A retry runs against world state
-     the crashed attempt dirtied, so its blocks are marked unchecked: a
-     later process-level resume, which starts from a clean world,
-     re-scans that shard rather than comparing against them. *)
-  let attempt_shard (s : shard) attempt =
-    let shard_funnel = Faults.Funnel.create () in
+     so they are stable for a fixed world regardless of [jobs]. *)
+  let run_shard (s : shard) =
+    let shard_funnel = funnels.(s.shard_id) in
     let shard_obs = Obs.Recorder.fork obs in
-    (match open_stream s with
-    | Stream_sink.Kept trailer -> Faults.Funnel.absorb shard_funnel (kept_funnel s trailer)
+    recorders.(s.shard_id) <- shard_obs;
+    match Stream_sink.stream sink (stream_name s.shard_id) ~days with
+    | Stream_sink.Kept trailer -> (
+        match Daily_scan.trailer_funnel trailer with
+        | Ok f -> Faults.Funnel.absorb shard_funnel f
+        | Error e -> Stream_sink.mismatch "shard %d: kept stream: %s" s.shard_id e)
     | Stream_sink.Rerun stream ->
         let clock = Simnet.Clock.create ~start () in
         let default_probe =
@@ -259,34 +201,31 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?(supervise = Durable.Sup
             ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
         in
         let progress day =
-          (match chaos with Some c -> c ~shard:s.shard_id ~attempt ~day | None -> ());
+          (match chaos with Some c -> c ~shard:s.shard_id ~day | None -> ());
           match progress with Some p -> p ~shard:s.shard_id ~day | None -> ()
         in
         (* The shard span covers the shard's whole campaign on its private
-           clock — [days] virtual days of simulated duration, plus the
-           shard's host-clock cost when wall timing is on. *)
+           clock: [days] virtual days of simulated duration. *)
         Obs.Recorder.span shard_obs ~name:"campaign.shard"
           ~attrs:[ ("shard", string_of_int s.shard_id) ]
           ~now:(fun () -> Simnet.Clock.now clock)
           (fun () ->
-            Daily_scan.scan_stream ~sink:stream ~retry:(attempt > 0) ~obs:shard_obs ~clock
-              ~default_probe ~dhe_probe ~domains:s.members ~days ~progress ()));
-    (shard_funnel, shard_obs)
-  in
-  let run_shard (s : shard) =
-    let on_crash ~attempt e =
-      Printf.eprintf "campaign: shard %d crashed on attempt %d: %s\n%!" s.shard_id attempt
-        (Printexc.to_string e)
-    in
-    match Durable.Supervisor.supervised ~on_crash supervise ~attempt:(attempt_shard s) with
-    | Ok (shard_funnel, shard_obs) ->
-        funnels.(s.shard_id) <- shard_funnel;
-        recorders.(s.shard_id) <- shard_obs
-    | Error _ -> abandon s
+            Daily_scan.scan_stream ~sink:stream ~obs:shard_obs ~clock ~default_probe ~dhe_probe
+              ~domains:s.members ~days ~progress ())
   in
   (* Each slot of [funnels] and [recorders] is written only by the
-     worker that claimed that shard. *)
-  Pool.run ?jobs n_shards (fun i -> run_shard shard_arr.(i));
+     worker that claimed that shard. A shard that raises fails the run:
+     {!Pool.run} starts no further shard, joins the workers and re-raises,
+     and the shard's stream stays unsealed for a resume to re-run. A
+     [Mismatch] already names its stream; any other exception gets its
+     shard id on stderr first. *)
+  Pool.run ?jobs n_shards (fun i ->
+      let s = shard_arr.(i) in
+      try run_shard s with
+      | Stream_sink.Mismatch _ as e -> raise e
+      | e ->
+          Printf.eprintf "campaign: shard %d failed: %s\n%!" s.shard_id (Printexc.to_string e);
+          raise e);
   (* Funnel merge in shard order: commutative sums, but a fixed order
      keeps even intermediate states reproducible. *)
   Option.iter (fun f -> Array.iter (Faults.Funnel.absorb f) funnels) funnel;

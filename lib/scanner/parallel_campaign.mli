@@ -41,8 +41,7 @@ val run :
   ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   sink:Stream_sink.t ->
-  ?supervise:Durable.Supervisor.policy ->
-  ?chaos:(shard:int -> attempt:int -> day:int -> unit) ->
+  ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->
   days:int ->
@@ -57,19 +56,24 @@ val run :
     called from worker domains — keep it reentrant.
 
     Every shard writes its rows to its own stream of [sink]
-    (["shard-0007"], reopened on each attempt) as its days complete; no
-    shard holds rows in memory, and the campaign is read back with
-    {!Daily_scan.load_stream} (a run that wants only a CSV passes a
-    temporary sink, {!Stream_sink.with_sink}). The sink is also the
-    run's resume log, opened under {!Stream_sink.stream}'s rule: a
-    re-run into the same directory keeps every shard whose stream is
-    sealed for the whole run, without scanning it, and takes its funnel
-    from the stream's trailer (shards are state-isolated by
-    construction, so skipping one cannot change another's results);
-    every other shard is scanned from day 0, each day checked against
-    the block its stream recorded. Abandoned shards still seal their
-    streams with degraded (probe-less, unchecked) rows, so the log
-    loads whenever the campaign itself completed.
+    (["shard-0007"]) as its days complete; no shard holds rows in
+    memory, and the campaign is read back with {!Daily_scan.load_stream}
+    (a run that wants only a CSV passes a temporary sink,
+    {!Stream_sink.with_sink}). The sink is also the run's resume log,
+    opened under {!Stream_sink.stream}'s rule: a re-run into the same
+    directory keeps every shard whose stream is sealed for the whole
+    run, without scanning it, and takes its funnel from the stream's
+    trailer (shards are state-isolated by construction, so skipping one
+    cannot change another's results); every other shard is scanned from
+    day 0, each day checked against the block its stream recorded.
+
+    A shard that raises fails the run, as a killed process would: no
+    further shard starts, the workers are joined, the shard id goes to
+    stderr and the first exception is re-raised ({!Stream_sink.Mismatch}
+    as it is, naming its stream). The shard's stream stays unsealed, so
+    re-running into the same sink finishes the campaign under the
+    resume rule. [chaos] is a test hook called at the start of every
+    (shard, day) that is scanned; raising from it simulates a crash.
 
     [injector] (default: {!Faults.Profile.none}, which never fires) is
     shared across shards (its decisions are pure hashes,
@@ -78,21 +82,8 @@ val run :
     after the join in shard order — sums only, so totals are identical
     for any [jobs].
 
-    [supervise] (default
-    {!Durable.Supervisor.default}) bounds in-process restarts of a
-    raising shard; on exhaustion the shard is abandoned — its domains
-    keep their list-presence ground truth, probe-derived fields stay
-    empty, and the funnel records two {!Faults.Fault.Worker_crash}
-    losses per present domain-day. In-process retries (attempt > 0)
-    mark their blocks unchecked: a clean re-run cannot reproduce the
-    world state the crashed attempt dirtied, so a later resume re-runs
-    such a shard without comparing. [chaos] is a test
-    hook called at the start of every (shard, attempt, day); raising
-    from it simulates a worker crash.
-
     [obs] (default {!Obs.Recorder.null}) receives telemetry through
     shard-private recorders ({!Obs.Recorder.fork}) merged after the
     join in shard order; the merge laws (counters sum, gauges
-    max) make the merged metrics independent of [jobs]. A crashed
-    attempt's recorder is discarded with its funnel; each attempt wraps
-    its scan in a [campaign.shard] span. *)
+    max) make the merged metrics independent of [jobs]. Each scanned
+    shard wraps its scan in a [campaign.shard] span. *)

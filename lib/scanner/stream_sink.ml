@@ -26,14 +26,17 @@
    runs' spools never mix. [stream] applies the one resume rule: a
    sealed spool holding the whole run is kept untouched, and any other
    is re-run from day 0 with each re-emitted block compared against the
-   block recorded at its position, up to the first block the caller
-   marks unchecked. A re-run stream therefore ends byte-identical to an
-   uninterrupted run's, and, because stream names and day payloads
+   block recorded at its position. A re-run stream therefore ends
+   byte-identical to an uninterrupted run's, and, because stream names and day payloads
    depend only on the world and the shard partition, identical at any
    --jobs. *)
 
 let manifest_file = "manifest"
 let schema = "tlsharm-stream/4"
+
+exception Mismatch of string
+
+let mismatch fmt = Printf.ksprintf (fun s -> raise (Mismatch s)) fmt
 
 type t = { dir : string; rows : int Atomic.t }
 
@@ -41,7 +44,6 @@ type stream = {
   sink : t;
   name : string;
   spool : Durable.Spool.writer;
-  checked : string -> bool;
   mutable recorded : string list; (* recorded blocks not yet compared *)
   mutable index : int; (* blocks appended so far *)
   mutable finished : bool;
@@ -142,7 +144,7 @@ let dir t = t.dir
 
 type opened = Kept of string | Rerun of stream
 
-let stream t name ~days ~checked =
+let stream t name ~days =
   let path = spool_path t.dir name in
   match Durable.Spool.read path with
   | Ok (blocks, true) when List.length blocks = days + 1 -> Kept (List.nth blocks days)
@@ -153,7 +155,6 @@ let stream t name ~days ~checked =
           sink = t;
           name;
           spool = Durable.Spool.create path;
-          checked;
           recorded;
           index = 0;
           finished = false;
@@ -162,14 +163,14 @@ let stream t name ~days ~checked =
 let append_day stream ~rows payload =
   if stream.finished then invalid_arg "Stream_sink.append_day: stream already finished";
   (match stream.recorded with
-  | recorded :: rest when stream.checked recorded && stream.checked payload ->
+  | recorded :: rest ->
       if not (String.equal recorded payload) then
-        Durable.Supervisor.mismatch
+        mismatch
           "stream %S: re-run block %d diverges from the recorded one (different world, seed or \
            code?)"
           stream.name stream.index;
       stream.recorded <- rest
-  | _ -> stream.recorded <- []);
+  | [] -> ());
   Durable.Spool.add_block stream.spool payload;
   stream.index <- stream.index + 1;
   ignore (Atomic.fetch_and_add stream.sink.rows rows)

@@ -11,9 +11,11 @@
     rule resumes every stream in it ({!stream}): a sealed stream that
     holds the whole run is kept as it is, and any other stream is
     re-run from day 0, each re-emitted block checked against the block
-    the spool held at that position. The log's content is byte-identical
-    at any [--jobs] (stream names and payloads depend only on the world
-    and shard partition), and after a resume. *)
+    the spool held at that position. A stream whose writer raised
+    mid-run is never sealed, so the same rule finishes a crashed run as
+    a killed one. The log's content is byte-identical at any [--jobs]
+    (stream names and payloads depend only on the world and shard
+    partition), and after a resume. *)
 
 type t
 (** An open sink directory. *)
@@ -25,6 +27,15 @@ type stream
 val schema : string
 (** The manifest schema this build writes and reads
     (["tlsharm-stream/4"]). *)
+
+exception Mismatch of string
+(** A re-run diverged from the run log it resumes (another seed or
+    world, code drift, or a block this build would never write). It
+    aborts the run: the log is left as it was up to the diverging
+    stream, which stays unsealed. *)
+
+val mismatch : ('a, unit, string, 'b) format4 -> 'a
+(** [mismatch fmt …] raises {!Mismatch} with a formatted message. *)
 
 val create : dir:string -> manifest:(string * string) list -> (t, string) result
 (** Create [dir] if needed and write its manifest ([schema] is
@@ -52,18 +63,14 @@ type opened =
           its bytes are left untouched, and this is its trailer. *)
   | Rerun of stream  (** The spool was truncated; write every block again. *)
 
-val stream : t -> string -> days:int -> checked:(string -> bool) -> opened
-(** [stream t name ~days ~checked] opens the named row spool under the
-    resume rule. A spool that is sealed and holds exactly [days] day
-    blocks plus a trailer is [Kept]. Any other spool (missing, partial,
-    torn, damaged, or of another day count) is read for its valid block
-    prefix and truncated, and the stream is re-run from day 0: while
+val stream : t -> string -> days:int -> opened
+(** [stream t name ~days] opens the named row spool under the resume
+    rule. A spool that is sealed and holds exactly [days] day blocks
+    plus a trailer is [Kept]. Any other spool (missing, partial, torn,
+    damaged, or of another day count) is read for its valid block prefix
+    and truncated, and the stream is re-run from day 0: while
     {!append_day} re-emits block [i], it compares it with the [i]-th
-    recorded block and raises {!Durable.Supervisor.Mismatch} if they
-    differ. The comparison stops for good at the first position where
-    [checked] refuses the recorded or the re-emitted block: an
-    unchecked block is one a clean re-run cannot reproduce (an
-    in-process retry's, say). *)
+    recorded block and raises {!Mismatch} if they differ. *)
 
 val append_day : stream -> rows:int -> string -> unit
 (** Append one day-block payload, checked as {!stream} says; [rows]

@@ -30,11 +30,10 @@ type spec = {
   size : int; (* domains in the real Top Million *)
   pods : pod list;
   issue_ids : bool;
-  ticket : ticket option;
+  ticket : Profile.ticket option;
   stek_scope : [ `Operator | `Pod ];
   dhe_policy : Tls.Kex_cache.policy;
   ecdhe_policy : Tls.Kex_cache.policy;
-  kex_scope : [ `Pod ]; (* ephemeral caches always live on the terminator *)
   suites : T.cipher_suite list;
   restart_day : int option; (* scheduled process restart (kills kex caches) *)
   flagships : (string * int) list; (* named domains with fixed ranks *)
@@ -46,17 +45,6 @@ type spec = {
          are known to downgrade from some vantages ([`Inconsistent]). *)
 }
 
-and ticket = {
-  hint : int;
-  accept : int;
-  stek : Tls.Stek_manager.policy;
-  reissue : bool;
-}
-
-let minute = 60
-let hour = 3600
-let day = 86_400
-
 let ecdhe_static = [ T.ECDHE_ECDSA_AES128_SHA256; T.ECDH_ECDSA_AES128_SHA256 ]
 let full_suites = T.all_cipher_suites
 
@@ -67,13 +55,12 @@ let default_spec =
     op_name = "";
     asn = 0;
     size = 0;
-    pods = [ pod "main" 1.0 (Some (5 * minute)) ];
+    pods = [ pod "main" 1.0 (Some (5 * Clock.minute)) ];
     issue_ids = true;
     ticket = None;
     stek_scope = `Operator;
     dhe_policy = Tls.Kex_cache.Fresh_always;
     ecdhe_policy = Tls.Kex_cache.Fresh_always;
-    kex_scope = `Pod;
     suites = ecdhe_static;
     restart_day = None;
     flagships = [];
@@ -96,9 +83,9 @@ let all =
       asn = 13335;
       size = 62_176;
       pods =
-        [ pod "cache1" 0.60 (Some (5 * minute)); pod "cache2" 0.40 (Some (5 * minute)) ];
+        [ pod "cache1" 0.60 (Some (5 * Clock.minute)); pod "cache2" 0.40 (Some (5 * Clock.minute)) ];
       ticket =
-        Some { hint = 18 * hour; accept = 18 * hour; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = 18 * Clock.hour; accept = 18 * Clock.hour; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       stek_scope = `Operator;
     };
     (* Google / Alphabet: one STEK across essentially all properties
@@ -113,20 +100,20 @@ let all =
       size = 8_973;
       pods =
         [
-          pod "main" 0.52 (Some (30 * hour));
-          pod "blogspot1" 0.10 (Some (24 * hour));
-          pod "blogspot2" 0.09 (Some (18 * hour));
-          pod "blogspot3" 0.09 (Some (12 * hour));
-          pod "blogspot4" 0.08 (Some (8 * hour));
+          pod "main" 0.52 (Some (30 * Clock.hour));
+          pod "blogspot1" 0.10 (Some (24 * Clock.hour));
+          pod "blogspot2" 0.09 (Some (18 * Clock.hour));
+          pod "blogspot3" 0.09 (Some (12 * Clock.hour));
+          pod "blogspot4" 0.08 (Some (8 * Clock.hour));
           pod "blogspot5" 0.07 (Some (16_200 (* 4.5 h *)));
-          pod "ancillary" 0.05 (Some (5 * minute));
+          pod "ancillary" 0.05 (Some (5 * Clock.minute));
         ];
       ticket =
         Some
           {
-            hint = 28 * hour;
-            accept = 28 * hour;
-            stek = rotate ~period:(14 * hour) ~window:(14 * hour);
+            hint = 28 * Clock.hour;
+            accept = 28 * Clock.hour;
+            stek = rotate ~period:(14 * Clock.hour) ~window:(14 * Clock.hour);
             reissue = true;
           };
       stek_scope = `Operator;
@@ -152,9 +139,9 @@ let all =
       op_name = "facebook";
       asn = 32934;
       size = 900;
-      pods = [ pod "cdn" 1.0 (Some (26 * hour)) ];
+      pods = [ pod "cdn" 1.0 (Some (26 * Clock.hour)) ];
       ticket =
-        Some { hint = day; accept = day; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = Clock.day; accept = Clock.day; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       flagships = [ ("facebook.com", 3); ("instagram.com", 17); ("fbcdn.net", 260) ];
     };
     (* Automattic (WordPress.com): two session-cache pods (Table 5:
@@ -164,9 +151,9 @@ let all =
       op_name = "automattic";
       asn = 2635;
       size = 4_182;
-      pods = [ pod "pool1" 0.55 (Some (1 * hour)); pod "pool2" 0.45 (Some (1 * hour)) ];
+      pods = [ pod "pool1" 0.55 (Some (1 * Clock.hour)); pod "pool2" 0.45 (Some (1 * Clock.hour)) ];
       ticket =
-        Some { hint = 1 * hour; accept = 1 * hour; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = 1 * Clock.hour; accept = 1 * Clock.hour; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       stek_scope = `Operator;
       flagships = [ ("wordpress.com", 33) ];
     };
@@ -177,8 +164,8 @@ let all =
       op_name = "tmall";
       asn = 37963;
       size = 3_305;
-      pods = [ pod "main" 1.0 (Some (5 * minute)) ];
-      ticket = Some { hint = 12 * hour; accept = 12 * hour; stek = Tls.Stek_manager.Static; reissue = true };
+      pods = [ pod "main" 1.0 (Some (5 * Clock.minute)) ];
+      ticket = Some { hint = 12 * Clock.hour; accept = 12 * Clock.hour; stek = Tls.Stek_manager.Static; reissue = true };
       flagships = [ ("tmall.hk", 2300) ];
     };
     (* Shopify: 593-domain session-cache group, 3,247-domain STEK group. *)
@@ -189,13 +176,13 @@ let all =
       size = 3_247;
       pods =
         [
-          pod "cache-main" 0.18 (Some (30 * minute));
-          pod "pool2" 0.28 (Some (10 * minute));
-          pod "pool3" 0.28 (Some (10 * minute));
-          pod "pool4" 0.26 (Some (10 * minute));
+          pod "cache-main" 0.18 (Some (30 * Clock.minute));
+          pod "pool2" 0.28 (Some (10 * Clock.minute));
+          pod "pool3" 0.28 (Some (10 * Clock.minute));
+          pod "pool4" 0.26 (Some (10 * Clock.minute));
         ];
       ticket =
-        Some { hint = 2 * hour; accept = 2 * hour; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = 2 * Clock.hour; accept = 2 * Clock.hour; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       stek_scope = `Operator;
       flagships = [ ("shopify.com", 720) ];
     };
@@ -208,7 +195,7 @@ let all =
       asn = 26496;
       size = 1_875;
       ticket =
-        Some { hint = 5 * minute; accept = 5 * minute; stek = rotate ~period:(3 * day) ~window:(6 * hour); reissue = true };
+        Some { hint = 5 * Clock.minute; accept = 5 * Clock.minute; stek = rotate ~period:(3 * Clock.day) ~window:(6 * Clock.hour); reissue = true };
       suites = full_suites;
       regional_note = `Inconsistent;
     };
@@ -220,7 +207,7 @@ let all =
       asn = 16509;
       size = 1_495;
       ticket =
-        Some { hint = 1 * hour; accept = 1 * hour; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = 1 * Clock.hour; accept = 1 * Clock.hour; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       flagships = [ ("amazon.com", 10) ];
     };
     (* Tumblr: three separate ~960-domain STEK groups (Table 6 #8-#10):
@@ -232,12 +219,12 @@ let all =
       size = 2_890;
       pods =
         [
-          pod "pool1" 0.34 (Some (10 * minute));
-          pod "pool2" 0.33 (Some (10 * minute));
-          pod "pool3" 0.33 (Some (10 * minute));
+          pod "pool1" 0.34 (Some (10 * Clock.minute));
+          pod "pool2" 0.33 (Some (10 * Clock.minute));
+          pod "pool3" 0.33 (Some (10 * Clock.minute));
         ];
       ticket =
-        Some { hint = 30 * minute; accept = 30 * minute; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
+        Some { hint = 30 * Clock.minute; accept = 30 * Clock.minute; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
       stek_scope = `Pod;
       flagships = [ ("tumblr.com", 37) ];
     };
@@ -249,8 +236,8 @@ let all =
       op_name = "fastly";
       asn = 54113;
       size = 950;
-      pods = [ pod "edge" 1.0 (Some (5 * minute)) ];
-      ticket = Some { hint = 1 * hour; accept = 1 * hour; stek = Tls.Stek_manager.Static; reissue = true };
+      pods = [ pod "edge" 1.0 (Some (5 * Clock.minute)) ];
+      ticket = Some { hint = 1 * Clock.hour; accept = 1 * Clock.hour; stek = Tls.Stek_manager.Static; reissue = true };
       flagships = [ ("foursquare.com", 1900); ("www.gov.uk", 2600); ("aclu.org", 31_000) ];
     };
     (* Jack Henry & Associates: 79 bank and credit-union domains that
@@ -261,9 +248,9 @@ let all =
       op_name = "jackhenry";
       asn = 20340;
       size = 79;
-      pods = [ pod "banking" 1.0 (Some (5 * minute)) ];
+      pods = [ pod "banking" 1.0 (Some (5 * Clock.minute)) ];
       ticket =
-        Some { hint = 10 * minute; accept = 10 * minute; stek = Tls.Stek_manager.Scheduled [ 59 * day ]; reissue = true };
+        Some { hint = 10 * Clock.minute; accept = 10 * Clock.minute; stek = Tls.Stek_manager.Scheduled [ 59 * Clock.day ]; reissue = true };
       suites = full_suites;
     };
     (* SquareSpace: the largest Diffie-Hellman service group (1,627
@@ -274,9 +261,9 @@ let all =
       asn = 53831;
       size = 1_627;
       ticket =
-        Some { hint = 3 * minute; accept = 3 * minute; stek = rotate ~period:day ~window:(2 * hour); reissue = true };
-      dhe_policy = Tls.Kex_cache.Reuse_for (12 * hour);
-      ecdhe_policy = Tls.Kex_cache.Reuse_for (12 * hour);
+        Some { hint = 3 * Clock.minute; accept = 3 * Clock.minute; stek = rotate ~period:Clock.day ~window:(2 * Clock.hour); reissue = true };
+      dhe_policy = Tls.Kex_cache.Reuse_for (12 * Clock.hour);
+      ecdhe_policy = Tls.Kex_cache.Reuse_for (12 * Clock.hour);
       suites = full_suites;
     };
     (* LiveJournal: 1,330-domain DH group. *)
@@ -285,8 +272,8 @@ let all =
       op_name = "livejournal";
       asn = 26853;
       size = 1_330;
-      dhe_policy = Tls.Kex_cache.Reuse_for day;
-      ecdhe_policy = Tls.Kex_cache.Reuse_for day;
+      dhe_policy = Tls.Kex_cache.Reuse_for Clock.day;
+      ecdhe_policy = Tls.Kex_cache.Reuse_for Clock.day;
       suites = full_suites;
       flagships = [ ("livejournal.com", 160) ];
     };
@@ -317,8 +304,8 @@ let all =
       op_name = "distil";
       asn = 203959;
       size = 174;
-      dhe_policy = Tls.Kex_cache.Reuse_for (6 * hour);
-      ecdhe_policy = Tls.Kex_cache.Reuse_for (6 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (6 * Clock.hour);
+      ecdhe_policy = Tls.Kex_cache.Reuse_for (6 * Clock.hour);
       suites = full_suites;
     };
     {
@@ -326,7 +313,7 @@ let all =
       op_name = "atypon";
       asn = 22753;
       size = 167;
-      dhe_policy = Tls.Kex_cache.Reuse_for (12 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (12 * Clock.hour);
       suites = full_suites;
     };
     {
@@ -343,7 +330,7 @@ let all =
       op_name = "line";
       asn = 38631;
       size = 114;
-      dhe_policy = Tls.Kex_cache.Reuse_for (3 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (3 * Clock.hour);
       suites = full_suites;
       flagships = [ ("line.me", 340) ];
     };
@@ -352,7 +339,7 @@ let all =
       op_name = "digitalinsight";
       asn = 20060;
       size = 98;
-      dhe_policy = Tls.Kex_cache.Reuse_for (8 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (8 * Clock.hour);
       suites = full_suites;
     };
     (* EdgeCast's regional PoPs ran heterogeneous terminator builds. *)
@@ -361,7 +348,7 @@ let all =
       op_name = "edgecast";
       asn = 15133;
       size = 75;
-      dhe_policy = Tls.Kex_cache.Reuse_for (2 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (2 * Clock.hour);
       suites = full_suites;
       regional_note = `Inconsistent;
     };
@@ -373,10 +360,8 @@ let all =
       op_name = "hostway";
       asn = 20401;
       size = 137;
-      dhe_policy = Tls.Kex_cache.Reuse_for (12 * hour);
+      dhe_policy = Tls.Kex_cache.Reuse_for (12 * Clock.hour);
       suites = full_suites;
       regional_note = `Inconsistent;
     };
   ]
-
-let total_size = List.fold_left (fun acc s -> acc + s.size) 0 all

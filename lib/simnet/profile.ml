@@ -47,10 +47,6 @@ type t = {
   misconfig : misconfig;
 }
 
-let minute = 60
-let hour = 3600
-let day = 86_400
-
 let well_configured = { weak_dh = None; static_only = false; stale_order = false }
 
 (* One additive severity scale for combined-harm ranking: export-grade DH
@@ -177,16 +173,16 @@ let sample_session_id rng =
       let lifetime =
         Crypto.Rng.weighted rng
           [
-            (0.10, 3 * minute);
-            (0.53, 5 * minute) (* Apache / Nginx default *);
-            (0.04, 10 * minute);
-            (0.07, 30 * minute);
-            (0.09, 1 * hour);
-            (0.04, 4 * hour);
-            (0.09, 10 * hour) (* IIS default *);
-            (0.02, 18 * hour);
-            (0.014, 24 * hour);
-            (0.006, 48 * hour);
+            (0.10, 3 * Clock.minute);
+            (0.53, 5 * Clock.minute) (* Apache / Nginx default *);
+            (0.04, 10 * Clock.minute);
+            (0.07, 30 * Clock.minute);
+            (0.09, 1 * Clock.hour);
+            (0.04, 4 * Clock.hour);
+            (0.09, 10 * Clock.hour) (* IIS default *);
+            (0.02, 18 * Clock.hour);
+            (0.014, 24 * Clock.hour);
+            (0.006, 48 * Clock.hour);
           ]
       in
       (true, Some lifetime)
@@ -202,13 +198,13 @@ let sample_stek rng =
   Crypto.Rng.weighted rng
     [
       (* Modern deployments with real rotation. *)
-      (0.28, `Rotate (day, 2 * hour));
-      (0.05, `Rotate (12 * hour, 2 * hour));
+      (0.28, `Rotate (Clock.day, 2 * Clock.hour));
+      (0.05, `Rotate (12 * Clock.hour, 2 * Clock.hour));
       (* Process-lifetime STEKs; the paired value is the restart period. *)
-      (0.20, `Per_process (1 * day));
-      (0.13, `Per_process (3 * day));
-      (0.18, `Per_process (10 * day));
-      (0.06, `Per_process (45 * day));
+      (0.20, `Per_process (1 * Clock.day));
+      (0.13, `Per_process (3 * Clock.day));
+      (0.18, `Per_process (10 * Clock.day));
+      (0.06, `Per_process (45 * Clock.day));
       (* Static key file, synchronized across servers, never rotated. *)
       (0.10, `Static);
     ]
@@ -225,14 +221,14 @@ let sample_ticket rng ~stek =
     let accept =
       Crypto.Rng.weighted rng
         [
-          (0.84, 3 * minute) (* Apache / Nginx default *);
-          (0.04, 5 * minute);
-          (0.02, 10 * minute);
-          (0.02, 30 * minute);
-          (0.04, 1 * hour);
-          (0.015, 4 * hour);
-          (0.015, 10 * hour);
-          (0.01, 24 * hour);
+          (0.84, 3 * Clock.minute) (* Apache / Nginx default *);
+          (0.04, 5 * Clock.minute);
+          (0.02, 10 * Clock.minute);
+          (0.02, 30 * Clock.minute);
+          (0.04, 1 * Clock.hour);
+          (0.015, 4 * Clock.hour);
+          (0.015, 10 * Clock.hour);
+          (0.01, 24 * Clock.hour);
         ]
     in
     let hint = if Crypto.Rng.bool rng ~p:0.04 then 0 else accept in
@@ -261,10 +257,10 @@ let sample_dhe_policy rng =
   Crypto.Rng.weighted rng
     [
       (0.918, (Tls.Kex_cache.Fresh_always, `No_pref));
-      (0.020, (Tls.Kex_cache.Reuse_for (1 * hour), `No_pref));
-      (0.030, (Tls.Kex_cache.Reuse_for (12 * hour), `No_pref));
-      (0.010, (Tls.Kex_cache.Reuse_forever, `Mean (2 * day)));
-      (0.014, (Tls.Kex_cache.Reuse_forever, `Mean (14 * day)));
+      (0.020, (Tls.Kex_cache.Reuse_for (1 * Clock.hour), `No_pref));
+      (0.030, (Tls.Kex_cache.Reuse_for (12 * Clock.hour), `No_pref));
+      (0.010, (Tls.Kex_cache.Reuse_forever, `Mean (2 * Clock.day)));
+      (0.014, (Tls.Kex_cache.Reuse_forever, `Mean (14 * Clock.day)));
       (0.008, (Tls.Kex_cache.Reuse_forever, `Never));
     ]
 
@@ -272,10 +268,10 @@ let sample_ecdhe_policy rng =
   Crypto.Rng.weighted rng
     [
       (0.836, (Tls.Kex_cache.Fresh_always, `No_pref));
-      (0.060, (Tls.Kex_cache.Reuse_for (30 * minute), `No_pref));
-      (0.055, (Tls.Kex_cache.Reuse_for (6 * hour), `No_pref));
-      (0.015, (Tls.Kex_cache.Reuse_forever, `Mean (2 * day)));
-      (0.022, (Tls.Kex_cache.Reuse_forever, `Mean (20 * day)));
+      (0.060, (Tls.Kex_cache.Reuse_for (30 * Clock.minute), `No_pref));
+      (0.055, (Tls.Kex_cache.Reuse_for (6 * Clock.hour), `No_pref));
+      (0.015, (Tls.Kex_cache.Reuse_forever, `Mean (2 * Clock.day)));
+      (0.022, (Tls.Kex_cache.Reuse_forever, `Mean (20 * Clock.day)));
       (0.012, (Tls.Kex_cache.Reuse_forever, `Never));
     ]
 
@@ -310,7 +306,7 @@ let sample_tail rng =
       | `Never -> None
       | `Mean m -> Some m
       | `No_pref -> (
-          match stek with `Per_process mean -> Some mean | `Rotate _ | `Static -> Some (90 * day))
+          match stek with `Per_process mean -> Some mean | `Rotate _ | `Static -> Some (90 * Clock.day))
     in
     {
       https = true;

@@ -463,7 +463,7 @@ let build_operators b ~scale =
             in
             (* Spec schedules are relative to campaign start. *)
             let policy =
-              match tc.Operators.stek with
+              match tc.Profile.stek with
               | Tls.Stek_manager.Scheduled rel -> Tls.Stek_manager.Scheduled (List.map (fun s -> lead + s) rel)
               | p -> p
             in
@@ -483,7 +483,7 @@ let build_operators b ~scale =
           b_issue_ids = spec.Operators.issue_ids;
           b_ticket =
             Option.map
-              (fun tc -> (tc.Operators.hint, tc.Operators.accept, tc.Operators.reissue))
+              (fun tc -> (tc.Profile.hint, tc.Profile.accept, tc.Profile.reissue))
               spec.Operators.ticket;
         }
       in
@@ -579,9 +579,9 @@ let build_mail_hosts b =
                           Tls.Config.stek_manager =
                             Option.get
                               (match slot.sl_stek with Some m -> Some m | None -> Some manager);
-                          lifetime_hint = tc.Operators.hint;
-                          accept_lifetime = tc.Operators.accept;
-                          reissue_on_resumption = tc.Operators.reissue;
+                          lifetime_hint = tc.Profile.hint;
+                          accept_lifetime = tc.Profile.accept;
+                          reissue_on_resumption = tc.Profile.reissue;
                         };
                     kex_cache = slot.sl_kex;
                     cert_chain = chain;

@@ -1,0 +1,50 @@
+(** TLS handshake messages (RFC 5246 section 7.4 subset) and their wire
+    codec: one-byte message type, three-byte length, then the body. The
+    serialized messages are what the transcript hash covers, so both
+    engines treat these bytes as canonical. *)
+
+type client_hello = {
+  ch_version : Types.version;
+  ch_random : string;  (** 32 bytes *)
+  ch_session_id : string;  (** 0..32 bytes; non-empty offers ID resumption *)
+  ch_cipher_suites : int list;  (** raw code points, preserving unknown offers *)
+  ch_extensions : Extension.t list;
+}
+
+type server_hello = {
+  sh_version : Types.version;
+  sh_random : string;
+  sh_session_id : string;
+  sh_cipher_suite : Types.cipher_suite;
+  sh_extensions : Extension.t list;
+}
+
+(** ServerKeyExchange parameters: DHE carries the group explicitly like
+    real TLS; ECDHE names the curve. *)
+type ske_params =
+  | Ske_dhe of { dh_p : string; dh_g : string; dh_ys : string }
+  | Ske_ecdhe of { curve_id : int; point : string }
+
+type server_key_exchange = { ske_params : ske_params; ske_signature : string }
+type new_session_ticket = { nst_lifetime_hint : int;  (** seconds *) nst_ticket : string }
+
+type t =
+  | Client_hello of client_hello
+  | Server_hello of server_hello
+  | Certificate of string list  (** encoded certificates, leaf first *)
+  | Server_key_exchange of server_key_exchange
+  | Server_hello_done
+  | Client_key_exchange of string  (** client public value, kex-specific *)
+  | New_session_ticket of new_session_ticket
+  | Finished of string  (** 12-byte verify_data *)
+
+val message_name : t -> string
+(** ["ClientHello"], ["ServerHello"], … *)
+
+val to_bytes : t -> string
+
+val of_bytes : string -> (t, string) result
+(** Exactly one message; trailing bytes are an [Error]. *)
+
+val read_all : string -> (t list, string) result
+(** A concatenated sequence of messages (one flight). *)

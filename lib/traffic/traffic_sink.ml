@@ -2,8 +2,7 @@
 
 let stream_name shard = Printf.sprintf "users-%04d" shard
 
-let stream t shard ~days =
-  Scanner.Stream_sink.stream t (stream_name shard) ~days ~checked:(fun _ -> true)
+let stream t shard ~days = Scanner.Stream_sink.stream t (stream_name shard) ~days
 
 let append_day s ~day rows =
   Scanner.Stream_sink.append_day s ~rows:(List.length rows) (Row.day_payload ~day rows)

@@ -10,9 +10,7 @@
     traffic run byte-identical to an uninterrupted one. *)
 
 val stream : Scanner.Stream_sink.t -> int -> days:int -> Scanner.Stream_sink.opened
-(** Open shard [i]'s spool under the resume rule for a [days]-day run.
-    Every traffic block is checked: a traffic shard has no in-process
-    retry. *)
+(** Open shard [i]'s spool under the resume rule for a [days]-day run. *)
 
 val append_day : Scanner.Stream_sink.stream -> day:int -> Row.t list -> unit
 

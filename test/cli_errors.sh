@@ -185,6 +185,48 @@ one_line "tlsharm-stream/3 resume refusal" "$exe" resume "$v3"
 }
 rm -rf "$v3"
 
+# Earlier builds retried a raising shard in process and marked the
+# retry's day blocks "day=N unchecked". This build writes no such block
+# and reads none: analyze refuses a sealed log holding one in one line
+# naming the stream, and leaves it as it was; resume of an unsealed one
+# is a resume mismatch. frame_spool OUT BLOCK... frames payload files
+# the way the spool writer does (byte count and SHA-256 tag per block);
+# with -open it leaves off the footer, as a run cut short does.
+frame_spool() {
+  footer=1
+  if [ "$1" = -open ]; then footer=0; shift; fi
+  out="$1"
+  shift
+  {
+    printf '#tlsharm-spool v3\n'
+    i=0
+    for b in "$@"; do
+      printf '#block %d bytes=%d tag=%s\n' "$i" "$(wc -c <"$b")" "$(sha256sum "$b" | cut -c1-16)"
+      cat "$b"
+      i=$((i + 1))
+    done
+    [ "$footer" = 0 ] || printf '#spool-end blocks=%d\n' "$i"
+  } >"$out"
+}
+marked=$(mktemp -d /tmp/tlsharm-marked-XXXXXX)
+parts=$(mktemp -d /tmp/tlsharm-parts-XXXXXX)
+"$exe" campaign --domains 1500 --days 1 --stream-out "$marked" >/dev/null
+awk -v d="$parts" '/^#tlsharm-spool |^#spool-end /{next} /^#block /{n++; next} {print > (d "/b" n)}' \
+  "$marked/rows-shard-0000"
+sed -i '1s/^day=0$/day=0 unchecked/' "$parts/b1"
+frame_spool "$marked/rows-shard-0000" "$parts/b1" "$parts/b2"
+before=$(cat "$marked"/* | sha256sum)
+check "analyze of a marked day block" 'stream "shard-0000", day 0' "$exe" analyze "$marked"
+one_line "marked day block refusal" "$exe" analyze "$marked"
+[ "$(cat "$marked"/* | sha256sum)" = "$before" ] || {
+  echo "FAIL: analyze changed a run log holding a marked day block"
+  fails=$((fails + 1))
+}
+frame_spool -open "$marked/rows-shard-0000" "$parts/b1"
+check "resume of an unsealed marked day block" "resume mismatch" "$exe" resume "$marked"
+one_line "unsealed marked day block refusal" "$exe" resume "$marked"
+rm -rf "$marked" "$parts"
+
 # Unknown experiment ids are refused before any world is built or any
 # table printed: one line, even after a valid id.
 check "unknown experiment id" 'unknown experiment "nope"' \

@@ -11,6 +11,8 @@
 #   - writes a bare `x` (not after a `.`) and opens Foo: `open ...Foo`,
 #     `let open ...Foo in` or `...Foo.(`, directly or through an alias.
 # Comments and string literals are blanked before any of this.
+# It also fails on any lib/**/*.ml without a sibling .mli: such a module
+# exports every top-level value, and the check above never sees it.
 # Directories named exports_fixture hold the check's own test input and
 # are skipped.
 # Usage: exports.sh ROOT
@@ -147,8 +149,21 @@ unused=$(
       return toupper(substr(t, 1, 1)) substr(t, 2)
     }' root="$root" $files
 )
+no_mli=
+if [ -d "$root/lib" ]; then
+  no_mli=$(find "$root/lib" -type f -name '*.ml' | sort | while read -r ml; do
+    [ -f "${ml}i" ] || echo "${ml#"$root"/}: no .mli"
+  done)
+fi
+status=0
+if [ -n "$no_mli" ]; then
+  printf '%s\n' "$no_mli"
+  echo "exports.sh: $(printf '%s\n' "$no_mli" | wc -l) library modules have no interface"
+  status=1
+fi
 if [ -n "$unused" ]; then
   printf '%s\n' "$unused"
   echo "exports.sh: $(printf '%s\n' "$unused" | wc -l) exported values have no caller outside their module"
-  exit 1
+  status=1
 fi
+exit "$status"

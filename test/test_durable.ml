@@ -365,14 +365,13 @@ let test_checkpoint_valid_prefix () =
       let path = Filename.concat (Filename.concat dir "run") "rows-shard-0000" in
       let days = 4 in
       let payload day = Printf.sprintf "payload for day %d" day in
-      let checked b = not (String.starts_with ~prefix:"unchecked" b) in
       let record blocks =
         let w = Durable.Spool.create path in
         List.iter (Durable.Spool.add_block w) blocks;
         Durable.Spool.close w
       in
       let rerun () =
-        match Scanner.Stream_sink.stream sink "shard-0000" ~days ~checked with
+        match Scanner.Stream_sink.stream sink "shard-0000" ~days with
         | Scanner.Stream_sink.Rerun s -> s
         | Scanner.Stream_sink.Kept _ -> Alcotest.fail "only a sealed whole run is kept"
       in
@@ -386,7 +385,7 @@ let test_checkpoint_valid_prefix () =
             done;
             match Scanner.Stream_sink.append_day s ~rows:0 "diverged" with
             | () -> false
-            | exception Durable.Supervisor.Mismatch _ -> true)
+            | exception Scanner.Stream_sink.Mismatch _ -> true)
           (List.init days Fun.id)
       in
       let no_spool () = if Sys.file_exists path then Sys.remove path in
@@ -396,93 +395,25 @@ let test_checkpoint_valid_prefix () =
       (* The whole run sealed with its trailer is kept, bytes untouched. *)
       record (List.init days payload @ [ "trailer" ]);
       let sealed = slurp path in
-      (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~checked with
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days with
       | Scanner.Stream_sink.Kept trailer -> Alcotest.(check string) "trailer handed back" "trailer" trailer
       | Scanner.Stream_sink.Rerun _ -> Alcotest.fail "a sealed whole run must be kept");
       Alcotest.(check string) "kept spool untouched" sealed (slurp path);
       (* The same spool under another day count is re-run, and opening
          it truncated the spool. *)
-      (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) ~checked with
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) with
       | Scanner.Stream_sink.Rerun _ -> ()
       | Scanner.Stream_sink.Kept _ -> Alcotest.fail "another day count must re-run");
       Alcotest.(check (option (pair (list string) bool)))
         "opening the stream truncated the spool"
         (Some ([], false))
         (Result.to_option (Durable.Spool.read path));
-      (* An unchecked recorded block ends the checked prefix... *)
-      Alcotest.(check (list int)) "unchecked recorded block" [ 0 ]
-        (checked_prefix (fun () ->
-             record (payload 0 :: "unchecked day 1" :: List.init 2 (fun i -> payload (i + 2)))));
-      (* ...and so does an unchecked re-emitted one, for good. *)
-      record (List.init days payload);
-      let s = rerun () in
-      Scanner.Stream_sink.append_day s ~rows:0 "unchecked day 0";
-      Scanner.Stream_sink.append_day s ~rows:0 "diverged";
       (* Damaging day 1 ends the prefix there even though days 2-3 are
          intact. *)
       Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ]
         (checked_prefix (fun () ->
              record (List.init days payload);
              flip_byte path ~pos:(block_payload_start (slurp path) ~block:1))))
-
-(* --- Supervisor ---------------------------------------------------------------- *)
-
-let test_supervisor_first_try () =
-  let crashes = ref 0 in
-  match
-    Durable.Supervisor.supervised
-      ~on_crash:(fun ~attempt:_ _ -> incr crashes)
-      Durable.Supervisor.default ~attempt:(fun a -> a * 10)
-  with
-  | Ok 0 -> Alcotest.(check int) "no crashes" 0 !crashes
-  | Ok _ -> Alcotest.fail "first attempt is attempt 0"
-  | Error _ -> Alcotest.fail "must succeed"
-
-let test_supervisor_retries_then_succeeds () =
-  let seen = ref [] in
-  match
-    Durable.Supervisor.supervised
-      ~on_crash:(fun ~attempt e -> seen := (attempt, Printexc.to_string e) :: !seen)
-      { Durable.Supervisor.max_restarts = 2 }
-      ~attempt:(fun a -> if a < 2 then failwith "flaky" else a)
-  with
-  | Ok 2 ->
-      Alcotest.(check (list int)) "crashed on attempts 0 and 1" [ 0; 1 ]
-        (List.rev_map fst !seen)
-  | Ok _ -> Alcotest.fail "succeeds on attempt 2"
-  | Error _ -> Alcotest.fail "two restarts cover two failures"
-
-let test_supervisor_exhaustion () =
-  let attempts = ref 0 in
-  match
-    Durable.Supervisor.supervised { Durable.Supervisor.max_restarts = 2 }
-      ~attempt:(fun _ ->
-        incr attempts;
-        failwith "always down")
-  with
-  | Error (Failure _) -> Alcotest.(check int) "three attempts total" 3 !attempts
-  | Error _ -> Alcotest.fail "last exception is returned"
-  | Ok _ -> Alcotest.fail "must exhaust"
-
-let test_supervisor_reraises_kill_and_mismatch () =
-  let attempts = ref 0 in
-  (try
-     ignore
-       (Durable.Supervisor.supervised Durable.Supervisor.default ~attempt:(fun _ ->
-            incr attempts;
-            raise Durable.Supervisor.Killed));
-     Alcotest.fail "Killed must escape the supervisor"
-   with Durable.Supervisor.Killed -> ());
-  Alcotest.(check int) "a kill is not retried" 1 !attempts;
-  attempts := 0;
-  (try
-     ignore
-       (Durable.Supervisor.supervised Durable.Supervisor.default ~attempt:(fun _ ->
-            incr attempts;
-            Durable.Supervisor.mismatch "divergence"));
-     Alcotest.fail "Mismatch must escape the supervisor"
-   with Durable.Supervisor.Mismatch _ -> ());
-  Alcotest.(check int) "a mismatch is not retried" 1 !attempts
 
 (* --- Serialization properties --------------------------------------------------
    The day-block state codec is exercised end-to-end by the resume
@@ -547,9 +478,10 @@ let test_drbg_restore_rejects_bad_state () =
 
    A one-worker campaign scans shard 0 first. Simulated kill: the chaos
    hook fires at the start of shard 0's day k, after its days 0..k-1
-   were appended to the stream — raising {!Durable.Supervisor.Killed}
-   there is a process death with exactly k recorded blocks in
-   "rows-shard-0000". *)
+   were appended to the stream — raising [Killed] there is a process
+   death with exactly k recorded blocks in "rows-shard-0000". *)
+
+exception Killed
 
 let serial_config =
   { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-serial" }
@@ -596,11 +528,10 @@ let recorded_blocks path =
 
 let kill_serial_after dir ~k =
   match
-    run_streamed dir ~chaos:(fun ~shard ~attempt:_ ~day ->
-        if shard = 0 && day = k then raise Durable.Supervisor.Killed)
+    run_streamed dir ~chaos:(fun ~shard ~day -> if shard = 0 && day = k then raise Killed)
   with
   | _ -> Alcotest.fail "the kill must fire"
-  | exception Durable.Supervisor.Killed -> ()
+  | exception Killed -> ()
 
 let test_serial_kill_resume_identity () =
   let reference = Lazy.force serial_reference in
@@ -657,7 +588,7 @@ let test_resume_wrong_world_mismatches () =
           dir
       with
       | _ -> Alcotest.fail "a different world must not resume"
-      | exception Durable.Supervisor.Mismatch _ -> ())
+      | exception Scanner.Stream_sink.Mismatch _ -> ())
 
 (* --- Parallel kill-and-resume ----------------------------------------------------- *)
 
@@ -675,12 +606,11 @@ let parallel_reference =
 let kill_parallel dir =
   match
     run_streamed ~config:parallel_config ~days:parallel_days
-      ~chaos:(fun ~shard ~attempt:_ ~day ->
-        if shard = 1 && day = 1 then raise Durable.Supervisor.Killed)
+      ~chaos:(fun ~shard ~day -> if shard = 1 && day = 1 then raise Killed)
       dir
   with
   | _ -> Alcotest.fail "the kill must fire"
-  | exception Durable.Supervisor.Killed -> ()
+  | exception Killed -> ()
 
 let test_parallel_kill_resume_identity () =
   let reference = Lazy.force parallel_reference in
@@ -696,34 +626,37 @@ let test_parallel_kill_resume_identity () =
       Alcotest.(check bool) "full restore with jobs=1 is byte-identical" true
         (String.equal (loaded_bytes dir) reference))
 
-(* Shard 1 crashes on attempt 0 and is killed during its in-process
-   retry: the spool then holds the retry's unchecked blocks, which end
-   the checked prefix, so the resume re-runs the shard afresh without a
-   [Mismatch] and converges on the clean archive. *)
-let test_retry_then_kill_resumes () =
+(* A shard that raises fails the run, at any worker count: nothing
+   retries it in process. Its stream stays unsealed, and a second run
+   into the same sink, without the fault, finishes the campaign under
+   the resume rule with the clean run's bytes. *)
+let test_raising_shard_fails_run () =
   let reference = Lazy.force parallel_reference in
-  with_temp_dir (fun dir ->
-      (match
-         run_streamed ~config:parallel_config ~days:parallel_days
-           ~chaos:(fun ~shard ~attempt ~day ->
-             if shard = 1 && day = 1 then
-               if attempt = 0 then failwith "injected worker crash"
-               else raise Durable.Supervisor.Killed)
-           dir
-       with
-      | _ -> Alcotest.fail "the kill must fire"
-      | exception Durable.Supervisor.Killed -> ());
-      let blocks, _ = recorded_blocks (Filename.concat dir "rows-shard-0001") in
-      Alcotest.(check (list bool)) "the retry's day 0 is recorded, unchecked" [ false ]
-        (List.map Scanner.Daily_scan.checked blocks);
-      run_streamed ~config:parallel_config ~days:parallel_days dir;
-      Alcotest.(check bool) "resume after a killed retry is byte-identical" true
-        (String.equal (loaded_bytes dir) reference))
+  List.iter
+    (fun jobs ->
+      with_temp_dir (fun dir ->
+          (match
+             run_streamed ~config:parallel_config ~days:parallel_days ~jobs
+               ~chaos:(fun ~shard ~day ->
+                 if shard = 1 && day = 1 then failwith "injected worker crash")
+               dir
+           with
+          | () -> Alcotest.failf "jobs=%d: the run must fail" jobs
+          | exception Failure _ -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: the raising shard's spool is unsealed" jobs)
+            false
+            (snd (recorded_blocks (Filename.concat dir "rows-shard-0001")));
+          run_streamed ~config:parallel_config ~days:parallel_days dir;
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: the re-run equals the clean archive" jobs)
+            true
+            (String.equal (loaded_bytes dir) reference)))
+    [ 1; 2 ]
 
-(* A fault-injected campaign (shard 0 abandoned, so one trailer books
-   worker-crash losses) run twice into one directory: the second run
-   keeps every shard, writes no row, and restores the same loss funnel
-   from the trailers. *)
+(* A fault-injected campaign run twice into one directory: the second
+   run keeps every shard, writes no row, and restores the same loss
+   funnel from the trailers. *)
 let test_kept_funnel_from_trailers () =
   with_temp_dir (fun dir ->
       let run () =
@@ -732,10 +665,7 @@ let test_kept_funnel_from_trailers () =
         let funnel = Faults.Funnel.create () in
         let sink = create_sink ~manifest:manifest_fixture dir in
         let obs = Obs.Recorder.create () in
-        Scanner.Parallel_campaign.run ~jobs:1 ~sink ~injector ~funnel ~obs
-          ~supervise:{ Durable.Supervisor.max_restarts = 0 }
-          ~chaos:(fun ~shard ~attempt:_ ~day:_ -> if shard = 0 then failwith "shard 0 always dies")
-          w ~days:2 ();
+        Scanner.Parallel_campaign.run ~jobs:1 ~sink ~injector ~funnel ~obs w ~days:2 ();
         ( funnel,
           Scanner.Stream_sink.rows_written sink,
           Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects" )
@@ -746,9 +676,7 @@ let test_kept_funnel_from_trailers () =
       Alcotest.(check (pair int int)) "the second run kept every shard" (0, 0)
         (second_rows, second_connects);
       let totals = Faults.Funnel.totals first in
-      Alcotest.(check bool) "faults and worker crashes were booked" true
-        (Faults.Funnel.lost totals > 0
-        && List.mem_assoc Faults.Fault.Worker_crash totals.Faults.Funnel.t_losses);
+      Alcotest.(check bool) "faults were booked" true (Faults.Funnel.lost totals > 0);
       Alcotest.(check bool) "funnel totals restored" true (totals = Faults.Funnel.totals second);
       Alcotest.(check (list string)) "funnel lines restored" (Faults.Funnel.to_lines first)
         (Faults.Funnel.to_lines second);
@@ -1019,86 +947,15 @@ let test_traffic_rerun_mismatches () =
       in
       (match
          run "durable-traffic"
-           ~chaos:(fun ~shard ~day -> if shard = 0 && day = 1 then raise Durable.Supervisor.Killed)
+           ~chaos:(fun ~shard ~day -> if shard = 0 && day = 1 then raise Killed)
        with
       | () -> Alcotest.fail "the kill must fire"
-      | exception Durable.Supervisor.Killed -> ());
+      | exception Killed -> ());
       Alcotest.(check int) "shard 0 recorded one day" 1
         (List.length (fst (recorded_blocks (Filename.concat dir "rows-users-0000"))));
       match run "other-world" with
       | () -> Alcotest.fail "another world must not re-run into this spool"
-      | exception Durable.Supervisor.Mismatch _ -> ())
-
-(* --- Worker supervision ------------------------------------------------------------ *)
-
-let test_supervised_retry_recovers () =
-  (* One crash at the very start of shard 0's first attempt: the retry
-     starts from pristine world state, so the campaign must equal an
-     uncrashed run exactly. *)
-  let run ~chaos () =
-    let w = Simnet.World.create ~config:parallel_config () in
-    Campaign_run.run ~jobs:1 ?chaos w ~days:2
-  in
-  let plain = run ~chaos:None () in
-  let crashed_once = ref false in
-  let chaotic =
-    run
-      ~chaos:
-        (Some
-           (fun ~shard ~attempt ~day ->
-             if shard = 0 && attempt = 0 && day = 0 then begin
-               crashed_once := true;
-               failwith "injected worker crash"
-             end))
-      ()
-  in
-  Alcotest.(check bool) "chaos fired" true !crashed_once;
-  Alcotest.(check bool) "retried shard converges with the clean run" true
-    (plain.Scanner.Daily_scan.series = chaotic.Scanner.Daily_scan.series)
-
-let test_abandoned_shard_degrades () =
-  let w = Simnet.World.create ~config:parallel_config () in
-  let shard0 = (Scanner.Parallel_campaign.shards w).(0) in
-  let days = 2 in
-  let expected_losses =
-    (* Two probes (default + DHE) booked per present domain-day. *)
-    2
-    * Array.fold_left
-        (fun acc d ->
-          let p = ref 0 in
-          for day = 0 to days - 1 do
-            if Simnet.World.in_list_on_day d ~day then incr p
-          done;
-          acc + !p)
-        0 shard0.Scanner.Parallel_campaign.members
-  in
-  let funnel = Faults.Funnel.create () in
-  let campaign =
-    Campaign_run.run ~jobs:1 ~funnel
-      ~supervise:{ Durable.Supervisor.max_restarts = 1 }
-      ~chaos:(fun ~shard ~attempt:_ ~day:_ -> if shard = 0 then failwith "shard 0 always dies")
-      w ~days
-  in
-  (* The campaign completes; shard 0's domains keep list-presence ground
-     truth but no probe-derived data. *)
-  let member0 = Simnet.World.domain_name shard0.Scanner.Parallel_campaign.members.(0) in
-  let series =
-    Array.to_list campaign.Scanner.Daily_scan.series
-    |> List.find (fun (s : Scanner.Daily_scan.domain_series) ->
-           String.equal s.Scanner.Daily_scan.domain member0)
-  in
-  Alcotest.(check bool) "abandoned domain never probed" true
-    (Array.for_all
-       (fun (r : Scanner.Daily_scan.day_record) ->
-         (not r.Scanner.Daily_scan.default_ok) && r.Scanner.Daily_scan.stek_id = None)
-       series.Scanner.Daily_scan.days);
-  let totals = Faults.Funnel.totals funnel in
-  Alcotest.(check (option int)) "losses booked under worker crash" (Some expected_losses)
-    (List.assoc_opt Faults.Fault.Worker_crash totals.Faults.Funnel.t_losses);
-  (* And the funnel report names them. *)
-  let report = Analysis.Funnel_report.render funnel in
-  Alcotest.(check bool) "report has a supervised-failures row" true
-    (contains report "supervised shard failures")
+      | exception Scanner.Stream_sink.Mismatch _ -> ())
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1131,14 +988,6 @@ let () =
           Alcotest.test_case "manifest roundtrip" `Quick test_checkpoint_manifest_roundtrip;
           Alcotest.test_case "attach errors" `Quick test_checkpoint_attach_errors;
           Alcotest.test_case "valid prefix" `Quick test_checkpoint_valid_prefix;
-        ] );
-      ( "supervisor",
-        [
-          Alcotest.test_case "first try" `Quick test_supervisor_first_try;
-          Alcotest.test_case "retries then succeeds" `Quick test_supervisor_retries_then_succeeds;
-          Alcotest.test_case "exhaustion" `Quick test_supervisor_exhaustion;
-          Alcotest.test_case "reraises kill and mismatch" `Quick
-            test_supervisor_reraises_kill_and_mismatch;
         ] );
       qsuite "serialization-properties"
         [ prop_funnel_lines_roundtrip; prop_drbg_state_roundtrip ];
@@ -1174,13 +1023,8 @@ let () =
             test_parallel_kill_resume_identity;
           Alcotest.test_case "streamed kill/resume byte identity" `Slow
             test_streamed_kill_resume_identity;
-          Alcotest.test_case "retry then kill resumes" `Slow test_retry_then_kill_resumes;
+          Alcotest.test_case "raising shard fails the run" `Slow test_raising_shard_fails_run;
           Alcotest.test_case "kept funnel from trailers" `Slow test_kept_funnel_from_trailers;
           Alcotest.test_case "traffic re-run mismatches" `Slow test_traffic_rerun_mismatches;
-        ] );
-      ( "supervision",
-        [
-          Alcotest.test_case "retry recovers" `Slow test_supervised_retry_recovers;
-          Alcotest.test_case "abandoned shard degrades" `Slow test_abandoned_shard_degrades;
         ] );
     ]

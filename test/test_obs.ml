@@ -185,7 +185,7 @@ let test_archive_bytes_unchanged_by_telemetry () =
     Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> read_file path)
   in
   let plain = run () in
-  let traced = run ~obs:(Obs.Recorder.create ~wall:true ()) () in
+  let traced = run ~obs:(Obs.Recorder.create ()) () in
   Alcotest.(check bool) "archive is non-empty" true (String.length plain > 0);
   Alcotest.(check bool) "telemetry on/off archives byte-identical" true
     (String.equal plain traced)

@@ -616,7 +616,7 @@ let test_stream_jobs_invariant () =
                 (String.equal (archive_bytes loaded) reference)))
 
 let rerun_stream sink name ~days =
-  match Scanner.Stream_sink.stream sink name ~days ~checked:(fun _ -> true) with
+  match Scanner.Stream_sink.stream sink name ~days with
   | Scanner.Stream_sink.Rerun s -> s
   | Scanner.Stream_sink.Kept _ -> Alcotest.fail "a fresh spool cannot be kept"
 
