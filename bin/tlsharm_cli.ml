@@ -411,34 +411,33 @@ let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
   let injector = Faults.Injector.create ~profile world in
   let funnel = Faults.Funnel.create () in
   let obs = recorder telemetry in
-  let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
   (* Every campaign writes its run log: into --stream-out's directory,
      which a killed run resumes from, or, for a CSV archive, into a
      temporary one the CSV is exported from. Rows are appended per
      completed day and never held in memory. *)
-  let dir = match output with `Stream dir -> Some dir | `Csv _ -> None in
   let domains = Array.length (Simnet.World.domains world) in
   let jobs_note = if jobs > 1 then Printf.sprintf " (%d jobs)" jobs else "" in
+  let kernel_before = Obs.Kernel.snapshot () in
   let* () =
-    Scanner.Stream_sink.with_sink ?dir
-      ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
-      (fun sink ->
-        let kernel_before = Obs.Kernel.snapshot () in
-        Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ~sink ~obs world ~days ();
-        write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
-        match output with
-        | `Stream dir ->
+    match output with
+    | `Stream dir ->
+        let start_day = Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day in
+        Scanner.Stream_sink.with_sink ~dir
+          ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
+          (fun sink ->
+            Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ~sink ~obs world ~days ();
+            write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
             Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
               domains dir
               (Scanner.Stream_sink.rows_written sink)
               jobs_note;
-            Ok ()
-        | `Csv out ->
-            let* t = Scanner.Daily_scan.load_stream (Scanner.Stream_sink.dir sink) in
-            Scanner.Daily_scan.save t out;
-            Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days domains out
-              jobs_note;
             Ok ())
+    | `Csv out ->
+        let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry ~funnel ~obs world ~days in
+        write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
+        Scanner.Daily_scan.save t out;
+        Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days domains out jobs_note;
+        Ok ()
   in
   if faults_enabled profile then
     print_string

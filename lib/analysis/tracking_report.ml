@@ -230,21 +230,29 @@ let of_sink ~dir =
     }
   in
   let* ids = Traffic.Traffic_sink.shard_ids ~dir in
-  match ids with
-  | [] -> Error (Printf.sprintf "%s holds no traffic streams" dir)
-  | first :: _ ->
-      let* _, (_, _, hosts) = Traffic.Traffic_sink.read_shard ~dir ~shard:first in
-      let acc = create ~meta ~hosts in
-      let* () =
-        List.fold_left
-          (fun st shard ->
-            let* () = st in
-            let* rows, _ = Traffic.Traffic_sink.read_shard ~dir ~shard in
-            List.iter (add acc) rows;
-            Ok ())
-          (Ok ()) ids
-      in
-      Ok (finalize acc)
+  (* The shards' user ranges must tile [0, users) in shard order, so a
+     log missing a stream is refused rather than read as a smaller
+     population. *)
+  let untiled fmt =
+    Printf.ksprintf (fun s -> Error (Printf.sprintf "%s: %s (a stream is missing)" dir s)) fmt
+  in
+  let* acc, covered =
+    List.fold_left
+      (fun st shard ->
+        let* acc, covered = st in
+        let* rows, (lo, hi, hosts) = Traffic.Traffic_sink.read_shard ~dir ~shard in
+        if lo <> covered then untiled "shard %d starts at user %d, not %d" shard lo covered
+        else
+          let acc = match acc with Some acc -> acc | None -> create ~meta ~hosts in
+          List.iter (add acc) rows;
+          Ok (Some acc, hi))
+      (Ok (None, 0)) ids
+  in
+  match acc with
+  | None -> Error (Printf.sprintf "%s holds no traffic streams" dir)
+  | Some _ when covered <> meta.users ->
+      untiled "the shards end at user %d, the manifest says %d users" covered meta.users
+  | Some acc -> Ok (finalize acc)
 
 (* --- Rendering ---------------------------------------------------------------- *)
 

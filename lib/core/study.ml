@@ -215,25 +215,13 @@ let campaign t =
       let now = Simnet.Clock.now clock in
       Simnet.Clock.set clock ((now / Simnet.Clock.day * Simnet.Clock.day) + Simnet.Clock.day);
       log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
-      let days = t.config.campaign_days in
-      (* The campaign writes its run log to a temporary directory and is
-         read back from it; the log goes when the campaign is loaded. *)
-      let manifest =
-        [
-          ("start_day", string_of_int (Simnet.Clock.now clock / Simnet.Clock.day));
-          ("n_days", string_of_int days);
-        ]
-      in
       let r =
-        Scanner.Stream_sink.with_sink ~manifest (fun sink ->
-            Scanner.Parallel_campaign.run ~jobs:t.config.jobs ~injector:t.injector
-              ~retry:t.config.retry ~funnel:t.funnel ~sink ~obs:t.config.obs t.world ~days
-              ~progress:(fun ~shard ~day ->
-                (* Shard 0, the heaviest, starts first: its days pace the run. *)
-                if shard = 0 then log t "study: campaign day %d" day)
-              ();
-            Scanner.Daily_scan.load_stream (Scanner.Stream_sink.dir sink))
-        |> Result.fold ~ok:Fun.id ~error:failwith
+        Scanner.Parallel_campaign.collect ~jobs:t.config.jobs ~injector:t.injector
+          ~retry:t.config.retry ~funnel:t.funnel ~obs:t.config.obs t.world
+          ~days:t.config.campaign_days
+          ~progress:(fun ~shard ~day ->
+            (* Shard 0, the heaviest, starts first: its days pace the run. *)
+            if shard = 0 then log t "study: campaign day %d" day)
       in
       t.campaign <- Some r;
       r

@@ -91,7 +91,7 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let with_writer path f =
+let write_framed ~sync path f =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   let committed = ref false in
@@ -111,13 +111,14 @@ let with_writer path f =
          and the reader strips it. *)
       output_string oc "\n";
       output_string oc (footer w);
-      fsync_channel oc;
+      if sync then fsync_channel oc;
       close_out oc;
       committed := true;
       Sys.rename tmp path;
-      fsync_dir (Filename.dirname path))
+      if sync then fsync_dir (Filename.dirname path))
 
-let write path content = with_writer path (fun w -> add w content)
+let with_writer path f = write_framed ~sync:true path f
+let write ?(sync = true) path content = write_framed ~sync path (fun w -> add w content)
 
 (* --- Reading ----------------------------------------------------------------- *)
 

@@ -25,10 +25,12 @@ val error_to_string : ?what:string -> error -> string
 (** One-line rendering suitable for CLI error messages; [what] names the
     file (defaults to ["file"]). *)
 
-val write : string -> string -> unit
+val write : ?sync:bool -> string -> string -> unit
 (** [write path content] atomically replaces [path] with a durable frame
     around [content]. On any failure the temp file is removed and the
-    original [path] is untouched. *)
+    original [path] is untouched. With [~sync:false] (default [true])
+    neither the file nor the rename is fsynced: for a file deleted with
+    the run that wrote it. *)
 
 type writer
 (** Incremental writer for large artifacts; obtained via {!with_writer}. *)

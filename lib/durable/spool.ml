@@ -24,7 +24,12 @@
 
    The version names the payloads as much as the frame: v2 blocks were
    drawn from HMAC-DRBG streams where v3 blocks come from the Rng, so a
-   v2 spool is refused by version rather than misread. *)
+   v2 spool is refused by version rather than misread.
+
+   A resumed writer ([create ~keep]) continues a spool after the valid
+   prefix [read] returned, cutting only what follows it. Only [close]
+   fsyncs, and only a writer created with [sync] (the default): a spool
+   of a log deleted at the end of its run is never synced. *)
 
 let version = 3
 let header = Printf.sprintf "#tlsharm-spool v%d" version
@@ -42,22 +47,32 @@ let error_to_string ~path = function
 
 type writer = {
   oc : out_channel;
+  sync : bool;
   mutable blocks : int;
   mutable closed : bool;
 }
-
-let create path =
-  let oc = open_out_bin path in
-  output_string oc header;
-  output_char oc '\n';
-  flush oc;
-  { oc; blocks = 0; closed = false }
 
 let block_marker i payload =
   Printf.sprintf "#block %d bytes=%d tag=%s" i (String.length payload)
     (Atomic_io.block_tag payload)
 
 let footer blocks = Printf.sprintf "#spool-end blocks=%d" blocks
+
+(* A kept prefix is cut back to exactly the bytes the writer emitted for
+   it: the reader accepted each of its frames only because it was the
+   writer's own, so the prefix's length follows from its payloads. *)
+let create ?(sync = true) ?(keep = []) path =
+  let frame i payload = String.length (block_marker i payload) + 1 + String.length payload in
+  let oc =
+    if keep = [] then open_out_bin path
+    else begin
+      Unix.truncate path (List.fold_left ( + ) (String.length header + 1) (List.mapi frame keep));
+      open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
+    end
+  in
+  if keep = [] then output_string oc (header ^ "\n");
+  flush oc;
+  { oc; sync; blocks = List.length keep; closed = false }
 
 let add_block w payload =
   if w.closed then invalid_arg "Durable.Spool.add_block: writer is closed";
@@ -75,7 +90,7 @@ let close w =
     output_string w.oc (footer w.blocks);
     output_char w.oc '\n';
     flush w.oc;
-    (try Unix.fsync (Unix.descr_of_out_channel w.oc) with Unix.Unix_error _ -> ());
+    if w.sync then (try Unix.fsync (Unix.descr_of_out_channel w.oc) with Unix.Unix_error _ -> ());
     close_out w.oc;
     w.closed <- true
   end

@@ -7,23 +7,30 @@
     carries the payload's {!Atomic_io.block_tag}, so the reader tells a
     complete spool from one torn by a crash or damaged at rest: the
     valid block prefix is returned either way, and a resume re-runs the
-    stream, checking it against that prefix. *)
+    stream, checking it against that prefix before it reopens the spool
+    after it ({!create} with [keep]). *)
 
 type writer
 
-val create : string -> writer
+val create : ?sync:bool -> ?keep:string list -> string -> writer
 (** [create path] truncates [path] and starts a fresh spool. The
     previous content is intentionally discarded: a reader that wants it
     (the resume rule) reads it first, and a re-run re-emits every block,
     so the spool is byte-identical whether or not the run was
-    interrupted. *)
+    interrupted. With [keep], the blocks {!read} returned as the valid
+    prefix of [path] (non-empty), the file is instead cut just after
+    them, dropping the torn or unchecked tail, and the writer appends
+    block [List.length keep] next. [sync] (default [true]) makes
+    {!close} fsync; a spool deleted with its run log is not worth the
+    wait. *)
 
 val add_block : writer -> string -> unit
 (** Append one framed, tagged block and flush it to the OS. Raises
     [Invalid_argument] after {!close}. *)
 
 val close : writer -> unit
-(** Write the end-of-spool footer, fsync, and close. Idempotent. A spool
+(** Write the end-of-spool footer, fsync (unless created with
+    [~sync:false]), and close. Idempotent. A spool
     without its footer reads back as incomplete. *)
 
 type error =

@@ -6,7 +6,7 @@
    region — worlds are pure functions of [(config, region)], so every
    region serves the same population and differs only where a
    regionally-inconsistent operator applies a local override — and runs
-   the same daily sweep schedule against each. Each vantage probes on
+   the campaign's own daily sweep loop against each. Each vantage probes on
    its own Rng streams (seeded by region name), so adding or removing
    a region never perturbs another region's observations.
 
@@ -32,37 +32,20 @@ type t = {
 let rows t = t.rows
 let regions t = t.regions
 
-(* The daily sweep schedule of {!Daily_scan}: a default sweep (all
-   suites, tickets on) and a DHE-only sweep per day. The DHE sweep is
-   what makes weak-group misconfigurations observable — the default
-   sweep almost always negotiates ECDHE. *)
+(* The campaign's daily sweep schedule ({!Daily_scan.sweep}) over one
+   region's world, keeping every observation in sweep order. The DHE
+   sweep is what makes weak-group misconfigurations observable — the
+   default sweep almost always negotiates ECDHE. *)
 let scan_region ~(base : Simnet.World.config) ~days region =
   let world = Simnet.World.create ~config:{ base with Simnet.World.region } () in
-  let clock = Simnet.World.clock world in
-  let start = Simnet.Clock.now clock in
   let default_probe = Probe.create ~seed:("vantage:" ^ region) world in
   let dhe_probe = Probe.dhe_only world ~seed:("vantage-dhe:" ^ region) in
-  let domains = Simnet.World.domains world in
   let out = ref [] in
-  for day = 0 to days - 1 do
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + Daily_scan.default_sweep_at);
-    Array.iter
-      (fun d ->
-        if Simnet.World.in_list_on_day d ~day then begin
-          let o, _ = Probe.connect default_probe ~domain:(Simnet.World.domain_name d) in
-          out := o :: !out
-        end)
-      domains;
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + Daily_scan.dhe_sweep_at);
-    Array.iter
-      (fun d ->
-        if Simnet.World.in_list_on_day d ~day then begin
-          let o, _ = Probe.connect dhe_probe ~domain:(Simnet.World.domain_name d) in
-          out := o :: !out
-        end)
-      domains
-  done;
-  Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
+  let keep ~day:_ _ o = out := o :: !out in
+  Daily_scan.sweep ~clock:(Simnet.World.clock world) ~default_probe ~dhe_probe
+    ~domains:(Simnet.World.domains world) ~days ~on_default:keep ~on_dhe:keep
+    ~end_day:(fun ~day:_ ~present:_ -> ())
+    ();
   List.rev !out
 
 let validate (config : config) =

@@ -1,8 +1,10 @@
 (** Cross-regional scanning: the same domain-days probed from several
     vantage points (one world per region, per-vantage Rng streams),
-    after Alashwali et al.'s HTTPS-inconsistency measurements. Region
-    scans are independent, so results are byte-identical at any job
-    count. *)
+    after Alashwali et al.'s HTTPS-inconsistency measurements. Each
+    region runs the campaign's own daily sweep loop
+    ({!Daily_scan.sweep}), so the vantages follow the paper's sweep
+    schedule. Region scans are independent, so results are
+    byte-identical at any job count. *)
 
 type config = {
   base : Simnet.World.config;

@@ -11,7 +11,14 @@
      DHE server value, or nothing for servers without DHE.
 
    Domains absent from that day's Top Million list are skipped, so list
-   churn shows up in the data exactly as it did for the paper. *)
+   churn shows up in the data exactly as it did for the paper.
+
+   This module holds each decision about the campaign's data once: the
+   sweep schedule ([sweep], which the cross-vantage scan runs too), the
+   row codec (one encoder and one parser per field group, shared by the
+   CSV, the run log's day blocks and its stream trailers), and the rule
+   that says a run-log stream is whole ([decode_stream], by which the
+   loader reads a stream and a resume keeps one). *)
 
 type day_record = {
   day : int; (* day index from study start *)
@@ -39,36 +46,74 @@ type t = {
   series : domain_series array;
 }
 
-(* --- Persistence -----------------------------------------------------------
+(* --- Row codec -------------------------------------------------------------
    Campaigns serialize to a flat CSV (one row per domain-day) so they can
    be archived and re-analyzed without re-running nine weeks of scans —
-   the project's analog of the paper publishing its data on scans.io. *)
+   the project's analog of the paper publishing its data on scans.io.
+
+   Every campaign row is written from two field groups, each with one
+   encoder and one parser here:
+   - the domain fields [domain,rank,weight,trusted,stable]: the head of a
+     CSV row, and a member line of a run-log stream's trailer;
+   - the day fields [default_ok,stek_id,ticket_hint,ecdhe_value,dhe_ok,
+     dhe_value]: the tail of a CSV row, and a present member's row in a
+     run-log day block. An absent value is written as [empty]: [""] in
+     the CSV, ["-"] in a day block. *)
 
 let csv_header =
   "domain,rank,weight,trusted,stable,day,present,default_ok,stek_id,ticket_hint,ecdhe_value,dhe_ok,dhe_value"
 
-let opt_str = function None -> "" | Some s -> s
+(* %.17g round-trips every float exactly; %.6f silently truncated
+   Horvitz-Thompson weights like 142.857142857… and skewed every
+   weighted tally recomputed from an archived campaign. *)
+let domain_fields ~domain ~rank ~weight ~trusted ~stable =
+  Printf.sprintf "%s,%d,%.17g,%b,%b" domain rank weight trusted stable
 
-let day_row ~(series : domain_series) (r : day_record) =
+let parse_domain_fields = function
+  | [ domain; rank; weight; trusted; stable ] -> (
+      match
+        ( int_of_string_opt rank,
+          float_of_string_opt weight,
+          bool_of_string_opt trusted,
+          bool_of_string_opt stable )
+      with
+      | Some rank, Some weight, Some trusted, Some stable -> Some (domain, rank, weight, trusted, stable)
+      | _ -> None)
+  | _ -> None
+
+let day_fields ~empty r =
+  let opt = function None -> empty | Some s -> s in
   String.concat ","
     [
-      series.domain;
-      string_of_int series.rank;
-      (* %.17g round-trips every float exactly; %.6f silently truncated
-         Horvitz-Thompson weights like 142.857142857… and skewed every
-         weighted tally recomputed from an archived campaign. *)
-      Printf.sprintf "%.17g" series.weight;
-      string_of_bool series.trusted;
-      string_of_bool series.stable;
-      string_of_int r.day;
-      string_of_bool r.present;
       string_of_bool r.default_ok;
-      opt_str r.stek_id;
-      (match r.ticket_hint with None -> "" | Some h -> string_of_int h);
-      opt_str r.ecdhe_value;
+      opt r.stek_id;
+      opt (Option.map string_of_int r.ticket_hint);
+      opt r.ecdhe_value;
       string_of_bool r.dhe_ok;
-      opt_str r.dhe_value;
+      opt r.dhe_value;
     ]
+
+let parse_day_fields ~empty ~day ~present = function
+  | [ ok; stek; hint; ecdhe; dhe_ok; dhe ] -> (
+      let opt s = if String.equal s empty then None else Some s in
+      let hint =
+        if String.equal hint empty then Some None else Option.map Option.some (int_of_string_opt hint)
+      in
+      match (bool_of_string_opt ok, hint, bool_of_string_opt dhe_ok) with
+      | Some default_ok, Some ticket_hint, Some dhe_ok ->
+          Some
+            {
+              day;
+              present;
+              default_ok;
+              stek_id = opt stek;
+              ticket_hint;
+              ecdhe_value = opt ecdhe;
+              dhe_ok;
+              dhe_value = opt dhe;
+            }
+      | _ -> None)
+  | _ -> None
 
 (* Rows are batched through a [Buffer] and handed to the durable writer
    in ~1MB slabs: a 10k-domain, 63-day campaign is ~630k rows, and
@@ -90,13 +135,19 @@ let save t path =
       Buffer.add_string buf csv_header;
       Buffer.add_char buf '\n';
       Array.iter
-        (fun series ->
+        (fun s ->
+          let head =
+            domain_fields ~domain:s.domain ~rank:s.rank ~weight:s.weight ~trusted:s.trusted
+              ~stable:s.stable
+          in
           Array.iter
             (fun r ->
-              Buffer.add_string buf (day_row ~series r);
+              Buffer.add_string buf
+                (String.concat ","
+                   [ head; string_of_int r.day; string_of_bool r.present; day_fields ~empty:"" r ]);
               Buffer.add_char buf '\n';
               if Buffer.length buf >= save_flush_threshold then flush ())
-            series.days)
+            s.days)
         t.series;
       flush ())
 
@@ -135,70 +186,36 @@ let load path =
     | meta :: rows -> Ok (meta, rows)
   in
   let* start_day, n_days =
-    if String.length meta > 0 && meta.[0] = '#' then
-      match String.split_on_char ',' meta with
-      | [ _; sd; nd ] -> (
-          let field s =
-            match String.split_on_char '=' s with
-            | [ _; v ] -> int_of_string_opt v
-            | _ -> None
-          in
-          match (field sd, field nd) with
-          | Some a, Some b when a >= 0 && b > 0 -> Ok (a, b)
-          | Some _, Some b when b <= 0 ->
-              Error (Printf.sprintf "campaign: invalid n_days=%d in metadata" b)
-          | Some a, Some _ ->
-              Error (Printf.sprintf "campaign: invalid start_day=%d in metadata" a)
-          | _ -> Error "campaign: bad metadata line")
-      | _ -> Error "campaign: bad metadata line"
-    else Error "campaign: missing metadata line"
+    match Scanf.sscanf_opt meta "#tlsharm-campaign,start_day=%d,n_days=%d%!" (fun a b -> (a, b)) with
+    | Some (a, b) when a >= 0 && b > 0 -> Ok (a, b)
+    | Some (_, b) when b <= 0 -> Error (Printf.sprintf "campaign: invalid n_days=%d in metadata" b)
+    | Some (a, _) -> Error (Printf.sprintf "campaign: invalid start_day=%d in metadata" a)
+    | None -> Error "campaign: bad or missing metadata line"
   in
   (* Each domain's series and the days it has a row for. *)
   let by_domain : (string, domain_series * bool array) Hashtbl.t = Hashtbl.create 4096 in
   let order = ref [] in
   let parse_row line =
-        match String.split_on_char ',' line with
-        | [ domain; rank; weight; trusted; stable; day; present; ok; stek; hint; ecdhe; dhe_ok; dhe ]
-          -> (
-            let ( let* ) = Option.bind in
-            let blank s = if s = "" then None else Some s in
-            let row =
-              let* rank = int_of_string_opt rank in
-              let* weight = float_of_string_opt weight in
-              let* trusted = bool_of_string_opt trusted in
-              let* stable = bool_of_string_opt stable in
-              let* day = int_of_string_opt day in
-              let* present = bool_of_string_opt present in
-              let* default_ok = bool_of_string_opt ok in
-              let* dhe_ok = bool_of_string_opt dhe_ok in
-              let* hint =
-                if hint = "" then Some None else Option.map Option.some (int_of_string_opt hint)
-              in
-              Some
-                ( domain,
-                  rank,
-                  weight,
-                  trusted,
-                  stable,
-                  {
-                    day;
-                    present;
-                    default_ok;
-                    stek_id = blank stek;
-                    ticket_hint = hint;
-                    ecdhe_value = blank ecdhe;
-                    dhe_ok;
-                    dhe_value = blank dhe;
-                  } )
-            in
-            match row with None -> Error ("campaign: bad row: " ^ line) | Some r -> Ok r)
-        | _ -> Error ("campaign: bad row: " ^ line)
-      in
-  let rec read_rows first = function
+    let fields = String.split_on_char ',' line in
+    let row =
+      match fields with
+      | domain :: rank :: weight :: trusted :: stable :: day :: present :: rest -> (
+          match
+            ( parse_domain_fields [ domain; rank; weight; trusted; stable ],
+              int_of_string_opt day,
+              bool_of_string_opt present )
+          with
+          | Some meta, Some day, Some present ->
+              Option.map (fun r -> (meta, r)) (parse_day_fields ~empty:"" ~day ~present rest)
+          | _ -> None)
+      | _ -> None
+    in
+    Option.to_result ~none:("campaign: bad row: " ^ line) row
+  in
+  let rec read_rows = function
     | [] -> Ok ()
-    | line :: rest when first && String.equal line csv_header -> read_rows false rest
     | line :: rest ->
-        let* domain, rank, weight, trusted, stable, record = parse_row line in
+        let* (domain, rank, weight, trusted, stable), record = parse_row line in
         (* A day outside [0, n_days) means the file contradicts its
            own metadata; dropping the row silently (as earlier
            versions did) hides the corruption from the caller. *)
@@ -230,9 +247,9 @@ let load path =
         in
         seen.(record.day) <- true;
         series.days.(record.day) <- record;
-        read_rows false rest
+        read_rows rest
   in
-  let* () = read_rows true rows in
+  let* () = read_rows (match rows with h :: rest when String.equal h csv_header -> rest | _ -> rows) in
   let series = List.rev !order |> List.map (Hashtbl.find by_domain) in
   let* () =
     List.fold_left
@@ -258,31 +275,18 @@ let load path =
    each recorded day to the same bytes: that is what the resume rule
    ({!Stream_sink.stream}) compares. *)
 
-let opt_dash = function None -> "-" | Some s -> s
-
-(* The per-day values are exactly the persisted CSV columns, so the
-   loader rebuilds the archive without scanning. *)
-let row_line = function
-  | None -> "0"
-  | Some r ->
-      String.concat ","
-        [
-          "1";
-          string_of_bool r.default_ok;
-          opt_dash r.stek_id;
-          (match r.ticket_hint with None -> "-" | Some h -> string_of_int h);
-          opt_dash r.ecdhe_value;
-          string_of_bool r.dhe_ok;
-          opt_dash r.dhe_value;
-        ]
-
+(* A present member's row is ["1,"] and its day fields, so the loader
+   rebuilds the archive without scanning; an absent one is ["0"]. *)
 let day_payload ~day ~(rows : day_record option array) =
   let b = Buffer.create (64 + (16 * Array.length rows)) in
   Printf.bprintf b "day=%d\nrows=%d\n" day (Array.length rows);
   Array.iter
-    (fun r ->
-      Buffer.add_string b (row_line r);
-      Buffer.add_char b '\n')
+    (function
+      | None -> Buffer.add_string b "0\n"
+      | Some r ->
+          Buffer.add_string b "1,";
+          Buffer.add_string b (day_fields ~empty:"-" r);
+          Buffer.add_char b '\n')
     rows;
   Buffer.contents b
 
@@ -290,26 +294,10 @@ let parse_row ~day l =
   if l = "0" then Ok None
   else
     match String.split_on_char ',' l with
-    | [ "1"; ok; stek; hint; ecdhe; dhe_ok; dhe ] -> (
-        let undash s = if s = "-" then None else Some s in
-        match (bool_of_string_opt ok, bool_of_string_opt dhe_ok) with
-        | Some default_ok, Some dhe_ok -> (
-            match if hint = "-" then Some None else Option.map Option.some (int_of_string_opt hint) with
-            | Some ticket_hint ->
-                Ok
-                  (Some
-                     {
-                       day;
-                       present = true;
-                       default_ok;
-                       stek_id = undash stek;
-                       ticket_hint;
-                       ecdhe_value = undash ecdhe;
-                       dhe_ok;
-                       dhe_value = undash dhe;
-                     })
-            | None -> Error (Printf.sprintf "day block: bad ticket hint in row %S" l))
-        | _ -> Error (Printf.sprintf "day block: bad row %S" l))
+    | "1" :: fields -> (
+        match parse_day_fields ~empty:"-" ~day ~present:true fields with
+        | Some r -> Ok (Some r)
+        | None -> Error (Printf.sprintf "day block: bad row %S" l))
     | _ -> Error (Printf.sprintf "day block: bad row %S" l)
 
 let ( let* ) = Result.bind
@@ -359,13 +347,13 @@ let decode_day ~members payload =
 (* --- Streamed archive ----------------------------------------------------------
 
    The streamed representation of one scan stream: one spool block per
-   day (the positional row grammar above, distinct from the CSV row's
-   named-domain one), and a trailer block carrying what is only known
-   at campaign end: each member's trust verdict and the stream's loss
-   funnel, which a kept stream restores from.
+   day (the positional rows above), and a trailer block carrying what is
+   only known at campaign end: each member's domain fields, with its
+   trust verdict, and the stream's loss funnel, which a kept stream
+   restores from.
 
      trailer
-     domains=N, then N "domain,rank,weight,trusted,stable" lines
+     domains=N, then N domain-field lines
      funnel=M, then M {!Faults.Funnel.to_lines} lines
 
    Member *order* is the contract: day blocks reference domains
@@ -377,9 +365,12 @@ let stream_finish s ~trusted ~funnel ~(domains : Simnet.World.domain array) =
   Printf.bprintf b "trailer\ndomains=%d\n" (Array.length domains);
   Array.iter
     (fun d ->
-      let name = Simnet.World.domain_name d in
-      Printf.bprintf b "%s,%d,%.17g,%b,%b\n" name (Simnet.World.domain_rank d)
-        (Simnet.World.domain_weight d) (trusted name) (Simnet.World.domain_stable d))
+      let domain = Simnet.World.domain_name d in
+      Buffer.add_string b
+        (domain_fields ~domain ~rank:(Simnet.World.domain_rank d)
+           ~weight:(Simnet.World.domain_weight d) ~trusted:(trusted domain)
+           ~stable:(Simnet.World.domain_stable d));
+      Buffer.add_char b '\n')
     domains;
   let flines = Faults.Funnel.to_lines funnel in
   Printf.bprintf b "funnel=%d\n" (List.length flines);
@@ -399,18 +390,9 @@ let decode_trailer trailer =
     | [] -> Error (Printf.sprintf "trailer: missing %s section" key)
   in
   let parse_meta l =
-    match String.split_on_char ',' l with
-    | [ domain; rank; weight; trusted; stable ] -> (
-        match
-          ( int_of_string_opt rank,
-            float_of_string_opt weight,
-            bool_of_string_opt trusted,
-            bool_of_string_opt stable )
-        with
-        | Some rank, Some weight, Some trusted, Some stable ->
-            Ok (domain, rank, weight, trusted, stable)
-        | _ -> Error (Printf.sprintf "trailer: bad entry %S" l))
-    | _ -> Error (Printf.sprintf "trailer: bad entry %S" l)
+    Option.to_result
+      ~none:(Printf.sprintf "trailer: bad entry %S" l)
+      (parse_domain_fields (String.split_on_char ',' l))
   in
   match content_lines trailer with
   | "trailer" :: rest ->
@@ -422,14 +404,97 @@ let decode_trailer trailer =
       Ok (metas, funnel)
   | _ -> Error "trailer: malformed"
 
-let trailer_funnel trailer = Result.map snd (decode_trailer trailer)
+(* The one rule that says a stream is whole: its trailer decodes, it
+   holds one block per day, and each block decodes as the day at its
+   position with one row per trailer member. The loader reads a stream
+   through it, and a resume keeps a sealed stream only if it passes. *)
+let decode_stream ~n_days name blocks trailer =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let* metas, funnel =
+    Result.map_error (Printf.sprintf "stream %S: %s" name) (decode_trailer trailer)
+  in
+  let members = List.length metas in
+  let* () =
+    if List.length blocks = n_days then Ok ()
+    else err "stream %S holds %d day blocks, manifest says %d" name (List.length blocks) n_days
+  in
+  let series =
+    List.map
+      (fun (domain, rank, weight, trusted, stable) ->
+        { domain; rank; weight; trusted; stable; days = Array.init n_days blank_record })
+      metas
+  in
+  let* _ =
+    List.fold_left
+      (fun acc block ->
+        let* day = acc in
+        let* block_day, rows =
+          Result.map_error (Printf.sprintf "stream %S, day %d: %s" name day) (decode_day ~members block)
+        in
+        let* () =
+          if block_day = day then Ok () else err "stream %S: expected day %d, found day %d" name day block_day
+        in
+        List.iteri (fun i s -> Option.iter (fun r -> s.days.(day) <- r) rows.(i)) series;
+        Ok (day + 1))
+      (Ok 0) blocks
+  in
+  Ok (series, funnel)
 
 (* The daily sweep schedule, as offsets into each study day: the default
-   sweep (all suites, tickets on) at 00:30, the DHE-only sweep at 02:00.
-   Every daily scanner in the project ({!scan_stream} and
-   {!Cross_vantage}) probes at these times. *)
+   sweep (all suites, tickets on) at 00:30, the DHE-only sweep at 02:00. *)
 let default_sweep_at = 30 * Simnet.Clock.minute
 let dhe_sweep_at = 2 * Simnet.Clock.hour
+
+(* The one daily loop every scanner in the project runs ({!scan_stream}
+   per campaign shard, {!Cross_vantage} per region): each day, the
+   domains in that day's list, in array order, get the default sweep at
+   00:30 and then the DHE-only sweep at 02:00, on [clock]. Per-day
+   scratch is reused across days, and both sweeps touch only the day's
+   present members. *)
+let sweep ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_probe
+    ~(domains : Simnet.World.domain array) ~days ?(progress = ignore) ~on_default ~on_dhe
+    ~end_day () =
+  let start = Simnet.Clock.now clock in
+  (* [scan.days] is a gauge (max-merge): every stream of one campaign
+     scans the same day count, so a counter would multiply it by the
+     shard count under parallel execution. *)
+  if days > 0 then Obs.Recorder.gauge_max obs "scan.days" days;
+  let present = Array.make (max (Array.length domains) 1) 0 in
+  for day = 0 to days - 1 do
+    progress day;
+    let n_present = ref 0 in
+    Array.iteri
+      (fun i d ->
+        if Simnet.World.in_list_on_day d ~day then begin
+          present.(!n_present) <- i;
+          incr n_present
+        end)
+      domains;
+    let n_present = !n_present in
+    let probe_present probe ~at on_conn =
+      Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + at);
+      for p = 0 to n_present - 1 do
+        let i = present.(p) in
+        let o, _ = Probe.connect probe ~domain:(Simnet.World.domain_name domains.(i)) in
+        on_conn ~day i o
+      done
+    in
+    (* The [scan.day] span covers exactly the sweep-to-sweep window; the
+       clock is positioned before the span opens so its simulated
+       duration is not midnight-to-midnight. *)
+    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + default_sweep_at);
+    Obs.Recorder.span obs ~name:"scan.day"
+      ~attrs:[ ("day", string_of_int day) ]
+      ~now:(fun () -> Simnet.Clock.now clock)
+      (fun () ->
+        probe_present default_probe ~at:default_sweep_at on_default;
+        probe_present dhe_probe ~at:dhe_sweep_at (fun ~day i o ->
+            Obs.Recorder.incr obs "scan.domain_days";
+            on_dhe ~day i o));
+    end_day ~day ~present:n_present
+  done;
+  (* Leave the clock at the end of the campaign. *)
+  Simnet.Clock.set clock (start + (days * Simnet.Clock.day))
 
 (* Scan [domains] for [days] days, driving [clock] (both probes must read
    it, and both must share one funnel). This is the sequential inner loop
@@ -444,76 +509,31 @@ let dhe_sweep_at = 2 * Simnet.Clock.hour
    world mid-flight (endpoint RNGs, kex caches, session caches and STEK
    rotations make the world state surface enormous); determinism makes
    the re-execution exact, and the block compare proves it. *)
-let scan_stream ~sink ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_probe
-    ~(domains : Simnet.World.domain array) ~days ?(progress = fun _ -> ()) () =
-  let start = Simnet.Clock.now clock in
-  (* [scan.days] is a gauge (max-merge): every stream of one campaign
-     scans the same day count, so a counter would multiply it by the
-     shard count under parallel execution. *)
-  if days > 0 then Obs.Recorder.gauge_max obs "scan.days" days;
+let scan_stream ~sink ~obs ~clock ~default_probe ~dhe_probe ~(domains : Simnet.World.domain array)
+    ~days ~progress =
   let n = Array.length domains in
-  (* Per-day scratch, reused across days so a long campaign's inner loop
-     allocates nothing proportional to [n * days]: this day's rows (also
-     the block payload source), the default sweep's observations, and
-     the day's present-member index list. Presence was previously
-     recomputed per sweep — twice per domain-day — and the second sweep
-     walked every member; both sweeps now touch only present members. *)
+  (* This day's rows, the block payload source, reused across days: the
+     default sweep fills a present member's row, the DHE sweep completes
+     it. *)
   let rows : day_record option array = Array.make n None in
-  let default_obs = Array.make n None in
-  let present = Array.make (max n 1) 0 in
-  for day = 0 to days - 1 do
-    progress day;
-    Array.fill rows 0 n None;
-    Array.fill default_obs 0 n None;
-    let n_present = ref 0 in
-    Array.iteri
-      (fun i d ->
-        if Simnet.World.in_list_on_day d ~day then begin
-          present.(!n_present) <- i;
-          incr n_present
-        end)
-      domains;
-    let n_present = !n_present in
-    (* The [scan.day] span covers exactly the sweep-to-sweep window; the
-       clock is positioned before the span opens so its simulated
-       duration is not midnight-to-midnight. *)
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + default_sweep_at);
-    Obs.Recorder.span obs ~name:"scan.day"
-      ~attrs:[ ("day", string_of_int day) ]
-      ~now:(fun () -> Simnet.Clock.now clock)
-      (fun () ->
-    for p = 0 to n_present - 1 do
-      let i = present.(p) in
-      let o, _ =
-        Probe.connect default_probe ~domain:(Simnet.World.domain_name domains.(i))
-      in
-      default_obs.(i) <- Some o
-    done;
-    Simnet.Clock.set clock (start + (day * Simnet.Clock.day) + dhe_sweep_at);
-    for p = 0 to n_present - 1 do
-      let i = present.(p) in
-      Obs.Recorder.incr obs "scan.domain_days";
-      let dhe_obs, _ =
-        Probe.connect dhe_probe ~domain:(Simnet.World.domain_name domains.(i))
-      in
-      let default_o = default_obs.(i) in
+  sweep ~obs ~clock ~default_probe ~dhe_probe ~domains ~days ~progress
+    ~on_default:(fun ~day i (o : Observation.conn) ->
       rows.(i) <-
         Some
           {
-            day;
+            (blank_record day) with
             present = true;
-            default_ok = (match default_o with Some o -> o.Observation.ok | None -> false);
-            stek_id = Option.bind default_o (fun o -> o.Observation.stek_id);
-            ticket_hint = Option.bind default_o (fun o -> o.Observation.ticket_hint);
-            ecdhe_value = Option.bind default_o (fun o -> o.Observation.ecdhe_value);
-            dhe_ok = dhe_obs.Observation.ok;
-            dhe_value = dhe_obs.Observation.dhe_value;
-          }
-    done);
-    Stream_sink.append_day sink ~rows:n_present (day_payload ~day ~rows)
-  done;
-  (* Leave the clock at the end of the campaign. *)
-  Simnet.Clock.set clock (start + (days * Simnet.Clock.day));
+            default_ok = o.ok;
+            stek_id = o.stek_id;
+            ticket_hint = o.ticket_hint;
+            ecdhe_value = o.ecdhe_value;
+          })
+    ~on_dhe:(fun ~day:_ i (o : Observation.conn) ->
+      rows.(i) <- Option.map (fun r -> { r with dhe_ok = o.ok; dhe_value = o.dhe_value }) rows.(i))
+    ~end_day:(fun ~day ~present ->
+      Stream_sink.append_day sink ~rows:present (day_payload ~day ~rows);
+      Array.fill rows 0 n None)
+    ();
   let trusted name =
     Option.value ~default:false (Hashtbl.find_opt default_probe.Probe.trust_cache name)
   in
@@ -522,9 +542,12 @@ let scan_stream ~sink ?(obs = Obs.Recorder.null) ~clock ~default_probe ~dhe_prob
 (* --- Streamed archive loader -------------------------------------------------
 
    Reassemble a campaign from a {!Stream_sink} directory: manifest for
-   the day range, one spool per stream, trailer for per-domain metadata.
-   The result is sorted by (rank, domain), the world's order, which is
-   the row order of every campaign CSV. *)
+   the day range and the world size, one spool per stream, each read
+   through {!decode_stream}. Together the streams must name exactly the
+   manifest's [n_domains] domains, each once, so a log missing a stream
+   is refused rather than read as a smaller world. The result is sorted
+   by (rank, domain), the world's order, which is the row order of every
+   campaign CSV. *)
 
 let load_stream dir =
   let err fmt = Printf.ksprintf (fun s -> Error ("stream archive: " ^ s)) fmt in
@@ -539,54 +562,24 @@ let load_stream dir =
   in
   let* start_day = int_field "start_day" in
   let* n_days = int_field "n_days" in
+  let* n_domains = int_field "n_domains" in
   let* () = if n_days > 0 then Ok () else err "n_days must be positive" in
   let* names = Stream_sink.stream_names ~dir in
   let* () = if names = [] then err "no row streams in %s" dir else Ok () in
   let load_one name =
     let* blocks, trailer = Stream_sink.read_stream ~dir name in
-    let* metas, _ =
-      Result.map_error (Printf.sprintf "stream archive: stream %S: %s" name) (decode_trailer trailer)
-    in
-    let members = List.length metas in
-    let* () =
-      if List.length blocks = n_days then Ok ()
-      else err "stream %S holds %d day blocks, manifest says %d" name (List.length blocks) n_days
-    in
-    let records = Array.make_matrix members n_days None in
-    let* () =
-      List.fold_left
-        (fun acc block ->
-          let* day = acc in
-          let* block_day, rows =
-            Result.map_error
-              (Printf.sprintf "stream archive: stream %S, day %d: %s" name day)
-              (decode_day ~members block)
-          in
-          let* () =
-            if block_day = day then Ok ()
-            else err "stream %S: expected day %d, found day %d" name day block_day
-          in
-          Array.iteri (fun i r -> records.(i).(day) <- r) rows;
-          Ok (day + 1))
-        (Ok 0) blocks
-      |> Result.map ignore
-    in
-    List.mapi
-      (fun i (domain, rank, weight, trusted, stable) ->
-        {
-          domain;
-          rank;
-          weight;
-          trusted;
-          stable;
-          days =
-            Array.init n_days (fun day ->
-                match records.(i).(day) with Some r -> r | None -> blank_record day);
-        })
-      metas
-    |> Result.ok
+    Result.map_error (( ^ ) "stream archive: ") (decode_stream ~n_days name blocks trailer)
+    |> Result.map fst
   in
   let* series_lists = map_result load_one names in
   let series = Array.of_list (List.concat series_lists) in
+  let distinct = Hashtbl.create n_domains in
+  Array.iter (fun s -> Hashtbl.replace distinct s.domain ()) series;
+  let* () =
+    if Array.length series = n_domains && Hashtbl.length distinct = n_domains then Ok ()
+    else
+      err "the streams name %d domains (%d distinct), the manifest says %d (a stream is missing or extra)"
+        (Array.length series) (Hashtbl.length distinct) n_domains
+  in
   Array.sort (fun a b -> compare (a.rank, a.domain) (b.rank, b.domain)) series;
   Ok { start_day; n_days; series }

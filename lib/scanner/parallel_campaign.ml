@@ -42,7 +42,11 @@
    id), yet the archive is the one a single pair of probes sweeping the
    whole world would record: every archived field (STEK id, ticket
    hint, (EC)DHE values, trust) is chosen by the server, never by the
-   probe's randomness. *)
+   probe's randomness.
+
+   [run] writes into a run log its caller opened and keeps; [collect]
+   is the one path that runs a campaign into a temporary log and reads
+   it back, for every caller that wants only the campaign. *)
 
 type shard = {
   shard_id : int;
@@ -175,8 +179,10 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Record
   (* One shard. A stream the run log holds whole is kept: its funnel
      comes from the trailer and nothing is probed (shards are
      state-isolated by construction, so skipping one cannot change
-     another's results); a trailer this build cannot decode was not
-     written by this run. Any other stream is scanned afresh with
+     another's results). It is kept only if {!Daily_scan.decode_stream}
+     accepts it, the same rule the loader reads it by: a sealed stream
+     this build cannot decode was not written by this run, and is
+     refused. Any other stream is scanned afresh with
      private clock and probes: the shard replays the standard daily
      sweep schedule without touching the world clock or any state
      outside its connectivity component. Seeds derive from the shard id,
@@ -185,11 +191,9 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Record
     let shard_funnel = funnels.(s.shard_id) in
     let shard_obs = Obs.Recorder.fork obs in
     recorders.(s.shard_id) <- shard_obs;
-    match Stream_sink.stream sink (stream_name s.shard_id) ~days with
-    | Stream_sink.Kept trailer -> (
-        match Daily_scan.trailer_funnel trailer with
-        | Ok f -> Faults.Funnel.absorb shard_funnel f
-        | Error e -> Stream_sink.mismatch "shard %d: kept stream: %s" s.shard_id e)
+    let name = stream_name s.shard_id in
+    match Stream_sink.stream sink name ~days ~decode:(Daily_scan.decode_stream ~n_days:days name) with
+    | Stream_sink.Kept (_, f) -> Faults.Funnel.absorb shard_funnel f
     | Stream_sink.Rerun stream ->
         let clock = Simnet.Clock.create ~start () in
         let default_probe =
@@ -211,7 +215,7 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Record
           ~now:(fun () -> Simnet.Clock.now clock)
           (fun () ->
             Daily_scan.scan_stream ~sink:stream ~obs:shard_obs ~clock ~default_probe ~dhe_probe
-              ~domains:s.members ~days ~progress ())
+              ~domains:s.members ~days ~progress)
   in
   (* Each slot of [funnels] and [recorders] is written only by the
      worker that claimed that shard. A shard that raises fails the run:
@@ -234,3 +238,18 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Record
   (* Leave the world clock at the campaign's end: the study's later
      experiments run after the campaign on the world clock. *)
   Simnet.Clock.set clock (start + (days * Simnet.Clock.day))
+
+(* What the loader needs of a campaign's run log: the day range and the
+   world size. *)
+let manifest world ~days =
+  [
+    ("start_day", string_of_int (Simnet.Clock.now (Simnet.World.clock world) / Simnet.Clock.day));
+    ("n_days", string_of_int days);
+    ("n_domains", string_of_int (Array.length (Simnet.World.domains world)));
+  ]
+
+let collect ?jobs ?progress ?injector ?retry ?funnel ?obs world ~days =
+  Stream_sink.with_sink ~manifest:(manifest world ~days) (fun sink ->
+      run ?jobs ?progress ?injector ?retry ?funnel ~sink ?obs world ~days ();
+      Daily_scan.load_stream (Stream_sink.dir sink))
+  |> Result.fold ~ok:Fun.id ~error:failwith

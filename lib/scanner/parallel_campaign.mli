@@ -9,7 +9,12 @@
     count, so the run log is byte-identical for any [jobs]. Because every
     archived field is server-derived, the archive also equals what one
     pair of probes sweeping the whole world in rank order records (the
-    golden-file test checks this) — see the implementation header. *)
+    golden-file test checks this) — see the implementation header.
+
+    {!run} writes the campaign into a run log the caller opened (the
+    CLI's [--stream-out] directory, which [resume] finishes); {!collect}
+    is the one path for a caller that wants only the campaign: it runs
+    into a temporary log and reads it back. *)
 
 type shard = {
   shard_id : int;
@@ -58,14 +63,16 @@ val run :
     Every shard writes its rows to its own stream of [sink]
     (["shard-0007"]) as its days complete; no shard holds rows in
     memory, and the campaign is read back with {!Daily_scan.load_stream}
-    (a run that wants only a CSV passes a temporary sink,
-    {!Stream_sink.with_sink}). The sink is also the run's resume log,
-    opened under {!Stream_sink.stream}'s rule: a re-run into the same
-    directory keeps every shard whose stream is sealed for the whole
-    run, without scanning it, and takes its funnel from the stream's
-    trailer (shards are state-isolated by construction, so skipping one
-    cannot change another's results); every other shard is scanned from
-    day 0, each day checked against the block its stream recorded.
+    (a run that wants only the campaign calls {!collect}). The sink is
+    also the run's resume log, opened under {!Stream_sink.stream}'s
+    rule: a re-run into the same directory keeps every shard whose
+    stream is sealed for the whole run and passes
+    {!Daily_scan.decode_stream}, without scanning it, and takes its
+    funnel from the stream's trailer (shards are state-isolated by
+    construction, so skipping one cannot change another's results); a
+    sealed stream that fails the decoder is refused as
+    {!Stream_sink.Mismatch}; every other shard is scanned from day 0,
+    each day checked against the block its stream recorded.
 
     A shard that raises fails the run, as a killed process would: no
     further shard starts, the workers are joined, the shard id goes to
@@ -87,3 +94,24 @@ val run :
     join in shard order; the merge laws (counters sum, gauges
     max) make the merged metrics independent of [jobs]. Each scanned
     shard wraps its scan in a [campaign.shard] span. *)
+
+val manifest : Simnet.World.t -> days:int -> (string * string) list
+(** The run-log manifest {!Daily_scan.load_stream} reads: [start_day]
+    (the world clock's day, so call it before the run), [n_days] and
+    [n_domains]. *)
+
+val collect :
+  ?jobs:int ->
+  ?progress:(shard:int -> day:int -> unit) ->
+  ?injector:Faults.Injector.t ->
+  ?retry:Faults.Retry.policy ->
+  ?funnel:Faults.Funnel.t ->
+  ?obs:Obs.Recorder.t ->
+  Simnet.World.t ->
+  days:int ->
+  Daily_scan.t
+(** Run the campaign ({!run}, same arguments) into a temporary run log
+    ({!Stream_sink.with_sink} with no directory, under {!manifest}) and
+    read it back with {!Daily_scan.load_stream}; the log is removed
+    when the campaign is loaded, or when the run raises. Raises
+    [Failure] if the log does not read back. *)

@@ -24,12 +24,17 @@
    The directory is also the run's crash-recovery log. The manifest pins
    the run: [create] re-attaches only to an identical manifest, so two
    runs' spools never mix. [stream] applies the one resume rule: a
-   sealed spool holding the whole run is kept untouched, and any other
-   is re-run from day 0 with each re-emitted block compared against the
-   block recorded at its position. A re-run stream therefore ends
-   byte-identical to an uninterrupted run's, and, because stream names and day payloads
-   depend only on the world and the shard partition, identical at any
-   --jobs. *)
+   sealed spool holding the whole run is kept untouched if the caller's
+   decoder accepts it (and refused if not), and any other is re-run
+   from day 0 with each re-emitted block compared against the block
+   recorded at its position; the spool is written only past the last
+   recorded block, so a refused re-run changes nothing. A re-run stream
+   therefore ends byte-identical to an uninterrupted run's, and,
+   because stream names and day payloads depend only on the world and
+   the shard partition, identical at any --jobs.
+
+   A log [with_sink] makes in a temporary directory is deleted when the
+   run ends, so neither its manifest nor its spools are fsynced. *)
 
 let manifest_file = "manifest"
 let schema = "tlsharm-stream/4"
@@ -38,14 +43,14 @@ exception Mismatch of string
 
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Mismatch s)) fmt
 
-type t = { dir : string; rows : int Atomic.t }
+type t = { dir : string; sync : bool; rows : int Atomic.t }
 
 type stream = {
   sink : t;
   name : string;
-  spool : Durable.Spool.writer;
-  mutable recorded : string list; (* recorded blocks not yet compared *)
-  mutable index : int; (* blocks appended so far *)
+  record : string list; (* the spool's valid block prefix when opened *)
+  mutable unmatched : string list; (* recorded blocks not yet compared *)
+  mutable spool : Durable.Spool.writer option; (* opened at the first new block *)
   mutable finished : bool;
 }
 
@@ -93,15 +98,15 @@ let manifest ~dir =
    different manifest means the directory belongs to another run, and
    silently mixing its spools with this run's would be far worse than
    refusing. *)
-let create ~dir ~manifest:kvs =
+let open_sink ~sync ~dir ~manifest:kvs =
   let fresh = encode_manifest (("schema", schema) :: kvs) in
   let path = Filename.concat dir manifest_file in
   try
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
     else if not (Sys.is_directory dir) then failwith (dir ^ " exists and is not a directory");
-    let attach () = Ok { dir; rows = Atomic.make 0 } in
+    let attach () = Ok { dir; sync; rows = Atomic.make 0 } in
     if not (Sys.file_exists path) then begin
-      Durable.Atomic_io.write path fresh;
+      Durable.Atomic_io.write ~sync path fresh;
       attach ()
     end
     else
@@ -121,6 +126,8 @@ let create ~dir ~manifest:kvs =
   | Failure e -> Error e
   | Sys_error e -> Error e
 
+let create = open_sink ~sync:true
+
 let rec remove_tree path =
   if Sys.is_directory path then begin
     Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
@@ -130,7 +137,9 @@ let rec remove_tree path =
 
 (* A run with no directory of its own logs to a private temporary one,
    so the scanner and the population never hold rows; the log lives
-   exactly as long as the run that reads it back. *)
+   exactly as long as the run that reads it back. Nothing in it is
+   fsynced: the log recovers nothing once it is gone, and deleting
+   synced files costs more than the whole scan on some disks. *)
 let with_sink ?dir ~manifest f =
   match dir with
   | Some dir -> Result.bind (create ~dir ~manifest) f
@@ -138,47 +147,70 @@ let with_sink ?dir ~manifest f =
       let dir = Filename.temp_dir "tlsharm-log" "" in
       Fun.protect
         ~finally:(fun () -> remove_tree dir)
-        (fun () -> Result.bind (create ~dir ~manifest) f)
+        (fun () -> Result.bind (open_sink ~sync:false ~dir ~manifest) f)
 
 let dir t = t.dir
 
-type opened = Kept of string | Rerun of stream
+type 'a opened = Kept of 'a | Rerun of stream
 
-let stream t name ~days =
+(* The trailer is always the last block of a sealed stream. *)
+let split_trailer blocks =
+  match List.rev blocks with
+  | trailer :: rev_days -> (List.rev rev_days, trailer)
+  | [] -> invalid_arg "Stream_sink.split_trailer: no blocks"
+
+let stream t name ~days ~decode =
   let path = spool_path t.dir name in
   match Durable.Spool.read path with
-  | Ok (blocks, true) when List.length blocks = days + 1 -> Kept (List.nth blocks days)
+  | Ok (blocks, true) when List.length blocks = days + 1 -> (
+      let day_blocks, trailer = split_trailer blocks in
+      match decode day_blocks trailer with Ok v -> Kept v | Error e -> raise (Mismatch e))
+  | Error (Durable.Spool.Old_version _ as e) ->
+      raise (Mismatch (Durable.Spool.error_to_string ~path e))
   | read ->
-      let recorded = match read with Ok (blocks, _) -> blocks | Error _ -> [] in
+      let record = match read with Ok (blocks, _) -> blocks | Error _ -> [] in
       Rerun
-        {
-          sink = t;
-          name;
-          spool = Durable.Spool.create path;
-          recorded;
-          index = 0;
-          finished = false;
-        }
+        { sink = t; name; record; unmatched = record; spool = None; finished = false }
 
-let append_day stream ~rows payload =
-  if stream.finished then invalid_arg "Stream_sink.append_day: stream already finished";
-  (match stream.recorded with
+(* The spool is first written once every recorded block has matched,
+   cut back to that prefix, so a diverging re-run leaves the log as it
+   found it. *)
+let writer stream =
+  match stream.spool with
+  | Some w -> w
+  | None ->
+      let path = spool_path stream.sink.dir stream.name in
+      let w = Durable.Spool.create ~sync:stream.sink.sync ~keep:stream.record path in
+      stream.spool <- Some w;
+      w
+
+let matched stream = List.length stream.record - List.length stream.unmatched
+
+(* Every block a re-run emits goes through here: compared while the
+   spool still holds recorded blocks, appended after. *)
+let emit stream payload =
+  match stream.unmatched with
   | recorded :: rest ->
       if not (String.equal recorded payload) then
         mismatch
           "stream %S: re-run block %d diverges from the recorded one (different world, seed or \
            code?)"
-          stream.name stream.index;
-      stream.recorded <- rest
-  | [] -> ());
-  Durable.Spool.add_block stream.spool payload;
-  stream.index <- stream.index + 1;
+          stream.name (matched stream);
+      stream.unmatched <- rest
+  | [] -> Durable.Spool.add_block (writer stream) payload
+
+let append_day stream ~rows payload =
+  if stream.finished then invalid_arg "Stream_sink.append_day: stream already finished";
+  emit stream payload;
   ignore (Atomic.fetch_and_add stream.sink.rows rows)
 
 let finish stream ~trailer =
   if not stream.finished then begin
-    Durable.Spool.add_block stream.spool trailer;
-    Durable.Spool.close stream.spool;
+    emit stream trailer;
+    if stream.unmatched <> [] then
+      mismatch "stream %S: the log records %d blocks, the re-run emits %d" stream.name
+        (List.length stream.record) (matched stream);
+    Durable.Spool.close (writer stream);
     stream.finished <- true
   end
 
@@ -207,11 +239,4 @@ let read_stream ~dir name =
             finish the spool"
            name)
   | Ok ([], true) -> Error (Printf.sprintf "stream %S is empty" name)
-  | Ok (blocks, true) ->
-      (* The trailer is always the last block of a complete stream. *)
-      let rec split acc = function
-        | [ trailer ] -> (List.rev acc, trailer)
-        | b :: rest -> split (b :: acc) rest
-        | [] -> assert false
-      in
-      Ok (split [] blocks)
+  | Ok (blocks, true) -> Ok (split_trailer blocks)

@@ -9,13 +9,14 @@
 
     The directory is the only crash-recovery log a run keeps, and one
     rule resumes every stream in it ({!stream}): a sealed stream that
-    holds the whole run is kept as it is, and any other stream is
-    re-run from day 0, each re-emitted block checked against the block
-    the spool held at that position. A stream whose writer raised
-    mid-run is never sealed, so the same rule finishes a crashed run as
-    a killed one. The log's content is byte-identical at any [--jobs]
-    (stream names and payloads depend only on the world and shard
-    partition), and after a resume. *)
+    holds the whole run and decodes is kept as it is, and any other
+    stream is re-run from day 0, each re-emitted block checked against
+    the block the spool held at that position before anything is
+    written. A resume that is refused therefore changes no byte of the
+    stream it refuses. A stream whose writer raised mid-run is never sealed, so the
+    same rule finishes a crashed run as a killed one. The log's content
+    is byte-identical at any [--jobs] (stream names and payloads depend
+    only on the world and shard partition), and after a resume. *)
 
 type t
 (** An open sink directory. *)
@@ -30,12 +31,9 @@ val schema : string
 
 exception Mismatch of string
 (** A re-run diverged from the run log it resumes (another seed or
-    world, code drift, or a block this build would never write). It
-    aborts the run: the log is left as it was up to the diverging
-    stream, which stays unsealed. *)
-
-val mismatch : ('a, unit, string, 'b) format4 -> 'a
-(** [mismatch fmt …] raises {!Mismatch} with a formatted message. *)
+    world, code drift, or a block this build would never write), or a
+    sealed stream does not decode. It aborts the run and leaves the
+    diverging stream's spool as it was. *)
 
 val create : dir:string -> manifest:(string * string) list -> (t, string) result
 (** Create [dir] if needed and write its manifest ([schema] is
@@ -53,36 +51,48 @@ val with_sink :
 (** [with_sink ?dir ~manifest f] runs [f] on the sink {!create} makes in
     [dir]. A run given no [dir] still writes its log: to a fresh
     directory under {!Filename.get_temp_dir_name}, removed with
-    everything in it when [f] returns or raises. *)
+    everything in it when [f] returns or raises. Nothing in such a
+    temporary log is fsynced, neither its manifest nor its spools. *)
 
 val dir : t -> string
 
-type opened =
-  | Kept of string
-      (** The spool was sealed with the run's day blocks and a trailer:
-          its bytes are left untouched, and this is its trailer. *)
-  | Rerun of stream  (** The spool was truncated; write every block again. *)
+type 'a opened =
+  | Kept of 'a
+      (** The spool was sealed with the run's day blocks and a trailer,
+          and they decode: its bytes are left untouched, and this is
+          what [decode] made of them. *)
+  | Rerun of stream  (** Write every block again; see {!stream}. *)
 
-val stream : t -> string -> days:int -> opened
-(** [stream t name ~days] opens the named row spool under the resume
-    rule. A spool that is sealed and holds exactly [days] day blocks
-    plus a trailer is [Kept]. Any other spool (missing, partial, torn,
-    damaged, or of another day count) is read for its valid block prefix
-    and truncated, and the stream is re-run from day 0: while
-    {!append_day} re-emits block [i], it compares it with the [i]-th
-    recorded block and raises {!Mismatch} if they differ. *)
+val stream :
+  t -> string -> days:int -> decode:(string list -> string -> ('a, string) result) -> 'a opened
+(** [stream t name ~days ~decode] opens the named row spool under the
+    resume rule. A spool that is sealed and holds exactly [days] day
+    blocks plus a trailer is [Kept] if [decode day_blocks trailer]
+    accepts it, and refused with {!Mismatch} carrying [decode]'s error
+    if not. A spool of an earlier format version is refused with
+    {!Mismatch} too. Any other spool (missing, partial, torn, damaged,
+    or of another day count) is read for its valid block prefix and re-run
+    from day 0: while the re-run emits block [i] ({!append_day}, then
+    {!finish}'s trailer) it compares it with the [i]-th recorded block
+    and raises {!Mismatch} if they differ. Nothing is written to the
+    spool until every recorded block has matched; the first block past
+    them cuts the torn tail off and appends. A refused re-run so leaves
+    the spool byte for byte as it was. *)
 
 val append_day : stream -> rows:int -> string -> unit
-(** Append one day-block payload, checked as {!stream} says; [rows]
-    feeds {!rows_written}. *)
+(** Emit one day-block payload, checked or appended as {!stream} says;
+    [rows] feeds {!rows_written}. *)
 
 val finish : stream -> trailer:string -> unit
-(** Append the end-of-stream trailer (per-domain facts only known at
-    campaign end, e.g. trust verdicts) and seal the spool. Idempotent. *)
+(** Emit the end-of-stream trailer (per-domain facts only known at
+    campaign end, e.g. trust verdicts) and seal the spool, fsyncing it
+    unless the sink is a temporary one ({!with_sink} without [dir]).
+    Raises {!Mismatch}, writing nothing, if the spool records more
+    blocks than the re-run emitted. Idempotent. *)
 
 val rows_written : t -> int
-(** Rows this process appended across all streams (worker-domain safe).
-    A [Kept] stream adds none. *)
+(** Rows of the day blocks this process's re-runs emitted, across all
+    streams (worker-domain safe). A [Kept] stream adds none. *)
 
 val manifest : dir:string -> ((string * string) list, string) result
 (** The manifest of a sink directory; a missing or damaged manifest, or

@@ -272,8 +272,9 @@ let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
   let run_shard (s : shard) =
     match Traffic_sink.stream sink s.shard_id ~days:cfg.days with
     | Scanner.Stream_sink.Kept _ ->
-        (* Spooled whole by a previous (interrupted) run: its bytes stay
-           as they are, and its rows are read back from the sink. *)
+        (* Spooled whole by a previous (interrupted) run, and it decodes:
+           its bytes stay as they are, and its rows are read back from
+           the sink. *)
         ()
     | Scanner.Stream_sink.Rerun stream ->
         let shard_obs = Obs.Recorder.fork obs in

@@ -24,10 +24,11 @@
     is bounded by [jobs] × (one world replica + one shard's user state),
     independent of the total user count. Re-running into the same sink
     resumes under {!Scanner.Stream_sink.stream}'s rule: a shard whose
-    spool is sealed for the whole run is kept with its bytes untouched,
-    and any other is simulated again from day 0, each day checked
-    against the block its spool recorded, so re-running after a crash
-    yields an archive byte-identical to an uninterrupted run. *)
+    spool is sealed for the whole run and decodes is kept with its bytes
+    untouched (one that does not decode is refused), and any other is
+    simulated again from day 0, each day checked against the block its
+    spool recorded before anything is written, so re-running after a
+    crash yields an archive byte-identical to an uninterrupted run. *)
 
 (** How a user scopes resumption state (the Sy et al. axis): [Strict]
     keys the client store by exact hostname; [Cross_operator] shares

@@ -146,7 +146,7 @@ rm -rf "$zero"
 # A run log of the previous format (stream schema 2, "#tlsharm-spool v2"
 # spools whose day blocks carry HMAC-DRBG states) is refused by version,
 # in one line, by both analyze and resume, and left as it was. With the
-# manifest current and only the spools old, the spool version is named.
+# manifest current and only the spools old, both name the spool version.
 v2=$(mktemp -d /tmp/tlsharm-v2log-XXXXXX)
 "$exe" campaign --domains 1500 --days 1 --stream-out "$v2" >/dev/null
 cp "$v2/manifest" "$v2.manifest"
@@ -163,8 +163,15 @@ one_line "v2 resume refusal" "$exe" resume "$v2"
   fails=$((fails + 1))
 }
 cp "$v2.manifest" "$v2/manifest"
+before=$(cat "$v2"/* | sha256sum)
 check "analyze of v2 spools" "spool format v2" "$exe" analyze "$v2"
 one_line "v2 spool refusal" "$exe" analyze "$v2"
+check "resume of v2 spools" "spool format v2" "$exe" resume "$v2"
+one_line "v2 spool resume refusal" "$exe" resume "$v2"
+[ "$(cat "$v2"/* | sha256sum)" = "$before" ] || {
+  echo "FAIL: a resume rewrote v2 spools"
+  fails=$((fails + 1))
+}
 rm -rf "$v2" "$v2.manifest"
 
 # A run log of stream schema 3 (day blocks that carried scan state) is
@@ -187,9 +194,11 @@ rm -rf "$v3"
 
 # Earlier builds retried a raising shard in process and marked the
 # retry's day blocks "day=N unchecked". This build writes no such block
-# and reads none: analyze refuses a sealed log holding one in one line
-# naming the stream, and leaves it as it was; resume of an unsealed one
-# is a resume mismatch. frame_spool OUT BLOCK... frames payload files
+# and reads none: analyze and resume each refuse a sealed log holding
+# one in one line naming the stream and the day, and leave it as it
+# was; resume of an unsealed one is a resume mismatch that writes
+# nothing, so a second resume refuses it the same way. A refused log
+# must be unchanged byte for byte. frame_spool OUT BLOCK... frames payload files
 # the way the spool writer does (byte count and SHA-256 tag per block);
 # with -open it leaves off the footer, as a run cut short does.
 frame_spool() {
@@ -216,16 +225,51 @@ awk -v d="$parts" '/^#tlsharm-spool |^#spool-end /{next} /^#block /{n++; next} {
 sed -i '1s/^day=0$/day=0 unchecked/' "$parts/b1"
 frame_spool "$marked/rows-shard-0000" "$parts/b1" "$parts/b2"
 before=$(cat "$marked"/* | sha256sum)
+unchanged() {
+  if [ "$(cat "$marked"/* | sha256sum)" = "$before" ]; then
+    echo "ok: $1 left the run log as it was"
+  else
+    echo "FAIL: $1 changed the run log"
+    fails=$((fails + 1))
+  fi
+}
 check "analyze of a marked day block" 'stream "shard-0000", day 0' "$exe" analyze "$marked"
 one_line "marked day block refusal" "$exe" analyze "$marked"
-[ "$(cat "$marked"/* | sha256sum)" = "$before" ] || {
-  echo "FAIL: analyze changed a run log holding a marked day block"
-  fails=$((fails + 1))
-}
+unchanged "analyze of a marked day block"
+check "resume of a sealed marked day block" 'resume mismatch: stream "shard-0000", day 0' \
+  "$exe" resume "$marked"
+unchanged "resume of a sealed marked day block"
+one_line "sealed marked day block refusal" "$exe" resume "$marked"
 frame_spool -open "$marked/rows-shard-0000" "$parts/b1"
+before=$(cat "$marked"/* | sha256sum)
+first=$("$exe" resume "$marked" 2>&1)
 check "resume of an unsealed marked day block" "resume mismatch" "$exe" resume "$marked"
+unchanged "resume of an unsealed marked day block"
 one_line "unsealed marked day block refusal" "$exe" resume "$marked"
+if [ "$("$exe" resume "$marked" 2>&1)" = "$first" ]; then
+  echo "ok: a refused resume refuses again with the same line"
+else
+  echo "FAIL: a second resume did not repeat the refusal: $first"
+  fails=$((fails + 1))
+fi
 rm -rf "$marked" "$parts"
+
+# A run log missing a stream is refused, not read as a smaller run: a
+# kill between one shard's seal and the next shard's first write leaves
+# exactly this state. The campaign's streams must name the manifest's
+# n_domains domains; the traffic shards' user ranges must tile
+# [0, users).
+missing=$(mktemp -d /tmp/tlsharm-missing-XXXXXX)
+"$exe" campaign --domains 1500 --days 1 --stream-out "$missing/c" >/dev/null
+rm "$missing/c/rows-shard-0003" "$missing/c/rows-shard-0005"
+check "analyze of a campaign log missing a stream" "manifest says 1500" "$exe" analyze "$missing/c"
+one_line "campaign missing-stream refusal" "$exe" analyze "$missing/c"
+"$exe" traffic --domains 1500 --users 600 --days 1 --shard-users 200 --stream-out "$missing/t" \
+  >/dev/null
+rm "$missing/t/rows-users-0001"
+check "analyze of a traffic log missing a stream" "a stream is missing" "$exe" analyze "$missing/t"
+one_line "traffic missing-stream refusal" "$exe" analyze "$missing/t"
+rm -rf "$missing"
 
 # Unknown experiment ids are refused before any world is built or any
 # table printed: one line, even after a valid id.

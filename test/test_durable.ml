@@ -271,7 +271,7 @@ let small_campaign =
            { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-archive" }
          ()
      in
-     Campaign_run.run ~jobs:1 w ~days:2)
+     Scanner.Parallel_campaign.collect ~jobs:1 w ~days:2)
 
 let test_campaign_load_rejects_damage () =
   with_temp_file (fun path ->
@@ -370,8 +370,9 @@ let test_checkpoint_valid_prefix () =
         List.iter (Durable.Spool.add_block w) blocks;
         Durable.Spool.close w
       in
+      let decode _ trailer = if trailer = "trailer" then Ok trailer else Error "bad trailer" in
       let rerun () =
-        match Scanner.Stream_sink.stream sink "shard-0000" ~days with
+        match Scanner.Stream_sink.stream sink "shard-0000" ~days ~decode with
         | Scanner.Stream_sink.Rerun s -> s
         | Scanner.Stream_sink.Kept _ -> Alcotest.fail "only a sealed whole run is kept"
       in
@@ -395,19 +396,22 @@ let test_checkpoint_valid_prefix () =
       (* The whole run sealed with its trailer is kept, bytes untouched. *)
       record (List.init days payload @ [ "trailer" ]);
       let sealed = slurp path in
-      (match Scanner.Stream_sink.stream sink "shard-0000" ~days with
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~decode with
       | Scanner.Stream_sink.Kept trailer -> Alcotest.(check string) "trailer handed back" "trailer" trailer
       | Scanner.Stream_sink.Rerun _ -> Alcotest.fail "a sealed whole run must be kept");
       Alcotest.(check string) "kept spool untouched" sealed (slurp path);
+      (* A sealed whole run the decoder refuses is not kept: it is a
+         mismatch, and the spool is left as it was. *)
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~decode:(fun _ _ -> Error "no") with
+      | _ -> Alcotest.fail "an undecodable sealed run must be refused"
+      | exception Scanner.Stream_sink.Mismatch _ -> ());
+      Alcotest.(check string) "refused spool untouched" sealed (slurp path);
       (* The same spool under another day count is re-run, and opening
-         it truncated the spool. *)
-      (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) with
+         it writes nothing. *)
+      (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) ~decode with
       | Scanner.Stream_sink.Rerun _ -> ()
       | Scanner.Stream_sink.Kept _ -> Alcotest.fail "another day count must re-run");
-      Alcotest.(check (option (pair (list string) bool)))
-        "opening the stream truncated the spool"
-        (Some ([], false))
-        (Result.to_option (Durable.Spool.read path));
+      Alcotest.(check string) "opening a re-run leaves the spool" sealed (slurp path);
       (* Damaging day 1 ends the prefix there even though days 2-3 are
          intact. *)
       Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ]
@@ -507,11 +511,7 @@ let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial
     dir =
   let w = Simnet.World.create ~config () in
   let manifest =
-    match manifest with
-    | Some m -> m
-    | None ->
-        let start_day = Simnet.Clock.now (Simnet.World.clock w) / Simnet.Clock.day in
-        [ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ]
+    match manifest with Some m -> m | None -> Scanner.Parallel_campaign.manifest w ~days
   in
   let sink = create_sink ~manifest dir in
   Scanner.Parallel_campaign.run ~jobs ~sink ?chaos ?obs w ~days ()
@@ -519,7 +519,7 @@ let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial
 let serial_reference =
   lazy
     (let w = Simnet.World.create ~config:serial_config () in
-     archive_bytes (Campaign_run.run ~jobs:1 w ~days:serial_days))
+     archive_bytes (Scanner.Parallel_campaign.collect ~jobs:1 w ~days:serial_days))
 
 let recorded_blocks path =
   match Durable.Spool.read path with
@@ -600,7 +600,7 @@ let parallel_days = 3
 let parallel_reference =
   lazy
     (let w = Simnet.World.create ~config:parallel_config () in
-     archive_bytes (Campaign_run.run ~jobs:1 w ~days:parallel_days))
+     archive_bytes (Scanner.Parallel_campaign.collect ~jobs:1 w ~days:parallel_days))
 
 (* Kill the worker mid-shard: shard 1, start of day 1. *)
 let kill_parallel dir =
@@ -957,6 +957,114 @@ let test_traffic_rerun_mismatches () =
       | () -> Alcotest.fail "another world must not re-run into this spool"
       | exception Scanner.Stream_sink.Mismatch _ -> ())
 
+(* --- Cut points ----------------------------------------------------------------------
+
+   Every state a crash can leave the run log in, enumerated instead of
+   sampled by kill timing: one multi-block spool cut at each of its
+   block boundaries (the empty file, the bare header, after each day
+   block, and after the trailer with the footer lost) and at seeded
+   offsets inside its blocks, and one mixed state across two spools.
+   Each cut copy of an uninterrupted run's log is resumed at one and at
+   two workers and must come back byte for byte equal to the
+   uninterrupted log, and resuming it once more must change nothing. *)
+
+let read_dir dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun n -> (n, slurp (Filename.concat dir n)))
+
+(* Offsets of the spool's frame lines, the block boundaries: each is
+   the start of a line that begins with '#' (no payload line does). *)
+let block_boundaries raw =
+  List.filter
+    (fun i -> raw.[i] = '#' && (i = 0 || raw.[i - 1] = '\n'))
+    (List.init (String.length raw) Fun.id)
+
+(* [n] seeded offsets strictly inside the spool's blocks. *)
+let inside_offsets ~n raw =
+  let bounds = block_boundaries raw in
+  let first = List.nth bounds 1 in
+  let rng = Random.State.make [| String.length raw |] in
+  let rec pick acc =
+    if List.length acc = n then List.sort compare acc
+    else
+      let p = first + 1 + Random.State.int rng (String.length raw - first - 1) in
+      if List.mem p bounds || List.mem p acc then pick acc else pick (p :: acc)
+  in
+  pick []
+
+let cut_file name at files =
+  List.map (fun (n, b) -> if String.equal n name then (n, String.sub b 0 at) else (n, b)) files
+
+(* The cuts of one log: [first] at every block boundary and at seeded
+   inner offsets, then [first] and [second] both cut halfway through
+   their second block. *)
+let cuts reference ~first ~second =
+  let raw name = List.assoc name reference in
+  let one at = (Printf.sprintf "%s cut at byte %d" first at, cut_file first at reference) in
+  let mid_block_1 name =
+    match block_boundaries (raw name) with
+    | _ :: _ :: b1 :: b2 :: _ -> (b1 + b2) / 2
+    | _ -> Alcotest.failf "%s holds fewer than two blocks" name
+  in
+  let mixed =
+    ( Printf.sprintf "%s and %s cut inside block 1" first second,
+      cut_file second (mid_block_1 second) (cut_file first (mid_block_1 first) reference) )
+  in
+  List.map one (block_boundaries (raw first) @ inside_offsets ~n:3 (raw first)) @ [ mixed ]
+
+let check_resumes ~reference ~resume cuts =
+  let same dir = List.map (fun (n, b) -> (n, List.assoc_opt n reference = Some b)) (read_dir dir) in
+  let want = List.map (fun (n, _) -> (n, true)) reference in
+  List.iter
+    (fun (what, files) ->
+      List.iter
+        (fun jobs ->
+          with_temp_dir (fun dir ->
+              List.iter (fun (n, b) -> spew (Filename.concat dir n) b) files;
+              resume ~jobs dir;
+              Alcotest.(check (list (pair string bool)))
+                (Printf.sprintf "%s, jobs=%d: the resumed log equals the uninterrupted one" what jobs)
+                want (same dir);
+              resume ~jobs dir;
+              Alcotest.(check (list (pair string bool)))
+                (Printf.sprintf "%s, jobs=%d: a second resume changes nothing" what jobs)
+                want (same dir)))
+        [ 1; 2 ])
+    cuts
+
+let cut_config = { parallel_config with Simnet.World.seed = "durable-cuts" }
+
+let test_campaign_cut_points () =
+  let reference =
+    with_temp_dir (fun dir ->
+        run_streamed ~config:cut_config ~days:3 dir;
+        read_dir dir)
+  in
+  check_resumes ~reference
+    ~resume:(fun ~jobs dir -> run_streamed ~config:cut_config ~days:3 ~jobs dir)
+    (cuts reference ~first:"rows-shard-0000" ~second:"rows-shard-0001")
+
+let test_traffic_cut_points () =
+  let cfg =
+    {
+      Traffic.Population.default_config with
+      Traffic.Population.users = 30;
+      days = 2;
+      shard_users = 16;
+      pages_per_day = 1.5;
+      world =
+        { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "durable-traffic" };
+    }
+  in
+  let run ~jobs dir = ignore (Traffic.Population.run ~jobs ~sink:(create_sink ~manifest:[ ("mode", "traffic") ] dir) cfg) in
+  let reference =
+    with_temp_dir (fun dir ->
+        run ~jobs:1 dir;
+        read_dir dir)
+  in
+  check_resumes ~reference ~resume:run
+    (cuts reference ~first:"rows-users-0000" ~second:"rows-users-0001")
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1026,5 +1134,10 @@ let () =
           Alcotest.test_case "raising shard fails the run" `Slow test_raising_shard_fails_run;
           Alcotest.test_case "kept funnel from trailers" `Slow test_kept_funnel_from_trailers;
           Alcotest.test_case "traffic re-run mismatches" `Slow test_traffic_rerun_mismatches;
+        ] );
+      ( "cut-points",
+        [
+          Alcotest.test_case "campaign resumes from every cut" `Slow test_campaign_cut_points;
+          Alcotest.test_case "traffic resumes from every cut" `Slow test_traffic_cut_points;
         ] );
     ]

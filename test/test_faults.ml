@@ -183,7 +183,7 @@ let test_fault_rng_isolation () =
       scan.Scanner.Daily_scan.series;
     tbl
   in
-  let clean_ix = index (Campaign_run.run ~jobs:1 (fresh ()) ~days) in
+  let clean_ix = index (Scanner.Parallel_campaign.collect ~jobs:1 (fresh ()) ~days) in
   List.iter
     (fun (profile : Faults.Profile.t) ->
       let name = profile.Faults.Profile.name in
@@ -191,7 +191,7 @@ let test_fault_rng_isolation () =
       let injector = Faults.Injector.create ~profile w in
       let funnel = Faults.Funnel.create () in
       let faulty =
-        Campaign_run.run ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w ~days
+        Scanner.Parallel_campaign.collect ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w ~days
       in
       let checked = ref 0 and mismatched = ref 0 in
       Hashtbl.iter
@@ -217,7 +217,7 @@ let test_faulty_parallel_campaign_worker_invariant () =
     let w = Simnet.World.create ~config:(campaign_config "faulty-parallel-test") () in
     let injector = Faults.Injector.create ~profile:Faults.Profile.default w in
     let funnel = Faults.Funnel.create () in
-    let t = Campaign_run.run ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
+    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
     (t, funnel)
   in
   let one, f_one = run 1 in
@@ -286,7 +286,7 @@ let test_byzantine_profile_campaign () =
     let w = Simnet.World.create ~config () in
     let injector = Faults.Injector.create ~profile:Faults.Profile.byzantine w in
     let funnel = Faults.Funnel.create () in
-    let t = Campaign_run.run ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
+    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
     (t, funnel)
   in
   let one, f_one = run 1 in
@@ -299,7 +299,7 @@ let test_byzantine_profile_campaign () =
   Alcotest.(check bool) "byzantine causes recorded" true
     (List.exists (fun (f, n) -> Faults.Fault.is_byzantine f && n > 0) losses);
   (* Surviving observations must match a clean run byte-for-byte. *)
-  let clean = Campaign_run.run ~jobs:1 (Simnet.World.create ~config ()) ~days in
+  let clean = Scanner.Parallel_campaign.collect ~jobs:1 (Simnet.World.create ~config ()) ~days in
   let index (scan : Scanner.Daily_scan.t) =
     let tbl = Hashtbl.create 4096 in
     Array.iter

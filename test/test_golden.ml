@@ -41,7 +41,7 @@ let check_golden campaign =
    this checks the scanner, the log's codec and the CSV export at once. *)
 let test_campaign_byte_identity () =
   let world = Simnet.World.create ~config:golden_config () in
-  check_golden (Campaign_run.run ~jobs:1 world ~days:2)
+  check_golden (Scanner.Parallel_campaign.collect ~jobs:1 world ~days:2)
 
 (* The same campaign logged to a named sink directory that outlives the
    run: reassembling the log left on disk must give the golden bytes too. *)
@@ -60,7 +60,7 @@ let test_stream_byte_identity () =
     (fun () ->
       let world = Simnet.World.create ~config:golden_config () in
       let sink =
-        match Scanner.Stream_sink.create ~dir ~manifest:(Campaign_run.manifest world ~days:2) with
+        match Scanner.Stream_sink.create ~dir ~manifest:(Scanner.Parallel_campaign.manifest world ~days:2) with
         | Ok s -> s
         | Error e -> Alcotest.fail e
       in

@@ -155,7 +155,7 @@ let test_metrics_equal_across_jobs () =
   let days = 2 in
   let metrics jobs =
     let obs = Obs.Recorder.create () in
-    ignore (Campaign_run.run ~jobs (fresh_world ()) ~days ~obs);
+    ignore (Scanner.Parallel_campaign.collect ~jobs (fresh_world ()) ~days ~obs);
     Alcotest.(check bool) "metrics are non-trivial" true
       (Obs.Metrics.counter_value (Obs.Recorder.metrics obs) "probe.connects" > 0);
     Obs.Recorder.metrics_json_string obs
@@ -179,7 +179,7 @@ let read_file path =
 let test_archive_bytes_unchanged_by_telemetry () =
   let days = 2 in
   let run ?obs () =
-    let t = Campaign_run.run ~jobs:1 ?obs (fresh_world ()) ~days in
+    let t = Scanner.Parallel_campaign.collect ~jobs:1 ?obs (fresh_world ()) ~days in
     let path = Filename.temp_file "tlsharm-obs" ".csv" in
     Scanner.Daily_scan.save t path;
     Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> read_file path)

@@ -202,7 +202,7 @@ let test_daily_scan () =
       ()
   in
   let days = 4 in
-  let campaign = Campaign_run.run ~jobs:1 w ~days in
+  let campaign = Scanner.Parallel_campaign.collect ~jobs:1 w ~days in
   Alcotest.(check int) "day count" days campaign.Scanner.Daily_scan.n_days;
   Alcotest.(check int) "series per domain" 1500 (Array.length campaign.Scanner.Daily_scan.series);
   (* yahoo: static STEK, same id on every present day. *)
@@ -240,7 +240,7 @@ let test_campaign_save_load () =
       ~config:{ world_config with Simnet.World.seed = "persist-test"; n_domains = 1500 }
       ()
   in
-  let campaign = Campaign_run.run ~jobs:1 w ~days:3 in
+  let campaign = Scanner.Parallel_campaign.collect ~jobs:1 w ~days:3 in
   let path = Filename.temp_file "tlsharm" ".campaign.csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -487,7 +487,7 @@ let test_parallel_deterministic_in_jobs () =
   let days = 2 in
   let run jobs =
     let w = Simnet.World.create ~config:parallel_world_config () in
-    Campaign_run.run ~jobs w ~days
+    Scanner.Parallel_campaign.collect ~jobs w ~days
   in
   let one = run 1 in
   let four = run 4 in
@@ -550,11 +550,7 @@ let prop_shard_balance =
 (* --- Streaming sink ------------------------------------------------------------------------- *)
 
 let make_sink w dir ~days =
-  let start_day = Simnet.Clock.now (Simnet.World.clock w) / Simnet.Clock.day in
-  match
-    Scanner.Stream_sink.create ~dir
-      ~manifest:[ ("start_day", string_of_int start_day); ("n_days", string_of_int days) ]
-  with
+  match Scanner.Stream_sink.create ~dir ~manifest:(Scanner.Parallel_campaign.manifest w ~days) with
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
@@ -566,7 +562,7 @@ let test_stream_matches_archive () =
       let days = 2 in
       let direct =
         archive_bytes
-          (Campaign_run.run ~jobs:1 (Simnet.World.create ~config:parallel_world_config ()) ~days)
+          (Scanner.Parallel_campaign.collect ~jobs:1 (Simnet.World.create ~config:parallel_world_config ()) ~days)
       in
       let w = Simnet.World.create ~config:parallel_world_config () in
       let sink = make_sink w dir ~days in
@@ -608,7 +604,7 @@ let test_stream_jobs_invariant () =
             (names dir1);
           (* And the reassembled archive equals a temporary-log run's. *)
           let w = Simnet.World.create ~config:parallel_world_config () in
-          let reference = archive_bytes (Campaign_run.run ~jobs:1 w ~days) in
+          let reference = archive_bytes (Scanner.Parallel_campaign.collect ~jobs:1 w ~days) in
           match Scanner.Daily_scan.load_stream dir4 with
           | Error e -> Alcotest.fail e
           | Ok loaded ->
@@ -616,7 +612,7 @@ let test_stream_jobs_invariant () =
                 (String.equal (archive_bytes loaded) reference)))
 
 let rerun_stream sink name ~days =
-  match Scanner.Stream_sink.stream sink name ~days with
+  match Scanner.Stream_sink.stream sink name ~days ~decode:(fun _ _ -> Ok ()) with
   | Scanner.Stream_sink.Rerun s -> s
   | Scanner.Stream_sink.Kept _ -> Alcotest.fail "a fresh spool cannot be kept"
 

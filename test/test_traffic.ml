@@ -401,7 +401,7 @@ let test_fork_labels_unique () =
     (fun seed ->
       let world_config = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed } in
       let world = Simnet.World.create ~config:world_config () in
-      ignore (Campaign_run.run ~jobs:2 world ~days:1);
+      ignore (Scanner.Parallel_campaign.collect ~jobs:2 world ~days:1);
       with_tmp_dir (fun dir ->
           let config =
             { traffic_config with Traffic.Population.days = 1; world = world_config }
