@@ -5,7 +5,9 @@
    key also runs at every message length 0-130, across the one-block
    limit at 55 bytes and the two-block limit at 119. The [Rng]
    generator's root key, fork keys and blocks are checked against
-   `openssl dgst` of their documented hash inputs. ECDH runs on P-256 and
+   `openssl dgst` of their documented hash inputs. AES blocks, AES-128-CBC
+   with PKCS#7 and sealed session tickets agree with `openssl enc` (the
+   tickets' MACs with `openssl dgst -mac HMAC`). ECDH runs on P-256 and
    on the 52-, 53- and 61-bit simulation curves against keys
    `openssl genpkey` generates and `openssl pkeyutl -derive`. Miller-Rabin
    agrees with `openssl prime` on the simulation groups' and curves'
@@ -165,6 +167,93 @@ let rng openssl =
   check "rng far block" ~input:(string_of_int far) ~expected:(block root far)
     ~actual:(Rng.generate (Rng.restore ~state:{ Rng.key = root; counter = far; offset = 32 }) 32)
 
+(* AES single blocks in both directions under 128-, 192- and 256-bit keys
+   (`enc -aes-N-ecb -nopad`), and CBC with PKCS#7 padding under 128-bit
+   keys (`enc -aes-128-cbc`, whose default padding is PKCS#7) at lengths
+   0-100, so the padding covers a whole block as well as partial ones.
+   Each CBC ciphertext is also opened by [Block_mode.cbc_decrypt]. Its
+   own stream, so the draws of every other section stay as they were. *)
+let aes openssl =
+  let rand = Rng.create ~seed:"openssl-oracle-aes" in
+  let enc ?(decrypt = false) ?(nopad = false) cipher ~key ?iv data =
+    with_file data (fun f ->
+        run openssl
+          ([ "enc"; cipher; "-K"; hex key ]
+          @ (match iv with Some iv -> [ "-iv"; hex iv ] | None -> [])
+          @ (if decrypt then [ "-d" ] else [])
+          @ (if nopad then [ "-nopad" ] else [])
+          @ [ "-in"; f ]))
+  in
+  List.iter
+    (fun bits ->
+      let cipher = Printf.sprintf "-aes-%d-ecb" bits in
+      for _ = 1 to cases / 5 do
+        let key = Rng.generate rand (bits / 8) and block = Rng.generate rand 16 in
+        let t = Crypto.Aes.of_key key in
+        let input = hex key ^ " / " ^ hex block in
+        check (Printf.sprintf "aes-%d encrypt" bits) ~input
+          ~expected:(enc ~nopad:true cipher ~key block)
+          ~actual:(Crypto.Aes.encrypt_block t block);
+        check (Printf.sprintf "aes-%d decrypt" bits) ~input
+          ~expected:(enc ~decrypt:true ~nopad:true cipher ~key block)
+          ~actual:(Crypto.Aes.decrypt_block t block)
+      done)
+    [ 128; 192; 256 ];
+  for len = 0 to 100 do
+    let key = Rng.generate rand 16 and iv = Rng.generate rand 16 in
+    let plain = Rng.generate rand len in
+    let t = Crypto.Aes.of_key key in
+    let input = Printf.sprintf "%s / %s / %s" (hex key) (hex iv) (hex plain) in
+    let expected = enc "-aes-128-cbc" ~key ~iv plain in
+    check "aes-128-cbc encrypt" ~input ~expected ~actual:(Crypto.Block_mode.cbc_encrypt t ~iv plain);
+    check "aes-128-cbc decrypt" ~input ~expected:plain
+      ~actual:
+        (match Crypto.Block_mode.cbc_decrypt t ~iv expected with Ok p -> p | Error e -> e)
+  done
+
+(* A sealed ticket opened with openssl alone. The STEK is derived as
+   [Stek.derive] documents it: 64 bytes from the [Rng] seeded
+   "stek:SECRET:PERIOD", split as key name, AES-128 key and HMAC key.
+   The ticket is key_name || iv || u16 length || encrypted_state || mac
+   (RFC 5077 section 4): `enc -d -aes-128-cbc` must give back the
+   session's bytes and `dgst -mac HMAC` the MAC over everything before
+   it. Sessions vary in suite, ID length and time. *)
+let tickets openssl =
+  let rand = Rng.create ~seed:"openssl-oracle-tickets" in
+  let suites = Tls.Types.all_cipher_suites in
+  for i = 0 to (cases / 5) - 1 do
+    let secret = Printf.sprintf "oracle-%d" i and period = Rng.int_below rand 1000 in
+    let raw = Rng.generate (Rng.create ~seed:(Printf.sprintf "stek:%s:%d" secret period)) 64 in
+    let stek = Tls.Stek.derive ~secret ~period ~now:(period * 86400) in
+    let session =
+      Tls.Session.make
+        ~id:(Rng.generate rand (Rng.int_below rand 33))
+        ~master_secret:(Rng.generate rand 48)
+        ~cipher_suite:(List.nth suites (i mod List.length suites))
+        ~established_at:(Rng.int_below rand 2_000_000_000)
+    in
+    let ticket = Tls.Ticket.seal stek (Rng.fork rand ~label:(string_of_int i)) session in
+    let n = String.length ticket in
+    let input = hex ticket in
+    check "ticket key name" ~input ~expected:(String.sub raw 0 16) ~actual:(String.sub ticket 0 16);
+    let len = (Char.code ticket.[32] lsl 8) lor Char.code ticket.[33] in
+    check "ticket layout" ~input ~expected:(string_of_int (34 + len + 32)) ~actual:(string_of_int n);
+    let expected_plain =
+      with_file (String.sub ticket 34 len) (fun f ->
+          run openssl
+            [ "enc"; "-d"; "-aes-128-cbc"; "-K"; hex (String.sub raw 16 16); "-iv";
+              hex (String.sub ticket 16 16); "-in"; f ])
+    in
+    check "ticket state" ~input ~expected:expected_plain ~actual:(Tls.Session.to_bytes session);
+    let expected_mac =
+      with_file (String.sub ticket 0 (n - 32)) (fun f ->
+          run openssl
+            [ "dgst"; "-sha256"; "-mac"; "HMAC"; "-macopt"; "hexkey:" ^ hex (String.sub raw 32 32);
+              "-binary"; f ])
+    in
+    check "ticket mac" ~input ~expected:expected_mac ~actual:(String.sub ticket (n - 32) 32)
+  done
+
 module Ec = Crypto.Ec
 
 (* Simulation curves are passed as explicit parameters. Every one is
@@ -296,6 +385,8 @@ let () =
       tls1_prf openssl;
       hkdf_expand openssl;
       rng openssl;
+      aes openssl;
+      tickets openssl;
       let curves = ecdh_curves () in
       List.iter (ecdh openssl) curves;
       let primes = primality_cases () in
@@ -306,6 +397,7 @@ let () =
       end;
       Printf.printf
         "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; hmac agrees at \
-         every length 0-130; rng keys and blocks agree; ecdh agrees on %s; primality agrees on \
+         every length 0-130; rng keys and blocks agree; aes blocks, aes-128-cbc and sealed tickets \
+         agree; ecdh agrees on %s; primality agrees on \
          %d numbers\n"
         cases (String.concat ", " (List.map fst curves)) (List.length primes)
