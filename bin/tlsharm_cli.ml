@@ -881,29 +881,12 @@ let attack_cmd =
 
 (* --- traffic ------------------------------------------------------------------------------ *)
 
-(* Pins everything the archive means: population shape, policy, world.
-   [Scanner.Stream_sink.create] refuses to re-attach when any of these differ,
-   and [Analysis.Tracking_report.of_sink] reads the run metadata back
-   from here. *)
-let traffic_manifest (cfg : Traffic.Population.config) =
-  [
-    ("mode", "traffic");
-    ("seed", cfg.Traffic.Population.world.Simnet.World.seed);
-    ("n_domains", string_of_int cfg.Traffic.Population.world.Simnet.World.n_domains);
-    ("users", string_of_int cfg.Traffic.Population.users);
-    ("days", string_of_int cfg.Traffic.Population.days);
-    ("shard_users", string_of_int cfg.Traffic.Population.shard_users);
-    ("policy", Traffic.Population.policy_to_string cfg.Traffic.Population.policy);
-    ("ticket_lifetime", string_of_int cfg.Traffic.Population.ticket_lifetime_cap);
-    ("pages_per_day", Printf.sprintf "%g" cfg.Traffic.Population.pages_per_day);
-  ]
-
 let traffic (cfg : Traffic.Population.config) jobs stream_out telemetry =
   guard @@ fun () ->
   let obs = recorder telemetry in
   (* Without --stream-out the run log goes to a temporary directory; the
      report is always folded from the log. *)
-  Scanner.Stream_sink.with_sink ?dir:stream_out ~manifest:(traffic_manifest cfg) (fun sink ->
+  Scanner.Stream_sink.with_sink ?dir:stream_out ~manifest:(Traffic.Population.manifest cfg) (fun sink ->
       let kernel_before = Obs.Kernel.snapshot () in
       let r = Traffic.Population.run ~jobs ~sink ~obs cfg in
       write_telemetry ~what:"traffic" telemetry obs ~kernel_before;

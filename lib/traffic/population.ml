@@ -33,6 +33,19 @@ let default_config =
     world = Simnet.World.default_config;
   }
 
+let manifest cfg =
+  [
+    ("mode", "traffic");
+    ("seed", cfg.world.Simnet.World.seed);
+    ("n_domains", string_of_int cfg.world.Simnet.World.n_domains);
+    ("users", string_of_int cfg.users);
+    ("days", string_of_int cfg.days);
+    ("shard_users", string_of_int cfg.shard_users);
+    ("policy", policy_to_string cfg.policy);
+    ("ticket_lifetime", string_of_int cfg.ticket_lifetime_cap);
+    ("pages_per_day", Printf.sprintf "%g" cfg.pages_per_day);
+  ]
+
 (* Cap on one user's page loads in a day. *)
 let max_pages_per_day = 12
 

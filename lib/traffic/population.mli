@@ -37,7 +37,6 @@
     operator into one linkable identity. *)
 type policy = Strict | Cross_operator
 
-val policy_to_string : policy -> string
 val policy_of_string : string -> (policy, string) result
 
 type config = {
@@ -58,6 +57,13 @@ val default_config : config
     strict policy, advertised lifetimes, 32-scope stores, 2 pages/day
     over the default world. Every user also reuses a session ID for at
     most one day and loads at most 12 pages a day. *)
+
+val manifest : config -> (string * string) list
+(** A traffic run log's manifest: mode [traffic], the world's seed and
+    size, the population's shape and policy. It pins everything the log
+    means, so {!Scanner.Stream_sink.create} refuses to re-attach when
+    any of these differ, and [Analysis.Tracking_report.of_sink] reads the
+    run metadata back from it. *)
 
 type result = {
   n_shards : int;

@@ -45,7 +45,8 @@ let test_campaign_byte_identity () =
 
 (* The same campaign logged to a named sink directory that outlives the
    run: reassembling the log left on disk must give the golden bytes too. *)
-let test_stream_byte_identity () =
+(* [f dir] with [dir] a fresh path that is removed afterwards. *)
+let with_dir f =
   let dir = Filename.temp_file "tlsharm-golden" ".d" in
   Sys.remove dir;
   let rec rm_rf path =
@@ -55,19 +56,59 @@ let test_stream_byte_identity () =
     end
     else Sys.remove path
   in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+
+let create_sink ~dir ~manifest =
+  match Scanner.Stream_sink.create ~dir ~manifest with Ok s -> s | Error e -> Alcotest.fail e
+
+let test_stream_byte_identity () =
+  with_dir (fun dir ->
       let world = Simnet.World.create ~config:golden_config () in
-      let sink =
-        match Scanner.Stream_sink.create ~dir ~manifest:(Scanner.Parallel_campaign.manifest world ~days:2) with
-        | Ok s -> s
-        | Error e -> Alcotest.fail e
-      in
+      let sink = create_sink ~dir ~manifest:(Scanner.Parallel_campaign.manifest world ~days:2) in
       Scanner.Parallel_campaign.run ~jobs:1 ~sink world ~days:2 ();
       match Scanner.Daily_scan.load_stream dir with
       | Ok campaign -> check_golden campaign
       | Error e -> Alcotest.fail e)
+
+(* The traffic log of [tlsharm traffic --domains 1500 --users 300 --days 2
+   --shard-users 150 --stream-out DIR]: its manifest and both spools must
+   hash to the digests pinned in golden/traffic_stream.sha256 (sha256sum
+   format). The campaign never opens a ticket; this run resumes through
+   ticket decryption, so it is what pins the AES, CBC and ticket codec
+   bytes. *)
+let traffic_config =
+  {
+    Traffic.Population.default_config with
+    users = 300;
+    days = 2;
+    shard_users = 150;
+    world = { Simnet.World.default_config with n_domains = 1500 };
+  }
+
+let test_traffic_stream_digests () =
+  with_dir (fun dir ->
+      let sink = create_sink ~dir ~manifest:(Traffic.Population.manifest traffic_config) in
+      ignore (Traffic.Population.run ~jobs:1 ~sink traffic_config);
+      let want = read_file (golden_path "traffic_stream.sha256") in
+      let got =
+        Sys.readdir dir |> Array.to_list |> List.sort String.compare
+        |> List.map (fun name ->
+               Printf.sprintf "%s  %s\n"
+                 (Wire.Hex.encode (Crypto.Sha256.digest (read_file (Filename.concat dir name))))
+                 name)
+        |> String.concat ""
+      in
+      Alcotest.(check string) "manifest and spool digests" want got;
+      let ticket_resumptions =
+        List.fold_left
+          (fun n shard ->
+            match Traffic.Traffic_sink.read_shard ~dir ~shard with
+            | Error e -> Alcotest.fail e
+            | Ok (rows, _) ->
+                n + List.length (List.filter (fun r -> r.Traffic.Row.resumed = R_ticket) rows))
+          0 [ 0; 1 ]
+      in
+      Alcotest.(check bool) "the run resumed a ticket" true (ticket_resumptions > 0))
 
 let () =
   Alcotest.run "golden"
@@ -79,4 +120,6 @@ let () =
           Alcotest.test_case "stream path byte-identical to seed-era kernels" `Quick
             test_stream_byte_identity;
         ] );
+      ( "traffic",
+        [ Alcotest.test_case "stream digests pinned" `Quick test_traffic_stream_digests ] );
     ]
