@@ -72,7 +72,9 @@ let () =
     in
     let names =
       match Tls.Handshake_msg.read_all bytes with
-      | Ok msgs -> String.concat ", " (List.map Tls.Handshake_msg.message_name msgs)
+      | Ok msgs ->
+          String.concat ", "
+            (List.map (fun m -> Tls.Handshake_msg.message_name m.Tls.Handshake_msg.msg) msgs)
       | Error _ -> "<unparseable>"
     in
     Printf.printf "  %s  %4d bytes  [%s]\n" arrow (String.length bytes) names

@@ -40,8 +40,8 @@ let observe capture _direction bytes =
   | Error _ -> ()
   | Ok msgs ->
       List.iter
-        (fun msg ->
-          match msg with
+        (fun (m : Msg.framed) ->
+          match m.Msg.msg with
           | Msg.Client_hello ch -> capture.client_random <- ch.Msg.ch_random
           | Msg.Server_hello sh ->
               capture.server_random <- sh.Msg.sh_random;

@@ -36,8 +36,14 @@ let norm (a : int array) : t =
 
 let of_int v =
   if v < 0 then invalid_arg "Bignum.of_int: negative";
-  let rec limbs v = if v = 0 then [] else (v land mask) :: limbs (v lsr limb_bits) in
-  Array.of_list (limbs v)
+  let rec count v n = if v = 0 then n else count (v lsr limb_bits) (n + 1) in
+  let a = Array.make (count v 0) 0 in
+  let v = ref v in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- !v land mask;
+    v := !v lsr limb_bits
+  done;
+  a
 
 let one = of_int 1
 let two = of_int 2

@@ -20,14 +20,72 @@
    coordinates with no per-operation allocation. P-256, which no
    simulation uses, runs on the seed-era double-and-add kept in
    {!Reference} over [Bignum.Field]; [make_curve] refuses any other
-   prime. [Bignum.Field] also serves curve construction, [on_curve] and
+   prime. [Bignum.Field] also serves curve construction and
    [add]/[double].
+
+   The glue around the ladder takes the same choice, made once per curve
+   in [make_curve]: on a one-word curve, [point_of_bytes] decodes the
+   coordinates straight into ints, [on_curve] and [agree] check and
+   multiply on {!Word_field} residues, and arithmetic modulo the group
+   order ([order], which ECDSA uses for r, s, u1, u2 and the inverses)
+   runs on a {!Word_field} over n whenever n is an odd number below
+   2^61, as every simulation curve's prime order is. P-256 keeps the
+   limb path throughout.
 
    Arithmetic is not constant-time; this library measures protocol
    behaviour, it does not defend live traffic. *)
 
 module F = Bignum.Field
 module W = Word_field
+
+(* Arithmetic modulo the group order n, on an element type each curve
+   picks once: ints on a {!Word_field} over n, or [Bignum.t]. *)
+type 's order_ops = {
+  of_bignum : Bignum.t -> 's;
+  to_bignum : 's -> Bignum.t;
+  is_zero : 's -> bool;
+  equal : 's -> 's -> bool;
+  add : 's -> 's -> 's;
+  mul : 's -> 's -> 's;
+  inv : 's -> 's;
+}
+
+type order = Order : 's order_ops -> order
+
+let zero_inverse () = invalid_arg "Ec.mod_order_inverse: zero"
+
+(* Limbs, with one cached Montgomery context for the inverse: Fermat's
+   a^(n-2), counted in [kernel.pow_mod]. *)
+let limb_order n =
+  let mont = lazy (Bignum.mont_of_modulus n) in
+  let reduce a = if Bignum.compare a n < 0 then a else Bignum.rem a n in
+  Order
+    {
+      of_bignum = reduce;
+      to_bignum = Fun.id;
+      is_zero = Bignum.is_zero;
+      equal = Bignum.equal;
+      add = (fun a b -> reduce (Bignum.add a b));
+      mul = (fun a b -> Bignum.rem (Bignum.mul a b) n);
+      inv =
+        (fun a ->
+          if Bignum.is_zero a then zero_inverse ();
+          Bignum.pow_mod_ctx (Lazy.force mont) a (Bignum.sub n Bignum.two));
+    }
+
+(* One word: Montgomery residues mod n, the same a^(n-2) by
+   {!Word_field.inv}, and no allocation between the conversions. *)
+let word_order f =
+  Order
+    {
+      of_bignum = W.of_bignum f;
+      to_bignum = W.to_bignum f;
+      is_zero = (fun a -> a = 0);
+      equal = Int.equal;
+      add = W.add f;
+      mul = W.mul f;
+      inv = (fun a -> if a = 0 then zero_inverse () else W.inv f a);
+    }
 
 type curve = {
   name : string;
@@ -39,13 +97,14 @@ type curve = {
   gy : Bignum.t;
   n : Bignum.t; (* order of the base point *)
   h : int; (* cofactor *)
-  n_mont : Bignum.mont Lazy.t; (* cached context for mod-n arithmetic (ECDSA) *)
+  order : order; (* arithmetic modulo n *)
   fast : fast option; (* the one-word ladder; [None] for P-256 *)
 }
 
 and fast = {
   f : W.t;
   ca : int; (* [a] as a Montgomery residue *)
+  cb : int; (* [b] as a Montgomery residue *)
   comb : comb; (* fixed-base comb for [scalar_mult_base], built eagerly *)
 }
 
@@ -464,7 +523,7 @@ let plain_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
     gy;
     n;
     h;
-    n_mont = lazy (Bignum.mont_of_modulus n);
+    order = limb_order n;
     fast = None;
   }
 
@@ -481,14 +540,17 @@ let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
   match word with
   | None -> c
   | Some f ->
-      { c with fast = Some { f; ca = W.of_bignum f a; comb = build_comb c f } }
+      let order = match W.create n with nf -> word_order nf | exception Invalid_argument _ -> c.order in
+      {
+        c with
+        order;
+        fast = Some { f; ca = W.of_bignum f a; cb = W.of_bignum f b; comb = build_comb c f };
+      }
 
-(* Inverse modulo the (prime) group order, with a cached Montgomery
-   context — ECDSA calls this once per signature and verification. *)
-let mod_order_inverse c (a : Bignum.t) =
-  let a = Bignum.rem a c.n in
-  if Bignum.is_zero a then invalid_arg "Ec.mod_order_inverse: zero";
-  Bignum.pow_mod_ctx (Lazy.force c.n_mont) a (Bignum.sub c.n Bignum.two)
+let order c = c.order
+
+let mod_order_inverse c a =
+  match c.order with Order o -> o.to_bignum (o.inv (o.of_bignum a))
 
 (* NIST P-256 (secp256r1) domain parameters; the test suite validates them
    structurally (base point on curve, n * G = infinity, p and n prime). *)
@@ -502,14 +564,22 @@ let p256 =
     ~n:(Bignum.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
     ~h:1
 
+(* y^2 = x^3 + ax + b on residues. *)
+let won_curve fa x y =
+  let f = fa.f in
+  W.sqr f y = W.add f (W.mul f (W.sqr f x) x) (W.add f (W.mul f fa.ca x) fa.cb)
+
 let on_curve c = function
   | Inf -> true
-  | Affine (x, y) ->
-      let fctx = c.fctx in
-      let xf = F.of_bignum fctx x and yf = F.of_bignum fctx y in
-      let lhs = F.sqr fctx yf in
-      let rhs = F.add fctx (F.mul fctx (F.sqr fctx xf) xf) (F.add fctx (F.mul fctx c.a xf) c.b) in
-      F.equal lhs rhs
+  | Affine (x, y) -> (
+      match c.fast with
+      | Some fa -> won_curve fa (W.of_bignum fa.f x) (W.of_bignum fa.f y)
+      | None ->
+          let fctx = c.fctx in
+          let xf = F.of_bignum fctx x and yf = F.of_bignum fctx y in
+          let lhs = F.sqr fctx yf in
+          let rhs = F.add fctx (F.mul fctx (F.sqr fctx xf) xf) (F.add fctx (F.mul fctx c.a xf) c.b) in
+          F.equal lhs rhs)
 
 let neg c = function
   | Inf -> Inf
@@ -521,23 +591,24 @@ let neg c = function
    double-and-add over h's bits (two doublings for h = 4), outside the
    counted kernels so the [kernel.ec_*] counters see only real
    multiplications. *)
-let small_order c q =
+let wsmall_order c fa q =
   c.h > 1
   &&
+  let acc = { x = q.x; y = q.y; z = q.z } in
+  let top = ref 0 in
+  while c.h lsr (!top + 1) > 0 do
+    incr top
+  done;
+  for i = !top - 1 downto 0 do
+    wdbl fa acc;
+    if (c.h lsr i) land 1 = 1 then wadd fa acc q.x q.y q.z
+  done;
+  acc.z = 0
+
+let small_order c q =
   match c.fast with
-  | None -> Reference.scalar_mult c (Bignum.of_int c.h) q = Inf
-  | Some fa ->
-      let q = wpt_of_point fa q in
-      let acc = { x = q.x; y = q.y; z = q.z } in
-      let top = ref 0 in
-      while c.h lsr (!top + 1) > 0 do
-        incr top
-      done;
-      for i = !top - 1 downto 0 do
-        wdbl fa acc;
-        if (c.h lsr i) land 1 = 1 then wadd fa acc q.x q.y q.z
-      done;
-      acc.z = 0
+  | None -> c.h > 1 && Reference.scalar_mult c (Bignum.of_int c.h) q = Inf
+  | Some fa -> wsmall_order c fa (wpt_of_point fa q)
 
 (* --- Small-curve generation ----------------------------------------------
    For p = 4q - 1 with p, q prime (so p = 3 mod 4), the curve
@@ -635,39 +706,78 @@ let point_bytes c = function
       let l = field_len c in
       "\x04" ^ Bignum.to_bytes_be ~len:l x ^ Bignum.to_bytes_be ~len:l y
 
+(* The [l]-byte big-endian integer at [pos], for [l <= 8]; -1 when it is
+   2^62 or more, which no one-word field element is. *)
+let word_at s pos l =
+  if l = 8 && Char.code s.[pos] >= 0x40 then -1
+  else begin
+    let v = ref 0 in
+    for i = pos to pos + l - 1 do
+      v := (!v lsl 8) lor Char.code s.[i]
+    done;
+    !v
+  end
+
+let word_bytes ~len v = String.init len (fun i -> Char.chr ((v lsr (8 * (len - 1 - i))) land 0xff))
+
+let not_below_prime = Error "ec: point coordinate not below the field prime"
+
+(* SEC 1 v2 §2.3.4: each coordinate must be a field element, so one
+   point has exactly one encoding. On a one-word curve the coordinates
+   are read straight into ints and checked on residues. *)
 let point_of_bytes c s =
   if s = "\x00" then Ok Inf
   else
     let l = field_len c in
     if String.length s <> 1 + (2 * l) || s.[0] <> '\x04' then Error "ec: bad point encoding"
     else
-      let x = Bignum.of_bytes_be (String.sub s 1 l) in
-      let y = Bignum.of_bytes_be (String.sub s (1 + l) l) in
-      let p = curve_p c in
-      (* SEC 1 v2 §2.3.4: each coordinate must be a field element, so one
-         point has exactly one encoding. *)
-      if Bignum.compare x p >= 0 || Bignum.compare y p >= 0 then
-        Error "ec: point coordinate not below the field prime"
-      else
-        let pt = Affine (x, y) in
-        if on_curve c pt then Ok pt else Error "ec: point not on curve"
+      match c.fast with
+      | Some fa ->
+          let p = W.modulus fa.f in
+          let x = word_at s 1 l and y = word_at s (1 + l) l in
+          if x < 0 || y < 0 || x >= p || y >= p then not_below_prime
+          else if won_curve fa (W.of_int fa.f x) (W.of_int fa.f y) then
+            Ok (Affine (Bignum.of_int x, Bignum.of_int y))
+          else Error "ec: point not on curve"
+      | None ->
+          let x = Bignum.of_bytes_be (String.sub s 1 l) in
+          let y = Bignum.of_bytes_be (String.sub s (1 + l) l) in
+          let p = curve_p c in
+          if Bignum.compare x p >= 0 || Bignum.compare y p >= 0 then not_below_prime
+          else
+            let pt = Affine (x, y) in
+            if on_curve c pt then Ok pt else Error "ec: point not on curve"
 
 let public_bytes kp = point_bytes kp.curve kp.pub
 
+(* A point killed by the cofactor would confine the secret to a handful
+   of values, and which of them (or whether infinity) depends on the
+   private key's low bits. TLS uses the x-coordinate of the shared
+   point. On a one-word curve the peer's point is converted to residues
+   once, and checked, multiplied and encoded from there. *)
 let agree c priv ~peer_pub =
-  match peer_pub with
-  | Inf -> Error "ec: peer public is infinity"
-  | Affine _ when not (on_curve c peer_pub) -> Error "ec: peer point not on curve"
-  | Affine _ when small_order c peer_pub ->
-      (* A point killed by the cofactor would confine the secret to a
-         handful of values, and which of them (or whether infinity)
-         depends on the private key's low bits. *)
-      Error "ec: peer point of small order"
-  | Affine _ -> (
-      match scalar_mult c priv peer_pub with
-      | Inf -> Error "ec: degenerate shared point"
-      | Affine (x, _) ->
-          (* TLS uses the x-coordinate of the shared point. *)
-          Ok (Bignum.to_bytes_be ~len:(field_len c) x))
+  match (peer_pub, c.fast) with
+  | Inf, _ -> Error "ec: peer public is infinity"
+  | Affine (x, y), Some fa ->
+      let f = fa.f in
+      let q = { x = W.of_bignum f x; y = W.of_bignum f y; z = W.one f } in
+      if not (won_curve fa q.x q.y) then Error "ec: peer point not on curve"
+      else if wsmall_order c fa q then Error "ec: peer point of small order"
+      else begin
+        Obs.Kernel.(bump ec_scalar_mult);
+        let acc = wpt_inf () in
+        wnaf_mult fa priv q acc;
+        if acc.z = 0 then Error "ec: degenerate shared point"
+        else
+          let zinv = W.inv f acc.z in
+          Ok (word_bytes ~len:(field_len c) (W.to_int f (W.mul f acc.x (W.sqr f zinv))))
+      end
+  | Affine _, None -> (
+      if not (on_curve c peer_pub) then Error "ec: peer point not on curve"
+      else if small_order c peer_pub then Error "ec: peer point of small order"
+      else
+        match scalar_mult c priv peer_pub with
+        | Inf -> Error "ec: degenerate shared point"
+        | Affine (x, _) -> Ok (Bignum.to_bytes_be ~len:(field_len c) x))
 
 let shared_secret kp ~peer_pub = agree kp.curve kp.priv ~peer_pub

@@ -39,9 +39,32 @@ val generate_small : bits:int -> seed:string -> curve
     field element in one native int; other sizes raise
     [Invalid_argument]. See DESIGN.md. *)
 
+(** Arithmetic modulo the group order n on elements of type ['s], each
+    reduced mod n. [of_bignum] reduces; [inv] is Fermat's a{^n-2} (so n
+    must be prime for it to be an inverse) and raises [Invalid_argument]
+    on zero. *)
+type 's order_ops = {
+  of_bignum : Bignum.t -> 's;
+  to_bignum : 's -> Bignum.t;
+  is_zero : 's -> bool;
+  equal : 's -> 's -> bool;
+  add : 's -> 's -> 's;
+  mul : 's -> 's -> 's;
+  inv : 's -> 's;
+}
+
+type order = Order : 's order_ops -> order
+
+val order : curve -> order
+(** The curve's mod-n arithmetic, chosen once in {!make_curve}: native
+    ints on a {!Word_field} over n when n is odd and below 2{^61} (every
+    simulation curve), with nothing allocated between the conversions
+    and the inverse uncounted; otherwise [Bignum] limbs, whose inverse is
+    a counted [Bignum.pow_mod_ctx]. Both give the same values. *)
+
 val mod_order_inverse : curve -> Bignum.t -> Bignum.t
-(** Inverse modulo the (prime) group order, with a cached Montgomery
-    context. Raises [Invalid_argument] on zero. *)
+(** Inverse modulo the (prime) group order, through {!order}. Raises
+    [Invalid_argument] on zero. *)
 
 val on_curve : curve -> point -> bool
 val add : curve -> point -> point -> point

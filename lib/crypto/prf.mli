@@ -11,5 +11,11 @@ val master_secret :
 
 val key_block : master:string -> client_random:string -> server_random:string -> int -> string
 
-val client_finished : master:string -> handshake_hash:string -> string
-val server_finished : master:string -> handshake_hash:string -> string
+type master
+(** A master secret keyed for HMAC once. A party builds it once per
+    connection and computes or checks every Finished with it. *)
+
+val key_master : string -> master
+
+val client_finished : master -> handshake_hash:string -> string
+val server_finished : master -> handshake_hash:string -> string

@@ -102,12 +102,17 @@ let mul_small f a k =
   !acc
 
 let one f = f.one
+let modulus f = f.p
+
+let of_int f v = mul f (v mod f.p) f.r2
+let to_int f a = mul f a 1
 
 let of_bignum f (x : Bignum.t) =
-  let x = if Bignum.compare x f.modulus >= 0 then Bignum.rem x f.modulus else x in
-  mul f (Bignum.to_int_exn x) f.r2
+  match Bignum.to_int_opt x with
+  | Some v -> of_int f v
+  | None -> of_int f (Bignum.to_int_exn (Bignum.rem x f.modulus))
 
-let to_bignum f a = Bignum.of_int (mul f a 1)
+let to_bignum f a = Bignum.of_int (to_int f a)
 
 (* Fermat: a^(p-2), left to right over the bits of p - 2. *)
 let inv f a =

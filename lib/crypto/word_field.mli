@@ -19,6 +19,15 @@ val create : Bignum.t -> t
     below 2{^61}. Primality is the caller's precondition ({!inv} relies
     on it). *)
 
+val modulus : t -> int
+(** p. *)
+
+val of_int : t -> int -> int
+(** Into Montgomery form from a non-negative int, reduced mod p. *)
+
+val to_int : t -> int -> int
+(** Out of Montgomery form: the canonical value in [\[0, p)]. *)
+
 val of_bignum : t -> Bignum.t -> int
 (** Into Montgomery form; values outside [\[0, p)] are reduced. *)
 

@@ -140,9 +140,9 @@ let build_env () =
   let client_flight, pending =
     match Tls.Server.handle_client_hello server ~now:100 ch with
     | Ok (Tls.Server.Negotiating (msgs, pending)) ->
-        (String.concat "" (List.map Msg.to_bytes msgs), Some pending)
+        (String.concat "" (List.map (fun m -> m.Msg.bytes) msgs), Some pending)
     | Ok (Tls.Server.Resuming (msgs, _, _)) ->
-        (String.concat "" (List.map Msg.to_bytes msgs), None)
+        (String.concat "" (List.map (fun m -> m.Msg.bytes) msgs), None)
     | Error _ -> ("", None)
   in
   (* A hand-built DHE flight: mutating its explicit (p, g, Ys) drives
@@ -317,10 +317,9 @@ let targets env =
       t_template = tpl "client-hello";
       t_drive =
         (fun s ->
-          match Msg.of_bytes s with
-          | Error _ -> false
-          | Ok msg ->
-              Result.is_ok (Tls.Server.handle_client_hello env.server ~now:100 msg));
+          match Msg.read_all s with
+          | Ok [ hello ] -> Result.is_ok (Tls.Server.handle_client_hello env.server ~now:100 hello)
+          | Ok _ | Error _ -> false);
       t_alloc_cap = engine_cap;
     };
     {

@@ -29,10 +29,17 @@ type state = {
   s_now : int;
 }
 
-(* The transcript is a running hash; each Finished reads a copy of it, so
-   no handshake re-hashes the messages (certificate chain included) it
-   has already absorbed. *)
-let add transcript msg = Crypto.Sha256.update transcript (Msg.to_bytes msg)
+(* The transcript is a running hash over each message's wire bytes, as
+   sent or as received; each Finished reads a copy of it, so no
+   handshake re-hashes the messages (certificate chain included) it has
+   already absorbed. *)
+let add transcript (m : Msg.framed) = Crypto.Sha256.update transcript m.Msg.bytes
+
+(* Encode an outgoing message once and absorb it. *)
+let send transcript msg =
+  let m = Msg.frame msg in
+  add transcript m;
+  m
 let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 let hello t ~now ~hostname ~offer =
@@ -49,8 +56,10 @@ let hello t ~now ~hostname ~offer =
     let env_id = t.config.Config.cl_env.Config.ecdhe_curve_id in
     if t.prefer_x25519 then [ x25519_group_id; env_id ] else [ env_id; x25519_group_id ]
   in
+  let transcript = Crypto.Sha256.init () in
   let ch =
-    Msg.Client_hello
+    send transcript
+    @@ Msg.Client_hello
       {
         ch_version = Types.TLS_1_2;
         ch_random = random;
@@ -60,8 +69,6 @@ let hello t ~now ~hostname ~offer =
           Extension.Server_name hostname :: Extension.Supported_groups groups :: ticket_ext;
       }
   in
-  let transcript = Crypto.Sha256.init () in
-  add transcript ch;
   ( ch,
     {
       s_client = t;
@@ -76,7 +83,8 @@ let hello t ~now ~hostname ~offer =
 
 type full_continuation = {
   f_state : state;
-  f_master : string;
+  f_master_secret : string;
+  f_master : Crypto.Prf.master;
   f_suite : Types.cipher_suite;
   f_session_id : string;
 }
@@ -87,13 +95,13 @@ type full_continuation = {
    [CKE; Finished] and then hand us the server's closing flight. *)
 type flight_result =
   | Abbreviated of {
-      client_finished : Msg.t;
+      client_finished : Msg.framed;
       session : Session.t;
       new_ticket : (int * string) option; (* lifetime hint, ticket *)
       session_id : string;
     }
   | Continue_full of {
-      to_send : Msg.t list;
+      to_send : Msg.framed list;
       continuation : full_continuation;
       cert_chain : Cert.t list;
       trust : (Cert.t, Cert.validation_error) result;
@@ -207,30 +215,33 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
   | Some session -> (
       let nst, fin =
         match rest with
-        | [ Msg.New_session_ticket nst; Msg.Finished f ] -> (Some nst, Some f)
-        | [ Msg.Finished f ] -> (None, Some f)
+        | [ ({ Msg.msg = Msg.New_session_ticket nst; _ } as m); ({ msg = Msg.Finished f; _ } as fin) ]
+          ->
+            (Some (m, nst), Some (fin, f))
+        | [ ({ msg = Msg.Finished f; _ } as fin) ] -> (None, Some (fin, f))
         | _ -> (None, None)
       in
       match fin with
       | None -> Error "malformed abbreviated flight"
-      | Some server_verify ->
+      | Some (fin, server_verify) ->
           if sh.Msg.sh_cipher_suite <> Session.cipher_suite session then
             Error "resumption changed cipher suite"
           else begin
             let transcript = state.s_transcript in
             add transcript sh_msg;
-            Option.iter (fun n -> add transcript (Msg.New_session_ticket n)) nst;
-            let master = Session.master_secret session in
+            Option.iter (fun (m, _) -> add transcript m) nst;
+            let master = Crypto.Prf.key_master (Session.master_secret session) in
             let expected =
-              Crypto.Prf.server_finished ~master ~handshake_hash:(transcript_hash transcript)
+              Crypto.Prf.server_finished master ~handshake_hash:(transcript_hash transcript)
             in
             if not (Crypto.Hmac.equal_ct expected server_verify) then
               Error "server Finished verification failed"
             else begin
-              add transcript (Msg.Finished server_verify);
+              add transcript fin;
               let client_fin =
-                Msg.Finished
-                  (Crypto.Prf.client_finished ~master ~handshake_hash:(transcript_hash transcript))
+                Msg.frame
+                  (Msg.Finished
+                     (Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash transcript)))
               in
               Ok
                 (Abbreviated
@@ -238,7 +249,7 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
                      client_finished = client_fin;
                      session;
                      new_ticket =
-                       Option.map (fun n -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst;
+                       Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst;
                      session_id = sh.Msg.sh_session_id;
                    })
             end
@@ -247,9 +258,9 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
 let handle_full state sh_msg (sh : Msg.server_hello) rest =
   let t = state.s_client in
   let cert_bytes, ske, rest_ok =
-    match rest with
+    match List.map (fun m -> m.Msg.msg) rest with
     | [ Msg.Certificate chain; Msg.Server_key_exchange ske; Msg.Server_hello_done ] ->
-        (chain, Some Msg.{ ske_params = ske.ske_params; ske_signature = ske.ske_signature }, true)
+        (chain, Some ske, true)
     | [ Msg.Certificate chain; Msg.Server_hello_done ] -> (chain, None, true)
     | _ -> ([], None, false)
   in
@@ -287,19 +298,19 @@ let handle_full state sh_msg (sh : Msg.server_hello) rest =
                 | Ok (cke_public, pre_master, server_kex_public) ->
                     let transcript = state.s_transcript in
                     add transcript sh_msg;
-                    List.iter (add transcript) (List.map (fun m -> m) rest);
-                    let cke = Msg.Client_key_exchange cke_public in
-                    add transcript cke;
-                    let master =
+                    List.iter (add transcript) rest;
+                    let cke = send transcript (Msg.Client_key_exchange cke_public) in
+                    let master_secret =
                       Crypto.Prf.master_secret ~pre_master ~client_random:state.s_random
                         ~server_random:sh.Msg.sh_random
                     in
+                    let master = Crypto.Prf.key_master master_secret in
                     let fin =
-                      Msg.Finished
-                        (Crypto.Prf.client_finished ~master
-                           ~handshake_hash:(transcript_hash transcript))
+                      send transcript
+                        (Msg.Finished
+                           (Crypto.Prf.client_finished master
+                              ~handshake_hash:(transcript_hash transcript)))
                     in
-                    add transcript fin;
                     Ok
                       (Continue_full
                          {
@@ -307,6 +318,7 @@ let handle_full state sh_msg (sh : Msg.server_hello) rest =
                            continuation =
                              {
                                f_state = state;
+                               f_master_secret = master_secret;
                                f_master = master;
                                f_suite = sh.Msg.sh_cipher_suite;
                                f_session_id = sh.Msg.sh_session_id;
@@ -320,9 +332,9 @@ let handle_full state sh_msg (sh : Msg.server_hello) rest =
             end)
   end
 
-let handle_server_flight state msgs =
+let handle_server_flight state (msgs : Msg.framed list) =
   match msgs with
-  | Msg.Server_hello sh :: rest -> (
+  | ({ msg = Msg.Server_hello sh; _ } as sh_msg) :: rest -> (
       let t = state.s_client in
       if sh.Msg.sh_version <> Types.TLS_1_2 then Error "bad server version"
       else if
@@ -338,38 +350,38 @@ let handle_server_flight state msgs =
         in
         let is_abbreviated =
           (offered_id <> "" && String.equal sh.Msg.sh_session_id offered_id)
-          || List.exists (function Msg.Finished _ -> true | _ -> false) rest
+          || List.exists (function { Msg.msg = Msg.Finished _; _ } -> true | _ -> false) rest
         in
-        if is_abbreviated then handle_abbreviated state (Msg.Server_hello sh) sh rest
-        else handle_full state (Msg.Server_hello sh) sh rest
+        if is_abbreviated then handle_abbreviated state sh_msg sh rest
+        else handle_full state sh_msg sh rest
       end)
   | _ -> Error "flight does not start with ServerHello"
 
 (* Process the server's closing flight of a full handshake:
    [(NewSessionTicket); Finished]. Returns the established session plus
    any ticket. *)
-let finish_full (cont : full_continuation) ~now msgs =
+let finish_full (cont : full_continuation) ~now (msgs : Msg.framed list) =
   let nst, fin =
     match msgs with
-    | [ Msg.New_session_ticket nst; Msg.Finished f ] -> (Some nst, Some f)
-    | [ Msg.Finished f ] -> (None, Some f)
+    | [ ({ msg = Msg.New_session_ticket nst; _ } as m); { msg = Msg.Finished f; _ } ] ->
+        (Some (m, nst), Some f)
+    | [ { msg = Msg.Finished f; _ } ] -> (None, Some f)
     | _ -> (None, None)
   in
   match fin with
   | None -> Error "malformed server closing flight"
   | Some server_verify ->
       let transcript = cont.f_state.s_transcript in
-      Option.iter (fun n -> add transcript (Msg.New_session_ticket n)) nst;
+      Option.iter (fun (m, _) -> add transcript m) nst;
       let expected =
-        Crypto.Prf.server_finished ~master:cont.f_master
-          ~handshake_hash:(transcript_hash transcript)
+        Crypto.Prf.server_finished cont.f_master ~handshake_hash:(transcript_hash transcript)
       in
       if not (Crypto.Hmac.equal_ct expected server_verify) then
         Error "server Finished verification failed"
       else begin
         let session =
-          Session.make ~id:cont.f_session_id ~master_secret:cont.f_master
+          Session.make ~id:cont.f_session_id ~master_secret:cont.f_master_secret
             ~cipher_suite:cont.f_suite ~established_at:now
         in
-        Ok (session, Option.map (fun n -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst)
+        Ok (session, Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst)
       end

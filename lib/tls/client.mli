@@ -20,20 +20,22 @@ type offer =
 type state
 (** Per-connection client state between flights. *)
 
-val hello : t -> now:int -> hostname:string -> offer:offer -> Handshake_msg.t * state
+val hello : t -> now:int -> hostname:string -> offer:offer -> Handshake_msg.framed * state
+(** The ClientHello, encoded once: its bytes go on the wire and into the
+    transcript. *)
 
 type full_continuation
 
 type flight_result =
   | Abbreviated of {
-      client_finished : Handshake_msg.t;
+      client_finished : Handshake_msg.framed;
       session : Session.t;
       new_ticket : (int * string) option;
       session_id : string;
     }
       (** The server resumed; forward [client_finished] to finish. *)
   | Continue_full of {
-      to_send : Handshake_msg.t list;  (** [CKE; Finished] *)
+      to_send : Handshake_msg.framed list;  (** [CKE; Finished] *)
       continuation : full_continuation;
       cert_chain : Cert.t list;
       trust : (Cert.t, Cert.validation_error) result;
@@ -42,12 +44,13 @@ type flight_result =
       session_id : string;
     }
 
-val handle_server_flight : state -> Handshake_msg.t list -> (flight_result, string) result
+val handle_server_flight : state -> Handshake_msg.framed list -> (flight_result, string) result
+(** Hashes each received message as the bytes it arrived as. *)
 
 val finish_full :
   full_continuation ->
   now:int ->
-  Handshake_msg.t list ->
+  Handshake_msg.framed list ->
   (Session.t * (int * string) option, string) result
 (** Process the server's closing [(NST); Finished]; returns the session
     and any issued ticket (lifetime hint, ticket bytes). *)

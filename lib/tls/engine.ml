@@ -1,7 +1,11 @@
 (* End-to-end handshake driver: runs a client against a server instance,
    exchanging *serialized* handshake flights (every message crosses a
    bytes boundary, so the codecs are always exercised), and distills the
-   exchange into the observation record the scanner consumes. *)
+   exchange into the observation record the scanner consumes.
+
+   One encoding per message: the sender's [Handshake_msg.frame] bytes are
+   the wire bytes and the sender's transcript input; the receiver parses
+   them with [Handshake_msg.read_all] and hashes the same bytes. *)
 
 module Msg = Handshake_msg
 
@@ -36,12 +40,15 @@ let failed ?alert ?error () =
     trusted = false;
   }
 
-(* Serialize and reparse a flight, as the wire would. A wiretap — the
-   paper's passive adversary — sees every flight's bytes. *)
+(* Send a flight's bytes and reparse them, as the wire would. Each
+   message was encoded once by its sender, and the receiver gets it back
+   with the exact bytes it arrived as, so neither side re-encodes it for
+   its transcript. A wiretap — the paper's passive adversary — sees every
+   flight's bytes. *)
 type direction = Client_to_server | Server_to_client
 
-let over_the_wire ?wiretap ~direction msgs =
-  let bytes = String.concat "" (List.map Msg.to_bytes msgs) in
+let over_the_wire ?wiretap ~direction (msgs : Msg.framed list) =
+  let bytes = String.concat "" (List.map (fun m -> m.Msg.bytes) msgs) in
   (match wiretap with Some tap -> tap direction bytes | None -> ());
   Msg.read_all bytes
 

@@ -1,7 +1,12 @@
 (* TLS handshake messages (RFC 5246 section 7.4 subset) and their wire
-   codec: one-byte message type, three-byte length, then the body. The
-   serialized messages are what the transcript hash (and thus the Finished
-   verification) covers, so both engines treat these bytes as canonical. *)
+   codec: one-byte message type, three-byte length, then the body.
+
+   One encoding per message: a party encodes each message it sends once,
+   with [frame], and the resulting bytes serve both the wire and its own
+   transcript hash. [read_all] hands the receiver each message together
+   with the exact bytes it arrived as, and the receiver hashes those
+   (RFC 5246 section 7.4.9: the transcript is the data as exchanged), so
+   no message is ever re-encoded. *)
 
 type client_hello = {
   ch_version : Types.version;
@@ -105,6 +110,10 @@ let to_bytes msg =
       Wire.Writer.u8 w (type_code msg);
       Wire.Writer.vec24 w (Wire.Writer.build (fun w' -> write_body w' msg)))
 
+type framed = { msg : t; bytes : string }
+
+let frame msg = { msg; bytes = to_bytes msg }
+
 (* --- Body decoders --------------------------------------------------------- *)
 
 let read_version r =
@@ -192,8 +201,15 @@ let read r =
 
 let of_bytes s = Wire.Reader.parse_result s read
 
-(* Parse a concatenated sequence of handshake messages (one flight). *)
+(* Parse a concatenated sequence of handshake messages (one flight),
+   each with the slice of [s] it was read from. *)
 let read_all s =
   Wire.Reader.parse_result s (fun r ->
-      let rec go acc = if Wire.Reader.is_empty r then List.rev acc else go (read r :: acc) in
+      let rec go acc =
+        if Wire.Reader.is_empty r then List.rev acc
+        else
+          let start = Wire.Reader.pos r in
+          let msg = read r in
+          go ({ msg; bytes = String.sub s start (Wire.Reader.pos r - start) } :: acc)
+      in
       go [])

@@ -1,7 +1,11 @@
 (** TLS handshake messages (RFC 5246 section 7.4 subset) and their wire
-    codec: one-byte message type, three-byte length, then the body. The
-    serialized messages are what the transcript hash covers, so both
-    engines treat these bytes as canonical. *)
+    codec: one-byte message type, three-byte length, then the body.
+
+    One encoding per message: a sender encodes each message once
+    ({!frame}) and uses those bytes for the wire and for its transcript
+    hash; a receiver gets each message with the exact bytes it arrived as
+    ({!read_all}) and hashes those, as RFC 5246 section 7.4.9 specifies.
+    No handshake re-encodes a message it sent or received. *)
 
 type client_hello = {
   ch_version : Types.version;
@@ -46,5 +50,11 @@ val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
 (** Exactly one message; trailing bytes are an [Error]. *)
 
-val read_all : string -> (t list, string) result
-(** A concatenated sequence of messages (one flight). *)
+type framed = { msg : t; bytes : string  (** the message's exact wire bytes *) }
+
+val frame : t -> framed
+(** Encode once: [bytes] is [to_bytes msg]. *)
+
+val read_all : string -> (framed list, string) result
+(** A concatenated sequence of messages (one flight), each with the
+    slice of the input it was parsed from. *)

@@ -39,10 +39,17 @@ let restart t ~now =
 
 (* --- Transcript -------------------------------------------------------------- *)
 
-(* The transcript is a running hash; each Finished reads a copy of it, so
-   no handshake re-hashes the messages (certificate chain included) it
-   has already absorbed. *)
-let add transcript msg = Crypto.Sha256.update transcript (Msg.to_bytes msg)
+(* The transcript is a running hash over each message's wire bytes, as
+   sent or as received; each Finished reads a copy of it, so no
+   handshake re-hashes the messages (certificate chain included) it has
+   already absorbed. *)
+let add transcript (m : Msg.framed) = Crypto.Sha256.update transcript m.Msg.bytes
+
+(* Encode an outgoing message once and absorb it. *)
+let send transcript msg =
+  let m = Msg.frame msg in
+  add transcript m;
+  m
 let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 (* --- Negotiation -------------------------------------------------------------- *)
@@ -71,14 +78,13 @@ type pending = {
 }
 
 type resuming = {
-  r_server : t;
   r_session : Session.t;
   r_expected_verify : string; (* client Finished we await *)
 }
 
 type hello_result =
-  | Negotiating of Msg.t list * pending
-  | Resuming of Msg.t list * resuming * [ `Via_session_id | `Via_ticket ]
+  | Negotiating of Msg.framed list * pending
+  | Resuming of Msg.framed list * resuming * [ `Via_session_id | `Via_ticket ]
 
 let signed_params ~client_random ~server_random params_bytes =
   client_random ^ server_random ^ params_bytes
@@ -200,8 +206,21 @@ let try_id_resumption t ~now ~offered_suites session_id =
 
 let fresh_session_id t = if t.config.Config.issue_session_ids then Crypto.Rng.generate t.rng 32 else ""
 
-let handle_client_hello t ~now msg =
-  match msg with
+(* The abbreviated handshake's closing messages: the server Finished
+   over everything so far, and the client Finished expected next. One
+   keyed master secret serves both. *)
+let resume transcript session first how =
+  let master = Crypto.Prf.key_master (Session.master_secret session) in
+  let server_fin =
+    send transcript
+      (Msg.Finished
+         (Crypto.Prf.server_finished master ~handshake_hash:(transcript_hash transcript)))
+  in
+  let expected = Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash transcript) in
+  Ok (Resuming (first @ [ server_fin ], { r_session = session; r_expected_verify = expected }, how))
+
+let handle_client_hello t ~now (hello : Msg.framed) =
+  match hello.Msg.msg with
   | Msg.Client_hello ch -> (
       if ch.Msg.ch_version <> Types.TLS_1_2 then Error Types.Protocol_version
       else begin
@@ -210,83 +229,45 @@ let handle_client_hello t ~now msg =
         let ticket_negotiated = client_offers_ticket_ext && t.config.Config.tickets <> None in
         let server_random = Crypto.Rng.generate t.rng Types.random_len in
         let transcript = Crypto.Sha256.init () in
-        add transcript msg;
+        add transcript hello;
         (* 1. Ticket resumption takes precedence (RFC 5077 section 3.4). *)
         match try_ticket_resumption t ~now ~offered_suites:offered ch.Msg.ch_extensions with
         | Some (session, tc) ->
             let sh =
-              Msg.Server_hello
-                {
-                  sh_version = Types.TLS_1_2;
-                  sh_random = server_random;
-                  (* Echo the client's offered ID if any, per RFC 5077. *)
-                  sh_session_id = ch.Msg.ch_session_id;
-                  sh_cipher_suite = Session.cipher_suite session;
-                  sh_extensions = [ Extension.Session_ticket "" ];
-                }
+              send transcript
+                (Msg.Server_hello
+                   {
+                     sh_version = Types.TLS_1_2;
+                     sh_random = server_random;
+                     (* Echo the client's offered ID if any, per RFC 5077. *)
+                     sh_session_id = ch.Msg.ch_session_id;
+                     sh_cipher_suite = Session.cipher_suite session;
+                     sh_extensions = [ Extension.Session_ticket "" ];
+                   })
             in
-            add transcript sh;
             let reissue =
-              if tc.Config.reissue_on_resumption then begin
-                let nst = make_ticket t ~now tc session in
-                add transcript nst;
-                [ nst ]
-              end
+              if tc.Config.reissue_on_resumption then
+                [ send transcript (make_ticket t ~now tc session) ]
               else []
             in
-            let master = Session.master_secret session in
-            let server_fin =
-              Msg.Finished
-                (Crypto.Prf.server_finished ~master ~handshake_hash:(transcript_hash transcript))
-            in
-            add transcript server_fin;
-            let expected =
-              Crypto.Prf.client_finished ~master ~handshake_hash:(transcript_hash transcript)
-            in
-            Ok
-              (Resuming
-                 ( (sh :: reissue) @ [ server_fin ],
-                   {
-                     r_server = t;
-                     r_session = session;
-                     r_expected_verify = expected;
-                   },
-                   `Via_ticket ))
+            resume transcript session (sh :: reissue) `Via_ticket
         | None -> (
             (* 2. Session-ID resumption. *)
             match try_id_resumption t ~now ~offered_suites:offered ch.Msg.ch_session_id with
             | Some session ->
                 let sh =
-                  Msg.Server_hello
-                    {
-                      sh_version = Types.TLS_1_2;
-                      sh_random = server_random;
-                      sh_session_id = ch.Msg.ch_session_id;
-                      sh_cipher_suite = Session.cipher_suite session;
-                      sh_extensions =
-                        (if ticket_negotiated then [ Extension.Session_ticket "" ] else []);
-                    }
-                in
-                add transcript sh;
-                let master = Session.master_secret session in
-                let server_fin =
-                  Msg.Finished
-                    (Crypto.Prf.server_finished ~master
-                       ~handshake_hash:(transcript_hash transcript))
-                in
-                add transcript server_fin;
-                let expected =
-                  Crypto.Prf.client_finished ~master ~handshake_hash:(transcript_hash transcript)
-                in
-                Ok
-                  (Resuming
-                     ( [ sh; server_fin ],
+                  send transcript
+                    (Msg.Server_hello
                        {
-                         r_server = t;
-                         r_session = session;
-                         r_expected_verify = expected;
-                       },
-                       `Via_session_id ))
+                         sh_version = Types.TLS_1_2;
+                         sh_random = server_random;
+                         sh_session_id = ch.Msg.ch_session_id;
+                         sh_cipher_suite = Session.cipher_suite session;
+                         sh_extensions =
+                           (if ticket_negotiated then [ Extension.Session_ticket "" ] else []);
+                       })
+                in
+                resume transcript session [ sh ] `Via_session_id
             | None -> (
                 (* 3. Full handshake. *)
                 match select_suite t offered with
@@ -294,33 +275,30 @@ let handle_client_hello t ~now msg =
                 | Some suite ->
                     let session_id = fresh_session_id t in
                     let sh =
-                      Msg.Server_hello
-                        {
-                          sh_version = Types.TLS_1_2;
-                          sh_random = server_random;
-                          sh_session_id = session_id;
-                          sh_cipher_suite = suite;
-                          sh_extensions =
-                            (if ticket_negotiated then [ Extension.Session_ticket "" ] else []);
-                        }
+                      send transcript
+                        (Msg.Server_hello
+                           {
+                             sh_version = Types.TLS_1_2;
+                             sh_random = server_random;
+                             sh_session_id = session_id;
+                             sh_cipher_suite = suite;
+                             sh_extensions =
+                               (if ticket_negotiated then [ Extension.Session_ticket "" ] else []);
+                           })
                     in
-                    add transcript sh;
                     let cert_msg =
-                      Msg.Certificate (List.map Cert.to_bytes t.config.Config.cert_chain)
+                      send transcript
+                        (Msg.Certificate (List.map Cert.to_bytes t.config.Config.cert_chain))
                     in
-                    add transcript cert_msg;
                     let ske, kex =
                       make_server_key_exchange t ~now ~client_random:ch.Msg.ch_random
                         ~server_random ~client_exts:ch.Msg.ch_extensions suite
                     in
-                    Option.iter (add transcript) ske;
-                    add transcript Msg.Server_hello_done;
-                    let flight =
-                      [ sh; cert_msg ] @ Option.to_list ske @ [ Msg.Server_hello_done ]
-                    in
+                    let ske = Option.map (send transcript) ske in
+                    let done_msg = send transcript Msg.Server_hello_done in
                     Ok
                       (Negotiating
-                         ( flight,
+                         ( [ sh; cert_msg ] @ Option.to_list ske @ [ done_msg ],
                            {
                              p_server = t;
                              p_transcript = transcript;
@@ -355,28 +333,28 @@ let premaster_of_cke pending cke_public =
 (* Handle the client's [ClientKeyExchange; Finished] flight, completing a
    full handshake. Returns the server's closing flight and the freshly
    established session. *)
-let handle_client_flight pending ~now msgs =
+let handle_client_flight pending ~now (msgs : Msg.framed list) =
   match msgs with
-  | [ Msg.Client_key_exchange cke_public; Msg.Finished client_verify ] -> (
+  | [ ({ msg = Msg.Client_key_exchange cke_public; _ } as cke); ({ msg = Msg.Finished client_verify; _ } as fin) ] -> (
       match premaster_of_cke pending cke_public with
       | Error _ -> Error Types.Illegal_parameter
       | Ok pre_master ->
           let t = pending.p_server in
-          add pending.p_transcript (Msg.Client_key_exchange cke_public);
-          let master =
+          add pending.p_transcript cke;
+          let master_secret =
             Crypto.Prf.master_secret ~pre_master ~client_random:pending.p_client_random
               ~server_random:pending.p_server_random
           in
+          let master = Crypto.Prf.key_master master_secret in
           let expected =
-            Crypto.Prf.client_finished ~master
-              ~handshake_hash:(transcript_hash pending.p_transcript)
+            Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash pending.p_transcript)
           in
           if not (Crypto.Hmac.equal_ct expected client_verify) then Error Types.Decrypt_error
           else begin
-            add pending.p_transcript (Msg.Finished client_verify);
+            add pending.p_transcript fin;
             let session =
-              Session.make ~id:pending.p_session_id ~master_secret:master
-                ~cipher_suite:pending.p_suite ~established_at:now
+              Session.make ~id:pending.p_session_id ~master_secret ~cipher_suite:pending.p_suite
+                ~established_at:now
             in
             (* Cache for session-ID resumption. *)
             (match t.config.Config.session_cache with
@@ -386,23 +364,22 @@ let handle_client_flight pending ~now msgs =
             (* Issue a ticket if negotiated. *)
             let nst =
               match (pending.p_ticket_negotiated, t.config.Config.tickets) with
-              | true, Some tc -> Some (make_ticket t ~now tc session)
+              | true, Some tc -> Some (send pending.p_transcript (make_ticket t ~now tc session))
               | _ -> None
             in
-            Option.iter (add pending.p_transcript) nst;
             let server_fin =
-              Msg.Finished
-                (Crypto.Prf.server_finished ~master
-                   ~handshake_hash:(transcript_hash pending.p_transcript))
+              send pending.p_transcript
+                (Msg.Finished
+                   (Crypto.Prf.server_finished master
+                      ~handshake_hash:(transcript_hash pending.p_transcript)))
             in
-            add pending.p_transcript server_fin;
             Ok (Option.to_list nst @ [ server_fin ], session)
           end)
   | _ -> Error Types.Unexpected_message
 
 (* Verify the client Finished that closes an abbreviated handshake. *)
-let handle_client_finished resuming msg =
-  match msg with
+let handle_client_finished resuming (msg : Msg.framed) =
+  match msg.Msg.msg with
   | Msg.Finished verify ->
       if Crypto.Hmac.equal_ct resuming.r_expected_verify verify then Ok resuming.r_session
       else Error Types.Decrypt_error

@@ -37,10 +37,13 @@ type t = {
   mutable process_stek : Stek.t option; (* for Static / Per_process *)
   mutable process_started_at : int;
   origin : int; (* creation time: start of the first [Scheduled] interval *)
+  mutable recent : (int * Stek.t) list;
+      (* [Rotate_every] / [Scheduled]: the derived STEKs of the newest
+         period seen and of the one before it, newest first *)
 }
 
 let create ~policy ~secret ~now =
-  { policy; secret; process_stek = None; process_started_at = now; origin = now }
+  { policy; secret; process_stek = None; process_started_at = now; origin = now; recent = [] }
 
 let policy t = t.policy
 
@@ -87,16 +90,32 @@ let schedule_interval boundaries ~now =
 let scheduled_interval_start t boundaries k =
   if k = 0 then t.origin else List.nth boundaries (k - 1)
 
+(* The STEK of rotation period [k], stamped [created_at] (a function of
+   [k] under each policy). A derivation is a fresh [Rng], 64 bytes, an
+   AES schedule and HMAC midstates, and every ticket sealed or opened
+   asks for one, so the newest period seen and the one before it (the
+   common decrypt candidates) are kept; an older period is derived
+   afresh each time and not kept. *)
+let derived t k ~created_at =
+  match List.assoc_opt k t.recent with
+  | Some stek -> stek
+  | None ->
+      let stek = Stek.derive ~secret:t.secret ~period:k ~now:created_at in
+      let newest = List.fold_left (fun m (p, _) -> max m p) k t.recent in
+      t.recent <-
+        List.filter (fun (p, _) -> p = newest || p = newest - 1) ((k, stek) :: t.recent)
+        |> List.sort (fun (a, _) (b, _) -> compare b a);
+      stek
+
 (* The STEK currently used to *issue* tickets. *)
 let issuing t ~now =
   match t.policy with
   | Static -> process_key t ~label:":static"
   | Per_process -> process_key t ~label:Printf.(sprintf ":proc:%d" t.process_started_at)
-  | Rotate_every { period; _ } ->
-      Stek.derive ~secret:t.secret ~period:(now / period) ~now:(now / period * period)
+  | Rotate_every { period; _ } -> derived t (now / period) ~created_at:(now / period * period)
   | Scheduled boundaries ->
       let k = schedule_interval boundaries ~now in
-      Stek.derive ~secret:t.secret ~period:k ~now:(scheduled_interval_start t boundaries k)
+      derived t k ~created_at:(scheduled_interval_start t boundaries k)
 
 (* Resolve a key name for ticket decryption. Under rotation, keys from the
    accept window remain valid after they stop issuing. *)
@@ -114,8 +133,7 @@ let find_for_decrypt t ~now key_name =
       List.find_map
         (fun period ->
           let candidate =
-            Stek.derive ~secret:t.secret ~period
-              ~now:(scheduled_interval_start t boundaries period)
+            derived t period ~created_at:(scheduled_interval_start t boundaries period)
           in
           if String.equal (Stek.key_name candidate) key_name then Some candidate else None)
         candidates
@@ -129,9 +147,7 @@ let find_for_decrypt t ~now key_name =
              issuing path did when it minted the key — a window key
              stamped with the *decrypt* time would claim a later birth
              than the ticket it protects. *)
-          let candidate =
-            Stek.derive ~secret:t.secret ~period:(current - k) ~now:((current - k) * period)
-          in
+          let candidate = derived t (current - k) ~created_at:((current - k) * period) in
           if String.equal (Stek.key_name candidate) key_name then Some candidate else scan (k + 1)
       in
       scan 0

@@ -8,6 +8,7 @@ type t = { data : string; mutable pos : int; limit : int }
 
 let of_string data = { data; pos = 0; limit = String.length data }
 
+let pos t = t.pos
 let remaining t = t.limit - t.pos
 let is_empty t = remaining t = 0
 

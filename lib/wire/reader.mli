@@ -8,6 +8,10 @@ type t
 
 val is_empty : t -> bool
 
+val pos : t -> int
+(** The cursor's offset in the string the reader was made from; a
+    {!sub} reader counts in its parent's string. *)
+
 val u8 : t -> int
 val u16 : t -> int
 val u24 : t -> int

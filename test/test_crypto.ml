@@ -801,10 +801,14 @@ let test_prf_shapes () =
   Alcotest.(check int) "master secret is 48 bytes" 48 (String.length ms);
   let kb = Crypto.Prf.key_block ~master:ms ~client_random:"c" ~server_random:"s" 104 in
   Alcotest.(check int) "key block length honored" 104 (String.length kb);
-  let fin = Crypto.Prf.client_finished ~master:ms ~handshake_hash:(String.make 32 'h') in
+  let master = Crypto.Prf.key_master ms in
+  let fin = Crypto.Prf.client_finished master ~handshake_hash:(String.make 32 'h') in
   Alcotest.(check int) "verify_data is 12 bytes" 12 (String.length fin);
+  Alcotest.(check string) "finished is the PRF under the master secret"
+    (Crypto.Prf.prf ~secret:ms ~label:"client finished" ~seed:(String.make 32 'h') 12)
+    fin;
   Alcotest.(check bool) "client and server finished differ" false
-    (String.equal fin (Crypto.Prf.server_finished ~master:ms ~handshake_hash:(String.make 32 'h')))
+    (String.equal fin (Crypto.Prf.server_finished master ~handshake_hash:(String.make 32 'h')))
 
 (* --- DH --------------------------------------------------------------------- *)
 
@@ -1287,6 +1291,92 @@ let prop_ecdsa_sign_verify =
       let sg = Crypto.Ecdsa.sign kp rng msg in
       Crypto.Ecdsa.verify ~curve:ecdsa_curve ~pub:(Crypto.Ecdsa.public_key kp) ~msg sg)
 
+(* ECDSA's scalar arithmetic runs on [Ec.order]: one-word Montgomery ints
+   on the simulation curves, limbs on P-256. These are the seed-era
+   [Bignum] formulas it must reproduce: z is the hash shifted down to
+   n's width, s = k^-1 (z + r d) mod n, and verification recomputes
+   u1 G + u2 Q with the reference ladders. *)
+module Ecdsa_formulas = struct
+  let z c msg =
+    let h = B.of_bytes_be (Crypto.Sha256.digest msg) in
+    let excess = 256 - B.num_bits (Ec.curve_order c) in
+    if excess > 0 then B.shift_right h excess else h
+
+  let inverse c a =
+    let n = Ec.curve_order c in
+    B.pow_mod a (B.sub n B.two) n
+
+  (* The signature [Ecdsa.sign] makes with private key [d] and a first
+     nonce [k] (both as [Rng.bignum_in_group] draws them), or [None] when
+     that nonce is rejected. *)
+  let sign c ~d ~k msg =
+    let n = Ec.curve_order c in
+    match Ec.Reference.scalar_mult_base c k with
+    | Ec.Inf -> None
+    | Ec.Affine (x, _) ->
+        let r = B.rem x n in
+        let s = B.rem (B.mul (inverse c k) (B.add (z c msg) (B.rem (B.mul r d) n))) n in
+        if B.is_zero r || B.is_zero s then None else Some (r, s)
+
+  let verify c ~pub msg (r, s) =
+    let n = Ec.curve_order c in
+    B.compare r B.zero > 0 && B.compare r n < 0 && B.compare s B.zero > 0 && B.compare s n < 0
+    &&
+    let sinv = inverse c s in
+    let u1 = B.rem (B.mul (z c msg) sinv) n and u2 = B.rem (B.mul r sinv) n in
+    match Ec.add c (Ec.Reference.scalar_mult_base c u1) (Ec.Reference.scalar_mult c u2 pub) with
+    | Ec.Inf -> false
+    | Ec.Affine (x, _) -> B.equal (B.rem x n) r
+
+  let bytes c (r, s) =
+    let l = (B.num_bits (Ec.curve_order c) + 7) / 8 in
+    B.to_bytes_be ~len:l r ^ B.to_bytes_be ~len:l s
+end
+
+(* One case: a key, a nonce stream and a message on curve [c]. The
+   inverse, the signature and both verifications must agree between
+   [Ec]/[Ecdsa] and the formulas, and a signature from either side must
+   verify under the other (and fail on another message). *)
+let ecdsa_agrees_with_formulas c (seed, msg) =
+  let module F = Ecdsa_formulas in
+  let n = Ec.curve_order c in
+  let draw label = Crypto.Rng.bignum_in_group (Crypto.Rng.create ~seed:(seed ^ label)) n in
+  let d = draw ":key" and k = draw ":nonce" in
+  let kp = Crypto.Ecdsa.gen_keypair c (Crypto.Rng.create ~seed:(seed ^ ":key")) in
+  let pub = Crypto.Ecdsa.public_key kp in
+  let ours = Crypto.Ecdsa.sign kp (Crypto.Rng.create ~seed:(seed ^ ":nonce")) msg in
+  let ours_bytes = Crypto.Ecdsa.signature_bytes c ours in
+  let l = String.length ours_bytes / 2 in
+  let ours_rs = (B.of_bytes_be (String.sub ours_bytes 0 l), B.of_bytes_be (String.sub ours_bytes l l)) in
+  let inverse_ok = B.equal (Ec.mod_order_inverse c k) (F.inverse c k) in
+  let sign_ok =
+    match F.sign c ~d ~k msg with
+    | Some rs -> String.equal (F.bytes c rs) ours_bytes
+    | None -> true (* the nonce was rejected: [sign] drew another one *)
+  in
+  let theirs = Option.value (F.sign c ~d ~k:(draw ":other-nonce") msg) ~default:ours_rs in
+  let theirs_sig =
+    match Crypto.Ecdsa.signature_of_bytes c (F.bytes c theirs) with
+    | Ok sg -> sg
+    | Error e -> failwith e
+  in
+  let other = msg ^ "!" in
+  inverse_ok && sign_ok
+  && F.verify c ~pub msg ours_rs
+  && Crypto.Ecdsa.verify ~curve:c ~pub ~msg theirs_sig
+  && (not (F.verify c ~pub other ours_rs))
+  && not (Crypto.Ecdsa.verify ~curve:c ~pub ~msg:other theirs_sig)
+
+let prop_ecdsa_word_path_matches_formulas =
+  let env = Tls.Config.sim_env () in
+  let curves = [| env.Tls.Config.ecdhe_curve; env.Tls.Config.pki_curve |] in
+  QCheck2.Test.make ~name:"ecdsa word path matches the Bignum formulas" ~count:500
+    QCheck2.Gen.(triple (int_bound 1) (string_size (int_range 1 12)) (string_size (int_range 0 80)))
+    (fun (i, seed, msg) -> ecdsa_agrees_with_formulas curves.(i) (seed, msg))
+
+let test_ecdsa_p256_matches_formulas () =
+  Alcotest.(check bool) "p256 limb path" true (ecdsa_agrees_with_formulas Ec.p256 ("p256", "message"))
+
 (* --- X25519 (RFC 7748) ------------------------------------------------------- *)
 
 let test_x25519_vector () =
@@ -1429,8 +1519,10 @@ let () =
           Alcotest.test_case "signature codec" `Quick test_ecdsa_signature_codec;
           Alcotest.test_case "static ecdh" `Quick test_ecdsa_static_ecdh;
           Alcotest.test_case "static ecdh small-order rejection" `Quick test_ecdsa_ecdh_rejects_small_order;
+          Alcotest.test_case "p256 limb path matches the formulas" `Quick
+            test_ecdsa_p256_matches_formulas;
         ] );
-      qsuite "ecdsa-properties" [ prop_ecdsa_sign_verify ];
+      qsuite "ecdsa-properties" [ prop_ecdsa_sign_verify; prop_ecdsa_word_path_matches_formulas ];
       ( "x25519",
         [
           Alcotest.test_case "rfc7748 vector" `Quick test_x25519_vector;

@@ -117,10 +117,10 @@ let prop_server_survives_mutated_hello =
   QCheck2.Test.make ~name:"server engine survives mutated hellos" ~count:300
     QCheck2.Gen.(pair small_nat (int_range 0 255))
     (fun mutation ->
-      match Tls.Handshake_msg.of_bytes (mutate valid_client_hello mutation) with
-      | Error _ -> true (* parser rejected it before the engine saw it *)
-      | Ok msg -> (
-          match Tls.Server.handle_client_hello fuzz_server ~now:100 msg with
+      match Tls.Handshake_msg.read_all (mutate valid_client_hello mutation) with
+      | Error _ | Ok ([] | _ :: _ :: _) -> true (* parser rejected it before the engine saw it *)
+      | Ok [ hello ] -> (
+          match Tls.Server.handle_client_hello fuzz_server ~now:100 hello with
           | Ok _ | Error _ -> true
           | exception e ->
               QCheck2.Test.fail_reportf "server raised %s" (Printexc.to_string e)))
@@ -150,8 +150,9 @@ let prop_server_survives_garbage_cke =
       | Ok (Tls.Server.Resuming _) -> true
       | Ok (Tls.Server.Negotiating (_, pending)) -> (
           let flight =
-            [ Tls.Handshake_msg.Client_key_exchange garbage;
-              Tls.Handshake_msg.Finished (String.make 12 'x') ]
+            List.map Tls.Handshake_msg.frame
+              [ Tls.Handshake_msg.Client_key_exchange garbage;
+                Tls.Handshake_msg.Finished (String.make 12 'x') ]
           in
           match Tls.Server.handle_client_flight pending ~now:100 flight with
           | Ok _ -> false (* a garbage CKE must never complete a handshake *)

@@ -757,6 +757,114 @@ let test_codec_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted truncated client hello"
 
+(* The one-encoding rule rests on this: every flight a receiver parses
+   re-encodes to exactly the bytes it arrived as, so hashing the received
+   bytes and hashing the re-encoded message give one transcript. *)
+let check_reencodes what bytes =
+  match Msg.read_all bytes with
+  | Error e -> Alcotest.failf "%s: flight does not parse: %s" what e
+  | Ok msgs ->
+      List.iter
+        (fun (m : Msg.framed) ->
+          Alcotest.(check string) (what ^ ": message bytes") (Msg.to_bytes m.Msg.msg) m.Msg.bytes)
+        msgs;
+      Alcotest.(check string) (what ^ ": flight bytes") bytes
+        (String.concat "" (List.map (fun (m : Msg.framed) -> m.Msg.bytes) msgs))
+
+let test_engine_flights_reencode () =
+  let now = 1000 in
+  let flights = ref 0 in
+  let wiretap _ bytes =
+    incr flights;
+    check_reencodes (Printf.sprintf "flight %d" !flights) bytes
+  in
+  let connect ?(offer = Tls.Client.Fresh) client server =
+    Tls.Engine.connect ~wiretap client server ~now ~hostname:"example.com" ~offer
+  in
+  List.iter
+    (fun suite ->
+      let server = make_server ~now (default_opts ~now) in
+      let client = make_client ~suites:[ suite ] () in
+      let o = connect client server in
+      expect_ok "full handshake" o;
+      let session = Option.get o.Tls.Engine.session in
+      expect_ok "session-ID resumption"
+        (connect client server ~offer:(Tls.Client.Offer_session_id session));
+      let _, ticket = Option.get o.Tls.Engine.new_ticket in
+      expect_ok "ticket resumption"
+        (connect client server ~offer:(Tls.Client.Offer_ticket { ticket; session })))
+    T.all_cipher_suites;
+  let server = make_server ~now (default_opts ~now) in
+  let x25519 =
+    Tls.Client.create ~prefer_x25519:true
+      ~config:
+        {
+          Tls.Config.cl_env = env;
+          offer_suites = T.all_cipher_suites;
+          offer_ticket = true;
+          root_store;
+          check_certs = false;
+          evaluate_trust = true;
+          verify_ske = true;
+        }
+      ~rng:(rng ()) ()
+  in
+  expect_ok "x25519 handshake" (connect x25519 server);
+  Alcotest.(check int) "flights seen" ((3 * 10) + 4) !flights
+
+let gen_msg =
+  QCheck2.Gen.(
+    let bytes lo hi = string_size (int_range lo hi) in
+    let random = string_size (return T.random_len) in
+    let ext =
+      oneof
+        [
+          map (fun s -> Tls.Extension.Server_name s) (bytes 1 30);
+          map (fun s -> Tls.Extension.Session_ticket s) (bytes 0 100);
+          map (fun l -> Tls.Extension.Supported_groups l) (list_size (int_range 0 5) (int_range 0 0xffff));
+          return Tls.Extension.Renegotiation_info;
+        ]
+    in
+    let exts = list_size (int_range 0 4) ext in
+    let suite = oneofl T.all_cipher_suites in
+    oneof
+      [
+        map
+          (fun (((ch_random, ch_session_id), ch_cipher_suites), ch_extensions) ->
+            Msg.Client_hello
+              { ch_version = T.TLS_1_2; ch_random; ch_session_id; ch_cipher_suites; ch_extensions })
+          (pair (pair (pair random (bytes 0 32)) (list_size (int_range 0 6) (int_range 0 0xffff))) exts);
+        map
+          (fun (((sh_random, sh_session_id), sh_cipher_suite), sh_extensions) ->
+            Msg.Server_hello
+              { sh_version = T.TLS_1_2; sh_random; sh_session_id; sh_cipher_suite; sh_extensions })
+          (pair (pair (pair random (bytes 0 32)) suite) exts);
+        map (fun chain -> Msg.Certificate chain) (list_size (int_range 0 3) (bytes 0 300));
+        map
+          (fun ((dh_p, dh_g), (dh_ys, ske_signature)) ->
+            Msg.Server_key_exchange
+              { ske_params = Msg.Ske_dhe { dh_p; dh_g; dh_ys }; ske_signature })
+          (pair (pair (bytes 0 40) (bytes 0 4)) (pair (bytes 0 40) (bytes 0 40)));
+        map
+          (fun ((curve_id, point), ske_signature) ->
+            Msg.Server_key_exchange { ske_params = Msg.Ske_ecdhe { curve_id; point }; ske_signature })
+          (pair (pair (int_range 0 0xffff) (bytes 0 70)) (bytes 0 40));
+        return Msg.Server_hello_done;
+        map (fun s -> Msg.Client_key_exchange s) (bytes 0 70);
+        map
+          (fun (nst_lifetime_hint, nst_ticket) -> Msg.New_session_ticket { nst_lifetime_hint; nst_ticket })
+          (pair (int_range 0 0x7fffffff) (bytes 0 200));
+        map (fun s -> Msg.Finished s) (string_size (return T.verify_data_len));
+      ])
+
+let prop_flight_reencodes =
+  QCheck2.Test.make ~name:"generated flights re-encode to their bytes" ~count:300
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 5) gen_msg)
+    (fun msgs ->
+      let bytes = String.concat "" (List.map Msg.to_bytes msgs) in
+      check_reencodes "generated flight" bytes;
+      true)
+
 let prop_extension_roundtrip =
   QCheck2.Test.make ~name:"extension block roundtrip" ~count:200
     QCheck2.Gen.(
@@ -844,7 +952,7 @@ let test_hostile_ske_params_rejected () =
     let _hello, state =
       Tls.Client.hello client ~now:1000 ~hostname:"example.com" ~offer:Tls.Client.Fresh
     in
-    match Tls.Client.handle_server_flight state (flight ~dh_p ~dh_g ~dh_ys) with
+    match Tls.Client.handle_server_flight state (List.map Msg.frame (flight ~dh_p ~dh_g ~dh_ys)) with
     | Ok _ -> `Completed
     | Error _ -> `Rejected
     | exception e -> Alcotest.failf "engine raised %s" (Printexc.to_string e)
@@ -1079,8 +1187,10 @@ let () =
         [
           Alcotest.test_case "handshake messages" `Quick test_handshake_codec;
           Alcotest.test_case "garbage rejection" `Quick test_codec_rejects_garbage;
+          Alcotest.test_case "engine flights re-encode to their bytes" `Quick
+            test_engine_flights_reencode;
         ] );
-      qsuite "codec-properties" [ prop_extension_roundtrip ];
+      qsuite "codec-properties" [ prop_extension_roundtrip; prop_flight_reencodes ];
       ( "hostile-wire",
         [
           Alcotest.test_case "oversized session ID" `Quick test_oversized_session_id_rejected;
