@@ -13,8 +13,10 @@
 
    `check-baseline` exits nonzero if a kernel's speedup over its
    seed-era reference, measured in the same run, falls below the larger
-   of its fixed floor and half the baseline's recorded speedup — the CI
-   bench smoke step. See README.md for the file format.
+   of its fixed floor and half the baseline's recorded speedup, or if an
+   operation's minor words per run exceed the baseline's budget by more
+   than 2% — the CI bench smoke step. See README.md for the file
+   format.
 
    Environment:
      TLSHARM_BENCH_MS   per-kernel timing budget in ms, at least 1
@@ -150,7 +152,26 @@ let kernel_benches () =
       (fun () -> Ec.Reference.scalar_mult sim_curve k_sim q_sim);
   ]
 
-let kernel_report ~budget_ms =
+(* --- Allocation budgets ------------------------------------------------------------ *)
+
+(* Minor words per run of [f], over [alloc_runs] runs after one warm-up.
+   A count, not a timing: from the same state it is the same on every
+   host and every run, so check-baseline can hold it to a tight
+   margin. *)
+let alloc_runs = 20
+
+let minor_words_per_op f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to alloc_runs do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int alloc_runs
+
+(* How far over its baseline budget an operation may allocate. *)
+let alloc_margin = 1.02
+
+let kernel_report ~budget_ms ~allocs =
   let measured =
     List.map
       (fun (name, opt, reference, agree) ->
@@ -174,8 +195,17 @@ let kernel_report ~budget_ms =
              ])
          measured)
   in
+  let alloc_json =
+    Obs.Json.List
+      (List.map
+         (fun (name, words) ->
+           Obs.Json.Obj [ ("name", Obs.Json.Str name); ("minor_words_per_op", Obs.Json.Num words) ])
+         allocs)
+  in
   Durable.Atomic_io.write (bench_json_path ())
-    (Obs.Json.to_string (Obs.Json.Obj [ ("schema", Obs.Json.Str "tlsharm-bench/1"); ("kernels", json) ]));
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          [ ("schema", Obs.Json.Str "tlsharm-bench/1"); ("kernels", json); ("alloc", alloc_json) ]));
   Analysis.Report.section "Crypto kernels: optimized vs seed-era reference"
   ^ "\n"
   ^ Analysis.Report.table
@@ -235,9 +265,44 @@ let check_baseline () =
           l
     | _ -> fail (path ^ ": no \"kernels\" section")
   in
+  (* Optional: a results file without an "alloc" section has no budgets. *)
+  let allocs path =
+    match Obs.Json.member "alloc" (load path) with
+    | None -> []
+    | Some section -> (
+        match Obs.Json.to_list section with
+        | None -> fail (path ^ ": malformed \"alloc\" section")
+        | Some l ->
+            List.map
+              (fun k ->
+                match
+                  ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
+                    Option.bind (Obs.Json.member "minor_words_per_op" k) Obs.Json.to_float )
+                with
+                | Some name, Some words when words >= 0.0 -> (name, words)
+                | _ -> fail (path ^ ": malformed alloc entry"))
+              l)
+  in
   let current_path = bench_json_path () in
   let current = kernels current_path in
   let baseline = kernels "BENCH_baseline.json" in
+  let current_allocs = allocs current_path in
+  let alloc_rows =
+    List.map
+      (fun (name, budget) ->
+        let words =
+          match List.assoc_opt name current_allocs with
+          | Some w -> w
+          | None -> fail (Printf.sprintf "allocation budget %S in baseline but not measured" name)
+        in
+        if words > budget *. alloc_margin then
+          fail
+            (Printf.sprintf "%S allocates %.1f minor words per run, over its budget %.1f (+%.0f%%)"
+               name words budget
+               ((alloc_margin -. 1.0) *. 100.0));
+        [ name; Printf.sprintf "%.1f" budget; Printf.sprintf "%.1f" words ])
+      (allocs "BENCH_baseline.json")
+  in
   let measured name =
     match List.assoc_opt name current with
     | Some m -> m
@@ -287,6 +352,10 @@ let check_baseline () =
       ~headers:[ "Kernel"; "Baseline speedup"; "Current speedup"; "Floor" ]
       ~rows:speedup_rows
   ^ "\n\nEvery kernel holds its speedup-vs-seed floor.\n\n"
+  ^ Analysis.Report.table ~headers:[ "Operation"; "Budget (minor words)"; "Current" ]
+      ~rows:alloc_rows
+  ^ Printf.sprintf "\n\nEvery operation allocates within %.0f%% of its budget.\n\n"
+      ((alloc_margin -. 1.0) *. 100.0)
   ^ Analysis.Report.table
       ~headers:[ "Kernel"; "Baseline ops/s"; "Current ops/s"; "Ratio (report only)" ]
       ~rows:ops_rows
@@ -407,6 +476,20 @@ let microbenches () =
   let bytes32 = Crypto.Rng.generate rng_bn 32 in
   let a112 = Crypto.Bignum.of_bytes_be ("\x80" ^ Crypto.Rng.generate rng_bn 13) in
   let b56 = Crypto.Bignum.of_bytes_be ("\x80" ^ Crypto.Rng.generate rng_bn 6) in
+  (* Counted before the timed runs, which move every fixture's state by
+     a host-dependent number of operations. *)
+  let allocs =
+    List.map
+      (fun (name, f) -> (name, minor_words_per_op f))
+      [
+        ("handshake/full-ecdhe-fresh", connect ecdhe_server Tls.Client.Fresh);
+        ("handshake/resume-ticket", connect ecdhe_server ticket_offer);
+        ("ticket/seal", fun () -> ignore (Tls.Ticket.seal stek rng session));
+        ( "ticket/unseal",
+          fun () ->
+            match Tls.Ticket.unseal ~find_stek sealed with Ok _ -> () | Error _ -> assert false );
+      ]
+  in
   let tests =
     [
       (* The shortcuts' cost story: what a full handshake costs versus a
@@ -508,7 +591,13 @@ let microbenches () =
   ^ "\n\nThe gap between full handshakes and resumptions is the performance incentive behind\n\
      the paper's crypto shortcuts; production-sized DHE (Oakley 1024) shows why servers\n\
      cached ephemeral values.\n"
-  ^ "\n" ^ kernel_report ~budget_ms
+  ^ "\n"
+  ^ Analysis.Report.section
+      (Printf.sprintf "Minor words per operation (%d runs after one warm-up)" alloc_runs)
+  ^ "\n"
+  ^ Analysis.Report.table ~headers:[ "Operation"; "Minor words" ]
+      ~rows:(List.map (fun (n, w) -> [ n; Printf.sprintf "%.1f" w ]) allocs)
+  ^ "\n\n" ^ kernel_report ~budget_ms ~allocs
 
 (* --- Driver ------------------------------------------------------------------------- *)
 
