@@ -73,8 +73,9 @@ let limb_order n =
           Bignum.pow_mod_ctx (Lazy.force mont) a (Bignum.sub n Bignum.two));
     }
 
-(* One word: Montgomery residues mod n, the same a^(n-2) by
-   {!Word_field.inv}, and no allocation between the conversions. *)
+(* One word: Montgomery residues mod n, inverted by {!Word_field.inv}
+   (for a prime n the a^(n-2) of the limb path), with no allocation
+   between the conversions. *)
 let word_order f =
   Order
     {
@@ -540,7 +541,9 @@ let make_curve ~name ~p ~a ~b ~gx ~gy ~n ~h =
   match word with
   | None -> c
   | Some f ->
-      let order = match W.create n with nf -> word_order nf | exception Invalid_argument _ -> c.order in
+      let order =
+        match W.create n with nf -> word_order nf | exception Invalid_argument _ -> c.order
+      in
       {
         c with
         order;
@@ -578,7 +581,9 @@ let on_curve c = function
           let fctx = c.fctx in
           let xf = F.of_bignum fctx x and yf = F.of_bignum fctx y in
           let lhs = F.sqr fctx yf in
-          let rhs = F.add fctx (F.mul fctx (F.sqr fctx xf) xf) (F.add fctx (F.mul fctx c.a xf) c.b) in
+          let rhs =
+            F.add fctx (F.mul fctx (F.sqr fctx xf) xf) (F.add fctx (F.mul fctx c.a xf) c.b)
+          in
           F.equal lhs rhs)
 
 let neg c = function

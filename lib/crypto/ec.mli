@@ -39,10 +39,9 @@ val generate_small : bits:int -> seed:string -> curve
     field element in one native int; other sizes raise
     [Invalid_argument]. See DESIGN.md. *)
 
-(** Arithmetic modulo the group order n on elements of type ['s], each
-    reduced mod n. [of_bignum] reduces; [inv] is Fermat's a{^n-2} (so n
-    must be prime for it to be an inverse) and raises [Invalid_argument]
-    on zero. *)
+(** Arithmetic modulo the (prime) group order n on elements of type
+    ['s], each reduced mod n. [of_bignum] reduces; [inv] raises
+    [Invalid_argument] on zero. *)
 type 's order_ops = {
   of_bignum : Bignum.t -> 's;
   to_bignum : 's -> Bignum.t;

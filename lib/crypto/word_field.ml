@@ -114,17 +114,19 @@ let of_bignum f (x : Bignum.t) =
 
 let to_bignum f a = Bignum.of_int (to_int f a)
 
-(* Fermat: a^(p-2), left to right over the bits of p - 2. *)
-let inv f a =
-  if a = 0 then invalid_arg "Word_field.inv: zero";
-  let e = f.p - 2 in
-  let nbits = ref 0 in
-  while e lsr !nbits > 0 do
-    incr nbits
-  done;
-  let acc = ref a in
-  for i = !nbits - 2 downto 0 do
-    acc := mul f !acc !acc;
-    if (e lsr i) land 1 = 1 then acc := mul f !acc a
-  done;
-  !acc
+(* The residue of a^-1 for the residue x = aR: the plain inverse
+   u = x^-1 = a^-1 R^-1 by the extended Euclidean algorithm on ints,
+   then u·R^2 by two multiplications with R^2. For a prime p this is the
+   a^(p-2) of Fermat, at about a third of its cost. The cofactors
+   stay below p in magnitude, so no product overflows. *)
+let inv f x =
+  if x = 0 then invalid_arg "Word_field.inv: zero";
+  let rec euclid r0 r1 t0 t1 =
+    if r1 = 0 then t0
+    else
+      let q = r0 / r1 in
+      euclid r1 (r0 - (q * r1)) t1 (t0 - (q * t1))
+  in
+  let u = euclid f.p x 0 1 in
+  let u = if u < 0 then u + f.p else u in
+  mul f (mul f u f.r2) f.r2

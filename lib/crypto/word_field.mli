@@ -47,5 +47,6 @@ val mul_small : t -> int -> int -> int
     and adding. *)
 
 val inv : t -> int -> int
-(** Fermat inversion a{^p-2}; requires a prime modulus. Raises
+(** The inverse, by the extended Euclidean algorithm; for the prime
+    moduli it requires, the same value as Fermat's a{^p-2}. Raises
     [Invalid_argument] on zero. *)

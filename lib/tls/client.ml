@@ -40,6 +40,7 @@ let send transcript msg =
   let m = Msg.frame msg in
   add transcript m;
   m
+
 let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 let hello t ~now ~hostname ~offer =
@@ -59,15 +60,15 @@ let hello t ~now ~hostname ~offer =
   let transcript = Crypto.Sha256.init () in
   let ch =
     send transcript
-    @@ Msg.Client_hello
-      {
-        ch_version = Types.TLS_1_2;
-        ch_random = random;
-        ch_session_id = session_id;
-        ch_cipher_suites = List.map Types.suite_to_int t.config.Config.offer_suites;
-        ch_extensions =
-          Extension.Server_name hostname :: Extension.Supported_groups groups :: ticket_ext;
-      }
+      (Msg.Client_hello
+         {
+           ch_version = Types.TLS_1_2;
+           ch_random = random;
+           ch_session_id = session_id;
+           ch_cipher_suites = List.map Types.suite_to_int t.config.Config.offer_suites;
+           ch_extensions =
+             Extension.Server_name hostname :: Extension.Supported_groups groups :: ticket_ext;
+         })
   in
   ( ch,
     {
@@ -215,8 +216,10 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
   | Some session -> (
       let nst, fin =
         match rest with
-        | [ ({ Msg.msg = Msg.New_session_ticket nst; _ } as m); ({ msg = Msg.Finished f; _ } as fin) ]
-          ->
+        | [
+            ({ Msg.msg = Msg.New_session_ticket nst; _ } as m);
+            ({ msg = Msg.Finished f; _ } as fin);
+          ] ->
             (Some (m, nst), Some (fin, f))
         | [ ({ msg = Msg.Finished f; _ } as fin) ] -> (None, Some (fin, f))
         | _ -> (None, None)
@@ -241,7 +244,8 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
               let client_fin =
                 Msg.frame
                   (Msg.Finished
-                     (Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash transcript)))
+                     (Crypto.Prf.client_finished master
+                        ~handshake_hash:(transcript_hash transcript)))
               in
               Ok
                 (Abbreviated

@@ -50,6 +50,7 @@ let send transcript msg =
   let m = Msg.frame msg in
   add transcript m;
   m
+
 let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
 
 (* --- Negotiation -------------------------------------------------------------- *)
@@ -335,7 +336,10 @@ let premaster_of_cke pending cke_public =
    established session. *)
 let handle_client_flight pending ~now (msgs : Msg.framed list) =
   match msgs with
-  | [ ({ msg = Msg.Client_key_exchange cke_public; _ } as cke); ({ msg = Msg.Finished client_verify; _ } as fin) ] -> (
+  | [
+   ({ msg = Msg.Client_key_exchange cke_public; _ } as cke);
+   ({ msg = Msg.Finished client_verify; _ } as fin);
+  ] -> (
       match premaster_of_cke pending cke_public with
       | Error _ -> Error Types.Illegal_parameter
       | Ok pre_master ->

@@ -821,7 +821,9 @@ let gen_msg =
         [
           map (fun s -> Tls.Extension.Server_name s) (bytes 1 30);
           map (fun s -> Tls.Extension.Session_ticket s) (bytes 0 100);
-          map (fun l -> Tls.Extension.Supported_groups l) (list_size (int_range 0 5) (int_range 0 0xffff));
+          map
+            (fun l -> Tls.Extension.Supported_groups l)
+            (list_size (int_range 0 5) (int_range 0 0xffff));
           return Tls.Extension.Renegotiation_info;
         ]
     in
@@ -833,7 +835,9 @@ let gen_msg =
           (fun (((ch_random, ch_session_id), ch_cipher_suites), ch_extensions) ->
             Msg.Client_hello
               { ch_version = T.TLS_1_2; ch_random; ch_session_id; ch_cipher_suites; ch_extensions })
-          (pair (pair (pair random (bytes 0 32)) (list_size (int_range 0 6) (int_range 0 0xffff))) exts);
+          (pair
+             (pair (pair random (bytes 0 32)) (list_size (int_range 0 6) (int_range 0 0xffff)))
+             exts);
         map
           (fun (((sh_random, sh_session_id), sh_cipher_suite), sh_extensions) ->
             Msg.Server_hello
@@ -847,12 +851,14 @@ let gen_msg =
           (pair (pair (bytes 0 40) (bytes 0 4)) (pair (bytes 0 40) (bytes 0 40)));
         map
           (fun ((curve_id, point), ske_signature) ->
-            Msg.Server_key_exchange { ske_params = Msg.Ske_ecdhe { curve_id; point }; ske_signature })
+            Msg.Server_key_exchange
+              { ske_params = Msg.Ske_ecdhe { curve_id; point }; ske_signature })
           (pair (pair (int_range 0 0xffff) (bytes 0 70)) (bytes 0 40));
         return Msg.Server_hello_done;
         map (fun s -> Msg.Client_key_exchange s) (bytes 0 70);
         map
-          (fun (nst_lifetime_hint, nst_ticket) -> Msg.New_session_ticket { nst_lifetime_hint; nst_ticket })
+          (fun (nst_lifetime_hint, nst_ticket) ->
+            Msg.New_session_ticket { nst_lifetime_hint; nst_ticket })
           (pair (int_range 0 0x7fffffff) (bytes 0 200));
         map (fun s -> Msg.Finished s) (string_size (return T.verify_data_len));
       ])
@@ -952,7 +958,9 @@ let test_hostile_ske_params_rejected () =
     let _hello, state =
       Tls.Client.hello client ~now:1000 ~hostname:"example.com" ~offer:Tls.Client.Fresh
     in
-    match Tls.Client.handle_server_flight state (List.map Msg.frame (flight ~dh_p ~dh_g ~dh_ys)) with
+    match
+      Tls.Client.handle_server_flight state (List.map Msg.frame (flight ~dh_p ~dh_g ~dh_ys))
+    with
     | Ok _ -> `Completed
     | Error _ -> `Rejected
     | exception e -> Alcotest.failf "engine raised %s" (Printexc.to_string e)
