@@ -593,10 +593,10 @@ let neg c = function
 
 (* Whether h·Q = O for the curve's cofactor h > 1, i.e. Q lies in the
    small subgroup a peer could confine a shared secret to. Left-to-right
-   double-and-add over h's bits (two doublings for h = 4), outside the
-   counted kernels so the [kernel.ec_*] counters see only real
-   multiplications. *)
-let wsmall_order c fa q =
+   double-and-add over h's bits (two doublings for h = 4) on the ladder,
+   outside the counted kernels so the [kernel.ec_*] counters see only
+   real multiplications. *)
+let small_order c fa q =
   c.h > 1
   &&
   let acc = { x = q.x; y = q.y; z = q.z } in
@@ -609,11 +609,6 @@ let wsmall_order c fa q =
     if (c.h lsr i) land 1 = 1 then wadd fa acc q.x q.y q.z
   done;
   acc.z = 0
-
-let small_order c q =
-  match c.fast with
-  | None -> c.h > 1 && Reference.scalar_mult c (Bignum.of_int c.h) q = Inf
-  | Some fa -> wsmall_order c fa (wpt_of_point fa q)
 
 (* --- Small-curve generation ----------------------------------------------
    For p = 4q - 1 with p, q prime (so p = 3 mod 4), the curve
@@ -767,7 +762,7 @@ let agree c priv ~peer_pub =
       let f = fa.f in
       let q = { x = W.of_bignum f x; y = W.of_bignum f y; z = W.one f } in
       if not (won_curve fa q.x q.y) then Error "ec: peer point not on curve"
-      else if wsmall_order c fa q then Error "ec: peer point of small order"
+      else if small_order c fa q then Error "ec: peer point of small order"
       else begin
         Obs.Kernel.(bump ec_scalar_mult);
         let acc = wpt_inf () in
@@ -779,7 +774,8 @@ let agree c priv ~peer_pub =
       end
   | Affine _, None -> (
       if not (on_curve c peer_pub) then Error "ec: peer point not on curve"
-      else if small_order c peer_pub then Error "ec: peer point of small order"
+      else if c.h > 1 && Reference.scalar_mult c (Bignum.of_int c.h) peer_pub = Inf then
+        Error "ec: peer point of small order"
       else
         match scalar_mult c priv peer_pub with
         | Inf -> Error "ec: degenerate shared point"
