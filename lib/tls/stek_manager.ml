@@ -39,7 +39,7 @@ type t = {
   origin : int; (* creation time: start of the first [Scheduled] interval *)
   mutable recent : (int * Stek.t) list;
       (* [Rotate_every] / [Scheduled]: the derived STEKs of the newest
-         period seen and of the one before it, newest first *)
+         period seen and of the one before it *)
 }
 
 let create ~policy ~secret ~now =
@@ -102,9 +102,7 @@ let derived t k ~created_at =
   | None ->
       let stek = Stek.derive ~secret:t.secret ~period:k ~now:created_at in
       let newest = List.fold_left (fun m (p, _) -> max m p) k t.recent in
-      t.recent <-
-        List.filter (fun (p, _) -> p = newest || p = newest - 1) ((k, stek) :: t.recent)
-        |> List.sort (fun (a, _) (b, _) -> compare b a);
+      t.recent <- List.filter (fun (p, _) -> p >= newest - 1) ((k, stek) :: t.recent);
       stek
 
 (* The STEK currently used to *issue* tickets. *)

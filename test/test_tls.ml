@@ -871,6 +871,39 @@ let prop_flight_reencodes =
       check_reencodes "generated flight" bytes;
       true)
 
+(* A manager keeps the STEKs of its newest two rotation periods; from
+   any sequence of issue and decrypt queries it must answer exactly as a
+   fresh manager, which has derived nothing yet, answers each one. The
+   accept window reaches three periods back, past the two kept. *)
+let prop_stek_memo_transparent =
+  QCheck2.Test.make ~name:"stek memo answers as a fresh manager" ~count:150
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 1 20) (pair (int_range 0 2000) (int_range 0 2000))))
+    (fun (scheduled, queries) ->
+      let policy =
+        if scheduled then Tls.Stek_manager.Scheduled [ 300; 700; 1200 ]
+        else Tls.Stek_manager.Rotate_every { period = 100; accept_window = 250 }
+      in
+      let fresh () = Tls.Stek_manager.create ~policy ~secret:"memo" ~now:0 in
+      let kept = fresh () in
+      let same a b =
+        String.equal (Tls.Stek.key_name a) (Tls.Stek.key_name b)
+        && Tls.Stek.created_at a = Tls.Stek.created_at b
+      in
+      List.for_all
+        (fun (now, issued_at) ->
+          let name = Tls.Stek.key_name (Tls.Stek_manager.issuing (fresh ()) ~now:issued_at) in
+          same (Tls.Stek_manager.issuing kept ~now) (Tls.Stek_manager.issuing (fresh ()) ~now)
+          &&
+          match
+            ( Tls.Stek_manager.find_for_decrypt kept ~now name,
+              Tls.Stek_manager.find_for_decrypt (fresh ()) ~now name )
+          with
+          | None, None -> true
+          | Some a, Some b -> same a b
+          | Some _, None | None, Some _ -> false)
+        queries)
+
 let prop_extension_roundtrip =
   QCheck2.Test.make ~name:"extension block roundtrip" ~count:200
     QCheck2.Gen.(
@@ -1216,5 +1249,5 @@ let () =
           Alcotest.test_case "tamper" `Quick test_record_tamper;
           Alcotest.test_case "codec" `Quick test_record_codec;
         ] );
-      qsuite "handshake-properties" [ prop_handshake_schedules ];
+      qsuite "handshake-properties" [ prop_handshake_schedules; prop_stek_memo_transparent ];
     ]
