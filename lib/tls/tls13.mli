@@ -32,6 +32,12 @@ type secrets = {
   resumption_master : string;
 }
 
+val key_schedule :
+  ?psk:string -> ?dh_shared:string -> ch_hash:string -> full_hash:string -> unit -> secrets
+(** RFC 8446 section 7.1 from the PSK and the (EC)DHE output, each the
+    all-zero string when absent; [ch_hash] is the ClientHello's
+    transcript hash and [full_hash] the ClientHello..ServerHello one. *)
+
 val protect : traffic_secret:string -> string -> string
 (** Traffic protection with keys expanded from the secret (a stand-in
     AEAD: AES-128-CTR + HMAC with the real "key"/"iv" derivations). *)

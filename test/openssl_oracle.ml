@@ -6,8 +6,10 @@
    limit at 55 bytes and the two-block limit at 119. The [Rng]
    generator's root key, fork keys and blocks are checked against
    `openssl dgst` of their documented hash inputs. AES blocks, AES-128-CBC
-   with PKCS#7 and sealed session tickets agree with `openssl enc` (the
-   tickets' MACs with `openssl dgst -mac HMAC`). ECDH runs on P-256 and
+   with PKCS#7 and sealed TLS 1.2 session tickets and TLS 1.3 PSK tickets
+   agree with `openssl enc` (the tickets' MACs with `openssl dgst -mac
+   HMAC`). The TLS 1.3 key schedule's secrets and resumption PSKs agree
+   with `openssl kdf TLS13-KDF`. ECDH runs on P-256 and
    on the 52-, 53- and 61-bit simulation curves against keys
    `openssl genpkey` generates and `openssl pkeyutl -derive`. Miller-Rabin
    agrees with `openssl prime` on the simulation groups' and curves'
@@ -211,19 +213,46 @@ let aes openssl =
         (match Crypto.Block_mode.cbc_decrypt t ~iv expected with Ok p -> p | Error e -> e)
   done
 
-(* A sealed ticket opened with openssl alone. The STEK is derived as
-   [Stek.derive] documents it: 64 bytes from the [Rng] seeded
-   "stek:SECRET:PERIOD", split as key name, AES-128 key and HMAC key.
-   The ticket is key_name || iv || u16 length || encrypted_state || mac
-   (RFC 5077 section 4): `enc -d -aes-128-cbc` must give back the
-   session's bytes and `dgst -mac HMAC` the MAC over everything before
-   it. Sessions vary in suite, ID length and time. *)
+(* An RFC 5077 envelope opened with openssl alone: the key name, the
+   length field, `enc -d -aes-128-cbc` back to [plain] and `dgst -mac
+   HMAC` over everything before the MAC. [raw] is the STEK's 64 bytes,
+   key name || AES-128 key || HMAC key. *)
+let check_envelope openssl kind ~raw ~plain ticket =
+  let n = String.length ticket in
+  let input = hex ticket in
+  check (kind ^ " key name") ~input ~expected:(String.sub raw 0 16) ~actual:(String.sub ticket 0 16);
+  let len = (Char.code ticket.[32] lsl 8) lor Char.code ticket.[33] in
+  check (kind ^ " layout") ~input ~expected:(string_of_int (34 + len + 32)) ~actual:(string_of_int n);
+  let expected_plain =
+    with_file (String.sub ticket 34 len) (fun f ->
+        run openssl
+          [ "enc"; "-d"; "-aes-128-cbc"; "-K"; hex (String.sub raw 16 16); "-iv";
+            hex (String.sub ticket 16 16); "-in"; f ])
+  in
+  check (kind ^ " state") ~input ~expected:expected_plain ~actual:plain;
+  let expected_mac =
+    with_file (String.sub ticket 0 (n - 32)) (fun f ->
+        run openssl
+          [ "dgst"; "-sha256"; "-mac"; "HMAC"; "-macopt"; "hexkey:" ^ hex (String.sub raw 32 32);
+            "-binary"; f ])
+  in
+  check (kind ^ " mac") ~input ~expected:expected_mac ~actual:(String.sub ticket (n - 32) 32)
+
+(* The raw bytes behind [Stek.derive ~secret ~period]: 64 bytes from the
+   [Rng] seeded "stek:SECRET:PERIOD". *)
+let stek_raw ~secret ~period =
+  Rng.generate (Rng.create ~seed:(Printf.sprintf "stek:%s:%d" secret period)) 64
+
+(* Sealed tickets opened with openssl alone (RFC 5077 section 4). 1.2
+   tickets carry the session's bytes, and sessions vary in suite, ID
+   length and time. TLS 1.3 PSK tickets carry vec8 psk || u64 issued_at
+   || u32 lifetime || u32 max_early_data, written out here from that
+   layout. *)
 let tickets openssl =
   let rand = Rng.create ~seed:"openssl-oracle-tickets" in
   let suites = Tls.Types.all_cipher_suites in
   for i = 0 to (cases / 5) - 1 do
     let secret = Printf.sprintf "oracle-%d" i and period = Rng.int_below rand 1000 in
-    let raw = Rng.generate (Rng.create ~seed:(Printf.sprintf "stek:%s:%d" secret period)) 64 in
     let stek = Tls.Stek.derive ~secret ~period ~now:(period * 86400) in
     let session =
       Tls.Session.make
@@ -233,25 +262,109 @@ let tickets openssl =
         ~established_at:(Rng.int_below rand 2_000_000_000)
     in
     let ticket = Tls.Ticket.seal stek (Rng.fork rand ~label:(string_of_int i)) session in
-    let n = String.length ticket in
-    let input = hex ticket in
-    check "ticket key name" ~input ~expected:(String.sub raw 0 16) ~actual:(String.sub ticket 0 16);
-    let len = (Char.code ticket.[32] lsl 8) lor Char.code ticket.[33] in
-    check "ticket layout" ~input ~expected:(string_of_int (34 + len + 32)) ~actual:(string_of_int n);
-    let expected_plain =
-      with_file (String.sub ticket 34 len) (fun f ->
-          run openssl
-            [ "enc"; "-d"; "-aes-128-cbc"; "-K"; hex (String.sub raw 16 16); "-iv";
-              hex (String.sub ticket 16 16); "-in"; f ])
+    check_envelope openssl "ticket" ~raw:(stek_raw ~secret ~period)
+      ~plain:(Tls.Session.to_bytes session) ticket
+  done;
+  let rand = Rng.create ~seed:"openssl-oracle-psk-tickets" in
+  for i = 0 to (cases / 5) - 1 do
+    let secret = Printf.sprintf "oracle-psk-%d" i and period = Rng.int_below rand 1000 in
+    let stek = Tls.Stek.derive ~secret ~period ~now:(period * 86400) in
+    let state =
+      {
+        Tls.Tls13.psk = Rng.generate rand 32;
+        issued_at = Rng.int_below rand 2_000_000_000;
+        lifetime = Rng.int_below rand (7 * 86400 + 1);
+        max_early_data = Rng.int_below rand 65536;
+      }
     in
-    check "ticket state" ~input ~expected:expected_plain ~actual:(Tls.Session.to_bytes session);
-    let expected_mac =
-      with_file (String.sub ticket 0 (n - 32)) (fun f ->
-          run openssl
-            [ "dgst"; "-sha256"; "-mac"; "HMAC"; "-macopt"; "hexkey:" ^ hex (String.sub raw 32 32);
-              "-binary"; f ])
+    let plain =
+      Wire.Writer.build (fun w ->
+          Wire.Writer.vec8 w state.Tls.Tls13.psk;
+          Wire.Writer.u64 w state.issued_at;
+          Wire.Writer.u32 w state.lifetime;
+          Wire.Writer.u32 w state.max_early_data)
     in
-    check "ticket mac" ~input ~expected:expected_mac ~actual:(String.sub ticket (n - 32) 32)
+    let ticket = Tls.Tls13.seal_psk stek (Rng.fork rand ~label:(string_of_int i)) state in
+    check_envelope openssl "psk ticket" ~raw:(stek_raw ~secret ~period) ~plain ticket
+  done
+
+(* The TLS 1.3 key schedule (RFC 8446 section 7.1) against `openssl kdf
+   TLS13-KDF`. EXTRACT_ONLY without a salt extracts under a zero salt
+   (the early secret); with a salt it takes the salt as the previous
+   stage's secret and first expands it under the prefix and label given,
+   here "tls13 " and "derived" (RFC 8446's Derive-Secret(., "derived",
+   "")); an absent key is the all-zero input. EXPAND_ONLY with prefix "tls13 " is
+   Derive-Secret, its data the transcript hash. Seeded PSKs, (EC)DHE
+   outputs and transcripts run in three shapes: psk_ke (PSK, no DH),
+   psk_dhe_ke (both) and a full handshake (DH, no PSK). Then a chain of
+   [Tls13.connect]s checks that each new ticket's PSK is the
+   "resumption" expansion of the resumption master secret under the
+   ServerHello's nonce. *)
+let tls13_schedule openssl =
+  let rand = Rng.create ~seed:"openssl-oracle-tls13" in
+  let tls13 opts = kdf openssl ~keylen:32 opts "TLS13-KDF" in
+  let opt name = Option.fold ~none:[] ~some:(fun v -> [ name ^ hex v ]) in
+  let extract ?salt key =
+    tls13 ([ "mode:EXTRACT_ONLY"; "prefix:tls13 "; "label:derived" ] @ opt "hexsalt:" salt @ opt "hexkey:" key)
+  in
+  let expand secret label data =
+    tls13 [ "mode:EXPAND_ONLY"; "hexkey:" ^ hex secret; "prefix:tls13 "; "label:" ^ label; "hexdata:" ^ hex data ]
+  in
+  let empty_hash = Crypto.Sha256.digest "" in
+  for i = 0 to cases - 1 do
+    let psk = if i mod 3 = 2 then None else Some (Rng.generate rand 32) in
+    let dh_shared = if i mod 3 = 0 then None else Some (nonempty_bytes ~max:66 ()) in
+    let ch = bytes ~max:300 () in
+    let sh = bytes ~max:300 () in
+    let ch_hash = Crypto.Sha256.digest ch and full_hash = Crypto.Sha256.digest (ch ^ sh) in
+    let s = Tls.Tls13.key_schedule ?psk ?dh_shared ~ch_hash ~full_hash () in
+    let input =
+      Printf.sprintf "psk %s / dh %s / ch %s / sh %s"
+        (Option.fold ~none:"-" ~some:hex psk) (Option.fold ~none:"-" ~some:hex dh_shared) (hex ch) (hex sh)
+    in
+    let early = extract psk in
+    let handshake = extract ~salt:early dh_shared in
+    let master = extract ~salt:handshake None in
+    List.iter
+      (fun (kind, expected, actual) -> check ("tls13 " ^ kind) ~input ~expected ~actual)
+      [
+        ("early secret", early, s.Tls.Tls13.early_secret);
+        ("res binder", expand early "res binder" empty_hash, s.binder_key);
+        ("c e traffic", expand early "c e traffic" ch_hash, s.client_early_traffic);
+        ("handshake secret", handshake, s.handshake_secret);
+        ("master secret", master, s.master_secret);
+        ("c ap traffic", expand master "c ap traffic" full_hash, s.client_app_traffic);
+        ("s ap traffic", expand master "s ap traffic" full_hash, s.server_app_traffic);
+        ("res master", expand master "res master" full_hash, s.resumption_master);
+      ]
+  done;
+  let env = Tls.Config.sim_env () in
+  let server =
+    Tls.Tls13.server
+      ~config:
+        {
+          Tls.Tls13.curve = env.Tls.Config.ecdhe_curve;
+          stek_manager = Tls.Stek_manager.create ~policy:Tls.Stek_manager.Static ~secret:"oracle" ~now:0;
+          psk_lifetime = 7 * 86400;
+          allowed_modes = [ Tls.Tls13.Psk_ke; Tls.Tls13.Psk_dhe_ke ];
+          max_early_data = 16384;
+        }
+      ~rng:(Rng.create ~seed:"openssl-oracle-tls13-server")
+  in
+  let client_rng = Rng.create ~seed:"openssl-oracle-tls13-client" in
+  let offer = ref Tls.Tls13.Fresh13 in
+  for i = 0 to (cases / 5) - 1 do
+    match Tls.Tls13.connect ~client_rng server ~now:(100 * (i + 1)) ~offer:!offer with
+    | Error e -> check "tls13 connect" ~input:(string_of_int i) ~expected:"ok" ~actual:e
+    | Ok (sr, cl) -> (
+        match (sr.Tls.Tls13.sr_hello.Tls.Tls13.sh_new_ticket, cl.Tls.Tls13.cl_new_ticket) with
+        | Some (nonce, _), Some (ticket, state) ->
+            check "tls13 resumption psk" ~input:(hex nonce)
+              ~expected:(expand cl.Tls.Tls13.cl_secrets.Tls.Tls13.resumption_master "resumption" nonce)
+              ~actual:state.Tls.Tls13.psk;
+            let mode = if i mod 2 = 0 then Tls.Tls13.Psk_ke else Tls.Tls13.Psk_dhe_ke in
+            offer := Tls.Tls13.Resume13 { ticket; state; mode; early_data = None }
+        | _ -> check "tls13 new ticket" ~input:(string_of_int i) ~expected:"issued" ~actual:"none")
   done
 
 module Ec = Crypto.Ec
@@ -387,6 +500,7 @@ let () =
       rng openssl;
       aes openssl;
       tickets openssl;
+      tls13_schedule openssl;
       let curves = ecdh_curves () in
       List.iter (ecdh openssl) curves;
       let primes = primality_cases () in
@@ -397,7 +511,7 @@ let () =
       end;
       Printf.printf
         "openssl oracle: %d cases each of sha256, hmac, tls1-prf, hkdf-expand agree; hmac agrees at \
-         every length 0-130; rng keys and blocks agree; aes blocks, aes-128-cbc and sealed tickets \
-         agree; ecdh agrees on %s; primality agrees on \
+         every length 0-130; rng keys and blocks agree; aes blocks, aes-128-cbc and sealed 1.2 and 1.3 \
+         tickets agree; the tls13 key schedule and resumption psks agree; ecdh agrees on %s; primality agrees on \
          %d numbers\n"
         cases (String.concat ", " (List.map fst curves)) (List.length primes)
