@@ -45,38 +45,11 @@ let () =
 
   let run_mode mode label =
     Printf.printf "== %s ==\n" label;
-    (* Build the wire messages the passive observer records. *)
-    let kp = if mode = Tls.Tls13.Psk_ke then None else Some (Crypto.Ec.gen_keypair curve rng) in
-    let early_secret = Crypto.Hkdf.extract ~salt:(String.make 32 '\x00') state.Tls.Tls13.psk in
-    let binder_key =
-      Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"res binder"
-        ~transcript_hash:(Crypto.Sha256.digest "")
-    in
-    let ch0 =
-      {
-        Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
-        ch_key_share = Option.map Crypto.Ec.public_bytes kp;
-        ch_psk_identity = Some ticket;
-        ch_psk_mode = mode;
-        ch_binder = "";
-        ch_early_data = None;
-      }
-    in
-    let truncated = Crypto.Sha256.digest (Tls.Tls13.ch_bytes ~with_binder:false ch0) in
-    let ch1 =
-      { ch0 with Tls.Tls13.ch_binder = Tls.Tls13.binder_for ~binder_key ~truncated_ch_hash:truncated }
-    in
-    (* 0-RTT: the user's first request rides before the handshake ends. *)
-    let ch_hash = Crypto.Sha256.digest (Tls.Tls13.ch_bytes ch1) in
-    let cet =
-      Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic" ~transcript_hash:ch_hash
-    in
-    let ch =
-      {
-        ch1 with
-        Tls.Tls13.ch_early_data =
-          Some (Tls.Tls13.protect ~traffic_secret:cet "GET /inbox (0-RTT)");
-      }
+    (* The wire message the passive observer records; the user's first
+       request rides in it as 0-RTT data, before the handshake ends. *)
+    let ch, _ =
+      Tls.Tls13.hello ~curve ~rng
+        (Tls.Tls13.Resume13 { ticket; state; mode; early_data = Some "GET /inbox (0-RTT)" })
     in
     match Tls.Tls13.handle_client_hello server ~now:500 ch with
     | Error e -> Printf.printf "handshake failed: %s\n" e

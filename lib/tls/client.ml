@@ -8,8 +8,6 @@ module Msg = Handshake_msg
 
 type t = { config : Config.client_config; rng : Crypto.Rng.t; prefer_x25519 : bool }
 
-let x25519_group_id = 29
-
 let create ?(prefer_x25519 = false) ~config ~rng () = { config; rng; prefer_x25519 }
 
 (* What the client offers for resumption. Ticket offers carry the cached
@@ -29,20 +27,6 @@ type state = {
   s_now : int;
 }
 
-(* The transcript is a running hash over each message's wire bytes, as
-   sent or as received; each Finished reads a copy of it, so no
-   handshake re-hashes the messages (certificate chain included) it has
-   already absorbed. *)
-let add transcript (m : Msg.framed) = Crypto.Sha256.update transcript m.Msg.bytes
-
-(* Encode an outgoing message once and absorb it. *)
-let send transcript msg =
-  let m = Msg.frame msg in
-  add transcript m;
-  m
-
-let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
-
 let hello t ~now ~hostname ~offer =
   let random = Crypto.Rng.generate t.rng Types.random_len in
   let session_id = match offer with Offer_session_id s -> Session.id s | _ -> "" in
@@ -55,11 +39,11 @@ let hello t ~now ~hostname ~offer =
   in
   let groups =
     let env_id = t.config.Config.cl_env.Config.ecdhe_curve_id in
-    if t.prefer_x25519 then [ x25519_group_id; env_id ] else [ env_id; x25519_group_id ]
+    if t.prefer_x25519 then [ Types.x25519_group_id; env_id ] else [ env_id; Types.x25519_group_id ]
   in
   let transcript = Crypto.Sha256.init () in
   let ch =
-    send transcript
+    Msg.send transcript
       (Msg.Client_hello
          {
            ch_version = Types.TLS_1_2;
@@ -165,7 +149,7 @@ let client_kex state ~leaf ~suite ~ske =
           | Error e -> Error e
           | Ok z -> Ok (Crypto.Dh.public_bytes kp, z, Some dh_ys)))
   | Types.Ecdhe, Some Msg.{ ske_params = Ske_ecdhe { curve_id; point }; _ }
-    when curve_id = x25519_group_id ->
+    when curve_id = Types.x25519_group_id ->
       if String.length point <> Crypto.X25519.key_len then Error "x25519: bad server share"
       else begin
         let kp = Crypto.X25519.gen_keypair t.rng in
@@ -209,55 +193,57 @@ let offered_session state =
   | Offer_ticket { session; _ } -> Some session
   | Fresh -> None
 
-(* Split an abbreviated first flight [SH; (NST); Finished]. *)
+(* The server's closing messages end both handshakes: [(NewSessionTicket);
+   Finished]. Any other shape is [Error malformed]; a well-formed flight
+   is then refused with [mismatch] if one is given, else its ticket is
+   absorbed and the server Finished checked against the transcript.
+   Returns the Finished as received and the ticket (lifetime hint,
+   bytes). *)
+let closing_flight transcript master ~malformed ~mismatch (msgs : Msg.framed list) =
+  let nst, fin =
+    match msgs with
+    | [ ({ msg = Msg.New_session_ticket nst; _ } as m); ({ msg = Msg.Finished f; _ } as fin) ] ->
+        (Some (m, nst), Some (fin, f))
+    | [ ({ msg = Msg.Finished f; _ } as fin) ] -> (None, Some (fin, f))
+    | _ -> (None, None)
+  in
+  match (fin, mismatch) with
+  | None, _ -> Error malformed
+  | Some _, Some e -> Error e
+  | Some (fin, server_verify), None ->
+      Option.iter (fun (m, _) -> Msg.absorb transcript m) nst;
+      let expected =
+        Crypto.Prf.server_finished master ~handshake_hash:(Msg.transcript_hash transcript)
+      in
+      if not (Crypto.Hmac.equal_ct expected server_verify) then
+        Error "server Finished verification failed"
+      else Ok (fin, Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst)
+
+(* An abbreviated first flight: [SH] then the closing messages. *)
 let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
   match offered_session state with
   | None -> Error "server resumed a session we did not offer"
   | Some session -> (
-      let nst, fin =
-        match rest with
-        | [
-            ({ Msg.msg = Msg.New_session_ticket nst; _ } as m);
-            ({ msg = Msg.Finished f; _ } as fin);
-          ] ->
-            (Some (m, nst), Some (fin, f))
-        | [ ({ msg = Msg.Finished f; _ } as fin) ] -> (None, Some (fin, f))
-        | _ -> (None, None)
+      let transcript = state.s_transcript in
+      let master = Crypto.Prf.key_master (Session.master_secret session) in
+      let mismatch =
+        if sh.Msg.sh_cipher_suite <> Session.cipher_suite session then
+          Some "resumption changed cipher suite"
+        else None
       in
-      match fin with
-      | None -> Error "malformed abbreviated flight"
-      | Some (fin, server_verify) ->
-          if sh.Msg.sh_cipher_suite <> Session.cipher_suite session then
-            Error "resumption changed cipher suite"
-          else begin
-            let transcript = state.s_transcript in
-            add transcript sh_msg;
-            Option.iter (fun (m, _) -> add transcript m) nst;
-            let master = Crypto.Prf.key_master (Session.master_secret session) in
-            let expected =
-              Crypto.Prf.server_finished master ~handshake_hash:(transcript_hash transcript)
-            in
-            if not (Crypto.Hmac.equal_ct expected server_verify) then
-              Error "server Finished verification failed"
-            else begin
-              add transcript fin;
-              let client_fin =
-                Msg.frame
-                  (Msg.Finished
-                     (Crypto.Prf.client_finished master
-                        ~handshake_hash:(transcript_hash transcript)))
-              in
-              Ok
-                (Abbreviated
-                   {
-                     client_finished = client_fin;
-                     session;
-                     new_ticket =
-                       Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst;
-                     session_id = sh.Msg.sh_session_id;
-                   })
-            end
-          end)
+      Msg.absorb transcript sh_msg;
+      match closing_flight transcript master ~malformed:"malformed abbreviated flight" ~mismatch rest with
+      | Error e -> Error e
+      | Ok (fin, new_ticket) ->
+          Msg.absorb transcript fin;
+          let client_fin =
+            Msg.frame
+              (Msg.Finished
+                 (Crypto.Prf.client_finished master ~handshake_hash:(Msg.transcript_hash transcript)))
+          in
+          Ok
+            (Abbreviated
+               { client_finished = client_fin; session; new_ticket; session_id = sh.Msg.sh_session_id }))
 
 let handle_full state sh_msg (sh : Msg.server_hello) rest =
   let t = state.s_client in
@@ -301,19 +287,19 @@ let handle_full state sh_msg (sh : Msg.server_hello) rest =
                 | Error e -> Error e
                 | Ok (cke_public, pre_master, server_kex_public) ->
                     let transcript = state.s_transcript in
-                    add transcript sh_msg;
-                    List.iter (add transcript) rest;
-                    let cke = send transcript (Msg.Client_key_exchange cke_public) in
+                    Msg.absorb transcript sh_msg;
+                    List.iter (Msg.absorb transcript) rest;
+                    let cke = Msg.send transcript (Msg.Client_key_exchange cke_public) in
                     let master_secret =
                       Crypto.Prf.master_secret ~pre_master ~client_random:state.s_random
                         ~server_random:sh.Msg.sh_random
                     in
                     let master = Crypto.Prf.key_master master_secret in
                     let fin =
-                      send transcript
+                      Msg.send transcript
                         (Msg.Finished
                            (Crypto.Prf.client_finished master
-                              ~handshake_hash:(transcript_hash transcript)))
+                              ~handshake_hash:(Msg.transcript_hash transcript)))
                     in
                     Ok
                       (Continue_full
@@ -361,31 +347,17 @@ let handle_server_flight state (msgs : Msg.framed list) =
       end)
   | _ -> Error "flight does not start with ServerHello"
 
-(* Process the server's closing flight of a full handshake:
-   [(NewSessionTicket); Finished]. Returns the established session plus
-   any ticket. *)
+(* Process the server's closing flight of a full handshake. Returns the
+   established session plus any ticket. *)
 let finish_full (cont : full_continuation) ~now (msgs : Msg.framed list) =
-  let nst, fin =
-    match msgs with
-    | [ ({ msg = Msg.New_session_ticket nst; _ } as m); { msg = Msg.Finished f; _ } ] ->
-        (Some (m, nst), Some f)
-    | [ { msg = Msg.Finished f; _ } ] -> (None, Some f)
-    | _ -> (None, None)
-  in
-  match fin with
-  | None -> Error "malformed server closing flight"
-  | Some server_verify ->
-      let transcript = cont.f_state.s_transcript in
-      Option.iter (fun (m, _) -> add transcript m) nst;
-      let expected =
-        Crypto.Prf.server_finished cont.f_master ~handshake_hash:(transcript_hash transcript)
+  match
+    closing_flight cont.f_state.s_transcript cont.f_master ~malformed:"malformed server closing flight"
+      ~mismatch:None msgs
+  with
+  | Error e -> Error e
+  | Ok (_, ticket) ->
+      let session =
+        Session.make ~id:cont.f_session_id ~master_secret:cont.f_master_secret ~cipher_suite:cont.f_suite
+          ~established_at:now
       in
-      if not (Crypto.Hmac.equal_ct expected server_verify) then
-        Error "server Finished verification failed"
-      else begin
-        let session =
-          Session.make ~id:cont.f_session_id ~master_secret:cont.f_master_secret
-            ~cipher_suite:cont.f_suite ~established_at:now
-        in
-        Ok (session, Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst)
-      end
+      Ok (session, ticket)

@@ -213,3 +213,18 @@ let read_all s =
           go ({ msg; bytes = String.sub s start (Wire.Reader.pos r - start) } :: acc)
       in
       go [])
+
+(* --- Transcript -------------------------------------------------------------- *)
+
+(* The transcript is a running hash over each message's wire bytes, as
+   sent or as received; each Finished reads a copy of it, so no
+   handshake re-hashes the messages (certificate chain included) it has
+   already absorbed. *)
+let absorb transcript m = Crypto.Sha256.update transcript m.bytes
+
+let send transcript msg =
+  let m = frame msg in
+  absorb transcript m;
+  m
+
+let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)

@@ -58,3 +58,16 @@ val frame : t -> framed
 val read_all : string -> (framed list, string) result
 (** A concatenated sequence of messages (one flight), each with the
     slice of the input it was parsed from. *)
+
+(** {2 Transcript}
+
+    A running SHA-256 over each message's wire bytes, as sent or as
+    received; both ends of a handshake keep one. *)
+
+val absorb : Crypto.Sha256.t -> framed -> unit
+
+val send : Crypto.Sha256.t -> t -> framed
+(** Encode an outgoing message once ({!frame}) and absorb it. *)
+
+val transcript_hash : Crypto.Sha256.t -> string
+(** The hash so far, read from a copy: the transcript keeps running. *)

@@ -37,22 +37,6 @@ let restart t ~now =
   | None -> ());
   Kex_cache.restart t.config.Config.kex_cache
 
-(* --- Transcript -------------------------------------------------------------- *)
-
-(* The transcript is a running hash over each message's wire bytes, as
-   sent or as received; each Finished reads a copy of it, so no
-   handshake re-hashes the messages (certificate chain included) it has
-   already absorbed. *)
-let add transcript (m : Msg.framed) = Crypto.Sha256.update transcript m.Msg.bytes
-
-(* Encode an outgoing message once and absorb it. *)
-let send transcript msg =
-  let m = Msg.frame msg in
-  add transcript m;
-  m
-
-let transcript_hash transcript = Crypto.Sha256.finalize (Crypto.Sha256.copy transcript)
-
 (* --- Negotiation -------------------------------------------------------------- *)
 
 let select_suite t (offered : int list) =
@@ -63,9 +47,6 @@ type kex_secret =
   | Ecdhe_secret of Crypto.Ec.keypair
   | X25519_secret of Crypto.X25519.keypair
   | Static_secret
-
-(* Named-group code point for X25519 (RFC 8422). *)
-let x25519_group_id = 29
 
 type pending = {
   p_server : t;
@@ -111,7 +92,7 @@ let client_prefers_x25519 ~env exts =
   | Some groups ->
       let rec first = function
         | [] -> false
-        | g :: _ when g = x25519_group_id -> true
+        | g :: _ when g = Types.x25519_group_id -> true
         | g :: _ when g = env.Config.ecdhe_curve_id -> false
         | _ :: rest -> first rest
       in
@@ -124,7 +105,7 @@ let make_server_key_exchange t ~now ~client_random ~server_random ~client_exts s
   | Types.Ecdhe when client_prefers_x25519 ~env client_exts ->
       let kp = Kex_cache.x25519_keypair t.config.Config.kex_cache ~now t.rng in
       let params =
-        Msg.Ske_ecdhe { curve_id = x25519_group_id; point = Crypto.X25519.public_bytes kp }
+        Msg.Ske_ecdhe { curve_id = Types.x25519_group_id; point = Crypto.X25519.public_bytes kp }
       in
       let signature =
         Crypto.Ecdsa.signature_bytes env.Config.pki_curve
@@ -213,11 +194,11 @@ let fresh_session_id t = if t.config.Config.issue_session_ids then Crypto.Rng.ge
 let resume transcript session first how =
   let master = Crypto.Prf.key_master (Session.master_secret session) in
   let server_fin =
-    send transcript
+    Msg.send transcript
       (Msg.Finished
-         (Crypto.Prf.server_finished master ~handshake_hash:(transcript_hash transcript)))
+         (Crypto.Prf.server_finished master ~handshake_hash:(Msg.transcript_hash transcript)))
   in
-  let expected = Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash transcript) in
+  let expected = Crypto.Prf.client_finished master ~handshake_hash:(Msg.transcript_hash transcript) in
   Ok (Resuming (first @ [ server_fin ], { r_session = session; r_expected_verify = expected }, how))
 
 let handle_client_hello t ~now (hello : Msg.framed) =
@@ -230,12 +211,12 @@ let handle_client_hello t ~now (hello : Msg.framed) =
         let ticket_negotiated = client_offers_ticket_ext && t.config.Config.tickets <> None in
         let server_random = Crypto.Rng.generate t.rng Types.random_len in
         let transcript = Crypto.Sha256.init () in
-        add transcript hello;
+        Msg.absorb transcript hello;
         (* 1. Ticket resumption takes precedence (RFC 5077 section 3.4). *)
         match try_ticket_resumption t ~now ~offered_suites:offered ch.Msg.ch_extensions with
         | Some (session, tc) ->
             let sh =
-              send transcript
+              Msg.send transcript
                 (Msg.Server_hello
                    {
                      sh_version = Types.TLS_1_2;
@@ -248,7 +229,7 @@ let handle_client_hello t ~now (hello : Msg.framed) =
             in
             let reissue =
               if tc.Config.reissue_on_resumption then
-                [ send transcript (make_ticket t ~now tc session) ]
+                [ Msg.send transcript (make_ticket t ~now tc session) ]
               else []
             in
             resume transcript session (sh :: reissue) `Via_ticket
@@ -257,7 +238,7 @@ let handle_client_hello t ~now (hello : Msg.framed) =
             match try_id_resumption t ~now ~offered_suites:offered ch.Msg.ch_session_id with
             | Some session ->
                 let sh =
-                  send transcript
+                  Msg.send transcript
                     (Msg.Server_hello
                        {
                          sh_version = Types.TLS_1_2;
@@ -276,7 +257,7 @@ let handle_client_hello t ~now (hello : Msg.framed) =
                 | Some suite ->
                     let session_id = fresh_session_id t in
                     let sh =
-                      send transcript
+                      Msg.send transcript
                         (Msg.Server_hello
                            {
                              sh_version = Types.TLS_1_2;
@@ -288,15 +269,15 @@ let handle_client_hello t ~now (hello : Msg.framed) =
                            })
                     in
                     let cert_msg =
-                      send transcript
+                      Msg.send transcript
                         (Msg.Certificate (List.map Cert.to_bytes t.config.Config.cert_chain))
                     in
                     let ske, kex =
                       make_server_key_exchange t ~now ~client_random:ch.Msg.ch_random
                         ~server_random ~client_exts:ch.Msg.ch_extensions suite
                     in
-                    let ske = Option.map (send transcript) ske in
-                    let done_msg = send transcript Msg.Server_hello_done in
+                    let ske = Option.map (Msg.send transcript) ske in
+                    let done_msg = Msg.send transcript Msg.Server_hello_done in
                     Ok
                       (Negotiating
                          ( [ sh; cert_msg ] @ Option.to_list ske @ [ done_msg ],
@@ -344,18 +325,18 @@ let handle_client_flight pending ~now (msgs : Msg.framed list) =
       | Error _ -> Error Types.Illegal_parameter
       | Ok pre_master ->
           let t = pending.p_server in
-          add pending.p_transcript cke;
+          Msg.absorb pending.p_transcript cke;
           let master_secret =
             Crypto.Prf.master_secret ~pre_master ~client_random:pending.p_client_random
               ~server_random:pending.p_server_random
           in
           let master = Crypto.Prf.key_master master_secret in
           let expected =
-            Crypto.Prf.client_finished master ~handshake_hash:(transcript_hash pending.p_transcript)
+            Crypto.Prf.client_finished master ~handshake_hash:(Msg.transcript_hash pending.p_transcript)
           in
           if not (Crypto.Hmac.equal_ct expected client_verify) then Error Types.Decrypt_error
           else begin
-            add pending.p_transcript fin;
+            Msg.absorb pending.p_transcript fin;
             let session =
               Session.make ~id:pending.p_session_id ~master_secret ~cipher_suite:pending.p_suite
                 ~established_at:now
@@ -368,14 +349,14 @@ let handle_client_flight pending ~now (msgs : Msg.framed list) =
             (* Issue a ticket if negotiated. *)
             let nst =
               match (pending.p_ticket_negotiated, t.config.Config.tickets) with
-              | true, Some tc -> Some (send pending.p_transcript (make_ticket t ~now tc session))
+              | true, Some tc -> Some (Msg.send pending.p_transcript (make_ticket t ~now tc session))
               | _ -> None
             in
             let server_fin =
-              send pending.p_transcript
+              Msg.send pending.p_transcript
                 (Msg.Finished
                    (Crypto.Prf.server_finished master
-                      ~handshake_hash:(transcript_hash pending.p_transcript)))
+                      ~handshake_hash:(Msg.transcript_hash pending.p_transcript)))
             in
             Ok (Option.to_list nst @ [ server_fin ], session)
           end)

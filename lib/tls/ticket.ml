@@ -16,9 +16,12 @@
 let iv_len = 16
 let mac_len = 32
 
-let seal stek rng (session : Session.t) =
+(* The envelope seals an opaque plaintext; what it carries is the
+   caller's codec (a 1.2 [Session] here, a 1.3 PSK state in [Tls13]). The
+   IV is the only draw from [rng]. *)
+let seal_plain stek rng plain =
   let iv = Crypto.Rng.generate rng iv_len in
-  let encrypted = Crypto.Block_mode.cbc_encrypt (Stek.aes_key stek) ~iv (Session.to_bytes session) in
+  let encrypted = Crypto.Block_mode.cbc_encrypt (Stek.aes_key stek) ~iv plain in
   let body =
     Wire.Writer.build (fun w ->
         Wire.Writer.bytes w (Stek.key_name stek);
@@ -26,6 +29,8 @@ let seal stek rng (session : Session.t) =
         Wire.Writer.vec16 w encrypted)
   in
   body ^ Crypto.Hmac.mac (Stek.mac stek) body
+
+let seal stek rng session = seal_plain stek rng (Session.to_bytes session)
 
 (* The key name is visible to anyone holding the ticket (it rides outside
    the encryption); the scanner uses it to track STEK lifetimes. *)
@@ -45,10 +50,12 @@ let pp_unseal_error ppf = function
   | Bad_mac -> Format.fprintf ppf "ticket MAC check failed"
   | Corrupt_state e -> Format.fprintf ppf "corrupt ticket state: %s" e
 
-(* [unseal ~find_stek ticket] resolves the STEK by key name (a server may
-   accept tickets from several recent STEKs while issuing with the newest
-   one, as Google's 14h-issue / 28h-accept schedule does). *)
-let unseal ~find_stek ticket =
+(* [unseal_plain ~decode ~find_stek ticket] resolves the STEK by key name
+   (a server may accept tickets from several recent STEKs while issuing
+   with the newest one, as Google's 14h-issue / 28h-accept schedule
+   does), checks the MAC, decrypts, and hands the plaintext to
+   [decode]. *)
+let unseal_plain ~decode ~find_stek ticket =
   let n = String.length ticket in
   if n < Stek.key_name_len + iv_len + 2 + mac_len then Error Too_short
   else begin
@@ -72,11 +79,13 @@ let unseal ~find_stek ticket =
               match Crypto.Block_mode.cbc_decrypt (Stek.aes_key stek) ~iv encrypted with
               | Error e -> Error (Corrupt_state e)
               | Ok plain -> (
-                  match Session.of_bytes plain with
+                  match decode plain with
                   | Error e -> Error (Corrupt_state e)
-                  | Ok session -> Ok session))
+                  | Ok state -> Ok state))
         end
   end
+
+let unseal ~find_stek ticket = unseal_plain ~decode:Session.of_bytes ~find_stek ticket
 
 (* The passive attack the paper quantifies: given a recorded ticket and a
    stolen STEK, recover the session (and with it every session key). *)

@@ -5,6 +5,12 @@
 
 val seal : Stek.t -> Crypto.Rng.t -> Session.t -> string
 
+val seal_plain : Stek.t -> Crypto.Rng.t -> string -> string
+(** The envelope around an opaque plaintext: key_name || IV || vec16
+    (AES-128-CBC under the STEK) || HMAC-SHA256 of all that. The IV is
+    the only draw from the [Rng]. [seal] is this over the session's
+    bytes; TLS 1.3 PSK tickets ({!Tls13.seal_psk}) use it too. *)
+
 val peek_key_name : string -> string option
 (** The STEK key name rides outside the encryption; this is what the
     scanner reads to track STEK lifetimes. *)
@@ -17,10 +23,18 @@ type unseal_error =
 
 val pp_unseal_error : Format.formatter -> unseal_error -> unit
 
+val unseal_plain :
+  decode:(string -> ('a, string) result) ->
+  find_stek:(string -> Stek.t option) ->
+  string ->
+  ('a, unseal_error) result
+(** Open a {!seal_plain} envelope and [decode] its plaintext (a decode
+    error is [Corrupt_state]). [find_stek] resolves key names: a server
+    may accept tickets from several recent STEKs while issuing with the
+    newest (Google's 14h-issue / 28h-accept schedule). *)
+
 val unseal : find_stek:(string -> Stek.t option) -> string -> (Session.t, unseal_error) result
-(** [find_stek] resolves key names: a server may accept tickets from
-    several recent STEKs while issuing with the newest (Google's
-    14h-issue / 28h-accept schedule). *)
+(** {!unseal_plain} with the session codec. *)
 
 val decrypt_with_stolen_stek :
   find_stek:(string -> Stek.t option) -> string -> (Session.t, unseal_error) result

@@ -48,48 +48,16 @@ let read_psk_state r =
   let max_early_data = Wire.Reader.u32 r in
   { psk; issued_at; lifetime; max_early_data }
 
-(* Seal under the STEK with the same CBC+HMAC construction as 1.2
-   tickets: the 1.3 draft changed the protocol, not the operational
-   practice the paper worries about. *)
+(* Sealed in the 1.2 ticket envelope ({!Ticket.seal_plain}): the 1.3
+   draft changed the protocol, not the operational practice the paper
+   worries about. *)
 let seal_psk stek rng state =
-  let iv = Crypto.Rng.generate rng 16 in
-  let plain = Wire.Writer.build (fun w -> write_psk_state w state) in
-  let encrypted = Crypto.Block_mode.cbc_encrypt (Stek.aes_key stek) ~iv plain in
-  let body =
-    Wire.Writer.build (fun w ->
-        Wire.Writer.bytes w (Stek.key_name stek);
-        Wire.Writer.bytes w iv;
-        Wire.Writer.vec16 w encrypted)
-  in
-  body ^ Crypto.Hmac.mac (Stek.mac stek) body
+  Ticket.seal_plain stek rng (Wire.Writer.build (fun w -> write_psk_state w state))
 
 let unseal_psk ~find_stek ticket =
-  let n = String.length ticket in
-  if n < Stek.key_name_len + 16 + 2 + 32 then Error "tls13: ticket too short"
-  else begin
-    let key_name = String.sub ticket 0 Stek.key_name_len in
-    match find_stek key_name with
-    | None -> Error "tls13: unknown STEK"
-    | Some stek ->
-        let body = String.sub ticket 0 (n - 32) in
-        let mac = String.sub ticket (n - 32) 32 in
-        if not (Crypto.Hmac.equal_ct (Crypto.Hmac.mac (Stek.mac stek) body) mac) then
-          Error "tls13: bad ticket MAC"
-        else begin
-          let parse r =
-            let _name = Wire.Reader.take r Stek.key_name_len in
-            let iv = Wire.Reader.take r 16 in
-            let encrypted = Wire.Reader.vec16 r in
-            (iv, encrypted)
-          in
-          match Wire.Reader.parse_result body parse with
-          | Error e -> Error e
-          | Ok (iv, encrypted) -> (
-              match Crypto.Block_mode.cbc_decrypt (Stek.aes_key stek) ~iv encrypted with
-              | Error e -> Error e
-              | Ok plain -> Wire.Reader.parse_result plain read_psk_state)
-        end
-  end
+  Ticket.unseal_plain ~find_stek ticket ~decode:(fun plain ->
+      Wire.Reader.parse_result plain read_psk_state)
+  |> Result.map_error (Format.asprintf "tls13: %a" Ticket.pp_unseal_error)
 
 (* --- Key schedule (RFC 8446 section 7.1) ----------------------------------------- *)
 
@@ -106,15 +74,20 @@ type secrets = {
 
 let empty_hash = Crypto.Sha256.digest ""
 
+(* The early stage, the one part of the schedule a PSK alone keys: the
+   early secret and the binder key. *)
+let early_schedule psk =
+  let early_secret = Crypto.Hkdf.extract ~salt:zeros psk in
+  ( early_secret,
+    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"res binder" ~transcript_hash:empty_hash )
+
+(* Protects 0-RTT data: keyed from the PSK and the ClientHello alone. *)
+let client_early_traffic ~early_secret ~ch_hash =
+  Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic" ~transcript_hash:ch_hash
+
 (* [psk] and [dh_shared] default to zeros when absent, per the RFC. *)
 let key_schedule ?(psk = zeros) ?(dh_shared = zeros) ~ch_hash ~full_hash () =
-  let early_secret = Crypto.Hkdf.extract ~salt:zeros psk in
-  let binder_key =
-    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"res binder" ~transcript_hash:empty_hash
-  in
-  let client_early_traffic =
-    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic" ~transcript_hash:ch_hash
-  in
+  let early_secret, binder_key = early_schedule psk in
   let derived1 =
     Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"derived" ~transcript_hash:empty_hash
   in
@@ -126,7 +99,7 @@ let key_schedule ?(psk = zeros) ?(dh_shared = zeros) ~ch_hash ~full_hash () =
   {
     early_secret;
     binder_key;
-    client_early_traffic;
+    client_early_traffic = client_early_traffic ~early_secret ~ch_hash;
     handshake_secret;
     master_secret;
     client_app_traffic =
@@ -144,26 +117,22 @@ let psk_of_resumption_master ~resumption_master ~nonce =
 
 (* AES-128-CTR + HMAC keyed from a traffic secret: a stand-in AEAD with
    the real key derivation (expand-label "key" / "iv"). *)
+let traffic_keys traffic_secret =
+  let expand label n = Crypto.Hkdf.expand_label ~secret:traffic_secret ~label ~context:"" n in
+  (Crypto.Aes.of_key (expand "key" 16), expand "iv" 8, expand "mac" hash_len)
+
 let protect ~traffic_secret data =
-  let key =
-    Crypto.Aes.of_key (Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"key" ~context:"" 16)
-  in
-  let nonce = Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"iv" ~context:"" 8 in
-  let mac_key = Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"mac" ~context:"" 32 in
+  let key, nonce, mac_key = traffic_keys traffic_secret in
   let ct = Crypto.Block_mode.ctr_encrypt key ~nonce data in
   ct ^ Crypto.Hmac.sha256 ~key:mac_key ct
 
 let unprotect ~traffic_secret data =
   let n = String.length data in
-  if n < 32 then Error "tls13: protected record too short"
+  if n < hash_len then Error "tls13: protected record too short"
   else begin
-    let ct = String.sub data 0 (n - 32) in
-    let tag = String.sub data (n - 32) 32 in
-    let key =
-      Crypto.Aes.of_key (Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"key" ~context:"" 16)
-    in
-    let nonce = Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"iv" ~context:"" 8 in
-    let mac_key = Crypto.Hkdf.expand_label ~secret:traffic_secret ~label:"mac" ~context:"" 32 in
+    let ct = String.sub data 0 (n - hash_len) in
+    let tag = String.sub data (n - hash_len) hash_len in
+    let key, nonce, mac_key = traffic_keys traffic_secret in
     if not (Crypto.Hmac.verify ~key:mac_key ~msg:ct ~tag) then Error "tls13: bad record MAC"
     else Ok (Crypto.Block_mode.ctr_decrypt key ~nonce ct)
   end
@@ -196,13 +165,56 @@ let ch_bytes ?(with_binder = true) ch =
       Wire.Writer.u8 w (match ch.ch_psk_mode with Psk_ke -> 0 | Psk_dhe_ke -> 1);
       if with_binder then Wire.Writer.vec8 w ch.ch_binder)
 
-let sh_bytes sh =
-  Wire.Writer.build (fun w ->
-      Wire.Writer.bytes w sh.sh_random;
-      Wire.Writer.vec16 w (Option.value sh.sh_key_share ~default:"");
-      Wire.Writer.u8 w (if sh.sh_psk_accepted then 1 else 0))
+let ch_hash ch = Crypto.Sha256.digest (ch_bytes ch)
 
-let binder_for ~binder_key ~truncated_ch_hash = Crypto.Hmac.sha256 ~key:binder_key truncated_ch_hash
+(* The ClientHello..ServerHello transcript; the ticket rides after it. *)
+let full_hash ch sh =
+  Crypto.Sha256.digest_list
+    [
+      ch_bytes ch;
+      Wire.Writer.build (fun w ->
+          Wire.Writer.bytes w sh.sh_random;
+          Wire.Writer.vec16 w (Option.value sh.sh_key_share ~default:"");
+          Wire.Writer.u8 w (if sh.sh_psk_accepted then 1 else 0));
+    ]
+
+let binder ~binder_key ch =
+  Crypto.Hmac.sha256 ~key:binder_key (Crypto.Sha256.digest (ch_bytes ~with_binder:false ch))
+
+type client_offer =
+  | Fresh13
+  | Resume13 of { ticket : string; state : psk_state; mode : psk_mode; early_data : string option }
+
+(* The client's first flight for an offer: an ephemeral key share unless
+   the offer is pure psk_ke, the random, then for a PSK offer the binder
+   over the truncated hello and any 0-RTT data under the client early
+   traffic secret. *)
+let hello ~curve ~rng offer =
+  let kp =
+    match offer with
+    | Resume13 { mode = Psk_ke; _ } -> None
+    | Fresh13 | Resume13 _ -> Some (Crypto.Ec.gen_keypair curve rng)
+  in
+  let ch =
+    {
+      ch_random = Crypto.Rng.generate rng 32;
+      ch_key_share = Option.map Crypto.Ec.public_bytes kp;
+      ch_psk_identity = None;
+      ch_psk_mode = Psk_dhe_ke;
+      ch_binder = "";
+      ch_early_data = None;
+    }
+  in
+  match offer with
+  | Fresh13 -> (ch, kp)
+  | Resume13 { ticket; state; mode; early_data } ->
+      let ch = { ch with ch_psk_identity = Some ticket; ch_psk_mode = mode } in
+      let early_secret, binder_key = early_schedule state.psk in
+      let ch = { ch with ch_binder = binder ~binder_key ch } in
+      let protect_early plain =
+        protect ~traffic_secret:(client_early_traffic ~early_secret ~ch_hash:(ch_hash ch)) plain
+      in
+      ({ ch with ch_early_data = Option.map protect_early early_data }, kp)
 
 (* --- Server --------------------------------------------------------------------------- *)
 
@@ -229,7 +241,6 @@ type server_result = {
 
 let handle_client_hello server ~now (ch : client_hello) =
   let sc = server.sc in
-  let truncated_hash = Crypto.Sha256.digest (ch_bytes ~with_binder:false ch) in
   (* 1. PSK acceptance. *)
   let accepted_psk =
     match ch.ch_psk_identity with
@@ -243,19 +254,11 @@ let handle_client_hello server ~now (ch : client_hello) =
           | Ok state ->
               let age = now - state.issued_at in
               if age < 0 || age > min state.lifetime sc.psk_lifetime then None
-              else begin
+              else
                 (* Verify the binder before accepting. *)
-                let early = Crypto.Hkdf.extract ~salt:zeros state.psk in
-                let binder_key =
-                  Crypto.Hkdf.derive_secret ~secret:early ~label:"res binder"
-                    ~transcript_hash:empty_hash
-                in
-                if
-                  Crypto.Hmac.equal_ct ch.ch_binder
-                    (binder_for ~binder_key ~truncated_ch_hash:truncated_hash)
-                then Some state
-                else None
-              end)
+                let _, binder_key = early_schedule state.psk in
+                if Crypto.Hmac.equal_ct ch.ch_binder (binder ~binder_key ch) then Some state
+                else None)
   in
   (* 2. Key exchange, per mode. *)
   let needs_dh =
@@ -281,7 +284,6 @@ let handle_client_hello server ~now (ch : client_hello) =
   | Error e -> Error e
   | Ok (server_share, dh_shared) when accepted_psk <> None || dh_shared <> None ->
       let psk = Option.map (fun s -> s.psk) accepted_psk in
-      let ch_hash = Crypto.Sha256.digest (ch_bytes ch) in
       let sh0 =
         {
           sh_random = Crypto.Rng.generate server.srng 32;
@@ -290,8 +292,9 @@ let handle_client_hello server ~now (ch : client_hello) =
           sh_new_ticket = None;
         }
       in
-      let full_hash = Crypto.Sha256.digest_list [ ch_bytes ch; sh_bytes sh0 ] in
-      let secrets = key_schedule ?psk ?dh_shared ~ch_hash ~full_hash () in
+      let secrets =
+        key_schedule ?psk ?dh_shared ~ch_hash:(ch_hash ch) ~full_hash:(full_hash ch sh0) ()
+      in
       (* 3. 0-RTT: only valid when the PSK was accepted and allowed. *)
       let early =
         match (ch.ch_early_data, accepted_psk) with
@@ -325,10 +328,6 @@ let handle_client_hello server ~now (ch : client_hello) =
 
 (* --- Client --------------------------------------------------------------------------- *)
 
-type client_offer =
-  | Fresh13
-  | Resume13 of { ticket : string; state : psk_state; mode : psk_mode; early_data : string option }
-
 type client_result = {
   cl_secrets : secrets;
   cl_resumed : bool;
@@ -339,52 +338,8 @@ type client_result = {
    exchange. Returns both ends' views so tests can compare. *)
 let connect ~client_rng server ~now ~offer =
   let sc = server.sc in
-  let kp =
-    match offer with
-    | Resume13 { mode = Psk_ke; _ } -> None
-    | Fresh13 | Resume13 _ -> Some (Crypto.Ec.gen_keypair sc.curve client_rng)
-  in
-  let psk_identity, psk_state, mode, early_plain =
-    match offer with
-    | Fresh13 -> (None, None, Psk_dhe_ke, None)
-    | Resume13 { ticket; state; mode; early_data } -> (Some ticket, Some state, mode, early_data)
-  in
-  let ch0 =
-    {
-      ch_random = Crypto.Rng.generate client_rng 32;
-      ch_key_share = Option.map Crypto.Ec.public_bytes kp;
-      ch_psk_identity = psk_identity;
-      ch_psk_mode = mode;
-      ch_binder = "";
-      ch_early_data = None;
-    }
-  in
-  (* Binder over the truncated CH. *)
-  let ch1 =
-    match psk_state with
-    | None -> ch0
-    | Some state ->
-        let early = Crypto.Hkdf.extract ~salt:zeros state.psk in
-        let binder_key =
-          Crypto.Hkdf.derive_secret ~secret:early ~label:"res binder" ~transcript_hash:empty_hash
-        in
-        let truncated = Crypto.Sha256.digest (ch_bytes ~with_binder:false ch0) in
-        { ch0 with ch_binder = binder_for ~binder_key ~truncated_ch_hash:truncated }
-  in
-  (* 0-RTT data under the client early traffic secret. *)
-  let ch2 =
-    match (early_plain, psk_state) with
-    | Some plain, Some state ->
-        let ch_hash = Crypto.Sha256.digest (ch_bytes ch1) in
-        let early_secret = Crypto.Hkdf.extract ~salt:zeros state.psk in
-        let cet =
-          Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic"
-            ~transcript_hash:ch_hash
-        in
-        { ch1 with ch_early_data = Some (protect ~traffic_secret:cet plain) }
-    | _ -> ch1
-  in
-  match handle_client_hello server ~now ch2 with
+  let ch, kp = hello ~curve:sc.curve ~rng:client_rng offer in
+  match handle_client_hello server ~now ch with
   | Error e -> Error e
   | Ok sr -> (
       (* Client-side key schedule must agree. *)
@@ -396,12 +351,14 @@ let connect ~client_rng server ~now ~offer =
             | Ok peer -> Result.to_option (Crypto.Ec.shared_secret kp ~peer_pub:peer))
         | _ -> None
       in
-      let psk = if sr.sr_hello.sh_psk_accepted then Option.map (fun s -> s.psk) psk_state else None in
-      let ch_hash = Crypto.Sha256.digest (ch_bytes ch2) in
-      let full_hash =
-        Crypto.Sha256.digest_list [ ch_bytes ch2; sh_bytes { sr.sr_hello with sh_new_ticket = None } ]
+      let psk =
+        match offer with
+        | Resume13 { state; _ } when sr.sr_hello.sh_psk_accepted -> Some state.psk
+        | Fresh13 | Resume13 _ -> None
       in
-      let cl_secrets = key_schedule ?psk ?dh_shared ~ch_hash ~full_hash () in
+      let cl_secrets =
+        key_schedule ?psk ?dh_shared ~ch_hash:(ch_hash ch) ~full_hash:(full_hash ch sr.sr_hello) ()
+      in
       if not (String.equal cl_secrets.master_secret sr.sr_secrets.master_secret) then
         Error "tls13: key schedule mismatch"
       else
@@ -442,26 +399,19 @@ let attack ~find_stek ~(ch : client_hello) ~(sh : server_hello) ~recorded_app =
       match unseal_psk ~find_stek ticket with
       | Error e -> { early_data = None; app_data = Error e }
       | Ok state ->
-          let ch_hash = Crypto.Sha256.digest (ch_bytes ch) in
-          let full_hash =
-            Crypto.Sha256.digest_list [ ch_bytes ch; sh_bytes { sh with sh_new_ticket = None } ]
-          in
+          let ch_hash = ch_hash ch in
           let early_data =
             Option.map
               (fun protected_early ->
-                let early_secret = Crypto.Hkdf.extract ~salt:zeros state.psk in
-                let cet =
-                  Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic"
-                    ~transcript_hash:ch_hash
-                in
-                unprotect ~traffic_secret:cet protected_early)
+                let early_secret, _ = early_schedule state.psk in
+                unprotect ~traffic_secret:(client_early_traffic ~early_secret ~ch_hash) protected_early)
               ch.ch_early_data
           in
           let app_data =
             match ch.ch_psk_mode with
             | Psk_dhe_ke -> Error "psk_dhe_ke: fresh DH protects the resumed connection"
             | Psk_ke ->
-                let secrets = key_schedule ~psk:state.psk ~ch_hash ~full_hash () in
+                let secrets = key_schedule ~psk:state.psk ~ch_hash ~full_hash:(full_hash ch sh) () in
                 unprotect ~traffic_secret:secrets.client_app_traffic recorded_app
           in
           { early_data; app_data })

@@ -17,7 +17,12 @@ type psk_state = {
 }
 
 val seal_psk : Stek.t -> Crypto.Rng.t -> psk_state -> string
+(** The 1.2 ticket envelope ({!Ticket.seal_plain}) around the state's
+    bytes. *)
+
 val unseal_psk : find_stek:(string -> Stek.t option) -> string -> (psk_state, string) result
+(** {!Ticket.unseal_plain} with the PSK state codec; the error is the
+    rendered {!Ticket.unseal_error}. *)
 
 (** {2 Key schedule} *)
 
@@ -60,8 +65,17 @@ type server_hello = {
   sh_new_ticket : (string * string) option;  (** nonce, sealed ticket *)
 }
 
-val ch_bytes : ?with_binder:bool -> client_hello -> string
-val binder_for : binder_key:string -> truncated_ch_hash:string -> string
+type client_offer =
+  | Fresh13
+  | Resume13 of { ticket : string; state : psk_state; mode : psk_mode; early_data : string option }
+
+val hello :
+  curve:Crypto.Ec.curve -> rng:Crypto.Rng.t -> client_offer -> client_hello * Crypto.Ec.keypair option
+(** The ClientHello for an offer, as {!connect} sends it: an ephemeral
+    key share (none for a [Psk_ke] resumption) drawn before the random;
+    for a resumption, the binder over the truncated hello and any early
+    data protected under the client early-traffic secret. The key pair
+    is returned for the client's side of the exchange. *)
 
 (** {2 Server} *)
 
@@ -87,10 +101,6 @@ type server_result = {
 val handle_client_hello : server -> now:int -> client_hello -> (server_result, string) result
 
 (** {2 Client / driver} *)
-
-type client_offer =
-  | Fresh13
-  | Resume13 of { ticket : string; state : psk_state; mode : psk_mode; early_data : string option }
 
 type client_result = {
   cl_secrets : secrets;

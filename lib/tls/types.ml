@@ -104,3 +104,6 @@ let content_type_of_int = function
 let random_len = 32
 let session_id_max = 32
 let verify_data_len = 12
+
+(* Named-group code point for X25519 (RFC 8422). *)
+let x25519_group_id = 29

@@ -56,3 +56,6 @@ val session_id_max : int
 
 val verify_data_len : int
 (** 12: Finished verify_data width. *)
+
+val x25519_group_id : int
+(** 29: the X25519 named group (RFC 8422). *)

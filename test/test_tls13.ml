@@ -159,25 +159,10 @@ let test_attack_psk_ke () =
   let rng = crng () in
   let _, cl1 = expect_ok (Tls.Tls13.connect ~client_rng:rng server ~now:100 ~offer:Tls.Tls13.Fresh13) in
   let ticket, state = Option.get cl1.Tls.Tls13.cl_new_ticket in
-  (* Build the exact wire messages by hand (psk_ke: no key share). *)
-  let early_secret = Crypto.Hkdf.extract ~salt:(String.make 32 '\x00') state.Tls.Tls13.psk in
-  let binder_key =
-    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"res binder"
-      ~transcript_hash:(Crypto.Sha256.digest "")
-  in
-  let ch0 =
-    {
-      Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
-      ch_key_share = None;
-      ch_psk_identity = Some ticket;
-      ch_psk_mode = Tls.Tls13.Psk_ke;
-      ch_binder = "";
-      ch_early_data = None;
-    }
-  in
-  let truncated = Crypto.Sha256.digest (Tls.Tls13.ch_bytes ~with_binder:false ch0) in
-  let ch =
-    { ch0 with Tls.Tls13.ch_binder = Tls.Tls13.binder_for ~binder_key ~truncated_ch_hash:truncated }
+  (* The wire message the observer records (psk_ke: no key share). *)
+  let ch, _ =
+    Tls.Tls13.hello ~curve ~rng
+      (Tls.Tls13.Resume13 { ticket; state; mode = Tls.Tls13.Psk_ke; early_data = None })
   in
   let sr = expect_ok (Tls.Tls13.handle_client_hello server ~now:1000 ch) in
   Alcotest.(check bool) "resumed" true sr.Tls.Tls13.sr_hello.Tls.Tls13.sh_psk_accepted;
@@ -202,32 +187,11 @@ let test_attack_psk_dhe_ke () =
   let rng = crng () in
   let _, cl1 = expect_ok (Tls.Tls13.connect ~client_rng:rng server ~now:100 ~offer:Tls.Tls13.Fresh13) in
   let ticket, state = Option.get cl1.Tls.Tls13.cl_new_ticket in
-  let kp = Crypto.Ec.gen_keypair curve rng in
-  let early_secret = Crypto.Hkdf.extract ~salt:(String.make 32 '\x00') state.Tls.Tls13.psk in
-  let binder_key =
-    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"res binder"
-      ~transcript_hash:(Crypto.Sha256.digest "")
+  (* 0-RTT early data rides in the hello, keyed from the PSK alone. *)
+  let ch, _ =
+    Tls.Tls13.hello ~curve ~rng
+      (Tls.Tls13.Resume13 { ticket; state; mode = Tls.Tls13.Psk_dhe_ke; early_data = Some "early!" })
   in
-  let ch0 =
-    {
-      Tls.Tls13.ch_random = Crypto.Rng.generate rng 32;
-      ch_key_share = Some (Crypto.Ec.public_bytes kp);
-      ch_psk_identity = Some ticket;
-      ch_psk_mode = Tls.Tls13.Psk_dhe_ke;
-      ch_binder = "";
-      ch_early_data = None;
-    }
-  in
-  let truncated = Crypto.Sha256.digest (Tls.Tls13.ch_bytes ~with_binder:false ch0) in
-  let ch1 =
-    { ch0 with Tls.Tls13.ch_binder = Tls.Tls13.binder_for ~binder_key ~truncated_ch_hash:truncated }
-  in
-  (* Attach 0-RTT early data, keyed from the PSK alone. *)
-  let ch_hash = Crypto.Sha256.digest (Tls.Tls13.ch_bytes ch1) in
-  let cet =
-    Crypto.Hkdf.derive_secret ~secret:early_secret ~label:"c e traffic" ~transcript_hash:ch_hash
-  in
-  let ch = { ch1 with Tls.Tls13.ch_early_data = Some (Tls.Tls13.protect ~traffic_secret:cet "early!") } in
   let sr = expect_ok (Tls.Tls13.handle_client_hello server ~now:1000 ch) in
   Alcotest.(check bool) "resumed" true sr.Tls.Tls13.sr_hello.Tls.Tls13.sh_psk_accepted;
   let recorded_app =
