@@ -247,46 +247,49 @@ let check_baseline () =
     | Ok contents -> (
         match Obs.Json.of_string contents with Ok v -> v | Error e -> fail (path ^ ": " ^ e))
   in
-  let kernels path =
-    let v = load path in
-    match Option.bind (Obs.Json.member "kernels" v) Obs.Json.to_list with
-    | Some l when l <> [] ->
-        List.map
-          (fun k ->
-            let num field = Option.bind (Obs.Json.member field k) Obs.Json.to_float in
-            match
-              ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
-                num "ops_per_sec",
-                num "speedup_vs_seed" )
-            with
-            | Some name, Some ops, Some speedup when ops > 0.0 && speedup > 0.0 ->
-                (name, (ops, speedup))
-            | _ -> fail (path ^ ": malformed kernel entry"))
-          l
-    | _ -> fail (path ^ ": no \"kernels\" section")
+  (* One section of a results file, a list of entries: [required] ones
+     must be there and non-empty, others may be absent. [entry] reads one
+     entry, [None] when it is malformed. *)
+  let section ~required ~what name entry path v =
+    let entries =
+      match Option.map Obs.Json.to_list (Obs.Json.member name v) with
+      | Some (Some l) when l <> [] || not required -> l
+      | None when not required -> []
+      | Some None when not required -> fail (Printf.sprintf "%s: malformed %S section" path name)
+      | _ -> fail (Printf.sprintf "%s: no %S section" path name)
+    in
+    List.map
+      (fun k ->
+        match entry k with
+        | Some e -> e
+        | None -> fail (Printf.sprintf "%s: malformed %s entry" path what))
+      entries
+  in
+  let kernels =
+    section ~required:true ~what:"kernel" "kernels" (fun k ->
+        let num field = Option.bind (Obs.Json.member field k) Obs.Json.to_float in
+        match
+          (Option.bind (Obs.Json.member "name" k) Obs.Json.to_str, num "ops_per_sec", num "speedup_vs_seed")
+        with
+        | Some name, Some ops, Some speedup when ops > 0.0 && speedup > 0.0 -> Some (name, (ops, speedup))
+        | _ -> None)
   in
   (* Optional: a results file without an "alloc" section has no budgets. *)
-  let allocs path =
-    match Obs.Json.member "alloc" (load path) with
-    | None -> []
-    | Some section -> (
-        match Obs.Json.to_list section with
-        | None -> fail (path ^ ": malformed \"alloc\" section")
-        | Some l ->
-            List.map
-              (fun k ->
-                match
-                  ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
-                    Option.bind (Obs.Json.member "minor_words_per_op" k) Obs.Json.to_float )
-                with
-                | Some name, Some words when words >= 0.0 -> (name, words)
-                | _ -> fail (path ^ ": malformed alloc entry"))
-              l)
+  let allocs =
+    section ~required:false ~what:"alloc" "alloc" (fun k ->
+        match
+          ( Option.bind (Obs.Json.member "name" k) Obs.Json.to_str,
+            Option.bind (Obs.Json.member "minor_words_per_op" k) Obs.Json.to_float )
+        with
+        | Some name, Some words when words >= 0.0 -> Some (name, words)
+        | _ -> None)
   in
-  let current_path = bench_json_path () in
-  let current = kernels current_path in
-  let baseline = kernels "BENCH_baseline.json" in
-  let current_allocs = allocs current_path in
+  let current_path = bench_json_path () and baseline_path = "BENCH_baseline.json" in
+  let current_v = load current_path in
+  let current = kernels current_path current_v in
+  let baseline_v = load baseline_path in
+  let baseline = kernels baseline_path baseline_v in
+  let current_allocs = allocs current_path current_v in
   let alloc_rows =
     List.map
       (fun (name, budget) ->
@@ -301,7 +304,7 @@ let check_baseline () =
                name words budget
                ((alloc_margin -. 1.0) *. 100.0));
         [ name; Printf.sprintf "%.1f" budget; Printf.sprintf "%.1f" words ])
-      (allocs "BENCH_baseline.json")
+      (allocs baseline_path baseline_v)
   in
   let measured name =
     match List.assoc_opt name current with

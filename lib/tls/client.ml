@@ -6,9 +6,16 @@
 
 module Msg = Handshake_msg
 
-type t = { config : Config.client_config; rng : Crypto.Rng.t; prefer_x25519 : bool }
+type t = { config : Config.client_config; rng : Crypto.Rng.t; groups : int list }
 
-let create ?(prefer_x25519 = false) ~config ~rng () = { config; rng; prefer_x25519 }
+(* The supported_groups ranking is fixed per client, so every hello
+   shares one list. *)
+let create ?(prefer_x25519 = false) ~config ~rng () =
+  let env_id = config.Config.cl_env.Config.ecdhe_curve_id in
+  let groups =
+    if prefer_x25519 then [ Types.x25519_group_id; env_id ] else [ env_id; Types.x25519_group_id ]
+  in
+  { config; rng; groups }
 
 (* What the client offers for resumption. Ticket offers carry the cached
    session state (master secret) the client kept alongside the opaque
@@ -37,10 +44,6 @@ let hello t ~now ~hostname ~offer =
       | Offer_ticket { ticket; _ } -> [ Extension.Session_ticket ticket ]
       | Fresh | Offer_session_id _ -> [ Extension.Session_ticket "" ]
   in
-  let groups =
-    let env_id = t.config.Config.cl_env.Config.ecdhe_curve_id in
-    if t.prefer_x25519 then [ Types.x25519_group_id; env_id ] else [ env_id; Types.x25519_group_id ]
-  in
   let transcript = Crypto.Sha256.init () in
   let ch =
     Msg.send transcript
@@ -51,7 +54,7 @@ let hello t ~now ~hostname ~offer =
            ch_session_id = session_id;
            ch_cipher_suites = List.map Types.suite_to_int t.config.Config.offer_suites;
            ch_extensions =
-             Extension.Server_name hostname :: Extension.Supported_groups groups :: ticket_ext;
+             Extension.Server_name hostname :: Extension.Supported_groups t.groups :: ticket_ext;
          })
   in
   ( ch,
@@ -195,29 +198,33 @@ let offered_session state =
 
 (* The server's closing messages end both handshakes: [(NewSessionTicket);
    Finished]. Any other shape is [Error malformed]; a well-formed flight
-   is then refused with [mismatch] if one is given, else its ticket is
-   absorbed and the server Finished checked against the transcript.
-   Returns the Finished as received and the ticket (lifetime hint,
-   bytes). *)
+   is then refused with [mismatch] if one is given, else absorbed, its
+   server Finished checked against the transcript of everything before
+   it. Returns the ticket, if any (lifetime hint, bytes). *)
 let closing_flight transcript master ~malformed ~mismatch (msgs : Msg.framed list) =
-  let nst, fin =
-    match msgs with
-    | [ ({ msg = Msg.New_session_ticket nst; _ } as m); ({ msg = Msg.Finished f; _ } as fin) ] ->
-        (Some (m, nst), Some (fin, f))
-    | [ ({ msg = Msg.Finished f; _ } as fin) ] -> (None, Some (fin, f))
-    | _ -> (None, None)
-  in
-  match (fin, mismatch) with
-  | None, _ -> Error malformed
-  | Some _, Some e -> Error e
-  | Some (fin, server_verify), None ->
-      Option.iter (fun (m, _) -> Msg.absorb transcript m) nst;
-      let expected =
-        Crypto.Prf.server_finished master ~handshake_hash:(Msg.transcript_hash transcript)
-      in
-      if not (Crypto.Hmac.equal_ct expected server_verify) then
-        Error "server Finished verification failed"
-      else Ok (fin, Option.map (fun (_, n) -> (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)) nst)
+  match msgs with
+  | [ { msg = Msg.New_session_ticket _; _ }; ({ msg = Msg.Finished server_verify; _ } as fin) ]
+  | [ ({ msg = Msg.Finished server_verify; _ } as fin) ] -> (
+      match mismatch with
+      | Some e -> Error e
+      | None ->
+          let ticket =
+            match msgs with
+            | ({ msg = Msg.New_session_ticket n; _ } as nst) :: _ ->
+                Msg.absorb transcript nst;
+                Some (n.Msg.nst_lifetime_hint, n.Msg.nst_ticket)
+            | _ -> None
+          in
+          let expected =
+            Crypto.Prf.server_finished master ~handshake_hash:(Msg.transcript_hash transcript)
+          in
+          if not (Crypto.Hmac.equal_ct expected server_verify) then
+            Error "server Finished verification failed"
+          else begin
+            Msg.absorb transcript fin;
+            Ok ticket
+          end)
+  | _ -> Error malformed
 
 (* An abbreviated first flight: [SH] then the closing messages. *)
 let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
@@ -234,8 +241,7 @@ let handle_abbreviated state sh_msg (sh : Msg.server_hello) rest =
       Msg.absorb transcript sh_msg;
       match closing_flight transcript master ~malformed:"malformed abbreviated flight" ~mismatch rest with
       | Error e -> Error e
-      | Ok (fin, new_ticket) ->
-          Msg.absorb transcript fin;
+      | Ok new_ticket ->
           let client_fin =
             Msg.frame
               (Msg.Finished
@@ -355,7 +361,7 @@ let finish_full (cont : full_continuation) ~now (msgs : Msg.framed list) =
       ~mismatch:None msgs
   with
   | Error e -> Error e
-  | Ok (_, ticket) ->
+  | Ok ticket ->
       let session =
         Session.make ~id:cont.f_session_id ~master_secret:cont.f_master_secret ~cipher_suite:cont.f_suite
           ~established_at:now
