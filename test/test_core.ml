@@ -3,6 +3,8 @@
    demonstrations with their negative control, the mitigation ablations,
    and the Section 7.2 target analysis. *)
 
+open Helpers
+
 let study =
   lazy
     (let config =
@@ -19,11 +21,6 @@ let study =
      s)
 
 (* --- Experiments produce sane reports ------------------------------------------ *)
-
-let contains text needle =
-  let n = String.length needle and l = String.length text in
-  let rec go i = i + n <= l && (String.sub text i n = needle || go (i + 1)) in
-  go 0
 
 let test_all_experiments_report () =
   let s = Lazy.force study in

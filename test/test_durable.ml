@@ -7,28 +7,11 @@
    archive an uninterrupted run would have produced — at one worker and
    across worker counts. *)
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+open Helpers
 
 let spew path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_temp_dir f =
-  let path = Filename.temp_file "tlsharm-durable" ".d" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
 
 let with_temp_file f =
   let path = Filename.temp_file "tlsharm-durable" ".bin" in
@@ -37,7 +20,7 @@ let with_temp_file f =
     (fun () -> f path)
 
 let flip_byte path ~pos =
-  let contents = Bytes.of_string (slurp path) in
+  let contents = Bytes.of_string (read_file path) in
   Bytes.set contents pos (Char.chr (Char.code (Bytes.get contents pos) lxor 0xff));
   spew path (Bytes.to_string contents)
 
@@ -47,8 +30,6 @@ let find haystack needle =
     if i + nn > nh then None else if String.sub haystack i nn = needle then Some i else go (i + 1)
   in
   go 0
-
-let contains haystack needle = find haystack needle <> None
 
 (* Offset of the first payload byte of spool block [block] in raw spool
    bytes: just past its frame line. *)
@@ -99,7 +80,7 @@ let test_atomic_missing_and_empty () =
 let test_atomic_detects_truncation () =
   with_temp_file (fun path ->
       Durable.Atomic_io.write path big_content;
-      let full = slurp path in
+      let full = read_file path in
       (* Chop the footer off entirely: a write that died mid-stream. *)
       spew path (String.sub full 0 (String.length full - 200));
       (match Durable.Atomic_io.read path with
@@ -129,7 +110,7 @@ let test_atomic_detects_bit_flip () =
   with_temp_file (fun path ->
       Durable.Atomic_io.write path big_content;
       let header_len =
-        let full = slurp path in
+        let full = read_file path in
         1 + (match String.index_opt full '\n' with Some i -> i | None -> 0)
       in
       (* Damage a byte in the second content block; the error must name
@@ -151,7 +132,7 @@ let test_atomic_failed_write_leaves_no_trace () =
              failwith "simulated crash mid-write")
        with Failure _ -> ());
       Alcotest.(check bool) "no temp file left" false (Sys.file_exists (path ^ ".tmp"));
-      Alcotest.(check string) "original untouched" "precious" (slurp path))
+      Alcotest.(check string) "original untouched" "precious" (read_file path))
 
 let prop_atomic_roundtrip =
   QCheck2.Test.make ~name:"atomic write/read roundtrip" ~count:100
@@ -168,15 +149,18 @@ let prop_atomic_roundtrip =
 (* Byzantine-storage analog of the wire fuzzer: arbitrary single-byte
    damage and truncation against the durable readers must always come
    back as a typed [error] — never an exception, never silently-wrong
-   content. *)
+   content. Each fixture is damaged and deleted as soon as it is
+   written, so it is written with [~sync:false]: the same bytes without
+   the fsync wait (the synced paths are the roundtrip and damage
+   tests'). *)
 
 let prop_atomic_flip_detected =
   QCheck2.Test.make ~name:"atomic read total+typed under byte flips" ~count:300
     QCheck2.Gen.(triple (string_size (int_range 0 2000)) small_nat (int_range 1 255))
     (fun (content, pos, x) ->
       with_temp_file (fun path ->
-          Durable.Atomic_io.write path content;
-          let raw = Bytes.of_string (slurp path) in
+          Durable.Atomic_io.write ~sync:false path content;
+          let raw = Bytes.of_string (read_file path) in
           let p = pos mod Bytes.length raw in
           Bytes.set raw p (Char.chr (Char.code (Bytes.get raw p) lxor x));
           spew path (Bytes.to_string raw);
@@ -194,8 +178,8 @@ let prop_atomic_truncation_detected =
     QCheck2.Gen.(pair (string_size (int_range 0 2000)) small_nat)
     (fun (content, cut) ->
       with_temp_file (fun path ->
-          Durable.Atomic_io.write path content;
-          let raw = slurp path in
+          Durable.Atomic_io.write ~sync:false path content;
+          let raw = read_file path in
           let keep = cut mod String.length raw in
           spew path (String.sub raw 0 keep);
           match Durable.Atomic_io.read path with
@@ -219,10 +203,10 @@ let prop_spool_flip_total =
         small_nat (int_range 1 255))
     (fun (payloads, pos, x) ->
       with_temp_file (fun path ->
-          let w = Durable.Spool.create path in
+          let w = Durable.Spool.create ~sync:false path in
           List.iter (Durable.Spool.add_block w) payloads;
           Durable.Spool.close w;
-          let raw = Bytes.of_string (slurp path) in
+          let raw = Bytes.of_string (read_file path) in
           let p = pos mod Bytes.length raw in
           Bytes.set raw p (Char.chr (Char.code (Bytes.get raw p) lxor x));
           spew path (Bytes.to_string raw);
@@ -244,10 +228,10 @@ let prop_spool_truncation_total =
       pair (list_size (int_range 1 6) (string_size (int_range 0 200))) small_nat)
     (fun (payloads, cut) ->
       with_temp_file (fun path ->
-          let w = Durable.Spool.create path in
+          let w = Durable.Spool.create ~sync:false path in
           List.iter (Durable.Spool.add_block w) payloads;
           Durable.Spool.close w;
-          let raw = slurp path in
+          let raw = read_file path in
           let keep = cut mod String.length raw in
           spew path (String.sub raw 0 keep);
           match Durable.Spool.read path with
@@ -276,7 +260,7 @@ let small_campaign =
 let test_campaign_load_rejects_damage () =
   with_temp_file (fun path ->
       Scanner.Daily_scan.save (Lazy.force small_campaign) path;
-      let pristine = slurp path in
+      let pristine = read_file path in
       (* Truncation. *)
       spew path (String.sub pristine 0 (String.length pristine / 2));
       (match Scanner.Daily_scan.load path with
@@ -317,11 +301,11 @@ let test_checkpoint_manifest_roundtrip () =
       | Error e -> Alcotest.fail ("re-create must be idempotent: " ^ e));
       (* ...but a different run is refused, and the manifest is left alone. *)
       let mpath = Filename.concat dir "manifest" in
-      let before = slurp mpath in
+      let before = read_file mpath in
       (match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "other") ] with
       | Error e -> Alcotest.(check bool) "mentions mismatch" true (contains e "different run")
       | Ok _ -> Alcotest.fail "different manifest must be refused");
-      Alcotest.(check string) "refusal leaves the manifest" before (slurp mpath))
+      Alcotest.(check string) "refusal leaves the manifest" before (read_file mpath))
 
 let test_checkpoint_attach_errors () =
   with_temp_dir (fun dir ->
@@ -331,7 +315,7 @@ let test_checkpoint_attach_errors () =
       let sdir = Filename.concat dir "run" in
       ignore (create_sink sdir);
       let mpath = Filename.concat sdir "manifest" in
-      let pristine = slurp mpath in
+      let pristine = read_file mpath in
       (* Every damaged manifest is a typed error, for readers and for
          re-attaching writers alike. *)
       let refused what =
@@ -395,29 +379,29 @@ let test_checkpoint_valid_prefix () =
         (checked_prefix (fun () -> record (List.init days payload)));
       (* The whole run sealed with its trailer is kept, bytes untouched. *)
       record (List.init days payload @ [ "trailer" ]);
-      let sealed = slurp path in
+      let sealed = read_file path in
       (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~decode with
       | Scanner.Stream_sink.Kept trailer -> Alcotest.(check string) "trailer handed back" "trailer" trailer
       | Scanner.Stream_sink.Rerun _ -> Alcotest.fail "a sealed whole run must be kept");
-      Alcotest.(check string) "kept spool untouched" sealed (slurp path);
+      Alcotest.(check string) "kept spool untouched" sealed (read_file path);
       (* A sealed whole run the decoder refuses is not kept: it is a
          mismatch, and the spool is left as it was. *)
       (match Scanner.Stream_sink.stream sink "shard-0000" ~days ~decode:(fun _ _ -> Error "no") with
       | _ -> Alcotest.fail "an undecodable sealed run must be refused"
       | exception Scanner.Stream_sink.Mismatch _ -> ());
-      Alcotest.(check string) "refused spool untouched" sealed (slurp path);
+      Alcotest.(check string) "refused spool untouched" sealed (read_file path);
       (* The same spool under another day count is re-run, and opening
          it writes nothing. *)
       (match Scanner.Stream_sink.stream sink "shard-0000" ~days:(days + 1) ~decode with
       | Scanner.Stream_sink.Rerun _ -> ()
       | Scanner.Stream_sink.Kept _ -> Alcotest.fail "another day count must re-run");
-      Alcotest.(check string) "opening a re-run leaves the spool" sealed (slurp path);
+      Alcotest.(check string) "opening a re-run leaves the spool" sealed (read_file path);
       (* Damaging day 1 ends the prefix there even though days 2-3 are
          intact. *)
       Alcotest.(check (list int)) "corrupt block ends prefix" [ 0 ]
         (checked_prefix (fun () ->
              record (List.init days payload);
-             flip_byte path ~pos:(block_payload_start (slurp path) ~block:1))))
+             flip_byte path ~pos:(block_payload_start (read_file path) ~block:1))))
 
 (* --- Serialization properties --------------------------------------------------
    The day-block state codec is exercised end-to-end by the resume
@@ -496,7 +480,7 @@ let first_spool dir = Filename.concat dir "rows-shard-0000"
 let archive_bytes campaign =
   with_temp_file (fun path ->
       Scanner.Daily_scan.save campaign path;
-      slurp path)
+      read_file path)
 
 let loaded_bytes dir =
   match Scanner.Daily_scan.load_stream dir with
@@ -567,7 +551,7 @@ let test_serial_corrupt_newest_falls_back () =
          resume must fall back to the last valid day and still converge
          on the same archive. *)
       let spool = first_spool dir in
-      flip_byte spool ~pos:(block_payload_start (slurp spool) ~block:(serial_days - 1) + 2);
+      flip_byte spool ~pos:(block_payload_start (read_file spool) ~block:(serial_days - 1) + 2);
       Alcotest.(check int) "prefix stops at the damage" (serial_days - 1)
         (List.length (fst (recorded_blocks spool)));
       (match Scanner.Daily_scan.load_stream dir with
@@ -707,7 +691,7 @@ let test_spool_torn_tail_is_valid_prefix () =
       Durable.Spool.add_block w "first";
       Durable.Spool.add_block w "second";
       Durable.Spool.close w;
-      let bytes = slurp path in
+      let bytes = read_file path in
       (* Cut inside the last block's payload, dropping the footer too. *)
       spew path (String.sub bytes 0 (String.length bytes - 30));
       match Durable.Spool.read path with
@@ -724,7 +708,7 @@ let test_spool_damaged_block_ends_prefix () =
       let w = Durable.Spool.create path in
       List.iter (Durable.Spool.add_block w) [ "first"; "second"; "third" ];
       Durable.Spool.close w;
-      flip_byte path ~pos:(block_payload_start (slurp path) ~block:1 + 3);
+      flip_byte path ~pos:(block_payload_start (read_file path) ~block:1 + 3);
       match Durable.Spool.read path with
       | Ok (blocks, complete) ->
           Alcotest.(check bool) "flagged incomplete" false complete;
@@ -747,7 +731,7 @@ let test_spool_old_version_refused () =
       let w = Durable.Spool.create path in
       List.iter (Durable.Spool.add_block w) [ "day=0\n"; "trailer\n" ];
       Durable.Spool.close w;
-      let raw = slurp path in
+      let raw = read_file path in
       let body = String.sub raw (String.index raw '\n') (String.length raw - String.index raw '\n') in
       let with_header h =
         spew path (h ^ body);
@@ -813,7 +797,7 @@ let test_v2_run_log_refused () =
       Durable.Atomic_io.write mpath
         (relabel ~from:("schema=" ^ Scanner.Stream_sink.schema) ~to_:"schema=tlsharm-stream/2" current);
       let spool = first_spool run in
-      spew spool (relabel ~from:"#tlsharm-spool v3" ~to_:"#tlsharm-spool v2" (slurp spool));
+      spew spool (relabel ~from:"#tlsharm-spool v3" ~to_:"#tlsharm-spool v2" (read_file spool));
       let before = spool_files run in
       let one_line what needle = function
         | Ok _ -> Alcotest.failf "%s: a v2 run log must be refused" what
@@ -904,7 +888,7 @@ let prop_stream_loaders_typed =
       in
       let name = List.nth spools (file mod List.length spools) in
       let path = Filename.concat dir name in
-      let pristine = slurp path in
+      let pristine = read_file path in
       let p = pos mod String.length pristine in
       flip_byte path ~pos:p;
       let load () =
@@ -970,7 +954,7 @@ let test_traffic_rerun_mismatches () =
 
 let read_dir dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.map (fun n -> (n, slurp (Filename.concat dir n)))
+  |> List.map (fun n -> (n, read_file (Filename.concat dir n)))
 
 (* Offsets of the spool's frame lines, the block boundaries: each is
    the start of a line that begins with '#' (no payload line does). *)

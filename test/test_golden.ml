@@ -9,18 +9,14 @@
    kernel change that alters any measured byte fails here, loudly, before
    it can silently shift results. *)
 
+open Helpers
+
 (* Under `dune runtest` the glob_files dep in test/dune copies the golden
    file next to this executable; resolve it from there so the test also
    works when cwd is the workspace root. *)
 let golden_path name =
   let beside_exe = Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat "golden" name) in
   if Sys.file_exists beside_exe then beside_exe else Filename.concat "golden" name
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let golden_config = { Simnet.World.default_config with n_domains = 1500; seed = "golden-kernels" }
 
@@ -45,24 +41,11 @@ let test_campaign_byte_identity () =
 
 (* The same campaign logged to a named sink directory that outlives the
    run: reassembling the log left on disk must give the golden bytes too. *)
-(* [f dir] with [dir] a fresh path that is removed afterwards. *)
-let with_dir f =
-  let dir = Filename.temp_file "tlsharm-golden" ".d" in
-  Sys.remove dir;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
-
 let create_sink ~dir ~manifest =
   match Scanner.Stream_sink.create ~dir ~manifest with Ok s -> s | Error e -> Alcotest.fail e
 
 let test_stream_byte_identity () =
-  with_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let world = Simnet.World.create ~config:golden_config () in
       let sink = create_sink ~dir ~manifest:(Scanner.Parallel_campaign.manifest world ~days:2) in
       Scanner.Parallel_campaign.run ~jobs:1 ~sink world ~days:2 ();
@@ -86,7 +69,7 @@ let traffic_config =
   }
 
 let test_traffic_stream_digests () =
-  with_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let sink = create_sink ~dir ~manifest:(Traffic.Population.manifest traffic_config) in
       ignore (Traffic.Population.run ~jobs:1 ~sink traffic_config);
       let want = read_file (golden_path "traffic_stream.sha256") in

@@ -3,6 +3,8 @@
    telemetry identical at any --jobs), and the guarantee that turning
    telemetry on never perturbs the observation archive. *)
 
+open Helpers
+
 (* --- Metrics basics --------------------------------------------------------------- *)
 
 let bounds = [| 1; 2; 4; 8 |]
@@ -169,12 +171,6 @@ let test_metrics_equal_across_jobs () =
     runs
 
 (* --- Telemetry never perturbs the archive ----------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_archive_bytes_unchanged_by_telemetry () =
   let days = 2 in

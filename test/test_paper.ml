@@ -4,6 +4,8 @@
    Horvitz-Thompson standard errors of the paper's value; the SE, not a
    hand-set margin, widens the band for the small world. *)
 
+open Helpers
+
 let study () =
   let world_config = { Simnet.World.default_config with Simnet.World.n_domains = 1500 } in
   Tlsharm.Study.create
@@ -50,11 +52,6 @@ let test_ht_share () =
    campaign's 0% for "30+ days" says nothing about the model. *)
 let test_out_of_reach () =
   let module P = Tlsharm.Paper in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   let zero = { Analysis.Stats.share = 0.0; se = 0.0 } in
   let verdict ~campaign_days experiment metric =
     let target = List.find (fun t -> t.P.experiment = experiment && t.P.metric = metric) P.targets in

@@ -2,6 +2,8 @@
    scans, the resumption-delay walks, the daily campaign, and the
    cross-domain probe — all against one small shared world. *)
 
+open Helpers
+
 let world_config =
   { Simnet.World.default_config with Simnet.World.n_domains = 1600; seed = "scanner-test" }
 
@@ -420,32 +422,13 @@ let test_load_rejects_missing_or_repeated_row () =
 let parallel_world_config =
   { world_config with Simnet.World.seed = "parallel-test"; n_domains = 1500 }
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "tlsharm" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
-
 let archive_bytes campaign =
   let path = Filename.temp_file "tlsharm" ".csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Scanner.Daily_scan.save campaign path;
-      slurp path)
+      read_file path)
 
 let test_shards_partition () =
   let w = Simnet.World.create ~config:parallel_world_config () in
@@ -599,8 +582,8 @@ let test_stream_jobs_invariant () =
                 ("spool bytes identical across jobs: " ^ n)
                 true
                 (String.equal
-                   (slurp (Filename.concat dir1 ("rows-" ^ n)))
-                   (slurp (Filename.concat dir4 ("rows-" ^ n)))))
+                   (read_file (Filename.concat dir1 ("rows-" ^ n)))
+                   (read_file (Filename.concat dir4 ("rows-" ^ n)))))
             (names dir1);
           (* And the reassembled archive equals a temporary-log run's. *)
           let w = Simnet.World.create ~config:parallel_world_config () in
@@ -653,11 +636,6 @@ let test_stream_incomplete_rejected () =
       match Scanner.Daily_scan.load_stream dir with
       | Ok _ -> Alcotest.fail "an interrupted stream must not load"
       | Error e ->
-          let contains hay needle =
-            let lh = String.length hay and ln = String.length needle in
-            let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-            go 0
-          in
           Alcotest.(check bool) "error directs to resume" true (contains e "resume"))
 
 (* --- Cross-domain probe --------------------------------------------------------------------- *)

@@ -4,6 +4,8 @@
    contracts — byte-identical archives at any worker count and across a
    crash-and-rerun. *)
 
+open Helpers
+
 let session ?(id = String.make 32 'i') () =
   Tls.Session.make ~id ~master_secret:(String.make 48 'm')
     ~cipher_suite:Tls.Types.ECDHE_ECDSA_AES128_SHA256 ~established_at:0
@@ -236,24 +238,6 @@ let traffic_config =
       { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "traffic-test" };
   }
 
-let with_tmp_dir f =
-  let dir = Filename.temp_file "tlsharm-traffic" "" in
-  Sys.remove dir;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let dir_contents dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.map (fun n -> (n, read_file (Filename.concat dir n)))
@@ -288,7 +272,7 @@ let sink_rows dir =
    tracking report folded from its sink. *)
 let reference =
   lazy
-    (with_tmp_dir (fun dir ->
+    (with_temp_dir (fun dir ->
          let sink = make_sink dir in
          let r = Traffic.Population.run ~jobs:1 ~sink traffic_config in
          match Analysis.Tracking_report.of_sink ~dir with
@@ -297,7 +281,7 @@ let reference =
 
 let test_jobs_invariance () =
   let r1, bytes1, rows1, _ = Lazy.force reference in
-  with_tmp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let sink = make_sink dir in
       let r4 = Traffic.Population.run ~jobs:4 ~sink traffic_config in
       Alcotest.(check bool) "streamed rows identical" true (rows1 = sink_rows dir);
@@ -308,7 +292,7 @@ let test_jobs_invariance () =
 
 let test_crash_rerun_identical () =
   let _, reference_bytes, _, _ = Lazy.force reference in
-  with_tmp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let armed = ref true in
       let chaos ~shard ~day =
         if !armed && shard = 2 && day = 1 then begin
@@ -329,7 +313,7 @@ let test_crash_rerun_identical () =
         "re-run archive byte-identical to uninterrupted" reference_bytes (dir_contents dir))
 
 let test_sink_refuses_mismatched_manifest () =
-  with_tmp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       (match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "traffic"); ("users", "45") ] with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e);
@@ -346,7 +330,7 @@ let test_pages_today_caps_huge_mean () =
     Alcotest.(check int) "1e300 mean hits the cap" 12
       (Traffic.Browse.pages_today rng ~mean:1e300 ~max_pages:12)
   done;
-  with_tmp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       Alcotest.check_raises "infinite mean refused"
         (Invalid_argument "Population: pages_per_day must be finite") (fun () ->
           ignore
@@ -356,7 +340,7 @@ let test_pages_today_caps_huge_mean () =
 let test_obs_and_store_bound () =
   let obs = Obs.Recorder.create () in
   let r =
-    with_tmp_dir (fun dir ->
+    with_temp_dir (fun dir ->
         Traffic.Population.run ~jobs:1 ~sink:(make_sink dir) ~obs traffic_config)
   in
   let m = Obs.Recorder.metrics obs in
@@ -383,14 +367,9 @@ let test_tracking_report_renders () =
   Alcotest.(check int)
     "(all) row covers every connection" r.Traffic.Population.total_rows
     all.Analysis.Tracking_report.conns;
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   let rendered = Analysis.Tracking_report.render t in
-  Alcotest.(check bool) "table mentions policy" true (contains ~needle:"policy=strict" rendered);
-  Alcotest.(check bool) "table has (all) row" true (contains ~needle:"(all)" rendered)
+  Alcotest.(check bool) "table mentions policy" true (contains rendered "policy=strict");
+  Alcotest.(check bool) "table has (all) row" true (contains rendered "(all)")
 
 (* [Crypto.Rng.fork] refuses a label its parent already forked, so a
    world build, a campaign and a traffic run that finish have forked
@@ -402,7 +381,7 @@ let test_fork_labels_unique () =
       let world_config = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed } in
       let world = Simnet.World.create ~config:world_config () in
       ignore (Scanner.Parallel_campaign.collect ~jobs:2 world ~days:1);
-      with_tmp_dir (fun dir ->
+      with_temp_dir (fun dir ->
           let config =
             { traffic_config with Traffic.Population.days = 1; world = world_config }
           in
