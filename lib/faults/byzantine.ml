@@ -66,7 +66,7 @@ let template_client_hello =
           ch_extensions =
             [
               Extension.Server_name "byzantine.example";
-              Extension.Supported_groups [ 29; 23 ];
+              Extension.Supported_groups [ Tls.Types.x25519_group_id; 23 ];
               Extension.Session_ticket "";
             ];
         };
