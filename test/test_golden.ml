@@ -93,6 +93,26 @@ let test_traffic_stream_digests () =
       in
       Alcotest.(check bool) "the run resumed a ticket" true (ticket_resumptions > 0))
 
+(* The study's point experiments under a profile that fires. Each
+   experiment's probes must go through the study's injector and funnel:
+   one that lost either would move a row of the funnel (its days' probe,
+   retry or loss counts) or Table 1's reuse shares. The expected text is
+   what [tlsharm experiment funnel t1 --fault-profile default --domains
+   1500 --days 2] prints (see golden/README.md). *)
+let test_study_under_faults () =
+  let config =
+    {
+      Tlsharm.Study.default_config with
+      world_config = { Simnet.World.default_config with n_domains = 1500 };
+      campaign_days = 2;
+      fault_profile = Faults.Profile.default;
+    }
+  in
+  let study = Tlsharm.Study.create ~config () in
+  let t1 = List.assoc "t1" Tlsharm.Experiments.by_name in
+  let got = Tlsharm.Study.funnel_report study ^ "\n" ^ t1 study ^ "\n" in
+  Alcotest.(check string) "funnel and table 1" (read_file (golden_path "study_faults.txt")) got
+
 let () =
   Alcotest.run "golden"
     [
@@ -105,4 +125,6 @@ let () =
         ] );
       ( "traffic",
         [ Alcotest.test_case "stream digests pinned" `Quick test_traffic_stream_digests ] );
+      ( "study",
+        [ Alcotest.test_case "point experiments under faults" `Quick test_study_under_faults ] );
     ]
