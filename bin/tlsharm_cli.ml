@@ -169,7 +169,6 @@ let study_t =
       verbose;
       fault_profile;
       retry;
-      obs = Obs.Recorder.null;
     }
   in
   Term.(const config $ world_t $ days_t $ jobs_t $ verbose_t $ faults_t)
@@ -258,20 +257,20 @@ let world_info_cmd =
 let scan config (profile, retry) mode out =
   guard @@ fun () ->
   let world = Simnet.World.create ~config () in
-  let injector = Faults.Injector.create ~profile world in
+  let injector = Faults.Injector.create ~profile ~retry world in
   let funnel = Faults.Funnel.create () in
   let conns =
     match mode with
     | `Burst ->
-        let probe = Scanner.Probe.create ~injector ~retry ~funnel ~seed:"cli-burst" world in
+        let probe = Scanner.Probe.create ~injector ~funnel ~seed:"cli-burst" world in
         Scanner.Burst_scan.run probe ~rounds:10 ~gap:30 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
     | `Dhe ->
-        let probe = Scanner.Probe.dhe_only ~injector ~retry ~funnel world ~seed:"cli-dhe" in
+        let probe = Scanner.Probe.dhe_only ~injector ~funnel world ~seed:"cli-dhe" in
         Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
     | `Single ->
-        let probe = Scanner.Probe.create ~injector ~retry ~funnel ~seed:"cli-single" world in
+        let probe = Scanner.Probe.create ~injector ~funnel ~seed:"cli-single" world in
         Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 ()
         |> List.concat_map (fun (r : Scanner.Burst_scan.domain_result) -> r.Scanner.Burst_scan.conns)
   in
@@ -408,7 +407,7 @@ let campaign_of_manifest kvs =
 let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
   let profile, retry = faults in
   let world = Simnet.World.create ~config () in
-  let injector = Faults.Injector.create ~profile world in
+  let injector = Faults.Injector.create ~profile ~retry world in
   let funnel = Faults.Funnel.create () in
   let obs = recorder telemetry in
   (* Every campaign writes its run log: into --stream-out's directory,
@@ -425,7 +424,7 @@ let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
         Scanner.Stream_sink.with_sink ~dir
           ~manifest:(campaign_manifest ~world:config ~days ~faults ~start_day)
           (fun sink ->
-            Scanner.Parallel_campaign.run ~jobs ~injector ~retry ~funnel ~sink ~obs world ~days ();
+            Scanner.Parallel_campaign.run ~jobs ~injector ~funnel ~sink ~obs world ~days ();
             write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
             Printf.printf "streamed %d-day campaign over %d domains to %s (%d rows)%s\n" days
               domains dir
@@ -433,7 +432,7 @@ let run_campaign ~world:config ~days ~jobs ~output ~faults ~telemetry () =
               jobs_note;
             Ok ())
     | `Csv out ->
-        let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry ~funnel ~obs world ~days in
+        let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~funnel ~obs world ~days in
         write_telemetry ~what:"campaign" telemetry obs ~kernel_before;
         Scanner.Daily_scan.save t out;
         Printf.printf "wrote %d-day campaign over %d domains to %s%s\n" days domains out jobs_note;
@@ -780,7 +779,7 @@ let posture config targets =
   | None ->
       List.iter
         (fun domain ->
-          print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain ()));
+          print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain));
           print_newline ())
         targets;
       Ok ()

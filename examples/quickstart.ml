@@ -45,5 +45,5 @@ let () =
   (* 7. The per-domain view: grade individual sites' shortcut posture. *)
   let world = Tlsharm.Study.world study in
   List.iter
-    (fun domain -> print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain ())))
+    (fun domain -> print_endline (Tlsharm.Posture.report (Tlsharm.Posture.assess world ~domain)))
     [ "yahoo.com"; "google.com" ]

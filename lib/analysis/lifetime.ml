@@ -55,13 +55,11 @@ let spans_of_series ~field (s : Scanner.Daily_scan.domain_series) =
 
 (* Spans for every (stable, trusted) domain in a campaign — the paper's
    analysis population. *)
-let analyze ?(restrict_stable_trusted = true) ~field (campaign : Scanner.Daily_scan.t) =
+let analyze ~field (campaign : Scanner.Daily_scan.t) =
   Array.to_list campaign.Scanner.Daily_scan.series
   |> List.filter_map (fun s ->
-         if
-           (not restrict_stable_trusted)
-           || (s.Scanner.Daily_scan.stable && s.Scanner.Daily_scan.trusted)
-         then Some (spans_of_series ~field s)
+         if s.Scanner.Daily_scan.stable && s.Scanner.Daily_scan.trusted then
+           Some (spans_of_series ~field s)
          else None)
 
 (* CDF input for Figures 3 and 5. *)

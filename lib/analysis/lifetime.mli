@@ -18,9 +18,9 @@ type domain_spans = {
 
 val spans_of_series : field:field -> Scanner.Daily_scan.domain_series -> domain_spans
 
-val analyze :
-  ?restrict_stable_trusted:bool -> field:field -> Scanner.Daily_scan.t -> domain_spans list
-(** Defaults to the paper's analysis population (stable and trusted). *)
+val analyze : field:field -> Scanner.Daily_scan.t -> domain_spans list
+(** Spans over the paper's analysis population: the campaign's stable,
+    browser-trusted domains. *)
 
 val span_points : ?include_unobserved:bool -> domain_spans list -> Stats.weighted list
 (** CDF input for Figures 3 and 5. *)

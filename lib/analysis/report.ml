@@ -38,13 +38,16 @@ let fmt_count f = Printf.sprintf "%.0f" f
 let fmt_float ?(digits = 1) f = Printf.sprintf "%.*f" digits f
 
 (* ASCII CDF: x positions are the given labeled ticks (log-ish axes in
-   the paper), the curve is the cumulative fraction at each tick. *)
-let ascii_cdf ?(height = 12) ~ticks (c : Stats.cdf) =
+   the paper), the curve is the cumulative fraction at each tick, drawn
+   [cdf_height] rows high. *)
+let cdf_height = 12
+
+let ascii_cdf ~ticks (c : Stats.cdf) =
   let fractions = List.map (fun (x, _) -> Stats.cdf_at c x) ticks in
   let buf = Buffer.create 1024 in
-  for row = height downto 1 do
-    let level = float_of_int row /. float_of_int height in
-    let prev_level = float_of_int (row - 1) /. float_of_int height in
+  for row = cdf_height downto 1 do
+    let level = float_of_int row /. float_of_int cdf_height in
+    let prev_level = float_of_int (row - 1) /. float_of_int cdf_height in
     Buffer.add_string buf (Printf.sprintf "%3.0f%% |" (100.0 *. level));
     List.iter
       (fun f ->

@@ -10,7 +10,8 @@ val fmt_pct : float -> string
 val fmt_count : float -> string
 val fmt_float : ?digits:int -> float -> string
 
-val ascii_cdf : ?height:int -> ticks:(float * string) list -> Stats.cdf -> string
-(** The cumulative fraction at each labeled tick, drawn as columns. *)
+val ascii_cdf : ticks:(float * string) list -> Stats.cdf -> string
+(** The cumulative fraction at each labeled tick, drawn as columns
+    twelve rows high. *)
 
 val section : string -> string

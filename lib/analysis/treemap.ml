@@ -54,8 +54,12 @@ let cells ~longevity_days (groups : Service_groups.group list) =
       })
     groups
 
+(* The mosaic's width in characters, and the most groups it draws. *)
+let width = 72
+let max_cells = 40
+
 (* One proportional-width mosaic row per size tier, largest first. *)
-let render ?(width = 72) ?(max_cells = 40) cells =
+let render cells =
   let cells =
     List.sort (fun a b -> compare b.weighted_size a.weighted_size) cells
     |> List.filteri (fun i _ -> i < max_cells)

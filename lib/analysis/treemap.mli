@@ -18,4 +18,6 @@ type cell = {
 val cells : longevity_days:(string -> float option) -> Service_groups.group list -> cell list
 (** [longevity_days] looks up a member domain's measured secret lifetime. *)
 
-val render : ?width:int -> ?max_cells:int -> cell list -> string
+val render : cell list -> string
+(** The 40 largest cells as one mosaic row about 72 characters wide,
+    each cell's width proportional to its weighted size. *)

@@ -11,14 +11,14 @@
    - resumption windows: an exponential probe ladder (1 s, 1 m, 5 m,
      30 m, 1 h, 6 h, 24 h, 48 h) bounds how long session IDs and tickets
      keep resuming — coarse, but enough to grade;
-   - STEK stability: does the ticket key name change across the probe
-     horizon?
+   - STEK stability: does the ticket key name change across a 48-hour
+     probe horizon?
 
    Grades (worst failing criterion wins):
      F  no forward secrecy at all (static key exchange only)
      D  ephemeral values reused, or the STEK never changed across 48 h
      C  resumption honored beyond 24 h
-     B  resumption honored beyond 1 h, or STEK lifetime over a day
+     B  resumption honored beyond 1 h
      A  fresh ephemerals, short resumption windows, rotating STEK *)
 
 type grade = A | B | C | D | F
@@ -43,6 +43,9 @@ type assessment = {
    a resumption. *)
 let ladder = [ 1; 60; 300; 1800; 3600; 6 * 3600; 24 * 3600; 48 * 3600 ]
 
+(* How long the STEK-stability probes watch the ticket key name. *)
+let horizon = 48 * 3600
+
 let probe_window probe ~domain ~offer_of =
   (* Fresh handshake, then walk the ladder with the captured state;
      [offer_of] builds the resumption offer from the initial outcome. *)
@@ -64,7 +67,7 @@ let probe_window probe ~domain ~offer_of =
         ladder;
       !best
 
-let assess world ~domain ?(horizon = 48 * 3600) () =
+let assess world ~domain =
   let probe = Scanner.Probe.create ~seed:("posture:" ^ domain) world in
   let clock = Simnet.World.clock world in
   (* 1. Support and trust. *)
@@ -129,7 +132,7 @@ let assess world ~domain ?(horizon = 48 * 3600) () =
         note "server repeats (EC)DHE values across connections";
         D
       end
-      else if stek_static && distinct > 0 && horizon >= 24 * 3600 then begin
+      else if stek_static && distinct > 0 then begin
         note (Printf.sprintf "one STEK across the whole %dh horizon" (horizon / 3600));
         D
       end
@@ -137,8 +140,7 @@ let assess world ~domain ?(horizon = 48 * 3600) () =
         note "resumption honored beyond 24 hours";
         C
       end
-      else if over session_id_window 3600 || over ticket_window 3600 || distinct = 2 && horizon <= 24 * 3600
-      then begin
+      else if over session_id_window 3600 || over ticket_window 3600 then begin
         note "resumption honored beyond one hour";
         B
       end

@@ -22,8 +22,8 @@ type assessment = {
   notes : string list;
 }
 
-val assess : Simnet.World.t -> domain:string -> ?horizon:int -> unit -> assessment
+val assess : Simnet.World.t -> domain:string -> assessment
 (** Probes advance the world's virtual clock (by roughly two ladder walks
-    plus the horizon). *)
+    plus the 48-hour STEK horizon). *)
 
 val report : assessment -> string

@@ -1,6 +1,6 @@
 (* End-to-end orchestration of the nine-week measurement study: builds
    (or receives) a world, runs every experiment in a paper-faithful
-   order on the shared virtual clock, and memoizes the results so the
+   order on the shared virtual clock, and keeps each result so the
    per-table/per-figure entry points can be called in any order.
 
    Timeline (virtual days):
@@ -25,9 +25,6 @@ type config = {
   verbose : bool;
   fault_profile : Faults.Profile.t; (* [Profile.none] injects nothing *)
   retry : Faults.Retry.policy;
-  obs : Obs.Recorder.t;
-      (* telemetry shared by every experiment probe and the campaign;
-         [Obs.Recorder.null] (the default) records nothing *)
 }
 
 let default_config =
@@ -39,82 +36,127 @@ let default_config =
     (* [none] never fires, so every probe makes exactly one attempt. *)
     fault_profile = Faults.Profile.none;
     retry = Faults.Retry.default;
-    obs = Obs.Recorder.null;
   }
 
+type bursts = Scanner.Burst_scan.domain_result list
+
+(* Each experiment is a lazy value that forces the one before it first,
+   so whichever result is asked for, the experiments run once each and
+   in the timeline's order on the shared virtual clock. *)
 type t = {
   config : config;
   world : Simnet.World.t;
-  mutable table1_bursts :
-    (Scanner.Burst_scan.domain_result list
-    * Scanner.Burst_scan.domain_result list
-    * Scanner.Burst_scan.domain_result list)
-    option; (* dhe, ecdhe, ticket *)
-  mutable fig1_results : Scanner.Resumption_scan.domain_result list option;
-  mutable fig2_results : Scanner.Resumption_scan.domain_result list option;
-  mutable cross_probe : Scanner.Cross_probe.result option;
-  mutable stek_groups_scan : Scanner.Burst_scan.domain_result list option;
-  mutable dh_groups_scan : Scanner.Burst_scan.domain_result list option;
-  mutable campaign : Scanner.Daily_scan.t option;
-  injector : Faults.Injector.t;
   funnel : Faults.Funnel.t; (* shared loss telemetry across all experiments *)
+  table1_bursts : (bursts * bursts * bursts) Lazy.t; (* dhe, ecdhe, ticket *)
+  fig1_results : Scanner.Resumption_scan.domain_result list Lazy.t;
+  fig2_results : Scanner.Resumption_scan.domain_result list Lazy.t;
+  cross_probe : Scanner.Cross_probe.result Lazy.t;
+  stek_groups_scan : bursts Lazy.t;
+  dh_groups_scan : bursts Lazy.t;
+  campaign : Scanner.Daily_scan.t Lazy.t;
 }
+
+let minute = Simnet.Clock.minute
+
+(* Two scans of the same domains, in the same order, as one: each
+   domain's connections from [first], then those from [extra]. *)
+let merge_conns (first : bursts) (extra : bursts) =
+  List.map2
+    (fun (a : Scanner.Burst_scan.domain_result) (b : Scanner.Burst_scan.domain_result) ->
+      { a with Scanner.Burst_scan.conns = a.Scanner.Burst_scan.conns @ b.Scanner.Burst_scan.conns })
+    first extra
 
 let create ?(config = default_config) () =
   let world = Simnet.World.create ~config:config.world_config () in
+  let injector =
+    Faults.Injector.create ~profile:config.fault_profile ~retry:config.retry world
+  in
+  let funnel = Faults.Funnel.create () in
+  let log fmt =
+    if config.verbose then Format.eprintf (fmt ^^ "@.")
+    else Format.ifprintf Format.err_formatter fmt
+  in
+  (* Every experiment probe shares the study's injector and funnel; with
+     the default [none] profile no fault fires and every probe makes
+     exactly one attempt. *)
+  let probe ?offer_ticket seed = Scanner.Probe.create ?offer_ticket ~injector ~funnel ~seed world in
+  let dhe_probe seed = Scanner.Probe.dhe_only ~injector ~funnel world ~seed in
+  let ecdhe_probe seed = Scanner.Probe.ecdhe_only ~injector ~funnel world ~seed in
+  let after prev run =
+    lazy
+      (ignore (Lazy.force prev);
+       run ())
+  in
+  let table1_bursts =
+    lazy
+      (log "study: table 1 burst scans";
+       let r_dhe = Scanner.Burst_scan.run (dhe_probe "t1-dhe") ~rounds:10 ~gap:30 () in
+       let r_ecdhe = Scanner.Burst_scan.run (ecdhe_probe "t1-ecdhe") ~rounds:10 ~gap:30 () in
+       let r_ticket = Scanner.Burst_scan.run (probe "t1-ticket") ~rounds:10 ~gap:30 () in
+       (r_dhe, r_ecdhe, r_ticket))
+  in
+  let fig1_results =
+    after table1_bursts (fun () ->
+        log "study: figure 1 session-ID lifetime walk";
+        Scanner.Resumption_scan.run
+          (probe ~offer_ticket:false "fig1")
+          ~mode:Scanner.Resumption_scan.Session_ids ())
+  in
+  let fig2_results =
+    after fig1_results (fun () ->
+        log "study: figure 2 session-ticket lifetime walk";
+        Scanner.Resumption_scan.run (probe "fig2") ~mode:Scanner.Resumption_scan.Tickets ())
+  in
+  let cross_probe =
+    after fig2_results (fun () ->
+        log "study: table 5 cross-domain session-cache probing";
+        Scanner.Cross_probe.run (probe "cross-probe") ())
+  in
+  let stek_groups_scan =
+    after cross_probe (fun () ->
+        log "study: table 6 STEK-group scans";
+        let probe = probe "stek-groups" in
+        (* 10 connections over a six-hour window, then one more 30 minutes
+           later, like the paper's two-phase grouping. *)
+        let r = Scanner.Burst_scan.run probe ~rounds:10 ~gap:(40 * minute) () in
+        Simnet.Clock.advance (Simnet.World.clock world) (30 * minute);
+        merge_conns r (Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 ()))
+  in
+  let dh_groups_scan =
+    after stek_groups_scan (fun () ->
+        log "study: table 7 Diffie-Hellman group scans";
+        let sweep probe = Scanner.Burst_scan.run probe ~rounds:10 ~gap:(33 * minute) () in
+        let r_dhe = sweep (dhe_probe "dh-groups") in
+        merge_conns r_dhe (sweep (ecdhe_probe "ecdh-groups")))
+  in
+  let campaign =
+    after dh_groups_scan (fun () ->
+        (* Start the longitudinal campaign at the next day boundary. *)
+        let clock = Simnet.World.clock world in
+        let now = Simnet.Clock.now clock in
+        Simnet.Clock.set clock ((now / Simnet.Clock.day * Simnet.Clock.day) + Simnet.Clock.day);
+        log "study: daily campaign (%d days, %d jobs)" config.campaign_days config.jobs;
+        Scanner.Parallel_campaign.collect ~jobs:config.jobs ~injector ~funnel world
+          ~days:config.campaign_days ~progress:(fun ~shard ~day ->
+            (* Shard 0, the heaviest, starts first: its days pace the run. *)
+            if shard = 0 then log "study: campaign day %d" day))
+  in
   {
     config;
     world;
-    table1_bursts = None;
-    fig1_results = None;
-    fig2_results = None;
-    cross_probe = None;
-    stek_groups_scan = None;
-    dh_groups_scan = None;
-    campaign = None;
-    injector = Faults.Injector.create ~profile:config.fault_profile world;
-    funnel = Faults.Funnel.create ();
+    funnel;
+    table1_bursts;
+    fig1_results;
+    fig2_results;
+    cross_probe;
+    stek_groups_scan;
+    dh_groups_scan;
+    campaign;
   }
 
 let world t = t.world
 let campaign_days t = t.config.campaign_days
-
-(* Every serial experiment probe shares the study's injector, retry
-   policy and funnel; with the default [none] profile no fault fires
-   and every probe makes exactly one attempt. *)
-let probe ?offer_suites ?offer_ticket t ~seed =
-  Scanner.Probe.create ?offer_suites ?offer_ticket ~injector:t.injector ~retry:t.config.retry
-    ~funnel:t.funnel ~obs:t.config.obs ~seed t.world
-
-let dhe_probe_of t ~seed =
-  Scanner.Probe.dhe_only ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-    ~obs:t.config.obs t.world ~seed
-
-let ecdhe_probe_of t ~seed =
-  Scanner.Probe.ecdhe_only ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-    ~obs:t.config.obs t.world ~seed
-
-let log t fmt =
-  if t.config.verbose then Format.eprintf (fmt ^^ "@.") else Format.ifprintf Format.err_formatter fmt
-
-let minute = Simnet.Clock.minute
-
-(* --- Experiment runners (memoized) ------------------------------------------ *)
-
-let table1_bursts t =
-  match t.table1_bursts with
-  | Some r -> r
-  | None ->
-      log t "study: table 1 burst scans";
-      let dhe = dhe_probe_of t ~seed:"t1-dhe" in
-      let r_dhe = Scanner.Burst_scan.run dhe ~rounds:10 ~gap:30 () in
-      let ecdhe = ecdhe_probe_of t ~seed:"t1-ecdhe" in
-      let r_ecdhe = Scanner.Burst_scan.run ecdhe ~rounds:10 ~gap:30 () in
-      let default = probe t ~seed:"t1-ticket" in
-      let r_ticket = Scanner.Burst_scan.run default ~rounds:10 ~gap:30 () in
-      let r = (r_dhe, r_ecdhe, r_ticket) in
-      t.table1_bursts <- Some r;
-      r
+let table1_bursts t = Lazy.force t.table1_bursts
 
 (* Table 1's shared denominator. Trust is established by the default
    (all-suites) burst: the DHE-only and ECDHE-only bursts cannot judge
@@ -130,101 +172,9 @@ let table1_trusted t =
     r_ticket;
   fun (r : Scanner.Burst_scan.domain_result) -> Hashtbl.mem trusted r.Scanner.Burst_scan.domain
 
-let fig1_results t =
-  match t.fig1_results with
-  | Some r -> r
-  | None ->
-      ignore (table1_bursts t);
-      log t "study: figure 1 session-ID lifetime walk";
-      let probe = probe ~offer_ticket:false t ~seed:"fig1" in
-      let r = Scanner.Resumption_scan.run probe ~mode:Scanner.Resumption_scan.Session_ids () in
-      t.fig1_results <- Some r;
-      r
-
-let fig2_results t =
-  match t.fig2_results with
-  | Some r -> r
-  | None ->
-      ignore (fig1_results t);
-      log t "study: figure 2 session-ticket lifetime walk";
-      let probe = probe t ~seed:"fig2" in
-      let r = Scanner.Resumption_scan.run probe ~mode:Scanner.Resumption_scan.Tickets () in
-      t.fig2_results <- Some r;
-      r
-
-let cross_probe t =
-  match t.cross_probe with
-  | Some r -> r
-  | None ->
-      ignore (fig2_results t);
-      log t "study: table 5 cross-domain session-cache probing";
-      let r =
-        Scanner.Cross_probe.run ~injector:t.injector ~retry:t.config.retry ~funnel:t.funnel
-          t.world ()
-      in
-      t.cross_probe <- Some r;
-      r
-
-let stek_groups_scan t =
-  match t.stek_groups_scan with
-  | Some r -> r
-  | None ->
-      ignore (cross_probe t);
-      log t "study: table 6 STEK-group scans";
-      let probe = probe t ~seed:"stek-groups" in
-      (* 10 connections over a six-hour window, then one more 30 minutes
-         later, like the paper's two-phase grouping. *)
-      let r = Scanner.Burst_scan.run probe ~rounds:10 ~gap:(40 * minute) () in
-      Simnet.Clock.advance (Simnet.World.clock t.world) (30 * minute);
-      let extra = Scanner.Burst_scan.run probe ~rounds:1 ~gap:0 () in
-      let merged =
-        List.map2
-          (fun (a : Scanner.Burst_scan.domain_result) (b : Scanner.Burst_scan.domain_result) ->
-            { a with Scanner.Burst_scan.conns = a.Scanner.Burst_scan.conns @ b.Scanner.Burst_scan.conns })
-          r extra
-      in
-      t.stek_groups_scan <- Some merged;
-      merged
-
-let dh_groups_scan t =
-  match t.dh_groups_scan with
-  | Some r -> r
-  | None ->
-      ignore (stek_groups_scan t);
-      log t "study: table 7 Diffie-Hellman group scans";
-      let dhe = dhe_probe_of t ~seed:"dh-groups" in
-      let r_dhe = Scanner.Burst_scan.run dhe ~rounds:10 ~gap:(33 * minute) () in
-      let ecdhe = ecdhe_probe_of t ~seed:"ecdh-groups" in
-      let r_ecdhe = Scanner.Burst_scan.run ecdhe ~rounds:10 ~gap:(33 * minute) () in
-      let merged =
-        List.map2
-          (fun (a : Scanner.Burst_scan.domain_result) (b : Scanner.Burst_scan.domain_result) ->
-            { a with Scanner.Burst_scan.conns = a.Scanner.Burst_scan.conns @ b.Scanner.Burst_scan.conns })
-          r_dhe r_ecdhe
-      in
-      t.dh_groups_scan <- Some merged;
-      merged
-
-let campaign t =
-  match t.campaign with
-  | Some r -> r
-  | None ->
-      ignore (dh_groups_scan t);
-      (* Start the longitudinal campaign at the next day boundary. *)
-      let clock = Simnet.World.clock t.world in
-      let now = Simnet.Clock.now clock in
-      Simnet.Clock.set clock ((now / Simnet.Clock.day * Simnet.Clock.day) + Simnet.Clock.day);
-      log t "study: daily campaign (%d days, %d jobs)" t.config.campaign_days t.config.jobs;
-      let r =
-        Scanner.Parallel_campaign.collect ~jobs:t.config.jobs ~injector:t.injector
-          ~retry:t.config.retry ~funnel:t.funnel ~obs:t.config.obs t.world
-          ~days:t.config.campaign_days
-          ~progress:(fun ~shard ~day ->
-            (* Shard 0, the heaviest, starts first: its days pace the run. *)
-            if shard = 0 then log t "study: campaign day %d" day)
-      in
-      t.campaign <- Some r;
-      r
+let fig1_results t = Lazy.force t.fig1_results
+let fig2_results t = Lazy.force t.fig2_results
+let campaign t = Lazy.force t.campaign
 
 (* Run everything in order. *)
 let run_all t = ignore (campaign t)
@@ -244,10 +194,13 @@ let dhe_spans t = Analysis.Lifetime.analyze ~field:Analysis.Lifetime.Dhe (campai
 let ecdhe_spans t = Analysis.Lifetime.analyze ~field:Analysis.Lifetime.Ecdhe (campaign t)
 
 let session_cache_groups t =
-  Analysis.Service_groups.session_cache_groups ~world:t.world (cross_probe t)
+  Analysis.Service_groups.session_cache_groups ~world:t.world (Lazy.force t.cross_probe)
 
-let stek_service_groups t = Analysis.Service_groups.stek_groups ~world:t.world (stek_groups_scan t)
-let dh_service_groups t = Analysis.Service_groups.dh_groups ~world:t.world (dh_groups_scan t)
+let stek_service_groups t =
+  Analysis.Service_groups.stek_groups ~world:t.world (Lazy.force t.stek_groups_scan)
+
+let dh_service_groups t =
+  Analysis.Service_groups.dh_groups ~world:t.world (Lazy.force t.dh_groups_scan)
 
 (* Restrict resumption-scan results to the analysis population. *)
 let trusted_results results =

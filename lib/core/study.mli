@@ -1,8 +1,9 @@
 (** End-to-end orchestration of the nine-week measurement study: builds a
     world, runs every experiment in a paper-faithful order on the shared
     virtual clock (point experiments on days 0-2, the longitudinal
-    campaign from day 3), and memoizes results so the per-table/figure
-    entry points can be called in any order. *)
+    campaign from day 3), and keeps each result so the per-table/figure
+    entry points can be called in any order. Study probes and the
+    campaign record no telemetry. *)
 
 type config = {
   world_config : Simnet.World.config;
@@ -18,12 +19,8 @@ type config = {
           (the default) never fires, so probes make exactly one
           attempt. *)
   retry : Faults.Retry.policy;
-      (** probe retry policy; only consulted when a fault fires *)
-  obs : Obs.Recorder.t;
-      (** telemetry (default {!Obs.Recorder.null}) shared by every
-          experiment probe and the campaign runners. Recorders only read
-          outcomes, so every archive is the same whichever recorder the
-          study gets. *)
+      (** probe retry policy, given to the study's injector; only
+          consulted when a fault fires *)
 }
 
 val default_config : config
@@ -41,7 +38,7 @@ val funnel_report : t -> string
 (** Forces all experiments, then renders the §3-style per-day loss
     funnel. *)
 
-(** {2 Raw experiment results (memoized)} *)
+(** {2 Raw experiment results (each computed once)} *)
 
 val table1_bursts :
   t ->

@@ -22,10 +22,14 @@ type decision = Pass | Slow of int | Fault of Fault.t
 type t = {
   seed : string;
   profile : Profile.t;
+  retry : Retry.policy;
   world : Simnet.World.t;
 }
 
-let create ?(seed = "faults") ~profile world = { seed; profile; world }
+let create ?(seed = "faults") ~profile ?(retry = Retry.default) world =
+  { seed; profile; retry; world }
+
+let retry t = t.retry
 
 let outage_epoch = 6 * Simnet.Clock.hour
 

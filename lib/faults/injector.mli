@@ -11,9 +11,13 @@ type decision =
 
 type t
 
-val create : ?seed:string -> profile:Profile.t -> Simnet.World.t -> t
+val create : ?seed:string -> profile:Profile.t -> ?retry:Retry.policy -> Simnet.World.t -> t
 (** [seed] defaults to ["faults"]; it namespaces the whole fault
-    timeline and is independent of the world seed. *)
+    timeline and is independent of the world seed. [retry] (default
+    {!Retry.default}) is the policy every probe going through this
+    injector retries its faults under. *)
+
+val retry : t -> Retry.policy
 
 val decide : t -> hostname:string -> time:int -> attempt:int -> decision
 (** [Pass] without hashing anything when every rate for the serving

@@ -23,12 +23,11 @@
    would mean a second world call and a desynced stream, so they are
    classified and final. *)
 
-type t = { injector : Injector.t; policy : Retry.policy; funnel : Funnel.t; breaker : Breaker.t }
+type t = { injector : Injector.t; funnel : Funnel.t; breaker : Breaker.t }
 
-let create ~injector ?(policy = Retry.default) ?funnel () =
+let create ~injector ?funnel () =
   {
     injector;
-    policy;
     funnel = (match funnel with Some f -> f | None -> Funnel.create ());
     breaker = Breaker.create ();
   }
@@ -56,7 +55,7 @@ let attempt t ~hostname ~now ~connect =
         Funnel.record_failure t.funnel ~day ~attempts f;
         Error (f, attempts)
   in
-  let p = t.policy in
+  let p = Injector.retry t.injector in
   (* The breaker adapts the retry budget per operator: one attempt while
      open, the full policy budget otherwise. Consuming the budget and
      feeding the outcome back happen exactly once per probe, in probe

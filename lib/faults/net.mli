@@ -5,11 +5,12 @@
 
 type t
 
-val create : injector:Injector.t -> ?policy:Retry.policy -> ?funnel:Funnel.t -> unit -> t
-(** Every probe goes through an injector; {!Profile.none}'s never fires,
-    so each probe then makes exactly one attempt. [funnel] lets serial
-    runs share one funnel across probes; defaults to a fresh private
-    one. Each [t] carries its own per-operator circuit breaker. *)
+val create : injector:Injector.t -> ?funnel:Funnel.t -> unit -> t
+(** Every probe goes through an injector, and retries its faults under
+    the injector's {!Injector.retry} policy; {!Profile.none}'s never
+    fires, so each probe then makes exactly one attempt. [funnel] lets
+    serial runs share one funnel across probes; defaults to a fresh
+    private one. Each [t] carries its own per-operator circuit breaker. *)
 
 val funnel : t -> Funnel.t
 

@@ -42,7 +42,7 @@ let repeats values =
 (* [run] performs [rounds] sweeps, advancing the clock by [gap] seconds
    between sweeps (paper: 10 connections in quick succession for Table 1;
    10 over six hours for STEK groups; 10 over five hours for DH groups). *)
-let run probe ?(domains = None) ~rounds ~gap () =
+let run probe ?domains ~rounds ~gap () =
   let world = probe.Probe.world in
   let clock = Simnet.World.clock world in
   let targets =

@@ -21,7 +21,7 @@ val repeats : string list -> bool * bool
 
 val run :
   Probe.t ->
-  ?domains:Simnet.World.domain list option ->
+  ?domains:Simnet.World.domain list ->
   rounds:int ->
   gap:int ->
   unit ->

@@ -19,8 +19,11 @@ let pick_neighbors rng ~self ~limit candidates =
   Crypto.Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min limit (Array.length arr)))
 
-let run ?injector ?retry ?funnel world ?(per_side = 5) ?(domains = None) () =
-  let probe = Probe.create ?injector ?retry ?funnel ~seed:"cross-probe" world in
+(* Neighbours sampled per domain, by AS and again by IP. *)
+let per_side = 5
+
+let run probe ?domains () =
+  let world = probe.Probe.world in
   let rng = Crypto.Rng.create ~seed:"cross-probe-neighbors" in
   let clock = Simnet.World.clock world in
   let targets =

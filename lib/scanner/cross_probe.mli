@@ -1,6 +1,6 @@
 (** The cross-domain session-cache experiment of Section 5.1: attempt to
-    resume domain a's session on domain b, sampling up to [per_side]
-    neighbours by AS and by IP per domain; groups grow transitively in
+    resume domain a's session on domain b, sampling up to five
+    neighbours by AS and five by IP per domain; groups grow transitively in
     the analysis. Probing is harmless — servers fall back to a full
     handshake on an unknown ID. *)
 
@@ -11,12 +11,6 @@ type result = {
   edges : edge list;  (** a's session resumed on b *)
 }
 
-val run :
-  ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
-  ?funnel:Faults.Funnel.t ->
-  Simnet.World.t ->
-  ?per_side:int ->
-  ?domains:Simnet.World.domain list option ->
-  unit ->
-  result
+val run : Probe.t -> ?domains:Simnet.World.domain list -> unit -> result
+(** Probes every domain of [domains] (default: the whole world) with
+    [probe], on the world clock. *)

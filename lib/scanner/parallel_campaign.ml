@@ -15,7 +15,7 @@
      transitively (a.com shares an endpoint with b.com, whose operator
      shares STEKs with c.com's) land in one connectivity component;
    - components are packed into shards of balanced *estimated probe
-     cost* (longest-processing-time first-fit into ~[n/target] bins),
+     cost* (longest-processing-time first-fit into ~[n/128] bins),
      not balanced member count: an HTTPS domain-day costs ~60x a
      no-HTTPS one, so count-balanced shards hide an extreme work
      imbalance that made the parallel runner slower than serial.
@@ -32,7 +32,7 @@
    properties fall out, and the test suite checks both:
 
    - shard composition and per-shard probe seeds depend only on the
-     world and [target], never on the worker count, so a 1-worker and an
+     world, never on the worker count, so a 1-worker and an
      8-worker run of the same world write byte-identical run logs;
    - each shard writes only its own stream and its own funnel and
      recorder slots, so the merge needs no synchronization beyond the
@@ -64,8 +64,11 @@ type shard = {
 let https_cost = 64.0
 let estimated_cost d = if Simnet.World.domain_has_https d then https_cost else 1.0
 
+(* Domains per shard, before balancing. *)
+let shard_target = 128
+
 (* Group domains into connectivity components via their shared-state
-   keys, then pack components into ~[n/target] shards of balanced
+   keys, then pack components into ~[n/shard_target] shards of balanced
    estimated cost: components sorted heaviest first (ties by lowest
    member index), each placed into the currently lightest bin (ties by
    lowest bin index). Wholly deterministic in the world alone —
@@ -74,8 +77,7 @@ let estimated_cost d = if Simnet.World.domain_has_https d then https_cost else 1
    a single component heavier than the mean, which no packing could
    split. Bins are finally renumbered heaviest-first so the run queue
    drains them in LPT order. *)
-let shards ?(target = 128) world =
-  if target <= 0 then invalid_arg "Parallel_campaign.shards: target must be positive";
+let shards world =
   let domains = Simnet.World.domains world in
   let n = Array.length domains in
   let uf = Union_find.create () in
@@ -123,7 +125,9 @@ let shards ?(target = 128) world =
   Array.sort
     (fun (_, wa, ia) (_, wb, ib) -> if wa <> wb then compare wb wa else compare ia ib)
     comps;
-  let n_bins = if n = 0 then 0 else min (max 1 ((n + target - 1) / target)) (Array.length comps) in
+  let n_bins =
+    if n = 0 then 0 else min (max 1 ((n + shard_target - 1) / shard_target)) (Array.length comps)
+  in
   let bin_members = Array.make (max n_bins 1) [] in
   let bin_weight = Array.make (max n_bins 1) 0.0 in
   let bin_maxcomp = Array.make (max n_bins 1) 0.0 in
@@ -157,8 +161,7 @@ let shards ?(target = 128) world =
 
 let stream_name shard_id = Printf.sprintf "shard-%04d" shard_id
 
-let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Recorder.null) world
-    ~days () =
+let run ?jobs ?progress ?injector ?funnel ~sink ?(obs = Obs.Recorder.null) world ~days () =
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
   let shard_arr = shards world in
@@ -197,17 +200,14 @@ let run ?jobs ?progress ?injector ?retry ?funnel ~sink ?chaos ?(obs = Obs.Record
     | Stream_sink.Rerun stream ->
         let clock = Simnet.Clock.create ~start () in
         let default_probe =
-          Probe.create ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs
+          Probe.create ~clock ?injector ~funnel:shard_funnel ~obs:shard_obs
             ~seed:(Printf.sprintf "daily-default:shard:%d" s.shard_id) world
         in
         let dhe_probe =
-          Probe.dhe_only ~clock ?injector ?retry ~funnel:shard_funnel ~obs:shard_obs world
+          Probe.dhe_only ~clock ?injector ~funnel:shard_funnel ~obs:shard_obs world
             ~seed:(Printf.sprintf "daily-dhe:shard:%d" s.shard_id)
         in
-        let progress day =
-          (match chaos with Some c -> c ~shard:s.shard_id ~day | None -> ());
-          match progress with Some p -> p ~shard:s.shard_id ~day | None -> ()
-        in
+        let progress day = Option.iter (fun p -> p ~shard:s.shard_id ~day) progress in
         (* The shard span covers the shard's whole campaign on its private
            clock: [days] virtual days of simulated duration. *)
         Obs.Recorder.span shard_obs ~name:"campaign.shard"
@@ -248,8 +248,8 @@ let manifest world ~days =
     ("n_domains", string_of_int (Array.length (Simnet.World.domains world)));
   ]
 
-let collect ?jobs ?progress ?injector ?retry ?funnel ?obs world ~days =
+let collect ?jobs ?progress ?injector ?funnel ?obs world ~days =
   Stream_sink.with_sink ~manifest:(manifest world ~days) (fun sink ->
-      run ?jobs ?progress ?injector ?retry ?funnel ~sink ?obs world ~days ();
+      run ?jobs ?progress ?injector ?funnel ~sink ?obs world ~days ();
       Daily_scan.load_stream (Stream_sink.dir sink))
   |> Result.fold ~ok:Fun.id ~error:failwith

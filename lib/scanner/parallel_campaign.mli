@@ -28,25 +28,23 @@ type shard = {
           into this shard — the unsplittable lower bound on its size *)
 }
 
-val shards : ?target:int -> Simnet.World.t -> shard array
+val shards : Simnet.World.t -> shard array
 (** The deterministic shard decomposition: connectivity components of
     {!Simnet.World.domain_shard_keys}, packed longest-processing-time
-    first into [ceil (n / target)] (default [target = 256]) bins of
+    first into [ceil (n / 128)] bins (no more than there are components) of
     balanced estimated cost, then numbered heaviest-first — the order
     the run queue drains them in. Components never split across shards;
     every world domain appears in exactly one shard; no shard exceeds
     twice the mean weight unless it holds a single component heavier
-    than the mean. Depends only on the world and [target], never on a
-    worker count. Raises [Invalid_argument] if [target <= 0]. *)
+    than the mean. Depends only on the world, never on a worker
+    count. *)
 
 val run :
   ?jobs:int ->
   ?progress:(shard:int -> day:int -> unit) ->
   ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   sink:Stream_sink.t ->
-  ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->
   days:int ->
@@ -58,7 +56,8 @@ val run :
     the {!Pool} queue in heaviest-first shard order — work-stealing LPT
     scheduling, so adding workers never strands a straggler shard behind
     an idle pool. Leaves the world clock at the campaign's end. [progress] is
-    called from worker domains — keep it reentrant.
+    called at the start of every (shard, day) that is scanned, from
+    worker domains — keep it reentrant.
 
     Every shard writes its rows to its own stream of [sink]
     (["shard-0007"]) as its days complete; no shard holds rows in
@@ -79,15 +78,14 @@ val run :
     stderr and the first exception is re-raised ({!Stream_sink.Mismatch}
     as it is, naming its stream). The shard's stream stays unsealed, so
     re-running into the same sink finishes the campaign under the
-    resume rule. [chaos] is a test hook called at the start of every
-    (shard, day) that is scanned; raising from it simulates a crash.
+    resume rule; raising from [progress] simulates such a crash.
 
-    [injector] (default: {!Faults.Profile.none}, which never fires) is
-    shared across shards (its decisions are pure hashes,
-    so sharing is race-free and worker-count invariant); each shard's
-    probes record into a shard-private funnel, absorbed into [funnel]
-    after the join in shard order — sums only, so totals are identical
-    for any [jobs].
+    [injector] (default: {!Faults.Profile.none}, which never fires),
+    with its retry policy, is shared across shards (its decisions are
+    pure hashes, so sharing is race-free and worker-count invariant);
+    each shard's probes record into a shard-private funnel, absorbed
+    into [funnel] after the join in shard order — sums only, so totals
+    are identical for any [jobs].
 
     [obs] (default {!Obs.Recorder.null}) receives telemetry through
     shard-private recorders ({!Obs.Recorder.fork}) merged after the
@@ -104,7 +102,6 @@ val collect :
   ?jobs:int ->
   ?progress:(shard:int -> day:int -> unit) ->
   ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->

@@ -17,13 +17,13 @@ type t = {
       (* the clock this probe reads time from: the world clock for the
          study's point experiments, a shard-private clock in a campaign *)
   net : Faults.Net.t;
-      (* fault injection + retry policy + funnel; under [Profile.none]
-         every connection is a single attempt *)
+      (* fault injection (with its retry policy) + funnel; under
+         [Profile.none] every connection is a single attempt *)
   obs : Obs.Recorder.t; (* telemetry; [Obs.Recorder.null] when off *)
 }
 
-let create ?(offer_suites = Tls.Types.all_cipher_suites) ?(offer_ticket = true) ?clock ?injector
-    ?retry ?funnel ?(obs = Obs.Recorder.null) ~seed world =
+let make ~offer_suites ?(offer_ticket = true) ?clock ?injector ?funnel ?(obs = Obs.Recorder.null)
+    ~seed world =
   let env = Simnet.World.env world in
   let client =
     Tls.Client.create
@@ -45,18 +45,19 @@ let create ?(offer_suites = Tls.Types.all_cipher_suites) ?(offer_ticket = true) 
     | Some i -> i
     | None -> Faults.Injector.create ~profile:Faults.Profile.none world
   in
-  let net = Faults.Net.create ~injector ?policy:retry ?funnel () in
+  let net = Faults.Net.create ~injector ?funnel () in
   { world; client; trust_cache = Hashtbl.create 256; env; clock; net; obs }
 
+let create = make ~offer_suites:Tls.Types.all_cipher_suites
 let funnel t = Faults.Net.funnel t.net
 
-let dhe_only ?clock ?injector ?retry ?funnel ?obs world ~seed =
-  create ~offer_suites:[ Tls.Types.DHE_ECDSA_AES128_SHA256 ] ~offer_ticket:false ?clock
-    ?injector ?retry ?funnel ?obs ~seed world
+let dhe_only ?clock ?injector ?funnel ?obs world ~seed =
+  make ~offer_suites:[ Tls.Types.DHE_ECDSA_AES128_SHA256 ] ~offer_ticket:false ?clock ?injector
+    ?funnel ?obs ~seed world
 
-let ecdhe_only ?clock ?injector ?retry ?funnel ?obs world ~seed =
-  create ~offer_suites:[ Tls.Types.ECDHE_ECDSA_AES128_SHA256 ] ~offer_ticket:false ?clock
-    ?injector ?retry ?funnel ?obs ~seed world
+let ecdhe_only ?clock ?injector ?funnel ?obs world ~seed =
+  make ~offer_suites:[ Tls.Types.ECDHE_ECDSA_AES128_SHA256 ] ~offer_ticket:false ?clock
+    ?injector ?funnel ?obs ~seed world
 
 let evaluate_trust t ~domain ~chain ~now =
   match Hashtbl.find_opt t.trust_cache domain with

@@ -14,20 +14,20 @@ type t = {
 }
 
 val create :
-  ?offer_suites:Tls.Types.cipher_suite list ->
   ?offer_ticket:bool ->
   ?clock:Simnet.Clock.t ->
   ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   ?obs:Obs.Recorder.t ->
   seed:string ->
   Simnet.World.t ->
   t
-(** [clock] defaults to the world clock; a campaign gives each shard's
-    probes a private clock instead. [injector] defaults to one with
-    {!Faults.Profile.none}, under which every connection is a single
-    attempt; [funnel] shares loss telemetry across probes of one run.
+(** A probe offering every cipher suite. [clock] defaults to the world
+    clock; a campaign gives each shard's probes a private clock instead.
+    [injector] brings the fault schedule and the retry policy; it
+    defaults to one with {!Faults.Profile.none}, under which every
+    connection is a single attempt; [funnel] shares loss telemetry
+    across probes of one run.
     [obs] (default {!Obs.Recorder.null}) collects probe counters and
     handshake-phase spans; it only reads outcomes, so the observation
     stream is the same whichever recorder the probe gets. *)
@@ -37,7 +37,6 @@ val funnel : t -> Faults.Funnel.t
 val dhe_only :
   ?clock:Simnet.Clock.t ->
   ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->
@@ -47,7 +46,6 @@ val dhe_only :
 val ecdhe_only :
   ?clock:Simnet.Clock.t ->
   ?injector:Faults.Injector.t ->
-  ?retry:Faults.Retry.policy ->
   ?funnel:Faults.Funnel.t ->
   ?obs:Obs.Recorder.t ->
   Simnet.World.t ->
@@ -57,7 +55,7 @@ val ecdhe_only :
 val connect :
   ?offer:Tls.Client.offer -> t -> domain:string -> Observation.conn * Tls.Engine.outcome option
 (** One probe operation at the probe clock's current virtual time:
-    injected faults retry under the probe's policy, world-level errors
+    injected faults retry under the injector's policy, world-level errors
     are final and classified into the observation. *)
 
 (** {2 Resumption state} *)

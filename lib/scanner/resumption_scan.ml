@@ -36,7 +36,7 @@ type pending = {
 
 let interval = 5 * Simnet.Clock.minute
 
-let run probe ~mode ?(max_delay = 24 * Simnet.Clock.hour) ?(domains = None) () =
+let run probe ~mode ?(max_delay = 24 * Simnet.Clock.hour) ?domains () =
   let world = probe.Probe.world in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in

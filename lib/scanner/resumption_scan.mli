@@ -22,6 +22,6 @@ val run :
   Probe.t ->
   mode:mode ->
   ?max_delay:int ->
-  ?domains:Simnet.World.domain list option ->
+  ?domains:Simnet.World.domain list ->
   unit ->
   domain_result list

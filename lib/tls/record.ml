@@ -16,9 +16,9 @@ type t = { r_content_type : Types.content_type; r_version : Types.version; r_pay
 let header_len = 5
 let max_payload = 16384
 
-let make ~content_type ?(version = Types.TLS_1_2) payload =
+let make ~content_type payload =
   if String.length payload > max_payload then invalid_arg "Record.make: payload too large";
-  { r_content_type = content_type; r_version = version; r_payload = payload }
+  { r_content_type = content_type; r_version = Types.TLS_1_2; r_payload = payload }
 
 let content_type r = r.r_content_type
 let payload r = r.r_payload

@@ -7,7 +7,9 @@
 
 type t
 
-val make : content_type:Types.content_type -> ?version:Types.version -> string -> t
+val make : content_type:Types.content_type -> string -> t
+(** A TLS 1.2 record; raises [Invalid_argument] past 16 KiB. *)
+
 val content_type : t -> Types.content_type
 val payload : t -> string
 val to_bytes : t -> string

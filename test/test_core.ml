@@ -203,7 +203,7 @@ let test_posture_grades () =
       ~config:{ Simnet.World.default_config with Simnet.World.n_domains = 1500; seed = "posture-test" }
       ()
   in
-  let assess d = Tlsharm.Posture.assess world ~domain:d () in
+  let assess d = Tlsharm.Posture.assess world ~domain:d in
   (* yahoo.com: static STEK -> D. *)
   let yahoo = assess "yahoo.com" in
   Alcotest.(check string) "yahoo grade" "D" (Tlsharm.Posture.grade_to_string yahoo.Tlsharm.Posture.grade);

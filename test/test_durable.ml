@@ -464,8 +464,8 @@ let test_drbg_restore_rejects_bad_state () =
 
 (* --- One-worker kill-and-resume ---------------------------------------------------
 
-   A one-worker campaign scans shard 0 first. Simulated kill: the chaos
-   hook fires at the start of shard 0's day k, after its days 0..k-1
+   A one-worker campaign scans shard 0 first. Simulated kill: a raising
+   [progress] fires at the start of shard 0's day k, after its days 0..k-1
    were appended to the stream — raising [Killed] there is a process
    death with exactly k recorded blocks in "rows-shard-0000". *)
 
@@ -491,14 +491,14 @@ let loaded_bytes dir =
    pins the day range, as the CLI's does; a resume re-creates the sink
    with the same manifest and re-attaches. A run keeps no rows in
    memory: read the archive back with [loaded_bytes dir]. *)
-let run_streamed ?chaos ?obs ?manifest ?(config = serial_config) ?(days = serial_days) ?(jobs = 1)
-    dir =
+let run_streamed ?progress ?obs ?manifest ?(config = serial_config) ?(days = serial_days)
+    ?(jobs = 1) dir =
   let w = Simnet.World.create ~config () in
   let manifest =
     match manifest with Some m -> m | None -> Scanner.Parallel_campaign.manifest w ~days
   in
   let sink = create_sink ~manifest dir in
-  Scanner.Parallel_campaign.run ~jobs ~sink ?chaos ?obs w ~days ()
+  Scanner.Parallel_campaign.run ~jobs ?progress ~sink ?obs w ~days ()
 
 let serial_reference =
   lazy
@@ -512,7 +512,7 @@ let recorded_blocks path =
 
 let kill_serial_after dir ~k =
   match
-    run_streamed dir ~chaos:(fun ~shard ~day -> if shard = 0 && day = k then raise Killed)
+    run_streamed dir ~progress:(fun ~shard ~day -> if shard = 0 && day = k then raise Killed)
   with
   | _ -> Alcotest.fail "the kill must fire"
   | exception Killed -> ()
@@ -590,7 +590,7 @@ let parallel_reference =
 let kill_parallel dir =
   match
     run_streamed ~config:parallel_config ~days:parallel_days
-      ~chaos:(fun ~shard ~day -> if shard = 1 && day = 1 then raise Killed)
+      ~progress:(fun ~shard ~day -> if shard = 1 && day = 1 then raise Killed)
       dir
   with
   | _ -> Alcotest.fail "the kill must fire"
@@ -621,7 +621,7 @@ let test_raising_shard_fails_run () =
       with_temp_dir (fun dir ->
           (match
              run_streamed ~config:parallel_config ~days:parallel_days ~jobs
-               ~chaos:(fun ~shard ~day ->
+               ~progress:(fun ~shard ~day ->
                  if shard = 1 && day = 1 then failwith "injected worker crash")
                dir
            with

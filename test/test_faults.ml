@@ -97,10 +97,10 @@ let find_outage inj ~hostnames =
 
 let test_retry_exhaustion_and_recovery () =
   let w = Lazy.force world in
-  let inj = Faults.Injector.create ~profile:outage_only w in
-  let host, t_out, t_clear = find_outage inj ~hostnames:(hosted_names w) in
   let policy = Faults.Retry.default in
-  let net = Faults.Net.create ~injector:inj ~policy () in
+  let inj = Faults.Injector.create ~profile:outage_only ~retry:policy w in
+  let host, t_out, t_clear = find_outage inj ~hostnames:(hosted_names w) in
+  let net = Faults.Net.create ~injector:inj () in
   let calls = ref 0 in
   let connect () =
     incr calls;
@@ -134,8 +134,8 @@ let test_world_errors_are_final () =
      retrying them would desync RNG streams, so they fail on attempt 1
      even with retries configured. *)
   let w = Lazy.force world in
-  let inj = Faults.Injector.create ~profile:Faults.Profile.none w in
-  let net = Faults.Net.create ~injector:inj ~policy:Faults.Retry.default () in
+  let inj = Faults.Injector.create ~profile:Faults.Profile.none ~retry:Faults.Retry.default w in
+  let net = Faults.Net.create ~injector:inj () in
   let calls = ref 0 in
   let connect () =
     incr calls;
@@ -191,7 +191,7 @@ let test_fault_rng_isolation () =
       let injector = Faults.Injector.create ~profile w in
       let funnel = Faults.Funnel.create () in
       let faulty =
-        Scanner.Parallel_campaign.collect ~jobs:1 ~injector ~retry:Faults.Retry.default ~funnel w ~days
+        Scanner.Parallel_campaign.collect ~jobs:1 ~injector ~funnel w ~days
       in
       let checked = ref 0 and mismatched = ref 0 in
       Hashtbl.iter
@@ -217,7 +217,7 @@ let test_faulty_parallel_campaign_worker_invariant () =
     let w = Simnet.World.create ~config:(campaign_config "faulty-parallel-test") () in
     let injector = Faults.Injector.create ~profile:Faults.Profile.default w in
     let funnel = Faults.Funnel.create () in
-    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
+    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~funnel w ~days in
     (t, funnel)
   in
   let one, f_one = run 1 in
@@ -286,7 +286,7 @@ let test_byzantine_profile_campaign () =
     let w = Simnet.World.create ~config () in
     let injector = Faults.Injector.create ~profile:Faults.Profile.byzantine w in
     let funnel = Faults.Funnel.create () in
-    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~retry:Faults.Retry.default ~funnel w ~days in
+    let t = Scanner.Parallel_campaign.collect ~jobs ~injector ~funnel w ~days in
     (t, funnel)
   in
   let one, f_one = run 1 in

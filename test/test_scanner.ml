@@ -11,8 +11,7 @@ let world = lazy (Simnet.World.create ~config:world_config ())
 
 let subset_domains names =
   let w = Lazy.force world in
-  Some
-    (List.filter_map (fun n -> Simnet.World.find_domain w n) names)
+  List.filter_map (fun n -> Simnet.World.find_domain w n) names
 
 (* --- Observations ---------------------------------------------------------------- *)
 
@@ -651,7 +650,8 @@ let test_cross_probe () =
     |> List.filter (fun d -> String.equal (Simnet.World.domain_operator d) "cloudflare")
   in
   Alcotest.(check bool) "several cloudflare domains" true (List.length cloudflare >= 4);
-  let result = Scanner.Cross_probe.run w ~domains:(Some cloudflare) () in
+  let probe = Scanner.Probe.create ~seed:"cross-probe" w in
+  let result = Scanner.Cross_probe.run probe ~domains:cloudflare () in
   Alcotest.(check bool) "participants resumed" true
     (List.length result.Scanner.Cross_probe.participants >= 2);
   (* Domains behind the same pod share a cache, so edges must appear. *)
