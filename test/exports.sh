@@ -13,6 +13,10 @@
 # Comments and string literals are blanked before any of this.
 # It also fails on any lib/**/*.ml without a sibling .mli: such a module
 # exports every top-level value, and the check above never sees it.
+# And it fails on any optional parameter `?label` declared in a
+# lib/**/*.mli that no .ml file other than the module's own writes as
+# `~label` or `?label` (by name, whichever function it is passed to): a
+# knob no caller sets is a constant.
 # Directories named exports_fixture hold the check's own test input and
 # are skipped.
 # Usage: exports.sh ROOT
@@ -62,6 +66,7 @@ unused=$(
     FNR == 1 {
       file = FILENAME; nfiles++; all_files[nfiles] = file
       is_mli = (index(file, root "/lib/") == 1 && file ~ /\.mli$/)
+      is_ml = (file ~ /\.ml$/)
       depth = 0; in_str = 0; sig_depth = 0; pending = ""
       top = file; sub(/.*\//, "", top); sub(/\..*$/, "", top)
       top = toupper(substr(top, 1, 1)) substr(top, 2)
@@ -79,6 +84,15 @@ unused=$(
           owner = top
           for (d = sig_depth; d > 0; d--) if (mod_at[d] != "") { owner = mod_at[d]; break }
           nvals++; val_file[nvals] = file; val_name[nvals] = decl; val_mod[nvals] = owner
+        }
+        rest = line
+        while (match(rest, /\?[a-z_][A-Za-z0-9_'\'']*[ \t]*:/)) {
+          m = substr(rest, RSTART + 1, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH)
+          sub(/[ \t]*:$/, "", m)
+          if (!((m, file) in knob_seen)) {
+            knob_seen[m, file] = 1
+            nknobs++; knob_file[nknobs] = file; knob_name[nknobs] = m
+          }
         }
         n = split(line, words, /[^A-Za-z0-9_'\'']+/)
         for (i = 1; i <= n; i++) {
@@ -120,6 +134,17 @@ unused=$(
           qual[m, file] = 1
         }
       }
+      # Labels written as ~label or ?label in an implementation.
+      if (is_ml) {
+        rest = line; prev = ""
+        while (match(rest, /[~?][a-z_][A-Za-z0-9_'\'']*/)) {
+          before = (RSTART > 1) ? substr(rest, RSTART - 1, 1) : prev
+          m = substr(rest, RSTART + 1, RLENGTH - 1)
+          prev = substr(rest, RSTART + RLENGTH - 1, 1)
+          rest = substr(rest, RSTART + RLENGTH)
+          if (before !~ /[A-Za-z0-9_'\'']/) passed[m, file] = 1
+        }
+      }
       # Bare words: everything left once qualified suffixes are removed.
       bare_line = line
       gsub(/\.[a-z_][A-Za-z0-9_'\'']*/, " ", bare_line)
@@ -141,7 +166,17 @@ unused=$(
             for (j = 1; j <= k && !used; j++) if ((names[j] "." x, g) in qual) used = 1
           }
         }
-        if (!used) print substr(mli, length(root) + 2) ": " (mod == top_of(mli) ? "" : mod ".") x
+        if (!used) print "val " substr(mli, length(root) + 2) ": " (mod == top_of(mli) ? "" : mod ".") x
+      }
+      for (v = 1; v <= nknobs; v++) {
+        mli = knob_file[v]; ml = mli; sub(/i$/, "", ml)
+        x = knob_name[v]
+        used = 0
+        for (f = 1; f <= nfiles && !used; f++) {
+          g = all_files[f]
+          if (g != ml && ((x, g) in passed)) used = 1
+        }
+        if (!used) print "knob " substr(mli, length(root) + 2) ": ?" x
       }
     }
     function top_of(path,   t) {
@@ -161,9 +196,16 @@ if [ -n "$no_mli" ]; then
   echo "exports.sh: $(printf '%s\n' "$no_mli" | wc -l) library modules have no interface"
   status=1
 fi
-if [ -n "$unused" ]; then
-  printf '%s\n' "$unused"
-  echo "exports.sh: $(printf '%s\n' "$unused" | wc -l) exported values have no caller outside their module"
+vals=$(printf '%s\n' "$unused" | sed -n 's/^val //p')
+knobs=$(printf '%s\n' "$unused" | sed -n 's/^knob //p')
+if [ -n "$vals" ]; then
+  printf '%s\n' "$vals"
+  echo "exports.sh: $(printf '%s\n' "$vals" | wc -l) exported values have no caller outside their module"
+  status=1
+fi
+if [ -n "$knobs" ]; then
+  printf '%s\n' "$knobs"
+  echo "exports.sh: $(printf '%s\n' "$knobs" | wc -l) optional parameters are passed by no file outside their module"
   status=1
 fi
 exit "$status"
