@@ -366,22 +366,40 @@ let test_bignum_to_int_boundary () =
   Alcotest.(check (option int)) "zero" (Some 0) (B.to_int_opt B.zero)
 
 let test_pow_mod_edge_exponents () =
-  let m = B.sub_int (B.shift_left B.one 127) 1 in
-  let ctx = B.mont_of_modulus m in
-  let a = bn "987654321234567898765432123456789" in
-  let check_e label e =
-    Alcotest.(check string) label
-      (B.to_decimal (B.Reference.pow_mod_ctx ctx a e))
-      (B.to_decimal (B.pow_mod_ctx ctx a e))
+  (* Moduli from 2 to 6 limbs: the native-word path, the few-limb and
+     many-limb Montgomery squarings on both sides of the 104-bit
+     (4/5-limb) boundary, and the 64-bit group size the campaign runs. *)
+  let pow2 k = B.shift_left B.one k in
+  let moduli =
+    [
+      B.sub_int (pow2 31) 1;
+      B.add_int (pow2 31) 1;
+      Crypto.Dh.group_p (Crypto.Dh.generate ~bits:64 ~seed:"test");
+      B.sub_int (pow2 104) 1;
+      B.add_int (pow2 104) 1;
+      B.sub_int (pow2 127) 1;
+      B.sub_int (pow2 156) 1;
+    ]
   in
-  check_e "e = 0" B.zero;
-  check_e "e = 1" B.one;
-  check_e "e = 2" B.two;
-  check_e "e = m - 1" (B.sub_int m 1);
-  (* Long zero runs: a window walker must not mis-skip them. *)
-  check_e "e = 2^96" (B.shift_left B.one 96);
-  check_e "e = 2^96 + 1" (B.add_int (B.shift_left B.one 96) 1);
-  check_e "e = 2^126 + 2^5" (B.add (B.shift_left B.one 126) (B.of_int 32))
+  let a = bn "987654321234567898765432123456789" in
+  List.iter
+    (fun m ->
+      let ctx = B.mont_of_modulus m in
+      let check_e label e =
+        Alcotest.(check string)
+          (Printf.sprintf "%d-bit m, %s" (B.num_bits m) label)
+          (B.to_decimal (B.Reference.pow_mod_ctx ctx a e))
+          (B.to_decimal (B.pow_mod_ctx ctx a e))
+      in
+      check_e "e = 0" B.zero;
+      check_e "e = 1" B.one;
+      check_e "e = 2" B.two;
+      check_e "e = m - 1" (B.sub_int m 1);
+      (* Long zero runs: a window walker must not mis-skip them. *)
+      check_e "e = 2^96" (pow2 96);
+      check_e "e = 2^96 + 1" (B.add_int (pow2 96) 1);
+      check_e "e = 2^126 + 2^5" (B.add (pow2 126) (B.of_int 32)))
+    moduli
 
 let test_pow_mod_native_word () =
   (* Moduli around the native-word fast-path cutoff (31 bits) agree with
@@ -417,24 +435,35 @@ let test_pow_mod_native_word () =
     moduli
 
 let test_pow_mod_fixed_base () =
-  let m = B.sub_int (B.shift_left B.one 127) 1 in
-  let ctx = B.mont_of_modulus m in
-  let g = B.of_int 4 in
-  let fb = B.fixed_base ctx g ~max_bits:64 in
-  let check_e label e =
-    Alcotest.(check string) label
-      (B.to_decimal (B.pow_mod_ctx ctx g e))
-      (B.to_decimal (B.pow_mod_fixed fb e))
+  (* A 127-bit modulus and the 64-bit group size the campaign's DHE
+     keygen runs the comb on. *)
+  let moduli =
+    [
+      B.sub_int (B.shift_left B.one 127) 1;
+      Crypto.Dh.group_p (Crypto.Dh.generate ~bits:64 ~seed:"test");
+    ]
   in
-  check_e "e = 0" B.zero;
-  check_e "e = 1" B.one;
-  check_e "e = 2^63 + 17" (B.add_int (B.shift_left B.one 63) 17);
-  (* Wider than the table: falls back to the generic path. *)
-  check_e "e = 2^90 + 3" (B.add_int (B.shift_left B.one 90) 3);
-  (* The cache returns the same table for the same (base, geometry). *)
-  let fb' = B.fixed_base ctx g ~max_bits:64 in
-  check_e "cached table" (B.of_int 123456789);
-  ignore fb'
+  let g = B.of_int 4 in
+  List.iter
+    (fun m ->
+      let ctx = B.mont_of_modulus m in
+      let fb = B.fixed_base ctx g ~max_bits:64 in
+      let check_e label e =
+        Alcotest.(check string)
+          (Printf.sprintf "%d-bit m, %s" (B.num_bits m) label)
+          (B.to_decimal (B.Reference.pow_mod_ctx ctx g e))
+          (B.to_decimal (B.pow_mod_fixed fb e))
+      in
+      check_e "e = 0" B.zero;
+      check_e "e = 1" B.one;
+      check_e "e = 2^63 + 17" (B.add_int (B.shift_left B.one 63) 17);
+      check_e "e = 2^64 - 1" (B.sub_int (B.shift_left B.one 64) 1);
+      (* Wider than the table: falls back to the generic path. *)
+      check_e "e = 2^90 + 3" (B.add_int (B.shift_left B.one 90) 3);
+      (* The cache returns the same table for the same (base, geometry). *)
+      Alcotest.(check bool) "cached table" true (B.fixed_base ctx g ~max_bits:64 == fb);
+      check_e "cached table" (B.of_int 123456789))
+    moduli
 
 (* qcheck generators: random bignums via decimal strings of bounded size. *)
 let gen_bignum =
