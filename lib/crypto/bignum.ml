@@ -350,19 +350,20 @@ let mont_of_modulus (m : t) : mont =
     fb_cache = [];
   }
 
-(* Subtract the modulus in place from an (n+1)-limb accumulator whose value
-   is known to lie in [0, 2m); shared tail of the kernels below. Writes the
-   n-limb result into [out]. *)
-let cond_sub_m_into ctx (t : int array) (hi : int) (out : int array) : unit =
+(* Subtract the modulus once from the (n+1)-limb value whose low limbs are
+   [src] and whose top limb is [carry], known to lie in [0, 2m); shared tail
+   of the kernels below and of {!Field.add}. Writes the n-limb result into
+   [dst], which may be [src]: every limb is read before it is written. *)
+let cond_sub_m_into ctx (carry : int) (src : int array) (dst : int array) : unit =
   let n = ctx.n in
   let m = ctx.m in
   let ge =
-    t.(hi + n) > 0
+    carry > 0
     ||
     let rec go i =
       if i < 0 then true
-      else if Array.unsafe_get t (hi + i) <> Array.unsafe_get m i then
-        Array.unsafe_get t (hi + i) > Array.unsafe_get m i
+      else if Array.unsafe_get src i <> Array.unsafe_get m i then
+        Array.unsafe_get src i > Array.unsafe_get m i
       else go (i - 1)
     in
     go (n - 1)
@@ -370,59 +371,28 @@ let cond_sub_m_into ctx (t : int array) (hi : int) (out : int array) : unit =
   if ge then begin
     let borrow = ref 0 in
     for i = 0 to n - 1 do
-      let d = Array.unsafe_get t (hi + i) - Array.unsafe_get m i - !borrow in
+      let d = Array.unsafe_get src i - Array.unsafe_get m i - !borrow in
       if d < 0 then begin
-        Array.unsafe_set out i (d + base);
+        Array.unsafe_set dst i (d + base);
         borrow := 1
       end
       else begin
-        Array.unsafe_set out i d;
+        Array.unsafe_set dst i d;
         borrow := 0
       end
     done
   end
-  else Array.blit t hi out 0 n
+  else Array.blit src 0 dst 0 n
 
-let cond_sub_m ctx (t : int array) (hi : int) : int array =
-  let out = Array.make ctx.n 0 in
-  cond_sub_m_into ctx t hi out;
-  out
-
-(* Fused CIOS Montgomery multiplication: out = a * b * R^-1 mod m. The
+(* Fused CIOS Montgomery multiplication: dst = a * b * R^-1 mod m. The
    multiply and the reduction share one inner loop per outer limb, halving
    loop and memory traffic versus the two-pass seed kernel (kept in
    {!Reference}). Range check for the fused accumulator: t.(j) < 2^26 and
    ai*b.(j) + u*m.(j) < 2^53, so s stays below 2^53 + 2^28 — inside a
-   63-bit int — and carries below 2^27. [a], [b] and the result are n-limb
-   arrays (not necessarily canonical). *)
-let mont_mul ctx (a : int array) (b : int array) : int array =
-  let n = ctx.n in
-  let m = ctx.m in
-  let n0' = ctx.n0' in
-  let t = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    let s0 = Array.unsafe_get t 0 + (ai * Array.unsafe_get b 0) in
-    let u = (s0 land mask) * n0' land mask in
-    let carry = ref ((s0 + (u * Array.unsafe_get m 0)) lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let s =
-        Array.unsafe_get t j + (ai * Array.unsafe_get b j) + (u * Array.unsafe_get m j) + !carry
-      in
-      Array.unsafe_set t (j - 1) (s land mask);
-      carry := s lsr limb_bits
-    done;
-    let s = Array.unsafe_get t n + !carry in
-    Array.unsafe_set t (n - 1) (s land mask);
-    Array.unsafe_set t n (s lsr limb_bits)
-  done;
-  cond_sub_m ctx t 0
-
-(* Same fused CIOS pass writing into caller-provided buffers: [t] is an
-   (n+1)-limb scratch, [dst] receives the n-limb result. [dst] may alias
-   [a] or [b] — the accumulator lives in [t] and [dst] is only written by
-   the final conditional subtract. Lets the few-limb exponentiation ladder
-   below run without a single allocation per Montgomery operation. *)
+   63-bit int — and carries below 2^27. [t] is an (n+1)-limb scratch;
+   [a], [b] and [dst] are n-limb arrays (not necessarily canonical), and
+   [dst] may alias [a] or [b] — the accumulator lives in [t] and [dst] is
+   only written by the final conditional subtract. *)
 let mont_mul_into ctx (t : int array) (dst : int array) (a : int array) (b : int array) : unit =
   let n = ctx.n in
   let m = ctx.m in
@@ -444,25 +414,27 @@ let mont_mul_into ctx (t : int array) (dst : int array) (a : int array) (b : int
     Array.unsafe_set t (n - 1) (s land mask);
     Array.unsafe_set t n (s lsr limb_bits)
   done;
-  cond_sub_m_into ctx t 0 dst
+  cond_sub_m_into ctx t.(n) t dst
 
 (* Dedicated squaring via finely-integrated product scanning (FIPS):
    each output column accumulates its doubled cross products, its diagonal
    term, and its share of the Montgomery reduction in a single register
    before one store — ~1.5n² limb multiplications against the multiplier's
    2n², and none of the load/store churn of a separate double-width square.
+   [t] (the multiplier's (n+1)-limb scratch) receives the n output
+   columns and [u] (n limbs) the reduction multipliers; neither needs
+   clearing, as each limb is written before it is read. [dst] may alias
+   [a].
 
    Column-accumulator range: a column gathers at most n doubled cross
    products (< n·2^53) plus a diagonal (< 2^52) plus n reduction products
    u_i·m_j (< n·2^52) plus an inter-column carry (< 2^36), so it stays
    below ~1.5n·2^53 — inside a 63-bit int for n up to ~340 limbs (~8800
    bits), far beyond any modulus this library handles. *)
-let mont_sqr ctx (a : int array) : int array =
+let mont_sqr_into ctx (t : int array) (u : int array) (dst : int array) (a : int array) : unit =
   let n = ctx.n in
   let m = ctx.m in
   let n0' = ctx.n0' in
-  let u = Array.make n 0 in
-  let out = Array.make (n + 1) 0 in
   (* Both inner loops are 2-way unrolled with independent accumulators:
      a single-multiply column loop is latency-bound on the add chain, and
      splitting it recovers the instruction-level parallelism the fused
@@ -502,12 +474,28 @@ let mont_sqr ctx (a : int array) : int array =
        let h = Array.unsafe_get a (k lsr 1) in
        acc := !acc + (h * h));
     acc := !acc + conv u m k (k - n + 1) (n - 1);
-    Array.unsafe_set out (k - n) (!acc land mask);
+    Array.unsafe_set t (k - n) (!acc land mask);
     carry := !acc lsr limb_bits
   done;
-  Array.unsafe_set out n !carry;
   (* (a² + u·m)/R < 2m since a < m; one conditional subtract finishes. *)
-  cond_sub_m ctx out 0
+  cond_sub_m_into ctx !carry t dst
+
+(* Squaring for the in-place ladders below: the fused multiplier below 5
+   limbs, where the dedicated kernel's setup costs more than the
+   multiplications it saves, and {!mont_sqr_into} from 5 limbs up. *)
+let ladder_sqr ctx t u (acc : int array) =
+  if ctx.n <= 4 then mont_mul_into ctx t acc acc acc else mont_sqr_into ctx t u acc acc
+
+(* Allocating forms, for one-off conversions, table builds and {!Field}. *)
+let mont_mul ctx (a : int array) (b : int array) : int array =
+  let dst = Array.make ctx.n 0 in
+  mont_mul_into ctx (Array.make (ctx.n + 1) 0) dst a b;
+  dst
+
+let mont_sqr ctx (a : int array) : int array =
+  let dst = Array.make ctx.n 0 in
+  mont_sqr_into ctx (Array.make (ctx.n + 1) 0) (Array.make ctx.n 0) dst a;
+  dst
 
 let pad_to n (a : t) =
   let out = Array.make n 0 in
@@ -537,108 +525,51 @@ let bits_range (e : t) lo hi =
   done;
   !v
 
-(* Few-limb exponentiation ladder: below ~5 limbs the generic path's
-   per-operation allocations (CIOS accumulator, kernel output, squaring
-   scratch) cost more than the arithmetic itself, so this variant walks
-   the same sliding window through {!mont_mul_into} with one shared
-   scratch and a single in-place accumulator. Squarings reuse the fused
-   multiplier — at this size the dedicated squaring kernel's setup
-   overhead outweighs the multiplications it saves. *)
-let pow_mont_small (ctx : mont) (am : int array) (e : t) : int array =
+(* Left-to-right sliding-window exponentiation over a Montgomery context
+   for e > 0: multiplications hit a precomputed odd-powers table a^1, a^3,
+   …, a^(2^w − 1), so runs of zero bits cost squarings only. Walks in
+   place — one scratch pair and one accumulator, no allocation per
+   Montgomery operation. *)
+let pow_mont (ctx : mont) (am : int array) (e : t) : int array =
   let n = ctx.n in
   let ebits = num_bits e in
   let w = window_width ebits in
-  let t = Array.make (n + 1) 0 in
-  let tbl =
-    if w = 1 then [| am |]
-    else begin
-      let tbl = Array.init (1 lsl (w - 1)) (fun _ -> Array.make n 0) in
-      Array.blit am 0 tbl.(0) 0 n;
-      let a2 = Array.make n 0 in
-      mont_mul_into ctx t a2 am am;
-      for i = 1 to Array.length tbl - 1 do
-        mont_mul_into ctx t tbl.(i) tbl.(i - 1) a2
-      done;
-      tbl
-    end
-  in
+  let t = Array.make (n + 1) 0 and u = Array.make n 0 in
+  let a2 = Array.copy am in
+  ladder_sqr ctx t u a2;
+  let tbl = Array.make (1 lsl (w - 1)) am in
+  for i = 1 to Array.length tbl - 1 do
+    tbl.(i) <- Array.make n 0;
+    mont_mul_into ctx t tbl.(i) tbl.(i - 1) a2
+  done;
   let acc = Array.make n 0 in
   let started = ref false in
   let i = ref (ebits - 1) in
   while !i >= 0 do
     if not (test_bit e !i) then begin
-      if !started then mont_mul_into ctx t acc acc acc;
+      if !started then ladder_sqr ctx t u acc;
       decr i
     end
     else begin
+      (* Largest window ending in a set bit: [l..i], l chosen so the
+         windowed value is odd and at most w bits wide. *)
       let l = ref (max 0 (!i - w + 1)) in
       while not (test_bit e !l) do
         incr l
       done;
-      let v = bits_range e !l !i in
+      let odd = tbl.((bits_range e !l !i - 1) / 2) in
       if !started then begin
-        for _ = 1 to !i - !l + 1 do
-          mont_mul_into ctx t acc acc acc
+        for _ = !l to !i do
+          ladder_sqr ctx t u acc
         done;
-        mont_mul_into ctx t acc acc tbl.((v - 1) / 2)
+        mont_mul_into ctx t acc acc odd
       end
-      else Array.blit tbl.((v - 1) / 2) 0 acc 0 n;
+      else Array.blit odd 0 acc 0 n;
       started := true;
       i := !l - 1
     end
   done;
   acc
-
-(* Left-to-right sliding-window exponentiation over a Montgomery context:
-   squarings take the dedicated [mont_sqr] path; multiplications hit a
-   precomputed odd-powers table a^1, a^3, …, a^(2^w − 1), so runs of zero
-   bits cost squarings only. *)
-let pow_mont (ctx : mont) (am : int array) (e : t) : int array =
-  if ctx.n <= 4 then pow_mont_small ctx am e
-  else
-  let ebits = num_bits e in
-  let w = window_width ebits in
-  if w = 1 then begin
-    let acc = ref am in
-    for i = ebits - 2 downto 0 do
-      acc := mont_sqr ctx !acc;
-      if test_bit e i then acc := mont_mul ctx !acc am
-    done;
-    !acc
-  end
-  else begin
-    let tbl = Array.make (1 lsl (w - 1)) am in
-    let a2 = mont_sqr ctx am in
-    for i = 1 to Array.length tbl - 1 do
-      tbl.(i) <- mont_mul ctx tbl.(i - 1) a2
-    done;
-    let acc = ref ctx.rm in
-    let started = ref false in
-    let i = ref (ebits - 1) in
-    while !i >= 0 do
-      if not (test_bit e !i) then begin
-        if !started then acc := mont_sqr ctx !acc;
-        decr i
-      end
-      else begin
-        (* Largest window ending in a set bit: [l..i], l chosen so the
-           windowed value is odd and at most w bits wide. *)
-        let l = ref (max 0 (!i - w + 1)) in
-        while not (test_bit e !l) do
-          incr l
-        done;
-        let v = bits_range e !l !i in
-        if !started then
-          for _ = 1 to !i - !l + 1 do
-            acc := mont_sqr ctx !acc
-          done;
-        acc := (if !started then mont_mul ctx !acc tbl.((v - 1) / 2) else tbl.((v - 1) / 2));
-        started := true;
-        i := !l - 1
-      end
-    done;
-    !acc
-  end
 
 (* Native-word fast path: when the modulus fits 31 bits, every product of
    two residues fits a 62-bit tagged int, so plain square-and-multiply on
@@ -664,20 +595,13 @@ let pow_mod_ctx (ctx : mont) (a : t) (e : t) : t =
     pow_mod_native (to_int_exn ctx.modulus) a e
   else of_mont ctx (pow_mont ctx (to_mont ctx a) e)
 
-(* a^e mod m. Native ints for word-sized m (no Montgomery setup at all);
-   Montgomery sliding-window for other odd m; generic square-and-multiply
+(* a^e mod m. Odd m takes {!pow_mod_ctx}; generic square-and-multiply
    with binary reduction otherwise. *)
 let pow_mod (a : t) (e : t) (m : t) : t =
   if is_zero m then raise Division_by_zero;
   if is_one m then zero
-  else if is_zero e then rem one m
-  else if num_bits m <= pow_mod_native_bits then begin
-    (* Same kernel-counter semantics as before the fast path: odd moduli
-       counted as a pow_mod kernel hit, even ones never did. *)
-    if not (is_even m) then Obs.Kernel.(bump pow_mod);
-    pow_mod_native (to_int_exn m) a e
-  end
-  else if is_even m then begin
+  else if not (is_even m) then pow_mod_ctx (mont_of_modulus m) a e
+  else begin
     (* Right-to-left square and multiply with explicit reduction; even
        moduli never occur on hot paths. *)
     let e_bits = num_bits e in
@@ -689,7 +613,6 @@ let pow_mod (a : t) (e : t) (m : t) : t =
     done;
     !acc
   end
-  else pow_mod_ctx (mont_of_modulus m) a e
 
 (* --- Fixed-base comb ----------------------------------------------------- *)
 
@@ -753,21 +676,24 @@ let pow_mod_fixed (fb : fixed_base) (e : t) : t =
     (* Wider than the table covers; correctness over speed. *)
     pow_mod_ctx ctx fb.fb_base e
   else begin
-    let d = fb.fb_d in
-    let acc = ref ctx.rm in
+    (* The comb walked in place through the ladder's multiply and square. *)
+    let n = ctx.n and d = fb.fb_d in
+    let t = Array.make (n + 1) 0 and u = Array.make n 0 in
+    let acc = Array.make n 0 in
     let started = ref false in
     for i = d - 1 downto 0 do
-      if !started then acc := mont_sqr ctx !acc;
+      if !started then ladder_sqr ctx t u acc;
       let j = ref 0 in
       for k = fb.fb_w - 1 downto 0 do
         j := (!j lsl 1) lor (if test_bit e (i + (k * d)) then 1 else 0)
       done;
       if !j <> 0 then begin
-        acc := (if !started then mont_mul ctx !acc fb.fb_tbl.(!j) else fb.fb_tbl.(!j));
+        if !started then mont_mul_into ctx t acc acc fb.fb_tbl.(!j)
+        else Array.blit fb.fb_tbl.(!j) 0 acc 0 n;
         started := true
       end
     done;
-    of_mont ctx !acc
+    of_mont ctx acc
   end
 
 (* --- Seed-era reference kernels -------------------------------------------
@@ -902,31 +828,8 @@ module Field = struct
       out.(i) <- s land mask;
       carry := s lsr limb_bits
     done;
-    (* Reduce once if out >= m (sum < 2m so one subtraction suffices). *)
-    let ge =
-      !carry > 0
-      ||
-      let rec go i =
-        if i < 0 then true
-        else if out.(i) <> c.m.(i) then out.(i) > c.m.(i)
-        else go (i - 1)
-      in
-      go (n - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to n - 1 do
-        let d = out.(i) - c.m.(i) - !borrow in
-        if d < 0 then begin
-          out.(i) <- d + base;
-          borrow := 1
-        end
-        else begin
-          out.(i) <- d;
-          borrow := 0
-        end
-      done
-    end;
+    (* The sum is below 2m, so one conditional subtract reduces it. *)
+    cond_sub_m_into c !carry out out;
     out
 
   let sub (c : ctx) (a : fe) (b : fe) : fe =
