@@ -178,7 +178,7 @@ let connect_host ~world ~cfg ~obs ~time u ~page_host ~primary hostname =
 
 (* Simulate one shard into [stream]; returns the shard's connection
    count. *)
-let simulate_shard cfg ~stream ?chaos ~shard_obs (s : shard) =
+let simulate_shard cfg ~stream ~shard_obs (s : shard) =
   let world = Simnet.World.create ~config:cfg.world () in
   let clock = Simnet.World.clock world in
   let start = Simnet.Clock.now clock in
@@ -204,7 +204,6 @@ let simulate_shard cfg ~stream ?chaos ~shard_obs (s : shard) =
   let first_seen = Array.make (max n_users 1) (-1) in
   let last_seen = Array.make (max n_users 1) (-1) in
   for day = 0 to cfg.days - 1 do
-    (match chaos with Some c -> c ~shard:s.shard_id ~day | None -> ());
     let day_start = start + (day * Simnet.Clock.day) in
     (* Plan the day in uid order: each user draws page count, times and
        compositions from their own Rng, so plans are user-local... *)
@@ -276,7 +275,7 @@ let simulate_shard cfg ~stream ?chaos ~shard_obs (s : shard) =
 
 type result = { n_shards : int; total_rows : int }
 
-let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
+let run ?jobs ~sink ?(obs = Obs.Recorder.null) cfg =
   validate cfg;
   let shard_arr = shards cfg in
   let n_shards = Array.length shard_arr in
@@ -300,7 +299,7 @@ let run ?jobs ~sink ?chaos ?(obs = Obs.Recorder.null) cfg =
             ~attrs:[ ("shard", string_of_int s.shard_id) ]
             ~now:(fun () -> !sim_now)
             (fun () ->
-              let n = simulate_shard cfg ~stream ?chaos ~shard_obs s in
+              let n = simulate_shard cfg ~stream ~shard_obs s in
               sim_now := Simnet.World.start_time + (cfg.days * Simnet.Clock.day);
               n);
         recorders.(s.shard_id) <- shard_obs

@@ -73,7 +73,6 @@ type result = {
 val run :
   ?jobs:int ->
   sink:Scanner.Stream_sink.t ->
-  ?chaos:(shard:int -> day:int -> unit) ->
   ?obs:Obs.Recorder.t ->
   config ->
   result

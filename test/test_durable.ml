@@ -907,40 +907,6 @@ let prop_stream_loaders_typed =
               QCheck2.Test.fail_reportf "flip at byte %d of %s raised %s" p name
                 (Printexc.to_string e)))
 
-(* A traffic shard re-run into a partial spool that another world wrote
-   under the same manifest must refuse to graft onto it. *)
-let test_traffic_rerun_mismatches () =
-  with_temp_dir (fun dir ->
-      let run ?chaos seed =
-        let cfg =
-          {
-            Traffic.Population.default_config with
-            Traffic.Population.users = 30;
-            days = 2;
-            shard_users = 16;
-            pages_per_day = 1.5;
-            world = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed };
-          }
-        in
-        let sink =
-          match Scanner.Stream_sink.create ~dir ~manifest:[ ("mode", "traffic") ] with
-          | Ok s -> s
-          | Error e -> Alcotest.fail e
-        in
-        ignore (Traffic.Population.run ~jobs:1 ~sink ?chaos cfg)
-      in
-      (match
-         run "durable-traffic"
-           ~chaos:(fun ~shard ~day -> if shard = 0 && day = 1 then raise Killed)
-       with
-      | () -> Alcotest.fail "the kill must fire"
-      | exception Killed -> ());
-      Alcotest.(check int) "shard 0 recorded one day" 1
-        (List.length (fst (recorded_blocks (Filename.concat dir "rows-users-0000"))));
-      match run "other-world" with
-      | () -> Alcotest.fail "another world must not re-run into this spool"
-      | exception Scanner.Stream_sink.Mismatch _ -> ())
-
 (* --- Cut points ----------------------------------------------------------------------
 
    Every state a crash can leave the run log in, enumerated instead of
@@ -978,6 +944,45 @@ let inside_offsets ~n raw =
 
 let cut_file name at files =
   List.map (fun (n, b) -> if String.equal n name then (n, String.sub b 0 at) else (n, b)) files
+
+(* A traffic shard re-run into a partial spool that another world wrote
+   under the same manifest must refuse to graft onto it. The partial
+   spool is a sealed one cut after its first day block. *)
+let test_traffic_rerun_mismatches () =
+  let run seed dir =
+    let cfg =
+      {
+        Traffic.Population.default_config with
+        Traffic.Population.users = 30;
+        days = 2;
+        shard_users = 16;
+        pages_per_day = 1.5;
+        world = { Simnet.World.default_config with Simnet.World.n_domains = 1500; seed };
+      }
+    in
+    ignore
+      (Traffic.Population.run ~jobs:1 ~sink:(create_sink ~manifest:[ ("mode", "traffic") ] dir) cfg)
+  in
+  let reference =
+    with_temp_dir (fun dir ->
+        run "durable-traffic" dir;
+        read_dir dir)
+  in
+  let spool = "rows-users-0000" in
+  let after_day_0 =
+    match block_boundaries (List.assoc spool reference) with
+    | _ :: _ :: b1 :: _ -> b1
+    | _ -> Alcotest.failf "%s holds fewer than two blocks" spool
+  in
+  with_temp_dir (fun dir ->
+      List.iter (fun (n, b) -> spew (Filename.concat dir n) b) (cut_file spool after_day_0 reference);
+      Alcotest.(check (pair int bool))
+        "shard 0 recorded one day, unsealed" (1, false)
+        (let blocks, complete = recorded_blocks (Filename.concat dir spool) in
+         (List.length blocks, complete));
+      match run "other-world" dir with
+      | () -> Alcotest.fail "another world must not re-run into this spool"
+      | exception Scanner.Stream_sink.Mismatch _ -> ())
 
 (* The cuts of one log: [first] at every block boundary and at seeded
    inner offsets, then [first] and [second] both cut halfway through
