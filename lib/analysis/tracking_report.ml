@@ -219,16 +219,24 @@ let finalize acc =
 let of_sink ~dir =
   let ( let* ) = Result.bind in
   let* manifest = Scanner.Stream_sink.manifest ~dir in
-  let get key = List.assoc_opt key manifest in
-  let int_of key = Option.bind (get key) int_of_string_opt in
-  let meta =
-    {
-      policy = Option.value ~default:"?" (get "policy");
-      ticket_lifetime = Option.value ~default:0 (int_of "ticket_lifetime");
-      users = Option.value ~default:0 (int_of "users");
-      days = Option.value ~default:0 (int_of "days");
-    }
+  (* The report prints these keys; a manifest without one is refused
+     rather than rendered with a made-up value. *)
+  let get key =
+    match List.assoc_opt key manifest with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s: the manifest has no %s" dir key)
   in
+  let int_of key =
+    let* v = get key in
+    match int_of_string_opt v with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "%s: manifest %s=%S is not an integer" dir key v)
+  in
+  let* policy = get "policy" in
+  let* ticket_lifetime = int_of "ticket_lifetime" in
+  let* users = int_of "users" in
+  let* days = int_of "days" in
+  let meta = { policy; ticket_lifetime; users; days } in
   let* ids = Traffic.Traffic_sink.shard_ids ~dir in
   (* The shards' user ranges must tile [0, users) in shard order, so a
      log missing a stream is refused rather than read as a smaller

@@ -59,7 +59,9 @@ val of_sink : dir:string -> (t, string) result
 (** Fold a traffic run log one shard at a time, holding only per-chain
     and per-class aggregates (rows arrive shard by shard; any order
     within a user is fine — chains are keyed, not positional). Run
-    metadata comes from the sink manifest. The shards' user ranges must
+    metadata comes from the sink manifest; one without [policy],
+    [ticket_lifetime], [users] or [days] as the report needs them is an
+    [Error] naming the key. The shards' user ranges must
     tile [\[0, users)] in shard order: a log missing a stream is an
     [Error], not a smaller population. *)
 

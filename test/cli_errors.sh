@@ -269,6 +269,14 @@ one_line "campaign missing-stream refusal" "$exe" analyze "$missing/c"
 rm "$missing/t/rows-users-0001"
 check "analyze of a traffic log missing a stream" "a stream is missing" "$exe" analyze "$missing/t"
 one_line "traffic missing-stream refusal" "$exe" analyze "$missing/t"
+# A traffic manifest without a key the report prints is refused by that
+# key, not rendered with a placeholder.
+"$exe" traffic --domains 1500 --users 60 --days 1 --stream-out "$missing/d" >/dev/null
+frame_manifest "$missing/d" "$(sed -e '1d' -e '$d' "$missing/d/manifest" | grep -v '^days=')
+"
+check "analyze of a traffic manifest without days" "the manifest has no days" \
+  "$exe" analyze "$missing/d"
+one_line "manifest without days refusal" "$exe" analyze "$missing/d"
 rm -rf "$missing"
 
 # Unknown experiment ids are refused before any world is built or any
