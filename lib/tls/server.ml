@@ -98,56 +98,41 @@ let client_prefers_x25519 ~env exts =
       in
       first groups
 
+(* The keypair is drawn before the signature: both come from [t.rng]. *)
 let make_server_key_exchange t ~now ~client_random ~server_random ~client_exts suite =
   let env = t.config.Config.env in
+  let cache = t.config.Config.kex_cache in
+  let signed (params, secret) =
+    let signature =
+      Crypto.Ecdsa.signature_bytes env.Config.pki_curve
+        (Crypto.Ecdsa.sign t.config.Config.cert_key t.rng
+           (signed_params ~client_random ~server_random (ske_params_bytes params)))
+    in
+    (Some (Msg.Server_key_exchange { ske_params = params; ske_signature = signature }), secret)
+  in
   match Types.suite_kex suite with
   | Types.Static_ecdh -> (None, Static_secret)
   | Types.Ecdhe when client_prefers_x25519 ~env client_exts ->
-      let kp = Kex_cache.x25519_keypair t.config.Config.kex_cache ~now t.rng in
-      let params =
-        Msg.Ske_ecdhe { curve_id = Types.x25519_group_id; point = Crypto.X25519.public_bytes kp }
-      in
-      let signature =
-        Crypto.Ecdsa.signature_bytes env.Config.pki_curve
-          (Crypto.Ecdsa.sign t.config.Config.cert_key t.rng
-             (signed_params ~client_random ~server_random (ske_params_bytes params)))
-      in
-      ( Some (Msg.Server_key_exchange { ske_params = params; ske_signature = signature }),
-        X25519_secret kp )
+      let kp = Kex_cache.x25519_keypair cache ~now t.rng in
+      signed
+        ( Msg.Ske_ecdhe { curve_id = Types.x25519_group_id; point = Crypto.X25519.public_bytes kp },
+          X25519_secret kp )
   | Types.Dhe ->
-      let kp = Kex_cache.dhe_keypair t.config.Config.kex_cache ~now ~group:env.Config.dh_group t.rng in
-      let p = Crypto.Dh.group_p env.Config.dh_group in
-      let g = Crypto.Dh.group_g env.Config.dh_group in
-      let params =
-        Msg.Ske_dhe
-          {
-            dh_p = Crypto.Bignum.to_bytes_be p;
-            dh_g = Crypto.Bignum.to_bytes_be g;
-            dh_ys = Crypto.Dh.public_bytes kp;
-          }
-      in
-      let signature =
-        Crypto.Ecdsa.signature_bytes env.Config.pki_curve
-          (Crypto.Ecdsa.sign t.config.Config.cert_key t.rng
-             (signed_params ~client_random ~server_random (ske_params_bytes params)))
-      in
-      ( Some (Msg.Server_key_exchange { ske_params = params; ske_signature = signature }),
-        Dhe_secret kp )
+      let group = env.Config.dh_group in
+      let kp = Kex_cache.dhe_keypair cache ~now ~group t.rng in
+      signed
+        ( Msg.Ske_dhe
+            {
+              dh_p = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_p group);
+              dh_g = Crypto.Bignum.to_bytes_be (Crypto.Dh.group_g group);
+              dh_ys = Crypto.Dh.public_bytes kp;
+            },
+          Dhe_secret kp )
   | Types.Ecdhe ->
-      let kp =
-        Kex_cache.ecdhe_keypair t.config.Config.kex_cache ~now ~curve:env.Config.ecdhe_curve t.rng
-      in
-      let params =
-        Msg.Ske_ecdhe
-          { curve_id = env.Config.ecdhe_curve_id; point = Crypto.Ec.public_bytes kp }
-      in
-      let signature =
-        Crypto.Ecdsa.signature_bytes env.Config.pki_curve
-          (Crypto.Ecdsa.sign t.config.Config.cert_key t.rng
-             (signed_params ~client_random ~server_random (ske_params_bytes params)))
-      in
-      ( Some (Msg.Server_key_exchange { ske_params = params; ske_signature = signature }),
-        Ecdhe_secret kp )
+      let kp = Kex_cache.ecdhe_keypair cache ~now ~curve:env.Config.ecdhe_curve t.rng in
+      signed
+        ( Msg.Ske_ecdhe { curve_id = env.Config.ecdhe_curve_id; point = Crypto.Ec.public_bytes kp },
+          Ecdhe_secret kp )
 
 (* Issue a NewSessionTicket for [session] under the current STEK. *)
 let make_ticket t ~now (tc : Config.ticket_config) session =
