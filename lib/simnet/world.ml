@@ -367,6 +367,46 @@ let issue_chain b ~hostname ~trusted =
     ([ leaf; Tls.Cert.authority_cert b.bintermediate ], keypair)
   end
 
+(* Install [hostname]'s server on every process of [ep]: one certificate
+   chain for the farm and one server per slot, each server's Rng forked
+   under [fork] ("srv" for web domains, "mail" for mail front-ends). A
+   slot serves tickets when the behavior issues them and the slot has a
+   STEK. *)
+let install_servers b ep ~hostname ~trusted ~behavior ~fork =
+  let chain, keypair = issue_chain b ~hostname ~trusted in
+  Array.iter
+    (fun slot ->
+      let ticket_config =
+        match (behavior.b_ticket, slot.sl_stek) with
+        | Some (hint, accept, reissue), Some manager ->
+            Some
+              {
+                Tls.Config.stek_manager = manager;
+                lifetime_hint = hint;
+                accept_lifetime = accept;
+                reissue_on_resumption = reissue;
+              }
+        | _ -> None
+      in
+      let config =
+        {
+          Tls.Config.env = behavior.b_env;
+          suites = behavior.b_suites;
+          issue_session_ids = behavior.b_issue_ids;
+          session_cache = ep.ep_session_cache;
+          tickets = ticket_config;
+          kex_cache = slot.sl_kex;
+          cert_chain = chain;
+          cert_key = keypair;
+        }
+      in
+      let server =
+        Tls.Server.create ~config
+          ~rng:(Crypto.Rng.fork b.brng ~label:(Printf.sprintf "%s:%s/%d" fork hostname slot.sl_index))
+      in
+      Hashtbl.replace slot.sl_servers hostname server)
+    ep.ep_slots
+
 let add_domain b ~name ~rank ~weight ~operator ~endpoint ~behavior ?(misconfig = Profile.well_configured)
     ~trusted ~mx_google ~stable ~presence_p () =
   let ip =
@@ -376,42 +416,7 @@ let add_domain b ~name ~rank ~weight ~operator ~endpoint ~behavior ?(misconfig =
         let rng = Crypto.Rng.fork b.brng ~label:("ip:" ^ name) in
         ep.ep_ips.(Crypto.Rng.int_below rng (Array.length ep.ep_ips))
   in
-  (match endpoint with
-  | None -> ()
-  | Some ep ->
-      let chain, keypair = issue_chain b ~hostname:name ~trusted in
-      Array.iter
-        (fun slot ->
-          let ticket_config =
-            match (behavior.b_ticket, slot.sl_stek) with
-            | Some (hint, accept, reissue), Some manager ->
-                Some
-                  {
-                    Tls.Config.stek_manager = manager;
-                    lifetime_hint = hint;
-                    accept_lifetime = accept;
-                    reissue_on_resumption = reissue;
-                  }
-            | _ -> None
-          in
-          let config =
-            {
-              Tls.Config.env = behavior.b_env;
-              suites = behavior.b_suites;
-              issue_session_ids = behavior.b_issue_ids;
-              session_cache = ep.ep_session_cache;
-              tickets = ticket_config;
-              kex_cache = slot.sl_kex;
-              cert_chain = chain;
-              cert_key = keypair;
-            }
-          in
-          let server =
-            Tls.Server.create ~config
-              ~rng:(Crypto.Rng.fork b.brng ~label:(Printf.sprintf "srv:%s/%d" name slot.sl_index))
-          in
-          Hashtbl.replace slot.sl_servers name server)
-        ep.ep_slots);
+  Option.iter (fun ep -> install_servers b ep ~hostname:name ~trusted ~behavior ~fork:"srv") endpoint;
   b.bdomains <-
     {
       d_name = name;
@@ -564,38 +569,15 @@ let build_mail_hosts b =
                 ~ecdhe:spec.Operators.ecdhe_policy ~failure_rate:0.005
                 ~flush_on_restart:false ~n_slots:4 ()
             in
-            let chain, keypair = issue_chain b ~hostname:host ~trusted:true in
-            Array.iter
-              (fun slot ->
-                let config =
-                  {
-                    Tls.Config.env = b.benv;
-                    suites = spec.Operators.suites;
-                    issue_session_ids = true;
-                    session_cache = ep.ep_session_cache;
-                    tickets =
-                      Some
-                        {
-                          Tls.Config.stek_manager =
-                            Option.get
-                              (match slot.sl_stek with Some m -> Some m | None -> Some manager);
-                          lifetime_hint = tc.Profile.hint;
-                          accept_lifetime = tc.Profile.accept;
-                          reissue_on_resumption = tc.Profile.reissue;
-                        };
-                    kex_cache = slot.sl_kex;
-                    cert_chain = chain;
-                    cert_key = keypair;
-                  }
-                in
-                let server =
-                  Tls.Server.create ~config
-                    ~rng:
-                      (Crypto.Rng.fork b.brng
-                         ~label:(Printf.sprintf "mail:%s/%d" host slot.sl_index))
-                in
-                Hashtbl.replace slot.sl_servers host server)
-              ep.ep_slots;
+            let behavior =
+              {
+                b_env = b.benv;
+                b_suites = spec.Operators.suites;
+                b_issue_ids = true;
+                b_ticket = Some (tc.Profile.hint, tc.Profile.accept, tc.Profile.reissue);
+              }
+            in
+            install_servers b ep ~hostname:host ~trusted:true ~behavior ~fork:"mail";
             Hashtbl.replace b.bservice_hosts host ep
         | _ -> ()
       end)
@@ -956,48 +938,39 @@ let process_restarts ep ~now =
 
 type connect_error = No_such_domain | No_https | Connection_failed
 
+(* The endpoint step of every connection: due restarts, the failure
+   draw, then a process of the farm. No client affinity: the load
+   balancer hands each connection to an arbitrary process. *)
+let connect_endpoint ep ~now ~client ~hostname ~offer =
+  process_restarts ep ~now;
+  if Crypto.Rng.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
+  else
+    let slot = ep.ep_slots.(Crypto.Rng.int_below ep.ep_rng (Array.length ep.ep_slots)) in
+    match Hashtbl.find_opt slot.sl_servers hostname with
+    | None -> Error No_https
+    | Some server -> Ok (Tls.Engine.connect client server ~now ~hostname ~offer)
+
 (* Connect to a non-web TLS service host (a mail front-end). [clock]
    overrides the world clock; a parallel campaign shard reads time from
    its own clock while touching only its shard's endpoints. *)
 let connect_service_host ?clock t ~client ~hostname ~offer =
-  let now = Clock.now (Option.value clock ~default:t.clock) in
   match Hashtbl.find_opt t.service_hosts hostname with
   | None -> Error No_such_domain
   | Some ep ->
-      process_restarts ep ~now;
-      if Crypto.Rng.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
-      else begin
-        let slot = ep.ep_slots.(Crypto.Rng.int_below ep.ep_rng (Array.length ep.ep_slots)) in
-        match Hashtbl.find_opt slot.sl_servers hostname with
-        | None -> Error No_https
-        | Some server -> Ok (Tls.Engine.connect client server ~now ~hostname ~offer)
-      end
+      let now = Clock.now (Option.value clock ~default:t.clock) in
+      connect_endpoint ep ~now ~client ~hostname ~offer
 
 (* MX resolution: the hostname a domain's mail is delivered to, if its
    provider runs TLS mail front-ends we model. *)
 let mx_host _t d = if d.d_mx_google then Some (mx_host_of_operator "google") else None
 
 let connect ?clock t ~client ~hostname ~offer =
-  let now = Clock.now (Option.value clock ~default:t.clock) in
   match Hashtbl.find_opt t.by_name hostname with
-  | None -> (
-      match Hashtbl.find_opt t.service_hosts hostname with
-      | Some _ -> connect_service_host ?clock t ~client ~hostname ~offer
-      | None -> Error No_such_domain)
-  | Some d -> (
-      match d.d_endpoint with
-      | None -> Error No_https
-      | Some ep ->
-          process_restarts ep ~now;
-          if Crypto.Rng.bool ep.ep_rng ~p:ep.ep_failure_rate then Error Connection_failed
-          else begin
-            (* No client affinity: the load balancer hands this connection
-               to an arbitrary process of the farm. *)
-            let slot = ep.ep_slots.(Crypto.Rng.int_below ep.ep_rng (Array.length ep.ep_slots)) in
-            match Hashtbl.find_opt slot.sl_servers hostname with
-            | None -> Error No_https
-            | Some server -> Ok (Tls.Engine.connect client server ~now ~hostname ~offer)
-          end)
+  | None -> connect_service_host ?clock t ~client ~hostname ~offer
+  | Some { d_endpoint = None; _ } -> Error No_https
+  | Some { d_endpoint = Some ep; _ } ->
+      let now = Clock.now (Option.value clock ~default:t.clock) in
+      connect_endpoint ep ~now ~client ~hostname ~offer
 
 (* Endpoint identity for the fault layer: which terminator a hostname's
    connections land on, and who operates it (fault profiles are
