@@ -46,8 +46,8 @@ val divmod : t -> t -> t * t
 val rem : t -> t -> t
 
 val pow_mod : t -> t -> t -> t
-(** [pow_mod a e m] is [a{^e} mod m]. Odd moduli take the sliding-window
-    Montgomery path with a dedicated squaring kernel. *)
+(** [pow_mod a e m] is [a{^e} mod m]. Odd moduli go through
+    {!pow_mod_ctx} on a fresh context. *)
 
 type mont
 (** Cached Montgomery context for a fixed odd modulus. *)
@@ -56,7 +56,10 @@ val mont_of_modulus : t -> mont
 (** Raises [Invalid_argument] if the modulus is even or zero. *)
 
 val pow_mod_ctx : mont -> t -> t -> t
-(** [pow_mod_ctx ctx a e] is [a{^e} mod m] for the context's modulus. *)
+(** [pow_mod_ctx ctx a e] is [a{^e} mod m] for the context's modulus:
+    native-word square-and-multiply up to 31 bits, otherwise the
+    in-place sliding-window Montgomery ladder. Counted in
+    [kernel.pow_mod]. *)
 
 type fixed_base
 (** A fixed-base comb table: one-time precomputation over a (context,

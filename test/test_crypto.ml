@@ -461,7 +461,8 @@ let test_pow_mod_fixed_base () =
       (* Wider than the table: falls back to the generic path. *)
       check_e "e = 2^90 + 3" (B.add_int (B.shift_left B.one 90) 3);
       (* The cache returns the same table for the same (base, geometry). *)
-      Alcotest.(check bool) "cached table" true (B.fixed_base ctx g ~max_bits:64 == fb);
+      Alcotest.(check bool) "the cache returns the same table" true
+        (B.fixed_base ctx g ~max_bits:64 == fb);
       check_e "cached table" (B.of_int 123456789))
     moduli
 
